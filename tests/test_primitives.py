@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +190,59 @@ class TestMac:
             key = MacKey.generate(rng, 8)
             h = _hash_all_points(table, _blocks_of(msg))
             assert mac_sign(key, msg) == (int(h[key.a]) ^ key.b)
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "mac_tags.json").read_text())
+
+
+def _golden_message(s: int, seed: int, length: int) -> np.ndarray:
+    # the message derivation of tests/golden/make_mac_tags.py
+    return np.random.default_rng([s, seed, length]).integers(0, 2, length, dtype=np.uint8)
+
+
+class TestGoldenTags:
+    """Tags recorded by tests/golden/make_mac_tags.py must never change."""
+
+    def test_fixture_covers_every_field_size(self):
+        assert {c["field_bits"] for c in GOLDEN["mac"]} == set(FIELD_POLYNOMIALS)
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN["mac"], ids=lambda c: f"s{c['field_bits']}-a{c['a_hex'][:6]}"
+    )
+    def test_mac_sign(self, case):
+        s = case["field_bits"]
+        key = MacKey(s, int(case["a_hex"], 16), int(case["b_hex"], 16))
+        got = [
+            format(mac_sign(key, _golden_message(s, case["message_seed"], n)), "x")
+            for n in case["lengths"]
+        ]
+        assert got == case["tags_hex"]
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN["transcripts"], ids=lambda c: c["config"]["protocol"]
+    )
+    def test_transcript_tags(self, case):
+        from dbvsim.channel import DEFAULT_CHANNEL
+        from dbvsim.protocols import (
+            BrmParams,
+            Claim,
+            PartyPlacement,
+            ProtocolConfig,
+            run_pi2,
+            run_pi3,
+        )
+
+        c = dict(case["config"])
+        brm = c.pop("brm", None)
+        cfg = ProtocolConfig(**c, brm=BrmParams(**brm) if brm else None)
+        run = run_pi2 if cfg.protocol == "pi2" else run_pi3
+        d_c = case["d_claim"]
+        got = [
+            run(cfg, Claim(d_c), PartyPlacement(d_c), DEFAULT_CHANNEL,
+                np.random.default_rng(seed), seed=seed).to_json_dict()["tag_hex"]
+            for seed in case["seeds"]
+        ]
+        assert got == case["tags_hex"]
 
 
 class TestEncodeResponseClaim:
