@@ -48,6 +48,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _emit(obj: dict, plain: bool) -> None:
     obj = {"schema_version": SCHEMA_VERSION, **obj}
     if plain:
@@ -95,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cur.add_argument("--theta", type=float, default=1e-4)
     p_cur.add_argument("--gamma", type=float, default=None)
     p_cur.add_argument("--out", required=True)
-    p_cur.add_argument("--jobs", type=int, default=1)
+    p_cur.add_argument("--jobs", type=positive_int, default=1)
     _add_common(p_cur)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo a protocol/attack scenario")
@@ -103,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenario", required=True, choices=SCENARIO_KINDS)
     p_sim.add_argument("--trials", type=int, default=10000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--jobs", type=int, default=1)
+    p_sim.add_argument("--jobs", type=positive_int, default=1)
     p_sim.add_argument("--d-claim", type=float, help="claimed distance in m (default d0/2)")
     p_sim.add_argument("--d-claim-km", type=float, help="claimed distance in km")
     p_sim.add_argument("--d-real", type=float, help="true distance in m (default per scenario)")

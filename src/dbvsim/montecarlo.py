@@ -18,6 +18,7 @@ import numpy as np
 from scipy import stats
 
 from . import attacks
+from ._pool import worker_count
 from .bounds import DbvSpec, exact_binomial_tail_lower, max_errors
 from .channel import ChannelParams, bit_error_prob, snr_at_distance, transmit_power_for_claim
 from .protocols import (
@@ -333,12 +334,13 @@ def estimate_rates(
             )
 
     collect = dump_path is not None
-    if jobs <= 1 or collect:
+    workers = 1 if collect else worker_count(jobs, trials)
+    if workers == 1:
         accepts, blocked, dumped = _run_range(
             scenario, cfg, ch, master_seed, 0, trials, collect
         )
     else:
-        bounds_ = np.linspace(0, trials, jobs + 1).astype(int)
+        bounds_ = np.linspace(0, trials, workers + 1).astype(int)
         chunks = [
             (scenario, cfg, ch, master_seed, int(a), int(b), False)
             for a, b in zip(bounds_[:-1], bounds_[1:])
@@ -346,7 +348,7 @@ def estimate_rates(
         ]
         accepts = blocked = 0
         dumped = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for acc, blk, _ in pool.map(_chunk_worker, chunks):
                 accepts += acc
                 blocked += blk

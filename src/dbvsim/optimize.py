@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import brentq
 
+from ._pool import worker_count
 from .bounds import (
     BrmSpec,
     DbvSpec,
@@ -435,8 +436,9 @@ def sweep_curves(
         for psi in psi_values
         for v in inner
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(points))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, points))
     return [_sweep_point(p) for p in points]
 

@@ -293,14 +293,9 @@ def _mac_leg(
     response: np.ndarray,
     prover_claim: float,
     verifier_claim: float,
-    tag_override: Optional[int] = None,
 ) -> tuple[int, bool]:
     """Prover-side tag and verifier-side check, each over its own claim view."""
-    tag = (
-        tag_override
-        if tag_override is not None
-        else mac_sign(key, encode_response_claim(response, prover_claim))
-    )
+    tag = mac_sign(key, encode_response_claim(response, prover_claim))
     ok = mac_verify(key, encode_response_claim(response, verifier_claim), tag)
     return tag, ok
 

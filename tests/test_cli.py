@@ -80,6 +80,14 @@ class TestCurvesCommand:
         )
         assert code == 1
 
+    def test_jobs_below_one_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "curves", "--mode", "dfa", "--psi-range", "1.2:1.2:0.1",
+            "--eps", "1e-3", "--out", str(tmp_path / "x.csv"), "--jobs", "0",
+        )
+        assert code == 1
+        assert "--jobs" in err
+
 
 class TestSimulateCommand:
     ARGS = (
@@ -116,6 +124,13 @@ class TestSimulateCommand:
         assert code == 0
         obj = json.loads(out)
         assert obj["summary"]["scenario"] == "dfa"
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        code, out, err = run_cli(capsys, *self.ARGS, "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert "--jobs" in err and ">= 1" in err
 
     def test_missing_params_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -1,10 +1,13 @@
 import json
 import logging
 import math
+import os
 
 import numpy as np
 import pytest
 
+from dbvsim import montecarlo
+from dbvsim._pool import worker_count
 from dbvsim.bounds import DbvSpec
 from dbvsim.channel import DEFAULT_CHANNEL
 from dbvsim.montecarlo import (
@@ -66,6 +69,15 @@ class TestEstimateRates:
         a = estimate_rates(s, PI1, SPEC, CH, 300, 12, jobs=1)
         b = estimate_rates(s, PI1, SPEC, CH, 300, 12, jobs=3)
         assert a == b
+
+    def test_jobs_clamped_to_trials_and_cores(self, inline_pool):
+        s = Scenario("dfa", d_claim=4e4, d_real=7e4)
+        serial = estimate_rates(s, PI1, SPEC, CH, 3, 12)
+        opened = inline_pool(montecarlo, cpus=64)
+        assert estimate_rates(s, PI1, SPEC, CH, 3, 12, jobs=10**6) == serial
+        inline_pool(montecarlo, cpus=1)
+        assert estimate_rates(s, PI1, SPEC, CH, 3, 12, jobs=10**6) == serial
+        assert opened == [3]  # one pool of 3 workers; none on one core
 
     def test_seed_split_consistency(self):
         # two disjoint halves of the seed space agree within a 4-sigma band
@@ -158,3 +170,21 @@ class TestCompareToBound:
         s.analytic_bound = None
         with pytest.raises(ValueError):
             compare_to_bound(s)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "jobs, cpus, tasks, want",
+        [
+            (1, 8, 100, 1),
+            (4, 8, 100, 4),
+            (64, 2, 100, 2),
+            (8, 16, 3, 3),
+            (8, None, 100, 1),  # cpu_count() unknown
+            (0, 8, 100, 1),
+            (4, 8, 0, 1),
+        ],
+    )
+    def test_min_of_jobs_cores_tasks(self, monkeypatch, jobs, cpus, tasks, want):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert worker_count(jobs, tasks) == want

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from dbvsim import optimize
 from dbvsim.bounds import (
     DbvSpec,
     InfeasibleError,
@@ -198,6 +199,13 @@ class TestSweep:
         rows1 = sweep_curves(self.SPEC, CH, "dfa", [1.2, 1.3], eps_values=[1e-3, 1e-4])
         rows2 = sweep_curves(self.SPEC, CH, "dfa", [1.2, 1.3], eps_values=[1e-3, 1e-4], jobs=2)
         assert rows1 == rows2
+
+    def test_jobs_clamped_to_cores(self, inline_pool):
+        grid = dict(eps_values=[1e-3, 1e-4])
+        serial = sweep_curves(self.SPEC, CH, "dfa", [1.2, 1.3], **grid)
+        opened = inline_pool(optimize, cpus=2)
+        assert sweep_curves(self.SPEC, CH, "dfa", [1.2, 1.3], jobs=10**6, **grid) == serial
+        assert opened == [2]
 
     def test_csv_golden_header_and_format(self, tmp_path):
         rows = sweep_curves(self.SPEC, CH, "dfa", [1.2], eps_values=[1e-3])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -95,10 +96,24 @@ def _hash_all_points(table, blocks):
     return acc
 
 
-def _blocks_of(message_bits):
+def _blocks_of(message_bits, s=8):
     from dbvsim.primitives import _to_blocks
 
-    return _to_blocks(np.asarray(message_bits, dtype=np.uint8), 8)
+    return _to_blocks(np.asarray(message_bits, dtype=np.uint8), s)
+
+
+def _reference_mac(key, message_bits):
+    """Horner's rule over the bit-loop gf_mul: the oracle for mac_sign."""
+    acc = 0
+    for blk in _blocks_of(message_bits, key.field_bits):
+        acc = gf_mul(acc ^ blk, key.a, key.field_bits)
+    return acc ^ key.b
+
+
+def _points(s):
+    """Field points, with the edge points 0, 1 and 2**s - 1 drawn often."""
+    top = (1 << s) - 1
+    return st.one_of(st.sampled_from([0, 1, top]), st.integers(0, top))
 
 
 class TestMac:
@@ -109,6 +124,32 @@ class TestMac:
         key = MacKey.generate(rng, 64)
         msg = np.array(bits, dtype=np.uint8)
         assert mac_verify(key, msg, mac_sign(key, msg))
+
+    @pytest.mark.parametrize("s", sorted(FIELD_POLYNOMIALS))
+    @given(data=st.data(), bits=st.lists(st.integers(0, 1), max_size=700))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_gf_mul_oracle(self, s, data, bits):
+        key = MacKey(s, data.draw(_points(s)), data.draw(st.integers(0, (1 << s) - 1)))
+        msg = np.array(bits, dtype=np.uint8)
+        assert mac_sign(key, msg) == _reference_mac(key, msg)
+
+    @pytest.mark.parametrize("s", sorted(FIELD_POLYNOMIALS))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_window_tables_match_gf_mul(self, s, data):
+        a = data.draw(_points(s))
+        tables = MacKey(s, a, 0).window_tables
+        assert len(tables) == s // 4
+        for j, table in enumerate(tables):
+            assert table == tuple(gf_mul(a, v << 4 * j, s) for v in range(16))
+
+    def test_window_tables_built_once_outside_key_fields(self):
+        key, twin = MacKey(64, 5, 7), MacKey(64, 5, 7)
+        tables = key.window_tables
+        assert key.window_tables is tables
+        assert key == twin and hash(key) == hash(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            key.a = 3
 
     def test_flipped_tag_rejected(self):
         rng = np.random.default_rng(0)
