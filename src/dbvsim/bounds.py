@@ -12,6 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -147,12 +148,41 @@ def chernoff_false_accept(k: int, beta: float, p_b: float) -> float:
     return math.exp(-((p_b - beta) ** 2) * k / (2.0 * p_b))
 
 
+#: Width in nats of the window of terms summed around the largest one.  A term
+#: further below the largest than 745.2 nats has exp(log - max) == 0.0, so
+#: the 55 extra nats only absorb rounding in the window search.
+_TAIL_WINDOW_NATS = 800.0
+
+
+def _superlevel_end(above: Callable[[int], bool], inside: int, outside: int) -> int:
+    """Last index from ``inside`` towards ``outside`` (inclusive) where ``above`` holds.
+
+    ``above`` must hold at ``inside`` and, along the way, only switch from true
+    to false, as a superlevel set of a concave function does.
+    """
+    if above(outside):
+        return outside
+    while abs(outside - inside) > 1:
+        mid = (inside + outside) // 2
+        if above(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside
+
+
 def _binomial_tails(k: int, beta: float | Fraction, p: float) -> tuple[float, float]:
     """(lower, upper) = (Pr(Bin(k,p) <= c), Pr(Bin(k,p) > c)) at c = max_errors(beta, k).
 
     The numerically smaller side is summed directly in log space (log-gamma
     binomial coefficients, compensated summation in ascending order); the
     other side is its exact complement, so lower + upper == 1 always.
+
+    Only the window of terms within _TAIL_WINDOW_NATS of the side's largest
+    term is evaluated: every term outside it is exactly 0.0 after scaling by
+    that largest term.  The log-pmf is concave, so the window is one interval
+    around the side's peak (the mode clamped to the side), and its ends are
+    found by bisection.
     """
     if k < 1 or k != int(k):
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -169,22 +199,29 @@ def _binomial_tails(k: int, beta: float | Fraction, p: float) -> tuple[float, fl
     if p == 1.0:
         return 0.0, 1.0
 
+    lg = math.lgamma(k + 1)
+    log_p, log_q = math.log(p), math.log1p(-p)
+
     def _log_pmf(i: np.ndarray) -> np.ndarray:
-        lg = math.lgamma(k + 1)
         return (
             lg
             - np.array([math.lgamma(v + 1) for v in i])
             - np.array([math.lgamma(k - v + 1) for v in i])
-            + i * math.log(p)
-            + (k - i) * math.log1p(-p)
+            + i * log_p
+            + (k - i) * log_q
         )
 
     lower_is_small = (cut + 0.5) < k * p
-    if lower_is_small:
-        idx = np.arange(0, cut + 1, dtype=np.float64)
-    else:
-        idx = np.arange(cut + 1, k + 1, dtype=np.float64)
-    logs = _log_pmf(idx)
+    first, last = (0, cut) if lower_is_small else (cut + 1, k)
+    peak = min(max(math.floor((k + 1) * p), first), last)
+    threshold = _log_pmf(np.array([float(peak)]))[0] - _TAIL_WINDOW_NATS
+
+    def above(i: int) -> bool:
+        return _log_pmf(np.array([float(i)]))[0] >= threshold
+
+    lo = _superlevel_end(above, peak, first)
+    hi = _superlevel_end(above, peak, last)
+    logs = _log_pmf(np.arange(lo, hi + 1, dtype=np.float64))
     m = float(np.max(logs))
     small = math.exp(m) * math.fsum(sorted(np.exp(logs - m)))
     small = min(small, 1.0)

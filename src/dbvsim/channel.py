@@ -35,6 +35,7 @@ __all__ = [
     "propagate",
     "bit_error_prob",
     "intended_blocked_ber",
+    "intended_blocked_ber_grid",
 ]
 
 
@@ -119,6 +120,10 @@ def snr_at_distance(e: float, d: float, ch: ChannelParams) -> float:
         raise ValueError(f"transmit power must be > 0, got {e}")
     if not d > 0:
         raise ValueError(f"distance must be > 0, got {d}")
+    return _snr(e, d, ch)
+
+
+def _snr(e, d: float, ch: ChannelParams):
     return e / (ch.xi * d**ch.alpha * ch.sigma)
 
 
@@ -221,3 +226,22 @@ def intended_blocked_ber(e0: float, psi: float, ch: ChannelParams) -> BerPair:
         raise ValueError(f"ratio psi must be > 1, got {psi}")
     snr0 = snr_at_distance(e0, ch.d0, ch)
     return BerPair(bit_error_prob(snr0), bit_error_prob(snr0 / psi**ch.alpha))
+
+
+def intended_blocked_ber_grid(
+    e0: np.ndarray, psi: float, ch: ChannelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """(p_i, p_b) arrays over reference powers e0, equal element for element to
+    intended_blocked_ber at each power.
+
+    Each error probability goes through ``bit_error_prob`` (``math.erfc``)
+    rather than a vectorized erfc, whose last bit differs on many inputs.
+    """
+    e0 = np.asarray(e0, dtype=np.float64)
+    if not ((e0 > 0) & (e0 <= ch.e_max)).all():
+        raise PowerLimitError(f"reference powers must lie in (0, {ch.e_max}] W")
+    if not psi > 1:
+        raise ValueError(f"ratio psi must be > 1, got {psi}")
+    snr0 = _snr(e0, ch.d0, ch)
+    ber = np.frompyfunc(bit_error_prob, 1, 1)
+    return ber(snr0).astype(np.float64), ber(snr0 / psi**ch.alpha).astype(np.float64)

@@ -27,6 +27,7 @@ from .optimize import (
     sweep_curves,
     write_curves_csv,
 )
+from .primitives import FIELD_POLYNOMIALS
 from .protocols import BrmParams, ProtocolConfig, check_mac_strength
 
 SCHEMA_VERSION = "1"
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo a protocol/attack scenario")
     p_sim.add_argument("--protocol", required=True, choices=("pi1", "pi2", "pi3"))
     p_sim.add_argument("--scenario", required=True, choices=SCENARIO_KINDS)
-    p_sim.add_argument("--trials", type=int, default=10000)
+    p_sim.add_argument("--trials", type=positive_int, default=10000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--jobs", type=positive_int, default=1)
     p_sim.add_argument("--d-claim", type=float, help="claimed distance in m (default d0/2)")
@@ -128,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--lambda", dest="lam", type=float)
     p_sim.add_argument("--theta", type=float, default=1e-4)
     p_sim.add_argument("--gamma", type=float, default=None)
-    p_sim.add_argument("--mac-bits", type=int, default=64)
+    p_sim.add_argument("--mac-bits", type=int, default=64, choices=sorted(FIELD_POLYNOMIALS))
     p_sim.add_argument("--no-mac", action="store_true", help="drop the tag from pi3 responses")
     p_sim.add_argument("--strategy", choices=sorted(_STRATEGIES), default="index-first")
     p_sim.add_argument("--mfa-strategy", choices=("replay", "random-tag", "best-guess"),

@@ -288,16 +288,17 @@ def exact_success_probability(
         # hypergeometric; outside the overlap each bit errs with p_b.
         brm = cfg.brm
         p_b = bit_error_prob(snr_at_distance(e, scenario.d_real, ch))
-        overlap = stats.hypergeom(brm.n, brm.retrieval_cap, cfg.k)
-        cut = max_errors(cfg.beta, cfg.k)
+        overlap = np.arange(cfg.k + 1)
+        weights = stats.hypergeom.pmf(overlap, brm.n, brm.retrieval_cap, cfg.k)
+        unknown = cfg.k - overlap
+        accepts = stats.binom.cdf(max_errors(cfg.beta, cfg.k), unknown, p_b)
+        accepts[unknown == 0] = 1.0
+        # Summed in overlap order, zero weights skipped, as one scalar pmf and
+        # cdf call per overlap would be.
         total = 0.0
-        for j in range(0, cfg.k + 1):
-            w = overlap.pmf(j)
-            if w == 0.0:
-                continue
-            unknown = cfg.k - j
-            acc = 1.0 if unknown == 0 else float(stats.binom.cdf(cut, unknown, p_b))
-            total += w * acc
+        for w, acc in zip(weights, accepts):
+            if w != 0.0:
+                total += w * acc
         return total
     return None
 

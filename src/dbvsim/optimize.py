@@ -3,8 +3,9 @@
 For every candidate reference power the inner problem
 min_beta max{decreasing completeness term, increasing soundness term} is
 solved exactly at the unique crossing of the two terms; the outer power
-search walks a fixed logarithmic grid and refines the best cell by golden
-section, so results are deterministic and reproducible bit for bit.
+search scans a fixed logarithmic grid in one array pass and refines the best
+cell by golden section with the scalar inner solver, so results are
+deterministic and reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -26,7 +27,12 @@ from .bounds import (
     challenge_length_brm_sampling,
     challenge_length_dfa,
 )
-from .channel import ChannelParams, intended_blocked_ber, watts_to_dbm
+from .channel import (
+    ChannelParams,
+    intended_blocked_ber,
+    intended_blocked_ber_grid,
+    watts_to_dbm,
+)
 
 __all__ = [
     "OptimalDfaConfig",
@@ -88,8 +94,47 @@ class MaxLambdaResult:
     feasible: bool
 
 
-def _completeness_term(p_i: float) -> Callable[[float], float]:
+#: Either a float or an array of floats: the term builders serve both paths.
+Real = Union[float, np.ndarray]
+#: (p_i, p_b, sqrt) -> (decreasing term, increasing term, upper end of the
+#: threshold bracket); the lower end is p_i.
+Terms = Callable[..., tuple[Callable, Callable, Real]]
+
+
+def _completeness_term(p_i: Real) -> Callable[[Real], Real]:
     return lambda beta: (p_i + beta) / (beta - p_i) ** 2
+
+
+def _dfa_terms(p_i: Real, p_b: Real, sqrt) -> tuple[Callable, Callable, Real]:
+    return _completeness_term(p_i), lambda beta: 2.0 * p_b / (p_b - beta) ** 2, p_b
+
+
+def _brm_terms(mode: str, lam: float, theta: float) -> Terms:
+    def terms(p_i: Real, p_b: Real, sqrt) -> tuple[Callable, Callable, Real]:
+        if mode == "general":
+            leak = 2.0 * _LN2 * p_b * lam
+            return (
+                _completeness_term(p_i),
+                lambda beta: 2.0 * p_b * lam / ((p_b - beta - theta) ** 2 - leak),
+                p_b - sqrt(leak) - theta,
+            )
+        pb_eff = (1.0 - lam) * p_b
+        return (
+            _completeness_term(p_i),
+            lambda beta: 2.0 * pb_eff / (pb_eff - beta - theta) ** 2,
+            pb_eff - theta,
+        )
+
+    return terms
+
+
+def _bracket(lo: Real, hi: Real, nextafter, maximum, minimum) -> tuple[Real, Real]:
+    """Bracket strictly inside (lo, hi), even when the interval is a few ulps wide."""
+    width = hi - lo
+    return (
+        maximum(lo + width * 1e-12, nextafter(lo, hi)),
+        minimum(hi - width * 1e-12, nextafter(hi, lo)),
+    )
 
 
 def _crossing(
@@ -105,13 +150,9 @@ def _crossing(
     Returns (beta, max of the two weighted terms there); (nan, inf) when the
     bracket degenerates numerically.
     """
-    width = hi - lo
-    if not width > 0:
+    if not hi - lo > 0:
         return math.nan, math.inf
-    # Keep the bracket strictly inside (lo, hi) even when the interval is a
-    # few ulps wide.
-    a = max(lo + width * 1e-12, math.nextafter(lo, hi))
-    b = min(hi - width * 1e-12, math.nextafter(hi, lo))
+    a, b = _bracket(lo, hi, math.nextafter, max, min)
     if not a < b:
         return math.nan, math.inf
 
@@ -139,46 +180,72 @@ def _crossing(
     return beta, value
 
 
-def _dfa_inner(p_i: float, p_b: float, w_fr: float, w_fa: float) -> tuple[float, float]:
-    if not 0 <= p_i < p_b:
-        return math.nan, math.inf
-    return _crossing(
-        _completeness_term(p_i),
-        lambda beta: 2.0 * p_b / (p_b - beta) ** 2,
-        p_i,
-        p_b,
-        w_fr,
-        w_fa,
-    )
-
-
-def _brm_inner(
-    p_i: float,
-    p_b: float,
-    mode: str,
-    lam: float,
-    theta: float,
-    w_fr: float,
-    w_fa: float,
+def _inner(
+    terms: Terms, p_i: float, p_b: float, w_dec: float, w_inc: float
 ) -> tuple[float, float]:
+    """(beta, objective) minimizing the max of the two weighted terms at one power."""
     if not 0 <= p_i < p_b:
         return math.nan, math.inf
-    if mode == "general":
-        beta_hi = p_b - math.sqrt(2.0 * _LN2 * p_b * lam) - theta
-
-        def f_inc(beta: float) -> float:
-            return 2.0 * p_b * lam / ((p_b - beta - theta) ** 2 - 2.0 * _LN2 * p_b * lam)
-
-    else:
-        pb_eff = (1.0 - lam) * p_b
-        beta_hi = pb_eff - theta
-
-        def f_inc(beta: float) -> float:
-            return 2.0 * pb_eff / (pb_eff - beta - theta) ** 2
-
+    f_dec, f_inc, beta_hi = terms(p_i, p_b, math.sqrt)
     if not beta_hi > p_i:
         return math.nan, math.inf
-    return _crossing(_completeness_term(p_i), f_inc, p_i, beta_hi, w_fr, w_fa)
+    return _crossing(f_dec, f_inc, p_i, beta_hi, w_dec, w_inc)
+
+
+def _scan(
+    terms: Terms, p_i: np.ndarray, p_b: np.ndarray, w_dec: float, w_inc: float
+) -> np.ndarray:
+    """The objective of _inner at every grid power in one array pass.
+
+    Points where _inner fails (an empty bracket, or a term that is not a
+    positive finite number at a bracket end, where _inner's logarithm or
+    division raises) get inf.  Crossings are bisected until the bracket stops
+    shrinking, and the objective is the smaller of the two terms' max at the
+    bracket ends: accurate to a few ulps, which is all the argmin over the
+    grid needs.  The returned optimum itself always comes from _inner.
+
+    Python's x**2 and numpy's x*x differ in the last bit on about 0.1% of
+    inputs, so on a bracket only a few ulps from empty the two paths can
+    disagree on whether a denominator is positive; such points have
+    objectives far past any admissible challenge length.
+    """
+    vals = np.full(p_i.shape, np.inf)
+    _, _, beta_hi = terms(p_i, p_b, np.sqrt)
+    idx = np.flatnonzero((0 <= p_i) & (p_i < p_b) & (beta_hi > p_i))
+    f_dec, f_inc, hi = terms(p_i[idx], p_b[idx], np.sqrt)
+    lo = p_i[idx]
+    a, b = _bracket(lo, hi, np.nextafter, np.maximum, np.minimum)
+    log_ratio = math.log(w_dec) - math.log(w_inc)
+
+    def g(beta: np.ndarray) -> np.ndarray:
+        return log_ratio + np.log(f_dec(beta)) - np.log(f_inc(beta))
+
+    def objective(beta: np.ndarray) -> np.ndarray:
+        return np.maximum(w_dec * f_dec(beta), w_inc * f_inc(beta))
+
+    def usable(beta: np.ndarray) -> np.ndarray:
+        dec, inc = f_dec(beta), f_inc(beta)
+        return (0 < dec) & (dec < np.inf) & (0 < inc) & (inc < np.inf)
+
+    with np.errstate(all="ignore"):
+        ok = (a < b) & usable(a) & usable(b)
+        ga, gb = g(a), g(b)
+        crosses = (ga > 0) & (gb < 0)
+        # Where one term dominates, the edge _crossing picks.
+        beta = np.where(ga <= 0, a, b)
+        left, right = a, b
+        while True:
+            mid = 0.5 * (left + right)
+            moving = crosses & (left < mid) & (mid < right)
+            if not moving.any():
+                break
+            up = g(mid) > 0
+            left = np.where(moving & up, mid, left)
+            right = np.where(moving & ~up, mid, right)
+        value = np.where(crosses, np.minimum(objective(left), objective(right)),
+                         objective(beta))
+    vals[idx] = np.where(ok & np.isfinite(value), value, np.inf)
+    return vals
 
 
 def _e0_grid(ch: ChannelParams, points: int) -> np.ndarray:
@@ -208,23 +275,34 @@ def _golden_refine(
 
 
 def _outer_min(
-    value: Callable[[float], float], ch: ChannelParams, grid_points: int
+    terms: Terms, psi: float, ch: ChannelParams, w_dec: float, w_inc: float, grid_points: int
 ) -> tuple[float, float]:
+    """(e0, objective) minimizing the inner optimum over reference powers.
+
+    The grid cell comes from one _scan over the logarithmic grid; the
+    golden-section refinement around it and the grid winner's value are
+    scalar _inner evaluations.
+    """
     grid = _e0_grid(ch, grid_points)
-    vals = np.array([value(e0) for e0 in grid])
-    vals = np.where(np.isnan(vals), np.inf, vals)
+    vals = _scan(terms, *intended_blocked_ber_grid(grid, psi, ch), w_dec, w_inc)
     if not np.isfinite(vals).any():
         raise InfeasibleError(
             "infeasible-for-all-powers",
             f"no reference power in (0, {ch.e_max}] W admits a threshold",
         )
     i = int(np.argmin(vals))
+
+    def value(e0: float) -> float:
+        ber = intended_blocked_ber(e0, psi, ch)
+        return _inner(terms, ber.p_i, ber.p_b, w_dec, w_inc)[1]
+
     lo = grid[max(0, i - 1)]
     hi = grid[min(len(grid) - 1, i + 1)]
     e0, v = _golden_refine(value, lo, hi)
     # Keep the grid winner if refinement drifted onto a worse point.
-    if vals[i] < v:
-        return float(grid[i]), float(vals[i])
+    v_grid = value(grid[i])
+    if v_grid < v:
+        return float(grid[i]), float(v_grid)
     return float(e0), float(v)
 
 
@@ -241,13 +319,9 @@ def optimize_dfa(
     w_fr = 1.0 if symmetric else math.log(1.0 / spec.eps_fr)
     w_fa = 1.0 if symmetric else math.log(1.0 / spec.eps_fa)
 
-    def value(e0: float) -> float:
-        ber = intended_blocked_ber(e0, spec.psi, ch)
-        return _dfa_inner(ber.p_i, ber.p_b, w_fr, w_fa)[1]
-
-    e0_star, obj = _outer_min(value, ch, grid_points)
+    e0_star, obj = _outer_min(_dfa_terms, spec.psi, ch, w_fr, w_fa, grid_points)
     ber = intended_blocked_ber(e0_star, spec.psi, ch)
-    beta_star, _ = _dfa_inner(ber.p_i, ber.p_b, w_fr, w_fa)
+    beta_star, _ = _inner(_dfa_terms, ber.p_i, ber.p_b, w_fr, w_fa)
     k_star = challenge_length_dfa(ber, beta_star, spec)
     return OptimalDfaConfig(e0_star=e0_star, beta_star=beta_star, k_star=k_star, objective=obj)
 
@@ -281,12 +355,9 @@ def optimize_brm(
     w_fr = math.log(1.0 / spec.eps_fr)
     w_fa = math.log(1.0 / (spec.eps_fa - gamma))
 
-    def value(e0: float) -> float:
-        ber = intended_blocked_ber(e0, spec.psi, ch)
-        return _brm_inner(ber.p_i, ber.p_b, mode, lam, theta, w_fr, w_fa)[1]
-
+    terms = _brm_terms(mode, lam, theta)
     try:
-        e0_star, obj = _outer_min(value, ch, grid_points)
+        e0_star, obj = _outer_min(terms, spec.psi, ch, w_fr, w_fa, grid_points)
     except InfeasibleError:
         condition = (
             "general-intruder-infeasible" if mode == "general" else "sampling-intruder-infeasible"
@@ -300,7 +371,7 @@ def optimize_brm(
             condition, f"no power <= e_max satisfies {detail} with lambda={lam}"
         ) from None
     ber = intended_blocked_ber(e0_star, spec.psi, ch)
-    beta_star, _ = _brm_inner(ber.p_i, ber.p_b, mode, lam, theta, w_fr, w_fa)
+    beta_star, _ = _inner(terms, ber.p_i, ber.p_b, w_fr, w_fa)
     mu_star = beta_star + theta
     length = challenge_length_brm_general if mode == "general" else challenge_length_brm_sampling
     k_star, n_star = length(ber, beta_star, mu_star, brm, spec)
@@ -331,9 +402,7 @@ def max_feasible_lambda(
     """
     if mode not in BRM_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {BRM_MODES}")
-    bers = [intended_blocked_ber(e0, psi, ch) for e0 in _e0_grid(ch, grid_points)]
-    p_i = np.array([b.p_i for b in bers])
-    p_b = np.array([b.p_b for b in bers])
+    p_i, p_b = intended_blocked_ber_grid(_e0_grid(ch, grid_points), psi, ch)
 
     def feasible(lam: float) -> bool:
         if mode == "general":

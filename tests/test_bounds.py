@@ -25,6 +25,7 @@ from dbvsim.bounds import (
     brm_exponent_sampling,
     sampler_close_security,
 )
+from dbvsim.bounds import _binomial_tails
 from dbvsim.channel import BerPair
 
 LN2 = math.log(2)
@@ -102,6 +103,79 @@ class TestExactTails:
     def test_edge_probabilities(self):
         assert exact_binomial_tail_lower(10, 0.5, 0.0) == 1.0
         assert exact_binomial_tail_lower(10, 0.5, 1.0) == 0.0
+
+
+def _full_range_tails(k, beta, p):
+    """Oracle: sum every term of the smaller side, the windowed sum's reference.
+
+    The same log-pmf, scaling and sorted fsum as bounds._binomial_tails, but
+    over the whole side rather than the window around its largest term.
+    """
+    cut = max_errors(beta, k)
+    if cut < 0:
+        return 0.0, 1.0
+    if cut >= k or p == 0.0:
+        return 1.0, 0.0
+    if p == 1.0:
+        return 0.0, 1.0
+    lower_is_small = (cut + 0.5) < k * p
+    if lower_is_small:
+        i = np.arange(0, cut + 1, dtype=np.float64)
+    else:
+        i = np.arange(cut + 1, k + 1, dtype=np.float64)
+    logs = (
+        math.lgamma(k + 1)
+        - np.array([math.lgamma(v + 1) for v in i])
+        - np.array([math.lgamma(k - v + 1) for v in i])
+        + i * math.log(p)
+        + (k - i) * math.log1p(-p)
+    )
+    m = float(np.max(logs))
+    small = min(math.exp(m) * math.fsum(sorted(np.exp(logs - m))), 1.0)
+    return (small, 1.0 - small) if lower_is_small else (1.0 - small, small)
+
+
+@st.composite
+def _tail_args(draw):
+    k = draw(st.integers(1, 5000))
+    beta = draw(st.one_of(
+        st.floats(0.0, 1.0),
+        st.fractions(0, 1, max_denominator=10**6),
+        st.just(0.0),  # cut 0
+        st.just(Fraction(max(k - 1, 0), k)),  # cut k - 1
+    ))
+    p = draw(st.one_of(
+        st.floats(0.0, 1.0),
+        st.floats(5e-324, 1e-3),
+        st.floats(1e-16, 1e-3).map(lambda d: 1.0 - d),
+        st.just(float(beta)),  # cut at the mode, where the window is widest
+    ))
+    return k, beta, p
+
+
+class TestWindowedTailsOracle:
+    """bounds._binomial_tails sums a window; it must equal the full-range sum bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tail_args())
+    def test_equals_full_range_sum(self, args):
+        k, beta, p = args
+        assert _binomial_tails(k, beta, p) == _full_range_tails(k, beta, p)
+
+    @pytest.mark.parametrize(
+        "k, beta, p",
+        [
+            # The psi=1.01, eps=1e-5 design point: FR at p_i, FA at p_b.
+            (722846, 0.0509670600503867, 0.049700821584056046),
+            (722846, 0.0509670600503867, 0.05225726400727593),
+            # Cut at the mode, where the window reaches furthest.
+            (722846, 0.0509670600503867, 0.0509670600503867),
+            (200001, Fraction(1, 2), 0.5),
+            (300000, 0.001, 1e-9),
+        ],
+    )
+    def test_large_k(self, k, beta, p):
+        assert _binomial_tails(k, beta, p) == _full_range_tails(k, beta, p)
 
 
 def _random_valid_triples(count, seed=7, k_max=10**4):

@@ -132,6 +132,23 @@ class TestSimulateCommand:
         assert out == ""
         assert "--jobs" in err and ">= 1" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        code, out, err = run_cli(capsys, *self.ARGS, "--trials", trials)
+        assert code == 1
+        assert out == ""
+        assert "--trials" in err and ">= 1" in err
+
+    @pytest.mark.parametrize("bits", ["12", "0", "256"])
+    def test_unsupported_mac_bits_is_usage_error(self, capsys, bits):
+        code, out, err = run_cli(
+            capsys, "simulate", "--protocol", "pi2", "--scenario", "honest",
+            "--auto", "--psi", "1.5", "--trials", "10", "--mac-bits", bits,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--mac-bits" in err and "invalid choice" in err
+
     def test_missing_params_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--protocol", "pi1", "--scenario", "honest",

@@ -5,11 +5,17 @@ import os
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dbvsim import montecarlo
 from dbvsim._pool import worker_count
-from dbvsim.bounds import DbvSpec
-from dbvsim.channel import DEFAULT_CHANNEL
+from dbvsim.bounds import DbvSpec, max_errors
+from dbvsim.channel import (
+    DEFAULT_CHANNEL,
+    bit_error_prob,
+    snr_at_distance,
+    transmit_power_for_claim,
+)
 from dbvsim.montecarlo import (
     Scenario,
     TRIAL_CSV_HEADER,
@@ -17,6 +23,7 @@ from dbvsim.montecarlo import (
     clopper_pearson,
     compare_to_bound,
     estimate_rates,
+    exact_success_probability,
 )
 from dbvsim.protocols import BrmParams, ProtocolConfig
 
@@ -135,6 +142,43 @@ class TestEstimateRates:
         out = estimate_rates(s, PI1, SPEC, CH, 10, 20)
         row = out.to_csv_row()
         assert len(row) == len(TRIAL_CSV_HEADER)
+
+
+def _scalar_sampling_mixture(scenario, cfg):
+    """Oracle: one scalar hypergeometric pmf and binomial cdf call per overlap."""
+    e = transmit_power_for_claim(scenario.d_claim, cfg.e0, CH)
+    p_b = bit_error_prob(snr_at_distance(e, scenario.d_real, CH))
+    overlap = stats.hypergeom(cfg.brm.n, cfg.brm.retrieval_cap, cfg.k)
+    cut = max_errors(cfg.beta, cfg.k)
+    total = 0.0
+    for j in range(cfg.k + 1):
+        w = overlap.pmf(j)
+        if w == 0.0:
+            continue
+        unknown = cfg.k - j
+        acc = 1.0 if unknown == 0 else float(stats.binom.cdf(cut, unknown, p_b))
+        total += w * acc
+    return total
+
+
+class TestSamplingMixtureOracle:
+    """The tfa-sampling acceptance probability, one array pass over all overlaps."""
+
+    @pytest.mark.parametrize("lam, k", [(0.3, 90), (0.9, 30), (0.5, 10), (0.05, 40)])
+    @pytest.mark.parametrize("d_real", [4e4, 6e4, 9e4])
+    def test_equals_scalar_loop(self, lam, k, d_real):
+        cfg = pi3_config(lam=lam, k=k)
+        s = Scenario("tfa-sampling", d_claim=4e4, d_real=d_real)
+        got = exact_success_probability(s, cfg, CH)
+        assert repr(got) == repr(_scalar_sampling_mixture(s, cfg))
+
+    def test_full_overlap_counts_as_accepted(self):
+        # k equal to the retrieval cap: the intruder may hold every sampled bit.
+        cfg = pi3_config(lam=0.5, k=10)
+        assert cfg.brm.retrieval_cap == cfg.k
+        far = Scenario("tfa-sampling", d_claim=4e4, d_real=4e6)
+        full = stats.hypergeom.pmf(cfg.k, cfg.brm.n, cfg.brm.retrieval_cap, cfg.k)
+        assert exact_success_probability(far, cfg, CH) >= full > 0.0
 
 
 class TestCompareToBound:

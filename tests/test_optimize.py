@@ -1,16 +1,24 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from dbvsim import optimize
 from dbvsim.bounds import (
+    DEFAULT_K_CAP,
     DbvSpec,
     InfeasibleError,
     chernoff_false_accept,
     chernoff_false_reject,
 )
-from dbvsim.channel import DEFAULT_CHANNEL, intended_blocked_ber
+from dbvsim.channel import (
+    DEFAULT_CHANNEL,
+    ChannelParams,
+    PowerLimitError,
+    intended_blocked_ber,
+    intended_blocked_ber_grid,
+)
 from dbvsim.optimize import (
     CURVES_CSV_HEADER,
     max_feasible_lambda,
@@ -167,6 +175,121 @@ class TestMaxFeasibleLambda:
         with pytest.raises(InfeasibleError):
             optimize_brm(spec, CH, min(res.lambda_star + 2e-3, 0.999), "general",
                          theta=0.0, gamma=0.0)
+
+
+def _scalar_grid(terms, psi, ch, w_dec, w_inc):
+    """Oracle: the per-point scalar loop over the power grid that _scan replaces."""
+    vals = []
+    for e0 in optimize._e0_grid(ch, optimize.E0_GRID_POINTS):
+        ber = intended_blocked_ber(e0, psi, ch)
+        vals.append(optimize._inner(terms, ber.p_i, ber.p_b, w_dec, w_inc)[1])
+    return np.array(vals)
+
+
+def _crossing_kinds(terms, psi, w_dec, w_inc):
+    """Counts of grid points with a crossing, with one dominating term, and infeasible."""
+    p_i, p_b = intended_blocked_ber_grid(optimize._e0_grid(CH, optimize.E0_GRID_POINTS), psi, CH)
+    f_dec, f_inc, hi = terms(p_i, p_b, np.sqrt)
+    a, b = optimize._bracket(p_i, hi, np.nextafter, np.maximum, np.minimum)
+    with np.errstate(all="ignore"):
+        g_a = math.log(w_dec / w_inc) + np.log(f_dec(a)) - np.log(f_inc(a))
+        g_b = math.log(w_dec / w_inc) + np.log(f_dec(b)) - np.log(f_inc(b))
+    feasible = hi > p_i
+    crosses = feasible & (g_a > 0) & (g_b < 0)
+    return int(crosses.sum()), int((feasible & ~crosses).sum()), int((~feasible).sum())
+
+
+_L = math.log
+_SCAN_CASES = {
+    "dfa-psi1.01": (optimize._dfa_terms, 1.01, 1.0, 1.0),
+    "dfa-psi1.5": (optimize._dfa_terms, 1.5, 1.0, 1.0),
+    "dfa-unequal": (optimize._dfa_terms, 1.1, _L(1e2), _L(1e5)),
+    "dfa-unequal-reversed": (optimize._dfa_terms, 3.0, _L(1e6), _L(1.01)),
+    # Weights this lopsided make one term dominate over part of the grid.
+    "dfa-dominated-some": (optimize._dfa_terms, 3.0, 1e-15, 1.0),
+    "dfa-dominated-all": (optimize._dfa_terms, 1.5, 1e-30, 1.0),
+    "general-partly-infeasible": (optimize._brm_terms("general", 0.05, 1e-4), 1.5,
+                                  _L(1e4), _L(1e6)),
+    "general-dominated-some": (optimize._brm_terms("general", 0.05, 1e-4), 3.0, 1e9, 1.0),
+    "general-infeasible": (optimize._brm_terms("general", 0.05, 1e-4), 1.05, 1.0, 1.0),
+    "sampling-partly-infeasible": (optimize._brm_terms("sampling", 0.9, 1e-4), 3.0,
+                                   _L(1e4), _L(1e6)),
+    "sampling-dominated-some": (optimize._brm_terms("sampling", 0.5, 1e-4), 3.0, 1e-15, 1.0),
+    "sampling-infeasible": (optimize._brm_terms("sampling", 0.5, 0.1), 1.5, 1.0, 1.0),
+}
+
+
+class TestGridScanOracle:
+    """The one-pass scan must pick the cell the scalar per-point loop picks."""
+
+    @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+    def test_argmin_and_infeasible_points_match(self, case):
+        terms, psi, w_dec, w_inc = _SCAN_CASES[case]
+        want = _scalar_grid(terms, psi, CH, w_dec, w_inc)
+        grid = optimize._e0_grid(CH, optimize.E0_GRID_POINTS)
+        got = optimize._scan(terms, *intended_blocked_ber_grid(grid, psi, CH), w_dec, w_inc)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        if np.isfinite(want).any():
+            assert int(np.argmin(got)) == int(np.argmin(want))
+            # brentq stops at a relative tolerance in beta, which costs up to
+            # about 1e-6 of the objective under the most lopsided weights.
+            near = want <= 1.05 * want.min()
+            np.testing.assert_allclose(got[near], want[near], rtol=1e-5)
+
+    def test_cases_cover_each_kind_of_point(self):
+        kinds = {name: _crossing_kinds(*_SCAN_CASES[name]) for name in _SCAN_CASES}
+        assert kinds["dfa-psi1.5"] == (2000, 0, 0)
+        assert kinds["dfa-dominated-all"] == (0, 2000, 0)
+        for name in ("dfa-dominated-some", "general-dominated-some", "sampling-dominated-some"):
+            assert min(kinds[name][:2]) > 0
+        for name in ("general-partly-infeasible", "sampling-partly-infeasible"):
+            assert kinds[name][0] > 0 and kinds[name][2] > 0
+        assert kinds["general-infeasible"][2] == kinds["sampling-infeasible"][2] == 2000
+
+    @pytest.mark.parametrize(
+        "mode, lam, theta, p_i",
+        [("general", 0.05, 1e-4, 0.01), ("general", 0.05, 1e-4, 1e-9),
+         ("general", 0.3, 0.0, 0.01), ("sampling", 0.5, 1e-4, 0.05)],
+    )
+    def test_nearly_empty_brackets(self, mode, lam, theta, p_i):
+        # p_b stepped ulp by ulp across the feasibility edge beta_hi == p_i.
+        # Here Python's x**2 and numpy's x*x, which differ in the last bit
+        # on about 0.1% of inputs, decide whether a denominator is positive,
+        # so the scan and the scalar path may disagree; only on points whose
+        # challenge length is past DEFAULT_K_CAP.
+        terms = optimize._brm_terms(mode, lam, theta)
+        lo, hi = p_i, 0.5
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if terms(p_i, mid, math.sqrt)[2] > p_i else (mid, hi)
+        p_b = hi + np.arange(-50, 5000) * math.ulp(hi)
+        want = np.array([optimize._inner(terms, p_i, b, 9.2, 9.2)[1] for b in p_b.tolist()])
+        got = optimize._scan(terms, np.full(p_b.shape, p_i), p_b, 9.2, 9.2)
+        assert np.isinf(want[:50]).all() and np.isinf(got[:50]).all()
+        differ = np.isinf(got) != np.isinf(want)
+        assert (np.minimum(got, want)[differ] > DEFAULT_K_CAP).all()
+
+
+class TestBerGrid:
+    @pytest.mark.parametrize("psi", [1.0001, 1.01, 1.68, 3.0, 40.0])
+    @pytest.mark.parametrize(
+        "ch", [CH, ChannelParams(xi=2.0, alpha=2.0, sigma=3e-10, e_max=5e5, d0=2e4)],
+        ids=["default", "other"],
+    )
+    def test_equals_intended_blocked_ber_elementwise(self, psi, ch):
+        grid = optimize._e0_grid(ch, optimize.E0_GRID_POINTS)
+        p_i, p_b = intended_blocked_ber_grid(grid, psi, ch)
+        pairs = [intended_blocked_ber(e0, psi, ch) for e0 in grid]
+        assert p_i.tolist() == [b.p_i for b in pairs]
+        assert p_b.tolist() == [b.p_b for b in pairs]
+
+    def test_rejects_powers_outside_budget(self):
+        with pytest.raises(PowerLimitError):
+            intended_blocked_ber_grid(np.array([1.0, 2 * CH.e_max]), 1.5, CH)
+        with pytest.raises(PowerLimitError):
+            intended_blocked_ber_grid(np.array([0.0, 1.0]), 1.5, CH)
+        with pytest.raises(ValueError):
+            intended_blocked_ber_grid(np.array([1.0]), 1.0, CH)
 
 
 class TestSweep:
