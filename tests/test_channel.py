@@ -180,6 +180,72 @@ class TestPropagate:
         assert not np.array_equal(a, b)
 
 
+def _modulate_reference(bits, e):
+    """bpsk_modulate as first written: a bool mask, np.where, then a float64 copy."""
+    amp = math.sqrt(e)
+    bits = np.asarray(bits, dtype=np.uint8)
+    return np.where(bits != 0, amp, -amp).astype(np.float64)
+
+
+def _propagate_reference(sig, d, ch, rng):
+    """propagate as first written: noise added to the attenuated signal."""
+    att = np.asarray(sig, dtype=np.float64) / math.sqrt(ch.xi * d**ch.alpha)
+    return att + rng.normal(0.0, math.sqrt(ch.sigma / 2.0), size=att.shape)
+
+
+class TestChannelOracles:
+    """The channel fast paths equal the first formulas bit for bit."""
+
+    @pytest.mark.parametrize("e", [1e-12, 0.3, 1.0, 4.0, 2.5e4])
+    def test_modulate_edge_bytes(self, e):
+        bits = np.array([0, 1, 2, 255, 0, 128, 1], dtype=np.uint8)
+        got = bpsk_modulate(bits, e)
+        want = _modulate_reference(bits, e)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_modulate_empty(self):
+        got = bpsk_modulate(np.array([], dtype=np.uint8), 2.0)
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+    def test_modulate_other_input_types(self):
+        for bits in ([0, 1, 2, 255], np.array([True, False]), np.array([[0, 3], [1, 0]])):
+            got = bpsk_modulate(bits, 9.0)
+            assert got.tobytes() == _modulate_reference(bits, 9.0).tobytes()
+            assert got.shape == np.shape(bits)
+
+    @given(st.lists(st.integers(0, 255), max_size=300), st.floats(1e-30, 1e30))
+    @settings(max_examples=100, deadline=None)
+    def test_modulate_matches_reference(self, bits, e):
+        b = np.array(bits, dtype=np.uint8)
+        assert bpsk_modulate(b, e).tobytes() == _modulate_reference(b, e).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 4096])
+    @pytest.mark.parametrize("d", [1.0, 5e4, 2e5])
+    def test_propagate_matches_reference(self, n, d):
+        ch = ChannelParams(xi=2.0, alpha=3.5, sigma=3e-12)
+        sig = _modulate_reference(random_bits(np.random.default_rng(n), n), 7.0)
+        rng_got, rng_want = np.random.default_rng(99), np.random.default_rng(99)
+        got = propagate(sig, d, ch, rng_got)
+        want = _propagate_reference(sig, d, ch, rng_want)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # Same draws consumed: the generators stay in step.
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    def test_propagate_leaves_input_alone(self):
+        sig = _modulate_reference(np.array([0, 1, 1], dtype=np.uint8), 4.0)
+        before = sig.copy()
+        propagate(sig, 1e3, DEFAULT_CHANNEL, np.random.default_rng(3))
+        np.testing.assert_array_equal(sig, before)
+
+    def test_propagate_noiseless_matches_reference(self):
+        sig = _modulate_reference(random_bits(np.random.default_rng(4), 50), 3.0)
+        got = propagate(sig, 1e4, DEFAULT_CHANNEL, np.random.default_rng(0), noiseless=True)
+        want = sig / math.sqrt(DEFAULT_CHANNEL.xi * 1e4**DEFAULT_CHANNEL.alpha)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestBitErrorProb:
     def test_zero_snr(self):
         assert bit_error_prob(0.0) == pytest.approx(0.5, rel=1e-15)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from dbvsim.primitives import (
     FIELD_POLYNOMIALS,
@@ -308,6 +309,20 @@ class TestEncodeResponseClaim:
 # sampler
 
 
+def _eager_sample(key: SamplerKey, n: int, k: int) -> np.ndarray:
+    """The first sampler: the key's generator permutes all n positions and the
+    first k are kept.  The O(k) draw must equal it in distribution."""
+    return np.random.default_rng(int.from_bytes(key.seed, "big")).permutation(n)[:k]
+
+
+def _cell_counts(draws: np.ndarray, n: int, slot_groups: int, bins: int) -> np.ndarray:
+    """Counts over (draw-order slot group, position bin) cells of a reps x k array."""
+    reps, k = draws.shape
+    slot = np.broadcast_to(np.arange(k) * slot_groups // k, draws.shape)
+    cell = slot * bins + draws * bins // n
+    return np.bincount(cell.ravel(), minlength=slot_groups * bins)
+
+
 class TestSampler:
     def test_full_draw_is_permutation(self):
         key = SamplerKey.generate(np.random.default_rng(0), 128)
@@ -373,6 +388,58 @@ class TestSampler:
     def test_guarantee_requires_positive_theta(self):
         with pytest.raises(ValueError):
             sampler_guarantee(10, 0.0)
+
+    #: chi-square p-values below this fail; the seeds are fixed, so a pass is
+    #: a fixed outcome, not a flaky one.
+    P_FLOOR = 1e-4
+
+    def test_ordered_triples_match_eager(self):
+        # All 120 ordered 3-tuples of 6 positions are equally likely, for the
+        # sampler and for the eager permutation, with exact 1/120 cells.
+        from itertools import permutations
+
+        cell = {t: i for i, t in enumerate(permutations(range(6), 3))}
+        reps = 60_000
+        counts = np.zeros((2, len(cell)), dtype=np.int64)
+        for row, (draw, seed) in enumerate(
+            ((lambda key: sample_indices(key, 6, 3).indices, 31), (_eager_sample, 32))
+        ):
+            rng = np.random.default_rng(seed)
+            for _ in range(reps):
+                key = SamplerKey.generate(rng, 64)
+                idx = draw(key) if row == 0 else draw(key, 6, 3)
+                counts[row, cell[tuple(int(i) for i in idx)]] += 1
+        for row in counts:
+            assert stats.chisquare(row).pvalue > self.P_FLOOR
+        assert stats.chi2_contingency(counts).pvalue > self.P_FLOOR
+
+    @pytest.mark.parametrize(
+        "n,k,reps",
+        [
+            (20_000, 10, 4000),  # n > 10**4, k <= n/50
+            (10_050, 250, 400),  # n > 10**4, k > n/50
+            (5_000, 400, 400),  # n <= 10**4
+        ],
+    )
+    def test_position_marginals_match_eager(self, n, k, reps):
+        # Every draw-order slot is uniform over the positions, and the slot x
+        # position-bin table agrees with the eager permutation's.
+        groups, bins = min(k, 10), 50
+        tables = []
+        for seed, draw in ((41, None), (42, _eager_sample)):
+            rng = np.random.default_rng(seed)
+            draws = np.empty((reps, k), dtype=np.int64)
+            for i in range(reps):
+                key = SamplerKey.generate(rng, 128)
+                draws[i] = sample_indices(key, n, k).indices if draw is None else draw(key, n, k)
+            counts = _cell_counts(draws, n, groups, bins)
+            # bins of n // bins or n // bins + 1 positions: exact expected counts
+            edges = -(-np.arange(bins + 1) * n // bins)
+            share = np.diff(edges) / n
+            expected = np.tile(share, groups) * reps * k / groups
+            assert stats.chisquare(counts, expected).pvalue > self.P_FLOOR
+            tables.append(counts)
+        assert stats.chi2_contingency(np.array(tables)).pvalue > self.P_FLOOR
 
     def test_index_set_validation(self):
         with pytest.raises(ValueError):
