@@ -155,8 +155,9 @@ def bpsk_modulate(bits: np.ndarray, e: float) -> np.ndarray:
     if not e > 0:
         raise ValueError(f"transmit power must be > 0, got {e}")
     amp = math.sqrt(e)
-    bits = np.asarray(bits, dtype=np.uint8)
-    return np.where(bits != 0, amp, -amp).astype(np.float64)
+    levels = np.full(256, amp)
+    levels[0] = -amp
+    return levels[np.asarray(bits, dtype=np.uint8)]
 
 
 def bpsk_demodulate(sig: np.ndarray) -> np.ndarray:
@@ -192,7 +193,10 @@ def propagate(
     att = sig / math.sqrt(ch.xi * d**ch.alpha)
     if noiseless:
         return att
-    return att + rng.normal(0.0, math.sqrt(ch.sigma / 2.0), size=att.shape)
+    # noise + att equals att + noise bit for bit; adding in place saves an array.
+    out = rng.normal(0.0, math.sqrt(ch.sigma / 2.0), size=att.shape)
+    out += att
+    return out
 
 
 def bit_error_prob(snr: float) -> float:

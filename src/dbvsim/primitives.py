@@ -9,8 +9,8 @@ point done through per-key 4-bit window tables (Shoup, CRYPTO 1996) that are
 built once per key; the bit-loop ``gf_mul`` is the reference they are tested
 against.
 
-The sampler is a keyed uniform without-replacement draw (a seeded shuffle).
-For any [0,1]-valued function with mean >= mu, the mean over k sampled
+The sampler is a keyed uniform without-replacement draw: Floyd's O(k) draw
+(Bentley & Floyd, CACM 1987) from a generator seeded with the key.  For any [0,1]-valued function with mean >= mu, the mean over k sampled
 positions falls below mu - theta with probability at most exp(-2*k*theta**2)
 (Hoeffding's bound, which holds without replacement), so it is a
 (mu, theta, exp(-2*k*theta**2)) averaging sampler with distinct samples.
@@ -36,6 +36,7 @@ __all__ = [
     "encode_response_claim",
     "sample_indices",
     "sampler_guarantee",
+    "SAMPLER_STREAM_VERSION",
 ]
 
 #: Low-weight irreducible polynomials over GF(2) (standard tables), including
@@ -53,6 +54,11 @@ _LENGTH_PREFIX_BITS = 64
 
 #: Fixed-point scale for distance claims inside MAC inputs (2**-20 m steps).
 _CLAIM_SCALE_BITS = 20
+
+#: Version of the sampler's key -> positions map, recorded in pi3 transcripts.
+#: 1 kept the first k entries of a keyed permutation of all n positions;
+#: 2 is the generator's O(k) choice(n, k, replace=False).
+SAMPLER_STREAM_VERSION = 2
 
 
 def gf_mul(a: int, b: int, field_bits: int) -> int:
@@ -213,6 +219,15 @@ class IndexSet:
         if np.unique(idx).size != idx.size:
             raise ValueError("indices must be distinct")
 
+    @classmethod
+    def _distinct(cls, indices: np.ndarray, n: int) -> "IndexSet":
+        """Wrap int64 positions already known to be distinct and in [0, n),
+        skipping the O(k log k) check."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "indices", indices)
+        object.__setattr__(obj, "n", n)
+        return obj
+
     @property
     def k(self) -> int:
         return int(self.indices.size)
@@ -224,19 +239,23 @@ class IndexSet:
 def sample_indices(key: SamplerKey, n: int, k: int) -> IndexSet:
     """k distinct positions, uniform without replacement, determined by the key.
 
-    A keyed shuffle: the seed drives a deterministic generator whose
-    permutation of [0, n) is truncated to the first k entries.
+    The seed drives a deterministic generator whose ``choice(n, k,
+    replace=False)`` is a uniform ordered k-subset in draw order.  numpy draws
+    it with Floyd's hash-set algorithm in O(k) time and memory, except for
+    n > 10**4 with k > n/50, where it shuffles the tail of an n-array (O(n),
+    which is then O(k) too).  The positions are distinct by construction, so
+    the IndexSet skips its distinctness check.
     """
     if k > n:
         raise ValueError(f"cannot draw {k} distinct positions from {n}")
     if k < 0 or n < 1:
         raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
     stream = np.random.default_rng(int.from_bytes(key.seed, "big"))
-    return IndexSet(stream.permutation(n)[:k], n)
+    return IndexSet._distinct(stream.choice(n, size=k, replace=False), n)
 
 
 def sampler_guarantee(k: int, theta: float) -> float:
-    """Failure probability exp(-2*k*theta**2) certified by the keyed shuffle sampler."""
+    """Failure probability exp(-2*k*theta**2) certified by the keyed sampler."""
     if not theta > 0:
         raise ValueError(f"theta must be > 0, got {theta}")
     return math.exp(-2.0 * k * theta * theta)

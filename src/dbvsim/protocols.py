@@ -28,6 +28,7 @@ from .channel import (
     transmit_power_for_claim,
 )
 from .primitives import (
+    SAMPLER_STREAM_VERSION,
     MacKey,
     SamplerKey,
     encode_response_claim,
@@ -197,7 +198,7 @@ class Transcript:
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema_version": "1",
+            "schema_version": "2",
             "protocol": self.protocol,
             "scenario": self.scenario,
             "claim_m": self.claim_m,
@@ -221,6 +222,7 @@ class Transcript:
             out["source_bits"] = self.source_bits
             out["retrieval_cap"] = self.retrieval_cap
             out["accesses"] = dict(self.accesses)
+            out["sampler_stream"] = SAMPLER_STREAM_VERSION
         return out
 
 
@@ -241,14 +243,14 @@ class RetrievalAudit:
     def read(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
         self._seen[idx] = True
-        count = int(self._seen.sum())
+        count = int(np.count_nonzero(self._seen))
         if count > self.cap:
             raise RetrievalCapError(self.party, count, self.cap)
         return self._values[idx]
 
     @property
     def accessed(self) -> int:
-        return int(self._seen.sum())
+        return int(np.count_nonzero(self._seen))
 
 
 def verify_response(

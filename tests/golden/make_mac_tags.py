@@ -9,7 +9,9 @@ The fixture pins the integers the MAC produces, so any change to how
   counted);
 * the ``tag_hex`` of honest ``run_pi2`` transcripts at k=3334 (psi=1.1,
   eps=1e-2) and ``run_pi3`` transcripts at k=160, n=534 (psi=2, eps=1e-2,
-  lambda=0.3 sampling), three seeds each, with the configurations spelled out.
+  lambda=0.3 sampling), three seeds each, with the configurations spelled out;
+* ``sampler_stream``: the ``SAMPLER_STREAM_VERSION`` the pi3 tags were drawn
+  with, since the sampled positions (and so the tags) depend on it.
 
 Messages are not stored: ``message(s, seed, length)`` regenerates them.
 
@@ -26,7 +28,7 @@ import numpy as np
 from dbvsim.bounds import DbvSpec
 from dbvsim.channel import DEFAULT_CHANNEL
 from dbvsim.optimize import optimize_brm, optimize_dfa
-from dbvsim.primitives import FIELD_POLYNOMIALS, MacKey, mac_sign
+from dbvsim.primitives import FIELD_POLYNOMIALS, SAMPLER_STREAM_VERSION, MacKey, mac_sign
 from dbvsim.protocols import (
     BrmParams,
     Claim,
@@ -114,7 +116,8 @@ def main() -> None:
         f"{json.dumps(name)}: [\n  " + ",\n  ".join(json.dumps(c) for c in cases) + "\n]"
         for name, cases in sections.items()
     )
-    OUT.write_text("{\n" + body + "\n}\n")
+    header = f'"sampler_stream": {SAMPLER_STREAM_VERSION},\n'
+    OUT.write_text("{\n" + header + body + "\n}\n")
     print(f"wrote {OUT}")
 
 

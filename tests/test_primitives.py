@@ -11,6 +11,7 @@ from scipy import stats
 
 from dbvsim.primitives import (
     FIELD_POLYNOMIALS,
+    SAMPLER_STREAM_VERSION,
     IndexSet,
     MacKey,
     SamplerKey,
@@ -276,6 +277,15 @@ class TestGoldenTags:
 
         c = dict(case["config"])
         brm = c.pop("brm", None)
+        if brm:
+            # pi3 tags depend on the sampled positions, so they only compare
+            # within one sampler stream.
+            recorded = GOLDEN.get("sampler_stream", 1)
+            assert recorded == SAMPLER_STREAM_VERSION, (
+                f"mac_tags.json was recorded with sampler stream {recorded}, the code "
+                f"draws stream {SAMPLER_STREAM_VERSION}: re-record it with "
+                "tests/golden/make_mac_tags.py"
+            )
         cfg = ProtocolConfig(**c, brm=BrmParams(**brm) if brm else None)
         run = run_pi2 if cfg.protocol == "pi2" else run_pi3
         d_c = case["d_claim"]
@@ -334,7 +344,7 @@ class TestSampler:
         for _ in range(10**4):
             key = SamplerKey.generate(rng, 128)
             idx = sample_indices(key, 64, 32)
-            assert idx.k == 32  # IndexSet validates distinctness on build
+            assert np.unique(idx.indices).size == idx.k == 32
 
     def test_determinism(self):
         key = SamplerKey(seed=b"\x01" * 16)
@@ -440,6 +450,20 @@ class TestSampler:
             assert stats.chisquare(counts, expected).pvalue > self.P_FLOOR
             tables.append(counts)
         assert stats.chi2_contingency(np.array(tables)).pvalue > self.P_FLOOR
+
+    def test_memory_grows_with_k_not_n(self):
+        import tracemalloc
+
+        key = SamplerKey(seed=b"\x03" * 16)
+        tracemalloc.start()
+        try:
+            idx = sample_indices(key, 2 * 10**9, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert idx.k == 200 and np.unique(idx.indices).size == 200
+        assert 0 <= idx.indices.min() and idx.indices.max() < 2 * 10**9
 
     def test_index_set_validation(self):
         with pytest.raises(ValueError):
