@@ -378,14 +378,19 @@ def _block_slices(n: int, blocks: int) -> list[slice]:
 
 def _majority_prior_llr(size: int) -> tuple[float, float]:
     """(llr if digest=1, llr if digest=0) for one bit of a size-m majority block."""
-    need = math.ceil(size / 2)
     others = size - 1
-    # P(majority reads 1 | this bit), other bits uniform.
-    p_top = [
-        sum(math.comb(others, t) for t in range(max(0, need - u), others + 1)) / 2.0**others
-        for u in (1, 0)
-    ]
-    p1, p0 = p_top
+    # P(majority reads 1 | this bit = u), other bits uniform: the upper tail of
+    # Binomial(others, 1/2) from ceil(size/2) - u.  By the symmetry
+    # C(N, t) = C(N, N - t), twice each tail is 2**N plus or minus the central
+    # coefficient for even N, and 2**N + 2*C(N, (N-1)/2) or exactly 2**N for
+    # odd N; the ratios are exact integer divisions.
+    whole = 1 << others
+    if others % 2 == 0:
+        centre = math.comb(others, others // 2)
+        twice1, twice0 = whole + centre, whole - centre
+    else:
+        twice1, twice0 = whole + 2 * math.comb(others, others // 2), whole
+    p1, p0 = twice1 / (2 * whole), twice0 / (2 * whole)
     eps = 1e-300
     llr_if_one = math.log(max(p1, eps)) - math.log(max(p0, eps))
     llr_if_zero = math.log(max(1 - p1, eps)) - math.log(max(1 - p0, eps))

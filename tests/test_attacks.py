@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from dbvsim.attacks import (
     BlockMajorityStrategy,
@@ -14,6 +16,7 @@ from dbvsim.attacks import (
     attack_tfa_relay,
     attack_tfa_sampling,
     default_strategy_library,
+    _majority_prior_llr,
 )
 from dbvsim.bounds import exact_binomial_tail_lower
 from dbvsim.channel import DEFAULT_CHANNEL, bit_error_prob, snr_at_distance, transmit_power_for_claim
@@ -250,6 +253,40 @@ class TestTfaSampling:
         assert got > 0.95
 
 
+def _majority_prior_llr_reference(size):
+    """The first _majority_prior_llr: tails summed term by term, over 2.0**others
+    (O(m**2) and an OverflowError past m = 1024)."""
+    need = math.ceil(size / 2)
+    others = size - 1
+    p1, p0 = [
+        sum(math.comb(others, t) for t in range(max(0, need - u), others + 1)) / 2.0**others
+        for u in (1, 0)
+    ]
+    eps = 1e-300
+    llr_if_one = math.log(max(p1, eps)) - math.log(max(p0, eps))
+    llr_if_zero = math.log(max(1 - p1, eps)) - math.log(max(1 - p0, eps))
+    return llr_if_one, llr_if_zero
+
+
+class TestMajorityPrior:
+    def test_matches_summed_tails(self):
+        for m in range(1, 1025):
+            assert _majority_prior_llr(m) == _majority_prior_llr_reference(m), m
+
+    @pytest.mark.parametrize("m", [10**4, 10**4 + 1])
+    def test_large_blocks_finite_and_fast(self, m):
+        start = time.perf_counter()
+        one, zero = _majority_prior_llr(m)
+        assert time.perf_counter() - start < 1.0
+        assert math.isfinite(one) and math.isfinite(zero)
+        assert one > 0 > zero
+        # against scipy's binomial tails, Pr(majority = 1 | bit = u)
+        need = math.ceil(m / 2)
+        p1, p0 = (binom.sf(need - u - 1, m - 1, 0.5) for u in (1, 0))
+        assert one == pytest.approx(math.log(p1 / p0), rel=1e-9)
+        assert zero == pytest.approx(math.log((1 - p1) / (1 - p0)), rel=1e-9)
+
+
 class TestTfaGeneral:
     CFG = pi3_config(lam=0.4, k=100)
 
@@ -291,6 +328,14 @@ class TestTfaGeneral:
         # index sampling is the strongest implemented digest
         sd = math.sqrt(max(r_samp * (1 - r_samp) / trials, 1e-9))
         assert r_maj <= r_samp + 4 * sd + 0.02
+
+    def test_block_majority_with_blocks_past_1024(self):
+        # cap 10 over n = 20,000: blocks of 2,000 positions
+        cfg = pi3_config(lam=5e-4, k=10, beta=0.2)
+        t = attack_tfa_general(cfg, 4e4, 8e4, CH, np.random.default_rng(24),
+                               BlockMajorityStrategy())
+        assert t.response.size == 10
+        assert t.accesses["prover"] == 10 and t.accesses["verifier"] == 10
 
     def test_library_contents(self):
         lib = default_strategy_library()
