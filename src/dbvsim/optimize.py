@@ -148,7 +148,7 @@ def _crossing(
     """Crossing point of w_dec*f_dec (decreasing) and w_inc*f_inc (increasing) on (lo, hi).
 
     Returns (beta, max of the two weighted terms there); (nan, inf) when the
-    bracket degenerates numerically.
+    bracket degenerates numerically or the root finder does not converge.
     """
     if not hi - lo > 0:
         return math.nan, math.inf
@@ -172,7 +172,8 @@ def _crossing(
                 beta = b
         else:
             beta = brentq(g, a, b, xtol=1e-300, rtol=8.9e-16)
-    except (ValueError, OverflowError, ZeroDivisionError):
+    except (ValueError, OverflowError, ZeroDivisionError, RuntimeError):
+        # RuntimeError: brentq did not converge in its iteration budget.
         return math.nan, math.inf
     value = max(w_dec * f_dec(beta), w_inc * f_inc(beta))
     if not math.isfinite(value):

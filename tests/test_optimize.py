@@ -39,6 +39,18 @@ def dfa_terms(e0, beta, psi):
     return t1, t2
 
 
+class TestCrossing:
+    def test_unconverged_root_is_infeasible(self):
+        # At this grid power (p_i ~ 2e-154) brentq raises "Failed to converge
+        # after 100 iterations"; the point counts as infeasible.
+        ch = ChannelParams(e_max=3e6)
+        e0 = float(optimize._e0_grid(ch, optimize.E0_GRID_POINTS)[1688])
+        assert e0 == pytest.approx(3.4967e5, rel=1e-4)
+        ber = intended_blocked_ber(e0, 1.01, ch)
+        beta, value = optimize._inner(optimize._dfa_terms, ber.p_i, ber.p_b, 1e-6, 1e6)
+        assert math.isnan(beta) and value == math.inf
+
+
 class TestOptimizeDfa:
     SPEC = DbvSpec(psi=1.3, eps_fa=1e-3, eps_fr=1e-3)
 
