@@ -134,17 +134,18 @@ class MacKey:
 
 
 def _to_blocks(message_bits: np.ndarray, field_bits: int) -> list[int]:
-    """Length-prefix, zero-pad to a block multiple, and split into field elements."""
+    """Length-prefix, zero-pad to a block multiple, and split into field elements.
+
+    The prefix is whole bytes, so the packed message follows it directly and
+    the padding is whole zero bytes.  Blocks of up to 64 bits convert in one
+    big-endian array view.
+    """
     bits = np.asarray(message_bits, dtype=np.uint8).ravel()
-    prefix = np.unpackbits(
-        np.frombuffer(len(bits).to_bytes(_LENGTH_PREFIX_BITS // 8, "big"), dtype=np.uint8)
-    )
-    all_bits = np.concatenate([prefix, bits])
-    pad = (-len(all_bits)) % field_bits
-    if pad:
-        all_bits = np.concatenate([all_bits, np.zeros(pad, dtype=np.uint8)])
-    raw = np.packbits(all_bits).tobytes()
     step = field_bits // 8
+    raw = len(bits).to_bytes(_LENGTH_PREFIX_BITS // 8, "big") + np.packbits(bits).tobytes()
+    raw += bytes(-len(raw) % step)
+    if step <= 8:
+        return np.frombuffer(raw, dtype=f">u{step}").tolist()
     return [int.from_bytes(raw[i : i + step], "big") for i in range(0, len(raw), step)]
 
 

@@ -104,10 +104,24 @@ def _blocks_of(message_bits, s=8):
     return _to_blocks(np.asarray(message_bits, dtype=np.uint8), s)
 
 
+def _reference_blocks(message_bits, field_bits):
+    """The first _to_blocks: unpacked prefix, bit-level padding and one
+    int.from_bytes per block."""
+    bits = np.asarray(message_bits, dtype=np.uint8).ravel()
+    prefix = np.unpackbits(np.frombuffer(len(bits).to_bytes(8, "big"), dtype=np.uint8))
+    all_bits = np.concatenate([prefix, bits])
+    pad = (-len(all_bits)) % field_bits
+    if pad:
+        all_bits = np.concatenate([all_bits, np.zeros(pad, dtype=np.uint8)])
+    raw = np.packbits(all_bits).tobytes()
+    step = field_bits // 8
+    return [int.from_bytes(raw[i : i + step], "big") for i in range(0, len(raw), step)]
+
+
 def _reference_mac(key, message_bits):
     """Horner's rule over the bit-loop gf_mul: the oracle for mac_sign."""
     acc = 0
-    for blk in _blocks_of(message_bits, key.field_bits):
+    for blk in _reference_blocks(message_bits, key.field_bits):
         acc = gf_mul(acc ^ blk, key.a, key.field_bits)
     return acc ^ key.b
 
@@ -233,6 +247,18 @@ class TestMac:
             key = MacKey.generate(rng, 8)
             h = _hash_all_points(table, _blocks_of(msg))
             assert mac_sign(key, msg) == (int(h[key.a]) ^ key.b)
+
+
+@pytest.mark.parametrize("s", sorted(FIELD_POLYNOMIALS))
+@given(bits=st.lists(st.integers(0, 255), max_size=700))
+@settings(max_examples=60, deadline=None)
+def test_blocks_match_reference(s, bits):
+    from dbvsim.primitives import _to_blocks
+
+    msg = np.array(bits, dtype=np.uint8)
+    got = _to_blocks(msg, s)
+    assert got == _reference_blocks(msg, s)
+    assert all(type(b) is int for b in got)
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "mac_tags.json").read_text())
