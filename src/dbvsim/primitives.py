@@ -10,8 +10,9 @@ built once per key; the bit-loop ``gf_mul`` is the reference they are tested
 against.
 
 The sampler is a keyed uniform without-replacement draw: Floyd's O(k) draw
-(Bentley & Floyd, CACM 1987) from a generator seeded with the key.  For any [0,1]-valued function with mean >= mu, the mean over k sampled
-positions falls below mu - theta with probability at most exp(-2*k*theta**2)
+(Bentley & Floyd, CACM 1987) from a generator seeded with the key.  For any
+[0,1]-valued function with mean >= mu, the mean over k sampled positions
+falls below mu - theta with probability at most exp(-2*k*theta**2)
 (Hoeffding's bound, which holds without replacement), so it is a
 (mu, theta, exp(-2*k*theta**2)) averaging sampler with distinct samples.
 """

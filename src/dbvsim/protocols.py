@@ -222,6 +222,7 @@ class Transcript:
             out["source_bits"] = self.source_bits
             out["retrieval_cap"] = self.retrieval_cap
             out["accesses"] = dict(self.accesses)
+        if self.protocol == "pi3":
             out["sampler_stream"] = SAMPLER_STREAM_VERSION
         return out
 

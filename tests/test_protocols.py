@@ -152,6 +152,22 @@ class TestPi1:
             assert field in d
         assert d["verdict"] in (ACC, REJ)
 
+    def test_schema_version_and_sampler_stream(self):
+        from dbvsim.attacks import attack_mfa
+        from dbvsim.primitives import SAMPLER_STREAM_VERSION
+
+        t = run_pi1(PI1, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(1))
+        d = t.to_json_dict()
+        assert d["schema_version"] == "2" and "sampler_stream" not in d
+        cfg = pi3_config()
+        for t in (
+            run_pi3(cfg, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(2)),
+            attack_mfa(cfg, 5e4, 4e4, CH, np.random.default_rng(3)),
+        ):
+            d = t.to_json_dict()
+            assert d["schema_version"] == "2"
+            assert d["sampler_stream"] == SAMPLER_STREAM_VERSION == 2
+
     def test_power_follows_claim(self):
         rng = np.random.default_rng(2)
         t = run_pi1(PI1, Claim(5e4), PartyPlacement(5e4), CH, rng)
