@@ -157,7 +157,8 @@ def bpsk_modulate(bits: np.ndarray, e: float) -> np.ndarray:
     amp = math.sqrt(e)
     levels = np.full(256, amp)
     levels[0] = -amp
-    return levels[np.asarray(bits, dtype=np.uint8)]
+    # The Ellipsis keeps a 0-d input a 0-d array rather than a scalar.
+    return levels[np.asarray(bits, dtype=np.uint8), ...]
 
 
 def bpsk_demodulate(sig: np.ndarray) -> np.ndarray:

@@ -209,10 +209,11 @@ class TestChannelOracles:
         assert got.dtype == np.float64 and got.shape == (0,)
 
     def test_modulate_other_input_types(self):
-        for bits in ([0, 1, 2, 255], np.array([True, False]), np.array([[0, 3], [1, 0]])):
+        for bits in ([0, 1, 2, 255], np.array([True, False]), np.array([[0, 3], [1, 0]]),
+                     np.uint8(7), np.array(0, dtype=np.uint8)):
             got = bpsk_modulate(bits, 9.0)
             assert got.tobytes() == _modulate_reference(bits, 9.0).tobytes()
-            assert got.shape == np.shape(bits)
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(bits)
 
     @given(st.lists(st.integers(0, 255), max_size=300), st.floats(1e-30, 1e30))
     @settings(max_examples=100, deadline=None)
