@@ -345,6 +345,10 @@ class TestEncodeResponseClaim:
 # sampler
 
 
+def _sample(key: SamplerKey, n: int, k: int) -> np.ndarray:
+    return sample_indices(key, n, k).indices
+
+
 def _eager_sample(key: SamplerKey, n: int, k: int) -> np.ndarray:
     """The first sampler: the key's generator permutes all n positions and the
     first k are kept.  The O(k) draw must equal it in distribution."""
@@ -437,13 +441,10 @@ class TestSampler:
         cell = {t: i for i, t in enumerate(permutations(range(6), 3))}
         reps = 60_000
         counts = np.zeros((2, len(cell)), dtype=np.int64)
-        for row, (draw, seed) in enumerate(
-            ((lambda key: sample_indices(key, 6, 3).indices, 31), (_eager_sample, 32))
-        ):
+        for row, (seed, draw) in enumerate(((31, _sample), (32, _eager_sample))):
             rng = np.random.default_rng(seed)
             for _ in range(reps):
-                key = SamplerKey.generate(rng, 64)
-                idx = draw(key) if row == 0 else draw(key, 6, 3)
+                idx = draw(SamplerKey.generate(rng, 64), 6, 3)
                 counts[row, cell[tuple(int(i) for i in idx)]] += 1
         for row in counts:
             assert stats.chisquare(row).pvalue > self.P_FLOOR
@@ -462,12 +463,11 @@ class TestSampler:
         # position-bin table agrees with the eager permutation's.
         groups, bins = min(k, 10), 50
         tables = []
-        for seed, draw in ((41, None), (42, _eager_sample)):
+        for seed, draw in ((41, _sample), (42, _eager_sample)):
             rng = np.random.default_rng(seed)
             draws = np.empty((reps, k), dtype=np.int64)
             for i in range(reps):
-                key = SamplerKey.generate(rng, 128)
-                draws[i] = sample_indices(key, n, k).indices if draw is None else draw(key, n, k)
+                draws[i] = draw(SamplerKey.generate(rng, 128), n, k)
             counts = _cell_counts(draws, n, groups, bins)
             # bins of n // bins or n // bins + 1 positions: exact expected counts
             edges = -(-np.arange(bins + 1) * n // bins)
