@@ -84,6 +84,15 @@ def _observed_bits(
     return bpsk_demodulate(propagate(x, at, ch, rng, noiseless=noiseless))
 
 
+def _audited_fields(brm: BrmParams, views: list[RetrievalAudit]) -> dict:
+    """Transcript fields recording the source size, the cap and each audited read."""
+    return {
+        "source_bits": brm.n,
+        "retrieval_cap": brm.retrieval_cap,
+        "accesses": {v.party: v.accessed for v in views},
+    }
+
+
 def attack_dfa(
     cfg: ProtocolConfig,
     d_c: float,
@@ -134,6 +143,7 @@ def attack_mfa(
 
     mac_key = MacKey.generate(rng, cfg.mac_bits) if cfg.protocol != "pi1" else None
     with_mac = cfg.protocol == "pi2" or (cfg.protocol == "pi3" and cfg.use_mac)
+    audited = {}
 
     if cfg.protocol == "pi3":
         brm = cfg.brm
@@ -143,6 +153,7 @@ def attack_mfa(
         verifier_view = RetrievalAudit(o, cap, "verifier")
         y_o = propagate(x_o, honest_d_r, ch, rng, noiseless=noiseless)
         prover_view = RetrievalAudit(y_o, cap, "prover")
+        views = [verifier_view, prover_view]
         idx = sample_indices(sampler_key, brm.n, cfg.k)
         prover_resp = bpsk_demodulate(prover_view.read(idx.indices))
         if strategy == "best-guess":
@@ -152,10 +163,12 @@ def attack_mfa(
                 x_o, intruder_d, ch, rng, noiseless=noiseless
             )
             intr_view = RetrievalAudit(intr_sig, cap, "intruder")
+            views.append(intr_view)
             response = bpsk_demodulate(intr_view.read(np.arange(cfg.k)))
         else:
             response = prover_resp
         m = verifier_view.read(idx.indices)
+        audited = _audited_fields(brm, views)
     else:
         m = random_bits(rng, cfg.k)
         x = bpsk_modulate(m, e)
@@ -192,6 +205,7 @@ def attack_mfa(
         seed=seed,
         scenario="mfa",
         noiseless=noiseless,
+        **audited,
     )
 
 
@@ -216,6 +230,7 @@ def attack_impersonation(
     e = transmit_power_for_claim(d_c, cfg.e0, ch)
     mac_key = MacKey.generate(rng, cfg.mac_bits) if cfg.protocol != "pi1" else None
     with_mac = cfg.protocol == "pi2" or (cfg.protocol == "pi3" and cfg.use_mac)
+    audited = {}
 
     if cfg.protocol == "pi3":
         brm = cfg.brm
@@ -233,6 +248,7 @@ def attack_impersonation(
         else:
             response = bpsk_demodulate(adv_view.read(np.arange(cfg.k)))
         m = verifier_view.read(idx.indices)
+        audited = _audited_fields(brm, [verifier_view, adv_view])
     else:
         m = random_bits(rng, cfg.k)
         x = bpsk_modulate(m, e)
@@ -264,6 +280,7 @@ def attack_impersonation(
         seed=seed,
         scenario="impersonation",
         noiseless=noiseless,
+        **audited,
     )
 
 
@@ -428,10 +445,12 @@ def attack_tfa_general(
     prover_view = RetrievalAudit(y_o, cap, "prover")
     idx = sample_indices(sampler_key, brm.n, cfg.k)
     sampled = idx.indices
+    views = [verifier_view, prover_view]
 
     if isinstance(strategy, IndexSamplingStrategy):
         intr_indices = strategy.pick_indices(brm.n, cap, rng)
         intr_view = RetrievalAudit(o, cap, "intruder")
+        views.append(intr_view)
         known_bits = intr_view.read(intr_indices)
         known = np.full(brm.n, -1, dtype=np.int8)
         known[intr_indices] = known_bits
@@ -507,12 +526,7 @@ def attack_tfa_general(
         seed=seed,
         scenario=f"tfa-general:{strategy.name}",
         noiseless=noiseless,
-        source_bits=brm.n,
-        retrieval_cap=cap,
-        accesses={
-            "verifier": verifier_view.accessed,
-            "prover": prover_view.accessed,
-        },
+        **_audited_fields(brm, views),
     )
 
 
