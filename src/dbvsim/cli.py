@@ -17,7 +17,7 @@ from .attacks import (
     ParitySketchStrategy,
 )
 from .bounds import DbvSpec, InfeasibleError
-from .channel import ChannelParams, DEFAULT_CHANNEL, watts_to_dbm
+from .channel import ChannelParams, DEFAULT_CHANNEL, transmit_power_for_claim, watts_to_dbm
 from .montecarlo import SCENARIO_KINDS, Scenario, compare_to_bound, estimate_rates
 from .optimize import (
     BRM_MODES,
@@ -223,7 +223,7 @@ def _auto_config(args, spec: DbvSpec, ch: ChannelParams) -> ProtocolConfig:
         opt = optimize_dfa(spec, ch)
         return ProtocolConfig(
             protocol=args.protocol, e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
-            mac_bits=args.mac_bits,
+            mac_bits=args.mac_bits, use_mac=not args.no_mac,
         )
     if args.lam is None:
         raise _UsageError("--lambda is required for pi3")
@@ -254,11 +254,13 @@ def _explicit_config(args) -> ProtocolConfig:
     )
 
 
-def _cmd_simulate(args) -> int:
-    ch = _load_channel(args.channel)
+def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, Scenario]:
+    """Spec, config and scenario of a simulate run, each checked before any trial."""
     spec = DbvSpec(psi=args.psi, eps_fa=args.eps_fa, eps_fr=args.eps_fr)
     cfg = _auto_config(args, spec, ch) if args.auto else _explicit_config(args)
     check_mac_strength(cfg, spec.eps_fa)
+    if args.scenario in ("tfa-sampling", "tfa-general") and cfg.protocol != "pi3":
+        raise _UsageError(f"--scenario {args.scenario} targets pi3")
 
     if args.d_claim_km is not None:
         args.d_claim = args.d_claim_km * 1e3
@@ -271,9 +273,7 @@ def _cmd_simulate(args) -> int:
         d_real = d_claim
     else:
         d_real = spec.psi * d_claim
-
-    if args.scenario == "mfa" and cfg.protocol == "pi1":
-        print("warning: pi1 makes no mafia-fraud claim (no authentication)", file=sys.stderr)
+    transmit_power_for_claim(d_claim, cfg.e0, ch)  # claim and power within the channel
 
     scenario = Scenario(
         kind=args.scenario,
@@ -286,6 +286,21 @@ def _cmd_simulate(args) -> int:
         leaked_sampler_key=args.leak_sampler_key,
         noiseless=args.noiseless,
     )
+    return spec, cfg, scenario
+
+
+def _cmd_simulate(args) -> int:
+    ch = _load_channel(args.channel)
+    try:
+        spec, cfg, scenario = _simulate_inputs(args, ch)
+    except InfeasibleError:
+        raise
+    except ValueError as err:  # bad config, claim, power or distance
+        raise _UsageError(str(err)) from err
+
+    if args.scenario == "mfa" and cfg.protocol == "pi1":
+        print("warning: pi1 makes no mafia-fraud claim (no authentication)", file=sys.stderr)
+
     summary = estimate_rates(
         scenario, cfg, spec, ch, args.trials, args.seed,
         jobs=args.jobs, dump_path=args.dump_transcripts,

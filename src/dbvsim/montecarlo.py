@@ -77,6 +77,8 @@ class Scenario:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if not self.d_claim > 0 or not self.d_real > 0:
             raise ValueError("distances must be > 0")
+        if self.intruder_d is not None and not self.intruder_d > 0:
+            raise ValueError(f"intruder distance must be > 0, got {self.intruder_d}")
 
 
 def run_trial(

@@ -148,6 +148,11 @@ class ProtocolConfig:
             raise ProtocolConfigError(f"threshold rate must be in (0,1), got {self.beta}")
         if not self.e0 > 0:
             raise ProtocolConfigError(f"reference power must be > 0, got {self.e0}")
+        if not self.use_mac and self.protocol != "pi3":
+            raise ProtocolConfigError(
+                f"only pi3 can drop the MAC (pi1 never has one, pi2 always does), "
+                f"got {self.protocol}"
+            )
         if self.protocol == "pi3":
             if self.brm is None:
                 raise ProtocolConfigError("pi3 requires brm parameters")

@@ -234,6 +234,44 @@ class TestSimulateCommand:
         assert code == 0
 
 
+#: simulate with explicit pi1 parameters; each bad-input case appends to it.
+_EXPLICIT = ("simulate", "--scenario", "honest", "--e0", "2000", "--k", "150",
+             "--beta", "0.1", "--trials", "5", "--seed", "1")
+_PI3 = ("--protocol", "pi3", "--k", "120", "--n", "400", "--lambda", "0.3")
+
+
+class TestSimulateInputErrors:
+    @pytest.mark.parametrize("extra", [
+        ("--protocol", "pi1", "--e0", "-1"),
+        ("--protocol", "pi3", "--k", "50", "--n", "400", "--lambda", "0.3"),
+        ("--protocol", "pi3", "--k", "120", "--n", "400", "--lambda", "1.5"),
+        ("--protocol", "pi1", "--d-claim", "2e5"),
+        ("--protocol", "pi1", "--d-real", "-3"),
+        ("--protocol", "pi1", "--intruder-d", "0"),
+        ("--protocol", "pi1", "--e0", "5e4"),
+        ("--protocol", "pi2", "--mac-bits", "8"),
+        ("--protocol", "pi2", "--no-mac", "--mac-bits", "8"),
+        ("--protocol", "pi1", "--no-mac"),
+        ("--protocol", "pi2", "--scenario", "tfa-general"),
+        ("--protocol", "pi1", "--scenario", "tfa-sampling"),
+    ])
+    def test_bad_input_is_usage_error(self, capsys, extra):
+        code, out, err = run_cli(capsys, *_EXPLICIT, *extra)
+        assert code == 1, err
+        assert out == ""
+        assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("extra", [
+        ("--protocol", "pi1"),
+        ("--protocol", "pi2", "--mac-bits", "32"),
+        (*_PI3, "--no-mac", "--scenario", "tfa-general"),
+    ])
+    def test_valid_run_exits_zero(self, capsys, extra):
+        code, out, err = run_cli(capsys, *_EXPLICIT, *extra)
+        assert code == 0, err
+        assert json.loads(out)["summary"]["trials"] == 5
+
+
 class TestMaxLambdaCommand:
     def test_general(self, capsys):
         code, out, _ = run_cli(capsys, "max-lambda", "--mode", "general", "--psi", "1.68")

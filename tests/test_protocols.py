@@ -112,6 +112,11 @@ class TestProtocolConfig:
         with pytest.raises(ProtocolConfigError):
             ProtocolConfig("pi3", e0=1.0, k=50, beta=0.1, brm=BrmParams(lam=0.3, n=100))
 
+    @pytest.mark.parametrize("protocol", ["pi1", "pi2"])
+    def test_only_pi3_drops_the_mac(self, protocol):
+        with pytest.raises(ProtocolConfigError):
+            ProtocolConfig(protocol, e0=1.0, k=10, beta=0.1, use_mac=False)
+
     def test_unknown_protocol(self):
         with pytest.raises(ProtocolConfigError):
             ProtocolConfig("pi4", e0=1.0, k=10, beta=0.1)
