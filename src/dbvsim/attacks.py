@@ -1,11 +1,13 @@
 """Attack scenarios: distance fraud, mafia fraud, impersonation, and the
 terrorist-fraud family against the bounded-retrieval protocol.
 
-Placements follow the strongest-adversary convention: an intruder distance of
-None means reception so close to the verifier that it is error-free.  All
-bounded-retrieval parties go through the same access audit as honest runs;
-an attack that needs more than the cap raises RetrievalCapError instead of
-silently over-retrieving.
+Each attack is a responder policy on a ``protocols.Session``: the session
+draws the keys, the emission and the receptions and renders the verdict; the
+policy decides what each party reads and which tag it sends.  Placements
+follow the strongest-adversary convention: a distance of None means
+reception so close to the verifier that it is error-free.  On pi3 every party
+reads through the session's retrieval audit, so an attack that needs more
+than the cap raises RetrievalCapError instead of silently over-retrieving.
 """
 
 from __future__ import annotations
@@ -16,37 +18,18 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .channel import (
-    ChannelParams,
-    bpsk_demodulate,
-    bpsk_modulate,
-    propagate,
-    random_bits,
-    transmit_power_for_claim,
-)
-from .primitives import (
-    MacKey,
-    SamplerKey,
-    encode_response_claim,
-    mac_sign,
-    mac_verify,
-    sample_indices,
-)
+from .channel import ChannelParams, bpsk_demodulate
+from .primitives import MacKey
 from .protocols import (
-    ACC,
-    REJ,
-    BrmParams,
     Claim,
     PartyPlacement,
     ProtocolConfig,
     ProtocolConfigError,
-    RetrievalAudit,
     RetrievalCapError,
+    Session,
     SessionKeys,
     Transcript,
-    brm_source_emit,
     run_protocol,
-    verify_response,
 )
 
 __all__ = [
@@ -71,26 +54,13 @@ def _random_tag(rng: np.random.Generator, field_bits: int) -> int:
     return int.from_bytes(rng.bytes(field_bits // 8), "big")
 
 
-def _observed_bits(
-    x: np.ndarray,
-    at: Optional[float],
-    ch: ChannelParams,
-    rng: np.random.Generator,
-    noiseless: bool,
-) -> np.ndarray:
-    """Demodulated view of a transmission at the given distance (None = error-free)."""
-    if at is None:
-        return bpsk_demodulate(x)
-    return bpsk_demodulate(propagate(x, at, ch, rng, noiseless=noiseless))
-
-
-def _audited_fields(brm: BrmParams, views: list[RetrievalAudit]) -> dict:
-    """Transcript fields recording the source size, the cap and each audited read."""
-    return {
-        "source_bits": brm.n,
-        "retrieval_cap": brm.retrieval_cap,
-        "accesses": {v.party: v.accessed for v in views},
-    }
+def _unused_mac_key(cfg: ProtocolConfig, rng: np.random.Generator) -> Optional[SessionKeys]:
+    """mfa and impersonation on pi3 without a MAC draw a MAC key that no check
+    uses, as they always have; kept until the trial stream next changes so
+    their transcripts stay the same."""
+    if cfg.use_mac:
+        return None
+    return SessionKeys(mac_key=MacKey.generate(rng, cfg.mac_bits))
 
 
 def attack_dfa(
@@ -138,75 +108,23 @@ def attack_mfa(
     """
     if strategy not in MFA_STRATEGIES:
         raise ValueError(f"unknown mfa strategy {strategy!r}")
-    honest_claim = honest_d_r
-    e = transmit_power_for_claim(forged_d_c, cfg.e0, ch)
-
-    mac_key = MacKey.generate(rng, cfg.mac_bits) if cfg.protocol != "pi1" else None
-    with_mac = cfg.protocol == "pi2" or (cfg.protocol == "pi3" and cfg.use_mac)
-    audited = {}
-
-    if cfg.protocol == "pi3":
-        brm = cfg.brm
-        sampler_key = SamplerKey.generate(rng, brm.sampler_seed_bits)
-        o, x_o = brm_source_emit(e, brm.n, rng, e_max=ch.e_max)
-        cap = brm.retrieval_cap
-        verifier_view = RetrievalAudit(o, cap, "verifier")
-        y_o = propagate(x_o, honest_d_r, ch, rng, noiseless=noiseless)
-        prover_view = RetrievalAudit(y_o, cap, "prover")
-        views = [verifier_view, prover_view]
-        idx = sample_indices(sampler_key, brm.n, cfg.k)
-        prover_resp = bpsk_demodulate(prover_view.read(idx.indices))
-        if strategy == "best-guess":
-            # Keyless intruder cannot locate the sampled positions; it answers
-            # with the first k positions it managed to retrieve.
-            intr_sig = x_o if intruder_d is None else propagate(
-                x_o, intruder_d, ch, rng, noiseless=noiseless
-            )
-            intr_view = RetrievalAudit(intr_sig, cap, "intruder")
-            views.append(intr_view)
-            response = bpsk_demodulate(intr_view.read(np.arange(cfg.k)))
-        else:
-            response = prover_resp
-        m = verifier_view.read(idx.indices)
-        audited = _audited_fields(brm, views)
-    else:
-        m = random_bits(rng, cfg.k)
-        x = bpsk_modulate(m, e)
-        y = propagate(x, honest_d_r, ch, rng, noiseless=noiseless)
-        prover_resp = bpsk_demodulate(y)
-        if strategy == "best-guess":
-            response = _observed_bits(x, intruder_d, ch, rng, noiseless)
-        else:
-            response = prover_resp
-
+    s = Session(cfg, forged_d_c, ch, rng, _unused_mac_key(cfg, rng), d_real=honest_d_r,
+                scenario="mfa", noiseless=noiseless, seed=seed)
+    s.receive("prover", honest_d_r)
+    prover_resp = bpsk_demodulate(s.read("prover"))
+    response = prover_resp
+    if strategy == "best-guess":
+        # A keyless intruder cannot locate the sampled positions; it answers
+        # with the first k positions it receives.
+        s.receive("intruder", intruder_d)
+        response = bpsk_demodulate(s.read("intruder", np.arange(cfg.k)))
     tag = None
-    mac_ok = None
-    if with_mac:
+    if s.authenticated:
         if strategy == "replay":
-            tag = mac_sign(mac_key, encode_response_claim(prover_resp, honest_claim))
+            tag = s.sign(prover_resp, honest_d_r)
         else:
             tag = _random_tag(rng, cfg.mac_bits)
-        mac_ok = mac_verify(mac_key, encode_response_claim(response, forged_d_c), tag)
-
-    threshold = verify_response(m, response, cfg.beta)
-    verdict = ACC if threshold == ACC and (mac_ok is None or mac_ok) else REJ
-    return Transcript(
-        protocol=cfg.protocol,
-        claim_m=forged_d_c,
-        d_real_m=honest_d_r,
-        challenge=m,
-        response=response,
-        hamming=int(np.count_nonzero(m != response)),
-        verdict=verdict,
-        power_w=e,
-        tag=tag,
-        mac_ok=mac_ok,
-        threshold_ok=threshold == ACC,
-        seed=seed,
-        scenario="mfa",
-        noiseless=noiseless,
-        **audited,
-    )
+    return s.decide(response, tag)
 
 
 def attack_impersonation(
@@ -227,61 +145,17 @@ def attack_impersonation(
     leak flags hand it individual session keys, isolating which secret blocks
     the attack.
     """
-    e = transmit_power_for_claim(d_c, cfg.e0, ch)
-    mac_key = MacKey.generate(rng, cfg.mac_bits) if cfg.protocol != "pi1" else None
-    with_mac = cfg.protocol == "pi2" or (cfg.protocol == "pi3" and cfg.use_mac)
-    audited = {}
-
-    if cfg.protocol == "pi3":
-        brm = cfg.brm
-        sampler_key = SamplerKey.generate(rng, brm.sampler_seed_bits)
-        o, x_o = brm_source_emit(e, brm.n, rng, e_max=ch.e_max)
-        cap = brm.retrieval_cap
-        verifier_view = RetrievalAudit(o, cap, "verifier")
-        adv_sig = x_o if adversary_d is None else propagate(
-            x_o, adversary_d, ch, rng, noiseless=noiseless
-        )
-        adv_view = RetrievalAudit(adv_sig, cap, "adversary")
-        idx = sample_indices(sampler_key, brm.n, cfg.k)
-        if leaked_sampler_key:
-            response = bpsk_demodulate(adv_view.read(idx.indices))
-        else:
-            response = bpsk_demodulate(adv_view.read(np.arange(cfg.k)))
-        m = verifier_view.read(idx.indices)
-        audited = _audited_fields(brm, [verifier_view, adv_view])
-    else:
-        m = random_bits(rng, cfg.k)
-        x = bpsk_modulate(m, e)
-        response = _observed_bits(x, adversary_d, ch, rng, noiseless)
-
+    s = Session(cfg, d_c, ch, rng, _unused_mac_key(cfg, rng),
+                d_real=adversary_d if adversary_d is not None else 0.0,
+                scenario="impersonation", noiseless=noiseless, seed=seed)
+    s.receive("adversary", adversary_d)
+    # Without the sampler key it can only answer with the first k positions.
+    positions = None if leaked_sampler_key else np.arange(cfg.k)
+    response = bpsk_demodulate(s.read("adversary", positions))
     tag = None
-    mac_ok = None
-    if with_mac:
-        if leaked_mac_key:
-            tag = mac_sign(mac_key, encode_response_claim(response, d_c))
-        else:
-            tag = _random_tag(rng, cfg.mac_bits)
-        mac_ok = mac_verify(mac_key, encode_response_claim(response, d_c), tag)
-
-    threshold = verify_response(m, response, cfg.beta)
-    verdict = ACC if threshold == ACC and (mac_ok is None or mac_ok) else REJ
-    return Transcript(
-        protocol=cfg.protocol,
-        claim_m=d_c,
-        d_real_m=adversary_d if adversary_d is not None else 0.0,
-        challenge=m,
-        response=response,
-        hamming=int(np.count_nonzero(m != response)),
-        verdict=verdict,
-        power_w=e,
-        tag=tag,
-        mac_ok=mac_ok,
-        threshold_ok=threshold == ACC,
-        seed=seed,
-        scenario="impersonation",
-        noiseless=noiseless,
-        **audited,
-    )
+    if s.authenticated:
+        tag = s.sign(response, d_c) if leaked_mac_key else _random_tag(rng, cfg.mac_bits)
+    return s.decide(response, tag)
 
 
 def attack_tfa_relay(
@@ -297,52 +171,22 @@ def attack_tfa_relay(
 ) -> Transcript:
     """Universal relay: an intruder near the verifier forwards everything.
 
-    Against pi1/pi2 this succeeds at essentially the honest-at-zero-distance
-    rate: the colluding prover holds the keys and the intruder's reception is
-    error-free.  Against pi3 the relay must capture the whole source output,
-    which the retrieval audit blocks for every cap below n — the attempt
-    raises RetrievalCapError.
+    The intruder captures the whole emission and the colluding prover, who
+    holds the keys, answers the sampled positions of the capture.  Against
+    pi1/pi2 this succeeds at essentially the honest-at-zero-distance rate.
+    Against pi3 the capture needs all n source positions, which the
+    retrieval audit blocks whenever the cap is below n: the attempt raises
+    RetrievalCapError before anything is drawn.
     """
-    e = transmit_power_for_claim(d_c, cfg.e0, ch)
-    if cfg.protocol == "pi3":
-        brm = cfg.brm
-        o, x_o = brm_source_emit(e, brm.n, rng, e_max=ch.e_max)
-        intr_sig = x_o if intruder_d is None else propagate(
-            x_o, intruder_d, ch, rng, noiseless=noiseless
-        )
-        intr_view = RetrievalAudit(intr_sig, brm.retrieval_cap, "intruder")
-        intr_view.read(np.arange(brm.n))  # raises: cap < n for every lam < 1
-        raise AssertionError("unreachable: relay capture must exceed the cap")
-
-    mac_key = MacKey.generate(rng, cfg.mac_bits) if cfg.protocol == "pi2" else None
-    m = random_bits(rng, cfg.k)
-    x = bpsk_modulate(m, e)
-    relayed = _observed_bits(x, intruder_d, ch, rng, noiseless)
-    # Colluding prover computes the authenticated response on relayed bits.
-    response = relayed
-    tag = None
-    mac_ok = None
-    if mac_key is not None:
-        tag = mac_sign(mac_key, encode_response_claim(response, d_c))
-        mac_ok = mac_verify(mac_key, encode_response_claim(response, d_c), tag)
-    threshold = verify_response(m, response, cfg.beta)
-    verdict = ACC if threshold == ACC and (mac_ok is None or mac_ok) else REJ
-    return Transcript(
-        protocol=cfg.protocol,
-        claim_m=d_c,
-        d_real_m=d_r,
-        challenge=m,
-        response=response,
-        hamming=int(np.count_nonzero(m != response)),
-        verdict=verdict,
-        power_w=e,
-        tag=tag,
-        mac_ok=mac_ok,
-        threshold_ok=threshold == ACC,
-        seed=seed,
-        scenario="tfa-relay",
-        noiseless=noiseless,
-    )
+    n, cap = Session.extent(cfg)
+    if cap < n:
+        raise RetrievalCapError("intruder", n, cap)
+    s = Session(cfg, d_c, ch, rng, d_real=d_r, scenario="tfa-relay",
+                noiseless=noiseless, seed=seed)
+    s.receive("intruder", intruder_d)
+    s.read("intruder", np.arange(n))
+    response = bpsk_demodulate(s.read("intruder"))
+    return s.decide(response, s.sign(response, d_c))
 
 
 @dataclass(frozen=True)
@@ -434,51 +278,41 @@ def attack_tfa_general(
     """
     if cfg.protocol != "pi3":
         raise ProtocolConfigError("terrorist-fraud retrieval attacks target pi3")
-    brm = cfg.brm
-    cap = brm.retrieval_cap
-    mac_key = MacKey.generate(rng, cfg.mac_bits) if cfg.use_mac else None
-    sampler_key = SamplerKey.generate(rng, brm.sampler_seed_bits)
-    e = transmit_power_for_claim(d_c, cfg.e0, ch)
-    o, x_o = brm_source_emit(e, brm.n, rng, e_max=ch.e_max)
-    verifier_view = RetrievalAudit(o, cap, "verifier")
-    y_o = propagate(x_o, d_r, ch, rng, noiseless=noiseless)
-    prover_view = RetrievalAudit(y_o, cap, "prover")
-    idx = sample_indices(sampler_key, brm.n, cfg.k)
-    sampled = idx.indices
-    views = [verifier_view, prover_view]
+    s = Session(cfg, d_c, ch, rng, d_real=d_r, scenario=f"tfa-general:{strategy.name}",
+                noiseless=noiseless, seed=seed)
+    s.receive("prover", d_r)
+    sampled = s.sampled
 
     if isinstance(strategy, IndexSamplingStrategy):
-        intr_indices = strategy.pick_indices(brm.n, cap, rng)
-        intr_view = RetrievalAudit(o, cap, "intruder")
-        views.append(intr_view)
-        known_bits = intr_view.read(intr_indices)
-        known = np.full(brm.n, -1, dtype=np.int8)
-        known[intr_indices] = known_bits
+        picked = strategy.pick_indices(s.n, s.cap, rng)
+        s.receive("intruder", None)
+        known = np.full(s.n, -1, dtype=np.int8)
+        known[picked] = bpsk_demodulate(s.read("intruder", picked))
         known_at_sample = known[sampled]
         need_own = known_at_sample < 0
         response = known_at_sample.astype(np.uint8)
         if need_own.any():
-            own = bpsk_demodulate(prover_view.read(sampled[need_own]))
-            response[need_own] = own
+            response[need_own] = bpsk_demodulate(s.read("prover", sampled[need_own]))
     else:
-        slices = _block_slices(brm.n, cap)
+        o = s.source
+        slices = _block_slices(s.n, s.cap)
         if isinstance(strategy, ParitySketchStrategy):
             digest = np.array(
-                [int(np.bitwise_xor.reduce(o[s])) for s in slices], dtype=np.uint8
+                [int(np.bitwise_xor.reduce(o[b])) for b in slices], dtype=np.uint8
             )
         else:
             digest = np.array(
-                [int(2 * int(o[s].sum()) >= (s.stop - s.start)) for s in slices],
+                [int(2 * int(o[b].sum()) >= (b.stop - b.start)) for b in slices],
                 dtype=np.uint8,
             )
-        if digest.size > cap:
-            raise RetrievalCapError("intruder", int(digest.size), cap)
-        block_of = np.zeros(brm.n, dtype=np.int64)
-        for b, s in enumerate(slices):
-            block_of[s] = b
-        sizes = np.array([s.stop - s.start for s in slices], dtype=np.int64)
+        if digest.size > s.cap:
+            raise RetrievalCapError("intruder", int(digest.size), s.cap)
+        block_of = np.zeros(s.n, dtype=np.int64)
+        for b, sl in enumerate(slices):
+            block_of[sl] = b
+        sizes = np.array([b.stop - b.start for b in slices], dtype=np.int64)
 
-        y_sampled = prover_view.read(sampled)
+        y_sampled = s.read("prover")
         own_bits = bpsk_demodulate(y_sampled)
         if isinstance(strategy, ParitySketchStrategy):
             # A block parity carries no per-bit information unless the block
@@ -486,48 +320,22 @@ def attack_tfa_general(
             response = own_bits.copy()
             singleton = sizes[block_of[sampled]] == 1
             response[singleton] = digest[block_of[sampled][singleton]]
+        elif noiseless:
+            response = own_bits.copy()
         else:
-            amp = math.sqrt(e) / math.sqrt(ch.xi * d_r**ch.alpha)
-            if noiseless:
-                response = own_bits.copy()
-            else:
-                # Per-sample noise variance is sigma/2 (see channel.propagate).
-                llr_chan = 4.0 * amp * y_sampled / ch.sigma
-                prior_table = {int(m_): _majority_prior_llr(int(m_)) for m_ in np.unique(sizes)}
-                llr_prior = np.empty(sampled.size, dtype=np.float64)
-                for j, pos in enumerate(sampled):
-                    one_llr, zero_llr = prior_table[int(sizes[block_of[pos]])]
-                    llr_prior[j] = one_llr if digest[block_of[pos]] else zero_llr
-                total = llr_chan + llr_prior
-                response = np.where(total > 0, 1, np.where(total < 0, 0, own_bits)).astype(
-                    np.uint8
-                )
-
-    tag = None
-    mac_ok = None
-    if mac_key is not None:
-        tag = mac_sign(mac_key, encode_response_claim(response, d_c))
-        mac_ok = mac_verify(mac_key, encode_response_claim(response, d_c), tag)
-    m = verifier_view.read(sampled)
-    threshold = verify_response(m, response, cfg.beta)
-    verdict = ACC if threshold == ACC and (mac_ok is None or mac_ok) else REJ
-    return Transcript(
-        protocol=cfg.protocol,
-        claim_m=d_c,
-        d_real_m=d_r,
-        challenge=m,
-        response=response,
-        hamming=int(np.count_nonzero(m != response)),
-        verdict=verdict,
-        power_w=e,
-        tag=tag,
-        mac_ok=mac_ok,
-        threshold_ok=threshold == ACC,
-        seed=seed,
-        scenario=f"tfa-general:{strategy.name}",
-        noiseless=noiseless,
-        **_audited_fields(brm, views),
-    )
+            amp = math.sqrt(s.power_w) / math.sqrt(ch.xi * d_r**ch.alpha)
+            # Per-sample noise variance is sigma/2 (see channel.propagate).
+            llr_chan = 4.0 * amp * y_sampled / ch.sigma
+            prior_table = {int(m_): _majority_prior_llr(int(m_)) for m_ in np.unique(sizes)}
+            llr_prior = np.empty(sampled.size, dtype=np.float64)
+            for j, pos in enumerate(sampled):
+                one_llr, zero_llr = prior_table[int(sizes[block_of[pos]])]
+                llr_prior[j] = one_llr if digest[block_of[pos]] else zero_llr
+            total = llr_chan + llr_prior
+            response = np.where(total > 0, 1, np.where(total < 0, 0, own_bits)).astype(
+                np.uint8
+            )
+    return s.decide(response, s.sign(response, d_c))
 
 
 def attack_tfa_sampling(

@@ -46,6 +46,7 @@ __all__ = [
     "BrmParams",
     "ProtocolConfig",
     "SessionKeys",
+    "Session",
     "Transcript",
     "RetrievalCapError",
     "ProtocolConfigError",
@@ -296,16 +297,146 @@ def check_mac_strength(cfg: ProtocolConfig, eps_fa: float) -> None:
         )
 
 
-def _mac_leg(
-    key: MacKey,
-    response: np.ndarray,
-    prover_claim: float,
-    verifier_claim: float,
-) -> tuple[int, bool]:
-    """Prover-side tag and verifier-side check, each over its own claim view."""
-    tag = mac_sign(key, encode_response_claim(response, prover_claim))
-    ok = mac_verify(key, encode_response_claim(response, verifier_claim), tag)
-    return tag, ok
+class Session:
+    """One run as the verifier sees it: the keys, the emission, each party's
+    audited view of it, and the verdict.
+
+    It draws from ``rng`` in one fixed order: the MAC key (only when the run
+    authenticates and ``keys`` holds none), the sampler key (pi3), the
+    emission through ``brm_source_emit``, then each party's reception in the
+    order the parties ask for it.  pi1/pi2 are the n = k case: the emission is
+    the challenge itself and every position is sampled, so their parties read
+    it whole and no ``RetrievalAudit`` is built.  A responder policy (the
+    honest prover or an attack) receives, reads and signs; ``decide`` builds
+    the transcript.
+    """
+
+    def __init__(
+        self,
+        cfg: ProtocolConfig,
+        d_c: float,
+        ch: ChannelParams,
+        rng: np.random.Generator,
+        keys: Optional[SessionKeys] = None,
+        *,
+        d_real: float,
+        scenario: str = "honest",
+        noiseless: bool = False,
+        seed: Optional[int] = None,
+    ):
+        self.cfg, self.d_c, self.ch, self.rng = cfg, d_c, ch, rng
+        self.d_real, self.scenario, self.noiseless, self.seed = d_real, scenario, noiseless, seed
+        self.bounded = cfg.protocol == "pi3"
+        self.authenticated = cfg.protocol != "pi1" and cfg.use_mac
+        self.mac_key = keys.mac_key if keys else None
+        if self.mac_key is None and self.authenticated:
+            self.mac_key = MacKey.generate(rng, cfg.mac_bits)
+        self.sampler_key = keys.sampler_key if keys else None
+        if self.sampler_key is None and self.bounded:
+            self.sampler_key = SamplerKey.generate(rng, cfg.brm.sampler_seed_bits)
+        self.power_w = transmit_power_for_claim(d_c, cfg.e0, ch)
+        self.n, self.cap = self.extent(cfg)
+        self.source, self.signal = brm_source_emit(self.power_w, self.n, rng, e_max=ch.e_max)
+        # A RetrievalAudit per party on pi3; the whole reception on pi1/pi2.
+        self._views: dict = {}
+        if self.bounded:
+            self._views["verifier"] = RetrievalAudit(self.source, self.cap, "verifier")
+        self._sampled: Optional[np.ndarray] = None
+        self._signed: Optional[tuple] = None
+
+    @staticmethod
+    def extent(cfg: ProtocolConfig) -> tuple[int, int]:
+        """(n, cap): source length and retrieval cap; pi1/pi2 emit k readable bits."""
+        if cfg.protocol == "pi3":
+            return cfg.brm.n, cfg.brm.retrieval_cap
+        return cfg.k, cfg.k
+
+    @property
+    def sampled(self) -> np.ndarray:
+        """The challenge positions, drawn from the sampler key on first use."""
+        if self._sampled is None:
+            self._sampled = (
+                sample_indices(self.sampler_key, self.n, self.cfg.k).indices
+                if self.bounded
+                else np.arange(self.n)
+            )
+        return self._sampled
+
+    def receive(self, party: str, at: Optional[float]) -> None:
+        """Draw ``party``'s reception of the emission at distance ``at``
+        (None: so close that it is error-free, and nothing is drawn)."""
+        sig = self.signal
+        if at is not None:
+            sig = propagate(sig, at, self.ch, self.rng, noiseless=self.noiseless)
+        self._views[party] = RetrievalAudit(sig, self.cap, party) if self.bounded else sig
+
+    def read(self, party: str, positions: Optional[np.ndarray] = None) -> np.ndarray:
+        """``party``'s received values at ``positions`` (default: the sampled ones)."""
+        view = self._views[party]
+        if self.bounded:
+            return view.read(self.sampled if positions is None else positions)
+        return view if positions is None else view[positions]
+
+    def sign(self, response: np.ndarray, claim: float) -> Optional[int]:
+        """Tag over (response, claim) under the session MAC key; None without a MAC."""
+        if not self.authenticated:
+            return None
+        tag = mac_sign(self.mac_key, encode_response_claim(response, claim))
+        self._signed = (response, claim, tag)
+        return tag
+
+    def decide(self, response: np.ndarray, tag: Optional[int]) -> Transcript:
+        """The verifier's check of (response, tag) against its challenge and claim."""
+        cfg = self.cfg
+        m = self._views["verifier"].read(self.sampled) if self.bounded else self.source
+        mac_ok = None
+        if self.authenticated:
+            signed = self._signed
+            if signed is not None and signed[0] is response and signed[1] == self.d_c:
+                # The verifier's message is the one just signed, so mac_verify
+                # would recompute exactly the signed tag.
+                mac_ok = tag == signed[2]
+            else:
+                mac_ok = mac_verify(self.mac_key, encode_response_claim(response, self.d_c), tag)
+        threshold_ok = verify_response(m, response, cfg.beta) == ACC
+        return Transcript(
+            protocol=cfg.protocol,
+            claim_m=self.d_c,
+            d_real_m=self.d_real,
+            challenge=m,
+            response=response,
+            hamming=int(np.count_nonzero(m != response)),
+            verdict=ACC if threshold_ok and mac_ok is not False else REJ,
+            power_w=self.power_w,
+            tag=tag,
+            mac_ok=mac_ok,
+            threshold_ok=threshold_ok,
+            seed=self.seed,
+            scenario=self.scenario,
+            noiseless=self.noiseless,
+            source_bits=self.n if self.bounded else None,
+            retrieval_cap=self.cap if self.bounded else None,
+            accesses={p: v.accessed for p, v in self._views.items()} if self.bounded else {},
+        )
+
+
+def _honest_run(
+    cfg: ProtocolConfig,
+    claim: Claim,
+    placement: PartyPlacement,
+    ch: ChannelParams,
+    rng: np.random.Generator,
+    keys: Optional[SessionKeys],
+    noiseless: bool,
+    seed: Optional[int],
+) -> Transcript:
+    """The honest prover demodulates the sampled positions of its reception
+    (its leg to the verifier is error-free) and tags its own claim."""
+    s = Session(cfg, claim.d_c, ch, rng, keys, d_real=placement.d_r,
+                noiseless=noiseless, seed=seed)
+    s.receive("prover", placement.d_r)
+    response = bpsk_demodulate(s.read("prover"))
+    return s.decide(response, s.sign(response, claim.d_c))
 
 
 def run_pi1(
@@ -319,25 +450,7 @@ def run_pi1(
     seed: Optional[int] = None,
 ) -> Transcript:
     """One run of the bare challenge-response protocol with an honest prover."""
-    e = transmit_power_for_claim(claim.d_c, cfg.e0, ch)
-    m = random_bits(rng, cfg.k)
-    x = bpsk_modulate(m, e)
-    y = propagate(x, placement.d_r, ch, rng, noiseless=noiseless)
-    m_hat = bpsk_demodulate(y)  # prover-to-verifier leg is error-free
-    verdict = verify_response(m, m_hat, cfg.beta)
-    return Transcript(
-        protocol=cfg.protocol,
-        claim_m=claim.d_c,
-        d_real_m=placement.d_r,
-        challenge=m,
-        response=m_hat,
-        hamming=int(np.count_nonzero(m != m_hat)),
-        verdict=verdict,
-        power_w=e,
-        threshold_ok=verdict == ACC,
-        seed=seed,
-        noiseless=noiseless,
-    )
+    return _honest_run(cfg, claim, placement, ch, rng, None, noiseless, seed)
 
 
 def run_pi2(
@@ -355,30 +468,7 @@ def run_pi2(
 
     With keys=None a fresh key is drawn from ``rng`` before the challenge.
     """
-    mac_key = keys.mac_key if keys and keys.mac_key else MacKey.generate(rng, cfg.mac_bits)
-    e = transmit_power_for_claim(claim.d_c, cfg.e0, ch)
-    m = random_bits(rng, cfg.k)
-    x = bpsk_modulate(m, e)
-    y = propagate(x, placement.d_r, ch, rng, noiseless=noiseless)
-    m_hat = bpsk_demodulate(y)
-    tag, mac_ok = _mac_leg(mac_key, m_hat, claim.d_c, claim.d_c)
-    threshold = verify_response(m, m_hat, cfg.beta)
-    verdict = ACC if threshold == ACC and mac_ok else REJ
-    return Transcript(
-        protocol=cfg.protocol,
-        claim_m=claim.d_c,
-        d_real_m=placement.d_r,
-        challenge=m,
-        response=m_hat,
-        hamming=int(np.count_nonzero(m != m_hat)),
-        verdict=verdict,
-        power_w=e,
-        tag=tag,
-        mac_ok=mac_ok,
-        threshold_ok=threshold == ACC,
-        seed=seed,
-        noiseless=noiseless,
-    )
+    return _honest_run(cfg, claim, placement, ch, rng, keys, noiseless, seed)
 
 
 def run_pi3(
@@ -399,51 +489,7 @@ def run_pi3(
     observed (enforced by the audit).  The response carries a MAC like pi2
     unless cfg.use_mac is false.
     """
-    if cfg.brm is None:
-        raise ProtocolConfigError("pi3 requires brm parameters")
-    brm = cfg.brm
-    mac_key = None
-    if cfg.use_mac:
-        mac_key = keys.mac_key if keys and keys.mac_key else MacKey.generate(rng, cfg.mac_bits)
-    sampler_key = (
-        keys.sampler_key
-        if keys and keys.sampler_key
-        else SamplerKey.generate(rng, brm.sampler_seed_bits)
-    )
-    e = transmit_power_for_claim(claim.d_c, cfg.e0, ch)
-    o, x_o = brm_source_emit(e, brm.n, rng, e_max=ch.e_max)
-    cap = brm.retrieval_cap
-    verifier_view = RetrievalAudit(o, cap, "verifier")
-    y_o = propagate(x_o, placement.d_r, ch, rng, noiseless=noiseless)
-    prover_view = RetrievalAudit(y_o, cap, "prover")
-
-    idx = sample_indices(sampler_key, brm.n, cfg.k)
-    m_hat = bpsk_demodulate(prover_view.read(idx.indices))
-    if cfg.use_mac:
-        tag, mac_ok = _mac_leg(mac_key, m_hat, claim.d_c, claim.d_c)
-    else:
-        tag, mac_ok = None, None
-    m = verifier_view.read(idx.indices)
-    threshold = verify_response(m, m_hat, cfg.beta)
-    verdict = ACC if threshold == ACC and (mac_ok is None or mac_ok) else REJ
-    return Transcript(
-        protocol=cfg.protocol,
-        claim_m=claim.d_c,
-        d_real_m=placement.d_r,
-        challenge=m,
-        response=m_hat,
-        hamming=int(np.count_nonzero(m != m_hat)),
-        verdict=verdict,
-        power_w=e,
-        tag=tag,
-        mac_ok=mac_ok,
-        threshold_ok=threshold == ACC,
-        seed=seed,
-        noiseless=noiseless,
-        source_bits=brm.n,
-        retrieval_cap=cap,
-        accesses={"verifier": verifier_view.accessed, "prover": prover_view.accessed},
-    )
+    return _honest_run(cfg, claim, placement, ch, rng, keys, noiseless, seed)
 
 
 def run_protocol(
