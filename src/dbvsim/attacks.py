@@ -1,17 +1,16 @@
 """Attack scenarios: distance fraud, mafia fraud, impersonation, and the
 terrorist-fraud family against the bounded-retrieval protocol.
 
-Each attack is a responder policy on a ``protocols.Session``: the session
-draws the keys, the emission and the receptions and renders the verdict; the
-policy decides what each party reads and which tag it sends.  Placements
-follow the strongest-adversary convention: a distance of None means
-reception so close to the verifier that it is error-free.  On pi3 every party
-reads through the session's retrieval audit, so an attack that needs more
-than the cap raises RetrievalCapError instead of silently over-retrieving.
+Each attack is a responder policy on a ``protocols.Session``: it decides what
+each party reads and which tag it sends.  A distance of None places a
+receiver so close to the verifier that it is error-free (the strongest
+adversary).  On pi3 every party reads through the session's retrieval audit,
+so an attack that needs more than the cap raises RetrievalCapError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -55,9 +54,8 @@ def _random_tag(rng: np.random.Generator, field_bits: int) -> int:
 
 
 def _unused_mac_key(cfg: ProtocolConfig, rng: np.random.Generator) -> Optional[SessionKeys]:
-    """mfa and impersonation on pi3 without a MAC draw a MAC key that no check
-    uses, as they always have; kept until the trial stream next changes so
-    their transcripts stay the same."""
+    """mfa and impersonation on pi3 without a MAC have always drawn a MAC key no
+    check uses; kept so their trial stream stays the same until it next changes."""
     if cfg.use_mac:
         return None
     return SessionKeys(mac_key=MacKey.generate(rng, cfg.mac_bits))
@@ -119,11 +117,9 @@ def attack_mfa(
         s.receive("intruder", intruder_d)
         response = bpsk_demodulate(s.read("intruder", np.arange(cfg.k)))
     tag = None
-    if s.authenticated:
-        if strategy == "replay":
-            tag = s.sign(prover_resp, honest_d_r)
-        else:
-            tag = _random_tag(rng, cfg.mac_bits)
+    if s.authenticated:  # the honest prover tags its own claim; the intruder guesses
+        tag = (s.sign(prover_resp, honest_d_r) if strategy == "replay"
+               else _random_tag(rng, cfg.mac_bits))
     return s.decide(response, tag)
 
 
@@ -232,11 +228,30 @@ def default_strategy_library() -> list[RetrievalStrategy]:
     ]
 
 
-def _block_slices(n: int, blocks: int) -> list[slice]:
+def _blocks(n: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and sizes of the non-empty blocks of a fixed blocks-way partition of n."""
     bounds = np.linspace(0, n, blocks + 1).astype(int)
-    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    nonempty = bounds[1:] > bounds[:-1]
+    return bounds[:-1][nonempty], np.diff(bounds)[nonempty]
 
 
+def _digest(strategy: RetrievalStrategy, source: np.ndarray, starts: np.ndarray,
+            sizes: np.ndarray) -> np.ndarray:
+    """The intruder's per-block parity or majority bit of the source."""
+    if isinstance(strategy, ParitySketchStrategy):
+        return np.bitwise_xor.reduceat(source, starts)
+    ones = np.add.reduceat(source, starts, dtype=np.int64)
+    return (2 * ones >= sizes).astype(np.uint8)
+
+
+def _majority_prior(digest: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each block's prior llr for its bits, given its majority digest."""
+    distinct, which = np.unique(sizes, return_inverse=True)
+    table = np.array([_majority_prior_llr(int(m)) for m in distinct])
+    return np.where(digest == 1, table[which, 0], table[which, 1])
+
+
+@functools.cache
 def _majority_prior_llr(size: int) -> tuple[float, float]:
     """(llr if digest=1, llr if digest=0) for one bit of a size-m majority block."""
     others = size - 1
@@ -294,44 +309,24 @@ def attack_tfa_general(
         if need_own.any():
             response[need_own] = bpsk_demodulate(s.read("prover", sampled[need_own]))
     else:
-        o = s.source
-        slices = _block_slices(s.n, s.cap)
-        if isinstance(strategy, ParitySketchStrategy):
-            digest = np.array(
-                [int(np.bitwise_xor.reduce(o[b])) for b in slices], dtype=np.uint8
-            )
-        else:
-            digest = np.array(
-                [int(2 * int(o[b].sum()) >= (b.stop - b.start)) for b in slices],
-                dtype=np.uint8,
-            )
-        if digest.size > s.cap:
-            raise RetrievalCapError("intruder", int(digest.size), s.cap)
-        block_of = np.zeros(s.n, dtype=np.int64)
-        for b, sl in enumerate(slices):
-            block_of[sl] = b
-        sizes = np.array([b.stop - b.start for b in slices], dtype=np.int64)
-
+        starts, sizes = _blocks(s.n, s.cap)
+        digest = _digest(strategy, s.source, starts, sizes)
+        block = np.searchsorted(starts, sampled, side="right") - 1
         y_sampled = s.read("prover")
         own_bits = bpsk_demodulate(y_sampled)
         if isinstance(strategy, ParitySketchStrategy):
             # A block parity carries no per-bit information unless the block
             # is a single position, in which case it reveals the bit exactly.
             response = own_bits.copy()
-            singleton = sizes[block_of[sampled]] == 1
-            response[singleton] = digest[block_of[sampled][singleton]]
+            singleton = sizes[block] == 1
+            response[singleton] = digest[block[singleton]]
         elif noiseless:
             response = own_bits.copy()
         else:
             amp = math.sqrt(s.power_w) / math.sqrt(ch.xi * d_r**ch.alpha)
             # Per-sample noise variance is sigma/2 (see channel.propagate).
             llr_chan = 4.0 * amp * y_sampled / ch.sigma
-            prior_table = {int(m_): _majority_prior_llr(int(m_)) for m_ in np.unique(sizes)}
-            llr_prior = np.empty(sampled.size, dtype=np.float64)
-            for j, pos in enumerate(sampled):
-                one_llr, zero_llr = prior_table[int(sizes[block_of[pos]])]
-                llr_prior[j] = one_llr if digest[block_of[pos]] else zero_llr
-            total = llr_chan + llr_prior
+            total = llr_chan + _majority_prior(digest, sizes)[block]
             response = np.where(total > 0, 1, np.where(total < 0, 0, own_bits)).astype(
                 np.uint8
             )

@@ -298,32 +298,22 @@ def check_mac_strength(cfg: ProtocolConfig, eps_fa: float) -> None:
 
 
 class Session:
-    """One run as the verifier sees it: the keys, the emission, each party's
-    audited view of it, and the verdict.
+    """One run as the verifier sees it: keys, emission, each party's audited
+    view, verdict.  A responder policy (the honest prover or an attack)
+    receives, reads and signs; ``decide`` builds the transcript.
 
     It draws from ``rng`` in one fixed order: the MAC key (only when the run
     authenticates and ``keys`` holds none), the sampler key (pi3), the
     emission through ``brm_source_emit``, then each party's reception in the
     order the parties ask for it.  pi1/pi2 are the n = k case: the emission is
     the challenge itself and every position is sampled, so their parties read
-    it whole and no ``RetrievalAudit`` is built.  A responder policy (the
-    honest prover or an attack) receives, reads and signs; ``decide`` builds
-    the transcript.
+    it whole and no ``RetrievalAudit`` is built.
     """
 
-    def __init__(
-        self,
-        cfg: ProtocolConfig,
-        d_c: float,
-        ch: ChannelParams,
-        rng: np.random.Generator,
-        keys: Optional[SessionKeys] = None,
-        *,
-        d_real: float,
-        scenario: str = "honest",
-        noiseless: bool = False,
-        seed: Optional[int] = None,
-    ):
+    def __init__(self, cfg: ProtocolConfig, d_c: float, ch: ChannelParams,
+                 rng: np.random.Generator, keys: Optional[SessionKeys] = None, *,
+                 d_real: float, scenario: str = "honest", noiseless: bool = False,
+                 seed: Optional[int] = None):
         self.cfg, self.d_c, self.ch, self.rng = cfg, d_c, ch, rng
         self.d_real, self.scenario, self.noiseless, self.seed = d_real, scenario, noiseless, seed
         self.bounded = cfg.protocol == "pi3"
@@ -353,13 +343,9 @@ class Session:
 
     @property
     def sampled(self) -> np.ndarray:
-        """The challenge positions, drawn from the sampler key on first use."""
+        """pi3's challenge positions, drawn from the sampler key on first use."""
         if self._sampled is None:
-            self._sampled = (
-                sample_indices(self.sampler_key, self.n, self.cfg.k).indices
-                if self.bounded
-                else np.arange(self.n)
-            )
+            self._sampled = sample_indices(self.sampler_key, self.n, self.cfg.k).indices
         return self._sampled
 
     def receive(self, party: str, at: Optional[float]) -> None:
@@ -393,8 +379,7 @@ class Session:
         if self.authenticated:
             signed = self._signed
             if signed is not None and signed[0] is response and signed[1] == self.d_c:
-                # The verifier's message is the one just signed, so mac_verify
-                # would recompute exactly the signed tag.
+                # The message just signed: mac_verify would recompute signed[2].
                 mac_ok = tag == signed[2]
             else:
                 mac_ok = mac_verify(self.mac_key, encode_response_claim(response, self.d_c), tag)
@@ -420,16 +405,9 @@ class Session:
         )
 
 
-def _honest_run(
-    cfg: ProtocolConfig,
-    claim: Claim,
-    placement: PartyPlacement,
-    ch: ChannelParams,
-    rng: np.random.Generator,
-    keys: Optional[SessionKeys],
-    noiseless: bool,
-    seed: Optional[int],
-) -> Transcript:
+def _honest_run(cfg: ProtocolConfig, claim: Claim, placement: PartyPlacement,
+                ch: ChannelParams, rng: np.random.Generator, keys: Optional[SessionKeys],
+                noiseless: bool, seed: Optional[int]) -> Transcript:
     """The honest prover demodulates the sampled positions of its reception
     (its leg to the verifier is error-free) and tags its own claim."""
     s = Session(cfg, claim.d_c, ch, rng, keys, d_real=placement.d_r,

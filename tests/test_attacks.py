@@ -16,6 +16,9 @@ from dbvsim.attacks import (
     attack_tfa_relay,
     attack_tfa_sampling,
     default_strategy_library,
+    _blocks,
+    _digest,
+    _majority_prior,
     _majority_prior_llr,
 )
 from dbvsim.bounds import exact_binomial_tail_lower
@@ -285,6 +288,64 @@ class TestMajorityPrior:
         p1, p0 = (binom.sf(need - u - 1, m - 1, 0.5) for u in (1, 0))
         assert one == pytest.approx(math.log(p1 / p0), rel=1e-9)
         assert zero == pytest.approx(math.log((1 - p1) / (1 - p0)), rel=1e-9)
+
+
+def _loop_digest_path(strategy, o, cap, sampled):
+    """The first tfa-general digest path, one Python step per block and per
+    sampled position: (digest, block of each sampled position, its block's
+    size, the majority prior llr of each sampled position)."""
+    n = o.size
+    bounds = np.linspace(0, n, cap + 1).astype(int)
+    slices = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    if isinstance(strategy, ParitySketchStrategy):
+        digest = np.array([int(np.bitwise_xor.reduce(o[s])) for s in slices], dtype=np.uint8)
+    else:
+        digest = np.array(
+            [int(2 * int(o[s].sum()) >= (s.stop - s.start)) for s in slices], dtype=np.uint8
+        )
+    block_of = np.zeros(n, dtype=np.int64)
+    for b, s in enumerate(slices):
+        block_of[s] = b
+    sizes = np.array([s.stop - s.start for s in slices], dtype=np.int64)
+    prior_table = {int(m): _majority_prior_llr(int(m)) for m in np.unique(sizes)}
+    llr_prior = np.empty(sampled.size, dtype=np.float64)
+    for j, pos in enumerate(sampled):
+        one_llr, zero_llr = prior_table[int(sizes[block_of[pos]])]
+        llr_prior[j] = one_llr if digest[block_of[pos]] else zero_llr
+    return digest, block_of[sampled], sizes[block_of[sampled]], llr_prior
+
+
+class TestDigestPathOracle:
+    # caps that divide n, caps that do not, singleton blocks and blocks past 1024
+    @pytest.mark.parametrize("n,cap", [
+        (400, 120), (400, 100), (7, 3), (5, 4), (101, 10), (1030, 103),
+        (20000, 10), (64, 64), (1000, 999),
+    ])
+    @pytest.mark.parametrize("strategy", [ParitySketchStrategy(), BlockMajorityStrategy()])
+    def test_matches_loop_form(self, n, cap, strategy):
+        rng = np.random.default_rng([n, cap])
+        o = rng.integers(0, 2, n, dtype=np.uint8)
+        sampled = rng.choice(n, size=min(cap, n), replace=False)
+        want_digest, want_block, want_size, want_prior = _loop_digest_path(
+            strategy, o, cap, sampled
+        )
+        starts, sizes = _blocks(n, cap)
+        digest = _digest(strategy, o, starts, sizes)
+        block = np.searchsorted(starts, sampled, side="right") - 1
+        assert digest.dtype == np.uint8
+        np.testing.assert_array_equal(digest, want_digest)
+        np.testing.assert_array_equal(block, want_block)
+        np.testing.assert_array_equal(sizes[block], want_size)
+        # bit-identical floats: the prior is a selection, not arithmetic
+        assert _majority_prior(digest, sizes)[block].tobytes() == want_prior.tobytes()
+
+    def test_prior_cached_by_block_size(self):
+        _majority_prior_llr(10**5)
+        hits = _majority_prior_llr.cache_info().hits
+        start = time.perf_counter()
+        _majority_prior_llr(10**5)
+        assert time.perf_counter() - start < 0.01
+        assert _majority_prior_llr.cache_info().hits == hits + 1
 
 
 class TestTfaGeneral:
