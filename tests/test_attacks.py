@@ -212,6 +212,23 @@ class TestRelay:
             attack_tfa_relay(cfg, 4e4, 9e4, CH, np.random.default_rng(13))
 
 
+    def test_vs_pi3_blocked_before_any_draw(self):
+        rng = np.random.default_rng(14)
+        state = rng.bit_generator.state
+        with pytest.raises(RetrievalCapError) as e:
+            attack_tfa_relay(pi3_config(), 4e4, 9e4, CH, rng)
+        assert (e.value.party, e.value.requested, e.value.cap) == ("intruder", 400, 120)
+        assert rng.bit_generator.state == state
+
+    def test_vs_pi3_completes_when_cap_covers_source(self):
+        # ceil(0.6 * 2) = 2: the intruder may capture the whole source
+        cfg = ProtocolConfig("pi3", e0=1000.0, k=2, beta=0.4, brm=BrmParams(lam=0.6, n=2))
+        for i in range(20):
+            t = attack_tfa_relay(cfg, 4e4, 9e4, CH, np.random.default_rng((15, i)))
+            assert t.verdict == ACC and t.mac_ok is True
+            assert t.accesses == {"verifier": 2, "intruder": 2}
+
+
 class TestTfaSampling:
     CFG = pi3_config(lam=0.4, k=100)
 

@@ -177,6 +177,18 @@ class TestSimulateCommand:
         assert obj["structural_result"]["relay_blocked_by_retrieval_audit"] is True
         assert obj["summary"]["rate"] == 0.0
 
+    def test_relay_vs_pi3_completes_when_cap_covers_source(self, capsys):
+        # ceil(0.6 * 2) = 2: the audit lets the intruder capture the source
+        code, out, err = run_cli(
+            capsys, "simulate", "--protocol", "pi3", "--scenario", "tfa-relay",
+            "--e0", "1000", "--k", "2", "--beta", "0.4", "--lambda", "0.6", "--n", "2",
+            "--eps-fa", "0.5", "--trials", "50",
+        )
+        assert code == 0, err
+        obj = json.loads(out)
+        assert obj["structural_result"]["relay_blocked_by_retrieval_audit"] is False
+        assert obj["summary"]["rate"] == obj["summary"]["analytic_exact"] == 1.0
+
     def test_dump_transcripts(self, capsys, tmp_path):
         path = tmp_path / "t.jsonl"
         code, _, _ = run_cli(

@@ -9,7 +9,7 @@ from scipy import stats
 
 from dbvsim import montecarlo
 from dbvsim._pool import worker_count
-from dbvsim.bounds import DbvSpec, max_errors
+from dbvsim.bounds import DbvSpec, exact_binomial_tail_lower, max_errors
 from dbvsim.channel import (
     DEFAULT_CHANNEL,
     bit_error_prob,
@@ -108,6 +108,20 @@ class TestEstimateRates:
         assert out.blocked == 60
         assert out.analytic_exact == 0.0
         assert out.bound_satisfied is True
+
+    def test_relay_vs_pi3_completes_when_cap_covers_source(self):
+        # ceil(0.6 * 2) = 2: the relay captures the whole source
+        cfg = ProtocolConfig("pi3", e0=1000.0, k=2, beta=0.4, brm=BrmParams(lam=0.6, n=2))
+        near = Scenario("tfa-relay", d_claim=4e4, d_real=9e4)
+        out = estimate_rates(near, cfg, None, CH, 200, 20)
+        assert (out.blocked, out.rate, out.analytic_exact) == (0, 1.0, 1.0)
+        far = Scenario("tfa-relay", d_claim=4e4, d_real=9e4, intruder_d=9e4)
+        e = transmit_power_for_claim(4e4, cfg.e0, CH)
+        p = exact_binomial_tail_lower(2, 0.4, bit_error_prob(snr_at_distance(e, 9e4, CH)))
+        assert 0.05 < p < 0.95
+        out = estimate_rates(far, cfg, None, CH, 2000, 21)
+        assert out.analytic_exact == p
+        assert abs(out.rate - p) < 4 * math.sqrt(p * (1 - p) / 2000)
 
     def test_low_trial_warning(self, caplog):
         s = Scenario("dfa", d_claim=4e4, d_real=7e4)
