@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbvsim.channel import DEFAULT_CHANNEL, ClaimRangeError, PowerLimitError, random_bits
+from dbvsim.montecarlo import _trial_rng, run_trial
 from dbvsim.primitives import MacKey, SamplerKey, encode_response_claim, mac_sign, mac_verify
 from dbvsim.protocols import (
     ACC,
@@ -19,6 +22,7 @@ from dbvsim.protocols import (
     ProtocolConfigError,
     RetrievalAudit,
     RetrievalCapError,
+    Session,
     SessionKeys,
     brm_source_emit,
     check_mac_strength,
@@ -294,3 +298,83 @@ class TestBrmSource:
         rng = np.random.default_rng(11)
         with pytest.raises(PowerLimitError):
             brm_source_emit(3e4 + 1, 10, rng, e_max=3e4)
+
+
+_spec = importlib.util.spec_from_file_location(
+    "make_transcripts", Path(__file__).parent / "golden" / "make_transcripts.py"
+)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+class TestSession:
+    def test_draw_order(self):
+        cfg = pi3_config()
+        s = Session(cfg, 5e4, CH, np.random.default_rng(12), d_real=5e4)
+        rng = np.random.default_rng(12)
+        assert s.mac_key == MacKey.generate(rng, cfg.mac_bits)
+        assert s.sampler_key == SamplerKey.generate(rng, cfg.brm.sampler_seed_bits)
+        np.testing.assert_array_equal(s.source, random_bits(rng, cfg.brm.n))
+        assert s._sampled is None  # sampled on first use only
+
+    def test_supplied_keys_are_not_drawn(self):
+        cfg = pi3_config()
+        keys = SessionKeys(MacKey.generate(np.random.default_rng(1), cfg.mac_bits),
+                           SamplerKey.generate(np.random.default_rng(2), 128))
+        s = Session(cfg, 5e4, CH, np.random.default_rng(13), keys, d_real=5e4)
+        assert (s.mac_key, s.sampler_key) == (keys.mac_key, keys.sampler_key)
+        np.testing.assert_array_equal(
+            s.source, random_bits(np.random.default_rng(13), cfg.brm.n)
+        )
+
+    def test_pi1_pi2_build_no_audit(self):
+        for cfg in (PI1, PI2):
+            s = Session(cfg, 5e4, CH, np.random.default_rng(14), d_real=5e4)
+            s.receive("prover", 5e4)
+            assert s.n == s.cap == cfg.k and s.read("prover").size == cfg.k
+            t = s.decide(s.read("prover") >= 0, None)
+            assert t.accesses == {} and t.source_bits is None
+
+    @pytest.mark.parametrize("cfg", [PI2, pi3_config()], ids=["pi2", "pi3"])
+    def test_honest_tag_with_supplied_key(self, cfg):
+        key = MacKey.generate(np.random.default_rng(3), cfg.mac_bits)
+        run = run_pi2 if cfg.protocol == "pi2" else run_pi3
+        for seed in range(10):
+            t = run(cfg, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(seed),
+                    SessionKeys(mac_key=key))
+            assert t.mac_ok is True
+            assert mac_verify(key, encode_response_claim(t.response, t.claim_m), t.tag)
+
+    @pytest.mark.parametrize("change", ["tag", "response"])
+    def test_decide_checks_what_was_signed(self, change):
+        s = Session(pi3_config(), 5e4, CH, np.random.default_rng(15), d_real=5e4)
+        s.receive("prover", 5e4)
+        response = (s.read("prover") >= 0).astype(np.uint8)
+        tag = s.sign(response, 5e4)
+        if change == "tag":
+            t = s.decide(response, tag ^ 1)
+        else:
+            t = s.decide(response ^ 1, tag)
+        assert t.mac_ok is False
+
+    def test_signing_once_matches_mac_verify(self):
+        # Every authenticated case of the golden transcripts: the MAC key is
+        # the trial's first draw, so a fresh generator on the same seed gives it.
+        checked = set()
+        for index, (name, scenario) in enumerate(golden.cases()):
+            cfg = golden.CONFIGS[name]
+            if cfg.protocol == "pi1" or not cfg.use_mac:
+                continue
+            for i in range(golden.TRIALS):
+                master = 1000 + index
+                _, _, t = run_trial(scenario, cfg, CH, _trial_rng(master, i), seed=i)
+                if t is None:
+                    continue  # relay blocked by the audit
+                key = MacKey.generate(_trial_rng(master, i), cfg.mac_bits)
+                message = encode_response_claim(t.response, t.claim_m)
+                assert mac_verify(key, message, t.tag) == t.mac_ok, (name, scenario)
+                checked.add((scenario.kind, t.mac_ok))
+        kinds = {kind for kind, _ in checked}
+        assert kinds == {"honest", "dfa", "mfa", "impersonation", "tfa-relay",
+                         "tfa-sampling", "tfa-general"}
+        assert {ok for _, ok in checked} == {True, False}
