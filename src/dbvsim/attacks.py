@@ -180,7 +180,7 @@ def attack_tfa_relay(
     s = Session(cfg, d_c, ch, rng, d_real=d_r, scenario="tfa-relay",
                 noiseless=noiseless, seed=seed)
     s.receive("intruder", intruder_d)
-    s.read("intruder", np.arange(n))
+    s.read("intruder", np.arange(n))  # the capture: every emitted position
     response = bpsk_demodulate(s.read("intruder"))
     return s.decide(response, s.sign(response, d_c))
 
@@ -251,7 +251,7 @@ def _majority_prior(digest: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.where(digest == 1, table[which, 0], table[which, 1])
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def _majority_prior_llr(size: int) -> tuple[float, float]:
     """(llr if digest=1, llr if digest=0) for one bit of a size-m majority block."""
     others = size - 1
