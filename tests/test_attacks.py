@@ -359,9 +359,7 @@ class TestDigestPathOracle:
     def test_prior_cached_by_block_size(self):
         _majority_prior_llr(10**5)
         hits = _majority_prior_llr.cache_info().hits
-        start = time.perf_counter()
         _majority_prior_llr(10**5)
-        assert time.perf_counter() - start < 0.01
         assert _majority_prior_llr.cache_info().hits == hits + 1
 
 

@@ -332,7 +332,7 @@ class TestSession:
             s = Session(cfg, 5e4, CH, np.random.default_rng(14), d_real=5e4)
             s.receive("prover", 5e4)
             assert s.n == s.cap == cfg.k and s.read("prover").size == cfg.k
-            t = s.decide(s.read("prover") >= 0, None)
+            t = s.decide((s.read("prover") >= 0).astype(np.uint8), None)
             assert t.accesses == {} and t.source_bits is None
 
     @pytest.mark.parametrize("cfg", [PI2, pi3_config()], ids=["pi2", "pi3"])
