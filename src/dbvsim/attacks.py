@@ -174,13 +174,12 @@ def attack_tfa_relay(
     retrieval audit blocks whenever the cap is below n: the attempt raises
     RetrievalCapError before anything is drawn.
     """
-    n, cap = Session.extent(cfg)
-    if cap < n:
-        raise RetrievalCapError("intruder", n, cap)
+    if Session.capture_blocked(cfg):
+        raise RetrievalCapError("intruder", *Session.extent(cfg))
     s = Session(cfg, d_c, ch, rng, d_real=d_r, scenario="tfa-relay",
                 noiseless=noiseless, seed=seed)
     s.receive("intruder", intruder_d)
-    s.read("intruder", np.arange(n))  # the capture: every emitted position
+    s.read("intruder", np.arange(s.n))  # the capture: every emitted position
     response = bpsk_demodulate(s.read("intruder"))
     return s.decide(response, s.sign(response, d_c))
 

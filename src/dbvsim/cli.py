@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 from .attacks import (
@@ -16,7 +17,7 @@ from .attacks import (
     IndexSamplingStrategy,
     ParitySketchStrategy,
 )
-from .bounds import DbvSpec, InfeasibleError
+from .bounds import BrmSpec, DbvSpec, InfeasibleError
 from .channel import ChannelParams, DEFAULT_CHANNEL, transmit_power_for_claim, watts_to_dbm
 from .montecarlo import SCENARIO_KINDS, Scenario, compare_to_bound, estimate_rates
 from .optimize import (
@@ -42,6 +43,18 @@ _STRATEGIES = {
 
 class _UsageError(Exception):
     pass
+
+
+@contextmanager
+def _user_input():
+    """Report a ValueError from checking the user's input as a usage error.
+
+    Wrap input checks only: a ValueError from the optimizer is a defect.
+    """
+    try:
+        yield
+    except ValueError as err:
+        raise _UsageError(str(err)) from err
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,19 +234,23 @@ def _cmd_curves(args) -> int:
 def _auto_config(args, spec: DbvSpec, ch: ChannelParams) -> ProtocolConfig:
     if args.protocol in ("pi1", "pi2"):
         opt = optimize_dfa(spec, ch)
-        return ProtocolConfig(
-            protocol=args.protocol, e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
-            mac_bits=args.mac_bits, use_mac=not args.no_mac,
-        )
+        with _user_input():
+            return ProtocolConfig(
+                protocol=args.protocol, e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
+                mac_bits=args.mac_bits, use_mac=not args.no_mac,
+            )
     if args.lam is None:
         raise _UsageError("--lambda is required for pi3")
-    opt = optimize_brm(spec, ch, args.lam, args.brm_mode, theta=args.theta, gamma=args.gamma)
     gamma = args.gamma if args.gamma is not None else spec.eps_fa / 100.0
-    return ProtocolConfig(
-        protocol="pi3", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
-        mac_bits=args.mac_bits, use_mac=not args.no_mac,
-        brm=BrmParams(lam=args.lam, n=opt.n_star, theta=args.theta, gamma=gamma),
-    )
+    with _user_input():
+        BrmSpec(lam=args.lam, theta=args.theta, gamma=gamma)
+    opt = optimize_brm(spec, ch, args.lam, args.brm_mode, theta=args.theta, gamma=args.gamma)
+    with _user_input():
+        return ProtocolConfig(
+            protocol="pi3", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
+            mac_bits=args.mac_bits, use_mac=not args.no_mac,
+            brm=BrmParams(lam=args.lam, n=opt.n_star, theta=args.theta, gamma=gamma),
+        )
 
 
 def _explicit_config(args) -> ProtocolConfig:
@@ -256,9 +273,15 @@ def _explicit_config(args) -> ProtocolConfig:
 
 def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, Scenario]:
     """Spec, config and scenario of a simulate run, each checked before any trial."""
-    spec = DbvSpec(psi=args.psi, eps_fa=args.eps_fa, eps_fr=args.eps_fr)
-    cfg = _auto_config(args, spec, ch) if args.auto else _explicit_config(args)
-    check_mac_strength(cfg, spec.eps_fa)
+    with _user_input():
+        spec = DbvSpec(psi=args.psi, eps_fa=args.eps_fa, eps_fr=args.eps_fr)
+    if args.auto:
+        cfg = _auto_config(args, spec, ch)
+    else:
+        with _user_input():
+            cfg = _explicit_config(args)
+    with _user_input():
+        check_mac_strength(cfg, spec.eps_fa)
     if args.scenario in ("tfa-sampling", "tfa-general") and cfg.protocol != "pi3":
         raise _UsageError(f"--scenario {args.scenario} targets pi3")
 
@@ -273,30 +296,25 @@ def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, 
         d_real = d_claim
     else:
         d_real = spec.psi * d_claim
-    transmit_power_for_claim(d_claim, cfg.e0, ch)  # claim and power within the channel
-
-    scenario = Scenario(
-        kind=args.scenario,
-        d_claim=d_claim,
-        d_real=d_real,
-        intruder_d=args.intruder_d,
-        mfa_strategy=args.mfa_strategy,
-        tfa_strategy=_STRATEGIES[args.strategy],
-        index_choice="random" if args.strategy == "index-random" else "first",
-        leaked_sampler_key=args.leak_sampler_key,
-        noiseless=args.noiseless,
-    )
+    with _user_input():
+        transmit_power_for_claim(d_claim, cfg.e0, ch)  # claim and power within the channel
+        scenario = Scenario(
+            kind=args.scenario,
+            d_claim=d_claim,
+            d_real=d_real,
+            intruder_d=args.intruder_d,
+            mfa_strategy=args.mfa_strategy,
+            tfa_strategy=_STRATEGIES[args.strategy],
+            index_choice="random" if args.strategy == "index-random" else "first",
+            leaked_sampler_key=args.leak_sampler_key,
+            noiseless=args.noiseless,
+        )
     return spec, cfg, scenario
 
 
 def _cmd_simulate(args) -> int:
     ch = _load_channel(args.channel)
-    try:
-        spec, cfg, scenario = _simulate_inputs(args, ch)
-    except InfeasibleError:
-        raise
-    except ValueError as err:  # bad config, claim, power or distance
-        raise _UsageError(str(err)) from err
+    spec, cfg, scenario = _simulate_inputs(args, ch)
 
     if args.scenario == "mfa" and cfg.protocol == "pi1":
         print("warning: pi1 makes no mafia-fraud claim (no authentication)", file=sys.stderr)

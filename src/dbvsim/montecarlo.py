@@ -27,6 +27,7 @@ from .protocols import (
     PartyPlacement,
     ProtocolConfig,
     RetrievalCapError,
+    Session,
     Transcript,
     run_protocol,
 )
@@ -279,8 +280,8 @@ def exact_success_probability(
         p = bit_error_prob(snr_at_distance(e, scenario.d_real, ch))
         return exact_binomial_tail_lower(cfg.k, cfg.beta, p)
     if kind == "tfa-relay":
-        if cfg.protocol == "pi3" and cfg.brm.retrieval_cap < cfg.brm.n:
-            return 0.0  # the capture of all n positions exceeds the cap
+        if Session.capture_blocked(cfg):
+            return 0.0
         if scenario.intruder_d is None:
             return 1.0
         p = bit_error_prob(snr_at_distance(e, scenario.intruder_d, ch))

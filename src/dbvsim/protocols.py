@@ -332,7 +332,6 @@ class Session:
         if self.bounded:
             self._views["verifier"] = RetrievalAudit(self.source, self.cap, "verifier")
         self._sampled: Optional[np.ndarray] = None
-        self._signed: Optional[tuple] = None
 
     @staticmethod
     def extent(cfg: ProtocolConfig) -> tuple[int, int]:
@@ -340,6 +339,13 @@ class Session:
         if cfg.protocol == "pi3":
             return cfg.brm.n, cfg.brm.retrieval_cap
         return cfg.k, cfg.k
+
+    @staticmethod
+    def capture_blocked(cfg: ProtocolConfig) -> bool:
+        """Whether reading every emitted position exceeds the retrieval cap
+        (pi3 with cap < n), so a capture of the whole source is refused."""
+        n, cap = Session.extent(cfg)
+        return cap < n
 
     @property
     def sampled(self) -> np.ndarray:
@@ -367,9 +373,7 @@ class Session:
         """Tag over (response, claim) under the session MAC key; None without a MAC."""
         if not self.authenticated:
             return None
-        tag = mac_sign(self.mac_key, encode_response_claim(response, claim))
-        self._signed = (response, claim, tag)
-        return tag
+        return mac_sign(self.mac_key, encode_response_claim(response, claim))
 
     def decide(self, response: np.ndarray, tag: Optional[int]) -> Transcript:
         """The verifier's check of (response, tag) against its challenge and claim."""
@@ -377,12 +381,7 @@ class Session:
         m = self._views["verifier"].read(self.sampled) if self.bounded else self.source
         mac_ok = None
         if self.authenticated:
-            signed = self._signed
-            if signed is not None and signed[0] is response and signed[1] == self.d_c:
-                # The message just signed: mac_verify would recompute signed[2].
-                mac_ok = tag == signed[2]
-            else:
-                mac_ok = mac_verify(self.mac_key, encode_response_claim(response, self.d_c), tag)
+            mac_ok = mac_verify(self.mac_key, encode_response_claim(response, self.d_c), tag)
         threshold_ok = verify_response(m, response, cfg.beta) == ACC
         return Transcript(
             protocol=cfg.protocol,

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from dbvsim import cli
 from dbvsim.cli import main
 
 
@@ -257,6 +258,7 @@ class TestSimulateInputErrors:
         ("--protocol", "pi1", "--e0", "-1"),
         ("--protocol", "pi3", "--k", "50", "--n", "400", "--lambda", "0.3"),
         ("--protocol", "pi3", "--k", "120", "--n", "400", "--lambda", "1.5"),
+        ("--protocol", "pi3", "--auto", "--lambda", "1.5"),
         ("--protocol", "pi1", "--d-claim", "2e5"),
         ("--protocol", "pi1", "--d-real", "-3"),
         ("--protocol", "pi1", "--intruder-d", "0"),
@@ -272,6 +274,15 @@ class TestSimulateInputErrors:
         assert code == 1, err
         assert out == ""
         assert err.startswith("usage error: ")
+
+    def test_optimizer_value_error_is_internal(self, capsys, monkeypatch):
+        def broken(spec, ch):
+            raise ValueError("optimizer defect")
+        monkeypatch.setattr(cli, "optimize_dfa", broken)
+        code, out, err = run_cli(capsys, "simulate", "--scenario", "honest", "--auto",
+                                 "--protocol", "pi1", "--trials", "5", "--seed", "1")
+        assert code == 3
+        assert err.startswith("internal error: ValueError")
 
     @pytest.mark.parametrize("extra", [
         ("--protocol", "pi1"),

@@ -357,7 +357,7 @@ class TestSession:
             t = s.decide(response ^ 1, tag)
         assert t.mac_ok is False
 
-    def test_signing_once_matches_mac_verify(self):
+    def test_mac_ok_matches_mac_verify(self):
         # Every authenticated case of the golden transcripts: the MAC key is
         # the trial's first draw, so a fresh generator on the same seed gives it.
         checked = set()
