@@ -4,6 +4,10 @@ Chernoff tail bounds drive the challenge lengths; the exact binomial tails
 they dominate are kept alongside as the ground-truth oracle.  The
 guessing-security arithmetic (leakage, sampling) supports the
 bounded-retrieval protocol analysis.
+
+Each design mode's terms, threshold bracket and empty-bracket condition are
+written once, in the term table below; the Chernoff bounds, the challenge
+lengths and the optimizer all read it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
@@ -101,9 +105,7 @@ class CloseSecurity:
 class BrmSpec:
     """Bounded-retrieval setting: retrieval rate plus sampler slack/failure.
 
-    The effective closeness radius used by the length bounds is
-    mu = beta + theta; it is passed to the bound functions explicitly
-    alongside the threshold beta and checked there.
+    The length bounds use the effective closeness radius mu = beta + theta.
     """
 
     lam: float
@@ -117,6 +119,81 @@ class BrmSpec:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if not 0 <= self.gamma < 1:
             raise ValueError(f"gamma must be in [0,1), got {self.gamma}")
+
+
+#: Either a float or an array of floats: the term builders serve both paths.
+Real = Union[float, np.ndarray]
+#: (p_i, p_b, sqrt) -> (false-reject term, false-accept term, upper end of the
+#: threshold bracket); the lower end is p_i.  A challenge of length k at
+#: threshold beta meets a budget eps on a side when k >= ln(1/eps) * term(beta).
+Terms = Callable[..., tuple[Callable, Callable, Real]]
+
+
+def _completeness_term(p_i: Real) -> Callable[[Real], Real]:
+    return lambda beta: (p_i + beta) / (beta - p_i) ** 2
+
+
+def _soundness_term(p_b: Real) -> Callable[[Real], Real]:
+    return lambda beta: 2.0 * p_b / (p_b - beta) ** 2
+
+
+def _dfa_terms(p_i: Real, p_b: Real, sqrt) -> tuple[Callable, Callable, Real]:
+    return _completeness_term(p_i), _soundness_term(p_b), p_b
+
+
+#: Bounded-retrieval modes, by the intruder the false-accept term bounds.
+BRM_MODES = ("general", "sampling")
+
+
+def _brm_terms(mode: str, lam: float, theta: float) -> Terms:
+    if mode not in BRM_MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {BRM_MODES}")
+
+    def terms(p_i: Real, p_b: Real, sqrt) -> tuple[Callable, Callable, Real]:
+        if mode == "general":
+            leak = 2.0 * _LN2 * p_b * lam
+            return (
+                _completeness_term(p_i),
+                lambda beta: 2.0 * p_b * lam / ((p_b - beta - theta) ** 2 - leak),
+                p_b - sqrt(leak) - theta,
+            )
+        pb_eff = (1.0 - lam) * p_b
+        return (
+            _completeness_term(p_i),
+            lambda beta: 2.0 * pb_eff / (pb_eff - beta - theta) ** 2,
+            pb_eff - theta,
+        )
+
+    return terms
+
+
+#: mode -> (condition named when the threshold bracket is empty, its upper end).
+_EMPTY_BRACKET = {
+    "dfa": ("infeasible-threshold", "p_b"),
+    "general": ("general-intruder-infeasible", "p_b - sqrt(2*ln2*p_b*lambda) - theta"),
+    "sampling": ("sampling-intruder-infeasible", "(1-lambda)*p_b - theta"),
+}
+
+
+def _log_weights(spec: DbvSpec, gamma: float = 0.0) -> tuple[float, float]:
+    """(ln(1/eps_fr), ln(1/(eps_fa-gamma))), the weights on the FR and FA terms.
+
+    The false-accept budget must leave room for the sampler failure gamma.
+    """
+    if not gamma < spec.eps_fa:
+        raise InfeasibleError(
+            "sampler-failure-too-large",
+            f"requires gamma < eps_fa, got gamma={gamma}, eps_fa={spec.eps_fa}",
+        )
+    return math.log(1.0 / spec.eps_fr), math.log(1.0 / (spec.eps_fa - gamma))
+
+
+def _at(term: Callable[[float], float], beta: float) -> float:
+    """term(beta), with a denominator that rounds to zero giving inf."""
+    try:
+        return term(beta)
+    except ZeroDivisionError:
+        return math.inf
 
 
 def max_errors(beta: float | Fraction, k: int) -> int:
@@ -136,7 +213,7 @@ def chernoff_false_reject(k: int, beta: float, p_i: float) -> float:
         raise InfeasibleError(
             "infeasible-threshold", f"requires p_i < beta, got p_i={p_i}, beta={beta}"
         )
-    return math.exp(-((beta - p_i) ** 2) * k / (beta + p_i))
+    return math.exp(-k / _at(_completeness_term(p_i), beta))
 
 
 def chernoff_false_accept(k: int, beta: float, p_b: float) -> float:
@@ -145,7 +222,7 @@ def chernoff_false_accept(k: int, beta: float, p_b: float) -> float:
         raise InfeasibleError(
             "infeasible-threshold", f"requires beta < p_b, got beta={beta}, p_b={p_b}"
         )
-    return math.exp(-((p_b - beta) ** 2) * k / (2.0 * p_b))
+    return math.exp(-k / _at(_soundness_term(p_b), beta))
 
 
 #: Width in nats of the window of terms summed around the largest one.  A term
@@ -251,102 +328,67 @@ def _ceil_checked(value: float, k_cap: int) -> int:
     return k
 
 
+def _challenge_length(mode: str, terms: Terms, ber: BerPair, beta: float,
+                      weights: tuple[float, float], k_cap: int) -> int:
+    """ceil(max(w_fr * FR term, w_fa * FA term)) at a threshold inside the mode's bracket.
+
+    A term that is not a positive finite number at beta, as on a bracket only
+    a few ulps wide, raises the mode's condition like an empty bracket does.
+    """
+    f_fr, f_fa, beta_hi = terms(ber.p_i, ber.p_b, math.sqrt)
+    if not ber.p_i < beta:
+        raise InfeasibleError(
+            "infeasible-threshold", f"requires p_i < beta, got p_i={ber.p_i}, beta={beta}"
+        )
+    t_fr, t_fa = _at(f_fr, beta), _at(f_fa, beta)
+    if not (beta < beta_hi and 0 < t_fr < math.inf and 0 < t_fa < math.inf):
+        condition, upper = _EMPTY_BRACKET[mode]
+        raise InfeasibleError(
+            condition, f"requires beta < {upper}, got beta={beta}, {upper}={beta_hi}"
+        )
+    w_fr, w_fa = weights
+    return _ceil_checked(max(w_fr * t_fr, w_fa * t_fa), k_cap)
+
+
 def challenge_length_dfa(
     ber: BerPair, beta: float, spec: DbvSpec, *, k_cap: int = DEFAULT_K_CAP
 ) -> int:
     """Smallest k with both Chernoff bounds under the targets at threshold beta.
 
-    k = ceil(max{(p_i+beta)*ln(1/eps_fr)/(beta-p_i)**2,
-                 2*p_b*ln(1/eps_fa)/(p_b-beta)**2}).
-    Requires p_i < beta < p_b strictly (either equality makes a denominator
-    vanish).
+    k = ceil(max{ln(1/eps_fr) * FR term, ln(1/eps_fa) * FA term}) with the dfa
+    terms; requires p_i < beta < p_b strictly.
     """
-    p_i, p_b = ber.p_i, ber.p_b
-    if not p_i < beta:
-        raise InfeasibleError(
-            "infeasible-threshold", f"requires p_i < beta, got p_i={p_i}, beta={beta}"
-        )
-    if not beta < p_b:
-        raise InfeasibleError(
-            "infeasible-threshold", f"requires beta < p_b, got beta={beta}, p_b={p_b}"
-        )
-    t_fr = (p_i + beta) * math.log(1.0 / spec.eps_fr) / (beta - p_i) ** 2
-    t_fa = 2.0 * p_b * math.log(1.0 / spec.eps_fa) / (p_b - beta) ** 2
-    return _ceil_checked(max(t_fr, t_fa), k_cap)
+    return _challenge_length("dfa", _dfa_terms, ber, beta, _log_weights(spec), k_cap)
 
 
-def _check_brm_common(ber: BerPair, beta: float, mu: float, brm: BrmSpec, spec: DbvSpec) -> None:
-    if not ber.p_i < beta:
-        raise InfeasibleError(
-            "infeasible-threshold",
-            f"requires p_i < beta, got p_i={ber.p_i}, beta={beta}",
-        )
-    if abs(mu - (beta + brm.theta)) > 1e-12 * max(1.0, abs(mu)):
-        raise ValueError(f"mu must equal beta + theta, got mu={mu}, beta+theta={beta + brm.theta}")
-    if not brm.gamma < spec.eps_fa:
-        raise InfeasibleError(
-            "sampler-failure-too-large",
-            f"requires gamma < eps_fa, got gamma={brm.gamma}, eps_fa={spec.eps_fa}",
-        )
+def _brm_length(
+    mode: str, ber: BerPair, beta: float, brm: BrmSpec, spec: DbvSpec, k_cap: int
+) -> tuple[int, int]:
+    terms = _brm_terms(mode, brm.lam, brm.theta)
+    k = _challenge_length(mode, terms, ber, beta, _log_weights(spec, brm.gamma), k_cap)
+    return k, math.ceil(k / brm.lam)
 
 
 def challenge_length_brm_general(
-    ber: BerPair,
-    beta: float,
-    mu: float,
-    brm: BrmSpec,
-    spec: DbvSpec,
-    *,
-    k_cap: int = DEFAULT_K_CAP,
+    ber: BerPair, beta: float, brm: BrmSpec, spec: DbvSpec, *, k_cap: int = DEFAULT_K_CAP
 ) -> tuple[int, int]:
     """(k, n) for the bounded-retrieval protocol against arbitrary retrieval functions.
 
-    k = ceil(max{(p_i+beta)*ln(1/eps_fr)/(beta-p_i)**2,
-                 2*p_b*lam*ln(1/(eps_fa-gamma)) / ((p_b-mu)**2 - 2*ln2*p_b*lam)}),
-    n = ceil(k/lam).  Feasible only when mu < p_b - sqrt(2*ln2*p_b*lam).
+    k as in challenge_length_dfa with the general terms and the FA weight
+    ln(1/(eps_fa-gamma)), and n = ceil(k/lam).
     """
-    _check_brm_common(ber, beta, mu, brm, spec)
-    p_i, p_b = ber.p_i, ber.p_b
-    denom = (p_b - mu) ** 2 - 2.0 * _LN2 * p_b * brm.lam
-    if mu >= p_b or denom <= 0:
-        raise InfeasibleError(
-            "general-intruder-infeasible",
-            f"requires mu < p_b - sqrt(2*ln2*p_b*lambda), got mu={mu}, "
-            f"p_b={p_b}, lambda={brm.lam}",
-        )
-    t_fr = (p_i + beta) * math.log(1.0 / spec.eps_fr) / (beta - p_i) ** 2
-    t_fa = 2.0 * p_b * brm.lam * math.log(1.0 / (spec.eps_fa - brm.gamma)) / denom
-    k = _ceil_checked(max(t_fr, t_fa), k_cap)
-    return k, math.ceil(k / brm.lam)
+    return _brm_length("general", ber, beta, brm, spec, k_cap)
 
 
 def challenge_length_brm_sampling(
-    ber: BerPair,
-    beta: float,
-    mu: float,
-    brm: BrmSpec,
-    spec: DbvSpec,
-    *,
-    k_cap: int = DEFAULT_K_CAP,
+    ber: BerPair, beta: float, brm: BrmSpec, spec: DbvSpec, *, k_cap: int = DEFAULT_K_CAP
 ) -> tuple[int, int]:
     """(k, n) for the bounded-retrieval protocol against position-sampling intruders.
 
-    k = ceil(max{(p_i+beta)*ln(1/eps_fr)/(beta-p_i)**2,
-                 2*(1-lam)*p_b*ln(1/(eps_fa-gamma)) / ((1-lam)*p_b - mu)**2}),
-    n = ceil(k/lam).  Feasible only when mu < (1-lam)*p_b.
+    k as in challenge_length_dfa with the sampling terms and the FA weight
+    ln(1/(eps_fa-gamma)), and n = ceil(k/lam).
     """
-    _check_brm_common(ber, beta, mu, brm, spec)
-    p_i, p_b = ber.p_i, ber.p_b
-    pb_eff = (1.0 - brm.lam) * p_b
-    if not mu < pb_eff:
-        raise InfeasibleError(
-            "sampling-intruder-infeasible",
-            f"requires mu < (1-lambda)*p_b, got mu={mu}, (1-lambda)*p_b={pb_eff}",
-        )
-    t_fr = (p_i + beta) * math.log(1.0 / spec.eps_fr) / (beta - p_i) ** 2
-    t_fa = 2.0 * pb_eff * math.log(1.0 / (spec.eps_fa - brm.gamma)) / (pb_eff - mu) ** 2
-    k = _ceil_checked(max(t_fr, t_fa), k_cap)
-    return k, math.ceil(k / brm.lam)
+    return _brm_length("sampling", ber, beta, brm, spec, k_cap)
 
 
 def leakage_degradation(cs: CloseSecurity, leak_log2: float) -> CloseSecurity:

@@ -7,6 +7,7 @@ condition is named in the JSON error), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from contextlib import contextmanager
@@ -18,7 +19,13 @@ from .attacks import (
     ParitySketchStrategy,
 )
 from .bounds import BrmSpec, DbvSpec, InfeasibleError
-from .channel import ChannelParams, DEFAULT_CHANNEL, transmit_power_for_claim, watts_to_dbm
+from .channel import (
+    DEFAULT_CHANNEL,
+    ChannelParams,
+    intended_blocked_ber,
+    transmit_power_for_claim,
+    watts_to_dbm,
+)
 from .montecarlo import SCENARIO_KINDS, Scenario, compare_to_bound, estimate_rates
 from .optimize import (
     BRM_MODES,
@@ -55,6 +62,18 @@ def _user_input():
         yield
     except ValueError as err:
         raise _UsageError(str(err)) from err
+
+
+def _specs(
+    args, psi: float, eps_fa: float, eps_fr: float, lam: Optional[float] = None
+) -> tuple[DbvSpec, Optional[BrmSpec]]:
+    """DbvSpec and, given a rate, BrmSpec (gamma default eps_fa/100), checked as input."""
+    with _user_input():
+        spec = DbvSpec(psi=psi, eps_fa=eps_fa, eps_fr=eps_fr)
+        if lam is None:
+            return spec, None
+        gamma = args.gamma if args.gamma is not None else eps_fa / 100.0
+        return spec, BrmSpec(lam=lam, theta=args.theta, gamma=gamma)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,31 +180,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_optimize(args) -> int:
     ch = _load_channel(args.channel)
-    spec = DbvSpec(psi=args.psi, eps_fa=args.eps_fa, eps_fr=args.eps_fr)
     if args.mode == "dfa":
+        spec, _ = _specs(args, args.psi, args.eps_fa, args.eps_fr)
         opt = optimize_dfa(spec, ch)
-        result = {
-            "e0_star_w": opt.e0_star,
-            "e0_star_dbm": watts_to_dbm(opt.e0_star),
-            "beta_star": opt.beta_star,
-            "k_star": opt.k_star,
-            "objective": opt.objective,
-        }
+        result = {"k_star": opt.k_star, "objective": opt.objective}
     else:
         if args.lam is None:
             raise _UsageError("--lambda is required for brm modes")
         mode = args.mode.removeprefix("brm-")
-        opt = optimize_brm(spec, ch, args.lam, mode, theta=args.theta, gamma=args.gamma)
-        result = {
-            "e0_star_w": opt.e0_star,
-            "e0_star_dbm": watts_to_dbm(opt.e0_star),
-            "beta_star": opt.beta_star,
-            "mu_star": opt.mu_star,
-            "k_star": opt.k_star,
-            "n_star": opt.n_star,
-            "lambda": args.lam,
-            "mode": mode,
-        }
+        spec, brm = _specs(args, args.psi, args.eps_fa, args.eps_fr, args.lam)
+        opt = optimize_brm(spec, ch, brm.lam, mode, theta=brm.theta, gamma=brm.gamma)
+        result = {"mu_star": opt.mu_star, "k_star": opt.k_star, "n_star": opt.n_star,
+                  "lambda": args.lam, "mode": mode}
+    result.update(e0_star_w=opt.e0_star, e0_star_dbm=watts_to_dbm(opt.e0_star),
+                  beta_star=opt.beta_star)
     _emit({"command": "optimize", "mode": args.mode, "psi": args.psi,
            "eps_fa": args.eps_fa, "eps_fr": args.eps_fr, "result": result}, args.plain)
     return 0
@@ -209,21 +217,26 @@ def _parse_range(txt: str) -> list[float]:
 def _cmd_curves(args) -> int:
     ch = _load_channel(args.channel)
     psi_values = _parse_range(args.psi_range)
-    template = DbvSpec(psi=psi_values[0], eps_fa=args.eps_fa, eps_fr=args.eps_fr)
+    template, _ = _specs(args, psi_values[0], args.eps_fa, args.eps_fr)
     mode = args.mode.removeprefix("brm-")
     if args.mode == "dfa":
         if not args.eps:
             raise _UsageError("--eps is required in dfa mode")
-        rows = sweep_curves(
-            template, ch, "dfa", psi_values,
-            eps_values=[float(x) for x in args.eps.split(",")], jobs=args.jobs,
-        )
+        with _user_input():
+            eps_values = [float(x) for x in args.eps.split(",")]
+        for psi, eps in itertools.product(psi_values, eps_values):
+            _specs(args, psi, eps, eps)
+        rows = sweep_curves(template, ch, "dfa", psi_values, eps_values=eps_values,
+                            jobs=args.jobs)
     else:
         if not args.lam:
             raise _UsageError("--lambda is required in brm modes")
+        with _user_input():
+            lambda_values = [float(x) for x in args.lam.split(",")]
+        for psi, lam in itertools.product(psi_values, lambda_values):
+            _specs(args, psi, args.eps_fa, args.eps_fr, lam)
         rows = sweep_curves(
-            template, ch, mode, psi_values,
-            lambda_values=[float(x) for x in args.lam.split(",")],
+            template, ch, mode, psi_values, lambda_values=lambda_values,
             theta=args.theta, gamma=args.gamma, jobs=args.jobs,
         )
     write_curves_csv(rows, args.out)
@@ -231,7 +244,9 @@ def _cmd_curves(args) -> int:
     return 0
 
 
-def _auto_config(args, spec: DbvSpec, ch: ChannelParams) -> ProtocolConfig:
+def _auto_config(
+    args, spec: DbvSpec, brm: Optional[BrmSpec], ch: ChannelParams
+) -> ProtocolConfig:
     if args.protocol in ("pi1", "pi2"):
         opt = optimize_dfa(spec, ch)
         with _user_input():
@@ -239,47 +254,43 @@ def _auto_config(args, spec: DbvSpec, ch: ChannelParams) -> ProtocolConfig:
                 protocol=args.protocol, e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
                 mac_bits=args.mac_bits, use_mac=not args.no_mac,
             )
-    if args.lam is None:
+    if brm is None:
         raise _UsageError("--lambda is required for pi3")
-    gamma = args.gamma if args.gamma is not None else spec.eps_fa / 100.0
-    with _user_input():
-        BrmSpec(lam=args.lam, theta=args.theta, gamma=gamma)
-    opt = optimize_brm(spec, ch, args.lam, args.brm_mode, theta=args.theta, gamma=args.gamma)
+    opt = optimize_brm(spec, ch, brm.lam, args.brm_mode, theta=brm.theta, gamma=brm.gamma)
     with _user_input():
         return ProtocolConfig(
             protocol="pi3", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
             mac_bits=args.mac_bits, use_mac=not args.no_mac,
-            brm=BrmParams(lam=args.lam, n=opt.n_star, theta=args.theta, gamma=gamma),
+            brm=BrmParams(lam=brm.lam, n=opt.n_star, theta=brm.theta, gamma=brm.gamma),
         )
 
 
-def _explicit_config(args) -> ProtocolConfig:
+def _explicit_config(args, brm: Optional[BrmSpec]) -> ProtocolConfig:
     missing = [f for f in ("e0", "k", "beta") if getattr(args, f) is None]
     if missing:
         raise _UsageError(
             f"missing --{', --'.join(missing)}; pass them explicitly or use --auto"
         )
-    brm = None
+    params = None
     if args.protocol == "pi3":
-        if args.lam is None or args.n is None:
+        if brm is None or args.n is None:
             raise _UsageError("pi3 needs --lambda and --n (or --auto)")
-        gamma = args.gamma if args.gamma is not None else args.eps_fa / 100.0
-        brm = BrmParams(lam=args.lam, n=args.n, theta=args.theta, gamma=gamma)
+        params = BrmParams(lam=brm.lam, n=args.n, theta=brm.theta, gamma=brm.gamma)
     return ProtocolConfig(
         protocol=args.protocol, e0=args.e0, k=args.k, beta=args.beta,
-        mac_bits=args.mac_bits, use_mac=not args.no_mac, brm=brm,
+        mac_bits=args.mac_bits, use_mac=not args.no_mac, brm=params,
     )
 
 
 def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, Scenario]:
     """Spec, config and scenario of a simulate run, each checked before any trial."""
-    with _user_input():
-        spec = DbvSpec(psi=args.psi, eps_fa=args.eps_fa, eps_fr=args.eps_fr)
+    lam = args.lam if args.protocol == "pi3" else None
+    spec, brm = _specs(args, args.psi, args.eps_fa, args.eps_fr, lam)
     if args.auto:
-        cfg = _auto_config(args, spec, ch)
+        cfg = _auto_config(args, spec, brm, ch)
     else:
         with _user_input():
-            cfg = _explicit_config(args)
+            cfg = _explicit_config(args, brm)
     with _user_input():
         check_mac_strength(cfg, spec.eps_fa)
     if args.scenario in ("tfa-sampling", "tfa-general") and cfg.protocol != "pi3":
@@ -351,6 +362,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_max_lambda(args) -> int:
     ch = _load_channel(args.channel)
+    with _user_input():
+        intended_blocked_ber(ch.e_max, args.psi, ch)  # psi > 1
     res = max_feasible_lambda(args.psi, ch, args.mode)
     _emit({"command": "max-lambda", "mode": args.mode, "psi": args.psi,
            "lambda_star": res.lambda_star, "feasible": res.feasible}, args.plain)

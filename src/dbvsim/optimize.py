@@ -1,6 +1,8 @@
 """Minimize challenge/source lengths over transmit power and threshold.
 
-For every candidate reference power the inner problem
+The terms, threshold brackets and infeasibility conditions come from the
+term table in ``bounds``; this module only searches over them.  For every
+candidate reference power the inner problem
 min_beta max{decreasing completeness term, increasing soundness term} is
 solved exactly at the unique crossing of the two terms; the outer power
 search scans a fixed logarithmic grid in one array pass and refines the best
@@ -13,16 +15,23 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.optimize import brentq
 
 from ._pool import worker_count
 from .bounds import (
+    _EMPTY_BRACKET,
+    BRM_MODES,
     BrmSpec,
     DbvSpec,
     InfeasibleError,
+    Real,
+    Terms,
+    _brm_terms,
+    _dfa_terms,
+    _log_weights,
     challenge_length_brm_general,
     challenge_length_brm_sampling,
     challenge_length_dfa,
@@ -47,15 +56,11 @@ __all__ = [
     "CURVES_CSV_HEADER",
 ]
 
-_LN2 = math.log(2.0)
-
 #: Outer search grid: points on [span * e_max, e_max], logarithmically spaced.
 E0_GRID_POINTS = 2000
 E0_GRID_SPAN = 1e-6
 #: Relative tolerance of the golden-section refinement on e0.
 E0_REFINE_RTOL = 1e-6
-
-BRM_MODES = ("general", "sampling")
 
 
 @dataclass(frozen=True)
@@ -92,40 +97,6 @@ class MaxLambdaResult:
 
     lambda_star: float
     feasible: bool
-
-
-#: Either a float or an array of floats: the term builders serve both paths.
-Real = Union[float, np.ndarray]
-#: (p_i, p_b, sqrt) -> (decreasing term, increasing term, upper end of the
-#: threshold bracket); the lower end is p_i.
-Terms = Callable[..., tuple[Callable, Callable, Real]]
-
-
-def _completeness_term(p_i: Real) -> Callable[[Real], Real]:
-    return lambda beta: (p_i + beta) / (beta - p_i) ** 2
-
-
-def _dfa_terms(p_i: Real, p_b: Real, sqrt) -> tuple[Callable, Callable, Real]:
-    return _completeness_term(p_i), lambda beta: 2.0 * p_b / (p_b - beta) ** 2, p_b
-
-
-def _brm_terms(mode: str, lam: float, theta: float) -> Terms:
-    def terms(p_i: Real, p_b: Real, sqrt) -> tuple[Callable, Callable, Real]:
-        if mode == "general":
-            leak = 2.0 * _LN2 * p_b * lam
-            return (
-                _completeness_term(p_i),
-                lambda beta: 2.0 * p_b * lam / ((p_b - beta - theta) ** 2 - leak),
-                p_b - sqrt(leak) - theta,
-            )
-        pb_eff = (1.0 - lam) * p_b
-        return (
-            _completeness_term(p_i),
-            lambda beta: 2.0 * pb_eff / (pb_eff - beta - theta) ** 2,
-            pb_eff - theta,
-        )
-
-    return terms
 
 
 def _bracket(lo: Real, hi: Real, nextafter, maximum, minimum) -> tuple[Real, Real]:
@@ -316,9 +287,7 @@ def optimize_dfa(
     so the optimal power is identical across error budgets; otherwise the two
     log weights enter the inner crossing directly.
     """
-    symmetric = spec.eps_fa == spec.eps_fr
-    w_fr = 1.0 if symmetric else math.log(1.0 / spec.eps_fr)
-    w_fa = 1.0 if symmetric else math.log(1.0 / spec.eps_fa)
+    w_fr, w_fa = (1.0, 1.0) if spec.eps_fa == spec.eps_fr else _log_weights(spec)
 
     e0_star, obj = _outer_min(_dfa_terms, spec.psi, ch, w_fr, w_fa, grid_points)
     ber = intended_blocked_ber(e0_star, spec.psi, ch)
@@ -343,43 +312,27 @@ def optimize_brm(
     Raises InfeasibleError when no power at or below e_max satisfies the
     mode's feasibility condition.
     """
-    if mode not in BRM_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {BRM_MODES}")
+    terms = _brm_terms(mode, lam, theta)
     if gamma is None:
         gamma = spec.eps_fa / 100.0
     brm = BrmSpec(lam=lam, theta=theta, gamma=gamma)
-    if not gamma < spec.eps_fa:
-        raise InfeasibleError(
-            "sampler-failure-too-large",
-            f"requires gamma < eps_fa, got gamma={gamma}, eps_fa={spec.eps_fa}",
-        )
-    w_fr = math.log(1.0 / spec.eps_fr)
-    w_fa = math.log(1.0 / (spec.eps_fa - gamma))
-
-    terms = _brm_terms(mode, lam, theta)
+    w_fr, w_fa = _log_weights(spec, gamma)
     try:
         e0_star, obj = _outer_min(terms, spec.psi, ch, w_fr, w_fa, grid_points)
     except InfeasibleError:
-        condition = (
-            "general-intruder-infeasible" if mode == "general" else "sampling-intruder-infeasible"
-        )
-        detail = (
-            "p_i < p_b - sqrt(2*ln2*p_b*lambda)"
-            if mode == "general"
-            else "p_i < (1-lambda)*p_b"
-        )
+        condition, upper = _EMPTY_BRACKET[mode]
         raise InfeasibleError(
-            condition, f"no power <= e_max satisfies {detail} with lambda={lam}"
+            condition,
+            f"no power <= e_max satisfies p_i < {upper} with lambda={lam}, theta={theta}",
         ) from None
     ber = intended_blocked_ber(e0_star, spec.psi, ch)
     beta_star, _ = _inner(terms, ber.p_i, ber.p_b, w_fr, w_fa)
-    mu_star = beta_star + theta
     length = challenge_length_brm_general if mode == "general" else challenge_length_brm_sampling
-    k_star, n_star = length(ber, beta_star, mu_star, brm, spec)
+    k_star, n_star = length(ber, beta_star, brm, spec)
     return OptimalBrmConfig(
         e0_star=e0_star,
         beta_star=beta_star,
-        mu_star=mu_star,
+        mu_star=beta_star + theta,
         k_star=k_star,
         n_star=n_star,
         mode=mode,
@@ -397,20 +350,15 @@ def max_feasible_lambda(
 ) -> MaxLambdaResult:
     """Largest retrieval rate for which some admissible power and radius exist.
 
-    Uses the existence condition on the error probabilities themselves
-    (p_i < p_b - sqrt(2*ln2*p_b*lambda), resp. p_i < (1-lambda)*p_b), i.e.
-    the theta -> 0 limit; bisected to ``tol``.
+    Uses the existence condition on the error probabilities themselves: the
+    mode's threshold bracket (p_i, upper end) is non-empty at theta = 0 for
+    some grid power; bisected to ``tol``.
     """
-    if mode not in BRM_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {BRM_MODES}")
     p_i, p_b = intended_blocked_ber_grid(_e0_grid(ch, grid_points), psi, ch)
 
     def feasible(lam: float) -> bool:
-        if mode == "general":
-            margin = p_b - np.sqrt(2.0 * _LN2 * p_b * lam) - p_i
-        else:
-            margin = (1.0 - lam) * p_b - p_i
-        return bool((margin > 0).any())
+        _, _, beta_hi = _brm_terms(mode, lam, 0.0)(p_i, p_b, np.sqrt)
+        return bool((beta_hi > p_i).any())
 
     if not feasible(0.0):
         return MaxLambdaResult(0.0, False)
@@ -439,23 +387,18 @@ def _sweep_point(args) -> dict:
     row = {"psi": psi, "eps_or_lambda": eps_or_lambda, "feasible": True}
     try:
         if mode == "dfa":
-            spec = DbvSpec(psi=psi, eps_fa=eps_or_lambda, eps_fr=eps_or_lambda)
-            opt = optimize_dfa(spec, ch)
-            row.update(
-                e0_star_w=opt.e0_star,
-                e0_star_dbm=watts_to_dbm(opt.e0_star),
-                beta_star=opt.beta_star,
-                k_star_or_n_star=opt.k_star,
-            )
+            opt = optimize_dfa(DbvSpec(psi=psi, eps_fa=eps_or_lambda, eps_fr=eps_or_lambda), ch)
+            length = opt.k_star
         else:
             spec = DbvSpec(psi=psi, eps_fa=eps_fa, eps_fr=eps_fr)
             opt = optimize_brm(spec, ch, eps_or_lambda, mode, theta=theta, gamma=gamma)
-            row.update(
-                e0_star_w=opt.e0_star,
-                e0_star_dbm=watts_to_dbm(opt.e0_star),
-                beta_star=opt.beta_star,
-                k_star_or_n_star=opt.n_star,
-            )
+            length = opt.n_star
+        row.update(
+            e0_star_w=opt.e0_star,
+            e0_star_dbm=watts_to_dbm(opt.e0_star),
+            beta_star=opt.beta_star,
+            k_star_or_n_star=length,
+        )
     except InfeasibleError as err:
         row.update(
             feasible=False,

@@ -95,16 +95,13 @@ class Claim:
 
 @dataclass(frozen=True)
 class PartyPlacement:
-    """True prover distance, plus an optional intruder distance (None = error-free)."""
+    """True prover distance."""
 
     d_r: float
-    intruder_d: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.d_r > 0:
             raise ValueError(f"prover distance must be > 0 m, got {self.d_r}")
-        if self.intruder_d is not None and not self.intruder_d > 0:
-            raise ValueError(f"intruder distance must be > 0 m, got {self.intruder_d}")
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,7 @@ class TestChallengeLengthBrm:
     def test_general_inversion_identity(self):
         brm = BrmSpec(lam=0.05, theta=1e-4, gamma=1e-5)
         beta = 0.1
-        k, n = challenge_length_brm_general(self.BER, beta, beta + brm.theta, brm, self.SPEC)
+        k, n = challenge_length_brm_general(self.BER, beta, brm, self.SPEC)
         assert n == math.ceil(k / brm.lam)
         assert chernoff_false_reject(k, beta, self.BER.p_i) <= self.SPEC.eps_fr
         # soundness side: 2**(-delta2*n) <= eps_fa - gamma by construction
@@ -271,16 +271,14 @@ class TestChallengeLengthBrm:
         mu_limit = self.BER.p_b - math.sqrt(2 * LN2 * self.BER.p_b * brm.lam)
         assert mu_limit > self.BER.p_i
         with pytest.raises(InfeasibleError) as e:
-            challenge_length_brm_general(
-                self.BER, mu_limit + 1e-6, mu_limit + 1e-6, brm, self.SPEC
-            )
+            challenge_length_brm_general(self.BER, mu_limit + 1e-6, brm, self.SPEC)
         assert e.value.condition == "general-intruder-infeasible"
 
     def test_general_completeness_dominates_at_small_lambda(self):
         # lambda -> 0: the soundness term vanishes, k is the completeness term
         brm = BrmSpec(lam=1e-9, theta=0.0, gamma=0.0)
         beta = 0.1
-        k, n = challenge_length_brm_general(self.BER, beta, beta, brm, self.SPEC)
+        k, n = challenge_length_brm_general(self.BER, beta, brm, self.SPEC)
         t_fr = (self.BER.p_i + beta) * math.log(1 / self.SPEC.eps_fr) / (beta - self.BER.p_i) ** 2
         assert k == math.ceil(t_fr)
 
@@ -289,7 +287,7 @@ class TestChallengeLengthBrm:
         # in place of beta, so k approaches the plain challenge length.
         brm = BrmSpec(lam=1e-6, theta=0.0, gamma=0.0)
         beta = 0.1
-        k, n = challenge_length_brm_sampling(self.BER, beta, beta, brm, self.SPEC)
+        k, n = challenge_length_brm_sampling(self.BER, beta, brm, self.SPEC)
         k_dfa = challenge_length_dfa(self.BER, beta, self.SPEC)
         assert k == pytest.approx(k_dfa, rel=1e-4)
         assert n == math.ceil(k / brm.lam)
@@ -297,19 +295,14 @@ class TestChallengeLengthBrm:
     def test_sampling_infeasible(self):
         brm = BrmSpec(lam=0.9, theta=0.0, gamma=0.0)
         with pytest.raises(InfeasibleError) as e:
-            challenge_length_brm_sampling(self.BER, 0.05, 0.05, brm, self.SPEC)
+            challenge_length_brm_sampling(self.BER, 0.05, brm, self.SPEC)
         assert e.value.condition == "sampling-intruder-infeasible"
 
     def test_gamma_too_large(self):
         brm = BrmSpec(lam=0.1, theta=0.0, gamma=2e-3)
         with pytest.raises(InfeasibleError) as e:
-            challenge_length_brm_general(self.BER, 0.05, 0.05, brm, self.SPEC)
+            challenge_length_brm_general(self.BER, 0.05, brm, self.SPEC)
         assert e.value.condition == "sampler-failure-too-large"
-
-    def test_mu_consistency_checked(self):
-        brm = BrmSpec(lam=0.1, theta=1e-2, gamma=0.0)
-        with pytest.raises(ValueError):
-            challenge_length_brm_general(self.BER, 0.05, 0.05, brm, self.SPEC)
 
 
 class TestCloseSecurityArithmetic:

@@ -302,3 +302,32 @@ class TestMaxLambdaCommand:
         obj = json.loads(out)
         assert obj["lambda_star"] == pytest.approx(0.1, abs=0.01)
         assert obj["feasible"] is True
+
+
+_EPS = ("--eps-fa", "1e-3", "--eps-fr", "1e-3")
+
+
+class TestDesignInputErrors:
+    """Out-of-range design inputs are usage errors, caught before the optimizer runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ("optimize", "--mode", "brm-general", "--psi", "2", "--lambda", "1.5", *_EPS),
+        ("optimize", "--mode", "dfa", "--psi", "0.9", *_EPS),
+        ("optimize", "--mode", "brm-sampling", "--psi", "2", "--lambda", "0.3", *_EPS,
+         "--theta", "-1"),
+        ("max-lambda", "--mode", "general", "--psi", "0.5"),
+        ("curves", "--mode", "dfa", "--psi-range", "0.5:0.9:0.1", "--eps", "1e-3"),
+        ("curves", "--mode", "dfa", "--psi-range", "1.1:1.2:0.1", "--eps", "2"),
+        ("curves", "--mode", "brm-general", "--psi-range", "1.5:1.6:0.1", "--lambda", "1.5"),
+        ("curves", "--mode", "dfa", "--psi-range", "1.1:1.2:0.1", "--eps", "abc"),
+    ], ids=["optimize-lambda", "optimize-psi", "optimize-theta", "max-lambda-psi",
+            "curves-psi", "curves-eps", "curves-lambda", "curves-eps-text"])
+    def test_is_usage_error(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "curves.csv"
+        if argv[0] == "curves":
+            argv = (*argv, "--out", str(out_path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, err
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert not out_path.exists()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dbvsim import optimize
+from dbvsim import bounds, optimize
 from dbvsim.bounds import (
     DEFAULT_K_CAP,
     DbvSpec,
@@ -47,7 +47,7 @@ class TestCrossing:
         e0 = float(optimize._e0_grid(ch, optimize.E0_GRID_POINTS)[1688])
         assert e0 == pytest.approx(3.4967e5, rel=1e-4)
         ber = intended_blocked_ber(e0, 1.01, ch)
-        beta, value = optimize._inner(optimize._dfa_terms, ber.p_i, ber.p_b, 1e-6, 1e6)
+        beta, value = optimize._inner(bounds._dfa_terms, ber.p_i, ber.p_b, 1e-6, 1e6)
         assert math.isnan(beta) and value == math.inf
 
 
@@ -179,14 +179,30 @@ class TestMaxFeasibleLambda:
         assert res.lambda_star < 1.0
         assert rich.lambda_star > res.lambda_star
 
-    def test_feasibility_consistent_with_optimizer(self):
-        res = max_feasible_lambda(1.68, CH, "general", tol=1e-4)
-        spec = DbvSpec(psi=1.68, eps_fa=1e-3, eps_fr=1e-3)
-        good = optimize_brm(spec, CH, res.lambda_star - 2e-3, "general", theta=0.0, gamma=0.0)
-        assert good.n_star >= 1
-        with pytest.raises(InfeasibleError):
-            optimize_brm(spec, CH, min(res.lambda_star + 2e-3, 0.999), "general",
-                         theta=0.0, gamma=0.0)
+    @pytest.mark.parametrize("mode, psi", [
+        ("general", 1.3), ("general", 1.68), ("general", 2.5),
+        ("sampling", 1.01), ("sampling", 1.02), ("sampling", 1.04),
+    ])
+    def test_feasibility_consistent_with_optimizer(self, mode, psi):
+        # Both read the mode's threshold bracket at theta = 0: it is non-empty
+        # just below lambda* and empty just above, where the optimizer names
+        # the mode's condition.  Sampling mode reaches lambda* only at the
+        # full power budget, where p_i and p_b are so small that the length
+        # just below it is past the cap; from psi ~ 1.05 up its lambda* is
+        # within 2e-3 of 1.
+        res = max_feasible_lambda(psi, CH, mode, tol=1e-4)
+        assert res.feasible and 2e-3 < res.lambda_star < 1 - 2e-3
+        spec = DbvSpec(psi=psi, eps_fa=1e-3, eps_fr=1e-3)
+        if mode == "general":
+            good = optimize_brm(spec, CH, res.lambda_star - 2e-3, mode, theta=0.0, gamma=0.0)
+            assert good.n_star >= 1
+        else:
+            with pytest.raises(InfeasibleError) as e:
+                optimize_brm(spec, CH, res.lambda_star - 2e-3, mode, theta=0.0, gamma=0.0)
+            assert e.value.condition == "challenge-length-cap"
+        with pytest.raises(InfeasibleError) as e:
+            optimize_brm(spec, CH, res.lambda_star + 2e-3, mode, theta=0.0, gamma=0.0)
+        assert e.value.condition == f"{mode}-intruder-infeasible"
 
 
 def _scalar_grid(terms, psi, ch, w_dec, w_inc):
@@ -213,21 +229,21 @@ def _crossing_kinds(terms, psi, w_dec, w_inc):
 
 _L = math.log
 _SCAN_CASES = {
-    "dfa-psi1.01": (optimize._dfa_terms, 1.01, 1.0, 1.0),
-    "dfa-psi1.5": (optimize._dfa_terms, 1.5, 1.0, 1.0),
-    "dfa-unequal": (optimize._dfa_terms, 1.1, _L(1e2), _L(1e5)),
-    "dfa-unequal-reversed": (optimize._dfa_terms, 3.0, _L(1e6), _L(1.01)),
+    "dfa-psi1.01": (bounds._dfa_terms, 1.01, 1.0, 1.0),
+    "dfa-psi1.5": (bounds._dfa_terms, 1.5, 1.0, 1.0),
+    "dfa-unequal": (bounds._dfa_terms, 1.1, _L(1e2), _L(1e5)),
+    "dfa-unequal-reversed": (bounds._dfa_terms, 3.0, _L(1e6), _L(1.01)),
     # Weights this lopsided make one term dominate over part of the grid.
-    "dfa-dominated-some": (optimize._dfa_terms, 3.0, 1e-15, 1.0),
-    "dfa-dominated-all": (optimize._dfa_terms, 1.5, 1e-30, 1.0),
-    "general-partly-infeasible": (optimize._brm_terms("general", 0.05, 1e-4), 1.5,
+    "dfa-dominated-some": (bounds._dfa_terms, 3.0, 1e-15, 1.0),
+    "dfa-dominated-all": (bounds._dfa_terms, 1.5, 1e-30, 1.0),
+    "general-partly-infeasible": (bounds._brm_terms("general", 0.05, 1e-4), 1.5,
                                   _L(1e4), _L(1e6)),
-    "general-dominated-some": (optimize._brm_terms("general", 0.05, 1e-4), 3.0, 1e9, 1.0),
-    "general-infeasible": (optimize._brm_terms("general", 0.05, 1e-4), 1.05, 1.0, 1.0),
-    "sampling-partly-infeasible": (optimize._brm_terms("sampling", 0.9, 1e-4), 3.0,
+    "general-dominated-some": (bounds._brm_terms("general", 0.05, 1e-4), 3.0, 1e9, 1.0),
+    "general-infeasible": (bounds._brm_terms("general", 0.05, 1e-4), 1.05, 1.0, 1.0),
+    "sampling-partly-infeasible": (bounds._brm_terms("sampling", 0.9, 1e-4), 3.0,
                                    _L(1e4), _L(1e6)),
-    "sampling-dominated-some": (optimize._brm_terms("sampling", 0.5, 1e-4), 3.0, 1e-15, 1.0),
-    "sampling-infeasible": (optimize._brm_terms("sampling", 0.5, 0.1), 1.5, 1.0, 1.0),
+    "sampling-dominated-some": (bounds._brm_terms("sampling", 0.5, 1e-4), 3.0, 1e-15, 1.0),
+    "sampling-infeasible": (bounds._brm_terms("sampling", 0.5, 0.1), 1.5, 1.0, 1.0),
 }
 
 
@@ -269,7 +285,7 @@ class TestGridScanOracle:
         # on about 0.1% of inputs, decide whether a denominator is positive,
         # so the scan and the scalar path may disagree; only on points whose
         # challenge length is past DEFAULT_K_CAP.
-        terms = optimize._brm_terms(mode, lam, theta)
+        terms = bounds._brm_terms(mode, lam, theta)
         lo, hi = p_i, 0.5
         while math.nextafter(lo, hi) < hi:
             mid = 0.5 * (lo + hi)
