@@ -2,9 +2,11 @@
 terrorist-fraud family against the bounded-retrieval protocol.
 
 Each attack is a responder policy on a ``protocols.Session``: it decides what
-each party reads and which tag it sends.  A distance of None places a
-receiver so close to the verifier that it is error-free (the strongest
-adversary).  On pi3 every party reads through the session's retrieval audit,
+each party reads and which tag it sends.  It reads the claim, distances,
+strategies, leak flags and ``noiseless`` from the run's
+``montecarlo.Scenario``, the only description of a run.  A distance of None
+places a receiver so close to the verifier that it is error-free (the
+strongest adversary).  On pi3 every party reads through the session's retrieval audit,
 so an attack that needs more than the cap raises RetrievalCapError.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -30,6 +32,9 @@ from .protocols import (
     Transcript,
     run_protocol,
 )
+
+if TYPE_CHECKING:
+    from .montecarlo import Scenario
 
 __all__ = [
     "MFA_STRATEGIES",
@@ -61,111 +66,80 @@ def _unused_mac_key(cfg: ProtocolConfig, rng: np.random.Generator) -> Optional[S
     return SessionKeys(mac_key=MacKey.generate(rng, cfg.mac_bits))
 
 
-def attack_dfa(
-    cfg: ProtocolConfig,
-    d_c: float,
-    d_r: float,
-    ch: ChannelParams,
-    rng: np.random.Generator,
-    *,
-    noiseless: bool = False,
-    seed: Optional[int] = None,
-) -> Transcript:
-    """Dishonest prover at d_r claims d_c and answers from its own noisy reception.
+def _session(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
+             rng: np.random.Generator, seed: Optional[int], keys: Optional[SessionKeys] = None,
+             *, d_real: Optional[float] = None) -> Session:
+    """The scenario's session: its claim, its label and its noise setting."""
+    return Session(cfg, scenario.d_claim, ch, rng, keys,
+                   d_real=scenario.d_real if d_real is None else d_real,
+                   scenario=scenario.kind, noiseless=scenario.noiseless, seed=seed)
+
+
+def attack_dfa(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
+               rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
+    """Dishonest prover at d_real claims d_claim and answers from its own noisy reception.
 
     Demodulating the received signal is the response that maximizes the
     per-bit match probability, so mechanically this is an honest run placed
-    at d_r; the fraud is in the claim.
+    at d_real; the fraud is in the claim.
     """
-    t = run_protocol(
-        cfg, Claim(d_c), PartyPlacement(d_r), ch, rng, noiseless=noiseless, seed=seed
-    )
-    t.scenario = "dfa"
+    t = run_protocol(cfg, Claim(scenario.d_claim), PartyPlacement(scenario.d_real), ch, rng,
+                     noiseless=scenario.noiseless, seed=seed)
+    t.scenario = scenario.kind
     return t
 
 
-def attack_mfa(
-    cfg: ProtocolConfig,
-    honest_d_r: float,
-    forged_d_c: float,
-    ch: ChannelParams,
-    rng: np.random.Generator,
-    strategy: str = "best-guess",
-    *,
-    intruder_d: Optional[float] = None,
-    noiseless: bool = False,
-    seed: Optional[int] = None,
-) -> Transcript:
-    """Man in the middle forges the claim of an honest prover down to forged_d_c.
+def attack_mfa(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
+               rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
+    """Man in the middle forges the claim of an honest prover at d_real down to d_claim.
 
     The honest prover claims (and tags, when the protocol authenticates) its
-    true distance; the intruder holds no keys.  Strategies:
+    true distance; the intruder, at intruder_d, holds no keys.  Strategies:
       replay      forward the prover's response and tag unchanged
       random-tag  forward the prover's response with a uniform tag guess
       best-guess  answer from the intruder's own reception with a uniform tag
     """
-    if strategy not in MFA_STRATEGIES:
-        raise ValueError(f"unknown mfa strategy {strategy!r}")
-    s = Session(cfg, forged_d_c, ch, rng, _unused_mac_key(cfg, rng), d_real=honest_d_r,
-                scenario="mfa", noiseless=noiseless, seed=seed)
-    s.receive("prover", honest_d_r)
+    s = _session(cfg, scenario, ch, rng, seed, _unused_mac_key(cfg, rng))
+    s.receive("prover", scenario.d_real)
     prover_resp = bpsk_demodulate(s.read("prover"))
     response = prover_resp
-    if strategy == "best-guess":
+    if scenario.mfa_strategy == "best-guess":
         # A keyless intruder cannot locate the sampled positions; it answers
         # with the first k positions it receives.
-        s.receive("intruder", intruder_d)
+        s.receive("intruder", scenario.intruder_d)
         response = bpsk_demodulate(s.read("intruder", np.arange(cfg.k)))
     tag = None
     if s.authenticated:  # the honest prover tags its own claim; the intruder guesses
-        tag = (s.sign(prover_resp, honest_d_r) if strategy == "replay"
+        tag = (s.sign(prover_resp, scenario.d_real) if scenario.mfa_strategy == "replay"
                else _random_tag(rng, cfg.mac_bits))
     return s.decide(response, tag)
 
 
-def attack_impersonation(
-    cfg: ProtocolConfig,
-    d_c: float,
-    ch: ChannelParams,
-    rng: np.random.Generator,
-    *,
-    adversary_d: Optional[float] = None,
-    leaked_sampler_key: bool = False,
-    leaked_mac_key: bool = False,
-    noiseless: bool = False,
-    seed: Optional[int] = None,
-) -> Transcript:
-    """Keyless adversary initiates with claim d_c while the prover is absent.
+def attack_impersonation(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
+                         rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
+    """Keyless adversary initiates with claim d_claim while the prover is absent.
 
-    ``adversary_d`` places the adversary's receiver (None = error-free).  The
-    leak flags hand it individual session keys, isolating which secret blocks
-    the attack.
+    ``intruder_d`` places the adversary's receiver (None = error-free) and is
+    the transcript's real distance (0 when error-free).  The leak flags hand
+    it individual session keys, isolating which secret blocks the attack.
     """
-    s = Session(cfg, d_c, ch, rng, _unused_mac_key(cfg, rng),
-                d_real=adversary_d if adversary_d is not None else 0.0,
-                scenario="impersonation", noiseless=noiseless, seed=seed)
-    s.receive("adversary", adversary_d)
+    at = scenario.intruder_d
+    s = _session(cfg, scenario, ch, rng, seed, _unused_mac_key(cfg, rng),
+                 d_real=0.0 if at is None else at)
+    s.receive("adversary", at)
     # Without the sampler key it can only answer with the first k positions.
-    positions = None if leaked_sampler_key else np.arange(cfg.k)
+    positions = None if scenario.leaked_sampler_key else np.arange(cfg.k)
     response = bpsk_demodulate(s.read("adversary", positions))
     tag = None
     if s.authenticated:
-        tag = s.sign(response, d_c) if leaked_mac_key else _random_tag(rng, cfg.mac_bits)
+        tag = (s.sign(response, scenario.d_claim) if scenario.leaked_mac_key
+               else _random_tag(rng, cfg.mac_bits))
     return s.decide(response, tag)
 
 
-def attack_tfa_relay(
-    cfg: ProtocolConfig,
-    d_c: float,
-    d_r: float,
-    ch: ChannelParams,
-    rng: np.random.Generator,
-    *,
-    intruder_d: Optional[float] = None,
-    noiseless: bool = False,
-    seed: Optional[int] = None,
-) -> Transcript:
-    """Universal relay: an intruder near the verifier forwards everything.
+def attack_tfa_relay(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
+                     rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
+    """Universal relay: an intruder at intruder_d forwards everything.
 
     The intruder captures the whole emission and the colluding prover, who
     holds the keys, answers the sampled positions of the capture.  Against
@@ -176,12 +150,11 @@ def attack_tfa_relay(
     """
     if Session.capture_blocked(cfg):
         raise RetrievalCapError("intruder", *Session.extent(cfg))
-    s = Session(cfg, d_c, ch, rng, d_real=d_r, scenario="tfa-relay",
-                noiseless=noiseless, seed=seed)
-    s.receive("intruder", intruder_d)
+    s = _session(cfg, scenario, ch, rng, seed)
+    s.receive("intruder", scenario.intruder_d)
     s.read("intruder", np.arange(s.n))  # the capture: every emitted position
     response = bpsk_demodulate(s.read("intruder"))
-    return s.decide(response, s.sign(response, d_c))
+    return s.decide(response, s.sign(response, scenario.d_claim))
 
 
 @dataclass(frozen=True)
@@ -192,13 +165,15 @@ class IndexSamplingStrategy:
 
     name = "index-sampling"
 
+    def __post_init__(self) -> None:
+        if self.index_choice not in ("first", "random"):
+            raise ValueError(f"unknown index choice {self.index_choice!r}")
+
     def pick_indices(self, n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
         if self.index_choice == "first":
             return np.arange(cap, dtype=np.int64)
-        if self.index_choice == "random":
-            # Chosen by the intruder's own coins, independent of the sampler key.
-            return rng.choice(n, size=cap, replace=False).astype(np.int64)
-        raise ValueError(f"unknown index choice {self.index_choice!r}")
+        # Chosen by the intruder's own coins, independent of the sampler key.
+        return rng.choice(n, size=cap, replace=False).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -272,19 +247,11 @@ def _majority_prior_llr(size: int) -> tuple[float, float]:
     return llr_if_one, llr_if_zero
 
 
-def attack_tfa_general(
-    cfg: ProtocolConfig,
-    d_c: float,
-    d_r: float,
-    ch: ChannelParams,
-    rng: np.random.Generator,
-    strategy: RetrievalStrategy,
-    *,
-    noiseless: bool = False,
-    seed: Optional[int] = None,
-) -> Transcript:
-    """Colluding prover at d_r aided by an error-free intruder that may compute
-    any digest of the source output, capped at ceil(lam*n) output bits.
+def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
+                       rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
+    """Colluding prover at d_real aided by an error-free intruder that computes
+    the scenario's ``tfa_strategy`` digest of the source output, capped at
+    ceil(lam*n) output bits.
 
     The prover decodes each sampled position by per-bit maximum likelihood
     from the digest and its own reception, ties broken toward its own
@@ -292,8 +259,8 @@ def attack_tfa_general(
     """
     if cfg.protocol != "pi3":
         raise ProtocolConfigError("terrorist-fraud retrieval attacks target pi3")
-    s = Session(cfg, d_c, ch, rng, d_real=d_r, scenario=f"tfa-general:{strategy.name}",
-                noiseless=noiseless, seed=seed)
+    strategy, d_r = scenario.tfa_strategy, scenario.d_real
+    s = _session(cfg, scenario, ch, rng, seed)
     s.receive("prover", d_r)
     sampled = s.sampled
 
@@ -319,7 +286,7 @@ def attack_tfa_general(
             response = own_bits.copy()
             singleton = sizes[block] == 1
             response[singleton] = digest[block[singleton]]
-        elif noiseless:
+        elif scenario.noiseless:
             response = own_bits.copy()
         else:
             amp = math.sqrt(s.power_w) / math.sqrt(ch.xi * d_r**ch.alpha)
@@ -329,32 +296,13 @@ def attack_tfa_general(
             response = np.where(total > 0, 1, np.where(total < 0, 0, own_bits)).astype(
                 np.uint8
             )
-    return s.decide(response, s.sign(response, d_c))
+    return s.decide(response, s.sign(response, scenario.d_claim))
 
 
-def attack_tfa_sampling(
-    cfg: ProtocolConfig,
-    d_c: float,
-    d_r: float,
-    ch: ChannelParams,
-    rng: np.random.Generator,
-    *,
-    index_choice: str = "first",
-    noiseless: bool = False,
-    seed: Optional[int] = None,
-) -> Transcript:
+def attack_tfa_sampling(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
+                        rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
     """Position-sampling intruder: retrieves exact bits at a cap-sized index set
-    chosen independently of the sampler key; the colluding prover fills the
-    remaining sampled positions from its own reception."""
-    t = attack_tfa_general(
-        cfg,
-        d_c,
-        d_r,
-        ch,
-        rng,
-        IndexSamplingStrategy(index_choice),
-        noiseless=noiseless,
-        seed=seed,
-    )
-    t.scenario = "tfa-sampling"
-    return t
+    chosen independently of the sampler key (the scenario's
+    ``IndexSamplingStrategy``); the colluding prover fills the remaining
+    sampled positions from its own reception."""
+    return attack_tfa_general(cfg, scenario, ch, rng, seed)

@@ -223,14 +223,27 @@ class BerPair:
             raise ValueError(f"need 0 <= p_i <= p_b <= 0.5, got {self.p_i}, {self.p_b}")
 
 
+def _blocked_snr_ratio(psi: float, ch: ChannelParams) -> float:
+    """psi**alpha, the SNR ratio between the claim and psi times the claim.
+
+    A ratio past the float range is infinite, so p_b takes the model's
+    limit 1/2 instead of raising OverflowError.
+    """
+    if not psi > 1:
+        raise ValueError(f"ratio psi must be > 1, got {psi}")
+    try:
+        return psi**ch.alpha
+    except OverflowError:
+        return math.inf
+
+
 def intended_blocked_ber(e0: float, psi: float, ch: ChannelParams) -> BerPair:
     """BerPair for reference power e0: p_i at SNR0, p_b at SNR0 / psi**alpha."""
     if not 0 < e0 <= ch.e_max:
         raise PowerLimitError(f"reference power {e0} W outside (0, {ch.e_max}] W")
-    if not psi > 1:
-        raise ValueError(f"ratio psi must be > 1, got {psi}")
+    ratio = _blocked_snr_ratio(psi, ch)
     snr0 = snr_at_distance(e0, ch.d0, ch)
-    return BerPair(bit_error_prob(snr0), bit_error_prob(snr0 / psi**ch.alpha))
+    return BerPair(bit_error_prob(snr0), bit_error_prob(snr0 / ratio))
 
 
 def intended_blocked_ber_grid(
@@ -245,8 +258,7 @@ def intended_blocked_ber_grid(
     e0 = np.asarray(e0, dtype=np.float64)
     if not ((e0 > 0) & (e0 <= ch.e_max)).all():
         raise PowerLimitError(f"reference powers must lie in (0, {ch.e_max}] W")
-    if not psi > 1:
-        raise ValueError(f"ratio psi must be > 1, got {psi}")
+    ratio = _blocked_snr_ratio(psi, ch)
     snr0 = _snr(e0, ch.d0, ch)
     ber = np.frompyfunc(bit_error_prob, 1, 1)
-    return ber(snr0).astype(np.float64), ber(snr0 / psi**ch.alpha).astype(np.float64)
+    return ber(snr0).astype(np.float64), ber(snr0 / ratio).astype(np.float64)

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from typing import Optional
 
 from .attacks import (
+    MFA_STRATEGIES,
     BlockMajorityStrategy,
     IndexSamplingStrategy,
     ParitySketchStrategy,
@@ -39,6 +40,9 @@ from .primitives import FIELD_POLYNOMIALS
 from .protocols import BrmParams, ProtocolConfig, check_mac_strength
 
 SCHEMA_VERSION = "1"
+
+#: Most points a ``--psi-range`` may hold.
+MAX_RANGE_POINTS = 100_000
 
 _STRATEGIES = {
     "index-first": IndexSamplingStrategy("first"),
@@ -145,9 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--jobs", type=positive_int, default=1)
     p_sim.add_argument("--d-claim", type=float, help="claimed distance in m (default d0/2)")
-    p_sim.add_argument("--d-claim-km", type=float, help="claimed distance in km")
     p_sim.add_argument("--d-real", type=float, help="true distance in m (default per scenario)")
-    p_sim.add_argument("--d-real-km", type=float, help="true distance in km")
     p_sim.add_argument("--intruder-d", type=float, help="intruder distance in m (default error-free)")
     p_sim.add_argument("--psi", type=float, default=1.5)
     p_sim.add_argument("--eps-fa", type=float, default=1e-2)
@@ -164,8 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mac-bits", type=int, default=64, choices=sorted(FIELD_POLYNOMIALS))
     p_sim.add_argument("--no-mac", action="store_true", help="drop the tag from pi3 responses")
     p_sim.add_argument("--strategy", choices=sorted(_STRATEGIES), default="index-first")
-    p_sim.add_argument("--mfa-strategy", choices=("replay", "random-tag", "best-guess"),
-                       default="best-guess")
+    p_sim.add_argument("--mfa-strategy", choices=MFA_STRATEGIES, default="best-guess")
     p_sim.add_argument("--leak-sampler-key", action="store_true")
     p_sim.add_argument("--noiseless", action="store_true")
     p_sim.add_argument("--dump-transcripts", metavar="PATH")
@@ -204,8 +205,15 @@ def _parse_range(txt: str) -> list[float]:
         start, stop, step = (float(x) for x in txt.split(":"))
     except ValueError as exc:
         raise _UsageError(f"bad range {txt!r}, expected start:stop:step") from exc
-    if step <= 0 or stop < start:
+    if not (step > 0 and stop >= start):
         raise _UsageError(f"bad range {txt!r}")
+    points = (stop + 1e-12 - start) / step + 1
+    if not points <= MAX_RANGE_POINTS:
+        raise _UsageError(
+            f"range {txt!r} has about {points:.4g} points, more than {MAX_RANGE_POINTS}"
+        )
+    if stop + step == stop:
+        raise _UsageError(f"range {txt!r}: step {step:g} is below the float spacing at {stop:g}")
     out = []
     v = start
     while v <= stop + 1e-12:
@@ -296,10 +304,6 @@ def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, 
     if args.scenario in ("tfa-sampling", "tfa-general") and cfg.protocol != "pi3":
         raise _UsageError(f"--scenario {args.scenario} targets pi3")
 
-    if args.d_claim_km is not None:
-        args.d_claim = args.d_claim_km * 1e3
-    if args.d_real_km is not None:
-        args.d_real = args.d_real_km * 1e3
     d_claim = args.d_claim if args.d_claim is not None else ch.d0 / 2.0
     if args.d_real is not None:
         d_real = args.d_real
@@ -316,7 +320,6 @@ def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, 
             intruder_d=args.intruder_d,
             mfa_strategy=args.mfa_strategy,
             tfa_strategy=_STRATEGIES[args.strategy],
-            index_choice="random" if args.strategy == "index-random" else "first",
             leaked_sampler_key=args.leak_sampler_key,
             noiseless=args.noiseless,
         )

@@ -11,8 +11,9 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 from scipy import stats
@@ -60,15 +61,15 @@ SCENARIO_KINDS = (
 
 @dataclass(frozen=True)
 class Scenario:
-    """What to simulate: scenario kind, placements, and strategy knobs."""
+    """The only description of a run: scenario kind, placements, and the
+    strategy and leak knobs the kind's attack reads."""
 
     kind: str
     d_claim: float
     d_real: float
     intruder_d: Optional[float] = None
     mfa_strategy: str = "best-guess"
-    tfa_strategy: Optional[attacks.RetrievalStrategy] = None
-    index_choice: str = "first"
+    tfa_strategy: attacks.RetrievalStrategy = attacks.IndexSamplingStrategy("first")
     leaked_sampler_key: bool = False
     leaked_mac_key: bool = False
     noiseless: bool = False
@@ -80,6 +81,14 @@ class Scenario:
             raise ValueError("distances must be > 0")
         if self.intruder_d is not None and not self.intruder_d > 0:
             raise ValueError(f"intruder distance must be > 0, got {self.intruder_d}")
+        if self.mfa_strategy not in attacks.MFA_STRATEGIES:
+            raise ValueError(f"unknown mfa strategy {self.mfa_strategy!r}")
+        if self.kind == "tfa-sampling" and not isinstance(
+            self.tfa_strategy, attacks.IndexSamplingStrategy
+        ):
+            raise ValueError(
+                f"tfa-sampling retrieves positions, not a {self.tfa_strategy.name} digest"
+            )
 
 
 def run_trial(
@@ -91,61 +100,18 @@ def run_trial(
 ) -> tuple[bool, bool, Optional[Transcript]]:
     """(accepted, blocked, transcript) for one protocol or attack run.
 
+    ``honest`` is an honest run of cfg.protocol; every other kind runs the
+    attack of its name, ``attacks.attack_<kind>``, looked up at call time.
     ``blocked`` marks attacks stopped structurally by the retrieval audit;
     those never accept.
     """
-    kind = scenario.kind
     try:
-        if kind == "honest":
-            t = run_protocol(
-                cfg,
-                Claim(scenario.d_claim),
-                PartyPlacement(scenario.d_real),
-                ch,
-                rng,
-                noiseless=scenario.noiseless,
-                seed=seed,
-            )
-        elif kind == "dfa":
-            t = attacks.attack_dfa(
-                cfg, scenario.d_claim, scenario.d_real, ch, rng,
-                noiseless=scenario.noiseless, seed=seed,
-            )
-        elif kind == "mfa":
-            t = attacks.attack_mfa(
-                cfg, scenario.d_real, scenario.d_claim, ch, rng,
-                scenario.mfa_strategy,
-                intruder_d=scenario.intruder_d,
-                noiseless=scenario.noiseless, seed=seed,
-            )
-        elif kind == "impersonation":
-            t = attacks.attack_impersonation(
-                cfg, scenario.d_claim, ch, rng,
-                adversary_d=scenario.intruder_d,
-                leaked_sampler_key=scenario.leaked_sampler_key,
-                leaked_mac_key=scenario.leaked_mac_key,
-                noiseless=scenario.noiseless, seed=seed,
-            )
-        elif kind == "tfa-relay":
-            t = attacks.attack_tfa_relay(
-                cfg, scenario.d_claim, scenario.d_real, ch, rng,
-                intruder_d=scenario.intruder_d,
-                noiseless=scenario.noiseless, seed=seed,
-            )
-        elif kind == "tfa-sampling":
-            t = attacks.attack_tfa_sampling(
-                cfg, scenario.d_claim, scenario.d_real, ch, rng,
-                index_choice=scenario.index_choice,
-                noiseless=scenario.noiseless, seed=seed,
-            )
+        if scenario.kind == "honest":
+            t = run_protocol(cfg, Claim(scenario.d_claim), PartyPlacement(scenario.d_real), ch,
+                             rng, noiseless=scenario.noiseless, seed=seed)
         else:
-            strategy = scenario.tfa_strategy or attacks.IndexSamplingStrategy(
-                scenario.index_choice
-            )
-            t = attacks.attack_tfa_general(
-                cfg, scenario.d_claim, scenario.d_real, ch, rng, strategy,
-                noiseless=scenario.noiseless, seed=seed,
-            )
+            attack = getattr(attacks, "attack_" + scenario.kind.replace("-", "_"))
+            t = attack(cfg, scenario, ch, rng, seed)
     except RetrievalCapError:
         return False, True, None
     return t.verdict == ACC, False, t
@@ -244,27 +210,24 @@ def _run_range(
     master_seed: int,
     start: int,
     stop: int,
-    collect: bool = False,
-) -> tuple[int, int, list[dict]]:
+    dump: Optional[TextIO] = None,
+) -> tuple[int, int]:
+    """(accepts, blocked) of trials start..stop-1; with ``dump``, each trial's
+    transcript is written to it as a JSON line as soon as the trial ends."""
     accepts = 0
     blocked = 0
-    dumped: list[dict] = []
     for i in range(start, stop):
         acc, blk, t = run_trial(scenario, cfg, ch, _trial_rng(master_seed, i), seed=i)
         accepts += acc
         blocked += blk
-        if collect and t is not None:
-            d = t.to_json_dict()
-            d["scenario"] = scenario.kind
-            dumped.append(d)
-        elif collect:
-            dumped.append(
-                {"scenario": scenario.kind, "seed": i, "verdict": "Rej", "blocked": True}
-            )
-    return accepts, blocked, dumped
+        if dump is not None:
+            d = (t.to_json_dict() if t is not None
+                 else {"scenario": scenario.kind, "seed": i, "verdict": "Rej", "blocked": True})
+            dump.write(json.dumps(d, sort_keys=True) + "\n")
+    return accepts, blocked
 
 
-def _chunk_worker(args) -> tuple[int, int, list[dict]]:
+def _chunk_worker(args) -> tuple[int, int]:
     return _run_range(*args)
 
 
@@ -321,7 +284,8 @@ def estimate_rates(
 
     Results depend only on (scenario, cfg, ch, trials, master_seed), never on
     ``jobs``.  When ``dump_path`` is given, per-trial transcripts are written
-    as JSON lines in trial order (this path runs serially).
+    as JSON lines in trial order, each as its trial ends (this path runs
+    serially).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -337,30 +301,22 @@ def estimate_rates(
                 math.ceil(10.0 / bound),
             )
 
-    collect = dump_path is not None
-    workers = 1 if collect else worker_count(jobs, trials)
+    workers = 1 if dump_path is not None else worker_count(jobs, trials)
     if workers == 1:
-        accepts, blocked, dumped = _run_range(
-            scenario, cfg, ch, master_seed, 0, trials, collect
-        )
+        with open(dump_path, "w") if dump_path is not None else nullcontext() as dump:
+            accepts, blocked = _run_range(scenario, cfg, ch, master_seed, 0, trials, dump)
     else:
         bounds_ = np.linspace(0, trials, workers + 1).astype(int)
         chunks = [
-            (scenario, cfg, ch, master_seed, int(a), int(b), False)
+            (scenario, cfg, ch, master_seed, int(a), int(b))
             for a, b in zip(bounds_[:-1], bounds_[1:])
             if b > a
         ]
         accepts = blocked = 0
-        dumped = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for acc, blk, _ in pool.map(_chunk_worker, chunks):
+            for acc, blk in pool.map(_chunk_worker, chunks):
                 accepts += acc
                 blocked += blk
-
-    if collect:
-        with open(dump_path, "w") as fh:
-            for d in dumped:
-                fh.write(json.dumps(d, sort_keys=True) + "\n")
 
     rate = accepts / trials
     ci_low, ci_high = clopper_pearson(accepts, trials)

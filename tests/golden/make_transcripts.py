@@ -73,7 +73,7 @@ def scenarios(protocol: str) -> list[Scenario]:
     out += [Scenario("tfa-relay", D_CLAIM, D_REAL, intruder_d=d) for d in NEAR]
     if protocol == "pi3":
         out += [
-            Scenario("tfa-sampling", D_CLAIM, D_REAL, index_choice=c)
+            Scenario("tfa-sampling", D_CLAIM, D_REAL, tfa_strategy=IndexSamplingStrategy(c))
             for c in ("first", "random")
         ]
         out += [

@@ -208,7 +208,8 @@ def test_criterion_07_relay_impossibility():
     blocked = 0
     for i in range(attempts):
         try:
-            attack_tfa_relay(cfg3, 4e4, 9e4, CH, np.random.default_rng((2002, i)))
+            attack_tfa_relay(cfg3, Scenario("tfa-relay", d_claim=4e4, d_real=9e4), CH,
+                             np.random.default_rng((2002, i)))
         except RetrievalCapError:
             blocked += 1
     ok_pi3 = blocked == attempts

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dbvsim.attacks import (
 )
 from dbvsim.bounds import exact_binomial_tail_lower
 from dbvsim.channel import DEFAULT_CHANNEL, bit_error_prob, snr_at_distance, transmit_power_for_claim
+from dbvsim.montecarlo import Scenario
 from dbvsim.protocols import ACC, BrmParams, ProtocolConfig, RetrievalCapError
 
 CH = DEFAULT_CHANNEL
@@ -37,6 +39,27 @@ def pi3_config(lam=0.3, k=120, beta=0.1, mac_bits=64):
                           brm=BrmParams(lam=lam, n=n))
 
 
+#: The relay scenario most tests run: claim 40 km, prover at 90 km.
+RELAY = Scenario("tfa-relay", 4e4, 9e4)
+
+
+def mfa(strategy, d_real=8e4, d_claim=4e4):
+    """An intruder forging the claim of an honest prover at d_real down to d_claim."""
+    return Scenario("mfa", d_claim, d_real, mfa_strategy=strategy)
+
+
+def impersonation(d_claim, **knobs):
+    """An adversary claiming d_claim with the prover absent; d_real is not read."""
+    return Scenario("impersonation", d_claim, d_claim, **knobs)
+
+
+def tfa(kind, d_claim=4e4, d_real=8e4, strategy="first"):
+    """A pi3 terrorist-fraud scenario; a string strategy names the index choice."""
+    if isinstance(strategy, str):
+        strategy = IndexSamplingStrategy(strategy)
+    return Scenario(kind, d_claim, d_real, tfa_strategy=strategy)
+
+
 def rate(fn, trials, seed0=0):
     hits = 0
     for i in range(trials):
@@ -49,7 +72,8 @@ class TestDfa:
     def test_noiseless_always_succeeds(self):
         # without noise there is nothing to distinguish distances
         for i in range(10):
-            t = attack_dfa(PI1, 1e4, 9e4, CH, np.random.default_rng(i), noiseless=True)
+            t = attack_dfa(PI1, Scenario("dfa", 1e4, 9e4, noiseless=True), CH,
+                           np.random.default_rng(i))
             assert t.verdict == ACC
 
     def test_success_matches_binomial_tail(self):
@@ -59,20 +83,20 @@ class TestDfa:
         expected = exact_binomial_tail_lower(PI1.k, PI1.beta, p_b)
         assert 0.01 < expected < 0.9  # test is informative
         trials = 4000
-        got = rate(lambda r: attack_dfa(PI1, d_c, d_r, CH, r), trials, seed0=1)
+        got = rate(lambda r: attack_dfa(PI1, Scenario("dfa", d_c, d_r), CH, r), trials, seed0=1)
         sd = math.sqrt(expected * (1 - expected) / trials)
         assert abs(got - expected) < 3.5 * sd
 
     def test_monotone_in_distance(self):
         d_c = 4e4
         rates = [
-            rate(lambda r, d=d: attack_dfa(PI1, d_c, d, CH, r), 1500, seed0=2)
+            rate(lambda r, d=d: attack_dfa(PI1, Scenario("dfa", d_c, d), CH, r), 1500, seed0=2)
             for d in (5.2e4, 6.4e4, 8e4)
         ]
         assert rates[0] > rates[1] > rates[2]
 
     def test_scenario_label(self):
-        t = attack_dfa(PI1, 1e4, 3e4, CH, np.random.default_rng(3))
+        t = attack_dfa(PI1, Scenario("dfa", 1e4, 3e4), CH, np.random.default_rng(3))
         assert t.scenario == "dfa"
 
 
@@ -80,14 +104,14 @@ class TestMfa:
     def test_replay_vs_pi2_never_succeeds(self):
         # the prover's tag covers its honest claim, not the forged one
         for i in range(200):
-            t = attack_mfa(PI2, 8e4, 4e4, CH, np.random.default_rng(i), "replay")
+            t = attack_mfa(PI2, mfa("replay"), CH, np.random.default_rng(i))
             assert t.verdict != ACC
             assert t.mac_ok is False
 
     def test_best_guess_vs_pi1_succeeds(self):
         # no authentication: an error-free intruder answers perfectly
         for i in range(50):
-            t = attack_mfa(PI1, 8e4, 4e4, CH, np.random.default_rng(i), "best-guess")
+            t = attack_mfa(PI1, mfa("best-guess"), CH, np.random.default_rng(i))
             assert t.verdict == ACC
 
     def test_replay_vs_pi1_is_binomial(self):
@@ -97,7 +121,7 @@ class TestMfa:
         expected = exact_binomial_tail_lower(PI1.k, PI1.beta, p)
         trials = 3000
         got = rate(
-            lambda r: attack_mfa(PI1, honest_d_r, forged, CH, r, "replay"), trials, seed0=4
+            lambda r: attack_mfa(PI1, mfa("replay", honest_d_r, forged), CH, r), trials, seed0=4
         )
         sd = math.sqrt(expected * (1 - expected) / trials)
         assert abs(got - expected) < 3.5 * sd
@@ -105,7 +129,7 @@ class TestMfa:
     def test_random_tag_vs_pi2_success_near_two_to_minus_s(self):
         trials = 4000
         got = rate(
-            lambda r: attack_mfa(PI2_S8, 8e4, 4e4, CH, r, "best-guess"), trials, seed0=5
+            lambda r: attack_mfa(PI2_S8, mfa("best-guess"), CH, r), trials, seed0=5
         )
         expected = 1 / 256  # threshold passes (error-free intruder), tag is a guess
         sd = math.sqrt(expected * (1 - expected) / trials)
@@ -121,7 +145,7 @@ class TestMfa:
         eps_mac = mac_forgery_bound(PI2_S8.k + 64, 8)
         for strategy in ("replay", "random-tag", "best-guess"):
             got = rate(
-                lambda r, s=strategy: attack_mfa(PI2_S8, 8e4, 4e4, CH, r, s),
+                lambda r, s=strategy: attack_mfa(PI2_S8, mfa(s), CH, r),
                 trials,
                 seed0=6,
             )
@@ -137,7 +161,7 @@ class TestImpersonation:
         expected = exact_binomial_tail_lower(PI1.k, PI1.beta, p)
         trials = 3000
         got = rate(
-            lambda r: attack_impersonation(PI1, d_c, CH, r, adversary_d=d_r),
+            lambda r: attack_impersonation(PI1, impersonation(d_c, intruder_d=d_r), CH, r),
             trials,
             seed0=7,
         )
@@ -146,7 +170,8 @@ class TestImpersonation:
 
     def test_vs_pi2_blocked_by_mac(self):
         trials = 4000
-        got = rate(lambda r: attack_impersonation(PI2_S8, 4e4, CH, r), trials, seed0=8)
+        got = rate(lambda r: attack_impersonation(PI2_S8, impersonation(4e4), CH, r), trials,
+                   seed0=8)
         expected = 1 / 256
         sd = math.sqrt(expected * (1 - expected) / trials)
         assert abs(got - expected) < 4 * sd
@@ -155,7 +180,8 @@ class TestImpersonation:
         cfg = pi3_config(mac_bits=8)
         trials = 3000
         got = rate(
-            lambda r: attack_impersonation(cfg, 4e4, CH, r, leaked_sampler_key=True),
+            lambda r: attack_impersonation(cfg, impersonation(4e4, leaked_sampler_key=True), CH,
+                                           r),
             trials,
             seed0=9,
         )
@@ -166,19 +192,19 @@ class TestImpersonation:
     def test_vs_pi3_without_sampler_key_threshold_blocks_too(self):
         cfg = pi3_config()
         for i in range(100):
-            t = attack_impersonation(cfg, 4e4, CH, np.random.default_rng((10, i)))
+            t = attack_impersonation(cfg, impersonation(4e4), CH, np.random.default_rng((10, i)))
             assert t.verdict != ACC
 
 
 class TestRelay:
     def test_vs_pi2_error_free_always_succeeds(self):
         for i in range(200):
-            t = attack_tfa_relay(PI2, 4e4, 9e4, CH, np.random.default_rng(i))
+            t = attack_tfa_relay(PI2, RELAY, CH, np.random.default_rng(i))
             assert t.verdict == ACC
 
     def test_vs_pi1_same(self):
         for i in range(100):
-            t = attack_tfa_relay(PI1, 4e4, 9e4, CH, np.random.default_rng(i))
+            t = attack_tfa_relay(PI1, RELAY, CH, np.random.default_rng(i))
             assert t.verdict == ACC
 
     def test_matches_honest_at_zero_distance(self):
@@ -187,7 +213,7 @@ class TestRelay:
 
         trials = 500
         relay = rate(
-            lambda r: attack_tfa_relay(PI2, 4e4, 9e4, CH, r, intruder_d=1.0),
+            lambda r: attack_tfa_relay(PI2, replace(RELAY, intruder_d=1.0), CH, r),
             trials, seed0=11,
         )
         honest = sum(
@@ -203,20 +229,20 @@ class TestRelay:
         cfg = pi3_config()
         for i in range(50):
             with pytest.raises(RetrievalCapError) as e:
-                attack_tfa_relay(cfg, 4e4, 9e4, CH, np.random.default_rng((12, i)))
+                attack_tfa_relay(cfg, RELAY, CH, np.random.default_rng((12, i)))
             assert e.value.party == "intruder"
 
     def test_vs_pi3_blocked_even_at_high_rate(self):
         cfg = pi3_config(lam=0.9, k=90)
         with pytest.raises(RetrievalCapError):
-            attack_tfa_relay(cfg, 4e4, 9e4, CH, np.random.default_rng(13))
+            attack_tfa_relay(cfg, RELAY, CH, np.random.default_rng(13))
 
 
     def test_vs_pi3_blocked_before_any_draw(self):
         rng = np.random.default_rng(14)
         state = rng.bit_generator.state
         with pytest.raises(RetrievalCapError) as e:
-            attack_tfa_relay(pi3_config(), 4e4, 9e4, CH, rng)
+            attack_tfa_relay(pi3_config(), RELAY, CH, rng)
         assert (e.value.party, e.value.requested, e.value.cap) == ("intruder", 400, 120)
         assert rng.bit_generator.state == state
 
@@ -224,7 +250,7 @@ class TestRelay:
         # ceil(0.6 * 2) = 2: the intruder may capture the whole source
         cfg = ProtocolConfig("pi3", e0=1000.0, k=2, beta=0.4, brm=BrmParams(lam=0.6, n=2))
         for i in range(20):
-            t = attack_tfa_relay(cfg, 4e4, 9e4, CH, np.random.default_rng((15, i)))
+            t = attack_tfa_relay(cfg, RELAY, CH, np.random.default_rng((15, i)))
             assert t.verdict == ACC and t.mac_ok is True
             assert t.accesses == {"verifier": 2, "intruder": 2}
 
@@ -240,13 +266,14 @@ class TestTfaSampling:
         trials = 800
         hams = []
         for i in range(trials):
-            t = attack_tfa_sampling(self.CFG, d_c, d_r, CH, np.random.default_rng((14, i)))
+            t = attack_tfa_sampling(self.CFG, tfa("tfa-sampling", d_c, d_r), CH,
+                                    np.random.default_rng((14, i)))
             hams.append(t.hamming)
         expected = (1 - lam) * p_b * self.CFG.k
         assert np.mean(hams) == pytest.approx(expected, rel=0.12)
 
     def test_intruder_reads_exactly_the_cap(self):
-        t = attack_tfa_sampling(self.CFG, 4e4, 8e4, CH, np.random.default_rng(15))
+        t = attack_tfa_sampling(self.CFG, tfa("tfa-sampling"), CH, np.random.default_rng(15))
         assert t.retrieval_cap == self.CFG.brm.retrieval_cap
         assert t.accesses["prover"] <= self.CFG.brm.retrieval_cap
 
@@ -255,11 +282,12 @@ class TestTfaSampling:
         d_c, d_r = 4e4, 8e4
         trials = 1500
         r_first = rate(
-            lambda r: attack_tfa_sampling(self.CFG, d_c, d_r, CH, r, index_choice="first"),
+            lambda r: attack_tfa_sampling(self.CFG, tfa("tfa-sampling", d_c, d_r, "first"), CH, r),
             trials, seed0=16,
         )
         r_rand = rate(
-            lambda r: attack_tfa_sampling(self.CFG, d_c, d_r, CH, r, index_choice="random"),
+            lambda r: attack_tfa_sampling(self.CFG, tfa("tfa-sampling", d_c, d_r, "random"), CH,
+                                          r),
             trials, seed0=17,
         )
         pooled = (r_first + r_rand) / 2
@@ -269,7 +297,8 @@ class TestTfaSampling:
     def test_high_rate_approaches_honest(self):
         # lam -> 1: the intruder hands over almost every source bit
         cfg = pi3_config(lam=0.99, k=99)
-        got = rate(lambda r: attack_tfa_sampling(cfg, 4e4, 9.9e4, CH, r), 300, seed0=18)
+        got = rate(lambda r: attack_tfa_sampling(cfg, tfa("tfa-sampling", 4e4, 9.9e4), CH, r), 300,
+                   seed0=18)
         assert got > 0.95
 
 
@@ -367,10 +396,9 @@ class TestTfaGeneral:
     CFG = pi3_config(lam=0.4, k=100)
 
     def test_sampling_strategy_containment(self):
-        a = attack_tfa_general(
-            self.CFG, 4e4, 8e4, CH, np.random.default_rng(19), IndexSamplingStrategy("first")
-        )
-        b = attack_tfa_sampling(self.CFG, 4e4, 8e4, CH, np.random.default_rng(19))
+        a = attack_tfa_general(self.CFG, tfa("tfa-general", strategy="first"), CH,
+                               np.random.default_rng(19))
+        b = attack_tfa_sampling(self.CFG, tfa("tfa-sampling"), CH, np.random.default_rng(19))
         assert a.verdict == b.verdict
         np.testing.assert_array_equal(a.response, b.response)
 
@@ -385,7 +413,8 @@ class TestTfaGeneral:
         assert 0.05 < expected < 0.8
         trials = 1200
         r_parity = rate(
-            lambda r: attack_tfa_general(cfg, d_c, d_r, CH, r, ParitySketchStrategy()),
+            lambda r: attack_tfa_general(cfg, tfa("tfa-general", d_c, d_r, ParitySketchStrategy()),
+                                         CH, r),
             trials, seed0=20,
         )
         sd = math.sqrt(expected * (1 - expected) / trials)
@@ -395,11 +424,13 @@ class TestTfaGeneral:
         d_c, d_r = 4e4, 8e4
         trials = 600
         r_maj = rate(
-            lambda r: attack_tfa_general(self.CFG, d_c, d_r, CH, r, BlockMajorityStrategy()),
+            lambda r: attack_tfa_general(
+                self.CFG, tfa("tfa-general", d_c, d_r, BlockMajorityStrategy()), CH, r),
             trials, seed0=22,
         )
         r_samp = rate(
-            lambda r: attack_tfa_sampling(self.CFG, d_c, d_r, CH, r), trials, seed0=23
+            lambda r: attack_tfa_sampling(self.CFG, tfa("tfa-sampling", d_c, d_r), CH, r), trials,
+            seed0=23
         )
         # index sampling is the strongest implemented digest
         sd = math.sqrt(max(r_samp * (1 - r_samp) / trials, 1e-9))
@@ -408,10 +439,14 @@ class TestTfaGeneral:
     def test_block_majority_with_blocks_past_1024(self):
         # cap 10 over n = 20,000: blocks of 2,000 positions
         cfg = pi3_config(lam=5e-4, k=10, beta=0.2)
-        t = attack_tfa_general(cfg, 4e4, 8e4, CH, np.random.default_rng(24),
-                               BlockMajorityStrategy())
+        t = attack_tfa_general(cfg, tfa("tfa-general", strategy=BlockMajorityStrategy()), CH,
+                               np.random.default_rng(24))
         assert t.response.size == 10
         assert t.accesses["prover"] == 10 and t.accesses["verifier"] == 10
+
+    def test_unknown_index_choice_rejected(self):
+        with pytest.raises(ValueError, match="index choice"):
+            IndexSamplingStrategy("last")
 
     def test_library_contents(self):
         lib = default_strategy_library()
@@ -434,7 +469,7 @@ class TestTfaGeneral:
         for strategy in default_strategy_library():
             got = rate(
                 lambda r, s=strategy: attack_tfa_general(
-                    cfg, d_c, spec.psi * d_c, CH, r, s
+                    cfg, tfa("tfa-general", d_c, spec.psi * d_c, s), CH, r
                 ),
                 trials,
                 seed0=hash(strategy.name) % 1000,
@@ -445,5 +480,5 @@ class TestTfaGeneral:
         from dbvsim.protocols import ProtocolConfigError
 
         with pytest.raises(ProtocolConfigError):
-            attack_tfa_general(PI2, 4e4, 8e4, CH, np.random.default_rng(24),
-                               ParitySketchStrategy())
+            attack_tfa_general(PI2, tfa("tfa-general", strategy=ParitySketchStrategy()), CH,
+                               np.random.default_rng(24))

@@ -20,6 +20,7 @@ from dbvsim.channel import (
     dbm_to_watts,
     hex_to_bits,
     intended_blocked_ber,
+    intended_blocked_ber_grid,
     propagate,
     random_bits,
     snr_at_distance,
@@ -290,6 +291,15 @@ class TestBerPair:
     def test_power_cap(self):
         with pytest.raises(PowerLimitError):
             intended_blocked_ber(3e4 * 1.01, 2.0, DEFAULT_CHANNEL)
+
+    def test_ratio_past_float_range_gives_half(self):
+        # 1e300**3 overflows a float: p_b takes its limit 1/2 in both forms
+        e0 = np.array([1.0, 1000.0, 3e4])
+        p_i, p_b = intended_blocked_ber_grid(e0, 1e300, DEFAULT_CHANNEL)
+        assert p_b.tolist() == [0.5] * 3
+        for e, want in zip(e0, p_i):
+            ber = intended_blocked_ber(float(e), 1e300, DEFAULT_CHANNEL)
+            assert (ber.p_i, ber.p_b) == (want, 0.5)
 
     def test_invalid_pair_rejected(self):
         with pytest.raises(ValueError):

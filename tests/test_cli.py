@@ -268,6 +268,8 @@ class TestSimulateInputErrors:
         ("--protocol", "pi1", "--no-mac"),
         ("--protocol", "pi2", "--scenario", "tfa-general"),
         ("--protocol", "pi1", "--scenario", "tfa-sampling"),
+        (*_PI3, "--scenario", "tfa-sampling", "--strategy", "parity-sketch"),
+        ("--protocol", "pi1", "--d-claim-km", "40"),
     ])
     def test_bad_input_is_usage_error(self, capsys, extra):
         code, out, err = run_cli(capsys, *_EXPLICIT, *extra)
@@ -304,6 +306,19 @@ class TestMaxLambdaCommand:
         assert obj["feasible"] is True
 
 
+class TestHugePsi:
+    """A psi whose psi**alpha overflows a float designs at the limit p_b = 1/2."""
+
+    @pytest.mark.parametrize("argv", [
+        ("optimize", "--mode", "dfa", "--psi", "1e300", "--eps-fa", "1e-3", "--eps-fr", "1e-3"),
+        ("max-lambda", "--mode", "general", "--psi", "1e300"),
+    ], ids=["optimize-dfa", "max-lambda-general"])
+    def test_exits_zero(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["psi"] == 1e300
+
+
 _EPS = ("--eps-fa", "1e-3", "--eps-fr", "1e-3")
 
 
@@ -320,8 +335,10 @@ class TestDesignInputErrors:
         ("curves", "--mode", "dfa", "--psi-range", "1.1:1.2:0.1", "--eps", "2"),
         ("curves", "--mode", "brm-general", "--psi-range", "1.5:1.6:0.1", "--lambda", "1.5"),
         ("curves", "--mode", "dfa", "--psi-range", "1.1:1.2:0.1", "--eps", "abc"),
+        ("curves", "--mode", "dfa", "--psi-range", "1e6:1e6:1e-17", "--eps", "1e-3"),
     ], ids=["optimize-lambda", "optimize-psi", "optimize-theta", "max-lambda-psi",
-            "curves-psi", "curves-eps", "curves-lambda", "curves-eps-text"])
+            "curves-psi", "curves-eps", "curves-lambda", "curves-eps-text",
+            "curves-step-below-spacing"])
     def test_is_usage_error(self, capsys, tmp_path, argv):
         out_path = tmp_path / "curves.csv"
         if argv[0] == "curves":
@@ -330,4 +347,14 @@ class TestDesignInputErrors:
         assert code == 1, err
         assert out == ""
         assert err.startswith("usage error: ")
+        assert not out_path.exists()
+
+    def test_oversized_psi_range_named_before_building(self, capsys, tmp_path):
+        # about 1e18 points: the count is checked before any list is built
+        out_path = tmp_path / "curves.csv"
+        code, out, err = run_cli(capsys, "curves", "--mode", "dfa", "--psi-range",
+                                 "1.1:1e9:1e-9", "--eps", "1e-3", "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert "1e+18 points" in err and str(cli.MAX_RANGE_POINTS) in err
         assert not out_path.exists()

@@ -9,6 +9,7 @@ from scipy import stats
 
 from dbvsim import montecarlo
 from dbvsim._pool import worker_count
+from dbvsim.attacks import IndexSamplingStrategy, ParitySketchStrategy
 from dbvsim.bounds import DbvSpec, exact_binomial_tail_lower, max_errors
 from dbvsim.channel import (
     DEFAULT_CHANNEL,
@@ -62,6 +63,19 @@ class TestClopperPearson:
     def test_invalid(self):
         with pytest.raises(ValueError):
             clopper_pearson(5, 4)
+
+
+class TestScenario:
+    def test_tfa_sampling_rejects_a_digest(self):
+        with pytest.raises(ValueError, match="parity-sketch"):
+            Scenario("tfa-sampling", 4e4, 8e4, tfa_strategy=ParitySketchStrategy())
+
+    def test_unknown_mfa_strategy_rejected(self):
+        with pytest.raises(ValueError, match="mfa strategy"):
+            Scenario("mfa", 4e4, 8e4, mfa_strategy="bogus")
+
+    def test_default_tfa_strategy_is_first_positions(self):
+        assert Scenario("tfa-sampling", 4e4, 8e4).tfa_strategy == IndexSamplingStrategy("first")
 
 
 class TestEstimateRates:

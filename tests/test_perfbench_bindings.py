@@ -1,0 +1,55 @@
+"""The benchmark's tracer binds dbvsim functions by name; those names must
+keep resolving, and the Monte Carlo loop must keep reaching each attack
+through its module attribute, or the traced call counts go silently to zero.
+
+``perfbench/tracer.py`` is loaded by path, as the golden tests load their
+generators.
+"""
+
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dbvsim import attacks
+from dbvsim.channel import DEFAULT_CHANNEL
+from dbvsim.montecarlo import SCENARIO_KINDS, Scenario, run_trial
+from dbvsim.protocols import BrmParams, ProtocolConfig
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py"
+)
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+PI3 = ProtocolConfig("pi3", e0=2000.0, k=120, beta=0.1, brm=BrmParams(lam=0.3, n=400))
+ATTACKS = sorted(name for name in vars(attacks) if name.startswith("attack_"))
+
+
+@pytest.mark.parametrize("layer, name", [(layer, fn) for layer, fn, _ in tracer.TRACED])
+def test_traced_name_resolves(layer, name):
+    owner = tracer._LAYERS[layer]
+    for part in name.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_run_trial_reaches_the_attack_once(monkeypatch, kind):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ATTACKS:
+        monkeypatch.setattr(attacks, name, counting(name, getattr(attacks, name)))
+    run_trial(Scenario(kind, 4e4, 6e4), PI3, DEFAULT_CHANNEL, np.random.default_rng(1), seed=0)
+    want = Counter() if kind == "honest" else Counter({"attack_" + kind.replace("-", "_"): 1})
+    if kind == "tfa-sampling":
+        want["attack_tfa_general"] = 1  # the sampling intruder is one tfa-general run
+    assert calls == want

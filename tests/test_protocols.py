@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbvsim.channel import DEFAULT_CHANNEL, ClaimRangeError, PowerLimitError, random_bits
-from dbvsim.montecarlo import _trial_rng, run_trial
+from dbvsim.montecarlo import Scenario, _trial_rng, run_trial
 from dbvsim.primitives import MacKey, SamplerKey, encode_response_claim, mac_sign, mac_verify
 from dbvsim.protocols import (
     ACC,
@@ -171,7 +171,8 @@ class TestPi1:
         cfg = pi3_config()
         for t in (
             run_pi3(cfg, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(2)),
-            attack_mfa(cfg, 5e4, 4e4, CH, np.random.default_rng(3)),
+            attack_mfa(cfg, Scenario("mfa", d_claim=4e4, d_real=5e4), CH,
+                       np.random.default_rng(3)),
         ):
             d = t.to_json_dict()
             assert d["schema_version"] == "2"
