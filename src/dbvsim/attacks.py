@@ -19,8 +19,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .channel import ChannelParams, bpsk_demodulate
-from .primitives import MacKey
+from .channel import ChannelParams, bpsk_demodulate, path_loss
 from .protocols import (
     Claim,
     PartyPlacement,
@@ -28,7 +27,6 @@ from .protocols import (
     ProtocolConfigError,
     RetrievalCapError,
     Session,
-    SessionKeys,
     Transcript,
     run_protocol,
 )
@@ -58,19 +56,11 @@ def _random_tag(rng: np.random.Generator, field_bits: int) -> int:
     return int.from_bytes(rng.bytes(field_bits // 8), "big")
 
 
-def _unused_mac_key(cfg: ProtocolConfig, rng: np.random.Generator) -> Optional[SessionKeys]:
-    """mfa and impersonation on pi3 without a MAC have always drawn a MAC key no
-    check uses; kept so their trial stream stays the same until it next changes."""
-    if cfg.use_mac:
-        return None
-    return SessionKeys(mac_key=MacKey.generate(rng, cfg.mac_bits))
-
-
 def _session(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
-             rng: np.random.Generator, seed: Optional[int], keys: Optional[SessionKeys] = None,
-             *, d_real: Optional[float] = None) -> Session:
+             rng: np.random.Generator, seed: Optional[int], *,
+             d_real: Optional[float] = None) -> Session:
     """The scenario's session: its claim, its label and its noise setting."""
-    return Session(cfg, scenario.d_claim, ch, rng, keys,
+    return Session(cfg, scenario.d_claim, ch, rng,
                    d_real=scenario.d_real if d_real is None else d_real,
                    scenario=scenario.kind, noiseless=scenario.noiseless, seed=seed)
 
@@ -99,7 +89,7 @@ def attack_mfa(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
       random-tag  forward the prover's response with a uniform tag guess
       best-guess  answer from the intruder's own reception with a uniform tag
     """
-    s = _session(cfg, scenario, ch, rng, seed, _unused_mac_key(cfg, rng))
+    s = _session(cfg, scenario, ch, rng, seed)
     s.receive("prover", scenario.d_real)
     prover_resp = bpsk_demodulate(s.read("prover"))
     response = prover_resp
@@ -124,8 +114,7 @@ def attack_impersonation(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelPar
     it individual session keys, isolating which secret blocks the attack.
     """
     at = scenario.intruder_d
-    s = _session(cfg, scenario, ch, rng, seed, _unused_mac_key(cfg, rng),
-                 d_real=0.0 if at is None else at)
+    s = _session(cfg, scenario, ch, rng, seed, d_real=0.0 if at is None else at)
     s.receive("adversary", at)
     # Without the sampler key it can only answer with the first k positions.
     positions = None if scenario.leaked_sampler_key else np.arange(cfg.k)
@@ -247,6 +236,13 @@ def _majority_prior_llr(size: int) -> tuple[float, float]:
     return llr_if_one, llr_if_zero
 
 
+def _overlap(picked: np.ndarray, sampled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, hit): hit[i] tells whether the sorted, non-empty ``picked`` holds
+    sampled[i], and then picked[at[i]] == sampled[i]."""
+    at = np.minimum(np.searchsorted(picked, sampled), picked.size - 1)
+    return at, picked[at] == sampled
+
+
 def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
                        rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
     """Colluding prover at d_real aided by an error-free intruder that computes
@@ -265,16 +261,16 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
     sampled = s.sampled
 
     if isinstance(strategy, IndexSamplingStrategy):
-        picked = strategy.pick_indices(s.n, s.cap, rng)
+        picked = np.sort(strategy.pick_indices(s.n, s.cap, rng))
         s.receive("intruder", None)
-        known = np.full(s.n, -1, dtype=np.int8)
-        known[picked] = bpsk_demodulate(s.read("intruder", picked))
-        known_at_sample = known[sampled]
-        need_own = known_at_sample < 0
-        response = known_at_sample.astype(np.uint8)
-        if need_own.any():
-            response[need_own] = bpsk_demodulate(s.read("prover", sampled[need_own]))
+        known = bpsk_demodulate(s.read("intruder", picked))
+        at, hit = _overlap(picked, sampled)
+        response = np.empty(cfg.k, dtype=np.uint8)
+        response[hit] = known[at[hit]]
+        response[~hit] = bpsk_demodulate(s.read("prover", sampled[~hit]))
     else:
+        # The digest reads the whole source, so it is drawn before the prover
+        # reads: in position order, in one call.
         starts, sizes = _blocks(s.n, s.cap)
         digest = _digest(strategy, s.source, starts, sizes)
         block = np.searchsorted(starts, sampled, side="right") - 1
@@ -289,7 +285,7 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
         elif scenario.noiseless:
             response = own_bits.copy()
         else:
-            amp = math.sqrt(s.power_w) / math.sqrt(ch.xi * d_r**ch.alpha)
+            amp = math.sqrt(s.power_w) / math.sqrt(path_loss(d_r, ch))
             # Per-sample noise variance is sigma/2 (see channel.propagate).
             llr_chan = 4.0 * amp * y_sampled / ch.sigma
             total = llr_chan + _majority_prior(digest, sizes)[block]

@@ -25,6 +25,7 @@ __all__ = [
     "DEFAULT_CHANNEL",
     "watts_to_dbm",
     "dbm_to_watts",
+    "path_loss",
     "snr_at_distance",
     "transmit_power_for_claim",
     "random_bits",
@@ -123,8 +124,20 @@ def snr_at_distance(e: float, d: float, ch: ChannelParams) -> float:
     return _snr(e, d, ch)
 
 
+def path_loss(d: float, ch: ChannelParams) -> float:
+    """xi * d**alpha, the power loss at distance d.
+
+    A loss past the float range is infinite, so the SNR takes the model's
+    limit 0 and the bit error rate 1/2 instead of raising OverflowError.
+    """
+    try:
+        return ch.xi * d**ch.alpha
+    except OverflowError:
+        return math.inf
+
+
 def _snr(e, d: float, ch: ChannelParams):
-    return e / (ch.xi * d**ch.alpha * ch.sigma)
+    return e / (path_loss(d, ch) * ch.sigma)
 
 
 def transmit_power_for_claim(d_c: float, e0: float, ch: ChannelParams) -> float:
@@ -155,10 +168,7 @@ def bpsk_modulate(bits: np.ndarray, e: float) -> np.ndarray:
     if not e > 0:
         raise ValueError(f"transmit power must be > 0, got {e}")
     amp = math.sqrt(e)
-    levels = np.full(256, amp)
-    levels[0] = -amp
-    # The Ellipsis keeps a 0-d input a 0-d array rather than a scalar.
-    return levels[np.asarray(bits, dtype=np.uint8), ...]
+    return np.where(np.asarray(bits, dtype=np.uint8), amp, -amp)
 
 
 def bpsk_demodulate(sig: np.ndarray) -> np.ndarray:
@@ -191,7 +201,7 @@ def propagate(
     if not d > 0:
         raise ValueError(f"distance must be > 0, got {d}")
     sig = np.asarray(sig, dtype=np.float64)
-    att = sig / math.sqrt(ch.xi * d**ch.alpha)
+    att = sig / math.sqrt(path_loss(d, ch))
     if noiseless:
         return att
     # noise + att equals att + noise bit for bit; adding in place saves an array.

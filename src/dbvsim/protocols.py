@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -64,6 +64,22 @@ ACC = "Acc"
 REJ = "Rej"
 
 PROTOCOLS = ("pi1", "pi2", "pi3")
+
+#: How a pi3 trial draws its source and noise: 1 drew all n source bits and
+#: every receiver's n noise samples at session start; 2 draws each position
+#: the first time a party reads it, in read order, with the challenge in
+#: increasing position order.
+SOURCE_STREAM_VERSION = 2
+
+#: Longest source whose shared memo is a bit array with a drawn mask; a
+#: longer one is memoised as sorted positions and bits (a RetrievalAudit), so
+#: memory grows with the positions read, not with n.
+DENSE_SOURCE_BITS = 1 << 16
+
+#: Longest source a session draws whole (the parity and block-majority
+#: digests read all of it); a longer one raises ProtocolConfigError rather
+#: than allocating about 10 bytes per position.
+MAX_WHOLE_SOURCE_BITS = 10**7
 
 
 class RetrievalCapError(RuntimeError):
@@ -201,7 +217,8 @@ class Transcript:
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema_version": "2",
+            # pi3 transcripts went to schema 3 when they gained source_stream.
+            "schema_version": "3" if self.protocol == "pi3" else "2",
             "protocol": self.protocol,
             "scenario": self.scenario,
             "claim_m": self.claim_m,
@@ -227,34 +244,88 @@ class Transcript:
             out["accesses"] = dict(self.accesses)
         if self.protocol == "pi3":
             out["sampler_stream"] = SAMPLER_STREAM_VERSION
+            out["source_stream"] = SOURCE_STREAM_VERSION
         return out
 
 
 class RetrievalAudit:
-    """Access-counted view of an emitted source string.
+    """One party's audited view of an n-position source, drawn as it is read.
 
-    Reading values is allowed only through this wrapper; once a party has
-    touched more distinct positions than the cap, the read raises.  Repeated
-    reads of an already-retrieved position are free (the bit is stored).
+    The view holds the sorted distinct positions the party has read and
+    their values.  A read counts the positions new to the party and, before
+    anything is drawn, raises RetrievalCapError if the party would then hold
+    more than ``cap`` of them.  Otherwise ``fill`` gives the new positions'
+    values, asked for in increasing position order, and they are merged in.
+    Re-reads are free: the values are held.  A read may return the held
+    values array itself (always so for a re-read of the held positions
+    array), so callers must not modify what a read returns.
     """
 
-    def __init__(self, values: np.ndarray, cap: int, party: str):
-        self._values = values
+    def __init__(self, fill: Callable[[np.ndarray], np.ndarray], n: int, cap: int,
+                 party: str):
+        self._fill = fill
+        self.n = int(n)
         self.cap = int(cap)
         self.party = party
-        self._seen = np.zeros(len(values), dtype=bool)
+        self._pos = _NO_POSITIONS
+        self._vals = _NO_POSITIONS
 
     def read(self, indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        self._seen[idx] = True
-        count = int(np.count_nonzero(self._seen))
-        if count > self.cap:
-            raise RetrievalCapError(self.party, count, self.cap)
-        return self._values[idx]
+        """The values at ``indices`` (any order, repeats allowed)."""
+        return self._get(np.asarray(indices, dtype=np.int64), audited=True)
 
     @property
     def accessed(self) -> int:
-        return int(np.count_nonzero(self._seen))
+        return int(self._pos.size)
+
+    def _get(self, idx: np.ndarray, audited: bool) -> np.ndarray:
+        """The values at ``idx``; unaudited, ``idx`` must be sorted, distinct
+        and in range, and no cap applies."""
+        pos = self._pos
+        if idx is pos:
+            return self._vals
+        at = new = idx  # with nothing held, every position is new
+        if pos.size:
+            at = pos.searchsorted(idx)
+            new = idx[pos.take(at, mode="clip") != idx]
+        if new.size:
+            if audited:
+                if not _sorted_distinct(new):
+                    new = np.unique(new)
+                if new[0] < 0 or new[-1] >= self.n:
+                    raise IndexError(f"{self.party} read outside positions [0, {self.n})")
+                if pos.size + new.size > self.cap:
+                    raise RetrievalCapError(self.party, pos.size + new.size, self.cap)
+            self._merge(new)
+            if idx is self._pos:
+                return self._vals
+            at = self._pos.searchsorted(idx)
+        return self._vals[at]
+
+    def _merge(self, new: np.ndarray) -> None:
+        """Draw sorted distinct ``new`` through ``fill`` and hold them."""
+        vals = self._fill(new)
+        if self._pos.size:
+            merged = np.concatenate((self._pos, new))
+            order = merged.argsort(kind="stable")  # merges the two sorted runs
+            self._pos = merged[order]
+            self._vals = np.concatenate((self._vals, vals))[order]
+        else:
+            self._pos, self._vals = new, vals
+
+
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
+
+
+def _source_bits(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m uniform pi3 source bits, one uniform double each: a double is below
+    1/2 with probability exactly 1/2, and m doubles cost one generator call
+    however the m are split between reads."""
+    return (rng.random(m) < 0.5).view(np.uint8)
+
+
+def _sorted_distinct(idx: np.ndarray) -> bool:
+    return not np.count_nonzero(idx[1:] <= idx[:-1])
 
 
 def verify_response(
@@ -300,11 +371,14 @@ class Session:
     receives, reads and signs; ``decide`` builds the transcript.
 
     It draws from ``rng`` in one fixed order: the MAC key (only when the run
-    authenticates and ``keys`` holds none), the sampler key (pi3), the
-    emission through ``brm_source_emit``, then each party's reception in the
-    order the parties ask for it.  pi1/pi2 are the n = k case: the emission is
-    the challenge itself and every position is sampled, so their parties read
-    it whole and no ``RetrievalAudit`` is built.
+    authenticates and ``keys`` holds none), the sampler key (pi3), then the
+    emission.  pi1/pi2 are the n = k case: ``brm_source_emit`` draws the
+    challenge whole, every position is sampled, each party's reception is
+    drawn whole when it asks for it, and no ``RetrievalAudit`` is built.  On
+    pi3 nothing more is drawn up front: each party's ``RetrievalAudit`` draws
+    a position the first time that party reads it, in read order, taking the
+    source bit from one shared memo (drawn on the first read by anyone) and
+    the party's own noise.
     """
 
     def __init__(self, cfg: ProtocolConfig, d_c: float, ch: ChannelParams,
@@ -323,12 +397,23 @@ class Session:
             self.sampler_key = SamplerKey.generate(rng, cfg.brm.sampler_seed_bits)
         self.power_w = transmit_power_for_claim(d_c, cfg.e0, ch)
         self.n, self.cap = self.extent(cfg)
-        self.source, self.signal = brm_source_emit(self.power_w, self.n, rng, e_max=ch.e_max)
-        # A RetrievalAudit per party on pi3; the whole reception on pi1/pi2.
+        # A RetrievalAudit per receiver on pi3; the whole reception on pi1/pi2.
         self._views: dict = {}
-        if self.bounded:
-            self._views["verifier"] = RetrievalAudit(self.source, self.cap, "verifier")
         self._sampled: Optional[np.ndarray] = None
+        # The source: on pi3 one shared memo, a bit array with a drawn mask up
+        # to DENSE_SOURCE_BITS and sorted positions (a RetrievalAudit) above;
+        # every bit is drawn the first time anyone reads its position.
+        self._memo: Optional[RetrievalAudit] = None
+        self._drawn: Optional[np.ndarray] = None
+        if not self.bounded:
+            self._bits, self.signal = brm_source_emit(self.power_w, self.n, rng,
+                                                      e_max=ch.e_max)
+        elif self.n <= DENSE_SOURCE_BITS:
+            self._bits = np.empty(self.n, dtype=np.uint8)
+            self._drawn = np.zeros(self.n, dtype=bool)
+        else:
+            self._memo = RetrievalAudit(lambda pos: _source_bits(rng, pos.size), self.n,
+                                        self.n, "source")
 
     @staticmethod
     def extent(cfg: ProtocolConfig) -> tuple[int, int]:
@@ -346,18 +431,61 @@ class Session:
 
     @property
     def sampled(self) -> np.ndarray:
-        """pi3's challenge positions, drawn from the sampler key on first use."""
+        """pi3's challenge positions in increasing order, derived from the
+        sampler key on first use."""
         if self._sampled is None:
-            self._sampled = sample_indices(self.sampler_key, self.n, self.cfg.k).indices
+            self._sampled = np.sort(sample_indices(self.sampler_key, self.n, self.cfg.k).indices)
         return self._sampled
 
+    @property
+    def source(self) -> np.ndarray:
+        """The whole n-bit source output.  On pi3 this draws every position
+        no one has read yet, in increasing position order: O(n), so it is
+        refused above MAX_WHOLE_SOURCE_BITS."""
+        if self._memo is not None:  # switch to the bit array
+            if self.n > MAX_WHOLE_SOURCE_BITS:
+                raise ProtocolConfigError(
+                    f"whole-source digest needs all n={self.n} source bits, more than "
+                    f"MAX_WHOLE_SOURCE_BITS={MAX_WHOLE_SOURCE_BITS}"
+                )
+            held, self._memo = self._memo, None
+            self._bits = np.empty(self.n, dtype=np.uint8)
+            self._drawn = np.zeros(self.n, dtype=bool)
+            self._bits[held._pos], self._drawn[held._pos] = held._vals, True
+        if self._drawn is not None:
+            fresh = ~self._drawn
+            self._bits[fresh] = _source_bits(self.rng, np.count_nonzero(fresh))
+            self._drawn[fresh] = True
+        return self._bits
+
+    def _source_at(self, positions: np.ndarray) -> np.ndarray:
+        """Source bits at sorted distinct positions, drawing those not drawn yet."""
+        if self._memo is not None:
+            return self._memo._get(positions, audited=False)
+        fresh = positions[~self._drawn[positions]]
+        if fresh.size:
+            self._bits[fresh] = _source_bits(self.rng, fresh.size)
+            self._drawn[fresh] = True
+        return self._bits[positions]
+
     def receive(self, party: str, at: Optional[float]) -> None:
-        """Draw ``party``'s reception of the emission at distance ``at``
-        (None: so close that it is error-free, and nothing is drawn)."""
-        sig = self.signal
-        if at is not None:
-            sig = propagate(sig, at, self.ch, self.rng, noiseless=self.noiseless)
-        self._views[party] = RetrievalAudit(sig, self.cap, party) if self.bounded else sig
+        """``party``'s reception of the emission at distance ``at`` (None: so
+        close that it is error-free, and no noise is drawn).  pi1/pi2 draw it
+        whole now; pi3 draws each position when the party first reads it."""
+        if not self.bounded:
+            sig = self.signal
+            if at is not None:
+                sig = propagate(sig, at, self.ch, self.rng, noiseless=self.noiseless)
+            self._views[party] = sig
+            return
+
+        def fill(pos: np.ndarray) -> np.ndarray:
+            sig = bpsk_modulate(self._source_at(pos), self.power_w)
+            if at is None:
+                return sig
+            return propagate(sig, at, self.ch, self.rng, noiseless=self.noiseless)
+
+        self._views[party] = RetrievalAudit(fill, self.n, self.cap, party)
 
     def read(self, party: str, positions: Optional[np.ndarray] = None) -> np.ndarray:
         """``party``'s received values at ``positions`` (default: the sampled ones)."""
@@ -375,7 +503,9 @@ class Session:
     def decide(self, response: np.ndarray, tag: Optional[int]) -> Transcript:
         """The verifier's check of (response, tag) against its challenge and claim."""
         cfg = self.cfg
-        m = self._views["verifier"].read(self.sampled) if self.bounded else self.source
+        # The verifier reads the k sampled positions of its own emission, and
+        # ProtocolConfig holds k within the cap.
+        m = self._source_at(self.sampled) if self.bounded else self._bits
         mac_ok = None
         if self.authenticated:
             mac_ok = mac_verify(self.mac_key, encode_response_claim(response, self.d_c), tag)
@@ -397,7 +527,8 @@ class Session:
             noiseless=self.noiseless,
             source_bits=self.n if self.bounded else None,
             retrieval_cap=self.cap if self.bounded else None,
-            accesses={p: v.accessed for p, v in self._views.items()} if self.bounded else {},
+            accesses=({"verifier": cfg.k} | {p: v.accessed for p, v in self._views.items()}
+                      if self.bounded else {}),
         )
 
 

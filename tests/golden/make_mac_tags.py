@@ -10,8 +10,10 @@ The fixture pins the integers the MAC produces, so any change to how
 * the ``tag_hex`` of honest ``run_pi2`` transcripts at k=3334 (psi=1.1,
   eps=1e-2) and ``run_pi3`` transcripts at k=160, n=534 (psi=2, eps=1e-2,
   lambda=0.3 sampling), three seeds each, with the configurations spelled out;
-* ``sampler_stream``: the ``SAMPLER_STREAM_VERSION`` the pi3 tags were drawn
-  with, since the sampled positions (and so the tags) depend on it.
+* ``sampler_stream`` and ``source_stream``: the ``SAMPLER_STREAM_VERSION``
+  and ``SOURCE_STREAM_VERSION`` the pi3 tags were drawn with, since the
+  sampled positions and the drawn source and noise (and so the tags) depend
+  on them.
 
 Messages are not stored: ``message(s, seed, length)`` regenerates them.
 
@@ -30,6 +32,7 @@ from dbvsim.channel import DEFAULT_CHANNEL
 from dbvsim.optimize import optimize_brm, optimize_dfa
 from dbvsim.primitives import FIELD_POLYNOMIALS, SAMPLER_STREAM_VERSION, MacKey, mac_sign
 from dbvsim.protocols import (
+    SOURCE_STREAM_VERSION,
     BrmParams,
     Claim,
     PartyPlacement,
@@ -116,7 +119,8 @@ def main() -> None:
         f"{json.dumps(name)}: [\n  " + ",\n  ".join(json.dumps(c) for c in cases) + "\n]"
         for name, cases in sections.items()
     )
-    header = f'"sampler_stream": {SAMPLER_STREAM_VERSION},\n'
+    header = (f'"sampler_stream": {SAMPLER_STREAM_VERSION},\n'
+              f'"source_stream": {SOURCE_STREAM_VERSION},\n')
     OUT.write_text("{\n" + header + body + "\n}\n")
     print(f"wrote {OUT}")
 

@@ -304,14 +304,17 @@ class TestGoldenTags:
         c = dict(case["config"])
         brm = c.pop("brm", None)
         if brm:
-            # pi3 tags depend on the sampled positions, so they only compare
-            # within one sampler stream.
-            recorded = GOLDEN.get("sampler_stream", 1)
-            assert recorded == SAMPLER_STREAM_VERSION, (
-                f"mac_tags.json was recorded with sampler stream {recorded}, the code "
-                f"draws stream {SAMPLER_STREAM_VERSION}: re-record it with "
-                "tests/golden/make_mac_tags.py"
-            )
+            from dbvsim.protocols import SOURCE_STREAM_VERSION
+
+            # pi3 tags depend on the sampled positions and on the drawn source
+            # and noise, so they only compare within one sampler and source stream.
+            for name, current in (("sampler_stream", SAMPLER_STREAM_VERSION),
+                                  ("source_stream", SOURCE_STREAM_VERSION)):
+                recorded = GOLDEN.get(name, 1)
+                assert recorded == current, (
+                    f"mac_tags.json was recorded with {name} {recorded}, the code "
+                    f"draws {current}: re-record it with tests/golden/make_mac_tags.py"
+                )
         cfg = ProtocolConfig(**c, brm=BrmParams(**brm) if brm else None)
         run = run_pi2 if cfg.protocol == "pi2" else run_pi3
         d_c = case["d_claim"]

@@ -24,6 +24,7 @@ from dbvsim.protocols import (
     RetrievalCapError,
     Session,
     SessionKeys,
+    _source_bits,
     brm_source_emit,
     check_mac_strength,
     run_pi1,
@@ -91,13 +92,13 @@ class TestVerifyResponse:
 
 class TestRetrievalAudit:
     def test_counts_distinct_reads(self):
-        audit = RetrievalAudit(np.arange(10), cap=5, party="p")
+        audit = RetrievalAudit(np.arange(10).__getitem__, n=10, cap=5, party="p")
         audit.read(np.array([0, 1, 2]))
         audit.read(np.array([1, 2, 3]))  # re-reads are free
         assert audit.accessed == 4
 
     def test_cap_enforced(self):
-        audit = RetrievalAudit(np.arange(10), cap=3, party="prover")
+        audit = RetrievalAudit(np.arange(10).__getitem__, n=10, cap=3, party="prover")
         with pytest.raises(RetrievalCapError) as e:
             audit.read(np.arange(4))
         assert e.value.party == "prover"
@@ -164,10 +165,12 @@ class TestPi1:
     def test_schema_version_and_sampler_stream(self):
         from dbvsim.attacks import attack_mfa
         from dbvsim.primitives import SAMPLER_STREAM_VERSION
+        from dbvsim.protocols import SOURCE_STREAM_VERSION
 
         t = run_pi1(PI1, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(1))
         d = t.to_json_dict()
         assert d["schema_version"] == "2" and "sampler_stream" not in d
+        assert "source_stream" not in d
         cfg = pi3_config()
         for t in (
             run_pi3(cfg, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(2)),
@@ -175,8 +178,9 @@ class TestPi1:
                        np.random.default_rng(3)),
         ):
             d = t.to_json_dict()
-            assert d["schema_version"] == "2"
+            assert d["schema_version"] == "3"
             assert d["sampler_stream"] == SAMPLER_STREAM_VERSION == 2
+            assert d["source_stream"] == SOURCE_STREAM_VERSION == 2
 
     def test_power_follows_claim(self):
         rng = np.random.default_rng(2)
@@ -315,8 +319,9 @@ class TestSession:
         rng = np.random.default_rng(12)
         assert s.mac_key == MacKey.generate(rng, cfg.mac_bits)
         assert s.sampler_key == SamplerKey.generate(rng, cfg.brm.sampler_seed_bits)
-        np.testing.assert_array_equal(s.source, random_bits(rng, cfg.brm.n))
         assert s._sampled is None  # sampled on first use only
+        # Nothing read yet, so the whole source is drawn in position order.
+        np.testing.assert_array_equal(s.source, _source_bits(rng, cfg.brm.n))
 
     def test_supplied_keys_are_not_drawn(self):
         cfg = pi3_config()
@@ -325,7 +330,7 @@ class TestSession:
         s = Session(cfg, 5e4, CH, np.random.default_rng(13), keys, d_real=5e4)
         assert (s.mac_key, s.sampler_key) == (keys.mac_key, keys.sampler_key)
         np.testing.assert_array_equal(
-            s.source, random_bits(np.random.default_rng(13), cfg.brm.n)
+            s.source, _source_bits(np.random.default_rng(13), cfg.brm.n)
         )
 
     def test_pi1_pi2_build_no_audit(self):
