@@ -37,7 +37,7 @@ from .optimize import (
     write_curves_csv,
 )
 from .primitives import FIELD_POLYNOMIALS
-from .protocols import BrmParams, ProtocolConfig, check_mac_strength
+from .protocols import BrmParams, ProtocolConfig, check_mac_strength, check_whole_source
 
 SCHEMA_VERSION = "1"
 
@@ -304,6 +304,9 @@ def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, 
     if args.scenario in ("tfa-sampling", "tfa-general") and cfg.protocol != "pi3":
         raise _UsageError(f"--scenario {args.scenario} targets pi3")
 
+    if args.scenario == "impersonation" and args.d_real is not None:
+        raise _UsageError("--d-real does not apply to impersonation, where the prover is "
+                          "absent; --intruder-d places the adversary")
     d_claim = args.d_claim if args.d_claim is not None else ch.d0 / 2.0
     if args.d_real is not None:
         d_real = args.d_real
@@ -323,6 +326,10 @@ def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, 
             leaked_sampler_key=args.leak_sampler_key,
             noiseless=args.noiseless,
         )
+        if scenario.kind == "tfa-general" and not isinstance(
+            scenario.tfa_strategy, IndexSamplingStrategy
+        ):
+            check_whole_source(cfg.brm.n)  # a digest reads the whole source
     return spec, cfg, scenario
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "verify_response",
     "brm_source_emit",
     "check_mac_strength",
+    "check_whole_source",
     "run_pi1",
     "run_pi2",
     "run_pi3",
@@ -354,6 +355,15 @@ def brm_source_emit(
     return o, bpsk_modulate(o, e)
 
 
+def check_whole_source(n: int) -> None:
+    """Refuse to draw a whole source longer than MAX_WHOLE_SOURCE_BITS."""
+    if n > MAX_WHOLE_SOURCE_BITS:
+        raise ProtocolConfigError(
+            f"a whole-source digest needs all n={n} source bits, more than "
+            f"MAX_WHOLE_SOURCE_BITS={MAX_WHOLE_SOURCE_BITS}"
+        )
+
+
 def check_mac_strength(cfg: ProtocolConfig, eps_fa: float) -> None:
     """Reject configs whose MAC forgery bound L/2**s exceeds the false-accept budget."""
     if cfg.protocol == "pi1" or not cfg.use_mac:
@@ -443,11 +453,7 @@ class Session:
         no one has read yet, in increasing position order: O(n), so it is
         refused above MAX_WHOLE_SOURCE_BITS."""
         if self._memo is not None:  # switch to the bit array
-            if self.n > MAX_WHOLE_SOURCE_BITS:
-                raise ProtocolConfigError(
-                    f"whole-source digest needs all n={self.n} source bits, more than "
-                    f"MAX_WHOLE_SOURCE_BITS={MAX_WHOLE_SOURCE_BITS}"
-                )
+            check_whole_source(self.n)
             held, self._memo = self._memo, None
             self._bits = np.empty(self.n, dtype=np.uint8)
             self._drawn = np.zeros(self.n, dtype=bool)

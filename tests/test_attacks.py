@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, binomtest
 
 from dbvsim.attacks import (
     BlockMajorityStrategy,
@@ -21,11 +21,23 @@ from dbvsim.attacks import (
     _digest,
     _majority_prior,
     _majority_prior_llr,
+    _overlap,
 )
 from dbvsim.bounds import exact_binomial_tail_lower
 from dbvsim.channel import DEFAULT_CHANNEL, bit_error_prob, snr_at_distance, transmit_power_for_claim
-from dbvsim.montecarlo import Scenario
-from dbvsim.protocols import ACC, BrmParams, ProtocolConfig, RetrievalCapError
+from dbvsim.bounds import DbvSpec
+from dbvsim.montecarlo import Scenario, estimate_rates
+from dbvsim.optimize import optimize_brm
+from dbvsim.protocols import (
+    ACC,
+    BrmParams,
+    Claim,
+    PartyPlacement,
+    ProtocolConfig,
+    ProtocolConfigError,
+    RetrievalCapError,
+    run_pi3,
+)
 
 CH = DEFAULT_CHANNEL
 PI1 = ProtocolConfig("pi1", e0=2000.0, k=150, beta=0.1)
@@ -482,3 +494,135 @@ class TestTfaGeneral:
         with pytest.raises(ProtocolConfigError):
             attack_tfa_general(PI2, tfa("tfa-general", strategy=ParitySketchStrategy()), CH,
                                np.random.default_rng(24))
+
+
+def _brm_dense_config() -> ProtocolConfig:
+    """The pi3 design at psi=2, eps=1e-2, lambda=0.3 sampling: k=160, n=534."""
+    opt = optimize_brm(DbvSpec(psi=2.0, eps_fa=1e-2, eps_fr=1e-2), CH, 0.3, "sampling")
+    return ProtocolConfig("pi3", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
+                          brm=BrmParams(lam=0.3, n=opt.n_star))
+
+
+class TestLazySourceAgainstExact:
+    """The lazily drawn source keeps every closed-form acceptance rate.
+
+    Distances are chosen where the rates are informative; each accept count
+    must pass the exact two-sided binomial test against ``analytic_exact``.
+    """
+
+    TRIALS = 1500
+
+    @pytest.mark.parametrize("scenario", [
+        Scenario("honest", 5e4, 5e4),
+        Scenario("honest", 5e4, 6.5e4),
+        Scenario("dfa", 5e4, 6.5e4),
+        Scenario("tfa-sampling", 5e4, 6.5e4),
+        Scenario("tfa-sampling", 5e4, 6.5e4, tfa_strategy=IndexSamplingStrategy("random")),
+        Scenario("tfa-relay", 5e4, 1e5),
+    ], ids=["honest", "honest-far", "dfa", "tfa-sampling-first", "tfa-sampling-random",
+            "relay"])
+    def test_accepts_match_exact(self, scenario):
+        cfg = _brm_dense_config()
+        assert (cfg.k, cfg.brm.n) == (160, 534)
+        s = estimate_rates(scenario, cfg, None, CH, self.TRIALS, master_seed=4242)
+        if scenario.kind == "tfa-relay":
+            assert s.analytic_exact == 0.0 and s.blocked == self.TRIALS and s.accepts == 0
+            return
+        assert binomtest(s.accepts, self.TRIALS, s.analytic_exact).pvalue > 1e-4, (
+            s.accepts, s.analytic_exact)
+
+    def test_informative_points(self):
+        # The far honest, dfa and tfa-sampling points sit where a wrong
+        # per-bit error rate or overlap would move the accept count.
+        cfg = _brm_dense_config()
+        from dbvsim.montecarlo import exact_success_probability
+        for sc in (Scenario("dfa", 5e4, 6.5e4), Scenario("tfa-sampling", 5e4, 6.5e4)):
+            assert 0.05 < exact_success_probability(sc, cfg, CH) < 0.95
+
+
+class TestOverlap:
+    """``_overlap`` on the sorted picked set agrees with an n-length array oracle."""
+
+    @staticmethod
+    def oracle(n, picked, sampled, bits):
+        known = np.full(n, -1, dtype=np.int8)
+        known[picked] = bits
+        return known[sampled]
+
+    @pytest.mark.parametrize("n,cap,k", [(534, 160, 160), (400, 120, 120), (50, 49, 10),
+                                         (10**5, 300, 30)])
+    def test_matches_known_array(self, n, cap, k):
+        rng = np.random.default_rng(n + cap)
+        for _ in range(50):
+            picked = np.sort(rng.choice(n, cap, replace=False))
+            sampled = np.sort(rng.choice(n, k, replace=False))
+            bits = rng.integers(0, 2, cap, dtype=np.int8)
+            at, hit = _overlap(picked, sampled)
+            want = self.oracle(n, picked, sampled, bits)
+            np.testing.assert_array_equal(hit, want >= 0)
+            np.testing.assert_array_equal(bits[at[hit]], want[hit])
+
+    def test_first_picks(self):
+        picked = np.arange(5)
+        at, hit = _overlap(picked, np.array([0, 3, 4, 5, 9]))
+        np.testing.assert_array_equal(hit, [True, True, True, False, False])
+        np.testing.assert_array_equal(at[hit], [0, 3, 4])
+
+
+class TestPaperScale:
+    """pi3 at n=2e9 (lambda=1e-7, k=200): a trial's memory grows with the
+    positions read, not with n."""
+
+    N = 2 * 10**9
+    LAM = 1e-7
+    PEAK_BYTES = 64 * 2**20
+
+    def config(self):
+        return ProtocolConfig("pi3", e0=2000.0, k=math.ceil(self.LAM * self.N), beta=0.1,
+                              brm=BrmParams(lam=self.LAM, n=self.N))
+
+    @pytest.mark.parametrize("kind", ["honest", "dfa", "tfa-sampling-first",
+                                      "tfa-sampling-random"])
+    def test_trial_peak_memory(self, kind):
+        import tracemalloc
+
+        cfg = self.config()
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            if kind == "honest":
+                t = run_pi3(cfg, Claim(4e4), PartyPlacement(4e4), CH, rng)
+            elif kind == "dfa":
+                t = attack_dfa(cfg, Scenario("dfa", 4e4, 6e4), CH, rng)
+            else:
+                t = attack_tfa_sampling(cfg, tfa("tfa-sampling", strategy=kind.split("-")[-1]),
+                                        CH, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BYTES, peak
+        assert t.source_bits == self.N and t.accesses["verifier"] == cfg.k == 200
+        assert max(t.accesses.values()) <= cfg.brm.retrieval_cap
+
+    def test_relay_raises_before_drawing(self):
+        rng = np.random.default_rng(8)
+        state = rng.bit_generator.state
+        with pytest.raises(RetrievalCapError) as e:
+            attack_tfa_relay(self.config(), RELAY, CH, rng)
+        assert (e.value.requested, e.value.cap) == (self.N, 200)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("strategy", [ParitySketchStrategy(), BlockMajorityStrategy()],
+                             ids=["parity", "majority"])
+    def test_digests_refuse_whole_source(self, strategy):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolConfigError, match="MAX_WHOLE_SOURCE_BITS"):
+                attack_tfa_general(self.config(), tfa("tfa-general", strategy=strategy), CH,
+                                   np.random.default_rng(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_BYTES

@@ -21,6 +21,7 @@ from dbvsim.channel import (
     hex_to_bits,
     intended_blocked_ber,
     intended_blocked_ber_grid,
+    path_loss,
     propagate,
     random_bits,
     snr_at_distance,
@@ -172,6 +173,19 @@ class TestPropagate:
         a = propagate(sig, 1e4, DEFAULT_CHANNEL, np.random.default_rng(7))
         b = propagate(sig, 1e4, DEFAULT_CHANNEL, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
+
+    def test_distance_past_float_range_is_pure_noise(self):
+        # (1e300)**3 overflows a float: the loss is infinite, the SNR takes its
+        # limit 0 and the received samples are the noise alone (error rate 1/2).
+        ch = DEFAULT_CHANNEL
+        assert path_loss(2e4, ch) == ch.xi * 2e4**ch.alpha
+        assert path_loss(1e300, ch) == math.inf
+        assert bit_error_prob(snr_at_distance(1.0, 1e300, ch)) == 0.5
+        sig = bpsk_modulate(np.ones(64, dtype=np.uint8), 1e4)
+        noise = propagate(np.zeros(64), 1e3, ch, np.random.default_rng(3))
+        np.testing.assert_array_equal(propagate(sig, 1e300, ch, np.random.default_rng(3)),
+                                      noise)
+        assert not propagate(sig, 1e300, ch, np.random.default_rng(3), noiseless=True).any()
 
     def test_fresh_noise_per_call(self):
         rng = np.random.default_rng(8)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from dbvsim import cli
+from dbvsim.bounds import exact_binomial_tail_lower
 from dbvsim.cli import main
 
 
@@ -270,6 +271,9 @@ class TestSimulateInputErrors:
         ("--protocol", "pi1", "--scenario", "tfa-sampling"),
         (*_PI3, "--scenario", "tfa-sampling", "--strategy", "parity-sketch"),
         ("--protocol", "pi1", "--d-claim-km", "40"),
+        ("--protocol", "pi2", "--scenario", "impersonation", "--d-real", "70000"),
+        ("--protocol", "pi3", "--k", "3", "--n", "20000000", "--lambda", "1.5e-7",
+         "--scenario", "tfa-general", "--strategy", "block-majority"),
     ])
     def test_bad_input_is_usage_error(self, capsys, extra):
         code, out, err = run_cli(capsys, *_EXPLICIT, *extra)
@@ -317,6 +321,17 @@ class TestHugePsi:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert json.loads(out)["psi"] == 1e300
+
+    def test_simulate_far_prover_exits_zero(self, capsys):
+        # d_real defaults to psi times the claim, whose path loss overflows:
+        # every bit errs with probability 1/2.
+        code, out, err = run_cli(capsys, "simulate", "--protocol", "pi1", "--scenario", "dfa",
+                                 "--auto", "--psi", "1e300", "--trials", "20")
+        assert code == 0, err
+        obj = json.loads(out)
+        k, beta = obj["config"]["k"], obj["config"]["beta"]
+        assert obj["summary"]["trials"] == 20
+        assert obj["summary"]["analytic_exact"] == exact_binomial_tail_lower(k, beta, 0.5)
 
 
 _EPS = ("--eps-fa", "1e-3", "--eps-fr", "1e-3")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbvsim import protocols
 from dbvsim.channel import DEFAULT_CHANNEL, ClaimRangeError, PowerLimitError, random_bits
 from dbvsim.montecarlo import Scenario, _trial_rng, run_trial
 from dbvsim.primitives import MacKey, SamplerKey, encode_response_claim, mac_sign, mac_verify
@@ -103,6 +104,55 @@ class TestRetrievalAudit:
             audit.read(np.arange(4))
         assert e.value.party == "prover"
         assert e.value.cap == 3
+
+
+class TestLazyView:
+    """RetrievalAudit as a memo: it draws each position once, on first read."""
+
+    @staticmethod
+    def recording(n=100, cap=100):
+        asked = []
+
+        def fill(pos):
+            asked.append(pos.copy())
+            return pos * 10
+
+        return RetrievalAudit(fill, n=n, cap=cap, party="p"), asked
+
+    def test_draws_new_positions_once_in_position_order(self):
+        audit, asked = self.recording()
+        np.testing.assert_array_equal(audit.read(np.array([7, 3, 3, 9])), [70, 30, 30, 90])
+        np.testing.assert_array_equal(audit.read(np.array([9, 1, 7])), [90, 10, 70])
+        assert [a.tolist() for a in asked] == [[3, 7, 9], [1]]
+        assert audit.accessed == 4
+
+    def test_rereads_draw_nothing(self):
+        audit, asked = self.recording()
+        held = np.arange(5)
+        first = audit.read(held)
+        assert audit.read(held) is first  # the held array itself
+        np.testing.assert_array_equal(audit.read(np.array([4, 0])), [40, 0])
+        assert len(asked) == 1
+
+    def test_cap_checked_before_drawing(self):
+        audit, asked = self.recording(cap=3)
+        audit.read(np.array([1, 2]))
+        with pytest.raises(RetrievalCapError) as e:
+            audit.read(np.array([2, 5, 6]))
+        assert (e.value.party, e.value.requested, e.value.cap) == ("p", 4, 3)
+        assert len(asked) == 1 and audit.accessed == 2
+
+    @pytest.mark.parametrize("bad", [[-1], [100], [3, 100]])
+    def test_out_of_range_refused(self, bad):
+        audit, asked = self.recording()
+        with pytest.raises(IndexError):
+            audit.read(np.array(bad))
+        assert asked == []
+
+    def test_empty_read(self):
+        audit, asked = self.recording()
+        assert audit.read(np.array([], dtype=np.int64)).size == 0
+        assert asked == [] and audit.accessed == 0
 
 
 class TestProtocolConfig:
@@ -332,6 +382,38 @@ class TestSession:
         np.testing.assert_array_equal(
             s.source, _source_bits(np.random.default_rng(13), cfg.brm.n)
         )
+
+    def test_source_bits_shared_and_drawn_in_read_order(self):
+        # A tfa-sampling-like session: the intruder's reads draw the source
+        # first, so the prover and verifier see the bits the intruder saw.
+        cfg = pi3_config()
+        s = Session(cfg, 5e4, CH, np.random.default_rng(16), d_real=5e4)
+        s.receive("intruder", None)
+        s.receive("prover", 5e4)
+        head = np.arange(cfg.brm.retrieval_cap)
+        intruder = s.read("intruder", head)
+        prover = s.read("prover")
+        whole = s.source
+        np.testing.assert_array_equal(intruder > 0, whole[head] == 1)
+        np.testing.assert_array_equal(s.decide(prover > 0, None).challenge, whole[s.sampled])
+        assert s.sampled.size == cfg.k and (np.diff(s.sampled) > 0).all()
+
+    @pytest.mark.parametrize("index", [i for i, (name, _) in enumerate(golden.cases())
+                                       if golden.CONFIGS[name].protocol == "pi3"])
+    def test_sparse_memo_draws_as_dense(self, monkeypatch, index):
+        # The source memo's two layouts (a bit array up to DENSE_SOURCE_BITS,
+        # sorted positions above) draw the same stream.
+        name, scenario = golden.cases()[index]
+        dense = golden.case_lines(index, name, scenario)
+        monkeypatch.setattr(protocols, "DENSE_SOURCE_BITS", 0)
+        assert golden.case_lines(index, name, scenario) == dense
+
+    def test_whole_source_refused_past_limit(self):
+        cfg = ProtocolConfig("pi3", e0=2000.0, k=3, beta=0.1,
+                             brm=BrmParams(lam=1.5e-7, n=protocols.MAX_WHOLE_SOURCE_BITS * 2))
+        s = Session(cfg, 5e4, CH, np.random.default_rng(17), d_real=5e4)
+        with pytest.raises(ProtocolConfigError, match="MAX_WHOLE_SOURCE_BITS"):
+            s.source
 
     def test_pi1_pi2_build_no_audit(self):
         for cfg in (PI1, PI2):
