@@ -72,9 +72,10 @@ PROTOCOLS = ("pi1", "pi2", "pi3")
 #: increasing position order.
 SOURCE_STREAM_VERSION = 2
 
-#: Longest source whose shared memo is a bit array with a drawn mask; a
-#: longer one is memoised as sorted positions and bits (a RetrievalAudit), so
-#: memory grows with the positions read, not with n.
+#: Longest source whose shared memo is an n-length bit array; a longer one is
+#: memoised as sorted positions and bits (a RetrievalAudit), so memory grows
+#: with the positions read, not with n.  The array is the faster of the two
+#: where n is small and most positions are read.
 DENSE_SOURCE_BITS = 1 << 16
 
 #: Longest source a session draws whole (the parity and block-majority
@@ -410,18 +411,16 @@ class Session:
         # A RetrievalAudit per receiver on pi3; the whole reception on pi1/pi2.
         self._views: dict = {}
         self._sampled: Optional[np.ndarray] = None
-        # The source: on pi3 one shared memo, a bit array with a drawn mask up
-        # to DENSE_SOURCE_BITS and sorted positions (a RetrievalAudit) above;
-        # every bit is drawn the first time anyone reads its position.
+        # The source: on pi3 one shared memo, an int8 array with -1 at the
+        # positions not drawn yet up to DENSE_SOURCE_BITS (None until the
+        # first read), sorted positions (a RetrievalAudit) above; every bit is
+        # drawn the first time anyone reads its position.
+        self._bits: Optional[np.ndarray] = None
         self._memo: Optional[RetrievalAudit] = None
-        self._drawn: Optional[np.ndarray] = None
         if not self.bounded:
             self._bits, self.signal = brm_source_emit(self.power_w, self.n, rng,
                                                       e_max=ch.e_max)
-        elif self.n <= DENSE_SOURCE_BITS:
-            self._bits = np.empty(self.n, dtype=np.uint8)
-            self._drawn = np.zeros(self.n, dtype=bool)
-        else:
+        elif self.n > DENSE_SOURCE_BITS:
             self._memo = RetrievalAudit(lambda pos: _source_bits(rng, pos.size), self.n,
                                         self.n, "source")
 
@@ -452,27 +451,31 @@ class Session:
         """The whole n-bit source output.  On pi3 this draws every position
         no one has read yet, in increasing position order: O(n), so it is
         refused above MAX_WHOLE_SOURCE_BITS."""
-        if self._memo is not None:  # switch to the bit array
+        if self._bits is None:  # nothing read yet, or read into the sorted memo
             check_whole_source(self.n)
-            held, self._memo = self._memo, None
-            self._bits = np.empty(self.n, dtype=np.uint8)
-            self._drawn = np.zeros(self.n, dtype=bool)
-            self._bits[held._pos], self._drawn[held._pos] = held._vals, True
-        if self._drawn is not None:
-            fresh = ~self._drawn
+            self._bits = np.full(self.n, -1, dtype=np.int8)
+            if self._memo is not None:
+                self._bits[self._memo._pos] = self._memo._vals
+                self._memo = None
+        if self.bounded:
+            fresh = self._bits < 0
             self._bits[fresh] = _source_bits(self.rng, np.count_nonzero(fresh))
-            self._drawn[fresh] = True
-        return self._bits
+        return self._bits.view(np.uint8)
 
     def _source_at(self, positions: np.ndarray) -> np.ndarray:
         """Source bits at sorted distinct positions, drawing those not drawn yet."""
         if self._memo is not None:
             return self._memo._get(positions, audited=False)
-        fresh = positions[~self._drawn[positions]]
-        if fresh.size:
-            self._bits[fresh] = _source_bits(self.rng, fresh.size)
-            self._drawn[fresh] = True
-        return self._bits[positions]
+        if self._bits is None:  # the first read: every position is new
+            self._bits = np.full(self.n, -1, dtype=np.int8)
+            bits = self._bits[positions] = _source_bits(self.rng, positions.size)
+            return bits
+        bits = self._bits[positions]
+        fresh = bits < 0
+        count = np.count_nonzero(fresh)
+        if count:
+            bits[fresh] = self._bits[positions[fresh]] = _source_bits(self.rng, count)
+        return bits.view(np.uint8)
 
     def receive(self, party: str, at: Optional[float]) -> None:
         """``party``'s reception of the emission at distance ``at`` (None: so

@@ -383,9 +383,13 @@ class TestSession:
             s.source, _source_bits(np.random.default_rng(13), cfg.brm.n)
         )
 
-    def test_source_bits_shared_and_drawn_in_read_order(self):
+    @pytest.mark.parametrize("dense_limit", [protocols.DENSE_SOURCE_BITS, 0],
+                             ids=["bit-array", "sorted-memo"])
+    def test_source_bits_shared_and_drawn_in_read_order(self, monkeypatch, dense_limit):
         # A tfa-sampling-like session: the intruder's reads draw the source
-        # first, so the prover and verifier see the bits the intruder saw.
+        # first, so the prover and verifier see the bits the intruder saw,
+        # and the whole source keeps every bit drawn before it.
+        monkeypatch.setattr(protocols, "DENSE_SOURCE_BITS", dense_limit)
         cfg = pi3_config()
         s = Session(cfg, 5e4, CH, np.random.default_rng(16), d_real=5e4)
         s.receive("intruder", None)
