@@ -168,7 +168,10 @@ def bpsk_modulate(bits: np.ndarray, e: float) -> np.ndarray:
     if not e > 0:
         raise ValueError(f"transmit power must be > 0, got {e}")
     amp = math.sqrt(e)
-    return np.where(np.asarray(bits, dtype=np.uint8), amp, -amp)
+    levels = np.full(256, amp)
+    levels[0] = -amp
+    # The Ellipsis keeps a 0-d input a 0-d array rather than a scalar.
+    return levels[np.asarray(bits, dtype=np.uint8), ...]
 
 
 def bpsk_demodulate(sig: np.ndarray) -> np.ndarray:

@@ -80,7 +80,8 @@ DENSE_SOURCE_BITS = 1 << 16
 
 #: Longest source a session draws whole (the parity and block-majority
 #: digests read all of it); a longer one raises ProtocolConfigError rather
-#: than allocating about 10 bytes per position.
+#: than allocating about 11 bytes per position (the int8 memo, a double and
+#: two masks per drawn bit).
 MAX_WHOLE_SOURCE_BITS = 10**7
 
 
