@@ -150,7 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--jobs", type=positive_int, default=1)
     p_sim.add_argument("--d-claim", type=float, help="claimed distance in m (default d0/2)")
     p_sim.add_argument("--d-real", type=float, help="true distance in m (default per scenario)")
-    p_sim.add_argument("--intruder-d", type=float, help="intruder distance in m (default error-free)")
+    p_sim.add_argument("--intruder-d", type=float,
+                       help="intruder distance in m, for mfa, impersonation and tfa-relay "
+                            "(default error-free)")
     p_sim.add_argument("--psi", type=float, default=1.5)
     p_sim.add_argument("--eps-fa", type=float, default=1e-2)
     p_sim.add_argument("--eps-fr", type=float, default=1e-2)
@@ -290,6 +292,10 @@ def _explicit_config(args, brm: Optional[BrmSpec]) -> ProtocolConfig:
     )
 
 
+#: The scenarios whose attack places an intruder or adversary receiver at --intruder-d.
+_INTRUDER_SCENARIOS = ("mfa", "impersonation", "tfa-relay")
+
+
 def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, Scenario]:
     """Spec, config and scenario of a simulate run, each checked before any trial."""
     lam = args.lam if args.protocol == "pi3" else None
@@ -307,6 +313,9 @@ def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, 
     if args.scenario == "impersonation" and args.d_real is not None:
         raise _UsageError("--d-real does not apply to impersonation, where the prover is "
                           "absent; --intruder-d places the adversary")
+    if args.intruder_d is not None and args.scenario not in _INTRUDER_SCENARIOS:
+        raise _UsageError(f"--intruder-d does not apply to {args.scenario}, which places no "
+                          "intruder receiver; it applies to " + ", ".join(_INTRUDER_SCENARIOS))
     d_claim = args.d_claim if args.d_claim is not None else ch.d0 / 2.0
     if args.d_real is not None:
         d_real = args.d_real

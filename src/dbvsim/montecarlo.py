@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, TextIO
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from . import attacks
 from ._pool import worker_count
@@ -190,11 +190,14 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tu
     if not 0 <= successes <= trials or trials < 1:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     alpha = 1.0 - confidence
-    lo = 0.0 if successes == 0 else float(stats.beta.ppf(alpha / 2, successes, trials - successes + 1))
+    # betaincinv(a, b, q) is the Beta(a, b) quantile that stats.beta.ppf(q, a, b)
+    # computes, without the distribution object's dispatch.
+    lo = 0.0 if successes == 0 else float(special.betaincinv(successes, trials - successes + 1,
+                                                              alpha / 2))
     hi = (
         1.0
         if successes == trials
-        else float(stats.beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        else float(special.betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     )
     return lo, hi
 
@@ -231,6 +234,22 @@ def _chunk_worker(args) -> tuple[int, int]:
     return _run_range(*args)
 
 
+def _overlap_pmf(n: int, cap: int, k: int) -> tuple[int, np.ndarray]:
+    """Hypergeometric law of the overlap between k positions sampled from n
+    and cap positions retrieved from them: (lo, pmf over lo..min(cap, k)).
+
+    O(k): the terms are built from the ratios of consecutive ones and scaled
+    to sum to 1, so no factorial of n is formed (gammaln(n + 1) at n = 2e9
+    keeps only about 1e-5 of relative accuracy in a difference of such terms).
+    """
+    lo, hi = max(0, k - (n - cap)), min(cap, k)
+    j = np.arange(lo, hi, dtype=float)
+    ratios = (cap - j) * (k - j) / ((j + 1) * (n - cap - k + j + 1))
+    log_w = np.concatenate(([0.0], np.cumsum(np.log(ratios))))
+    w = np.exp(log_w - log_w.max())
+    return lo, w / w.sum()
+
+
 def exact_success_probability(
     scenario: Scenario, cfg: ProtocolConfig, ch: ChannelParams
 ) -> Optional[float]:
@@ -254,18 +273,11 @@ def exact_success_probability(
         # hypergeometric; outside the overlap each bit errs with p_b.
         brm = cfg.brm
         p_b = bit_error_prob(snr_at_distance(e, scenario.d_real, ch))
-        overlap = np.arange(cfg.k + 1)
-        weights = stats.hypergeom.pmf(overlap, brm.n, brm.retrieval_cap, cfg.k)
-        unknown = cfg.k - overlap
+        lo, weights = _overlap_pmf(brm.n, brm.retrieval_cap, cfg.k)
+        unknown = cfg.k - np.arange(lo, lo + len(weights))
         accepts = stats.binom.cdf(max_errors(cfg.beta, cfg.k), unknown, p_b)
         accepts[unknown == 0] = 1.0
-        # Summed in overlap order, zero weights skipped, as one scalar pmf and
-        # cdf call per overlap would be.
-        total = 0.0
-        for w, acc in zip(weights, accepts):
-            if w != 0.0:
-                total += w * acc
-        return total
+        return math.fsum(weights * accepts)
     return None
 
 

@@ -1,4 +1,6 @@
+import math
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -32,3 +34,42 @@ def inline_pool(monkeypatch):
         return opened
 
     return install
+
+
+def _exact_overlap_pmf(n, cap, k):
+    """(lo, [P[overlap = j] for j = lo..min(cap, k)]) as exact fractions."""
+    lo, hi = max(0, k - (n - cap)), min(cap, k)
+    total = math.comb(n, k)
+    return lo, [Fraction(math.comb(cap, j) * math.comb(n - cap, k - j), total)
+                for j in range(lo, hi + 1)]
+
+
+def _exact_sampling_mixture(n, cap, k, cut, p_b):
+    """sum_j P[overlap = j] * P[Bin(k - j, p_b) <= cut] as an exact fraction, p_b
+    taken at its exact binary value.
+
+    tails[u] is d**u * P[Bin(u, p_b) <= cut] for p_b = a/d, from
+    P[Bin(u + 1) <= c] = P[Bin(u) <= c] - p_b * P[Bin(u) = c].
+    """
+    a, d = Fraction(p_b).as_integer_ratio()
+    lo, hi = max(0, k - (n - cap)), min(cap, k)
+    top = k - lo
+    tails = [1]
+    for u in range(top):
+        at_cut = math.comb(u, cut) * a**cut * (d - a) ** (u - cut) if u >= cut else 0
+        tails.append(tails[-1] * d - a * at_cut)
+    num = sum(math.comb(cap, j) * math.comb(n - cap, k - j) * tails[k - j] * d ** (top - k + j)
+              for j in range(lo, hi + 1))
+    return Fraction(num, math.comb(n, k) * d**top)
+
+
+@pytest.fixture(scope="session")
+def exact_overlap_pmf():
+    """Oracle: the hypergeometric overlap law from ``math.comb``, in fractions."""
+    return _exact_overlap_pmf
+
+
+@pytest.fixture(scope="session")
+def exact_sampling_mixture():
+    """Oracle: the tfa-sampling acceptance probability (n, cap, k, cut, p_b) in fractions."""
+    return _exact_sampling_mixture

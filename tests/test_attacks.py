@@ -1,9 +1,11 @@
 import math
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.stats import binom, binomtest
 
 from dbvsim.attacks import (
@@ -23,10 +25,10 @@ from dbvsim.attacks import (
     _majority_prior_llr,
     _overlap,
 )
-from dbvsim.bounds import exact_binomial_tail_lower
+from dbvsim.bounds import exact_binomial_tail_lower, max_errors
 from dbvsim.channel import DEFAULT_CHANNEL, bit_error_prob, snr_at_distance, transmit_power_for_claim
 from dbvsim.bounds import DbvSpec
-from dbvsim.montecarlo import Scenario, estimate_rates
+from dbvsim.montecarlo import Scenario, estimate_rates, exact_success_probability
 from dbvsim.optimize import optimize_brm
 from dbvsim.protocols import (
     ACC,
@@ -611,6 +613,20 @@ class TestPaperScale:
             attack_tfa_relay(self.config(), RELAY, CH, rng)
         assert (e.value.requested, e.value.cap) == (self.N, 200)
         assert rng.bit_generator.state == state
+
+    def test_sampling_oracle_is_o_k(self, monkeypatch, exact_sampling_mixture):
+        class OrderN:
+            def __getattr__(self, name):
+                raise AssertionError(f"scipy.stats.hypergeom.{name} is O(n)")
+
+        monkeypatch.setattr(stats, "hypergeom", OrderN())
+        cfg = self.config()
+        got = exact_success_probability(Scenario("tfa-sampling", 4e4, 6e4), cfg, CH)
+        p_b = bit_error_prob(snr_at_distance(transmit_power_for_claim(4e4, cfg.e0, CH), 6e4, CH))
+        exact = exact_sampling_mixture(self.N, cfg.brm.retrieval_cap, cfg.k,
+                                       max_errors(cfg.beta, cfg.k), p_b)
+        assert exact > 0
+        assert float(abs(Fraction(got) - exact) / exact) <= 1e-10, (got, float(exact))
 
     @pytest.mark.parametrize("strategy", [ParitySketchStrategy(), BlockMajorityStrategy()],
                              ids=["parity", "majority"])

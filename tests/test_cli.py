@@ -262,7 +262,7 @@ class TestSimulateInputErrors:
         ("--protocol", "pi3", "--auto", "--lambda", "1.5"),
         ("--protocol", "pi1", "--d-claim", "2e5"),
         ("--protocol", "pi1", "--d-real", "-3"),
-        ("--protocol", "pi1", "--intruder-d", "0"),
+        ("--protocol", "pi1", "--scenario", "tfa-relay", "--intruder-d", "0"),
         ("--protocol", "pi1", "--e0", "5e4"),
         ("--protocol", "pi2", "--mac-bits", "8"),
         ("--protocol", "pi2", "--no-mac", "--mac-bits", "8"),
@@ -280,6 +280,19 @@ class TestSimulateInputErrors:
         assert code == 1, err
         assert out == ""
         assert err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("kind, code", [
+        ("honest", 1), ("dfa", 1), ("tfa-sampling", 1), ("tfa-general", 1),
+        ("mfa", 0), ("impersonation", 0), ("tfa-relay", 0),
+    ])
+    def test_intruder_d_only_where_an_intruder_is_placed(self, capsys, kind, code):
+        got, out, err = run_cli(capsys, *_EXPLICIT, *_PI3, "--scenario", kind,
+                                "--intruder-d", "30000")
+        assert got == code, err
+        if code:
+            assert out == "" and err.startswith("usage error: --intruder-d does not apply")
+        else:
+            assert json.loads(out)["summary"]["scenario"] == kind
 
     def test_optimizer_value_error_is_internal(self, capsys, monkeypatch):
         def broken(spec, ch):

@@ -2,9 +2,12 @@ import json
 import logging
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dbvsim import montecarlo
@@ -63,6 +66,18 @@ class TestClopperPearson:
     def test_invalid(self):
         with pytest.raises(ValueError):
             clopper_pearson(5, 4)
+
+    #: 20 trial counts from 1 to 2e5, each with 0, 1, 2, t/3, t/2, t-1 and t successes.
+    GRID = [(x, t) for t in np.unique(np.geomspace(1, 2e5, 20).round().astype(int)).tolist()
+            for x in sorted({0, 1, 2, t // 3, t // 2, t - 1, t}) if x <= t]
+
+    @pytest.mark.parametrize("confidence", [0.95, 0.99])
+    def test_equals_beta_ppf(self, confidence):
+        alpha = 1.0 - confidence
+        for x, t in self.GRID:
+            lo = 0.0 if x == 0 else float(stats.beta.ppf(alpha / 2, x, t - x + 1))
+            hi = 1.0 if x == t else float(stats.beta.ppf(1 - alpha / 2, x + 1, t - x))
+            assert clopper_pearson(x, t, confidence) == (lo, hi), (x, t)
 
 
 class TestScenario:
@@ -190,7 +205,7 @@ def _scalar_sampling_mixture(scenario, cfg):
 
 
 class TestSamplingMixtureOracle:
-    """The tfa-sampling acceptance probability, one array pass over all overlaps."""
+    """The tfa-sampling acceptance probability against scipy's scalar calls."""
 
     @pytest.mark.parametrize("lam, k", [(0.3, 90), (0.9, 30), (0.5, 10), (0.05, 40)])
     @pytest.mark.parametrize("d_real", [4e4, 6e4, 9e4])
@@ -198,7 +213,7 @@ class TestSamplingMixtureOracle:
         cfg = pi3_config(lam=lam, k=k)
         s = Scenario("tfa-sampling", d_claim=4e4, d_real=d_real)
         got = exact_success_probability(s, cfg, CH)
-        assert repr(got) == repr(_scalar_sampling_mixture(s, cfg))
+        assert got == pytest.approx(_scalar_sampling_mixture(s, cfg), rel=1e-12, abs=0)
 
     def test_full_overlap_counts_as_accepted(self):
         # k equal to the retrieval cap: the intruder may hold every sampled bit.
@@ -207,6 +222,56 @@ class TestSamplingMixtureOracle:
         far = Scenario("tfa-sampling", d_claim=4e4, d_real=4e6)
         full = stats.hypergeom.pmf(cfg.k, cfg.brm.n, cfg.brm.retrieval_cap, cfg.k)
         assert exact_success_probability(far, cfg, CH) >= full > 0.0
+
+
+def _pi3_with_cap(n, cap, beta=0.1):
+    """A pi3 config with k equal to its retrieval cap ``cap`` out of ``n``."""
+    return ProtocolConfig("pi3", e0=2000.0, k=cap, beta=beta,
+                          brm=BrmParams(lam=(cap - 0.5) / n, n=n))
+
+
+#: (n, cap, k) of the O(k) overlap law's exact checks: the pi3 benchmark and
+#: golden points, a cap near the whole source, and the paper-scale source.
+EXACT_POINTS = [(534, 160, 160), (1_030_000, 103, 103), (9354, 8418, 8418), (1000, 900, 900),
+                (2 * 10**9, 200, 200)]
+
+
+class TestOverlapLawExact:
+    """The O(k) overlap law and the mixture it weights, against exact rationals."""
+
+    @staticmethod
+    def l1(got, exact):
+        lo, w = got
+        lo_x, w_x = exact
+        assert lo == lo_x and len(w) == len(w_x)
+        return float(sum(abs(Fraction(float(x)) - y) for x, y in zip(w, w_x)))
+
+    @pytest.mark.parametrize("n, cap, k", EXACT_POINTS)
+    def test_pmf(self, exact_overlap_pmf, n, cap, k):
+        assert self.l1(montecarlo._overlap_pmf(n, cap, k), exact_overlap_pmf(n, cap, k)) <= 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 80).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n), st.integers(1, n))))
+    @example((10, 8, 5))  # k > n - cap: the support starts above 0
+    @example((10, 4, 4))  # cap = k
+    @example((10, 10, 3))  # cap = n: every sampled position is held
+    @example((10, 0, 3))  # cap = 0: none is
+    def test_pmf_sweep(self, exact_overlap_pmf, nck):
+        n, cap, k = nck
+        assert self.l1(montecarlo._overlap_pmf(n, cap, k), exact_overlap_pmf(n, cap, k)) <= 1e-10
+
+    @pytest.mark.parametrize("n, cap, k", EXACT_POINTS)
+    @pytest.mark.parametrize("d_real", [4e4, 6e4, 9e4])
+    def test_mixture(self, exact_sampling_mixture, n, cap, k, d_real):
+        cfg = _pi3_with_cap(n, cap)
+        assert (cfg.k, cfg.brm.retrieval_cap) == (k, cap)
+        s = Scenario("tfa-sampling", d_claim=4e4, d_real=d_real)
+        p_b = bit_error_prob(snr_at_distance(transmit_power_for_claim(4e4, cfg.e0, CH), d_real, CH))
+        exact = exact_sampling_mixture(n, cap, k, max_errors(cfg.beta, k), p_b)
+        got = exact_success_probability(s, cfg, CH)
+        assert exact > 0
+        assert float(abs(Fraction(got) - exact) / exact) <= 1e-10, (got, float(exact))
 
 
 class TestCompareToBound:
@@ -260,3 +325,17 @@ class TestWorkerCount:
     def test_min_of_jobs_cores_tasks(self, monkeypatch, jobs, cpus, tasks, want):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert worker_count(jobs, tasks) == want
+
+    def test_serial_batch_does_not_read_cpu_count(self, monkeypatch):
+        def unread():
+            raise AssertionError("os.cpu_count() called")
+        monkeypatch.setattr(os, "cpu_count", unread)
+        assert worker_count(1, 10**6) == 1
+        assert worker_count(16, 1) == 1
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 3, 8])
+    def test_same_clamp_for_every_input(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for jobs in range(-2, 12):
+            for tasks in range(-2, 12):
+                assert worker_count(jobs, tasks) == max(1, min(jobs, cpus or 1, tasks))
