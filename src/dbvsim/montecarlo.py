@@ -239,8 +239,9 @@ def _overlap_pmf(n: int, cap: int, k: int) -> tuple[int, np.ndarray]:
     and cap positions retrieved from them: (lo, pmf over lo..min(cap, k)).
 
     O(k): the terms are built from the ratios of consecutive ones and scaled
-    to sum to 1, so no factorial of n is formed (gammaln(n + 1) at n = 2e9
-    keeps only about 1e-5 of relative accuracy in a difference of such terms).
+    to sum to 1, so no factorial of n is formed. (gammaln(n + 1) is 4.1e10 at
+    n = 2e9, where one float spacing is 7.6e-6, so a weight taken from a
+    difference of such logs is off by about 1e-5 relative.)
     """
     lo, hi = max(0, k - (n - cap)), min(cap, k)
     j = np.arange(lo, hi, dtype=float)
