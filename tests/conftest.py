@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from dbvsim.bounds import max_errors
+from dbvsim.channel import bit_error_prob, snr_at_distance, transmit_power_for_claim
+
 
 @pytest.fixture
 def inline_pool(monkeypatch):
@@ -44,14 +47,17 @@ def _exact_overlap_pmf(n, cap, k):
                 for j in range(lo, hi + 1)]
 
 
-def _exact_sampling_mixture(n, cap, k, cut, p_b):
-    """sum_j P[overlap = j] * P[Bin(k - j, p_b) <= cut] as an exact fraction, p_b
-    taken at its exact binary value.
+def _exact_sampling_mixture(scenario, cfg, ch):
+    """The tfa-sampling acceptance probability of a pi3 config as an exact
+    fraction: sum_j P[overlap = j] * P[Bin(k - j, p_b) <= cut], with p_b taken
+    at its exact binary value.
 
     tails[u] is d**u * P[Bin(u, p_b) <= cut] for p_b = a/d, from
     P[Bin(u + 1) <= c] = P[Bin(u) <= c] - p_b * P[Bin(u) = c].
     """
-    a, d = Fraction(p_b).as_integer_ratio()
+    e = transmit_power_for_claim(scenario.d_claim, cfg.e0, ch)
+    a, d = Fraction(bit_error_prob(snr_at_distance(e, scenario.d_real, ch))).as_integer_ratio()
+    n, cap, k, cut = cfg.brm.n, cfg.brm.retrieval_cap, cfg.k, max_errors(cfg.beta, cfg.k)
     lo, hi = max(0, k - (n - cap)), min(cap, k)
     top = k - lo
     tails = [1]
@@ -71,5 +77,5 @@ def exact_overlap_pmf():
 
 @pytest.fixture(scope="session")
 def exact_sampling_mixture():
-    """Oracle: the tfa-sampling acceptance probability (n, cap, k, cut, p_b) in fractions."""
+    """Oracle: the tfa-sampling acceptance probability (scenario, cfg, ch) in fractions."""
     return _exact_sampling_mixture

@@ -25,7 +25,7 @@ from dbvsim.attacks import (
     _majority_prior_llr,
     _overlap,
 )
-from dbvsim.bounds import exact_binomial_tail_lower, max_errors
+from dbvsim.bounds import exact_binomial_tail_lower
 from dbvsim.channel import DEFAULT_CHANNEL, bit_error_prob, snr_at_distance, transmit_power_for_claim
 from dbvsim.bounds import DbvSpec
 from dbvsim.montecarlo import Scenario, estimate_rates, exact_success_probability
@@ -620,11 +620,9 @@ class TestPaperScale:
                 raise AssertionError(f"scipy.stats.hypergeom.{name} is O(n)")
 
         monkeypatch.setattr(stats, "hypergeom", OrderN())
-        cfg = self.config()
-        got = exact_success_probability(Scenario("tfa-sampling", 4e4, 6e4), cfg, CH)
-        p_b = bit_error_prob(snr_at_distance(transmit_power_for_claim(4e4, cfg.e0, CH), 6e4, CH))
-        exact = exact_sampling_mixture(self.N, cfg.brm.retrieval_cap, cfg.k,
-                                       max_errors(cfg.beta, cfg.k), p_b)
+        cfg, s = self.config(), Scenario("tfa-sampling", 4e4, 6e4)
+        got = exact_success_probability(s, cfg, CH)
+        exact = exact_sampling_mixture(s, cfg, CH)
         assert exact > 0
         assert float(abs(Fraction(got) - exact) / exact) <= 1e-10, (got, float(exact))
 

@@ -267,8 +267,7 @@ class TestOverlapLawExact:
         cfg = _pi3_with_cap(n, cap)
         assert (cfg.k, cfg.brm.retrieval_cap) == (k, cap)
         s = Scenario("tfa-sampling", d_claim=4e4, d_real=d_real)
-        p_b = bit_error_prob(snr_at_distance(transmit_power_for_claim(4e4, cfg.e0, CH), d_real, CH))
-        exact = exact_sampling_mixture(n, cap, k, max_errors(cfg.beta, k), p_b)
+        exact = exact_sampling_mixture(s, cfg, CH)
         got = exact_success_probability(s, cfg, CH)
         assert exact > 0
         assert float(abs(Fraction(got) - exact) / exact) <= 1e-10, (got, float(exact))
