@@ -40,7 +40,6 @@ __all__ = [
     "ParitySketchStrategy",
     "BlockMajorityStrategy",
     "RetrievalStrategy",
-    "default_strategy_library",
     "attack_dfa",
     "attack_mfa",
     "attack_impersonation",
@@ -141,8 +140,8 @@ def attack_tfa_relay(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
         raise RetrievalCapError("intruder", *Session.extent(cfg))
     s = _session(cfg, scenario, ch, rng, seed)
     s.receive("intruder", scenario.intruder_d)
-    s.read("intruder", np.arange(s.n))  # the capture: every emitted position
-    response = bpsk_demodulate(s.read("intruder"))
+    capture = s.read("intruder", np.arange(s.n))  # every emitted position, in order
+    response = bpsk_demodulate(capture[s.sampled])
     return s.decide(response, s.sign(response, scenario.d_claim))
 
 
@@ -180,15 +179,6 @@ class BlockMajorityStrategy:
 
 
 RetrievalStrategy = Union[IndexSamplingStrategy, ParitySketchStrategy, BlockMajorityStrategy]
-
-
-def default_strategy_library() -> list[RetrievalStrategy]:
-    return [
-        IndexSamplingStrategy("first"),
-        IndexSamplingStrategy("random"),
-        ParitySketchStrategy(),
-        BlockMajorityStrategy(),
-    ]
 
 
 def _blocks(n: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:

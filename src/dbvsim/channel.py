@@ -24,13 +24,11 @@ __all__ = [
     "PowerLimitError",
     "DEFAULT_CHANNEL",
     "watts_to_dbm",
-    "dbm_to_watts",
     "path_loss",
     "snr_at_distance",
     "transmit_power_for_claim",
     "random_bits",
     "bits_to_hex",
-    "hex_to_bits",
     "bpsk_modulate",
     "bpsk_demodulate",
     "propagate",
@@ -111,10 +109,6 @@ def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts / 1e-3)
 
 
-def dbm_to_watts(dbm: float) -> float:
-    return 1e-3 * 10.0 ** (dbm / 10.0)
-
-
 def snr_at_distance(e: float, d: float, ch: ChannelParams) -> float:
     """Signal-to-noise ratio e / (xi * d**alpha * sigma) at distance d."""
     if not e > 0:
@@ -150,17 +144,14 @@ def transmit_power_for_claim(d_c: float, e0: float, ch: ChannelParams) -> float:
 
 
 def random_bits(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k uniform bits as a uint8 array."""
-    return rng.integers(0, 2, size=int(k), dtype=np.uint8)
+    """k uniform bits as a uint8 array, one uniform double each: a double is
+    below 1/2 with probability exactly 1/2, and k doubles are the same k bits
+    however a caller splits them between calls."""
+    return (rng.random(int(k)) < 0.5).view(np.uint8)
 
 
 def bits_to_hex(bits: np.ndarray) -> str:
     return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
-
-
-def hex_to_bits(hexstr: str, k: int) -> np.ndarray:
-    raw = np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8)
-    return np.unpackbits(raw)[:k]
 
 
 def bpsk_modulate(bits: np.ndarray, e: float) -> np.ndarray:

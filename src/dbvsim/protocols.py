@@ -66,11 +66,12 @@ REJ = "Rej"
 
 PROTOCOLS = ("pi1", "pi2", "pi3")
 
-#: How a pi3 trial draws its source and noise: 1 drew all n source bits and
-#: every receiver's n noise samples at session start; 2 draws each position
-#: the first time a party reads it, in read order, with the challenge in
-#: increasing position order.
-SOURCE_STREAM_VERSION = 2
+#: How a trial draws its source and noise: 1 drew all n pi3 source bits and
+#: every receiver's n noise samples at session start; 2 draws each pi3
+#: position the first time a party reads it, in read order, with the
+#: challenge in increasing position order; 3 draws pi1/pi2 the same way, as
+#: the n = k case, and every source bit from one uniform double.
+SOURCE_STREAM_VERSION = 3
 
 #: Longest source whose shared memo is an n-length bit array; a longer one is
 #: memoised as sorted positions and bits (a RetrievalAudit), so memory grows
@@ -220,8 +221,7 @@ class Transcript:
 
     def to_json_dict(self) -> dict:
         out = {
-            # pi3 transcripts went to schema 3 when they gained source_stream.
-            "schema_version": "3" if self.protocol == "pi3" else "2",
+            "schema_version": "3",
             "protocol": self.protocol,
             "scenario": self.scenario,
             "claim_m": self.claim_m,
@@ -234,6 +234,7 @@ class Transcript:
             "seed": self.seed,
             "power_w": self.power_w,
             "noiseless": self.noiseless,
+            "source_stream": SOURCE_STREAM_VERSION,
         }
         if self.tag is not None:
             out["tag_hex"] = format(self.tag, "x")
@@ -245,9 +246,7 @@ class Transcript:
             out["source_bits"] = self.source_bits
             out["retrieval_cap"] = self.retrieval_cap
             out["accesses"] = dict(self.accesses)
-        if self.protocol == "pi3":
             out["sampler_stream"] = SAMPLER_STREAM_VERSION
-            out["source_stream"] = SOURCE_STREAM_VERSION
         return out
 
 
@@ -273,17 +272,17 @@ class RetrievalAudit:
         self._pos = _NO_POSITIONS
         self._vals = _NO_POSITIONS
 
-    def read(self, indices: np.ndarray) -> np.ndarray:
-        """The values at ``indices`` (any order, repeats allowed)."""
-        return self._get(np.asarray(indices, dtype=np.int64), audited=True)
+    def read(self, indices: np.ndarray, checked: bool = False) -> np.ndarray:
+        """The values at ``indices``: any order, repeats allowed, unless
+        ``checked`` says they are sorted, distinct and in range (as the
+        session's own sampled positions are), when only the cap is checked."""
+        return self._get(np.asarray(indices, dtype=np.int64), checked)
 
     @property
     def accessed(self) -> int:
         return int(self._pos.size)
 
-    def _get(self, idx: np.ndarray, audited: bool) -> np.ndarray:
-        """The values at ``idx``; unaudited, ``idx`` must be sorted, distinct
-        and in range, and no cap applies."""
+    def _get(self, idx: np.ndarray, checked: bool) -> np.ndarray:
         pos = self._pos
         if idx is pos:
             return self._vals
@@ -292,13 +291,13 @@ class RetrievalAudit:
             at = pos.searchsorted(idx)
             new = idx[pos.take(at, mode="clip") != idx]
         if new.size:
-            if audited:
+            if not checked:
                 if not _sorted_distinct(new):
                     new = np.unique(new)
                 if new[0] < 0 or new[-1] >= self.n:
                     raise IndexError(f"{self.party} read outside positions [0, {self.n})")
-                if pos.size + new.size > self.cap:
-                    raise RetrievalCapError(self.party, pos.size + new.size, self.cap)
+            if pos.size + new.size > self.cap:
+                raise RetrievalCapError(self.party, pos.size + new.size, self.cap)
             self._merge(new)
             if idx is self._pos:
                 return self._vals
@@ -318,13 +317,6 @@ class RetrievalAudit:
 
 
 _NO_POSITIONS = np.empty(0, dtype=np.int64)
-
-
-def _source_bits(rng: np.random.Generator, m: int) -> np.ndarray:
-    """m uniform pi3 source bits, one uniform double each: a double is below
-    1/2 with probability exactly 1/2, and m doubles cost one generator call
-    however the m are split between reads."""
-    return (rng.random(m) < 0.5).view(np.uint8)
 
 
 def _sorted_distinct(idx: np.ndarray) -> bool:
@@ -377,6 +369,63 @@ def check_mac_strength(cfg: ProtocolConfig, eps_fa: float) -> None:
         )
 
 
+class _SharedSource:
+    """One session's n source bits, each drawn with ``random_bits`` the first
+    time anyone reads its position, in increasing position order within a
+    read.  Up to DENSE_SOURCE_BITS the memo is an int8 array with -1 at the
+    positions not drawn yet (None until the first read); above, sorted
+    positions and bits (a RetrievalAudit), so memory grows with the positions
+    read.  It refers to no session or view, so the receivers' fills that
+    share it form no reference cycle and a finished session is freed at once.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self.rng, self.n = rng, n
+        self._bits: Optional[np.ndarray] = None
+        self._undrawn = n  # positions of the dense memo not drawn yet
+        self._sorted: Optional[RetrievalAudit] = None
+        if n > DENSE_SOURCE_BITS:
+            self._sorted = RetrievalAudit(lambda pos: random_bits(rng, pos.size), n, n,
+                                          "source")
+
+    def at(self, positions: np.ndarray) -> np.ndarray:
+        """Source bits at sorted distinct positions, drawing those not drawn yet."""
+        if self._sorted is not None:
+            return self._sorted._get(positions, checked=True)
+        if positions.size == self.n:  # every position
+            return self.whole()
+        if self._bits is None:  # the first read: every position is new
+            self._bits = np.full(self.n, -1, dtype=np.int8)
+            bits = self._bits[positions] = random_bits(self.rng, positions.size)
+            self._undrawn -= positions.size
+            return bits
+        bits = self._bits[positions]
+        fresh = bits < 0
+        count = np.count_nonzero(fresh)
+        if count:
+            bits[fresh] = self._bits[positions[fresh]] = random_bits(self.rng, count)
+            self._undrawn -= count
+        return bits.view(np.uint8)
+
+    def whole(self) -> np.ndarray:
+        """All n bits: O(n), so refused above MAX_WHOLE_SOURCE_BITS.  Read
+        before anything is drawn, the draw itself becomes the memo."""
+        if self._bits is None:
+            check_whole_source(self.n)
+            held, self._sorted = self._sorted, None
+            if held is None or not held.accessed:
+                self._bits = random_bits(self.rng, self.n).view(np.int8)
+                self._undrawn = 0
+            else:
+                self._bits = np.full(self.n, -1, dtype=np.int8)
+                self._bits[held._pos] = held._vals
+                self._undrawn = self.n - held.accessed
+        if self._undrawn:
+            self._bits[self._bits < 0] = random_bits(self.rng, self._undrawn)
+            self._undrawn = 0
+        return self._bits.view(np.uint8)
+
+
 class Session:
     """One run as the verifier sees it: keys, emission, each party's audited
     view, verdict.  A responder policy (the honest prover or an attack)
@@ -384,13 +433,12 @@ class Session:
 
     It draws from ``rng`` in one fixed order: the MAC key (only when the run
     authenticates and ``keys`` holds none), the sampler key (pi3), then the
-    emission.  pi1/pi2 are the n = k case: ``brm_source_emit`` draws the
-    challenge whole, every position is sampled, each party's reception is
-    drawn whole when it asks for it, and no ``RetrievalAudit`` is built.  On
-    pi3 nothing more is drawn up front: each party's ``RetrievalAudit`` draws
-    a position the first time that party reads it, in read order, taking the
-    source bit from one shared memo (drawn on the first read by anyone) and
-    the party's own noise.
+    emission.  pi1/pi2 are the n = k case, with a cap of n and every position
+    sampled.  Nothing more is drawn up front: each party's ``RetrievalAudit``
+    draws a position the first time that party reads it, in read order,
+    taking the source bit from one shared memo (drawn on the first read by
+    anyone) and the party's own noise.  ``brm_source_emit`` followed by
+    ``propagate`` is the eager reference of a read of every position.
     """
 
     def __init__(self, cfg: ProtocolConfig, d_c: float, ch: ChannelParams,
@@ -409,21 +457,9 @@ class Session:
             self.sampler_key = SamplerKey.generate(rng, cfg.brm.sampler_seed_bits)
         self.power_w = transmit_power_for_claim(d_c, cfg.e0, ch)
         self.n, self.cap = self.extent(cfg)
-        # A RetrievalAudit per receiver on pi3; the whole reception on pi1/pi2.
-        self._views: dict = {}
+        self._views: dict[str, RetrievalAudit] = {}
         self._sampled: Optional[np.ndarray] = None
-        # The source: on pi3 one shared memo, an int8 array with -1 at the
-        # positions not drawn yet up to DENSE_SOURCE_BITS (None until the
-        # first read), sorted positions (a RetrievalAudit) above; every bit is
-        # drawn the first time anyone reads its position.
-        self._bits: Optional[np.ndarray] = None
-        self._memo: Optional[RetrievalAudit] = None
-        if not self.bounded:
-            self._bits, self.signal = brm_source_emit(self.power_w, self.n, rng,
-                                                      e_max=ch.e_max)
-        elif self.n > DENSE_SOURCE_BITS:
-            self._memo = RetrievalAudit(lambda pos: _source_bits(rng, pos.size), self.n,
-                                        self.n, "source")
+        self._source = _SharedSource(rng, self.n)
 
     @staticmethod
     def extent(cfg: ProtocolConfig) -> tuple[int, int]:
@@ -441,68 +477,43 @@ class Session:
 
     @property
     def sampled(self) -> np.ndarray:
-        """pi3's challenge positions in increasing order, derived from the
-        sampler key on first use."""
+        """The challenge positions in increasing order: every position when
+        k = n, otherwise derived from the sampler key on first use."""
         if self._sampled is None:
-            self._sampled = np.sort(sample_indices(self.sampler_key, self.n, self.cfg.k).indices)
+            if self.cfg.k == self.n:
+                self._sampled = np.arange(self.n)
+            else:
+                self._sampled = np.sort(
+                    sample_indices(self.sampler_key, self.n, self.cfg.k).indices)
         return self._sampled
 
     @property
     def source(self) -> np.ndarray:
-        """The whole n-bit source output.  On pi3 this draws every position
-        no one has read yet, in increasing position order: O(n), so it is
-        refused above MAX_WHOLE_SOURCE_BITS."""
-        if self._bits is None:  # nothing read yet, or read into the sorted memo
-            check_whole_source(self.n)
-            self._bits = np.full(self.n, -1, dtype=np.int8)
-            if self._memo is not None:
-                self._bits[self._memo._pos] = self._memo._vals
-                self._memo = None
-        if self.bounded:
-            fresh = self._bits < 0
-            self._bits[fresh] = _source_bits(self.rng, np.count_nonzero(fresh))
-        return self._bits.view(np.uint8)
-
-    def _source_at(self, positions: np.ndarray) -> np.ndarray:
-        """Source bits at sorted distinct positions, drawing those not drawn yet."""
-        if self._memo is not None:
-            return self._memo._get(positions, audited=False)
-        if self._bits is None:  # the first read: every position is new
-            self._bits = np.full(self.n, -1, dtype=np.int8)
-            bits = self._bits[positions] = _source_bits(self.rng, positions.size)
-            return bits
-        bits = self._bits[positions]
-        fresh = bits < 0
-        count = np.count_nonzero(fresh)
-        if count:
-            bits[fresh] = self._bits[positions[fresh]] = _source_bits(self.rng, count)
-        return bits.view(np.uint8)
+        """The whole n-bit source output.  This draws every position no one
+        has read yet, in increasing position order: O(n), so it is refused
+        above MAX_WHOLE_SOURCE_BITS."""
+        return self._source.whole()
 
     def receive(self, party: str, at: Optional[float]) -> None:
         """``party``'s reception of the emission at distance ``at`` (None: so
-        close that it is error-free, and no noise is drawn).  pi1/pi2 draw it
-        whole now; pi3 draws each position when the party first reads it."""
-        if not self.bounded:
-            sig = self.signal
-            if at is not None:
-                sig = propagate(sig, at, self.ch, self.rng, noiseless=self.noiseless)
-            self._views[party] = sig
-            return
+        close that it is error-free, and no noise is drawn), drawn at each
+        position when the party first reads it."""
+        source, power_w, ch, rng, noiseless = (self._source, self.power_w, self.ch,
+                                               self.rng, self.noiseless)
 
         def fill(pos: np.ndarray) -> np.ndarray:
-            sig = bpsk_modulate(self._source_at(pos), self.power_w)
+            sig = bpsk_modulate(source.at(pos), power_w)
             if at is None:
                 return sig
-            return propagate(sig, at, self.ch, self.rng, noiseless=self.noiseless)
+            return propagate(sig, at, ch, rng, noiseless=noiseless)
 
         self._views[party] = RetrievalAudit(fill, self.n, self.cap, party)
 
     def read(self, party: str, positions: Optional[np.ndarray] = None) -> np.ndarray:
         """``party``'s received values at ``positions`` (default: the sampled ones)."""
-        view = self._views[party]
-        if self.bounded:
-            return view.read(self.sampled if positions is None else positions)
-        return view if positions is None else view[positions]
+        if positions is None:
+            return self._views[party].read(self.sampled, checked=True)
+        return self._views[party].read(positions)
 
     def sign(self, response: np.ndarray, claim: float) -> Optional[int]:
         """Tag over (response, claim) under the session MAC key; None without a MAC."""
@@ -515,7 +526,7 @@ class Session:
         cfg = self.cfg
         # The verifier reads the k sampled positions of its own emission, and
         # ProtocolConfig holds k within the cap.
-        m = self._source_at(self.sampled) if self.bounded else self._bits
+        m = self._source.at(self.sampled)
         mac_ok = None
         if self.authenticated:
             mac_ok = mac_verify(self.mac_key, encode_response_claim(response, self.d_c), tag)

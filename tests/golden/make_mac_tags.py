@@ -11,9 +11,9 @@ The fixture pins the integers the MAC produces, so any change to how
   eps=1e-2) and ``run_pi3`` transcripts at k=160, n=534 (psi=2, eps=1e-2,
   lambda=0.3 sampling), three seeds each, with the configurations spelled out;
 * ``sampler_stream`` and ``source_stream``: the ``SAMPLER_STREAM_VERSION``
-  and ``SOURCE_STREAM_VERSION`` the pi3 tags were drawn with, since the
-  sampled positions and the drawn source and noise (and so the tags) depend
-  on them.
+  the pi3 tags and the ``SOURCE_STREAM_VERSION`` all transcript tags were
+  drawn with, since the sampled positions and the drawn source and noise (and
+  so the tags) depend on them.
 
 Messages are not stored: ``message(s, seed, length)`` regenerates them.
 

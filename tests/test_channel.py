@@ -17,8 +17,6 @@ from dbvsim.channel import (
     bits_to_hex,
     bpsk_demodulate,
     bpsk_modulate,
-    dbm_to_watts,
-    hex_to_bits,
     intended_blocked_ber,
     intended_blocked_ber_grid,
     path_loss,
@@ -28,6 +26,16 @@ from dbvsim.channel import (
     transmit_power_for_claim,
     watts_to_dbm,
 )
+
+
+def dbm_to_watts(dbm: float) -> float:
+    """Inverse of watts_to_dbm."""
+    return 1e-3 * 10.0 ** (dbm / 10.0)
+
+
+def hex_to_bits(hexstr: str, k: int) -> np.ndarray:
+    """Inverse of bits_to_hex for a k-bit string."""
+    return np.unpackbits(np.frombuffer(bytes.fromhex(hexstr), dtype=np.uint8))[:k]
 
 
 def gaussian_tail_ber(snr: float) -> float:

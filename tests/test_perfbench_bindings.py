@@ -1,6 +1,7 @@
 """The benchmark's tracer binds dbvsim functions by name; those names must
-keep resolving, and the Monte Carlo loop must keep reaching each attack
-through its module attribute, or the traced call counts go silently to zero.
+keep resolving, and the Monte Carlo loop must keep reaching each attack and
+the source draw through their module attributes, or the traced call counts go
+silently to zero.
 
 ``perfbench/tracer.py`` is loaded by path, as the golden tests load their
 generators.
@@ -53,3 +54,16 @@ def test_run_trial_reaches_the_attack_once(monkeypatch, kind):
     if kind == "tfa-sampling":
         want["attack_tfa_general"] = 1  # the sampling intruder is one tfa-general run
     assert calls == want
+
+
+@pytest.mark.parametrize("protocol", ["pi1", "pi2"])
+def test_challenge_response_trial_draws_through_random_bits(protocol):
+    cfg = ProtocolConfig(protocol, e0=2000.0, k=150, beta=0.1)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        run_trial(Scenario("honest", 4e4, 4e4), cfg, DEFAULT_CHANNEL, np.random.default_rng(1),
+                  seed=0)
+    finally:
+        t.uninstall()
+    assert t.calls["channel.random_bits"] == 1

@@ -301,20 +301,21 @@ class TestGoldenTags:
             run_pi3,
         )
 
+        from dbvsim.protocols import SOURCE_STREAM_VERSION
+
         c = dict(case["config"])
         brm = c.pop("brm", None)
+        # Tags depend on the drawn source and noise, and pi3 tags on the
+        # sampled positions too, so they only compare within one stream.
+        streams = [("source_stream", SOURCE_STREAM_VERSION)]
         if brm:
-            from dbvsim.protocols import SOURCE_STREAM_VERSION
-
-            # pi3 tags depend on the sampled positions and on the drawn source
-            # and noise, so they only compare within one sampler and source stream.
-            for name, current in (("sampler_stream", SAMPLER_STREAM_VERSION),
-                                  ("source_stream", SOURCE_STREAM_VERSION)):
-                recorded = GOLDEN.get(name, 1)
-                assert recorded == current, (
-                    f"mac_tags.json was recorded with {name} {recorded}, the code "
-                    f"draws {current}: re-record it with tests/golden/make_mac_tags.py"
-                )
+            streams.append(("sampler_stream", SAMPLER_STREAM_VERSION))
+        for name, current in streams:
+            recorded = GOLDEN.get(name, 1)
+            assert recorded == current, (
+                f"mac_tags.json was recorded with {name} {recorded}, the code "
+                f"draws {current}: re-record it with tests/golden/make_mac_tags.py"
+            )
         cfg = ProtocolConfig(**c, brm=BrmParams(**brm) if brm else None)
         run = run_pi2 if cfg.protocol == "pi2" else run_pi3
         d_c = case["d_claim"]

@@ -1,6 +1,8 @@
+import gc
 import importlib.util
 import json
 import math
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbvsim import protocols
-from dbvsim.channel import DEFAULT_CHANNEL, ClaimRangeError, PowerLimitError, random_bits
+from dbvsim.channel import (
+    DEFAULT_CHANNEL,
+    ClaimRangeError,
+    PowerLimitError,
+    bpsk_demodulate,
+    propagate,
+    random_bits,
+)
 from dbvsim.montecarlo import Scenario, _trial_rng, run_trial
 from dbvsim.primitives import MacKey, SamplerKey, encode_response_claim, mac_sign, mac_verify
 from dbvsim.protocols import (
@@ -25,12 +34,12 @@ from dbvsim.protocols import (
     RetrievalCapError,
     Session,
     SessionKeys,
-    _source_bits,
     brm_source_emit,
     check_mac_strength,
     run_pi1,
     run_pi2,
     run_pi3,
+    run_protocol,
     verify_response,
 )
 
@@ -219,8 +228,8 @@ class TestPi1:
 
         t = run_pi1(PI1, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(1))
         d = t.to_json_dict()
-        assert d["schema_version"] == "2" and "sampler_stream" not in d
-        assert "source_stream" not in d
+        assert d["schema_version"] == "3" and "sampler_stream" not in d
+        assert d["source_stream"] == SOURCE_STREAM_VERSION == 3
         cfg = pi3_config()
         for t in (
             run_pi3(cfg, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(2)),
@@ -230,7 +239,7 @@ class TestPi1:
             d = t.to_json_dict()
             assert d["schema_version"] == "3"
             assert d["sampler_stream"] == SAMPLER_STREAM_VERSION == 2
-            assert d["source_stream"] == SOURCE_STREAM_VERSION == 2
+            assert d["source_stream"] == SOURCE_STREAM_VERSION
 
     def test_power_follows_claim(self):
         rng = np.random.default_rng(2)
@@ -371,7 +380,7 @@ class TestSession:
         assert s.sampler_key == SamplerKey.generate(rng, cfg.brm.sampler_seed_bits)
         assert s._sampled is None  # sampled on first use only
         # Nothing read yet, so the whole source is drawn in position order.
-        np.testing.assert_array_equal(s.source, _source_bits(rng, cfg.brm.n))
+        np.testing.assert_array_equal(s.source, random_bits(rng, cfg.brm.n))
 
     def test_supplied_keys_are_not_drawn(self):
         cfg = pi3_config()
@@ -380,7 +389,7 @@ class TestSession:
         s = Session(cfg, 5e4, CH, np.random.default_rng(13), keys, d_real=5e4)
         assert (s.mac_key, s.sampler_key) == (keys.mac_key, keys.sampler_key)
         np.testing.assert_array_equal(
-            s.source, _source_bits(np.random.default_rng(13), cfg.brm.n)
+            s.source, random_bits(np.random.default_rng(13), cfg.brm.n)
         )
 
     @pytest.mark.parametrize("dense_limit", [protocols.DENSE_SOURCE_BITS, 0],
@@ -402,8 +411,23 @@ class TestSession:
         np.testing.assert_array_equal(s.decide(prover > 0, None).challenge, whole[s.sampled])
         assert s.sampled.size == cfg.k and (np.diff(s.sampled) > 0).all()
 
-    @pytest.mark.parametrize("index", [i for i, (name, _) in enumerate(golden.cases())
-                                       if golden.CONFIGS[name].protocol == "pi3"])
+    # On pi3 the cap must cover the source for one party to read all of it.
+    @pytest.mark.parametrize("cfg", [PI1, pi3_config(lam=0.995)], ids=["pi1", "pi3"])
+    @pytest.mark.parametrize("dense_limit", [protocols.DENSE_SOURCE_BITS, 0],
+                             ids=["bit-array", "sorted-memo"])
+    def test_whole_read_draws_as_sorted_half_reads(self, monkeypatch, cfg, dense_limit):
+        monkeypatch.setattr(protocols, "DENSE_SOURCE_BITS", dense_limit)
+        whole = Session(cfg, 5e4, CH, np.random.default_rng(18), d_real=5e4)
+        halves = Session(cfg, 5e4, CH, np.random.default_rng(18), d_real=5e4)
+        whole.receive("intruder", None)
+        halves.receive("intruder", None)
+        half = whole.n // 2
+        got = np.concatenate((halves.read("intruder", np.arange(half)),
+                              halves.read("intruder", np.arange(half, halves.n))))
+        np.testing.assert_array_equal(got, whole.read("intruder", np.arange(whole.n)))
+        np.testing.assert_array_equal(halves.source, whole.source)
+
+    @pytest.mark.parametrize("index", range(len(golden.cases())))
     def test_sparse_memo_draws_as_dense(self, monkeypatch, index):
         # The source memo's two layouts (a bit array up to DENSE_SOURCE_BITS,
         # sorted positions above) draw the same stream.
@@ -419,13 +443,62 @@ class TestSession:
         with pytest.raises(ProtocolConfigError, match="MAX_WHOLE_SOURCE_BITS"):
             s.source
 
-    def test_pi1_pi2_build_no_audit(self):
+    def test_pi1_pi2_report_no_audit(self):
+        # pi1/pi2 read through audits whose cap is the whole emission: a
+        # capture of all k positions is never refused, and the transcript
+        # reports no retrieval.
         for cfg in (PI1, PI2):
             s = Session(cfg, 5e4, CH, np.random.default_rng(14), d_real=5e4)
-            s.receive("prover", 5e4)
-            assert s.n == s.cap == cfg.k and s.read("prover").size == cfg.k
-            t = s.decide((s.read("prover") >= 0).astype(np.uint8), None)
-            assert t.accesses == {} and t.source_bits is None
+            s.receive("intruder", 3e4)
+            assert s.n == s.cap == cfg.k
+            capture = s.read("intruder", np.arange(cfg.k)[::-1])
+            assert capture.size == cfg.k
+            d = s.decide(bpsk_demodulate(s.read("intruder")), None).to_json_dict()
+            assert not {"accesses", "source_bits", "retrieval_cap"} & set(d)
+
+    @pytest.mark.parametrize("cfg, scenario", [
+        (PI1, Scenario("honest", 5e4, 6e4)),
+        (PI2, Scenario("honest", 5e4, 6e4)),
+        (PI2, Scenario("tfa-relay", 5e4, 6e4, intruder_d=3e4)),
+    ], ids=["pi1-honest", "pi2-honest", "pi2-relay"])
+    def test_eager_source_is_the_reference(self, cfg, scenario):
+        # From the generator state after the key draws, the eager emission
+        # followed by one propagation gives the challenge and the response.
+        at = scenario.d_real if scenario.kind == "honest" else scenario.intruder_d
+        for seed in range(5):
+            _, _, t = run_trial(scenario, cfg, CH, np.random.default_rng(seed), seed=seed)
+            rng = np.random.default_rng(seed)
+            if cfg.protocol == "pi2":
+                MacKey.generate(rng, cfg.mac_bits)
+            challenge, signal = brm_source_emit(t.power_w, cfg.k, rng)
+            np.testing.assert_array_equal(t.challenge, challenge)
+            np.testing.assert_array_equal(t.response,
+                                          bpsk_demodulate(propagate(signal, at, CH, rng)))
+
+    @pytest.mark.parametrize("cfg, dense_limit", [
+        (PI1, protocols.DENSE_SOURCE_BITS),
+        (pi3_config(), protocols.DENSE_SOURCE_BITS),
+        (pi3_config(), 0),
+    ], ids=["pi1", "pi3-bit-array", "pi3-sorted-memo"])
+    def test_finished_session_freed_without_gc(self, monkeypatch, cfg, dense_limit):
+        # No reference cycle holds a session: reference counting frees it as
+        # soon as its run returns, without waiting for the cyclic collector.
+        monkeypatch.setattr(protocols, "DENSE_SOURCE_BITS", dense_limit)
+        sessions = []
+        decide = Session.decide
+
+        def recording_decide(self, *args):
+            sessions.append(weakref.ref(self))
+            return decide(self, *args)
+
+        monkeypatch.setattr(Session, "decide", recording_decide)
+        gc.collect()
+        gc.disable()
+        try:
+            run_protocol(cfg, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(19))
+            assert len(sessions) == 1 and sessions[0]() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("cfg", [PI2, pi3_config()], ids=["pi2", "pi3"])
     def test_honest_tag_with_supplied_key(self, cfg):
