@@ -6,8 +6,9 @@ each party reads and which tag it sends.  It reads the claim, distances,
 strategies, leak flags and ``noiseless`` from the run's
 ``montecarlo.Scenario``, the only description of a run.  A distance of None
 places a receiver so close to the verifier that it is error-free (the
-strongest adversary).  On pi3 every party reads through the session's retrieval audit,
-so an attack that needs more than the cap raises RetrievalCapError.
+strongest adversary).  Every party reads through the session's retrieval
+audit, whose cap on pi1/pi2 is the whole emission, so an attack that needs
+more than the cap raises RetrievalCapError.
 """
 
 from __future__ import annotations
