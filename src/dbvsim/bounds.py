@@ -317,19 +317,19 @@ def exact_binomial_tail_lower(k: int, beta: float | Fraction, p: float) -> float
     return _binomial_tails(k, beta, p)[0]
 
 
-def _ceil_checked(value: float, k_cap: int) -> int:
+def _ceil_checked(value: float) -> int:
     if not math.isfinite(value):
         raise InfeasibleError("challenge-length-cap", "required length diverges")
     k = max(1, math.ceil(value))
-    if k > k_cap:
+    if k > DEFAULT_K_CAP:
         raise InfeasibleError(
-            "challenge-length-cap", f"required length {k} exceeds cap {k_cap}"
+            "challenge-length-cap", f"required length {k} exceeds cap {DEFAULT_K_CAP}"
         )
     return k
 
 
 def _challenge_length(mode: str, terms: Terms, ber: BerPair, beta: float,
-                      weights: tuple[float, float], k_cap: int) -> int:
+                      weights: tuple[float, float]) -> int:
     """ceil(max(w_fr * FR term, w_fa * FA term)) at a threshold inside the mode's bracket.
 
     A term that is not a positive finite number at beta, as on a bracket only
@@ -347,48 +347,46 @@ def _challenge_length(mode: str, terms: Terms, ber: BerPair, beta: float,
             condition, f"requires beta < {upper}, got beta={beta}, {upper}={beta_hi}"
         )
     w_fr, w_fa = weights
-    return _ceil_checked(max(w_fr * t_fr, w_fa * t_fa), k_cap)
+    return _ceil_checked(max(w_fr * t_fr, w_fa * t_fa))
 
 
-def challenge_length_dfa(
-    ber: BerPair, beta: float, spec: DbvSpec, *, k_cap: int = DEFAULT_K_CAP
-) -> int:
+def challenge_length_dfa(ber: BerPair, beta: float, spec: DbvSpec) -> int:
     """Smallest k with both Chernoff bounds under the targets at threshold beta.
 
     k = ceil(max{ln(1/eps_fr) * FR term, ln(1/eps_fa) * FA term}) with the dfa
     terms; requires p_i < beta < p_b strictly.
     """
-    return _challenge_length("dfa", _dfa_terms, ber, beta, _log_weights(spec), k_cap)
+    return _challenge_length("dfa", _dfa_terms, ber, beta, _log_weights(spec))
 
 
 def _brm_length(
-    mode: str, ber: BerPair, beta: float, brm: BrmSpec, spec: DbvSpec, k_cap: int
+    mode: str, ber: BerPair, beta: float, brm: BrmSpec, spec: DbvSpec
 ) -> tuple[int, int]:
     terms = _brm_terms(mode, brm.lam, brm.theta)
-    k = _challenge_length(mode, terms, ber, beta, _log_weights(spec, brm.gamma), k_cap)
+    k = _challenge_length(mode, terms, ber, beta, _log_weights(spec, brm.gamma))
     return k, math.ceil(k / brm.lam)
 
 
 def challenge_length_brm_general(
-    ber: BerPair, beta: float, brm: BrmSpec, spec: DbvSpec, *, k_cap: int = DEFAULT_K_CAP
+    ber: BerPair, beta: float, brm: BrmSpec, spec: DbvSpec
 ) -> tuple[int, int]:
     """(k, n) for the bounded-retrieval protocol against arbitrary retrieval functions.
 
     k as in challenge_length_dfa with the general terms and the FA weight
     ln(1/(eps_fa-gamma)), and n = ceil(k/lam).
     """
-    return _brm_length("general", ber, beta, brm, spec, k_cap)
+    return _brm_length("general", ber, beta, brm, spec)
 
 
 def challenge_length_brm_sampling(
-    ber: BerPair, beta: float, brm: BrmSpec, spec: DbvSpec, *, k_cap: int = DEFAULT_K_CAP
+    ber: BerPair, beta: float, brm: BrmSpec, spec: DbvSpec
 ) -> tuple[int, int]:
     """(k, n) for the bounded-retrieval protocol against position-sampling intruders.
 
     k as in challenge_length_dfa with the sampling terms and the FA weight
     ln(1/(eps_fa-gamma)), and n = ceil(k/lam).
     """
-    return _brm_length("sampling", ber, beta, brm, spec, k_cap)
+    return _brm_length("sampling", ber, beta, brm, spec)
 
 
 def leakage_degradation(cs: CloseSecurity, leak_log2: float) -> CloseSecurity:

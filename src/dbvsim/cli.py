@@ -30,6 +30,7 @@ from .channel import (
 from .montecarlo import SCENARIO_KINDS, Scenario, compare_to_bound, estimate_rates
 from .optimize import (
     BRM_MODES,
+    DEFAULT_THETA,
     max_feasible_lambda,
     optimize_brm,
     optimize_dfa,
@@ -70,14 +71,14 @@ def _user_input():
 
 def _specs(
     args, psi: float, eps_fa: float, eps_fr: float, lam: Optional[float] = None
-) -> tuple[DbvSpec, Optional[BrmSpec]]:
-    """DbvSpec and, given a rate, BrmSpec (gamma default eps_fa/100), checked as input."""
+) -> DbvSpec:
+    """The DbvSpec, checked as input; given a rate, the rate, --theta and
+    (when given) --gamma are checked too."""
     with _user_input():
         spec = DbvSpec(psi=psi, eps_fa=eps_fa, eps_fr=eps_fr)
-        if lam is None:
-            return spec, None
-        gamma = args.gamma if args.gamma is not None else eps_fa / 100.0
-        return spec, BrmSpec(lam=lam, theta=args.theta, gamma=gamma)
+        if lam is not None:
+            BrmSpec(lam=lam, theta=args.theta, gamma=0.0 if args.gamma is None else args.gamma)
+    return spec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--eps-fa", type=float, required=True)
     p_opt.add_argument("--eps-fr", type=float, required=True)
     p_opt.add_argument("--lambda", dest="lam", type=float, help="retrieval rate (brm modes)")
-    p_opt.add_argument("--theta", type=float, default=1e-4)
+    p_opt.add_argument("--theta", type=float, default=DEFAULT_THETA)
     p_opt.add_argument("--gamma", type=float, default=None, help="default eps_fa/100")
     _add_common(p_opt)
 
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cur.add_argument("--lambda", dest="lam", help="comma list of retrieval rates (brm modes)")
     p_cur.add_argument("--eps-fa", type=float, default=1e-3)
     p_cur.add_argument("--eps-fr", type=float, default=1e-3)
-    p_cur.add_argument("--theta", type=float, default=1e-4)
+    p_cur.add_argument("--theta", type=float, default=DEFAULT_THETA)
     p_cur.add_argument("--gamma", type=float, default=None)
     p_cur.add_argument("--out", required=True)
     p_cur.add_argument("--jobs", type=positive_int, default=1)
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--beta", type=float)
     p_sim.add_argument("--n", type=int)
     p_sim.add_argument("--lambda", dest="lam", type=float)
-    p_sim.add_argument("--theta", type=float, default=1e-4)
+    p_sim.add_argument("--theta", type=float, default=DEFAULT_THETA)
     p_sim.add_argument("--gamma", type=float, default=None)
     p_sim.add_argument("--mac-bits", type=int, default=64, choices=sorted(FIELD_POLYNOMIALS))
     p_sim.add_argument("--no-mac", action="store_true", help="drop the tag from pi3 responses")
@@ -184,15 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_optimize(args) -> int:
     ch = _load_channel(args.channel)
     if args.mode == "dfa":
-        spec, _ = _specs(args, args.psi, args.eps_fa, args.eps_fr)
+        spec = _specs(args, args.psi, args.eps_fa, args.eps_fr)
         opt = optimize_dfa(spec, ch)
         result = {"k_star": opt.k_star, "objective": opt.objective}
     else:
         if args.lam is None:
             raise _UsageError("--lambda is required for brm modes")
         mode = args.mode.removeprefix("brm-")
-        spec, brm = _specs(args, args.psi, args.eps_fa, args.eps_fr, args.lam)
-        opt = optimize_brm(spec, ch, brm.lam, mode, theta=brm.theta, gamma=brm.gamma)
+        spec = _specs(args, args.psi, args.eps_fa, args.eps_fr, args.lam)
+        opt = optimize_brm(spec, ch, args.lam, mode, theta=args.theta, gamma=args.gamma)
         result = {"mu_star": opt.mu_star, "k_star": opt.k_star, "n_star": opt.n_star,
                   "lambda": args.lam, "mode": mode}
     result.update(e0_star_w=opt.e0_star, e0_star_dbm=watts_to_dbm(opt.e0_star),
@@ -227,7 +228,7 @@ def _parse_range(txt: str) -> list[float]:
 def _cmd_curves(args) -> int:
     ch = _load_channel(args.channel)
     psi_values = _parse_range(args.psi_range)
-    template, _ = _specs(args, psi_values[0], args.eps_fa, args.eps_fr)
+    template = _specs(args, psi_values[0], args.eps_fa, args.eps_fr)
     mode = args.mode.removeprefix("brm-")
     if args.mode == "dfa":
         if not args.eps:
@@ -254,9 +255,7 @@ def _cmd_curves(args) -> int:
     return 0
 
 
-def _auto_config(
-    args, spec: DbvSpec, brm: Optional[BrmSpec], ch: ChannelParams
-) -> ProtocolConfig:
+def _auto_config(args, spec: DbvSpec, ch: ChannelParams) -> ProtocolConfig:
     if args.protocol in ("pi1", "pi2"):
         opt = optimize_dfa(spec, ch)
         with _user_input():
@@ -264,18 +263,18 @@ def _auto_config(
                 protocol=args.protocol, e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
                 mac_bits=args.mac_bits, use_mac=not args.no_mac,
             )
-    if brm is None:
+    if args.lam is None:
         raise _UsageError("--lambda is required for pi3")
-    opt = optimize_brm(spec, ch, brm.lam, args.brm_mode, theta=brm.theta, gamma=brm.gamma)
+    opt = optimize_brm(spec, ch, args.lam, args.brm_mode, theta=args.theta, gamma=args.gamma)
     with _user_input():
         return ProtocolConfig(
             protocol="pi3", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
             mac_bits=args.mac_bits, use_mac=not args.no_mac,
-            brm=BrmParams(lam=brm.lam, n=opt.n_star, theta=brm.theta, gamma=brm.gamma),
+            brm=BrmParams(lam=args.lam, n=opt.n_star),
         )
 
 
-def _explicit_config(args, brm: Optional[BrmSpec]) -> ProtocolConfig:
+def _explicit_config(args) -> ProtocolConfig:
     missing = [f for f in ("e0", "k", "beta") if getattr(args, f) is None]
     if missing:
         raise _UsageError(
@@ -283,9 +282,9 @@ def _explicit_config(args, brm: Optional[BrmSpec]) -> ProtocolConfig:
         )
     params = None
     if args.protocol == "pi3":
-        if brm is None or args.n is None:
+        if args.lam is None or args.n is None:
             raise _UsageError("pi3 needs --lambda and --n (or --auto)")
-        params = BrmParams(lam=brm.lam, n=args.n, theta=brm.theta, gamma=brm.gamma)
+        params = BrmParams(lam=args.lam, n=args.n)
     return ProtocolConfig(
         protocol=args.protocol, e0=args.e0, k=args.k, beta=args.beta,
         mac_bits=args.mac_bits, use_mac=not args.no_mac, brm=params,
@@ -299,12 +298,12 @@ _INTRUDER_SCENARIOS = ("mfa", "impersonation", "tfa-relay")
 def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, Scenario]:
     """Spec, config and scenario of a simulate run, each checked before any trial."""
     lam = args.lam if args.protocol == "pi3" else None
-    spec, brm = _specs(args, args.psi, args.eps_fa, args.eps_fr, lam)
+    spec = _specs(args, args.psi, args.eps_fa, args.eps_fr, lam)
     if args.auto:
-        cfg = _auto_config(args, spec, brm, ch)
+        cfg = _auto_config(args, spec, ch)
     else:
         with _user_input():
-            cfg = _explicit_config(args, brm)
+            cfg = _explicit_config(args)
     with _user_input():
         check_mac_strength(cfg, spec.eps_fa)
     if args.scenario in ("tfa-sampling", "tfa-general") and cfg.protocol != "pi3":

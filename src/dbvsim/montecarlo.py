@@ -43,7 +43,6 @@ __all__ = [
     "estimate_rates",
     "compare_to_bound",
     "exact_success_probability",
-    "TRIAL_CSV_HEADER",
 ]
 
 logger = logging.getLogger(__name__)
@@ -162,34 +161,16 @@ class TrialSummary:
             "master_seed": self.master_seed,
         }
 
-    def to_csv_row(self) -> list[str]:
-        d = self.to_json_dict()
-        del d["schema_version"]
-        return ["" if d[k] is None else str(d[k]) for k in TRIAL_CSV_HEADER]
+
+#: Coverage of the Clopper-Pearson interval.
+CI_CONFIDENCE = 0.95
 
 
-TRIAL_CSV_HEADER = [
-    "scenario",
-    "protocol",
-    "trials",
-    "accepts",
-    "blocked",
-    "rate",
-    "ci_low",
-    "ci_high",
-    "analytic_bound",
-    "bound_kind",
-    "analytic_exact",
-    "bound_satisfied",
-    "master_seed",
-]
-
-
-def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Exact binomial confidence interval; valid down to zero observed successes."""
+def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
+    """Exact 95% binomial confidence interval; valid down to zero observed successes."""
     if not 0 <= successes <= trials or trials < 1:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    alpha = 1.0 - confidence
+    alpha = 1.0 - CI_CONFIDENCE
     # betaincinv(a, b, q) is the Beta(a, b) quantile that stats.beta.ppf(q, a, b)
     # computes, without the distribution object's dispatch.
     lo = 0.0 if successes == 0 else float(special.betaincinv(successes, trials - successes + 1,

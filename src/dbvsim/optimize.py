@@ -61,6 +61,10 @@ E0_GRID_POINTS = 2000
 E0_GRID_SPAN = 1e-6
 #: Relative tolerance of the golden-section refinement on e0.
 E0_REFINE_RTOL = 1e-6
+#: Sampler slack theta of a bounded-retrieval design unless the caller sets one.
+DEFAULT_THETA = 1e-4
+#: Absolute tolerance of the max_feasible_lambda bisection.
+LAMBDA_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -220,8 +224,8 @@ def _scan(
     return vals
 
 
-def _e0_grid(ch: ChannelParams, points: int) -> np.ndarray:
-    return np.geomspace(E0_GRID_SPAN * ch.e_max, ch.e_max, points)
+def _e0_grid(ch: ChannelParams) -> np.ndarray:
+    return np.geomspace(E0_GRID_SPAN * ch.e_max, ch.e_max, E0_GRID_POINTS)
 
 
 def _golden_refine(
@@ -247,7 +251,7 @@ def _golden_refine(
 
 
 def _outer_min(
-    terms: Terms, psi: float, ch: ChannelParams, w_dec: float, w_inc: float, grid_points: int
+    terms: Terms, psi: float, ch: ChannelParams, w_dec: float, w_inc: float
 ) -> tuple[float, float]:
     """(e0, objective) minimizing the inner optimum over reference powers.
 
@@ -255,7 +259,7 @@ def _outer_min(
     golden-section refinement around it and the grid winner's value are
     scalar _inner evaluations.
     """
-    grid = _e0_grid(ch, grid_points)
+    grid = _e0_grid(ch)
     vals = _scan(terms, *intended_blocked_ber_grid(grid, psi, ch), w_dec, w_inc)
     if not np.isfinite(vals).any():
         raise InfeasibleError(
@@ -278,9 +282,7 @@ def _outer_min(
     return float(e0), float(v)
 
 
-def optimize_dfa(
-    spec: DbvSpec, ch: ChannelParams, *, grid_points: int = E0_GRID_POINTS
-) -> OptimalDfaConfig:
+def optimize_dfa(spec: DbvSpec, ch: ChannelParams) -> OptimalDfaConfig:
     """Minimize the challenge length over reference power and threshold.
 
     With eps_fa == eps_fr the dimensionless objective is independent of eps,
@@ -289,7 +291,7 @@ def optimize_dfa(
     """
     w_fr, w_fa = (1.0, 1.0) if spec.eps_fa == spec.eps_fr else _log_weights(spec)
 
-    e0_star, obj = _outer_min(_dfa_terms, spec.psi, ch, w_fr, w_fa, grid_points)
+    e0_star, obj = _outer_min(_dfa_terms, spec.psi, ch, w_fr, w_fa)
     ber = intended_blocked_ber(e0_star, spec.psi, ch)
     beta_star, _ = _inner(_dfa_terms, ber.p_i, ber.p_b, w_fr, w_fa)
     k_star = challenge_length_dfa(ber, beta_star, spec)
@@ -301,14 +303,12 @@ def optimize_brm(
     ch: ChannelParams,
     lam: float,
     mode: str,
-    theta: float = 1e-4,
+    theta: float = DEFAULT_THETA,
     gamma: Optional[float] = None,
-    *,
-    grid_points: int = E0_GRID_POINTS,
 ) -> OptimalBrmConfig:
     """Minimize the source length for the bounded-retrieval protocol.
 
-    gamma defaults to eps_fa/100; theta defaults to a negligible 1e-4.
+    gamma defaults to eps_fa/100; theta defaults to a negligible DEFAULT_THETA.
     Raises InfeasibleError when no power at or below e_max satisfies the
     mode's feasibility condition.
     """
@@ -318,7 +318,7 @@ def optimize_brm(
     brm = BrmSpec(lam=lam, theta=theta, gamma=gamma)
     w_fr, w_fa = _log_weights(spec, gamma)
     try:
-        e0_star, obj = _outer_min(terms, spec.psi, ch, w_fr, w_fa, grid_points)
+        e0_star, obj = _outer_min(terms, spec.psi, ch, w_fr, w_fa)
     except InfeasibleError:
         condition, upper = _EMPTY_BRACKET[mode]
         raise InfeasibleError(
@@ -340,21 +340,14 @@ def optimize_brm(
     )
 
 
-def max_feasible_lambda(
-    psi: float,
-    ch: ChannelParams,
-    mode: str,
-    *,
-    tol: float = 1e-4,
-    grid_points: int = E0_GRID_POINTS,
-) -> MaxLambdaResult:
+def max_feasible_lambda(psi: float, ch: ChannelParams, mode: str) -> MaxLambdaResult:
     """Largest retrieval rate for which some admissible power and radius exist.
 
     Uses the existence condition on the error probabilities themselves: the
     mode's threshold bracket (p_i, upper end) is non-empty at theta = 0 for
-    some grid power; bisected to ``tol``.
+    some grid power; bisected to LAMBDA_TOL.
     """
-    p_i, p_b = intended_blocked_ber_grid(_e0_grid(ch, grid_points), psi, ch)
+    p_i, p_b = intended_blocked_ber_grid(_e0_grid(ch), psi, ch)
 
     def feasible(lam: float) -> bool:
         _, _, beta_hi = _brm_terms(mode, lam, 0.0)(p_i, p_b, np.sqrt)
@@ -363,7 +356,7 @@ def max_feasible_lambda(
     if not feasible(0.0):
         return MaxLambdaResult(0.0, False)
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > LAMBDA_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
@@ -419,7 +412,7 @@ def sweep_curves(
     *,
     eps_values=None,
     lambda_values=None,
-    theta: float = 1e-4,
+    theta: float = DEFAULT_THETA,
     gamma: Optional[float] = None,
     jobs: int = 1,
 ) -> list[dict]:

@@ -55,6 +55,8 @@ _LENGTH_PREFIX_BITS = 64
 
 #: Fixed-point scale for distance claims inside MAC inputs (2**-20 m steps).
 _CLAIM_SCALE_BITS = 20
+#: Width of the fixed-point claim appended to the response in a MAC input.
+CLAIM_BITS = 64
 
 #: Version of the sampler's key -> positions map, recorded in pi3 transcripts.
 #: 1 kept the first k entries of a keyed permutation of all n positions;
@@ -181,11 +183,12 @@ def mac_forgery_bound(message_bit_len: int, field_bits: int) -> float:
 
 
 def encode_response_claim(response_bits: np.ndarray, d_c: float) -> np.ndarray:
-    """Injective MAC input: response bits followed by the claim in 64-bit fixed point."""
+    """Injective MAC input: response bits followed by the claim in CLAIM_BITS-bit fixed point."""
     scaled = round(d_c * (1 << _CLAIM_SCALE_BITS))
-    if not 0 < scaled < (1 << 64):
-        raise ValueError(f"claim {d_c} m not representable in 64-bit fixed point")
-    claim_bits = np.unpackbits(np.frombuffer(scaled.to_bytes(8, "big"), dtype=np.uint8))
+    if not 0 < scaled < (1 << CLAIM_BITS):
+        raise ValueError(f"claim {d_c} m not representable in {CLAIM_BITS}-bit fixed point")
+    claim_bits = np.unpackbits(
+        np.frombuffer(scaled.to_bytes(CLAIM_BITS // 8, "big"), dtype=np.uint8))
     return np.concatenate([np.asarray(response_bits, dtype=np.uint8).ravel(), claim_bits])
 
 

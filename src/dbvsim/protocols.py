@@ -19,7 +19,6 @@ from .bounds import max_errors
 from .channel import (
     ChannelParams,
     ClaimRangeError,
-    PowerLimitError,
     bits_to_hex,
     bpsk_demodulate,
     bpsk_modulate,
@@ -28,6 +27,7 @@ from .channel import (
     transmit_power_for_claim,
 )
 from .primitives import (
+    CLAIM_BITS,
     SAMPLER_STREAM_VERSION,
     MacKey,
     SamplerKey,
@@ -126,13 +126,11 @@ class PartyPlacement:
 
 @dataclass(frozen=True)
 class BrmParams:
-    """Bounded-retrieval run parameters: rate, source length, sampler slack."""
+    """Bounded-retrieval run parameters: rate, source length, sampler failure."""
 
     lam: float
     n: int
-    theta: float = 1e-4
     gamma: float = 0.0
-    sampler_seed_bits: int = 128
 
     def __post_init__(self) -> None:
         if not 0 < self.lam < 1:
@@ -175,7 +173,7 @@ class ProtocolConfig:
             if self.brm is None:
                 raise ProtocolConfigError("pi3 requires brm parameters")
             # k = lam*n up to rounding: accept either rounding convention.
-            ok = self.k == math.ceil(self.brm.lam * self.brm.n) or self.brm.n == math.ceil(
+            ok = self.k == self.brm.retrieval_cap or self.brm.n == math.ceil(
                 self.k / self.brm.lam
             )
             if not ok:
@@ -323,26 +321,20 @@ def _sorted_distinct(idx: np.ndarray) -> bool:
     return not np.count_nonzero(idx[1:] <= idx[:-1])
 
 
-def verify_response(
-    m: np.ndarray, m_hat: np.ndarray, beta: float | Fraction, k: Optional[int] = None
-) -> str:
+def verify_response(m: np.ndarray, m_hat: np.ndarray, beta: float | Fraction) -> str:
     """Acc iff the Hamming distance between response and challenge is <= beta*k."""
     m = np.asarray(m, dtype=np.uint8)
     m_hat = np.asarray(m_hat, dtype=np.uint8)
     if m.shape != m_hat.shape:
         raise ValueError(f"length mismatch: {m.size} vs {m_hat.size}")
-    if k is not None and k != m.size:
-        raise ValueError(f"stated length {k} does not match challenge length {m.size}")
     d_h = int(np.count_nonzero(m != m_hat))
     return ACC if d_h <= max_errors(beta, int(m.size)) else REJ
 
 
 def brm_source_emit(
-    e: float, n: int, rng: np.random.Generator, e_max: Optional[float] = None
+    e: float, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform n-bit string O and its modulated transmission at power e."""
-    if e_max is not None and e > e_max:
-        raise PowerLimitError(f"source power {e} W exceeds limit {e_max} W")
     if n < 1:
         raise ValueError(f"source length must be >= 1, got {n}")
     o = random_bits(rng, n)
@@ -362,7 +354,7 @@ def check_mac_strength(cfg: ProtocolConfig, eps_fa: float) -> None:
     """Reject configs whose MAC forgery bound L/2**s exceeds the false-accept budget."""
     if cfg.protocol == "pi1" or not cfg.use_mac:
         return
-    bound = mac_forgery_bound(cfg.k + 64, cfg.mac_bits)
+    bound = mac_forgery_bound(cfg.k + CLAIM_BITS, cfg.mac_bits)
     if bound > eps_fa:
         raise ProtocolConfigError(
             f"MAC forgery bound {bound} exceeds eps_fa={eps_fa}; increase mac_bits"
@@ -454,7 +446,7 @@ class Session:
             self.mac_key = MacKey.generate(rng, cfg.mac_bits)
         self.sampler_key = keys.sampler_key if keys else None
         if self.sampler_key is None and self.bounded:
-            self.sampler_key = SamplerKey.generate(rng, cfg.brm.sampler_seed_bits)
+            self.sampler_key = SamplerKey.generate(rng)
         self.power_w = transmit_power_for_claim(d_c, cfg.e0, ch)
         self.n, self.cap = self.extent(cfg)
         self._views: dict[str, RetrievalAudit] = {}
@@ -624,7 +616,6 @@ def run_protocol(
     placement: PartyPlacement,
     ch: ChannelParams,
     rng: np.random.Generator,
-    keys: Optional[SessionKeys] = None,
     *,
     noiseless: bool = False,
     seed: Optional[int] = None,
@@ -633,5 +624,5 @@ def run_protocol(
     if cfg.protocol == "pi1":
         return run_pi1(cfg, claim, placement, ch, rng, noiseless=noiseless, seed=seed)
     if cfg.protocol == "pi2":
-        return run_pi2(cfg, claim, placement, ch, rng, keys, noiseless=noiseless, seed=seed)
-    return run_pi3(cfg, claim, placement, ch, rng, keys, noiseless=noiseless, seed=seed)
+        return run_pi2(cfg, claim, placement, ch, rng, noiseless=noiseless, seed=seed)
+    return run_pi3(cfg, claim, placement, ch, rng, noiseless=noiseless, seed=seed)

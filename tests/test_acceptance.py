@@ -202,7 +202,7 @@ def test_criterion_07_relay_impossibility():
     brm = optimize_brm(spec, CH, 0.3, "sampling")
     cfg3 = ProtocolConfig(
         "pi3", e0=brm.e0_star, k=brm.k_star, beta=brm.beta_star,
-        brm=BrmParams(lam=0.3, n=brm.n_star, theta=1e-4, gamma=spec.eps_fa / 100),
+        brm=BrmParams(lam=0.3, n=brm.n_star, gamma=spec.eps_fa / 100),
     )
     attempts = 10**4
     blocked = 0
@@ -222,7 +222,7 @@ def test_criterion_08_brm_sampling_end_to_end():
     opt = optimize_brm(spec, CH, 0.3, "sampling")
     cfg = ProtocolConfig(
         "pi3", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
-        brm=BrmParams(lam=0.3, n=opt.n_star, theta=1e-4, gamma=spec.eps_fa / 100),
+        brm=BrmParams(lam=0.3, n=opt.n_star, gamma=spec.eps_fa / 100),
     )
     d_c = 4e4
     trials = 10**5

@@ -482,13 +482,13 @@ class TestTfaGeneral:
         )
         d_c = 2e4
         trials = 1000
-        for strategy in STRATEGIES:
+        for i, strategy in enumerate(STRATEGIES):
             got = rate(
                 lambda r, s=strategy: attack_tfa_general(
                     cfg, tfa("tfa-general", d_c, spec.psi * d_c, s), CH, r
                 ),
                 trials,
-                seed0=hash(strategy.name) % 1000,
+                seed0=1000 * i,
             )
             assert got <= spec.eps_fa + 4 * math.sqrt(spec.eps_fa / trials), strategy.name
 

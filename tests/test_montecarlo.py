@@ -22,7 +22,6 @@ from dbvsim.channel import (
 )
 from dbvsim.montecarlo import (
     Scenario,
-    TRIAL_CSV_HEADER,
     TrialSummary,
     clopper_pearson,
     compare_to_bound,
@@ -71,13 +70,13 @@ class TestClopperPearson:
     GRID = [(x, t) for t in np.unique(np.geomspace(1, 2e5, 20).round().astype(int)).tolist()
             for x in sorted({0, 1, 2, t // 3, t // 2, t - 1, t}) if x <= t]
 
-    @pytest.mark.parametrize("confidence", [0.95, 0.99])
+    @pytest.mark.parametrize("confidence", [0.95])
     def test_equals_beta_ppf(self, confidence):
         alpha = 1.0 - confidence
         for x, t in self.GRID:
             lo = 0.0 if x == 0 else float(stats.beta.ppf(alpha / 2, x, t - x + 1))
             hi = 1.0 if x == t else float(stats.beta.ppf(1 - alpha / 2, x + 1, t - x))
-            assert clopper_pearson(x, t, confidence) == (lo, hi), (x, t)
+            assert clopper_pearson(x, t) == (lo, hi), (x, t)
 
 
 class TestScenario:
@@ -179,12 +178,6 @@ class TestEstimateRates:
         assert p is not None and 0.001 < p < 0.9
         sd = math.sqrt(p * (1 - p) / out.trials)
         assert abs(out.rate - p) < 3.5 * sd
-
-    def test_csv_row_shape(self):
-        s = Scenario("honest", d_claim=5e4, d_real=5e4)
-        out = estimate_rates(s, PI1, SPEC, CH, 10, 20)
-        row = out.to_csv_row()
-        assert len(row) == len(TRIAL_CSV_HEADER)
 
 
 def _scalar_sampling_mixture(scenario, cfg):

@@ -44,7 +44,7 @@ class TestCrossing:
         # At this grid power (p_i ~ 2e-154) brentq raises "Failed to converge
         # after 100 iterations"; the point counts as infeasible.
         ch = ChannelParams(e_max=3e6)
-        e0 = float(optimize._e0_grid(ch, optimize.E0_GRID_POINTS)[1688])
+        e0 = float(optimize._e0_grid(ch)[1688])
         assert e0 == pytest.approx(3.4967e5, rel=1e-4)
         ber = intended_blocked_ber(e0, 1.01, ch)
         beta, value = optimize._inner(bounds._dfa_terms, ber.p_i, ber.p_b, 1e-6, 1e6)
@@ -76,9 +76,10 @@ class TestOptimizeDfa:
         b = optimize_dfa(self.SPEC, CH)
         assert a == b
 
-    def test_grid_refinement_stable(self):
-        a = optimize_dfa(self.SPEC, CH, grid_points=2000)
-        b = optimize_dfa(self.SPEC, CH, grid_points=4000)
+    def test_grid_refinement_stable(self, monkeypatch):
+        a = optimize_dfa(self.SPEC, CH)
+        monkeypatch.setattr(optimize, "E0_GRID_POINTS", 4000)
+        b = optimize_dfa(self.SPEC, CH)
         assert abs(a.k_star - b.k_star) <= 1
 
     def test_e0_star_independent_of_eps(self):
@@ -190,7 +191,7 @@ class TestMaxFeasibleLambda:
         # full power budget, where p_i and p_b are so small that the length
         # just below it is past the cap; from psi ~ 1.05 up its lambda* is
         # within 2e-3 of 1.
-        res = max_feasible_lambda(psi, CH, mode, tol=1e-4)
+        res = max_feasible_lambda(psi, CH, mode)
         assert res.feasible and 2e-3 < res.lambda_star < 1 - 2e-3
         spec = DbvSpec(psi=psi, eps_fa=1e-3, eps_fr=1e-3)
         if mode == "general":
@@ -208,7 +209,7 @@ class TestMaxFeasibleLambda:
 def _scalar_grid(terms, psi, ch, w_dec, w_inc):
     """Oracle: the per-point scalar loop over the power grid that _scan replaces."""
     vals = []
-    for e0 in optimize._e0_grid(ch, optimize.E0_GRID_POINTS):
+    for e0 in optimize._e0_grid(ch):
         ber = intended_blocked_ber(e0, psi, ch)
         vals.append(optimize._inner(terms, ber.p_i, ber.p_b, w_dec, w_inc)[1])
     return np.array(vals)
@@ -216,7 +217,7 @@ def _scalar_grid(terms, psi, ch, w_dec, w_inc):
 
 def _crossing_kinds(terms, psi, w_dec, w_inc):
     """Counts of grid points with a crossing, with one dominating term, and infeasible."""
-    p_i, p_b = intended_blocked_ber_grid(optimize._e0_grid(CH, optimize.E0_GRID_POINTS), psi, CH)
+    p_i, p_b = intended_blocked_ber_grid(optimize._e0_grid(CH), psi, CH)
     f_dec, f_inc, hi = terms(p_i, p_b, np.sqrt)
     a, b = optimize._bracket(p_i, hi, np.nextafter, np.maximum, np.minimum)
     with np.errstate(all="ignore"):
@@ -254,7 +255,7 @@ class TestGridScanOracle:
     def test_argmin_and_infeasible_points_match(self, case):
         terms, psi, w_dec, w_inc = _SCAN_CASES[case]
         want = _scalar_grid(terms, psi, CH, w_dec, w_inc)
-        grid = optimize._e0_grid(CH, optimize.E0_GRID_POINTS)
+        grid = optimize._e0_grid(CH)
         got = optimize._scan(terms, *intended_blocked_ber_grid(grid, psi, CH), w_dec, w_inc)
         assert np.array_equal(np.isinf(got), np.isinf(want))
         if np.isfinite(want).any():
@@ -305,7 +306,7 @@ class TestBerGrid:
         ids=["default", "other"],
     )
     def test_equals_intended_blocked_ber_elementwise(self, psi, ch):
-        grid = optimize._e0_grid(ch, optimize.E0_GRID_POINTS)
+        grid = optimize._e0_grid(ch)
         p_i, p_b = intended_blocked_ber_grid(grid, psi, ch)
         pairs = [intended_blocked_ber(e0, psi, ch) for e0 in grid]
         assert p_i.tolist() == [b.p_i for b in pairs]

@@ -1,29 +1,45 @@
 """The benchmark's tracer binds dbvsim functions by name; those names must
 keep resolving, and the Monte Carlo loop must keep reaching each attack and
 the source draw through their module attributes, or the traced call counts go
-silently to zero.
+silently to zero.  The benchmark's workloads call dbvsim with the arguments
+they were written for; each warm-up operation must still run and pass its
+check, so that a removed parameter or name fails here and not only in a
+benchmark run.
 
-``perfbench/tracer.py`` is loaded by path, as the golden tests load their
-generators.
+``perfbench/tracer.py`` and ``perfbench/workloads.py`` are loaded by path, as
+the golden tests load their generators.
 """
 
 import importlib.util
+import json
+import pkgutil
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dbvsim
 from dbvsim import attacks
 from dbvsim.channel import DEFAULT_CHANNEL
 from dbvsim.montecarlo import SCENARIO_KINDS, Scenario, run_trial
 from dbvsim.protocols import BrmParams, ProtocolConfig
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py"
-)
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+ROOT = Path(__file__).parents[1]
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up while the class is built
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 PI3 = ProtocolConfig("pi3", e0=2000.0, k=120, beta=0.1, brm=BrmParams(lam=0.3, n=400))
 ATTACKS = sorted(name for name in vars(attacks) if name.startswith("attack_"))
@@ -67,3 +83,17 @@ def test_challenge_response_trial_draws_through_random_bits(protocol):
     finally:
         t.uninstall()
     assert t.calls["channel.random_bits"] == 1
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_warmup_passes_its_checks(workload):
+    for op in workloads.build(workload).warmup:
+        error = op.check(op.run(7))
+        assert error is None or op.is_known_defect(error), (op.label, error)
+
+
+def test_all_names_resolve():
+    for info in pkgutil.iter_modules(dbvsim.__path__):
+        module = importlib.import_module(f"dbvsim.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (info.name, missing)
