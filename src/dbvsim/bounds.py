@@ -44,7 +44,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 #: Challenge lengths above this are reported as infeasible rather than returned.
-DEFAULT_K_CAP = 10**15
+K_CAP = 10**15
 
 
 class InfeasibleError(ValueError):
@@ -252,8 +252,8 @@ def _binomial_tails(k: int, beta: float | Fraction, p: float) -> tuple[float, fl
     """(lower, upper) = (Pr(Bin(k,p) <= c), Pr(Bin(k,p) > c)) at c = max_errors(beta, k).
 
     The numerically smaller side is summed directly in log space (log-gamma
-    binomial coefficients, compensated summation in ascending order); the
-    other side is its exact complement, so lower + upper == 1 always.
+    binomial coefficients, correctly rounded summation); the other side is
+    its exact complement, so lower + upper == 1 always.
 
     Only the window of terms within _TAIL_WINDOW_NATS of the side's largest
     term is evaluated: every term outside it is exactly 0.0 after scaling by
@@ -279,14 +279,11 @@ def _binomial_tails(k: int, beta: float | Fraction, p: float) -> tuple[float, fl
     lg = math.lgamma(k + 1)
     log_p, log_q = math.log(p), math.log1p(-p)
 
+    def _lgamma(x: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(math.lgamma, x.tolist()), np.float64, len(x))
+
     def _log_pmf(i: np.ndarray) -> np.ndarray:
-        return (
-            lg
-            - np.array([math.lgamma(v + 1) for v in i])
-            - np.array([math.lgamma(k - v + 1) for v in i])
-            + i * log_p
-            + (k - i) * log_q
-        )
+        return lg - _lgamma(i + 1) - _lgamma(k - i + 1) + i * log_p + (k - i) * log_q
 
     lower_is_small = (cut + 0.5) < k * p
     first, last = (0, cut) if lower_is_small else (cut + 1, k)
@@ -300,7 +297,8 @@ def _binomial_tails(k: int, beta: float | Fraction, p: float) -> tuple[float, fl
     hi = _superlevel_end(above, peak, last)
     logs = _log_pmf(np.arange(lo, hi + 1, dtype=np.float64))
     m = float(np.max(logs))
-    small = math.exp(m) * math.fsum(sorted(np.exp(logs - m)))
+    # fsum is correctly rounded in any order; a list of floats keeps it fast.
+    small = math.exp(m) * math.fsum(np.exp(logs - m).tolist())
     small = min(small, 1.0)
     if lower_is_small:
         return small, 1.0 - small
@@ -321,9 +319,9 @@ def _ceil_checked(value: float) -> int:
     if not math.isfinite(value):
         raise InfeasibleError("challenge-length-cap", "required length diverges")
     k = max(1, math.ceil(value))
-    if k > DEFAULT_K_CAP:
+    if k > K_CAP:
         raise InfeasibleError(
-            "challenge-length-cap", f"required length {k} exceeds cap {DEFAULT_K_CAP}"
+            "challenge-length-cap", f"required length {k} exceeds cap {K_CAP}"
         )
     return k
 

@@ -69,6 +69,11 @@ def _user_input():
         raise _UsageError(str(err)) from err
 
 
+def _theta(args) -> float:
+    """--theta, or DEFAULT_THETA where simulate leaves it unset."""
+    return DEFAULT_THETA if args.theta is None else args.theta
+
+
 def _specs(
     args, psi: float, eps_fa: float, eps_fr: float, lam: Optional[float] = None
 ) -> DbvSpec:
@@ -77,7 +82,7 @@ def _specs(
     with _user_input():
         spec = DbvSpec(psi=psi, eps_fa=eps_fa, eps_fr=eps_fr)
         if lam is not None:
-            BrmSpec(lam=lam, theta=args.theta, gamma=0.0 if args.gamma is None else args.gamma)
+            BrmSpec(lam=lam, theta=_theta(args), gamma=0.0 if args.gamma is None else args.gamma)
     return spec
 
 
@@ -164,8 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--beta", type=float)
     p_sim.add_argument("--n", type=int)
     p_sim.add_argument("--lambda", dest="lam", type=float)
-    p_sim.add_argument("--theta", type=float, default=DEFAULT_THETA)
-    p_sim.add_argument("--gamma", type=float, default=None)
+    p_sim.add_argument("--theta", type=float,
+                       help=f"sampler slack, with --auto only (default {DEFAULT_THETA:g})")
+    p_sim.add_argument("--gamma", type=float,
+                       help="sampler failure, with --auto only (default eps_fa/100)")
     p_sim.add_argument("--mac-bits", type=int, default=64, choices=sorted(FIELD_POLYNOMIALS))
     p_sim.add_argument("--no-mac", action="store_true", help="drop the tag from pi3 responses")
     p_sim.add_argument("--strategy", choices=sorted(_STRATEGIES), default="index-first")
@@ -265,7 +272,7 @@ def _auto_config(args, spec: DbvSpec, ch: ChannelParams) -> ProtocolConfig:
             )
     if args.lam is None:
         raise _UsageError("--lambda is required for pi3")
-    opt = optimize_brm(spec, ch, args.lam, args.brm_mode, theta=args.theta, gamma=args.gamma)
+    opt = optimize_brm(spec, ch, args.lam, args.brm_mode, theta=_theta(args), gamma=args.gamma)
     with _user_input():
         return ProtocolConfig(
             protocol="pi3", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
@@ -297,6 +304,11 @@ _INTRUDER_SCENARIOS = ("mfa", "impersonation", "tfa-relay")
 
 def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, Scenario]:
     """Spec, config and scenario of a simulate run, each checked before any trial."""
+    if not args.auto:
+        given = [f"--{name}" for name in ("theta", "gamma") if getattr(args, name) is not None]
+        if given:
+            raise _UsageError("--theta and --gamma need --auto, where the optimizer designs "
+                              f"the sampler; got {' and '.join(given)}")
     lam = args.lam if args.protocol == "pi3" else None
     spec = _specs(args, args.psi, args.eps_fa, args.eps_fr, lam)
     if args.auto:

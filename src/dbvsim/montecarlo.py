@@ -259,7 +259,7 @@ def exact_success_probability(
         unknown = cfg.k - np.arange(lo, lo + len(weights))
         accepts = stats.binom.cdf(max_errors(cfg.beta, cfg.k), unknown, p_b)
         accepts[unknown == 0] = 1.0
-        return math.fsum(weights * accepts)
+        return math.fsum((weights * accepts).tolist())
     return None
 
 

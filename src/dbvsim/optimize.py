@@ -8,10 +8,18 @@ solved exactly at the unique crossing of the two terms; the outer power
 search scans a fixed logarithmic grid in one array pass and refines the best
 cell by golden section with the scalar inner solver, so results are
 deterministic and reproducible bit for bit.
+
+The scan bisects every crossing for a few steps, which brackets each
+point's final value, and finishes the bisection only where that bracket
+does not rule the point out of the grid minimum.  The grid's error
+probabilities depend only on psi and the channel, so one read-only copy per
+(psi, channel) serves every design at that psi.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -59,6 +67,15 @@ __all__ = [
 #: Outer search grid: points on [span * e_max, e_max], logarithmically spaced.
 E0_GRID_POINTS = 2000
 E0_GRID_SPAN = 1e-6
+#: Distinct (psi, channel, grid) error-probability grids kept for reuse; each
+#: holds three arrays of E0_GRID_POINTS floats (48 KB at the default size).
+_BER_GRID_CACHE_SIZE = 64
+#: Bisection steps the scan takes at every crossing point before it bounds
+#: the final values; only points the bounds cannot exclude bisect further.
+_SCAN_COARSE_STEPS = 16
+#: A crossing point bisects to the end when its lower bound is within this
+#: factor of the best upper bound; the margin dwarfs rounding in the bounds.
+_SCAN_REFINE_FACTOR = 1.06
 #: Relative tolerance of the golden-section refinement on e0.
 E0_REFINE_RTOL = 1e-6
 #: Sampler slack theta of a bounded-retrieval design unless the caller sets one.
@@ -168,10 +185,45 @@ def _inner(
     return _crossing(f_dec, f_inc, p_i, beta_hi, w_dec, w_inc)
 
 
+def _bisect(
+    g: Callable[[np.ndarray], np.ndarray],
+    crosses: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    steps: Optional[int] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect g's sign change (g(left) > 0 >= g(right)) where crosses holds.
+
+    Stops after ``steps`` steps, or without a limit once no bracket shrinks.
+    Each point's path depends on that point alone, so bisecting a subset
+    from a bracket the full set reached ends on the same bits.
+    """
+    for _ in range(steps) if steps is not None else itertools.count():
+        mid = 0.5 * (left + right)
+        moving = crosses & (left < mid) & (mid < right)
+        if not moving.any():
+            break
+        up = g(mid) > 0
+        left = np.where(moving & up, mid, left)
+        right = np.where(moving & ~up, mid, right)
+    return left, right
+
+
 def _scan(
     terms: Terms, p_i: np.ndarray, p_b: np.ndarray, w_dec: float, w_inc: float
 ) -> np.ndarray:
     """The objective of _inner at every grid power in one array pass.
+
+    At crossing points that cannot be the grid minimum the value is an upper
+    bound only; _scan_refined also says which crossings were bisected to the end.
+    """
+    return _scan_refined(terms, p_i, p_b, w_dec, w_inc)[0]
+
+
+def _scan_refined(
+    terms: Terms, p_i: np.ndarray, p_b: np.ndarray, w_dec: float, w_inc: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, refined): _scan's values and the points bisected to the end.
 
     Points where _inner fails (an empty bracket, or a term that is not a
     positive finite number at a bracket end, where _inner's logarithm or
@@ -179,6 +231,15 @@ def _scan(
     shrinking, and the objective is the smaller of the two terms' max at the
     bracket ends: accurate to a few ulps, which is all the argmin over the
     grid needs.  The returned optimum itself always comes from _inner.
+
+    Every crossing first takes _SCAN_COARSE_STEPS steps.  On the bracket
+    [left, right] they reach, the decreasing term is at least its value at
+    right and the increasing one at least its value at left, so the final
+    value is at least the larger weighted one of those; and it is at most
+    the smaller of the two ends' objectives.  Only points whose lower bound
+    is within _SCAN_REFINE_FACTOR of the best upper bound go on bisecting,
+    to the same bits the full loop gives; every other point keeps its upper
+    bound, which is above the minimum.
 
     Python's x**2 and numpy's x*x differ in the last bit on about 0.1% of
     inputs, so on a bracket only a few ulps from empty the two paths can
@@ -188,16 +249,22 @@ def _scan(
     vals = np.full(p_i.shape, np.inf)
     _, _, beta_hi = terms(p_i, p_b, np.sqrt)
     idx = np.flatnonzero((0 <= p_i) & (p_i < p_b) & (beta_hi > p_i))
-    f_dec, f_inc, hi = terms(p_i[idx], p_b[idx], np.sqrt)
-    lo = p_i[idx]
-    a, b = _bracket(lo, hi, np.nextafter, np.maximum, np.minimum)
     log_ratio = math.log(w_dec) - math.log(w_inc)
 
-    def g(beta: np.ndarray) -> np.ndarray:
-        return log_ratio + np.log(f_dec(beta)) - np.log(f_inc(beta))
+    def crossing_of(points: np.ndarray):
+        """(f_dec, f_inc, upper bracket end, g, objective) at the given grid points."""
+        f_dec, f_inc, hi = terms(p_i[points], p_b[points], np.sqrt)
 
-    def objective(beta: np.ndarray) -> np.ndarray:
-        return np.maximum(w_dec * f_dec(beta), w_inc * f_inc(beta))
+        def g(beta: np.ndarray) -> np.ndarray:
+            return log_ratio + np.log(f_dec(beta)) - np.log(f_inc(beta))
+
+        def objective(beta: np.ndarray) -> np.ndarray:
+            return np.maximum(w_dec * f_dec(beta), w_inc * f_inc(beta))
+
+        return f_dec, f_inc, hi, g, objective
+
+    f_dec, f_inc, hi, g, objective = crossing_of(idx)
+    a, b = _bracket(p_i[idx], hi, np.nextafter, np.maximum, np.minimum)
 
     def usable(beta: np.ndarray) -> np.ndarray:
         dec, inc = f_dec(beta), f_inc(beta)
@@ -209,23 +276,45 @@ def _scan(
         crosses = (ga > 0) & (gb < 0)
         # Where one term dominates, the edge _crossing picks.
         beta = np.where(ga <= 0, a, b)
-        left, right = a, b
-        while True:
-            mid = 0.5 * (left + right)
-            moving = crosses & (left < mid) & (mid < right)
-            if not moving.any():
-                break
-            up = g(mid) > 0
-            left = np.where(moving & up, mid, left)
-            right = np.where(moving & ~up, mid, right)
-        value = np.where(crosses, np.minimum(objective(left), objective(right)),
+        left, right = _bisect(g, crosses, a, b, _SCAN_COARSE_STEPS)
+        upper = np.where(crosses, np.minimum(objective(left), objective(right)),
                          objective(beta))
-    vals[idx] = np.where(ok & np.isfinite(value), value, np.inf)
-    return vals
+        value = np.where(ok & np.isfinite(upper), upper, np.inf)
+        lower = np.maximum(w_dec * f_dec(right), w_inc * f_inc(left))
+        cut = _SCAN_REFINE_FACTOR * value.min(initial=np.inf)
+        go_on = np.flatnonzero(crosses & ok & ~(lower > cut))
+        *_, g_on, objective_on = crossing_of(idx[go_on])
+        left, right = _bisect(g_on, crosses[go_on], left[go_on], right[go_on])
+        final = np.minimum(objective_on(left), objective_on(right))
+        value[go_on] = np.where(np.isfinite(final), final, np.inf)
+    vals[idx] = value
+    refined = np.zeros(p_i.shape, dtype=bool)
+    refined[idx[go_on]] = True
+    return vals, refined
 
 
 def _e0_grid(ch: ChannelParams) -> np.ndarray:
     return np.geomspace(E0_GRID_SPAN * ch.e_max, ch.e_max, E0_GRID_POINTS)
+
+
+def _ber_grid(psi: float, ch: ChannelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(powers, p_i, p_b) over the outer grid at psi: read-only, shared between calls.
+
+    The cache key carries the grid constants, so changing E0_GRID_POINTS or
+    E0_GRID_SPAN gives a fresh grid rather than a stale one.
+    """
+    return _ber_grid_at(psi, ch, E0_GRID_POINTS, E0_GRID_SPAN)
+
+
+@functools.lru_cache(maxsize=_BER_GRID_CACHE_SIZE)
+def _ber_grid_at(
+    psi: float, ch: ChannelParams, points: int, span: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    grid = np.geomspace(span * ch.e_max, ch.e_max, points)
+    arrays = (grid, *intended_blocked_ber_grid(grid, psi, ch))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _golden_refine(
@@ -259,8 +348,8 @@ def _outer_min(
     golden-section refinement around it and the grid winner's value are
     scalar _inner evaluations.
     """
-    grid = _e0_grid(ch)
-    vals = _scan(terms, *intended_blocked_ber_grid(grid, psi, ch), w_dec, w_inc)
+    grid, p_i, p_b = _ber_grid(psi, ch)
+    vals = _scan(terms, p_i, p_b, w_dec, w_inc)
     if not np.isfinite(vals).any():
         raise InfeasibleError(
             "infeasible-for-all-powers",
@@ -347,7 +436,7 @@ def max_feasible_lambda(psi: float, ch: ChannelParams, mode: str) -> MaxLambdaRe
     mode's threshold bracket (p_i, upper end) is non-empty at theta = 0 for
     some grid power; bisected to LAMBDA_TOL.
     """
-    p_i, p_b = intended_blocked_ber_grid(_e0_grid(ch), psi, ch)
+    _, p_i, p_b = _ber_grid(psi, ch)
 
     def feasible(lam: float) -> bool:
         _, _, beta_hi = _brm_terms(mode, lam, 0.0)(p_i, p_b, np.sqrt)

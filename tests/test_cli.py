@@ -294,6 +294,30 @@ class TestSimulateInputErrors:
         else:
             assert json.loads(out)["summary"]["scenario"] == kind
 
+    @pytest.mark.parametrize("extra", [
+        ("--protocol", "pi1", "--theta", "0.3"),
+        (*_PI3, "--theta", "0.3"),
+        (*_PI3, "--gamma", "1e-5"),
+        (*_PI3, "--theta", "1e-4", "--gamma", "1e-5"),
+    ])
+    def test_theta_gamma_need_auto(self, capsys, extra):
+        code, out, err = run_cli(capsys, *_EXPLICIT, *extra)
+        assert code == 1, err
+        assert out == "" and err.startswith("usage error: --theta and --gamma need --auto")
+
+    def test_auto_takes_theta_gamma(self, capsys):
+        auto = ("simulate", "--protocol", "pi3", "--scenario", "honest", "--auto",
+                "--psi", "2.0", "--eps-fa", "1e-2", "--eps-fr", "1e-2", "--lambda", "0.3",
+                "--trials", "20", "--seed", "7", "--plain")
+        outs = {}
+        for name, extra in [("unset", ()), ("defaults", ("--theta", "1e-4", "--gamma", "1e-4")),
+                            ("other", ("--theta", "1e-3", "--gamma", "1e-5"))]:
+            code, outs[name], err = run_cli(capsys, *auto, *extra)
+            assert code == 0, err
+        # Unset flags fall back to theta = 1e-4 and gamma = eps_fa/100.
+        assert outs["unset"] == outs["defaults"]
+        assert json.loads(outs["other"])["config"] != json.loads(outs["unset"])["config"]
+
     def test_optimizer_value_error_is_internal(self, capsys, monkeypatch):
         def broken(spec, ch):
             raise ValueError("optimizer defect")

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbvsim import bounds, optimize
 from dbvsim.bounds import (
-    DEFAULT_K_CAP,
+    K_CAP,
     DbvSpec,
     InfeasibleError,
     chernoff_false_accept,
@@ -285,7 +287,7 @@ class TestGridScanOracle:
         # Here Python's x**2 and numpy's x*x, which differ in the last bit
         # on about 0.1% of inputs, decide whether a denominator is positive,
         # so the scan and the scalar path may disagree; only on points whose
-        # challenge length is past DEFAULT_K_CAP.
+        # challenge length is past K_CAP.
         terms = bounds._brm_terms(mode, lam, theta)
         lo, hi = p_i, 0.5
         while math.nextafter(lo, hi) < hi:
@@ -296,7 +298,131 @@ class TestGridScanOracle:
         got = optimize._scan(terms, np.full(p_b.shape, p_i), p_b, 9.2, 9.2)
         assert np.isinf(want[:50]).all() and np.isinf(got[:50]).all()
         differ = np.isinf(got) != np.isinf(want)
-        assert (np.minimum(got, want)[differ] > DEFAULT_K_CAP).all()
+        assert (np.minimum(got, want)[differ] > K_CAP).all()
+
+
+def _full_bisection_scan(terms, p_i, p_b, w_dec, w_inc):
+    """Oracle: the grid scan that bisects every crossing until its bracket stops shrinking."""
+    vals = np.full(p_i.shape, np.inf)
+    _, _, beta_hi = terms(p_i, p_b, np.sqrt)
+    idx = np.flatnonzero((0 <= p_i) & (p_i < p_b) & (beta_hi > p_i))
+    f_dec, f_inc, hi = terms(p_i[idx], p_b[idx], np.sqrt)
+    lo = p_i[idx]
+    a, b = optimize._bracket(lo, hi, np.nextafter, np.maximum, np.minimum)
+    log_ratio = math.log(w_dec) - math.log(w_inc)
+
+    def g(beta):
+        return log_ratio + np.log(f_dec(beta)) - np.log(f_inc(beta))
+
+    def objective(beta):
+        return np.maximum(w_dec * f_dec(beta), w_inc * f_inc(beta))
+
+    def usable(beta):
+        dec, inc = f_dec(beta), f_inc(beta)
+        return (0 < dec) & (dec < np.inf) & (0 < inc) & (inc < np.inf)
+
+    with np.errstate(all="ignore"):
+        ok = (a < b) & usable(a) & usable(b)
+        ga, gb = g(a), g(b)
+        crosses = (ga > 0) & (gb < 0)
+        beta = np.where(ga <= 0, a, b)
+        left, right = a, b
+        while True:
+            mid = 0.5 * (left + right)
+            moving = crosses & (left < mid) & (mid < right)
+            if not moving.any():
+                break
+            up = g(mid) > 0
+            left = np.where(moving & up, mid, left)
+            right = np.where(moving & ~up, mid, right)
+        value = np.where(crosses, np.minimum(objective(left), objective(right)),
+                         objective(beta))
+    vals[idx] = np.where(ok & np.isfinite(value), value, np.inf)
+    return vals
+
+
+def _check_against_full_bisection(terms, psi, w_dec, w_inc):
+    """The scan picks the full scan's argmin and infinities, and its values at
+    every point it refines are the full scan's bits; returns the refined count."""
+    _, p_i, p_b = optimize._ber_grid(psi, CH)
+    want = _full_bisection_scan(terms, p_i, p_b, w_dec, w_inc)
+    got, refined = optimize._scan_refined(terms, p_i, p_b, w_dec, w_inc)
+    assert np.array_equal(optimize._scan(terms, p_i, p_b, w_dec, w_inc), got)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.array_equal(got[refined], want[refined])
+    if np.isfinite(want).any():
+        best = int(np.argmin(want))
+        assert int(np.argmin(got)) == best and got[best] == want[best]
+        # Unrefined points hold upper bounds of their final values.
+        assert (got[~refined] >= want[~refined]).all()
+    return int(refined.sum())
+
+
+_LOG_EPS = st.floats(math.log(1e-12), math.log(0.5))
+
+
+class TestRefiningScan:
+    """The scan bisects to the end only near the grid minimum; elsewhere it
+    stops early, which must never change the argmin or a refined value."""
+
+    @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+    def test_scan_cases(self, case):
+        _check_against_full_bisection(*_SCAN_CASES[case])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        psi=st.floats(1.001, 50),
+        log_eps_fr=_LOG_EPS,
+        log_eps_fa=_LOG_EPS,
+        mode=st.sampled_from(("dfa", "general", "sampling")),
+        lam=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        theta=st.sampled_from((0.0, 1e-4)),
+    )
+    def test_matches_full_bisection(self, psi, log_eps_fr, log_eps_fa, mode, lam, theta):
+        terms = bounds._dfa_terms if mode == "dfa" else bounds._brm_terms(mode, lam, theta)
+        _check_against_full_bisection(terms, psi, -log_eps_fr, -log_eps_fa)
+
+    def test_refines_a_small_share(self):
+        # The saving: only points near the minimum bisect to the end.
+        refined = _check_against_full_bisection(bounds._dfa_terms, 1.1, 1.0, 1.0)
+        assert 0 < refined < optimize.E0_GRID_POINTS // 10
+
+
+class TestBerGridCache:
+    @pytest.mark.parametrize("psi", [1.01, 1.68, 40.0])
+    def test_equals_uncached_grid(self, psi):
+        grid, p_i, p_b = optimize._ber_grid(psi, CH)
+        want_grid = optimize._e0_grid(CH)
+        want_i, want_b = intended_blocked_ber_grid(want_grid, psi, CH)
+        assert grid.tolist() == want_grid.tolist()
+        assert p_i.tolist() == want_i.tolist()
+        assert p_b.tolist() == want_b.tolist()
+
+    def test_arrays_are_read_only_and_shared(self):
+        arrays = optimize._ber_grid(1.3, CH)
+        assert all(a is b for a, b in zip(arrays, optimize._ber_grid(1.3, CH)))
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_changed_grid_constants_get_a_fresh_grid(self, monkeypatch):
+        stale = optimize._ber_grid(1.3, CH)
+        monkeypatch.setattr(optimize, "E0_GRID_POINTS", 777)
+        grid, p_i, p_b = optimize._ber_grid(1.3, CH)
+        assert len(grid) == len(p_i) == len(p_b) == 777
+        assert grid.tolist() == optimize._e0_grid(CH).tolist()
+        assert p_i.tolist() == intended_blocked_ber_grid(grid, 1.3, CH)[0].tolist()
+        monkeypatch.setattr(optimize, "E0_GRID_SPAN", 1e-3)
+        assert optimize._ber_grid(1.3, CH)[0][0] == pytest.approx(1e-3 * CH.e_max)
+        monkeypatch.undo()
+        assert optimize._ber_grid(1.3, CH)[0] is stale[0]
+
+    def test_other_channel_gets_its_own_grid(self):
+        other = ChannelParams(xi=2.0, alpha=2.0, sigma=3e-10, e_max=5e5, d0=2e4)
+        grid, p_i, _ = optimize._ber_grid(1.3, other)
+        assert grid[-1] == other.e_max
+        assert p_i.tolist() == intended_blocked_ber_grid(grid, 1.3, other)[0].tolist()
 
 
 class TestBerGrid:
