@@ -52,8 +52,6 @@ from .protocols import (
     ACC,
     REJ,
     BrmParams,
-    Claim,
-    PartyPlacement,
     ProtocolConfig,
     RetrievalCapError,
     SessionKeys,

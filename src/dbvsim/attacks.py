@@ -2,10 +2,11 @@
 terrorist-fraud family against the bounded-retrieval protocol.
 
 Each attack is a responder policy on a ``protocols.Session``: it decides what
-each party reads and which tag it sends.  It reads the claim, distances,
-strategies, leak flags and ``noiseless`` from the run's
-``montecarlo.Scenario``, the only description of a run.  A distance of None
-places a receiver so close to the verifier that it is error-free (the
+each party reads and which tag it sends.  Every policy, the honest
+``protocols.run_protocol`` included, takes ``(cfg, scenario, ch, rng, seed)``
+and reads the claim, distances, strategies, leak flags and ``noiseless`` from
+the run's ``montecarlo.Scenario``, the only description of a run.  A distance
+of None places a receiver so close to the verifier that it is error-free (the
 strongest adversary).  Every party reads through the session's retrieval
 audit, whose cap on pi1/pi2 is the whole emission, so an attack that needs
 more than the cap raises RetrievalCapError.
@@ -20,10 +21,8 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .channel import ChannelParams, bpsk_demodulate, path_loss
+from .channel import ChannelParams, attenuate, bpsk_demodulate
 from .protocols import (
-    Claim,
-    PartyPlacement,
     ProtocolConfig,
     ProtocolConfigError,
     RetrievalCapError,
@@ -56,15 +55,6 @@ def _random_tag(rng: np.random.Generator, field_bits: int) -> int:
     return int.from_bytes(rng.bytes(field_bits // 8), "big")
 
 
-def _session(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
-             rng: np.random.Generator, seed: Optional[int], *,
-             d_real: Optional[float] = None) -> Session:
-    """The scenario's session: its claim, its label and its noise setting."""
-    return Session(cfg, scenario.d_claim, ch, rng,
-                   d_real=scenario.d_real if d_real is None else d_real,
-                   scenario=scenario.kind, noiseless=scenario.noiseless, seed=seed)
-
-
 def attack_dfa(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
                rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
     """Dishonest prover at d_real claims d_claim and answers from its own noisy reception.
@@ -73,10 +63,7 @@ def attack_dfa(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
     per-bit match probability, so mechanically this is an honest run placed
     at d_real; the fraud is in the claim.
     """
-    t = run_protocol(cfg, Claim(scenario.d_claim), PartyPlacement(scenario.d_real), ch, rng,
-                     noiseless=scenario.noiseless, seed=seed)
-    t.scenario = scenario.kind
-    return t
+    return run_protocol(cfg, scenario, ch, rng, seed)
 
 
 def attack_mfa(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
@@ -89,7 +76,7 @@ def attack_mfa(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
       random-tag  forward the prover's response with a uniform tag guess
       best-guess  answer from the intruder's own reception with a uniform tag
     """
-    s = _session(cfg, scenario, ch, rng, seed)
+    s = Session(cfg, scenario, ch, rng, seed)
     s.receive("prover", scenario.d_real)
     prover_resp = bpsk_demodulate(s.read("prover"))
     response = prover_resp
@@ -114,7 +101,7 @@ def attack_impersonation(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelPar
     it individual session keys, isolating which secret blocks the attack.
     """
     at = scenario.intruder_d
-    s = _session(cfg, scenario, ch, rng, seed, d_real=0.0 if at is None else at)
+    s = Session(cfg, scenario, ch, rng, seed, d_real=0.0 if at is None else at)
     s.receive("adversary", at)
     # Without the sampler key it can only answer with the first k positions.
     positions = None if scenario.leaked_sampler_key else np.arange(cfg.k)
@@ -139,7 +126,7 @@ def attack_tfa_relay(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
     """
     if Session.capture_blocked(cfg):
         raise RetrievalCapError("intruder", *Session.extent(cfg))
-    s = _session(cfg, scenario, ch, rng, seed)
+    s = Session(cfg, scenario, ch, rng, seed)
     s.receive("intruder", scenario.intruder_d)
     capture = s.read("intruder", np.arange(s.n))  # every emitted position, in order
     response = bpsk_demodulate(capture[s.sampled])
@@ -247,7 +234,7 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
     if cfg.protocol != "pi3":
         raise ProtocolConfigError("terrorist-fraud retrieval attacks target pi3")
     strategy, d_r = scenario.tfa_strategy, scenario.d_real
-    s = _session(cfg, scenario, ch, rng, seed)
+    s = Session(cfg, scenario, ch, rng, seed)
     s.receive("prover", d_r)
     sampled = s.sampled
 
@@ -276,7 +263,7 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
         elif scenario.noiseless:
             response = own_bits.copy()
         else:
-            amp = math.sqrt(s.power_w) / math.sqrt(path_loss(d_r, ch))
+            amp = attenuate(math.sqrt(s.power_w), d_r, ch)
             # Per-sample noise variance is sigma/2 (see channel.propagate).
             llr_chan = 4.0 * amp * y_sampled / ch.sigma
             total = llr_chan + _majority_prior(digest, sizes)[block]

@@ -362,7 +362,7 @@ def _brm_length(
 ) -> tuple[int, int]:
     terms = _brm_terms(mode, brm.lam, brm.theta)
     k = _challenge_length(mode, terms, ber, beta, _log_weights(spec, brm.gamma))
-    return k, math.ceil(k / brm.lam)
+    return k, _ceil_checked(k / brm.lam)
 
 
 def challenge_length_brm_general(
@@ -371,7 +371,7 @@ def challenge_length_brm_general(
     """(k, n) for the bounded-retrieval protocol against arbitrary retrieval functions.
 
     k as in challenge_length_dfa with the general terms and the FA weight
-    ln(1/(eps_fa-gamma)), and n = ceil(k/lam).
+    ln(1/(eps_fa-gamma)), and n = ceil(k/lam), held to the same K_CAP as k.
     """
     return _brm_length("general", ber, beta, brm, spec)
 
@@ -382,7 +382,7 @@ def challenge_length_brm_sampling(
     """(k, n) for the bounded-retrieval protocol against position-sampling intruders.
 
     k as in challenge_length_dfa with the sampling terms and the FA weight
-    ln(1/(eps_fa-gamma)), and n = ceil(k/lam).
+    ln(1/(eps_fa-gamma)), and n = ceil(k/lam), held to the same K_CAP as k.
     """
     return _brm_length("sampling", ber, beta, brm, spec)
 

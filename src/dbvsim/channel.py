@@ -25,6 +25,7 @@ __all__ = [
     "DEFAULT_CHANNEL",
     "watts_to_dbm",
     "path_loss",
+    "attenuate",
     "snr_at_distance",
     "transmit_power_for_claim",
     "random_bits",
@@ -130,8 +131,17 @@ def path_loss(d: float, ch: ChannelParams) -> float:
         return math.inf
 
 
+def attenuate(x, d: float, ch: ChannelParams):
+    """Amplitude x after the path loss at d, x / sqrt(xi * d**alpha); a loss
+    that underflows to 0 gives the model's limit, an infinite amplitude."""
+    loss = path_loss(d, ch)
+    return x / math.sqrt(loss) if loss else x * math.inf
+
+
 def _snr(e, d: float, ch: ChannelParams):
-    return e / (path_loss(d, ch) * ch.sigma)
+    # An underflowed loss gives the model's limit: infinite SNR, bit error rate 0.
+    noise = path_loss(d, ch) * ch.sigma
+    return e / noise if noise else e * math.inf
 
 
 def transmit_power_for_claim(d_c: float, e0: float, ch: ChannelParams) -> float:
@@ -140,7 +150,10 @@ def transmit_power_for_claim(d_c: float, e0: float, ch: ChannelParams) -> float:
         raise ClaimRangeError(f"claim {d_c} m outside (0, {ch.d0}] m")
     if not 0 < e0 <= ch.e_max:
         raise PowerLimitError(f"reference power {e0} W outside (0, {ch.e_max}] W")
-    return (d_c / ch.d0) ** ch.alpha * e0
+    e = (d_c / ch.d0) ** ch.alpha * e0
+    if not e > 0:
+        raise ClaimRangeError(f"claim {d_c} m needs a power of {e} W, which underflows")
+    return e
 
 
 def random_bits(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -195,8 +208,7 @@ def propagate(
     """
     if not d > 0:
         raise ValueError(f"distance must be > 0, got {d}")
-    sig = np.asarray(sig, dtype=np.float64)
-    att = sig / math.sqrt(path_loss(d, ch))
+    att = attenuate(np.asarray(sig, dtype=np.float64), d, ch)
     if noiseless:
         return att
     # noise + att equals att + noise bit for bit; adding in place saves an array.

@@ -37,7 +37,7 @@ from .optimize import (
     sweep_curves,
     write_curves_csv,
 )
-from .primitives import FIELD_POLYNOMIALS
+from .primitives import FIELD_POLYNOMIALS, encode_response_claim
 from .protocols import BrmParams, ProtocolConfig, check_mac_strength, check_whole_source
 
 SCHEMA_VERSION = "1"
@@ -304,6 +304,8 @@ _INTRUDER_SCENARIOS = ("mfa", "impersonation", "tfa-relay")
 
 def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, Scenario]:
     """Spec, config and scenario of a simulate run, each checked before any trial."""
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     if not args.auto:
         given = [f"--{name}" for name in ("theta", "gamma") if getattr(args, name) is not None]
         if given:
@@ -346,6 +348,10 @@ def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, 
             leaked_sampler_key=args.leak_sampler_key,
             noiseless=args.noiseless,
         )
+        if cfg.protocol != "pi1" and cfg.use_mac:  # each MAC-encoded distance fits
+            encode_response_claim((), d_claim)
+            if scenario.kind == "mfa" and scenario.mfa_strategy == "replay":
+                encode_response_claim((), d_real)  # the prover tags its own distance
         if scenario.kind == "tfa-general" and not isinstance(
             scenario.tfa_strategy, IndexSamplingStrategy
         ):

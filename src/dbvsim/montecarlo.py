@@ -24,8 +24,6 @@ from .bounds import DbvSpec, exact_binomial_tail_lower, max_errors
 from .channel import ChannelParams, bit_error_prob, snr_at_distance, transmit_power_for_claim
 from .protocols import (
     ACC,
-    Claim,
-    PartyPlacement,
     ProtocolConfig,
     RetrievalCapError,
     Session,
@@ -99,18 +97,16 @@ def run_trial(
 ) -> tuple[bool, bool, Optional[Transcript]]:
     """(accepted, blocked, transcript) for one protocol or attack run.
 
-    ``honest`` is an honest run of cfg.protocol; every other kind runs the
-    attack of its name, ``attacks.attack_<kind>``, looked up at call time.
-    ``blocked`` marks attacks stopped structurally by the retrieval audit;
-    those never accept.
+    Every responder policy takes ``(cfg, scenario, ch, rng, seed)``:
+    ``honest`` is ``protocols.run_protocol`` on cfg.protocol, and every other
+    kind runs the attack of its name, ``attacks.attack_<kind>``, looked up at
+    call time.  ``blocked`` marks attacks stopped structurally by the
+    retrieval audit; those never accept.
     """
+    policy = (run_protocol if scenario.kind == "honest"
+              else getattr(attacks, "attack_" + scenario.kind.replace("-", "_")))
     try:
-        if scenario.kind == "honest":
-            t = run_protocol(cfg, Claim(scenario.d_claim), PartyPlacement(scenario.d_real), ch,
-                             rng, noiseless=scenario.noiseless, seed=seed)
-        else:
-            attack = getattr(attacks, "attack_" + scenario.kind.replace("-", "_"))
-            t = attack(cfg, scenario, ch, rng, seed)
+        t = policy(cfg, scenario, ch, rng, seed)
     except RetrievalCapError:
         return False, True, None
     return t.verdict == ACC, False, t
@@ -287,13 +283,10 @@ def estimate_rates(
     bound = None
     if spec is not None:
         bound = spec.eps_fr if bound_kind == "false-reject" else spec.eps_fa
-        if trials < 10.0 / bound:
-            logger.warning(
-                "%d trials cannot resolve a rate near the bound %g (want >= %d)",
-                trials,
-                bound,
-                math.ceil(10.0 / bound),
-            )
+        want = 10.0 / bound  # inf for a subnormal bound, which has no ceil
+        if trials < want:
+            logger.warning("%d trials cannot resolve a rate near the bound %g (want >= %s)",
+                           trials, bound, math.ceil(want) if want < math.inf else want)
 
     workers = 1 if dump_path is not None else worker_count(jobs, trials)
     if workers == 1:

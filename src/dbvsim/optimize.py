@@ -45,6 +45,7 @@ from .bounds import (
     challenge_length_dfa,
 )
 from .channel import (
+    BerPair,
     ChannelParams,
     intended_blocked_ber,
     intended_blocked_ber_grid,
@@ -317,9 +318,7 @@ def _ber_grid_at(
     return arrays
 
 
-def _golden_refine(
-    value: Callable[[float], float], lo: float, hi: float
-) -> tuple[float, float]:
+def _golden_refine(value: Callable[[float], float], lo: float, hi: float) -> float:
     """Golden-section minimum of value on [lo, hi] in log space, to E0_REFINE_RTOL."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(lo), math.log(hi)
@@ -335,18 +334,17 @@ def _golden_refine(
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = value(math.exp(d))
-    x = math.exp((a + b) / 2.0)
-    return x, value(x)
+    return math.exp((a + b) / 2.0)
 
 
 def _outer_min(
     terms: Terms, psi: float, ch: ChannelParams, w_dec: float, w_inc: float
-) -> tuple[float, float]:
-    """(e0, objective) minimizing the inner optimum over reference powers.
+) -> tuple[float, BerPair, float, float]:
+    """(e0, ber, beta, objective) minimizing the inner optimum over reference powers.
 
     The grid cell comes from one _scan over the logarithmic grid; the
-    golden-section refinement around it and the grid winner's value are
-    scalar _inner evaluations.
+    golden-section refinement around it and the solves at the refined point
+    and the grid winner are scalar _inner evaluations.
     """
     grid, p_i, p_b = _ber_grid(psi, ch)
     vals = _scan(terms, p_i, p_b, w_dec, w_inc)
@@ -357,18 +355,17 @@ def _outer_min(
         )
     i = int(np.argmin(vals))
 
-    def value(e0: float) -> float:
+    def solve(e0: float) -> tuple[float, BerPair, float, float]:
         ber = intended_blocked_ber(e0, psi, ch)
-        return _inner(terms, ber.p_i, ber.p_b, w_dec, w_inc)[1]
+        beta, objective = _inner(terms, ber.p_i, ber.p_b, w_dec, w_inc)
+        return float(e0), ber, beta, float(objective)
 
     lo = grid[max(0, i - 1)]
     hi = grid[min(len(grid) - 1, i + 1)]
-    e0, v = _golden_refine(value, lo, hi)
+    refined = solve(_golden_refine(lambda e0: solve(e0)[3], lo, hi))
     # Keep the grid winner if refinement drifted onto a worse point.
-    v_grid = value(grid[i])
-    if v_grid < v:
-        return float(grid[i]), float(v_grid)
-    return float(e0), float(v)
+    at_grid = solve(grid[i])
+    return at_grid if at_grid[3] < refined[3] else refined
 
 
 def optimize_dfa(spec: DbvSpec, ch: ChannelParams) -> OptimalDfaConfig:
@@ -380,9 +377,7 @@ def optimize_dfa(spec: DbvSpec, ch: ChannelParams) -> OptimalDfaConfig:
     """
     w_fr, w_fa = (1.0, 1.0) if spec.eps_fa == spec.eps_fr else _log_weights(spec)
 
-    e0_star, obj = _outer_min(_dfa_terms, spec.psi, ch, w_fr, w_fa)
-    ber = intended_blocked_ber(e0_star, spec.psi, ch)
-    beta_star, _ = _inner(_dfa_terms, ber.p_i, ber.p_b, w_fr, w_fa)
+    e0_star, ber, beta_star, obj = _outer_min(_dfa_terms, spec.psi, ch, w_fr, w_fa)
     k_star = challenge_length_dfa(ber, beta_star, spec)
     return OptimalDfaConfig(e0_star=e0_star, beta_star=beta_star, k_star=k_star, objective=obj)
 
@@ -407,15 +402,13 @@ def optimize_brm(
     brm = BrmSpec(lam=lam, theta=theta, gamma=gamma)
     w_fr, w_fa = _log_weights(spec, gamma)
     try:
-        e0_star, obj = _outer_min(terms, spec.psi, ch, w_fr, w_fa)
+        e0_star, ber, beta_star, obj = _outer_min(terms, spec.psi, ch, w_fr, w_fa)
     except InfeasibleError:
         condition, upper = _EMPTY_BRACKET[mode]
         raise InfeasibleError(
             condition,
             f"no power <= e_max satisfies p_i < {upper} with lambda={lam}, theta={theta}",
         ) from None
-    ber = intended_blocked_ber(e0_star, spec.psi, ch)
-    beta_star, _ = _inner(terms, ber.p_i, ber.p_b, w_fr, w_fa)
     length = challenge_length_brm_general if mode == "general" else challenge_length_brm_sampling
     k_star, n_star = length(ber, beta_star, brm, spec)
     return OptimalBrmConfig(

@@ -4,6 +4,9 @@ pi1 is the bare power-adjusted challenge-response protocol, pi2 adds a
 one-time MAC over (response, claim), and pi3 replaces the explicit challenge
 with positions of a high-rate source output sampled under a shared key, with
 every party's retrieval audited against the ceil(lam*n) cap.
+
+The honest prover is a responder policy on a ``Session`` like each attack:
+``run_pi1/2/3`` and ``run_protocol`` take ``(cfg, scenario, ch, rng, seed)``.
 """
 
 from __future__ import annotations
@@ -11,14 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .bounds import max_errors
 from .channel import (
     ChannelParams,
-    ClaimRangeError,
     bits_to_hex,
     bpsk_demodulate,
     bpsk_modulate,
@@ -38,11 +40,12 @@ from .primitives import (
     sample_indices,
 )
 
+if TYPE_CHECKING:
+    from .montecarlo import Scenario
+
 __all__ = [
     "ACC",
     "REJ",
-    "Claim",
-    "PartyPlacement",
     "BrmParams",
     "ProtocolConfig",
     "SessionKeys",
@@ -103,28 +106,6 @@ class ProtocolConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class Claim:
-    """A claimed distance upper bound in meters."""
-
-    d_c: float
-
-    def __post_init__(self) -> None:
-        if not self.d_c > 0:
-            raise ClaimRangeError(f"claim must be > 0 m, got {self.d_c}")
-
-
-@dataclass(frozen=True)
-class PartyPlacement:
-    """True prover distance."""
-
-    d_r: float
-
-    def __post_init__(self) -> None:
-        if not self.d_r > 0:
-            raise ValueError(f"prover distance must be > 0 m, got {self.d_r}")
-
-
-@dataclass(frozen=True)
 class BrmParams:
     """Bounded-retrieval run parameters: rate, source length, sampler failure."""
 
@@ -173,9 +154,9 @@ class ProtocolConfig:
             if self.brm is None:
                 raise ProtocolConfigError("pi3 requires brm parameters")
             # k = lam*n up to rounding: accept either rounding convention.
-            ok = self.k == self.brm.retrieval_cap or self.brm.n == math.ceil(
-                self.k / self.brm.lam
-            )
+            # The second test is n == ceil(k/lam), false (not OverflowError) for k/lam = inf.
+            ok = (self.k == self.brm.retrieval_cap
+                  or self.brm.n - 1 < self.k / self.brm.lam <= self.brm.n)
             if not ok:
                 raise ProtocolConfigError(
                     f"k={self.k} inconsistent with lam*n="
@@ -423,6 +404,9 @@ class Session:
     view, verdict.  A responder policy (the honest prover or an attack)
     receives, reads and signs; ``decide`` builds the transcript.
 
+    The claim, real distance, label and noise setting come from the run's
+    ``montecarlo.Scenario``; impersonation overrides the distance (``d_real``).
+
     It draws from ``rng`` in one fixed order: the MAC key (only when the run
     authenticates and ``keys`` holds none), the sampler key (pi3), then the
     emission.  pi1/pi2 are the n = k case, with a cap of n and every position
@@ -433,12 +417,12 @@ class Session:
     ``propagate`` is the eager reference of a read of every position.
     """
 
-    def __init__(self, cfg: ProtocolConfig, d_c: float, ch: ChannelParams,
-                 rng: np.random.Generator, keys: Optional[SessionKeys] = None, *,
-                 d_real: float, scenario: str = "honest", noiseless: bool = False,
-                 seed: Optional[int] = None):
-        self.cfg, self.d_c, self.ch, self.rng = cfg, d_c, ch, rng
-        self.d_real, self.scenario, self.noiseless, self.seed = d_real, scenario, noiseless, seed
+    def __init__(self, cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
+                 rng: np.random.Generator, seed: Optional[int] = None,
+                 keys: Optional[SessionKeys] = None, *, d_real: Optional[float] = None):
+        self.cfg, self.ch, self.rng, self.seed = cfg, ch, rng, seed
+        self.d_c, self.kind, self.noiseless = scenario.d_claim, scenario.kind, scenario.noiseless
+        self.d_real = scenario.d_real if d_real is None else d_real
         self.bounded = cfg.protocol == "pi3"
         self.authenticated = cfg.protocol != "pi1" and cfg.use_mac
         self.mac_key = keys.mac_key if keys else None
@@ -447,7 +431,7 @@ class Session:
         self.sampler_key = keys.sampler_key if keys else None
         if self.sampler_key is None and self.bounded:
             self.sampler_key = SamplerKey.generate(rng)
-        self.power_w = transmit_power_for_claim(d_c, cfg.e0, ch)
+        self.power_w = transmit_power_for_claim(self.d_c, cfg.e0, ch)
         self.n, self.cap = self.extent(cfg)
         self._views: dict[str, RetrievalAudit] = {}
         self._sampled: Optional[np.ndarray] = None
@@ -536,7 +520,7 @@ class Session:
             mac_ok=mac_ok,
             threshold_ok=threshold_ok,
             seed=self.seed,
-            scenario=self.scenario,
+            scenario=self.kind,
             noiseless=self.noiseless,
             source_bits=self.n if self.bounded else None,
             retrieval_cap=self.cap if self.bounded else None,
@@ -545,61 +529,36 @@ class Session:
         )
 
 
-def _honest_run(cfg: ProtocolConfig, claim: Claim, placement: PartyPlacement,
-                ch: ChannelParams, rng: np.random.Generator, keys: Optional[SessionKeys],
-                noiseless: bool, seed: Optional[int]) -> Transcript:
+def _honest_run(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
+                rng: np.random.Generator, seed: Optional[int],
+                keys: Optional[SessionKeys] = None) -> Transcript:
     """The honest prover demodulates the sampled positions of its reception
     (its leg to the verifier is error-free) and tags its own claim."""
-    s = Session(cfg, claim.d_c, ch, rng, keys, d_real=placement.d_r,
-                noiseless=noiseless, seed=seed)
-    s.receive("prover", placement.d_r)
+    s = Session(cfg, scenario, ch, rng, seed, keys)
+    s.receive("prover", scenario.d_real)
     response = bpsk_demodulate(s.read("prover"))
-    return s.decide(response, s.sign(response, claim.d_c))
+    return s.decide(response, s.sign(response, scenario.d_claim))
 
 
-def run_pi1(
-    cfg: ProtocolConfig,
-    claim: Claim,
-    placement: PartyPlacement,
-    ch: ChannelParams,
-    rng: np.random.Generator,
-    *,
-    noiseless: bool = False,
-    seed: Optional[int] = None,
-) -> Transcript:
+def run_pi1(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
+            rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
     """One run of the bare challenge-response protocol with an honest prover."""
-    return _honest_run(cfg, claim, placement, ch, rng, None, noiseless, seed)
+    return _honest_run(cfg, scenario, ch, rng, seed)
 
 
-def run_pi2(
-    cfg: ProtocolConfig,
-    claim: Claim,
-    placement: PartyPlacement,
-    ch: ChannelParams,
-    rng: np.random.Generator,
-    keys: Optional[SessionKeys] = None,
-    *,
-    noiseless: bool = False,
-    seed: Optional[int] = None,
-) -> Transcript:
+def run_pi2(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
+            rng: np.random.Generator, seed: Optional[int] = None, *,
+            keys: Optional[SessionKeys] = None) -> Transcript:
     """As pi1 plus a one-time MAC over (response, claim) on the prover leg.
 
     With keys=None a fresh key is drawn from ``rng`` before the challenge.
     """
-    return _honest_run(cfg, claim, placement, ch, rng, keys, noiseless, seed)
+    return _honest_run(cfg, scenario, ch, rng, seed, keys)
 
 
-def run_pi3(
-    cfg: ProtocolConfig,
-    claim: Claim,
-    placement: PartyPlacement,
-    ch: ChannelParams,
-    rng: np.random.Generator,
-    keys: Optional[SessionKeys] = None,
-    *,
-    noiseless: bool = False,
-    seed: Optional[int] = None,
-) -> Transcript:
+def run_pi3(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
+            rng: np.random.Generator, seed: Optional[int] = None, *,
+            keys: Optional[SessionKeys] = None) -> Transcript:
     """One honest run of the bounded-retrieval protocol.
 
     The verifier triggers the source, both parties sample the same key-derived
@@ -607,22 +566,14 @@ def run_pi3(
     observed (enforced by the audit).  The response carries a MAC like pi2
     unless cfg.use_mac is false.
     """
-    return _honest_run(cfg, claim, placement, ch, rng, keys, noiseless, seed)
+    return _honest_run(cfg, scenario, ch, rng, seed, keys)
 
 
-def run_protocol(
-    cfg: ProtocolConfig,
-    claim: Claim,
-    placement: PartyPlacement,
-    ch: ChannelParams,
-    rng: np.random.Generator,
-    *,
-    noiseless: bool = False,
-    seed: Optional[int] = None,
-) -> Transcript:
+def run_protocol(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
+                 rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
     """Dispatch an honest run of cfg.protocol."""
     if cfg.protocol == "pi1":
-        return run_pi1(cfg, claim, placement, ch, rng, noiseless=noiseless, seed=seed)
+        return run_pi1(cfg, scenario, ch, rng, seed)
     if cfg.protocol == "pi2":
-        return run_pi2(cfg, claim, placement, ch, rng, noiseless=noiseless, seed=seed)
-    return run_pi3(cfg, claim, placement, ch, rng, noiseless=noiseless, seed=seed)
+        return run_pi2(cfg, scenario, ch, rng, seed)
+    return run_pi3(cfg, scenario, ch, rng, seed)

@@ -29,13 +29,12 @@ import numpy as np
 
 from dbvsim.bounds import DbvSpec
 from dbvsim.channel import DEFAULT_CHANNEL
+from dbvsim.montecarlo import Scenario
 from dbvsim.optimize import optimize_brm, optimize_dfa
 from dbvsim.primitives import FIELD_POLYNOMIALS, SAMPLER_STREAM_VERSION, MacKey, mac_sign
 from dbvsim.protocols import (
     SOURCE_STREAM_VERSION,
     BrmParams,
-    Claim,
-    PartyPlacement,
     ProtocolConfig,
     run_pi2,
     run_pi3,
@@ -105,7 +104,7 @@ def transcript_cases() -> list[dict]:
     for run, cfg in ((run_pi2, pi2_config()), (run_pi3, pi3_config())):
         tags = []
         for seed in TRANSCRIPT_SEEDS:
-            t = run(cfg, Claim(d_c), PartyPlacement(d_c), DEFAULT_CHANNEL,
+            t = run(cfg, Scenario("honest", d_c, d_c), DEFAULT_CHANNEL,
                     np.random.default_rng(seed), seed=seed)
             tags.append(t.to_json_dict()["tag_hex"])
         cases.append({"config": config_dict(cfg), "d_claim": d_c,

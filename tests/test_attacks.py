@@ -32,8 +32,6 @@ from dbvsim.optimize import optimize_brm
 from dbvsim.protocols import (
     ACC,
     BrmParams,
-    Claim,
-    PartyPlacement,
     ProtocolConfig,
     ProtocolConfigError,
     RetrievalCapError,
@@ -226,7 +224,7 @@ class TestRelay:
 
     def test_matches_honest_at_zero_distance(self):
         # relay success equals honest acceptance next to the verifier
-        from dbvsim.protocols import Claim, PartyPlacement, run_pi2
+        from dbvsim.protocols import run_pi2
 
         trials = 500
         relay = rate(
@@ -234,7 +232,7 @@ class TestRelay:
             trials, seed0=11,
         )
         honest = sum(
-            run_pi2(PI2, Claim(4e4), PartyPlacement(1.0), CH,
+            run_pi2(PI2, Scenario("honest", 4e4, 1.0), CH,
                     np.random.default_rng((11, 5000 + i))).verdict == ACC
             for i in range(trials)
         ) / trials
@@ -595,7 +593,7 @@ class TestPaperScale:
         tracemalloc.start()
         try:
             if kind == "honest":
-                t = run_pi3(cfg, Claim(4e4), PartyPlacement(4e4), CH, rng)
+                t = run_pi3(cfg, Scenario("honest", 4e4, 4e4), CH, rng)
             elif kind == "dfa":
                 t = attack_dfa(cfg, Scenario("dfa", 4e4, 6e4), CH, rng)
             else:

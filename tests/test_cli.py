@@ -1,11 +1,22 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbvsim import cli
+from dbvsim.attacks import MFA_STRATEGIES, BlockMajorityStrategy, attack_tfa_general
 from dbvsim.bounds import exact_binomial_tail_lower
+from dbvsim.channel import DEFAULT_CHANNEL
 from dbvsim.cli import main
+from dbvsim.montecarlo import SCENARIO_KINDS, Scenario
+from dbvsim.protocols import ACC, BrmParams, ProtocolConfig
 
 
 def run_cli(capsys, *argv):
@@ -410,3 +421,145 @@ class TestDesignInputErrors:
         assert out == ""
         assert "1e+18 points" in err and str(cli.MAX_RANGE_POINTS) in err
         assert not out_path.exists()
+
+
+_TINY_LAMBDA = ("--psi", "2", *_EPS, "--lambda", "1e-320")
+_SIM = ("simulate", "--scenario", "honest", "--e0", "2000", "--beta", "0.1", "--trials", "1")
+
+
+class TestFuzzedArgvDefects:
+    """Argv a grammar-driven fuzz once ended with exit 3 (an internal error)."""
+
+    @pytest.mark.parametrize("argv, code", [
+        # k/lambda overflows to inf, so ceil(k/lambda) cannot be taken.
+        (("optimize", "--mode", "brm-general", *_TINY_LAMBDA), 2),
+        (("optimize", "--mode", "brm-sampling", *_TINY_LAMBDA), 2),
+        ((*_SIM, "--protocol", "pi3", "--k", "120", "--lambda", "1e-320", "--n", "400"), 1),
+        # The transmit power for the claim underflows to 0 W.
+        ((*_SIM, "--protocol", "pi1", "--k", "10", "--d-claim", "1e-300"), 1),
+        # A claim (or replayed real distance) too small for the MAC's fixed point.
+        ((*_SIM, "--protocol", "pi2", "--k", "10", "--d-claim", "1e-15"), 1),
+        ((*_SIM[:2], "mfa", *_SIM[3:], "--protocol", "pi2", "--k", "10",
+          "--mfa-strategy", "replay", "--d-real", "1e-15"), 1),
+        # The path loss underflows to 0: the SNR takes its limit, infinity.
+        ((*_SIM, "--protocol", "pi1", "--k", "10", "--d-claim", "4e4", "--d-real", "1e-300"),
+         0),
+        # A SeedSequence takes no negative entropy.
+        ((*_SIM, "--protocol", "pi1", "--k", "10", "--seed", "-1"), 1),
+        # 10 / eps_fr, the trial count the under-resolution warning asks for, is inf.
+        ((*_SIM, "--protocol", "pi1", "--k", "10", "--eps-fr", "1e-320"), 0),
+    ], ids=["brm-general-lambda", "brm-sampling-lambda", "pi3-config-lambda",
+            "claim-power-underflow", "claim-fixed-point", "mfa-replay-fixed-point",
+            "path-loss-underflow", "negative-seed", "subnormal-budget"])
+    def test_exit_code(self, capsys, argv, code):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code, err
+        if code == 2:
+            assert json.loads(out)["condition"] == "challenge-length-cap"
+        if code == 1:
+            assert err.startswith("usage error: ")
+
+    def test_tfa_general_prover_at_underflowing_path_loss(self):
+        # The prover's channel llr takes the infinite-SNR limit, so its
+        # response is its own error-free reception.
+        cfg = ProtocolConfig("pi3", e0=2000.0, k=120, beta=0.1, brm=BrmParams(lam=0.3, n=400))
+        scenario = Scenario("tfa-general", 4e4, 1e-300, tfa_strategy=BlockMajorityStrategy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = attack_tfa_general(cfg, scenario, DEFAULT_CHANNEL, np.random.default_rng(3))
+        assert t.hamming == 0 and t.verdict == ACC
+
+
+#: Out-of-range values a fuzzed flag is set to.
+_ODD = ("0", "-1", "1e300", "-1e300", "nan", "inf", "1e-320", "1e-15", "abc")
+_TMP = "{tmp}"
+
+#: Each command's numeric flags, the ones fuzzed, with valid values.  Curves
+#: ranges hold at most 5 psi points; the explicit pi3 parameters of
+#: simulate are consistent, and --auto ignores them.
+_NUMERIC = {
+    "optimize": {"--psi": ("1.1", "2"), "--eps-fa": ("1e-3",), "--eps-fr": ("1e-3",),
+                 "--lambda": ("0.3", "0.05"), "--theta": ("1e-4",), "--gamma": ("1e-5",)},
+    "curves": {"--psi-range": ("1.1:1.3:0.1", "1.5:2.5:0.25"), "--eps": ("1e-3", "1e-2,1e-3"),
+               "--lambda": ("0.3", "0.05,0.3"), "--jobs": ("1",), "--eps-fa": ("1e-3",),
+               "--eps-fr": ("1e-3",), "--theta": ("1e-4",), "--gamma": ("1e-5",)},
+    "simulate": {"--trials": ("1", "2", "3"), "--jobs": ("1",), "--e0": ("2000",),
+                 "--k": ("120",), "--beta": ("0.1",), "--n": ("400",), "--lambda": ("0.3",),
+                 "--seed": ("7",), "--d-claim": ("4e4",), "--d-real": ("6e4",),
+                 "--intruder-d": ("3e4",), "--psi": ("1.5", "2"), "--eps-fa": ("1e-2",),
+                 "--eps-fr": ("1e-2",), "--theta": ("1e-4",), "--gamma": ("1e-5",),
+                 "--mac-bits": ("64", "32")},
+    "max-lambda": {"--psi": ("1.68", "3")},
+}
+#: Flags every run of the command is given (their valid values when not fuzzed).
+_REQUIRED = {
+    "optimize": {"--psi", "--eps-fa", "--eps-fr"},
+    "curves": {"--psi-range", "--eps", "--lambda", "--jobs"},
+    "simulate": {"--trials", "--jobs", "--e0", "--k", "--beta", "--n", "--lambda"},
+    "max-lambda": {"--psi"},
+}
+
+
+@st.composite
+def _fuzzed_argv(draw, command: str, fuzzed: str, odd: str):
+    """``command`` with ``fuzzed`` set to ``odd`` and every other flag valid:
+    the required ones and any subset of the rest.  Choices put first what
+    makes the simplest run reach furthest (an authenticated honest run, a
+    design that reads --lambda); simulate flags appear only with a protocol,
+    scenario and --auto they apply to."""
+    flags, argv = dict(_NUMERIC[command]), [command]
+    if command in ("optimize", "curves"):
+        argv += ["--mode", draw(st.sampled_from(("brm-general", "brm-sampling", "dfa")))]
+    elif command == "max-lambda":
+        argv += ["--mode", draw(st.sampled_from(("general", "sampling")))]
+    else:
+        protocol = draw(st.sampled_from(("pi2", "pi3", "pi1")))
+        scenarios = [kind for kind in SCENARIO_KINDS
+                     if (protocol == "pi3" or kind not in ("tfa-sampling", "tfa-general"))
+                     and (fuzzed != "--intruder-d" or kind in cli._INTRUDER_SCENARIOS)
+                     and (fuzzed != "--d-real" or kind != "impersonation")]
+        scenario = draw(st.sampled_from(scenarios))
+        argv += ["--protocol", protocol, "--scenario", scenario]
+        if fuzzed in ("--theta", "--gamma") or draw(st.booleans()):
+            argv.append("--auto")
+        else:
+            del flags["--theta"], flags["--gamma"]
+        if scenario == "impersonation":
+            del flags["--d-real"]
+        if scenario not in cli._INTRUDER_SCENARIOS:
+            del flags["--intruder-d"]
+        strategies = sorted(cli._STRATEGIES)
+        if scenario == "tfa-sampling":
+            strategies = ["index-first", "index-random"]
+        flags |= {"--strategy": strategies, "--mfa-strategy": MFA_STRATEGIES,
+                  "--leak-sampler-key": None, "--noiseless": None}
+        if protocol == "pi3":
+            flags["--no-mac"] = None
+    optional = [name for name in flags if name not in _REQUIRED[command] and name != fuzzed]
+    present = draw(st.integers(0, 2 ** len(optional) - 1))
+    for name, values in flags.items():
+        if name == fuzzed:
+            argv += [name, odd]
+        elif name in _REQUIRED[command] or present >> optional.index(name) & 1:
+            argv += [name] if values is None else [name, draw(st.sampled_from(values))]
+    if command == "curves":
+        argv += ["--out", _TMP + "/curves.csv"]
+    if command == "simulate" and draw(st.booleans()):
+        argv += ["--dump-transcripts", _TMP + "/t.jsonl"]
+    return argv + ["--plain"] * draw(st.booleans())
+
+
+_FUZZED = [(command, flag, odd) for command, flags in _NUMERIC.items() for flag in flags
+           for odd in _ODD]
+
+
+@pytest.mark.parametrize("command, flag, odd", _FUZZED,
+                         ids=[" ".join(case) for case in _FUZZED])
+@settings(max_examples=3, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_flag_never_an_internal_error(command, flag, odd, data):
+    argv = data.draw(_fuzzed_argv(command, flag, odd))
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main([arg.replace(_TMP, tmp) for arg in argv])
+    assert code in (0, 1, 2), err.getvalue()

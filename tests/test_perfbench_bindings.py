@@ -11,6 +11,7 @@ the golden tests load their generators.
 """
 
 import importlib.util
+import inspect
 import json
 import pkgutil
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 import dbvsim
-from dbvsim import attacks
+from dbvsim import attacks, protocols
 from dbvsim.channel import DEFAULT_CHANNEL
 from dbvsim.montecarlo import SCENARIO_KINDS, Scenario, run_trial
 from dbvsim.protocols import BrmParams, ProtocolConfig
@@ -70,6 +71,34 @@ def test_run_trial_reaches_the_attack_once(monkeypatch, kind):
     if kind == "tfa-sampling":
         want["attack_tfa_general"] = 1  # the sampling intruder is one tfa-general run
     assert calls == want
+
+
+@pytest.mark.parametrize("policy", ["run_protocol", "run_pi1", "run_pi2", "run_pi3", *ATTACKS])
+def test_every_responder_policy_takes_the_scenario(policy):
+    # run_trial calls each policy as policy(cfg, scenario, ch, rng, seed).
+    module = protocols if policy.startswith("run_") else attacks
+    bound = inspect.signature(getattr(module, policy)).bind(
+        PI3, Scenario("honest", 4e4, 4e4), DEFAULT_CHANNEL, np.random.default_rng(1), 0)
+    assert list(bound.arguments) == ["cfg", "scenario", "ch", "rng", "seed"]
+
+
+@pytest.mark.parametrize("protocol", ["pi1", "pi2", "pi3"])
+def test_honest_trial_reaches_its_run_once(monkeypatch, protocol):
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("run_pi1", "run_pi2", "run_pi3"):
+        monkeypatch.setattr(protocols, name, recording(name, getattr(protocols, name)))
+    cfg = PI3 if protocol == "pi3" else ProtocolConfig(protocol, e0=2000.0, k=120, beta=0.1)
+    scenario = Scenario("honest", 4e4, 6e4)
+    run_trial(scenario, cfg, DEFAULT_CHANNEL, np.random.default_rng(1), seed=0)
+    assert [name for name, _ in calls] == ["run_" + protocol]
+    assert calls[0][1][:2] == (cfg, scenario)  # the scenario itself, not a copy of its fields
 
 
 @pytest.mark.parametrize("protocol", ["pi1", "pi2"])

@@ -292,10 +292,9 @@ class TestGoldenTags:
     )
     def test_transcript_tags(self, case):
         from dbvsim.channel import DEFAULT_CHANNEL
+        from dbvsim.montecarlo import Scenario
         from dbvsim.protocols import (
             BrmParams,
-            Claim,
-            PartyPlacement,
             ProtocolConfig,
             run_pi2,
             run_pi3,
@@ -320,7 +319,7 @@ class TestGoldenTags:
         run = run_pi2 if cfg.protocol == "pi2" else run_pi3
         d_c = case["d_claim"]
         got = [
-            run(cfg, Claim(d_c), PartyPlacement(d_c), DEFAULT_CHANNEL,
+            run(cfg, Scenario("honest", d_c, d_c), DEFAULT_CHANNEL,
                 np.random.default_rng(seed), seed=seed).to_json_dict()["tag_hex"]
             for seed in case["seeds"]
         ]

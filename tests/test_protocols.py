@@ -25,8 +25,6 @@ from dbvsim.protocols import (
     ACC,
     REJ,
     BrmParams,
-    Claim,
-    PartyPlacement,
     ProtocolConfig,
     ProtocolConfigError,
     RetrievalAudit,
@@ -193,7 +191,7 @@ class TestProtocolConfig:
 class TestPi1:
     def test_noiseless_accepts_anywhere(self):
         rng = np.random.default_rng(0)
-        t = run_pi1(PI1, Claim(5e4), PartyPlacement(9e4), CH, rng, noiseless=True)
+        t = run_pi1(PI1, Scenario("honest", 5e4, 9e4, noiseless=True), CH, rng)
         assert t.verdict == ACC
         assert t.hamming == 0
         np.testing.assert_array_equal(t.challenge, t.response)
@@ -201,17 +199,17 @@ class TestPi1:
     def test_claim_out_of_range(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ClaimRangeError):
-            run_pi1(PI1, Claim(2e5), PartyPlacement(1e4), CH, rng)
+            run_pi1(PI1, Scenario("honest", 2e5, 1e4), CH, rng)
 
     def test_deterministic_transcript(self):
-        a = run_pi1(PI1, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(9), seed=9)
-        b = run_pi1(PI1, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(9), seed=9)
+        a = run_pi1(PI1, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(9), seed=9)
+        b = run_pi1(PI1, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(9), seed=9)
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
 
     def test_transcript_fixed_fields(self):
-        t = run_pi1(PI1, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(1), seed=1)
+        t = run_pi1(PI1, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(1), seed=1)
         d = t.to_json_dict()
         for field in ("claim_m", "d_real_m", "challenge_hex", "response_hex",
                       "hamming", "verdict", "seed"):
@@ -223,13 +221,13 @@ class TestPi1:
         from dbvsim.primitives import SAMPLER_STREAM_VERSION
         from dbvsim.protocols import SOURCE_STREAM_VERSION
 
-        t = run_pi1(PI1, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(1))
+        t = run_pi1(PI1, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(1))
         d = t.to_json_dict()
         assert d["schema_version"] == "3" and "sampler_stream" not in d
         assert d["source_stream"] == SOURCE_STREAM_VERSION == 3
         cfg = pi3_config()
         for t in (
-            run_pi3(cfg, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(2)),
+            run_pi3(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(2)),
             attack_mfa(cfg, Scenario("mfa", d_claim=4e4, d_real=5e4), CH,
                        np.random.default_rng(3)),
         ):
@@ -240,7 +238,7 @@ class TestPi1:
 
     def test_power_follows_claim(self):
         rng = np.random.default_rng(2)
-        t = run_pi1(PI1, Claim(5e4), PartyPlacement(5e4), CH, rng)
+        t = run_pi1(PI1, Scenario("honest", 5e4, 5e4), CH, rng)
         assert t.power_w == pytest.approx(2000.0 / 8)
 
 
@@ -249,9 +247,9 @@ class TestPi2:
         # With the key supplied, pi2 consumes the identical rng stream as pi1.
         key = SessionKeys(mac_key=MacKey.generate(np.random.default_rng(999), 64))
         for seed in range(25):
-            t1 = run_pi1(PI1, Claim(5e4), PartyPlacement(6.5e4), CH, np.random.default_rng(seed))
+            t1 = run_pi1(PI1, Scenario("honest", 5e4, 6.5e4), CH, np.random.default_rng(seed))
             t2 = run_pi2(
-                PI2, Claim(5e4), PartyPlacement(6.5e4), CH, np.random.default_rng(seed), key
+                PI2, Scenario("honest", 5e4, 6.5e4), CH, np.random.default_rng(seed), keys=key
             )
             assert t1.verdict == t2.verdict
             np.testing.assert_array_equal(t1.challenge, t2.challenge)
@@ -260,7 +258,7 @@ class TestPi2:
     def test_honest_mac_always_verifies(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
-            t = run_pi2(PI2, Claim(1e4), PartyPlacement(1e4), CH, rng)
+            t = run_pi2(PI2, Scenario("honest", 1e4, 1e4), CH, rng)
             assert t.mac_ok is True
 
     def test_tag_over_altered_claim_rejected(self):
@@ -275,7 +273,7 @@ class TestPi3:
     def test_noiseless_accepts(self):
         cfg = pi3_config()
         rng = np.random.default_rng(5)
-        t = run_pi3(cfg, Claim(5e4), PartyPlacement(5e4), CH, rng, noiseless=True)
+        t = run_pi3(cfg, Scenario("honest", 5e4, 5e4, noiseless=True), CH, rng)
         assert t.verdict == ACC
         assert t.hamming == 0
 
@@ -291,7 +289,7 @@ class TestPi3:
     def test_retrieval_accounting(self):
         cfg = pi3_config()
         rng = np.random.default_rng(6)
-        t = run_pi3(cfg, Claim(5e4), PartyPlacement(5e4), CH, rng)
+        t = run_pi3(cfg, Scenario("honest", 5e4, 5e4), CH, rng)
         assert t.accesses["verifier"] == cfg.k <= cfg.brm.retrieval_cap
         assert t.accesses["prover"] == cfg.k <= cfg.brm.retrieval_cap
         assert t.source_bits == cfg.brm.n
@@ -302,14 +300,14 @@ class TestPi3:
             brm=BrmParams(lam=0.3, n=400),
         )
         rng = np.random.default_rng(7)
-        t = run_pi3(cfg, Claim(5e4), PartyPlacement(5e4), CH, rng, noiseless=True)
+        t = run_pi3(cfg, Scenario("honest", 5e4, 5e4, noiseless=True), CH, rng)
         assert t.tag is None and t.mac_ok is None
         assert t.verdict == ACC
 
     def test_deterministic(self):
         cfg = pi3_config()
-        a = run_pi3(cfg, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(8))
-        b = run_pi3(cfg, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(8))
+        a = run_pi3(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(8))
+        b = run_pi3(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(8))
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
@@ -325,12 +323,12 @@ class TestPi3:
         d = 6.35e4  # sits where the acceptance rate is informative
         trials = 900
         acc1 = sum(
-            run_pi1(cfg1, Claim(5e4), PartyPlacement(d), CH,
+            run_pi1(cfg1, Scenario("honest", 5e4, d), CH,
                     np.random.default_rng((40, i))).verdict == ACC
             for i in range(trials)
         )
         acc3 = sum(
-            run_pi3(cfg3, Claim(5e4), PartyPlacement(d), CH,
+            run_pi3(cfg3, Scenario("honest", 5e4, d), CH,
                     np.random.default_rng((41, i))).verdict == ACC
             for i in range(trials)
         )
@@ -366,7 +364,7 @@ _spec.loader.exec_module(golden)
 class TestSession:
     def test_draw_order(self):
         cfg = pi3_config()
-        s = Session(cfg, 5e4, CH, np.random.default_rng(12), d_real=5e4)
+        s = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(12))
         rng = np.random.default_rng(12)
         assert s.mac_key == MacKey.generate(rng, cfg.mac_bits)
         assert s.sampler_key == SamplerKey.generate(rng)
@@ -378,7 +376,8 @@ class TestSession:
         cfg = pi3_config()
         keys = SessionKeys(MacKey.generate(np.random.default_rng(1), cfg.mac_bits),
                            SamplerKey.generate(np.random.default_rng(2), 128))
-        s = Session(cfg, 5e4, CH, np.random.default_rng(13), keys, d_real=5e4)
+        s = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(13),
+                    keys=keys)
         assert (s.mac_key, s.sampler_key) == (keys.mac_key, keys.sampler_key)
         np.testing.assert_array_equal(
             s.source, random_bits(np.random.default_rng(13), cfg.brm.n)
@@ -392,7 +391,7 @@ class TestSession:
         # and the whole source keeps every bit drawn before it.
         monkeypatch.setattr(protocols, "DENSE_SOURCE_BITS", dense_limit)
         cfg = pi3_config()
-        s = Session(cfg, 5e4, CH, np.random.default_rng(16), d_real=5e4)
+        s = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(16))
         s.receive("intruder", None)
         s.receive("prover", 5e4)
         head = np.arange(cfg.brm.retrieval_cap)
@@ -409,8 +408,8 @@ class TestSession:
                              ids=["bit-array", "sorted-memo"])
     def test_whole_read_draws_as_sorted_half_reads(self, monkeypatch, cfg, dense_limit):
         monkeypatch.setattr(protocols, "DENSE_SOURCE_BITS", dense_limit)
-        whole = Session(cfg, 5e4, CH, np.random.default_rng(18), d_real=5e4)
-        halves = Session(cfg, 5e4, CH, np.random.default_rng(18), d_real=5e4)
+        whole = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(18))
+        halves = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(18))
         whole.receive("intruder", None)
         halves.receive("intruder", None)
         half = whole.n // 2
@@ -431,7 +430,7 @@ class TestSession:
     def test_whole_source_refused_past_limit(self):
         cfg = ProtocolConfig("pi3", e0=2000.0, k=3, beta=0.1,
                              brm=BrmParams(lam=1.5e-7, n=protocols.MAX_WHOLE_SOURCE_BITS * 2))
-        s = Session(cfg, 5e4, CH, np.random.default_rng(17), d_real=5e4)
+        s = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(17))
         with pytest.raises(ProtocolConfigError, match="MAX_WHOLE_SOURCE_BITS"):
             s.source
 
@@ -440,7 +439,7 @@ class TestSession:
         # capture of all k positions is never refused, and the transcript
         # reports no retrieval.
         for cfg in (PI1, PI2):
-            s = Session(cfg, 5e4, CH, np.random.default_rng(14), d_real=5e4)
+            s = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(14))
             s.receive("intruder", 3e4)
             assert s.n == s.cap == cfg.k
             capture = s.read("intruder", np.arange(cfg.k)[::-1])
@@ -487,7 +486,7 @@ class TestSession:
         gc.collect()
         gc.disable()
         try:
-            run_protocol(cfg, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(19))
+            run_protocol(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(19))
             assert len(sessions) == 1 and sessions[0]() is None
         finally:
             gc.enable()
@@ -497,14 +496,14 @@ class TestSession:
         key = MacKey.generate(np.random.default_rng(3), cfg.mac_bits)
         run = run_pi2 if cfg.protocol == "pi2" else run_pi3
         for seed in range(10):
-            t = run(cfg, Claim(5e4), PartyPlacement(5e4), CH, np.random.default_rng(seed),
-                    SessionKeys(mac_key=key))
+            t = run(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(seed),
+                    keys=SessionKeys(mac_key=key))
             assert t.mac_ok is True
             assert mac_verify(key, encode_response_claim(t.response, t.claim_m), t.tag)
 
     @pytest.mark.parametrize("change", ["tag", "response"])
     def test_decide_checks_what_was_signed(self, change):
-        s = Session(pi3_config(), 5e4, CH, np.random.default_rng(15), d_real=5e4)
+        s = Session(pi3_config(), Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(15))
         s.receive("prover", 5e4)
         response = (s.read("prover") >= 0).astype(np.uint8)
         tag = s.sign(response, 5e4)
