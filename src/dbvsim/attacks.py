@@ -9,7 +9,11 @@ the run's ``montecarlo.Scenario``, the only description of a run.  A distance
 of None places a receiver so close to the verifier that it is error-free (the
 strongest adversary).  Every party reads through the session's retrieval
 audit, whose cap on pi1/pi2 is the whole emission, so an attack that needs
-more than the cap raises RetrievalCapError.
+more than the cap raises RetrievalCapError.  Like the session, each policy
+is written over a leading row axis: given ``rows`` it runs a block of that
+many trials and returns its ``TrialBlock``, and without it one run's
+``Transcript``.  Whether a read passes the cap never depends on the draws,
+so it holds or fails for every row of a block alike.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from .channel import ChannelParams, attenuate, bpsk_demodulate
+from .primitives import random_field_elements
 from .protocols import (
+    Outcome,
     ProtocolConfig,
     ProtocolConfigError,
     RetrievalCapError,
     Session,
-    Transcript,
     run_protocol,
 )
 
@@ -51,23 +56,21 @@ __all__ = [
 MFA_STRATEGIES = ("replay", "random-tag", "best-guess")
 
 
-def _random_tag(rng: np.random.Generator, field_bits: int) -> int:
-    return int.from_bytes(rng.bytes(field_bits // 8), "big")
-
-
 def attack_dfa(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
-               rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
+               rng: np.random.Generator, seed: Optional[int] = None, *,
+               rows: Optional[int] = None) -> Outcome:
     """Dishonest prover at d_real claims d_claim and answers from its own noisy reception.
 
     Demodulating the received signal is the response that maximizes the
     per-bit match probability, so mechanically this is an honest run placed
     at d_real; the fraud is in the claim.
     """
-    return run_protocol(cfg, scenario, ch, rng, seed)
+    return run_protocol(cfg, scenario, ch, rng, seed, rows=rows)
 
 
 def attack_mfa(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
-               rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
+               rng: np.random.Generator, seed: Optional[int] = None, *,
+               rows: Optional[int] = None) -> Outcome:
     """Man in the middle forges the claim of an honest prover at d_real down to d_claim.
 
     The honest prover claims (and tags, when the protocol authenticates) its
@@ -76,7 +79,7 @@ def attack_mfa(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
       random-tag  forward the prover's response with a uniform tag guess
       best-guess  answer from the intruder's own reception with a uniform tag
     """
-    s = Session(cfg, scenario, ch, rng, seed)
+    s = Session(cfg, scenario, ch, rng, seed, rows=rows)
     s.receive("prover", scenario.d_real)
     prover_resp = bpsk_demodulate(s.read("prover"))
     response = prover_resp
@@ -88,12 +91,13 @@ def attack_mfa(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
     tag = None
     if s.authenticated:  # the honest prover tags its own claim; the intruder guesses
         tag = (s.sign(prover_resp, scenario.d_real) if scenario.mfa_strategy == "replay"
-               else _random_tag(rng, cfg.mac_bits))
+               else random_field_elements(rng, s.rows, cfg.mac_bits))
     return s.decide(response, tag)
 
 
 def attack_impersonation(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
-                         rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
+                         rng: np.random.Generator, seed: Optional[int] = None, *,
+                         rows: Optional[int] = None) -> Outcome:
     """Keyless adversary initiates with claim d_claim while the prover is absent.
 
     ``intruder_d`` places the adversary's receiver (None = error-free) and is
@@ -101,7 +105,7 @@ def attack_impersonation(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelPar
     it individual session keys, isolating which secret blocks the attack.
     """
     at = scenario.intruder_d
-    s = Session(cfg, scenario, ch, rng, seed, d_real=0.0 if at is None else at)
+    s = Session(cfg, scenario, ch, rng, seed, d_real=0.0 if at is None else at, rows=rows)
     s.receive("adversary", at)
     # Without the sampler key it can only answer with the first k positions.
     positions = None if scenario.leaked_sampler_key else np.arange(cfg.k)
@@ -109,12 +113,13 @@ def attack_impersonation(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelPar
     tag = None
     if s.authenticated:
         tag = (s.sign(response, scenario.d_claim) if scenario.leaked_mac_key
-               else _random_tag(rng, cfg.mac_bits))
+               else random_field_elements(rng, s.rows, cfg.mac_bits))
     return s.decide(response, tag)
 
 
 def attack_tfa_relay(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
-                     rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
+                     rng: np.random.Generator, seed: Optional[int] = None, *,
+                     rows: Optional[int] = None) -> Outcome:
     """Universal relay: an intruder at intruder_d forwards everything.
 
     The intruder captures the whole emission and the colluding prover, who
@@ -126,10 +131,10 @@ def attack_tfa_relay(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
     """
     if Session.capture_blocked(cfg):
         raise RetrievalCapError("intruder", *Session.extent(cfg))
-    s = Session(cfg, scenario, ch, rng, seed)
+    s = Session(cfg, scenario, ch, rng, seed, rows=rows)
     s.receive("intruder", scenario.intruder_d)
     capture = s.read("intruder", np.arange(s.n))  # every emitted position, in order
-    response = bpsk_demodulate(capture[s.sampled])
+    response = bpsk_demodulate(np.take_along_axis(capture, s.sampled, axis=1))
     return s.decide(response, s.sign(response, scenario.d_claim))
 
 
@@ -145,11 +150,17 @@ class IndexSamplingStrategy:
         if self.index_choice not in ("first", "random"):
             raise ValueError(f"unknown index choice {self.index_choice!r}")
 
-    def pick_indices(self, n: int, cap: int, rng: np.random.Generator) -> np.ndarray:
+    def pick_indices(self, n: int, cap: int, rng: np.random.Generator,
+                     rows: int) -> np.ndarray:
+        """(rows, cap) positions, sorted on each row."""
         if self.index_choice == "first":
-            return np.arange(cap, dtype=np.int64)
+            return np.broadcast_to(np.arange(cap, dtype=np.int64), (rows, cap))
         # Chosen by the intruder's own coins, independent of the sampler key.
-        return rng.choice(n, size=cap, replace=False).astype(np.int64)
+        picked = np.empty((rows, cap), dtype=np.int64)
+        for row in picked:
+            row[:] = rng.choice(n, size=cap, replace=False)
+        picked.sort(axis=1)
+        return picked
 
 
 @dataclass(frozen=True)
@@ -178,10 +189,11 @@ def _blocks(n: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _digest(strategy: RetrievalStrategy, source: np.ndarray, starts: np.ndarray,
             sizes: np.ndarray) -> np.ndarray:
-    """The intruder's per-block parity or majority bit of the source."""
+    """The intruder's per-block parity or majority bit of the source (of each
+    row of a (rows, n) source)."""
     if isinstance(strategy, ParitySketchStrategy):
-        return np.bitwise_xor.reduceat(source, starts)
-    ones = np.add.reduceat(source, starts, dtype=np.int64)
+        return np.bitwise_xor.reduceat(source, starts, axis=-1)
+    ones = np.add.reduceat(source, starts, axis=-1, dtype=np.int64)
     return (2 * ones >= sizes).astype(np.uint8)
 
 
@@ -222,7 +234,8 @@ def _overlap(picked: np.ndarray, sampled: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
-                       rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
+                       rng: np.random.Generator, seed: Optional[int] = None, *,
+                       rows: Optional[int] = None) -> Outcome:
     """Colluding prover at d_real aided by an error-free intruder that computes
     the scenario's ``tfa_strategy`` digest of the source output, capped at
     ceil(lam*n) output bits.
@@ -234,18 +247,19 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
     if cfg.protocol != "pi3":
         raise ProtocolConfigError("terrorist-fraud retrieval attacks target pi3")
     strategy, d_r = scenario.tfa_strategy, scenario.d_real
-    s = Session(cfg, scenario, ch, rng, seed)
+    s = Session(cfg, scenario, ch, rng, seed, rows=rows)
     s.receive("prover", d_r)
     sampled = s.sampled
 
     if isinstance(strategy, IndexSamplingStrategy):
-        picked = np.sort(strategy.pick_indices(s.n, s.cap, rng))
+        picked = strategy.pick_indices(s.n, s.cap, rng, s.rows)
         s.receive("intruder", None)
-        known = bpsk_demodulate(s.read("intruder", picked))
-        at, hit = _overlap(picked, sampled)
-        response = np.empty(cfg.k, dtype=np.uint8)
-        response[hit] = known[at[hit]]
-        response[~hit] = bpsk_demodulate(s.read("prover", sampled[~hit]))
+        known = bpsk_demodulate(s.read("intruder", picked)).ravel()
+        at, hit = _overlap(s.keys(picked).ravel(), s.keys(sampled).ravel())
+        hit = hit.reshape(sampled.shape)
+        response = np.empty(sampled.shape, dtype=np.uint8)
+        response[hit] = known[at.reshape(sampled.shape)[hit]]
+        response[~hit] = bpsk_demodulate(s.read("prover", where=~hit))
     else:
         # The digest reads the whole source, so it is drawn before the prover
         # reads: in position order, in one call.
@@ -259,14 +273,15 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
             # is a single position, in which case it reveals the bit exactly.
             response = own_bits.copy()
             singleton = sizes[block] == 1
-            response[singleton] = digest[block[singleton]]
+            response[singleton] = np.take_along_axis(digest, block, axis=1)[singleton]
         elif scenario.noiseless:
             response = own_bits.copy()
         else:
             amp = attenuate(math.sqrt(s.power_w), d_r, ch)
             # Per-sample noise variance is sigma/2 (see channel.propagate).
             llr_chan = 4.0 * amp * y_sampled / ch.sigma
-            total = llr_chan + _majority_prior(digest, sizes)[block]
+            prior = np.take_along_axis(_majority_prior(digest, sizes), block, axis=1)
+            total = llr_chan + prior
             response = np.where(total > 0, 1, np.where(total < 0, 0, own_bits)).astype(
                 np.uint8
             )
@@ -274,9 +289,10 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
 
 
 def attack_tfa_sampling(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
-                        rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
+                        rng: np.random.Generator, seed: Optional[int] = None, *,
+                        rows: Optional[int] = None) -> Outcome:
     """Position-sampling intruder: retrieves exact bits at a cap-sized index set
     chosen independently of the sampler key (the scenario's
     ``IndexSamplingStrategy``); the colluding prover fills the remaining
     sampled positions from its own reception."""
-    return attack_tfa_general(cfg, scenario, ch, rng, seed)
+    return attack_tfa_general(cfg, scenario, ch, rng, seed, rows=rows)

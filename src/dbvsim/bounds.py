@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -248,6 +248,33 @@ def _superlevel_end(above: Callable[[int], bool], inside: int, outside: int) -> 
     return inside
 
 
+class _PmfTerms(NamedTuple):
+    """k, lgamma(k + 1), log p and log(1 - p) of a Binomial(k, p) log-pmf."""
+
+    k: int
+    lg: float
+    log_p: float
+    log_q: float
+
+
+def _log_pmf(t: _PmfTerms, i: np.ndarray) -> np.ndarray:
+    """log Pr(Bin(k, p) = i) at the float counts ``i``, with ``math.lgamma``
+    coefficients."""
+    def lgamma(x: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(math.lgamma, x.tolist()), np.float64, len(x))
+
+    k = t.k
+    return t.lg - lgamma(i + 1) - lgamma(k - i + 1) + i * t.log_p + (k - i) * t.log_q
+
+
+def _log_pmf_at(t: _PmfTerms, i: int) -> float:
+    """``_log_pmf`` at one count, in the same float operations and order, so
+    it rounds to the same value."""
+    k, x = t.k, float(i)
+    return (t.lg - math.lgamma(x + 1) - math.lgamma(k - x + 1) + x * t.log_p
+            + (k - x) * t.log_q)
+
+
 def _binomial_tails(k: int, beta: float | Fraction, p: float) -> tuple[float, float]:
     """(lower, upper) = (Pr(Bin(k,p) <= c), Pr(Bin(k,p) > c)) at c = max_errors(beta, k).
 
@@ -276,26 +303,18 @@ def _binomial_tails(k: int, beta: float | Fraction, p: float) -> tuple[float, fl
     if p == 1.0:
         return 0.0, 1.0
 
-    lg = math.lgamma(k + 1)
-    log_p, log_q = math.log(p), math.log1p(-p)
-
-    def _lgamma(x: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(math.lgamma, x.tolist()), np.float64, len(x))
-
-    def _log_pmf(i: np.ndarray) -> np.ndarray:
-        return lg - _lgamma(i + 1) - _lgamma(k - i + 1) + i * log_p + (k - i) * log_q
-
+    terms = _PmfTerms(k, math.lgamma(k + 1), math.log(p), math.log1p(-p))
     lower_is_small = (cut + 0.5) < k * p
     first, last = (0, cut) if lower_is_small else (cut + 1, k)
     peak = min(max(math.floor((k + 1) * p), first), last)
-    threshold = _log_pmf(np.array([float(peak)]))[0] - _TAIL_WINDOW_NATS
+    threshold = _log_pmf_at(terms, peak) - _TAIL_WINDOW_NATS
 
     def above(i: int) -> bool:
-        return _log_pmf(np.array([float(i)]))[0] >= threshold
+        return _log_pmf_at(terms, i) >= threshold
 
     lo = _superlevel_end(above, peak, first)
     hi = _superlevel_end(above, peak, last)
-    logs = _log_pmf(np.arange(lo, hi + 1, dtype=np.float64))
+    logs = _log_pmf(terms, np.arange(lo, hi + 1, dtype=np.float64))
     m = float(np.max(logs))
     # fsum is correctly rounded in any order; a list of floats keeps it fast.
     small = math.exp(m) * math.fsum(np.exp(logs - m).tolist())

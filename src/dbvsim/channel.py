@@ -276,6 +276,9 @@ def intended_blocked_ber_grid(
     if not ((e0 > 0) & (e0 <= ch.e_max)).all():
         raise PowerLimitError(f"reference powers must lie in (0, {ch.e_max}] W")
     ratio = _blocked_snr_ratio(psi, ch)
-    snr0 = _snr(e0, ch.d0, ch)
+    # A noise power so small that e0 / noise passes the float range gives an
+    # infinite SNR, the model's limit, as the scalar division does.
+    with np.errstate(over="ignore"):
+        snr0 = _snr(e0, ch.d0, ch)
     ber = np.frompyfunc(bit_error_prob, 1, 1)
     return ber(snr0).astype(np.float64), ber(snr0 / ratio).astype(np.float64)

@@ -1,8 +1,10 @@
 """Monte Carlo estimation of acceptance rates with exact confidence intervals.
 
-Trials are seeded individually from (master_seed, trial_index), so results
-are reproducible, independent of worker count, and splittable across
-processes without coordination.
+Trials run in blocks of ``block_rows(cfg, scenario)`` rows, and block b (trials
+b*rows up to (b+1)*rows - 1) draws from one generator seeded by
+(master_seed, b).  The block size depends only on the run's config, and
+worker chunks are whole blocks, so results are reproducible, independent of
+worker count, and splittable across processes without coordination.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, TextIO
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import attacks
 from ._pool import worker_count
@@ -24,10 +26,14 @@ from .bounds import DbvSpec, exact_binomial_tail_lower, max_errors
 from .channel import ChannelParams, bit_error_prob, snr_at_distance, transmit_power_for_claim
 from .protocols import (
     ACC,
+    MAX_SOURCE_BITS,
+    REJ,
+    TRIAL_STREAM_VERSION,
     ProtocolConfig,
     RetrievalCapError,
     Session,
     Transcript,
+    TrialBlock,
     run_protocol,
 )
 
@@ -38,6 +44,8 @@ __all__ = [
     "BoundCheck",
     "clopper_pearson",
     "run_trial",
+    "run_block",
+    "block_rows",
     "estimate_rates",
     "compare_to_bound",
     "exact_success_probability",
@@ -88,6 +96,14 @@ class Scenario:
             )
 
 
+def _policy(scenario: Scenario):
+    """``protocols.run_protocol`` for honest runs, else ``attacks.attack_<kind>``,
+    looked up at call time."""
+    if scenario.kind == "honest":
+        return run_protocol
+    return getattr(attacks, "attack_" + scenario.kind.replace("-", "_"))
+
+
 def run_trial(
     scenario: Scenario,
     cfg: ProtocolConfig,
@@ -103,13 +119,49 @@ def run_trial(
     call time.  ``blocked`` marks attacks stopped structurally by the
     retrieval audit; those never accept.
     """
-    policy = (run_protocol if scenario.kind == "honest"
-              else getattr(attacks, "attack_" + scenario.kind.replace("-", "_")))
     try:
-        t = policy(cfg, scenario, ch, rng, seed)
+        t = _policy(scenario)(cfg, scenario, ch, rng, seed)
     except RetrievalCapError:
         return False, True, None
     return t.verdict == ACC, False, t
+
+
+def run_block(
+    scenario: Scenario,
+    cfg: ProtocolConfig,
+    ch: ChannelParams,
+    rng: np.random.Generator,
+    seed: int,
+    rows: int,
+) -> Optional[TrialBlock]:
+    """The TrialBlock of ``rows`` runs (trials seed..seed+rows-1) of the
+    scenario's policy, as ``run_trial`` runs one; None when the retrieval
+    audit stops the attack, which it does on every row alike."""
+    try:
+        return _policy(scenario)(cfg, scenario, ch, rng, seed, rows=rows)
+    except RetrievalCapError:
+        return None
+
+
+#: Most rows in a block, and most source positions a block may read over all
+#: its rows (the positions one row may read times the rows).
+BLOCK_ROWS = 256
+BLOCK_POSITIONS = 1 << 15
+
+
+def block_rows(cfg: ProtocolConfig, scenario: Scenario) -> int:
+    """Rows per block of a run: as many as BLOCK_ROWS and BLOCK_POSITIONS allow.
+
+    A row reads at most k positions as the verifier and the cap as each of at
+    most two receivers, or the whole source for the parity and block-majority
+    digests, so a block's memory is O(rows * min(n, k + 2 cap)).  Its keys
+    row * n + position stay within int64.
+    """
+    n, cap = Session.extent(cfg)
+    digest = (scenario.kind == "tfa-general"
+              and not isinstance(scenario.tfa_strategy, attacks.IndexSamplingStrategy))
+    per_row = n if digest else min(n, cfg.k + 2 * cap)
+    return max(1, min(BLOCK_ROWS, BLOCK_POSITIONS // per_row, MAX_SOURCE_BITS // n))
 
 
 @dataclass
@@ -155,6 +207,7 @@ class TrialSummary:
             "analytic_exact": self.analytic_exact,
             "bound_satisfied": self.bound_satisfied,
             "master_seed": self.master_seed,
+            "trial_stream": TRIAL_STREAM_VERSION,
         }
 
 
@@ -179,36 +232,45 @@ def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _trial_rng(master_seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
+def _block_rng(master_seed: int, block: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(block,)))
 
 
-def _run_range(
+def _run_blocks(
     scenario: Scenario,
     cfg: ProtocolConfig,
     ch: ChannelParams,
     master_seed: int,
-    start: int,
+    trials: int,
+    rows: int,
+    first: int,
     stop: int,
     dump: Optional[TextIO] = None,
 ) -> tuple[int, int]:
-    """(accepts, blocked) of trials start..stop-1; with ``dump``, each trial's
-    transcript is written to it as a JSON line as soon as the trial ends."""
+    """(accepts, blocked) of blocks first..stop-1 of ``rows`` rows of a
+    ``trials``-trial run; with ``dump``, each trial's transcript is written
+    to it as a JSON line as soon as its block ends."""
     accepts = 0
     blocked = 0
-    for i in range(start, stop):
-        acc, blk, t = run_trial(scenario, cfg, ch, _trial_rng(master_seed, i), seed=i)
-        accepts += acc
-        blocked += blk
+    for b in range(first, stop):
+        start = b * rows
+        count = min(rows, trials - start)
+        block = run_block(scenario, cfg, ch, _block_rng(master_seed, b), start, count)
+        if block is None:
+            blocked += count
+        else:
+            accepts += int(np.count_nonzero(block.accepted))
         if dump is not None:
-            d = (t.to_json_dict() if t is not None
-                 else {"scenario": scenario.kind, "seed": i, "verdict": "Rej", "blocked": True})
-            dump.write(json.dumps(d, sort_keys=True) + "\n")
+            for i in range(count):
+                d = ({"scenario": scenario.kind, "seed": start + i, "verdict": REJ,
+                      "blocked": True, "trial_stream": TRIAL_STREAM_VERSION}
+                     if block is None else block.transcript(i).to_json_dict())
+                dump.write(json.dumps(d, sort_keys=True) + "\n")
     return accepts, blocked
 
 
 def _chunk_worker(args) -> tuple[int, int]:
-    return _run_range(*args)
+    return _run_blocks(*args)
 
 
 def _overlap_pmf(n: int, cap: int, k: int) -> tuple[int, np.ndarray]:
@@ -253,8 +315,14 @@ def exact_success_probability(
         p_b = bit_error_prob(snr_at_distance(e, scenario.d_real, ch))
         lo, weights = _overlap_pmf(brm.n, brm.retrieval_cap, cfg.k)
         unknown = cfg.k - np.arange(lo, lo + len(weights))
-        accepts = stats.binom.cdf(max_errors(cfg.beta, cfg.k), unknown, p_b)
-        accepts[unknown == 0] = 1.0
+        cut = max_errors(cfg.beta, cfg.k)
+        # P[Bin(u, p_b) <= cut] from the ufunc behind stats.binom.cdf (Boost's
+        # binomial cdf), without the distribution object's dispatch: the same
+        # bits in a sixth of the time.  special.bdtr is slower, differs in
+        # the last bits and is further from exact at n = 2e9.  Both are NaN
+        # for u < cut, where every outcome is within the cut.
+        accepts = special._ufuncs._binom_cdf(cut, unknown, p_b)
+        accepts[unknown <= cut] = 1.0
         return math.fsum((weights * accepts).tolist())
     return None
 
@@ -273,9 +341,9 @@ def estimate_rates(
     """Run independent trials and summarize with a 95% Clopper-Pearson interval.
 
     Results depend only on (scenario, cfg, ch, trials, master_seed), never on
-    ``jobs``.  When ``dump_path`` is given, per-trial transcripts are written
-    as JSON lines in trial order, each as its trial ends (this path runs
-    serially).
+    ``jobs``: workers take whole blocks.  When ``dump_path`` is given,
+    per-trial transcripts are written as JSON lines in trial order, each
+    block's as the block ends (this path runs serially).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -288,14 +356,17 @@ def estimate_rates(
             logger.warning("%d trials cannot resolve a rate near the bound %g (want >= %s)",
                            trials, bound, math.ceil(want) if want < math.inf else want)
 
-    workers = 1 if dump_path is not None else worker_count(jobs, trials)
+    rows = block_rows(cfg, scenario)
+    blocks = -(-trials // rows)
+    workers = 1 if dump_path is not None else worker_count(jobs, blocks)
     if workers == 1:
         with open(dump_path, "w") if dump_path is not None else nullcontext() as dump:
-            accepts, blocked = _run_range(scenario, cfg, ch, master_seed, 0, trials, dump)
+            accepts, blocked = _run_blocks(scenario, cfg, ch, master_seed, trials, rows, 0,
+                                           blocks, dump)
     else:
-        bounds_ = np.linspace(0, trials, workers + 1).astype(int)
+        bounds_ = np.linspace(0, blocks, workers + 1).astype(int)
         chunks = [
-            (scenario, cfg, ch, master_seed, int(a), int(b))
+            (scenario, cfg, ch, master_seed, trials, rows, int(a), int(b))
             for a, b in zip(bounds_[:-1], bounds_[1:])
             if b > a
         ]

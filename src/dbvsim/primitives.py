@@ -7,7 +7,11 @@ field points, so the scheme is (L/2**s)-secure for L-block messages.
 The polynomial is evaluated by Horner's rule, each multiplication by the
 point done through per-key 4-bit window tables (Shoup, CRYPTO 1996) that are
 built once per key; the bit-loop ``gf_mul`` is the reference they are tested
-against.
+against.  ``MacKeys`` holds one key per row of a block of trials, and
+``mac_sign_rows`` tags a block's messages together: for s <= 64 the tables of
+every row are built with a fixed number of array steps and each Horner step
+is a few array operations over the rows; s = 128 signs row by row with
+``mac_sign``.
 
 The sampler is a keyed uniform without-replacement draw: Floyd's O(k) draw
 (Bentley & Floyd, CACM 1987) from a generator seeded with the key.  For any
@@ -19,6 +23,7 @@ falls below mu - theta with probability at most exp(-2*k*theta**2)
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,13 +32,16 @@ import numpy as np
 
 __all__ = [
     "MacKey",
+    "MacKeys",
     "SamplerKey",
     "IndexSet",
     "FIELD_POLYNOMIALS",
     "gf_mul",
     "mac_sign",
+    "mac_sign_rows",
     "mac_verify",
     "mac_forgery_bound",
+    "random_field_elements",
     "encode_response_claim",
     "sample_indices",
     "sampler_guarantee",
@@ -176,6 +184,178 @@ def mac_verify(key: MacKey, message_bits: np.ndarray, tag: int | None) -> bool:
     return tag == mac_sign(key, message_bits)
 
 
+def element_bytes(field_bits: int) -> int:
+    """Bytes of ``rng.bytes`` one uniform field element takes: ``rng.bytes``
+    draws whole 4-byte words, so s/8 bytes rounded up to 4."""
+    return max(field_bits // 8, 4)
+
+
+def field_elements(raw: bytes, count: int, field_bits: int) -> np.ndarray:
+    """The ``count`` elements of GF(2^field_bits) that ``count`` successive
+    ``int.from_bytes(rng.bytes(field_bits // 8), "big")`` calls draw, from the
+    bytes one ``rng.bytes(count * element_bytes(field_bits))`` call draws:
+    uint64 for field_bits <= 64, Python ints (object) above."""
+    nbytes = field_bits // 8
+    words = np.frombuffer(raw, dtype=np.uint8).reshape(count, element_bytes(field_bits))
+    words = np.ascontiguousarray(words[:, :nbytes])
+    if field_bits <= 64:
+        return words.view(f">u{nbytes}")[:, 0].astype(np.uint64)
+    return np.array([int.from_bytes(w.tobytes(), "big") for w in words], dtype=object)
+
+
+def random_field_elements(rng: np.random.Generator, count: int,
+                          field_bits: int) -> np.ndarray:
+    """``count`` uniform field elements, drawn as ``count`` successive
+    ``int.from_bytes(rng.bytes(field_bits // 8), "big")`` calls draw them."""
+    return field_elements(rng.bytes(count * element_bytes(field_bits)), count, field_bits)
+
+
+@dataclass(frozen=True, eq=False)
+class MacKeys:
+    """One one-time key per row of a block: points ``a`` and masks ``b``, as
+    uint64 arrays for s <= 64 and object arrays of ints for s = 128."""
+
+    field_bits: int
+    a: np.ndarray
+    b: np.ndarray
+
+    @staticmethod
+    def draw_bytes(rows: int, field_bits: int) -> int:
+        """Bytes of ``rng.bytes`` that ``rows`` keys take."""
+        return 2 * rows * element_bytes(field_bits)
+
+    @classmethod
+    def from_bytes(cls, raw: bytes, rows: int, field_bits: int = 64) -> "MacKeys":
+        """``rows`` keys from ``draw_bytes(rows, field_bits)`` bytes of ``rng.bytes``,
+        the keys ``rows`` successive ``MacKey.generate`` calls draw."""
+        if field_bits not in FIELD_POLYNOMIALS:
+            raise ValueError(f"unsupported tag size {field_bits}; "
+                             f"supported: {sorted(FIELD_POLYNOMIALS)}")
+        ab = field_elements(raw, 2 * rows, field_bits).reshape(rows, 2)
+        return cls(field_bits, ab[:, 0], ab[:, 1])
+
+    @classmethod
+    def generate(cls, rng: np.random.Generator, rows: int, field_bits: int = 64) -> "MacKeys":
+        """``rows`` keys, drawn as ``rows`` successive ``MacKey.generate`` calls draw them."""
+        if field_bits not in FIELD_POLYNOMIALS:  # before anything is drawn
+            raise ValueError(f"unsupported tag size {field_bits}; "
+                             f"supported: {sorted(FIELD_POLYNOMIALS)}")
+        return cls.from_bytes(rng.bytes(cls.draw_bytes(rows, field_bits)), rows, field_bits)
+
+    @classmethod
+    def repeat(cls, key: MacKey, rows: int) -> "MacKeys":
+        """``key`` on every one of ``rows`` rows."""
+        dtype = np.uint64 if key.field_bits <= 64 else object
+        return cls(key.field_bits, np.full(rows, key.a, dtype), np.full(rows, key.b, dtype))
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, i: int) -> MacKey:
+        return self._row_keys[i]
+
+    @cached_property
+    def _row_keys(self) -> list[MacKey]:
+        """Each row's MacKey, made once so its scalar tables are built once."""
+        return [MacKey(self.field_bits, a, b) for a, b in zip(self.a.tolist(), self.b.tolist())]
+
+    @cached_property
+    def window_tables(self) -> np.ndarray:
+        """(rows, s/4, 16) uint64 for s <= 64: entry [i, j, v] is
+        ``self[i].window_tables[j][v]``.
+
+        The product a * x**t is linear in a, so it is the XOR over the bytes
+        u_w of a of the constant (u_w * x**(8w)) * x**t from
+        ``_byte_products``: one gather and one reduction give every row's s
+        products, and two broadcast XORs give the tables.
+        """
+        s = self.field_bits
+        rows = len(self)
+        digits = self.a.astype("<u8").view(np.uint8).reshape(rows, 8)[:, : s // 8]
+        products = np.bitwise_xor.reduce(
+            _byte_products(s).take(digits + _BYTE_OFFSETS[: s // 8], axis=0), axis=1)
+        # Window j's entry v = 4h + l is pair[j, 1, h] ^ pair[j, 0, l], where
+        # pair[j, 0] = (0, p0, p1, p0^p1) and pair[j, 1] = (0, p2, p3, p2^p3)
+        # for the window's products p0..p3.
+        quads = products.reshape(rows, s // 4, 2, 2)
+        pairs = np.zeros((rows, s // 4, 2, 4), dtype=np.uint64)
+        pairs[..., 1:3] = quads
+        pairs[..., 3] = quads[..., 0] ^ quads[..., 1]
+        return (pairs[:, :, 1, :, None] ^ pairs[:, :, 0, None, :]).reshape(rows, s // 4, 16)
+
+
+#: Row offset of byte w in ``_byte_products``.
+_BYTE_OFFSETS = 256 * np.arange(8)
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_products(field_bits: int) -> np.ndarray:
+    """(s/8 * 256, s) uint64, read-only: row 256*w + u holds the s products
+    (u * x**(8w)) * x**t, so a key's products are the XOR of one row per byte.
+
+    Entry [w, u, t] is the XOR of x**(8w + b + t) over the bits b of u, built
+    from the powers x**m, m < 2s - 1, one bit of u at a time.
+    """
+    s = field_bits
+    poly, top = FIELD_POLYNOMIALS[s], 1 << s
+    powers, v = [], 1
+    for _ in range(2 * s - 1):
+        powers.append(v)
+        v <<= 1
+        if v & top:
+            v ^= poly
+    x_m = np.array(powers, dtype=np.uint64)
+    table = np.zeros((s // 8, 256, s), dtype=np.uint64)
+    for w in range(s // 8):
+        for b in range(8):  # entries with bit b set: those without it, plus x**(8w+b+t)
+            table[w, 1 << b: 2 << b] = table[w, : 1 << b] ^ x_m[8 * w + b: 8 * w + b + s]
+    table = table.reshape(-1, s)
+    table.flags.writeable = False
+    return table
+
+
+def _to_block_rows(messages: np.ndarray, field_bits: int) -> np.ndarray:
+    """(rows, L) uint64: row i is ``_to_blocks(messages[i], field_bits)``, field_bits <= 64."""
+    rows, bits = messages.shape
+    step = field_bits // 8
+    packed = np.packbits(messages, axis=1)
+    head = _LENGTH_PREFIX_BITS // 8
+    width = head + packed.shape[1]
+    raw = np.zeros((rows, width + -width % step), dtype=np.uint8)
+    raw[:, :head] = np.frombuffer(bits.to_bytes(head, "big"), dtype=np.uint8)
+    raw[:, head:width] = packed
+    return raw.view(f">u{step}").astype(np.uint64)
+
+
+#: Fewest rows whose MAC runs as array operations over the rows; a smaller
+#: block, or one with 128-bit tags, signs row by row with ``mac_sign``.
+ARRAY_MAC_ROWS = 8
+
+
+def mac_sign_rows(keys: MacKeys, messages: np.ndarray) -> np.ndarray:
+    """Tags of a block: entry i is ``mac_sign(keys[i], messages[i])`` for the
+    (rows, bits) message array; uint64 for s <= 64, object ints for s = 128."""
+    rows = len(keys)
+    messages = np.asarray(messages, dtype=np.uint8).reshape(rows, -1)
+    s = keys.field_bits
+    if s > 64 or rows < ARRAY_MAC_ROWS:
+        return np.array([mac_sign(keys[i], messages[i]) for i in range(rows)],
+                        dtype=np.uint64 if s <= 64 else object)
+    windows = s // 4
+    tables = keys.window_tables.ravel()
+    # Entry [i, j] + v of the flat tables is row i's window j at value v.
+    base = (np.arange(rows * windows, dtype=np.uint64) * np.uint64(16)).reshape(rows, windows)
+    shifts = np.arange(0, s, 4, dtype=np.uint64)
+    low = np.uint64(15)
+    acc = np.zeros(rows, dtype=np.uint64)
+    for blk in _to_block_rows(messages, s).T:
+        v = (acc ^ blk)[:, None] >> shifts
+        v &= low
+        v += base
+        acc = np.bitwise_xor.reduce(tables.take(v), axis=1)
+    return acc ^ keys.b
+
+
 def mac_forgery_bound(message_bit_len: int, field_bits: int) -> float:
     """Forgery probability bound L / 2**s for a message of the given bit length."""
     blocks = math.ceil((_LENGTH_PREFIX_BITS + message_bit_len) / field_bits)
@@ -183,13 +363,24 @@ def mac_forgery_bound(message_bit_len: int, field_bits: int) -> float:
 
 
 def encode_response_claim(response_bits: np.ndarray, d_c: float) -> np.ndarray:
-    """Injective MAC input: response bits followed by the claim in CLAIM_BITS-bit fixed point."""
+    """Injective MAC input: response bits followed by the claim in CLAIM_BITS-bit
+    fixed point; a (rows, k) block of responses gives one input per row."""
     scaled = round(d_c * (1 << _CLAIM_SCALE_BITS))
     if not 0 < scaled < (1 << CLAIM_BITS):
         raise ValueError(f"claim {d_c} m not representable in {CLAIM_BITS}-bit fixed point")
     claim_bits = np.unpackbits(
         np.frombuffer(scaled.to_bytes(CLAIM_BITS // 8, "big"), dtype=np.uint8))
-    return np.concatenate([np.asarray(response_bits, dtype=np.uint8).ravel(), claim_bits])
+    response = np.asarray(response_bits, dtype=np.uint8)
+    if response.ndim < 2:
+        return np.concatenate([response.ravel(), claim_bits])
+    out = np.empty(response.shape[:-1] + (response.shape[-1] + CLAIM_BITS,), dtype=np.uint8)
+    out[..., : response.shape[-1]] = response
+    out[..., response.shape[-1]:] = claim_bits
+    return out
+
+
+#: Bytes of a sampler key that a session draws.
+SAMPLER_KEY_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -207,6 +398,13 @@ class SamplerKey:
         if bits % 8 != 0 or bits <= 0:
             raise ValueError(f"seed length must be a positive multiple of 8, got {bits}")
         return cls(bytes(rng.bytes(bits // 8)))
+
+    @classmethod
+    def from_bytes(cls, raw: bytes) -> list["SamplerKey"]:
+        """128-bit keys from ``rng.bytes`` output, the keys successive
+        ``generate`` calls draw: one per SAMPLER_KEY_BYTES bytes."""
+        return [cls(raw[i: i + SAMPLER_KEY_BYTES])
+                for i in range(0, len(raw), SAMPLER_KEY_BYTES)]
 
 
 @dataclass(frozen=True, eq=False)

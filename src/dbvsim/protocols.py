@@ -7,6 +7,9 @@ every party's retrieval audited against the ceil(lam*n) cap.
 
 The honest prover is a responder policy on a ``Session`` like each attack:
 ``run_pi1/2/3`` and ``run_protocol`` take ``(cfg, scenario, ch, rng, seed)``.
+A session runs a block of trials, one per row; given ``rows`` a policy
+returns the block's ``TrialBlock``, and without it the one run's
+``Transcript`` (a block of one).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
@@ -30,13 +33,14 @@ from .channel import (
 )
 from .primitives import (
     CLAIM_BITS,
+    SAMPLER_KEY_BYTES,
     SAMPLER_STREAM_VERSION,
     MacKey,
+    MacKeys,
     SamplerKey,
     encode_response_claim,
     mac_forgery_bound,
-    mac_sign,
-    mac_verify,
+    mac_sign_rows,
     sample_indices,
 )
 
@@ -51,6 +55,7 @@ __all__ = [
     "SessionKeys",
     "Session",
     "Transcript",
+    "TrialBlock",
     "RetrievalCapError",
     "ProtocolConfigError",
     "RetrievalAudit",
@@ -75,6 +80,16 @@ PROTOCOLS = ("pi1", "pi2", "pi3")
 #: challenge in increasing position order; 3 draws pi1/pi2 the same way, as
 #: the n = k case, and every source bit from one uniform double.
 SOURCE_STREAM_VERSION = 3
+
+#: How trials share a generator: 1 gave each trial its own, seeded by
+#: (master seed, trial index); 2 runs them in blocks of rows, one generator
+#: per block seeded by (master seed, block index), and makes each draw for
+#: every row of the block at once: all rows' MAC keys, then all rows' sampler
+#: keys, then each read's new positions in row-major order.
+TRIAL_STREAM_VERSION = 2
+
+#: Longest source: positions and block keys (row * n + position) are int64.
+MAX_SOURCE_BITS = int(np.iinfo(np.int64).max)
 
 #: Longest source whose shared memo is an n-length bit array; a longer one is
 #: memoised as sorted positions and bits (a RetrievalAudit), so memory grows
@@ -116,8 +131,8 @@ class BrmParams:
     def __post_init__(self) -> None:
         if not 0 < self.lam < 1:
             raise ValueError(f"retrieval rate must be in (0,1), got {self.lam}")
-        if self.n < 1:
-            raise ValueError(f"source length must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_SOURCE_BITS:
+            raise ValueError(f"source length must be in [1, {MAX_SOURCE_BITS}], got {self.n}")
 
     @property
     def retrieval_cap(self) -> int:
@@ -214,6 +229,7 @@ class Transcript:
             "power_w": self.power_w,
             "noiseless": self.noiseless,
             "source_stream": SOURCE_STREAM_VERSION,
+            "trial_stream": TRIAL_STREAM_VERSION,
         }
         if self.tag is not None:
             out["tag_hex"] = format(self.tag, "x")
@@ -229,70 +245,147 @@ class Transcript:
         return out
 
 
-class RetrievalAudit:
-    """One party's audited view of an n-position source, drawn as it is read.
+@dataclass
+class TrialBlock:
+    """The record of a block of runs, one row per trial: a ``Transcript`` for
+    each row, held as arrays over the rows where the rows differ."""
 
-    The view holds the sorted distinct positions the party has read and
-    their values.  A read counts the positions new to the party and, before
-    anything is drawn, raises RetrievalCapError if the party would then hold
-    more than ``cap`` of them.  Otherwise ``fill`` gives the new positions'
-    values, asked for in increasing position order, and they are merged in.
-    Re-reads are free: the values are held.  A read may return the held
-    values array itself (always so for a re-read of the held positions
-    array), so callers must not modify what a read returns.
+    protocol: str
+    scenario: str
+    claim_m: float
+    d_real_m: float
+    power_w: float
+    noiseless: bool
+    challenge: np.ndarray
+    response: np.ndarray
+    hamming: np.ndarray
+    accepted: np.ndarray
+    threshold_ok: np.ndarray
+    tags: Optional[np.ndarray] = None
+    mac_ok: Optional[np.ndarray] = None
+    seed: Optional[int] = None  # row i's seed is seed + i
+    source_bits: Optional[int] = None
+    retrieval_cap: Optional[int] = None
+    accesses: dict = field(default_factory=dict)  # party -> positions read per row
+
+    @property
+    def rows(self) -> int:
+        return len(self.accepted)
+
+    def transcript(self, i: int) -> Transcript:
+        """Row i's transcript."""
+        return Transcript(
+            protocol=self.protocol,
+            claim_m=self.claim_m,
+            d_real_m=self.d_real_m,
+            challenge=self.challenge[i],
+            response=self.response[i],
+            hamming=int(self.hamming[i]),
+            verdict=ACC if self.accepted[i] else REJ,
+            power_w=self.power_w,
+            tag=None if self.tags is None else int(self.tags[i]),
+            mac_ok=None if self.mac_ok is None else bool(self.mac_ok[i]),
+            threshold_ok=bool(self.threshold_ok[i]),
+            seed=None if self.seed is None else self.seed + i,
+            scenario=self.scenario,
+            noiseless=self.noiseless,
+            source_bits=self.source_bits,
+            retrieval_cap=self.retrieval_cap,
+            accesses={party: int(count[i]) for party, count in self.accesses.items()},
+        )
+
+
+#: What a responder policy returns: a Transcript for one run, else a TrialBlock.
+Outcome = Union[Transcript, TrialBlock]
+
+
+class RetrievalAudit:
+    """One party's audited view of an n-position source, drawn as it is read,
+    on each of ``rows`` rows of a block.
+
+    A position p of row r has the key r * n + p; on one row keys are
+    positions.  The view holds the sorted distinct keys the party has read
+    and their values.  A read counts, per row, the positions new to the
+    party and, before anything is drawn, raises RetrievalCapError if the
+    party would then hold more than ``cap`` of them on some row.  Otherwise
+    ``fill`` gives the new keys' values, asked for in increasing key order,
+    and they are merged in.  Re-reads are free: the values are held.  A read
+    may return the held values array itself (always so for a re-read of the
+    held keys array), so callers must not modify what a read returns.
     """
 
     def __init__(self, fill: Callable[[np.ndarray], np.ndarray], n: int, cap: int,
-                 party: str):
+                 party: str, rows: int = 1):
         self._fill = fill
         self.n = int(n)
         self.cap = int(cap)
         self.party = party
-        self._pos = _NO_POSITIONS
+        self.rows = int(rows)
+        self._keys = _NO_POSITIONS
         self._vals = _NO_POSITIONS
+        self._counts = np.zeros(self.rows, dtype=np.int64)  # kept above one row
 
     def read(self, indices: np.ndarray, checked: bool = False) -> np.ndarray:
-        """The values at ``indices``: any order, repeats allowed, unless
-        ``checked`` says they are sorted, distinct and in range (as the
-        session's own sampled positions are), when only the cap is checked."""
+        """The values at the keys ``indices``, in their shape: any order,
+        repeats allowed, unless ``checked`` says they are sorted, distinct and
+        in range (as the session's own sampled positions are), when only the
+        cap is checked."""
         return self._get(np.asarray(indices, dtype=np.int64), checked)
 
     @property
     def accessed(self) -> int:
-        return int(self._pos.size)
+        """Positions held, over all rows."""
+        return int(self._keys.size)
+
+    @property
+    def accessed_per_row(self) -> np.ndarray:
+        """Positions held on each row."""
+        return self._counts if self.rows > 1 else np.array([self._keys.size])
 
     def _get(self, idx: np.ndarray, checked: bool) -> np.ndarray:
-        pos = self._pos
-        if idx is pos:
+        keys = self._keys
+        if idx is keys:
             return self._vals
-        at = new = idx  # with nothing held, every position is new
-        if pos.size:
-            at = pos.searchsorted(idx)
-            new = idx[pos.take(at, mode="clip") != idx]
+        flat = idx if idx.ndim == 1 else idx.ravel()
+        at = new = flat  # with nothing held, every key is new
+        if keys.size:
+            at = keys.searchsorted(flat)
+            new = flat[keys.take(at, mode="clip") != flat]
         if new.size:
             if not checked:
                 if not _sorted_distinct(new):
                     new = np.unique(new)
-                if new[0] < 0 or new[-1] >= self.n:
+                if new[0] < 0 or new[-1] >= self.rows * self.n:
                     raise IndexError(f"{self.party} read outside positions [0, {self.n})")
-            if pos.size + new.size > self.cap:
-                raise RetrievalCapError(self.party, pos.size + new.size, self.cap)
+            self._count(new)
             self._merge(new)
-            if idx is self._pos:
-                return self._vals
-            at = self._pos.searchsorted(idx)
-        return self._vals[at]
+            if new is flat:  # nothing was held, and the read was sorted and distinct
+                return self._vals if idx.ndim == 1 else self._vals.reshape(idx.shape)
+            at = self._keys.searchsorted(flat)
+        return self._vals[at].reshape(idx.shape)
+
+    def _count(self, new: np.ndarray) -> None:
+        """Add sorted distinct ``new`` to the per-row counts, refusing a row past the cap."""
+        if self.rows == 1:
+            most = self._keys.size + new.size
+        else:
+            counts = self._counts + np.bincount(new // self.n, minlength=self.rows)
+            most = int(counts.max())
+        if most > self.cap:
+            raise RetrievalCapError(self.party, most, self.cap)
+        if self.rows > 1:
+            self._counts = counts
 
     def _merge(self, new: np.ndarray) -> None:
         """Draw sorted distinct ``new`` through ``fill`` and hold them."""
         vals = self._fill(new)
-        if self._pos.size:
-            merged = np.concatenate((self._pos, new))
+        if self._keys.size:
+            merged = np.concatenate((self._keys, new))
             order = merged.argsort(kind="stable")  # merges the two sorted runs
-            self._pos = merged[order]
+            self._keys = merged[order]
             self._vals = np.concatenate((self._vals, vals))[order]
         else:
-            self._pos, self._vals = new, vals
+            self._keys, self._vals = new, vals
 
 
 _NO_POSITIONS = np.empty(0, dtype=np.int64)
@@ -343,99 +436,120 @@ def check_mac_strength(cfg: ProtocolConfig, eps_fa: float) -> None:
 
 
 class _SharedSource:
-    """One session's n source bits, each drawn with ``random_bits`` the first
-    time anyone reads its position, in increasing position order within a
-    read.  Up to DENSE_SOURCE_BITS the memo is an int8 array with -1 at the
-    positions not drawn yet (None until the first read); above, sorted
-    positions and bits (a RetrievalAudit), so memory grows with the positions
-    read.  It refers to no session or view, so the receivers' fills that
-    share it form no reference cycle and a finished session is freed at once.
+    """The source bits of every row of a session's block, each drawn with
+    ``random_bits`` the first time anyone reads its position, in increasing
+    key order (row * n + position) within a read.  Up to DENSE_SOURCE_BITS
+    positions a row the memo is an int8 array over the block's keys with -1
+    at the keys not drawn yet (None until the first read); above, sorted keys
+    and bits (a RetrievalAudit), so memory grows with the positions read.
+    It refers to no session or view, so the receivers' fills that share it
+    form no reference cycle and a finished session is freed at once.
     """
 
-    def __init__(self, rng: np.random.Generator, n: int):
-        self.rng, self.n = rng, n
+    def __init__(self, rng: np.random.Generator, n: int, rows: int):
+        self.rng, self.n, self.rows = rng, n, rows
+        self.size = n * rows
         self._bits: Optional[np.ndarray] = None
-        self._undrawn = n  # positions of the dense memo not drawn yet
+        self._undrawn = self.size  # keys of the dense memo not drawn yet
         self._sorted: Optional[RetrievalAudit] = None
         if n > DENSE_SOURCE_BITS:
-            self._sorted = RetrievalAudit(lambda pos: random_bits(rng, pos.size), n, n,
-                                          "source")
+            self._sorted = RetrievalAudit(lambda keys: random_bits(rng, keys.size), self.size,
+                                          self.size, "source")
 
-    def at(self, positions: np.ndarray) -> np.ndarray:
-        """Source bits at sorted distinct positions, drawing those not drawn yet."""
+    def at(self, keys: np.ndarray) -> np.ndarray:
+        """Source bits at sorted distinct keys, drawing those not drawn yet."""
         if self._sorted is not None:
-            return self._sorted._get(positions, checked=True)
-        if positions.size == self.n:  # every position
-            return self.whole()
-        if self._bits is None:  # the first read: every position is new
-            self._bits = np.full(self.n, -1, dtype=np.int8)
-            bits = self._bits[positions] = random_bits(self.rng, positions.size)
-            self._undrawn -= positions.size
+            return self._sorted._get(keys, checked=True)
+        if keys.size == self.size:  # every key
+            return self.whole().ravel()
+        if self._bits is None:  # the first read: every key is new
+            self._bits = np.full(self.size, -1, dtype=np.int8)
+            bits = self._bits[keys] = random_bits(self.rng, keys.size)
+            self._undrawn -= keys.size
             return bits
-        bits = self._bits[positions]
+        bits = self._bits[keys]
         fresh = bits < 0
         count = np.count_nonzero(fresh)
         if count:
-            bits[fresh] = self._bits[positions[fresh]] = random_bits(self.rng, count)
+            bits[fresh] = self._bits[keys[fresh]] = random_bits(self.rng, count)
             self._undrawn -= count
         return bits.view(np.uint8)
 
     def whole(self) -> np.ndarray:
-        """All n bits: O(n), so refused above MAX_WHOLE_SOURCE_BITS.  Read
-        before anything is drawn, the draw itself becomes the memo."""
+        """(rows, n): every bit.  O(n) a row, so refused above
+        MAX_WHOLE_SOURCE_BITS.  Read before anything is drawn, the draw
+        itself becomes the memo."""
         if self._bits is None:
             check_whole_source(self.n)
             held, self._sorted = self._sorted, None
             if held is None or not held.accessed:
-                self._bits = random_bits(self.rng, self.n).view(np.int8)
+                self._bits = random_bits(self.rng, self.size).view(np.int8)
                 self._undrawn = 0
             else:
-                self._bits = np.full(self.n, -1, dtype=np.int8)
-                self._bits[held._pos] = held._vals
-                self._undrawn = self.n - held.accessed
+                self._bits = np.full(self.size, -1, dtype=np.int8)
+                self._bits[held._keys] = held._vals
+                self._undrawn = self.size - held.accessed
         if self._undrawn:
             self._bits[self._bits < 0] = random_bits(self.rng, self._undrawn)
             self._undrawn = 0
-        return self._bits.view(np.uint8)
+        return self._bits.view(np.uint8).reshape(self.rows, self.n)
 
 
 class Session:
-    """One run as the verifier sees it: keys, emission, each party's audited
-    view, verdict.  A responder policy (the honest prover or an attack)
-    receives, reads and signs; ``decide`` builds the transcript.
+    """A block of runs as the verifier sees them, one row per trial: keys,
+    emission, each party's audited view, verdicts.  A responder policy (the
+    honest prover or an attack) receives, reads and signs over the rows;
+    ``decide`` builds the record.  Reads, responses and tags carry a leading
+    row axis.  Without ``rows`` the session is one run: a block of one row
+    whose ``decide`` returns that run's Transcript rather than a TrialBlock.
 
     The claim, real distance, label and noise setting come from the run's
     ``montecarlo.Scenario``; impersonation overrides the distance (``d_real``).
 
-    It draws from ``rng`` in one fixed order: the MAC key (only when the run
-    authenticates and ``keys`` holds none), the sampler key (pi3), then the
-    emission.  pi1/pi2 are the n = k case, with a cap of n and every position
-    sampled.  Nothing more is drawn up front: each party's ``RetrievalAudit``
-    draws a position the first time that party reads it, in read order,
-    taking the source bit from one shared memo (drawn on the first read by
-    anyone) and the party's own noise.  ``brm_source_emit`` followed by
-    ``propagate`` is the eager reference of a read of every position.
+    It draws from ``rng`` in one fixed order, each draw for every row at
+    once: the MAC keys (only when the run authenticates and ``keys`` holds
+    none), the sampler keys (pi3), then the emission.  pi1/pi2 are the n = k
+    case, with a cap of n and every position sampled.  Nothing more is drawn
+    up front: each party's ``RetrievalAudit`` draws a position the first time
+    that party reads it, in read order and row-major over the rows, taking
+    the source bit from one shared memo (drawn on the first read by anyone)
+    and the party's own noise.  ``brm_source_emit`` followed by ``propagate``
+    is the eager reference of a read of every position of one row.
     """
 
     def __init__(self, cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
                  rng: np.random.Generator, seed: Optional[int] = None,
-                 keys: Optional[SessionKeys] = None, *, d_real: Optional[float] = None):
+                 keys: Optional[SessionKeys] = None, *, d_real: Optional[float] = None,
+                 rows: Optional[int] = None):
         self.cfg, self.ch, self.rng, self.seed = cfg, ch, rng, seed
+        self.single = rows is None
+        self.rows = 1 if rows is None else int(rows)
         self.d_c, self.kind, self.noiseless = scenario.d_claim, scenario.kind, scenario.noiseless
         self.d_real = scenario.d_real if d_real is None else d_real
         self.bounded = cfg.protocol == "pi3"
         self.authenticated = cfg.protocol != "pi1" and cfg.use_mac
-        self.mac_key = keys.mac_key if keys else None
-        if self.mac_key is None and self.authenticated:
-            self.mac_key = MacKey.generate(rng, cfg.mac_bits)
-        self.sampler_key = keys.sampler_key if keys else None
-        if self.sampler_key is None and self.bounded:
-            self.sampler_key = SamplerKey.generate(rng)
+        # One draw of key material for every row: the MAC keys, then the
+        # sampler keys, as successive MacKey and SamplerKey draws take them.
+        draw_mac = self.authenticated and (keys is None or keys.mac_key is None)
+        draw_sampler = self.bounded and (keys is None or keys.sampler_key is None)
+        mac_bytes = MacKeys.draw_bytes(self.rows, cfg.mac_bits) if draw_mac else 0
+        sampler_bytes = SAMPLER_KEY_BYTES * self.rows if draw_sampler else 0
+        raw = rng.bytes(mac_bytes + sampler_bytes) if draw_mac or draw_sampler else b""
+        self.mac_keys: Optional[MacKeys] = None
+        if self.authenticated:
+            self.mac_keys = (MacKeys.from_bytes(raw[:mac_bytes], self.rows, cfg.mac_bits)
+                             if draw_mac else MacKeys.repeat(keys.mac_key, self.rows))
+        self.sampler_keys: Optional[list[SamplerKey]] = None
+        if self.bounded:
+            self.sampler_keys = (SamplerKey.from_bytes(raw[mac_bytes:]) if draw_sampler
+                                 else [keys.sampler_key] * self.rows)
         self.power_w = transmit_power_for_claim(self.d_c, cfg.e0, ch)
         self.n, self.cap = self.extent(cfg)
+        self._offsets = np.arange(0, self.rows * self.n, self.n, dtype=np.int64)[:, None]
         self._views: dict[str, RetrievalAudit] = {}
         self._sampled: Optional[np.ndarray] = None
-        self._source = _SharedSource(rng, self.n)
+        self._sampled_keys: Optional[np.ndarray] = None
+        self._source = _SharedSource(rng, self.n, self.rows)
 
     @staticmethod
     def extent(cfg: ProtocolConfig) -> tuple[int, int]:
@@ -453,22 +567,33 @@ class Session:
 
     @property
     def sampled(self) -> np.ndarray:
-        """The challenge positions in increasing order: every position when
-        k = n, otherwise derived from the sampler key on first use."""
+        """(rows, k): each row's challenge positions in increasing order: every
+        position when k = n, otherwise derived from the row's sampler key on
+        first use."""
         if self._sampled is None:
-            if self.cfg.k == self.n:
-                self._sampled = np.arange(self.n)
+            k = self.cfg.k
+            if k == self.n:
+                self._sampled = np.broadcast_to(np.arange(k), (self.rows, k))
             else:
-                self._sampled = np.sort(
-                    sample_indices(self.sampler_key, self.n, self.cfg.k).indices)
+                sampled = np.empty((self.rows, k), dtype=np.int64)
+                for row, key in zip(sampled, self.sampler_keys):
+                    row[:] = sample_indices(key, self.n, k).indices
+                sampled.sort(axis=1)
+                self._sampled = sampled
         return self._sampled
 
     @property
     def source(self) -> np.ndarray:
-        """The whole n-bit source output.  This draws every position no one
-        has read yet, in increasing position order: O(n), so it is refused
-        above MAX_WHOLE_SOURCE_BITS."""
+        """(rows, n): the whole source output of every row.  This draws every
+        position no one has read yet, in increasing key order: O(n) a row, so
+        it is refused above MAX_WHOLE_SOURCE_BITS."""
         return self._source.whole()
+
+    def keys(self, positions: np.ndarray) -> np.ndarray:
+        """(rows, m) block keys row * n + position of ``positions``, given per
+        row as (rows, m) or as (m,) read on every row; sorted distinct
+        positions on each row give sorted distinct keys."""
+        return np.asarray(positions, dtype=np.int64) + self._offsets
 
     def receive(self, party: str, at: Optional[float]) -> None:
         """``party``'s reception of the emission at distance ``at`` (None: so
@@ -477,103 +602,130 @@ class Session:
         source, power_w, ch, rng, noiseless = (self._source, self.power_w, self.ch,
                                                self.rng, self.noiseless)
 
-        def fill(pos: np.ndarray) -> np.ndarray:
-            sig = bpsk_modulate(source.at(pos), power_w)
+        def fill(keys: np.ndarray) -> np.ndarray:
+            sig = bpsk_modulate(source.at(keys), power_w)
             if at is None:
                 return sig
             return propagate(sig, at, ch, rng, noiseless=noiseless)
 
-        self._views[party] = RetrievalAudit(fill, self.n, self.cap, party)
+        self._views[party] = RetrievalAudit(fill, self.n, self.cap, party, self.rows)
 
-    def read(self, party: str, positions: Optional[np.ndarray] = None) -> np.ndarray:
-        """``party``'s received values at ``positions`` (default: the sampled ones)."""
+    def read(self, party: str, positions: Optional[np.ndarray] = None,
+             where: Optional[np.ndarray] = None) -> np.ndarray:
+        """``party``'s received values at ``positions`` (default: the sampled
+        ones), given as for ``keys``, in the (rows, m) shape; with ``where``,
+        a boolean (rows, m) mask, only at the masked entries, flat in
+        row-major order."""
         if positions is None:
-            return self._views[party].read(self.sampled, checked=True)
-        return self._views[party].read(positions)
+            if self._sampled_keys is None:
+                self._sampled_keys = self.keys(self.sampled)
+            keys, checked = self._sampled_keys, True
+        else:
+            positions = np.asarray(positions, dtype=np.int64)
+            if positions.size and (positions.min() < 0 or positions.max() >= self.n):
+                raise IndexError(f"{party} read outside positions [0, {self.n})")
+            keys, checked = self.keys(positions), False
+        if where is not None:
+            keys = keys[where]
+        return self._views[party].read(keys, checked)
 
-    def sign(self, response: np.ndarray, claim: float) -> Optional[int]:
-        """Tag over (response, claim) under the session MAC key; None without a MAC."""
+    def sign(self, response: np.ndarray, claim: float) -> Optional[np.ndarray]:
+        """Each row's tag over (response, claim) under its MAC key; None without a MAC."""
         if not self.authenticated:
             return None
-        return mac_sign(self.mac_key, encode_response_claim(response, claim))
+        return mac_sign_rows(self.mac_keys, encode_response_claim(response, claim))
 
-    def decide(self, response: np.ndarray, tag: Optional[int]) -> Transcript:
-        """The verifier's check of (response, tag) against its challenge and claim."""
-        cfg = self.cfg
+    def decide(self, response: np.ndarray, tag: Optional[np.ndarray]) -> Outcome:
+        """The verifier's check of each row's (response, tag) against its
+        challenge and claim: the TrialBlock, or the one run's Transcript."""
+        cfg, rows, k = self.cfg, self.rows, self.cfg.k
         # The verifier reads the k sampled positions of its own emission, and
         # ProtocolConfig holds k within the cap.
-        m = self._source.at(self.sampled)
+        if self._sampled_keys is None:
+            self._sampled_keys = self.keys(self.sampled)
+        challenge = self._source.at(self._sampled_keys.ravel()).reshape(rows, k)
+        response = np.asarray(response, dtype=np.uint8).reshape(rows, k)
         mac_ok = None
         if self.authenticated:
-            mac_ok = mac_verify(self.mac_key, encode_response_claim(response, self.d_c), tag)
-        threshold_ok = verify_response(m, response, cfg.beta) == ACC
-        return Transcript(
+            want = mac_sign_rows(self.mac_keys, encode_response_claim(response, self.d_c))
+            mac_ok = (np.zeros(rows, dtype=bool) if tag is None
+                      else np.asarray(np.asarray(tag) == want, dtype=bool))
+        hamming = np.add.reduce(challenge != response, axis=1)
+        threshold_ok = hamming <= max_errors(cfg.beta, k)
+        block = TrialBlock(
             protocol=cfg.protocol,
+            scenario=self.kind,
             claim_m=self.d_c,
             d_real_m=self.d_real,
-            challenge=m,
-            response=response,
-            hamming=int(np.count_nonzero(m != response)),
-            verdict=ACC if threshold_ok and mac_ok is not False else REJ,
             power_w=self.power_w,
-            tag=tag,
-            mac_ok=mac_ok,
-            threshold_ok=threshold_ok,
-            seed=self.seed,
-            scenario=self.kind,
             noiseless=self.noiseless,
+            challenge=challenge,
+            response=response,
+            hamming=hamming,
+            accepted=threshold_ok if mac_ok is None else threshold_ok & mac_ok,
+            threshold_ok=threshold_ok,
+            tags=tag,
+            mac_ok=mac_ok,
+            seed=self.seed,
             source_bits=self.n if self.bounded else None,
             retrieval_cap=self.cap if self.bounded else None,
-            accesses=({"verifier": cfg.k} | {p: v.accessed for p, v in self._views.items()}
+            accesses=({"verifier": np.full(rows, k)}
+                      | {p: v.accessed_per_row for p, v in self._views.items()}
                       if self.bounded else {}),
         )
+        return block.transcript(0) if self.single else block
 
 
 def _honest_run(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
                 rng: np.random.Generator, seed: Optional[int],
-                keys: Optional[SessionKeys] = None) -> Transcript:
+                keys: Optional[SessionKeys] = None, rows: Optional[int] = None) -> Outcome:
     """The honest prover demodulates the sampled positions of its reception
     (its leg to the verifier is error-free) and tags its own claim."""
-    s = Session(cfg, scenario, ch, rng, seed, keys)
+    s = Session(cfg, scenario, ch, rng, seed, keys, rows=rows)
     s.receive("prover", scenario.d_real)
     response = bpsk_demodulate(s.read("prover"))
     return s.decide(response, s.sign(response, scenario.d_claim))
 
 
 def run_pi1(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
-            rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
-    """One run of the bare challenge-response protocol with an honest prover."""
-    return _honest_run(cfg, scenario, ch, rng, seed)
+            rng: np.random.Generator, seed: Optional[int] = None, *,
+            rows: Optional[int] = None) -> Outcome:
+    """One run of the bare challenge-response protocol with an honest prover
+    (a block of ``rows`` runs when given)."""
+    return _honest_run(cfg, scenario, ch, rng, seed, rows=rows)
 
 
 def run_pi2(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
             rng: np.random.Generator, seed: Optional[int] = None, *,
-            keys: Optional[SessionKeys] = None) -> Transcript:
+            keys: Optional[SessionKeys] = None, rows: Optional[int] = None) -> Outcome:
     """As pi1 plus a one-time MAC over (response, claim) on the prover leg.
 
-    With keys=None a fresh key is drawn from ``rng`` before the challenge.
+    With keys=None a fresh key per row is drawn from ``rng`` before the
+    challenge; a supplied key serves every row.
     """
-    return _honest_run(cfg, scenario, ch, rng, seed, keys)
+    return _honest_run(cfg, scenario, ch, rng, seed, keys, rows)
 
 
 def run_pi3(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
             rng: np.random.Generator, seed: Optional[int] = None, *,
-            keys: Optional[SessionKeys] = None) -> Transcript:
-    """One honest run of the bounded-retrieval protocol.
+            keys: Optional[SessionKeys] = None, rows: Optional[int] = None) -> Outcome:
+    """One honest run of the bounded-retrieval protocol (a block of ``rows``
+    runs when given).
 
     The verifier triggers the source, both parties sample the same key-derived
     positions, and neither reads more than ceil(lam*n) positions of what it
     observed (enforced by the audit).  The response carries a MAC like pi2
     unless cfg.use_mac is false.
     """
-    return _honest_run(cfg, scenario, ch, rng, seed, keys)
+    return _honest_run(cfg, scenario, ch, rng, seed, keys, rows)
 
 
 def run_protocol(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
-                 rng: np.random.Generator, seed: Optional[int] = None) -> Transcript:
-    """Dispatch an honest run of cfg.protocol."""
+                 rng: np.random.Generator, seed: Optional[int] = None, *,
+                 rows: Optional[int] = None) -> Outcome:
+    """Dispatch an honest run (or block of ``rows`` runs) of cfg.protocol."""
     if cfg.protocol == "pi1":
-        return run_pi1(cfg, scenario, ch, rng, seed)
+        return run_pi1(cfg, scenario, ch, rng, seed, rows=rows)
     if cfg.protocol == "pi2":
-        return run_pi2(cfg, scenario, ch, rng, seed)
-    return run_pi3(cfg, scenario, ch, rng, seed)
+        return run_pi2(cfg, scenario, ch, rng, seed, rows=rows)
+    return run_pi3(cfg, scenario, ch, rng, seed, rows=rows)

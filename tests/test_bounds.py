@@ -25,7 +25,7 @@ from dbvsim.bounds import (
     brm_exponent_sampling,
     sampler_close_security,
 )
-from dbvsim.bounds import _binomial_tails
+from dbvsim.bounds import _PmfTerms, _binomial_tails, _log_pmf, _log_pmf_at
 from dbvsim.channel import BerPair
 
 LN2 = math.log(2)
@@ -176,6 +176,23 @@ class TestWindowedTailsOracle:
     )
     def test_large_k(self, k, beta, p):
         assert _binomial_tails(k, beta, p) == _full_range_tails(k, beta, p)
+
+
+class TestScalarLogPmf:
+    """The window search evaluates the log-pmf one count at a time with
+    ``math.lgamma``; it must round exactly as the array form does, or the
+    window ends could move."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 10**6).flatmap(lambda k: st.tuples(
+        st.just(k), st.integers(0, k),
+        st.floats(1e-300, 1.0, exclude_max=True) | st.sampled_from([1e-9, 0.05, 0.5]))))
+    def test_equals_array_form(self, kip):
+        k, i, p = kip
+        terms = _PmfTerms(k, math.lgamma(k + 1), math.log(p), math.log1p(-p))
+        want = _log_pmf(terms, np.array([float(i)]))[0]
+        assert _log_pmf_at(terms, i) == want or (math.isnan(want)
+                                                 and math.isnan(_log_pmf_at(terms, i)))
 
 
 def _random_valid_triples(count, seed=7, k_max=10**4):

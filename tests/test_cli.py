@@ -258,6 +258,25 @@ class TestSimulateCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("optimize", "--mode", "dfa", "--psi", "1.5"),
+        ("optimize", "--mode", "brm-sampling", "--psi", "1.5", "--lambda", "0.3"),
+        ("max-lambda", "--mode", "general", "--psi", "1.68"),
+    ], ids=["dfa", "brm-sampling", "max-lambda"])
+    def test_subnormal_noise_power_warns_nothing(self, capsys, tmp_path, argv):
+        # e0 / (loss * sigma) passes the float range: the SNR is infinite, the
+        # model's limit, on the design grid as in the scalar division.
+        ch_path = tmp_path / "chan.json"
+        ch_path.write_text(json.dumps({
+            "xi": 1.0, "alpha": 3.0, "sigma_watts": 1e-320,
+            "e_max_watts": 3e4, "d0_meters": 1e5,
+        }))
+        extra = ("--eps-fa", "1e-2", "--eps-fr", "1e-2") if argv[0] == "optimize" else ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, *argv, *extra, "--channel", str(ch_path))
+        assert code in (0, 2), err
+
 
 #: simulate with explicit pi1 parameters; each bad-input case appends to it.
 _EXPLICIT = ("simulate", "--scenario", "honest", "--e0", "2000", "--k", "150",
@@ -448,9 +467,12 @@ class TestFuzzedArgvDefects:
         ((*_SIM, "--protocol", "pi1", "--k", "10", "--seed", "-1"), 1),
         # 10 / eps_fr, the trial count the under-resolution warning asks for, is inf.
         ((*_SIM, "--protocol", "pi1", "--k", "10", "--eps-fr", "1e-320"), 0),
+        # lambda * n, the retrieval cap, passes the float range.
+        ((*_SIM, "--protocol", "pi3", "--k", "120", "--lambda", "0.3", "--n", "1" + "0" * 400),
+         1),
     ], ids=["brm-general-lambda", "brm-sampling-lambda", "pi3-config-lambda",
             "claim-power-underflow", "claim-fixed-point", "mfa-replay-fixed-point",
-            "path-loss-underflow", "negative-seed", "subnormal-budget"])
+            "path-loss-underflow", "negative-seed", "subnormal-budget", "pi3-huge-n"])
     def test_exit_code(self, capsys, argv, code):
         got, out, err = run_cli(capsys, *argv)
         assert got == code, err

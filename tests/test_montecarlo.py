@@ -9,10 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.stats import binomtest
 
 from dbvsim import montecarlo
 from dbvsim._pool import worker_count
-from dbvsim.attacks import IndexSamplingStrategy, ParitySketchStrategy
+from dbvsim.attacks import (
+    BlockMajorityStrategy,
+    IndexSamplingStrategy,
+    ParitySketchStrategy,
+)
 from dbvsim.bounds import DbvSpec, exact_binomial_tail_lower, max_errors
 from dbvsim.channel import (
     DEFAULT_CHANNEL,
@@ -27,8 +32,10 @@ from dbvsim.montecarlo import (
     compare_to_bound,
     estimate_rates,
     exact_success_probability,
+    run_block,
 )
-from dbvsim.protocols import BrmParams, ProtocolConfig
+from dbvsim.primitives import MacKeys, encode_response_claim, mac_verify
+from dbvsim.protocols import ACC, REJ, BrmParams, ProtocolConfig, verify_response
 
 CH = DEFAULT_CHANNEL
 SPEC = DbvSpec(psi=1.5, eps_fa=0.05, eps_fr=0.05)
@@ -106,12 +113,14 @@ class TestEstimateRates:
         assert a == b
 
     def test_jobs_clamped_to_trials_and_cores(self, inline_pool):
+        # Workers take whole blocks: three blocks, the last one partial.
         s = Scenario("dfa", d_claim=4e4, d_real=7e4)
-        serial = estimate_rates(s, PI1, SPEC, CH, 3, 12)
+        trials = 2 * montecarlo.block_rows(PI1, s) + 1
+        serial = estimate_rates(s, PI1, SPEC, CH, trials, 12)
         opened = inline_pool(montecarlo, cpus=64)
-        assert estimate_rates(s, PI1, SPEC, CH, 3, 12, jobs=10**6) == serial
+        assert estimate_rates(s, PI1, SPEC, CH, trials, 12, jobs=10**6) == serial
         inline_pool(montecarlo, cpus=1)
-        assert estimate_rates(s, PI1, SPEC, CH, 3, 12, jobs=10**6) == serial
+        assert estimate_rates(s, PI1, SPEC, CH, trials, 12, jobs=10**6) == serial
         assert opened == [3]  # one pool of 3 workers; none on one core
 
     def test_seed_split_consistency(self):
@@ -254,6 +263,18 @@ class TestOverlapLawExact:
         n, cap, k = nck
         assert self.l1(montecarlo._overlap_pmf(n, cap, k), exact_overlap_pmf(n, cap, k)) <= 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 3000).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, min(n - 1, 300)))), st.floats(4e4, 1e5))
+    def test_mixture_sweep(self, exact_sampling_mixture, n_cap, d_real):
+        # The oracle's binomial cdf (the ufunc behind stats.binom.cdf) within
+        # 1e-12 of the exact rational mixture.
+        cfg = _pi3_with_cap(*n_cap)
+        s = Scenario("tfa-sampling", d_claim=4e4, d_real=d_real)
+        exact = exact_sampling_mixture(s, cfg, CH)
+        got = exact_success_probability(s, cfg, CH)
+        assert float(abs(Fraction(got) - exact) / exact) <= 1e-12, (got, float(exact))
+
     @pytest.mark.parametrize("n, cap, k", EXACT_POINTS)
     @pytest.mark.parametrize("d_real", [4e4, 6e4, 9e4])
     def test_mixture(self, exact_sampling_mixture, n, cap, k, d_real):
@@ -264,6 +285,76 @@ class TestOverlapLawExact:
         got = exact_success_probability(s, cfg, CH)
         assert exact > 0
         assert float(abs(Fraction(got) - exact) / exact) <= 1e-10, (got, float(exact))
+
+
+class TestBlockEngine:
+    """Trials run in blocks of rows; the engine against its references."""
+
+    CASES = [(PI1, Scenario("honest", d_claim=5e4, d_real=6.2e4)),
+             (pi3_config(), Scenario("tfa-sampling", 5e4, 6.5e4,
+                                     tfa_strategy=IndexSamplingStrategy("random")))]
+
+    @pytest.mark.parametrize("cfg, scenario", CASES, ids=["pi1-honest", "pi3-tfa-sampling"])
+    def test_summary_independent_of_jobs_and_dump(self, tmp_path, cfg, scenario):
+        rows = montecarlo.block_rows(cfg, scenario)
+        trials = 2 * rows + 37  # the last block is partial
+        serial = estimate_rates(scenario, cfg, SPEC, CH, trials, 31)
+        assert serial.to_json_dict()["trial_stream"] == 2
+        assert estimate_rates(scenario, cfg, SPEC, CH, trials, 31, jobs=2) == serial
+        path = tmp_path / "dump.jsonl"
+        assert estimate_rates(scenario, cfg, SPEC, CH, trials, 31, dump_path=str(path)) == serial
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [d["seed"] for d in lines] == list(range(trials))
+        assert sum(d["verdict"] == ACC for d in lines) == serial.accepts
+        assert {d["trial_stream"] for d in lines} == {2}
+
+    @pytest.mark.parametrize("cfg, scenario", [
+        (ProtocolConfig("pi2", e0=2000.0, k=150, beta=0.08), Scenario("honest", 5e4, 6.2e4)),
+        (ProtocolConfig("pi2", e0=2000.0, k=150, beta=0.1, mac_bits=8),
+         Scenario("mfa", 4e4, 5.5e4, mfa_strategy="random-tag")),
+        (ProtocolConfig("pi2", e0=2000.0, k=150, beta=0.1, mac_bits=128),
+         Scenario("honest", 5e4, 6.2e4)),
+        (pi3_config(), Scenario("honest", 5e4, 6.5e4)),
+        (pi3_config(), Scenario("impersonation", 4e4, 4e4, leaked_sampler_key=True,
+                                leaked_mac_key=True, intruder_d=6e4)),
+        (pi3_config(), Scenario("tfa-general", 5e4, 6.5e4, tfa_strategy=BlockMajorityStrategy())),
+        (pi3_config(), Scenario("tfa-sampling", 5e4, 6.5e4)),
+    ], ids=["pi2-honest", "pi2-mfa-s8", "pi2-honest-s128", "pi3-honest",
+            "pi3-impersonation", "pi3-majority", "pi3-tfa-sampling"])
+    def test_rows_recheck_with_scalar_checks(self, cfg, scenario):
+        # Each row's verdict, re-derived with the scalar verify_response and
+        # mac_verify; the MAC keys are the block's first draw.
+        rows = 60
+        block = run_block(scenario, cfg, CH, np.random.default_rng(5), 100, rows)
+        keys = MacKeys.generate(np.random.default_rng(5), rows, cfg.mac_bits)
+        seen = set()
+        for i in range(rows):
+            t = block.transcript(i)
+            assert t.seed == 100 + i
+            threshold_ok = verify_response(t.challenge, t.response, cfg.beta) == ACC
+            mac_ok = mac_verify(keys[i], encode_response_claim(t.response, t.claim_m), t.tag)
+            assert (t.threshold_ok, t.mac_ok) == (threshold_ok, mac_ok)
+            assert t.verdict == (ACC if threshold_ok and mac_ok else REJ)
+            seen.add((threshold_ok, mac_ok))
+        assert len(seen) > 1  # the rows decide differently
+
+    @pytest.mark.parametrize("cfg, scenario", [
+        (PI1, Scenario("honest", 5e4, 6.2e4)),
+        (PI1, Scenario("dfa", 4e4, 5.2e4)),
+        (ProtocolConfig("pi2", e0=2000.0, k=150, beta=0.08), Scenario("honest", 5e4, 6.2e4)),
+        (ProtocolConfig("pi2", e0=2000.0, k=150, beta=0.08),
+         Scenario("tfa-relay", 5e4, 9e4, intruder_d=6.2e4)),
+        (PI1, Scenario("tfa-relay", 5e4, 9e4, intruder_d=6.2e4)),
+        (pi3_config(), Scenario("dfa", 5e4, 6.5e4)),
+    ], ids=["pi1-honest", "pi1-dfa", "pi2-honest", "pi2-relay", "pi1-relay", "pi3-dfa"])
+    def test_accepts_match_exact(self, cfg, scenario):
+        # Every scenario with a closed form passes the exact binomial test;
+        # tests/test_attacks.py covers the pi3 honest, tfa-sampling and relay runs.
+        trials = 1500
+        s = estimate_rates(scenario, cfg, None, CH, trials, master_seed=4243)
+        assert 0.05 < s.analytic_exact < 0.95  # informative
+        assert binomtest(s.accepts, trials, s.analytic_exact).pvalue > 1e-4, (
+            s.accepts, s.analytic_exact)
 
 
 class TestCompareToBound:

@@ -12,13 +12,16 @@ from scipy import stats
 from dbvsim.primitives import (
     FIELD_POLYNOMIALS,
     SAMPLER_STREAM_VERSION,
+    ARRAY_MAC_ROWS,
     IndexSet,
     MacKey,
+    MacKeys,
     SamplerKey,
     encode_response_claim,
     gf_mul,
     mac_forgery_bound,
     mac_sign,
+    mac_sign_rows,
     mac_verify,
     sample_indices,
     sampler_guarantee,
@@ -267,6 +270,44 @@ GOLDEN = json.loads((Path(__file__).parent / "golden" / "mac_tags.json").read_te
 def _golden_message(s: int, seed: int, length: int) -> np.ndarray:
     # the message derivation of tests/golden/make_mac_tags.py
     return np.random.default_rng([s, seed, length]).integers(0, 2, length, dtype=np.uint8)
+
+
+class TestMacRows:
+    """A block's keys, window tables and tags against the scalar MAC, row by row."""
+
+    @pytest.mark.parametrize("s", sorted(FIELD_POLYNOMIALS))
+    def test_generate_draws_as_successive_keys(self, s):
+        rng = np.random.default_rng(s)
+        keys = MacKeys.generate(rng, 5, s)
+        ref = np.random.default_rng(s)
+        assert [keys[i] for i in range(5)] == [MacKey.generate(ref, s) for _ in range(5)]
+        assert rng.random() == ref.random()  # and leave the generator in the same state
+
+    @pytest.mark.parametrize("s", [8, 16, 32, 64])
+    def test_window_tables_match_scalar(self, s):
+        top = (1 << s) - 1
+        points = [0, 1, 2, top, top ^ 1, 1 << (s - 1)]
+        points += MacKeys.generate(np.random.default_rng(s), 30, s).a.tolist()
+        keys = MacKeys(s, np.array(points, dtype=np.uint64), np.zeros(len(points), np.uint64))
+        for i, table in enumerate(keys.window_tables.tolist()):
+            assert table == [list(t) for t in keys[i].window_tables], (s, points[i])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(FIELD_POLYNOMIALS)),
+           st.integers(1, 2 * ARRAY_MAC_ROWS), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    def test_tags_equal_scalar(self, s, rows, bits, seed):
+        rng = np.random.default_rng(seed)
+        keys = MacKeys.generate(rng, rows, s)
+        messages = rng.integers(0, 2, (rows, bits), dtype=np.uint8)
+        tags = mac_sign_rows(keys, messages)
+        assert [int(t) for t in tags] == [mac_sign(keys[i], messages[i]) for i in range(rows)]
+
+    @pytest.mark.parametrize("rows", [1, ARRAY_MAC_ROWS])
+    def test_repeated_key(self, rows):
+        key = MacKey.generate(np.random.default_rng(3), 64)
+        messages = encode_response_claim(np.ones((rows, 20), dtype=np.uint8), 5e4)
+        tags = mac_sign_rows(MacKeys.repeat(key, rows), messages)
+        assert tags.tolist() == [mac_sign(key, messages[0])] * rows
 
 
 class TestGoldenTags:

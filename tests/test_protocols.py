@@ -19,8 +19,15 @@ from dbvsim.channel import (
     propagate,
     random_bits,
 )
-from dbvsim.montecarlo import Scenario, _trial_rng, run_trial
-from dbvsim.primitives import MacKey, SamplerKey, encode_response_claim, mac_sign, mac_verify
+from dbvsim.montecarlo import Scenario, _block_rng, block_rows, run_block, run_trial
+from dbvsim.primitives import (
+    MacKey,
+    MacKeys,
+    SamplerKey,
+    encode_response_claim,
+    mac_sign,
+    mac_verify,
+)
 from dbvsim.protocols import (
     ACC,
     REJ,
@@ -219,7 +226,7 @@ class TestPi1:
     def test_schema_version_and_sampler_stream(self):
         from dbvsim.attacks import attack_mfa
         from dbvsim.primitives import SAMPLER_STREAM_VERSION
-        from dbvsim.protocols import SOURCE_STREAM_VERSION
+        from dbvsim.protocols import SOURCE_STREAM_VERSION, TRIAL_STREAM_VERSION
 
         t = run_pi1(PI1, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(1))
         d = t.to_json_dict()
@@ -235,6 +242,7 @@ class TestPi1:
             assert d["schema_version"] == "3"
             assert d["sampler_stream"] == SAMPLER_STREAM_VERSION == 2
             assert d["source_stream"] == SOURCE_STREAM_VERSION
+            assert d["trial_stream"] == TRIAL_STREAM_VERSION == 2
 
     def test_power_follows_claim(self):
         rng = np.random.default_rng(2)
@@ -366,11 +374,12 @@ class TestSession:
         cfg = pi3_config()
         s = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(12))
         rng = np.random.default_rng(12)
-        assert s.mac_key == MacKey.generate(rng, cfg.mac_bits)
-        assert s.sampler_key == SamplerKey.generate(rng)
+        # A single run is a block of one row.
+        assert s.mac_keys[0] == MacKey.generate(rng, cfg.mac_bits)
+        assert s.sampler_keys == [SamplerKey.generate(rng)]
         assert s._sampled is None  # sampled on first use only
         # Nothing read yet, so the whole source is drawn in position order.
-        np.testing.assert_array_equal(s.source, random_bits(rng, cfg.brm.n))
+        np.testing.assert_array_equal(s.source, [random_bits(rng, cfg.brm.n)])
 
     def test_supplied_keys_are_not_drawn(self):
         cfg = pi3_config()
@@ -378,9 +387,9 @@ class TestSession:
                            SamplerKey.generate(np.random.default_rng(2), 128))
         s = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(13),
                     keys=keys)
-        assert (s.mac_key, s.sampler_key) == (keys.mac_key, keys.sampler_key)
+        assert (s.mac_keys[0], s.sampler_keys) == (keys.mac_key, [keys.sampler_key])
         np.testing.assert_array_equal(
-            s.source, random_bits(np.random.default_rng(13), cfg.brm.n)
+            s.source, [random_bits(np.random.default_rng(13), cfg.brm.n)]
         )
 
     @pytest.mark.parametrize("dense_limit", [protocols.DENSE_SOURCE_BITS, 0],
@@ -398,9 +407,10 @@ class TestSession:
         intruder = s.read("intruder", head)
         prover = s.read("prover")
         whole = s.source
-        np.testing.assert_array_equal(intruder > 0, whole[head] == 1)
-        np.testing.assert_array_equal(s.decide(prover > 0, None).challenge, whole[s.sampled])
-        assert s.sampled.size == cfg.k and (np.diff(s.sampled) > 0).all()
+        np.testing.assert_array_equal(intruder > 0, whole[:, head] == 1)
+        np.testing.assert_array_equal(s.decide(prover > 0, None).challenge,
+                                      whole[0, s.sampled[0]])
+        assert s.sampled.shape == (1, cfg.k) and (np.diff(s.sampled) > 0).all()
 
     # On pi3 the cap must cover the source for one party to read all of it.
     @pytest.mark.parametrize("cfg", [PI1, pi3_config(lam=0.995)], ids=["pi1", "pi3"])
@@ -414,7 +424,7 @@ class TestSession:
         halves.receive("intruder", None)
         half = whole.n // 2
         got = np.concatenate((halves.read("intruder", np.arange(half)),
-                              halves.read("intruder", np.arange(half, halves.n))))
+                              halves.read("intruder", np.arange(half, halves.n))), axis=1)
         np.testing.assert_array_equal(got, whole.read("intruder", np.arange(whole.n)))
         np.testing.assert_array_equal(halves.source, whole.source)
 
@@ -514,21 +524,24 @@ class TestSession:
         assert t.mac_ok is False
 
     def test_mac_ok_matches_mac_verify(self):
-        # Every authenticated case of the golden transcripts: the MAC key is
-        # the trial's first draw, so a fresh generator on the same seed gives it.
+        # Every authenticated case of the golden transcripts: each case is one
+        # block, whose MAC keys are its first draw, so a fresh generator on
+        # the block's seed gives them.
         checked = set()
         for index, (name, scenario) in enumerate(golden.cases()):
             cfg = golden.CONFIGS[name]
             if cfg.protocol == "pi1" or not cfg.use_mac:
                 continue
+            assert golden.TRIALS <= block_rows(cfg, scenario)
+            master = 1000 + index
+            block = run_block(scenario, cfg, CH, _block_rng(master, 0), 0, golden.TRIALS)
+            if block is None:
+                continue  # relay blocked by the audit
+            keys = MacKeys.generate(_block_rng(master, 0), golden.TRIALS, cfg.mac_bits)
             for i in range(golden.TRIALS):
-                master = 1000 + index
-                _, _, t = run_trial(scenario, cfg, CH, _trial_rng(master, i), seed=i)
-                if t is None:
-                    continue  # relay blocked by the audit
-                key = MacKey.generate(_trial_rng(master, i), cfg.mac_bits)
+                t = block.transcript(i)
                 message = encode_response_claim(t.response, t.claim_m)
-                assert mac_verify(key, message, t.tag) == t.mac_ok, (name, scenario)
+                assert mac_verify(keys[i], message, t.tag) == t.mac_ok, (name, scenario)
                 checked.add((scenario.kind, t.mac_ok))
         kinds = {kind for kind, _ in checked}
         assert kinds == {"honest", "dfa", "mfa", "impersonation", "tfa-relay",
