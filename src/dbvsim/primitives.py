@@ -10,8 +10,8 @@ built once per key; the bit-loop ``gf_mul`` is the reference they are tested
 against.  ``MacKeys`` holds one key per row of a block of trials, and
 ``mac_sign_rows`` tags a block's messages together: for s <= 64 the tables of
 every row are built with a fixed number of array steps and each Horner step
-is a few array operations over the rows; s = 128 signs row by row with
-``mac_sign``.
+is a few array operations over the rows; s = 128, and a block of fewer than
+ARRAY_MAC_ROWS rows, sign row by row with ``mac_sign``.
 
 The sampler is a keyed uniform without-replacement draw: Floyd's O(k) draw
 (Bentley & Floyd, CACM 1987) from a generator seeded with the key.  For any
@@ -237,9 +237,6 @@ class MacKeys:
     @classmethod
     def generate(cls, rng: np.random.Generator, rows: int, field_bits: int = 64) -> "MacKeys":
         """``rows`` keys, drawn as ``rows`` successive ``MacKey.generate`` calls draw them."""
-        if field_bits not in FIELD_POLYNOMIALS:  # before anything is drawn
-            raise ValueError(f"unsupported tag size {field_bits}; "
-                             f"supported: {sorted(FIELD_POLYNOMIALS)}")
         return cls.from_bytes(rng.bytes(cls.draw_bytes(rows, field_bits)), rows, field_bits)
 
     @classmethod

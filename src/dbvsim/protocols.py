@@ -268,10 +268,6 @@ class TrialBlock:
     retrieval_cap: Optional[int] = None
     accesses: dict = field(default_factory=dict)  # party -> positions read per row
 
-    @property
-    def rows(self) -> int:
-        return len(self.accepted)
-
     def transcript(self, i: int) -> Transcript:
         """Row i's transcript."""
         return Transcript(

@@ -342,11 +342,13 @@ class TestBlockEngine:
         (PI1, Scenario("honest", 5e4, 6.2e4)),
         (PI1, Scenario("dfa", 4e4, 5.2e4)),
         (ProtocolConfig("pi2", e0=2000.0, k=150, beta=0.08), Scenario("honest", 5e4, 6.2e4)),
+        (ProtocolConfig("pi2", e0=2000.0, k=150, beta=0.08), Scenario("dfa", 4e4, 5.2e4)),
         (ProtocolConfig("pi2", e0=2000.0, k=150, beta=0.08),
          Scenario("tfa-relay", 5e4, 9e4, intruder_d=6.2e4)),
         (PI1, Scenario("tfa-relay", 5e4, 9e4, intruder_d=6.2e4)),
         (pi3_config(), Scenario("dfa", 5e4, 6.5e4)),
-    ], ids=["pi1-honest", "pi1-dfa", "pi2-honest", "pi2-relay", "pi1-relay", "pi3-dfa"])
+    ], ids=["pi1-honest", "pi1-dfa", "pi2-honest", "pi2-dfa", "pi2-relay", "pi1-relay",
+            "pi3-dfa"])
     def test_accepts_match_exact(self, cfg, scenario):
         # Every scenario with a closed form passes the exact binomial test;
         # tests/test_attacks.py covers the pi3 honest, tfa-sampling and relay runs.
