@@ -51,6 +51,7 @@ __all__ = [
     "attack_tfa_relay",
     "attack_tfa_sampling",
     "attack_tfa_general",
+    "reads_whole_source",
 ]
 
 MFA_STRATEGIES = ("replay", "random-tag", "best-guess")
@@ -195,6 +196,14 @@ def _digest(strategy: RetrievalStrategy, source: np.ndarray, starts: np.ndarray,
         return np.bitwise_xor.reduceat(source, starts, axis=-1)
     ones = np.add.reduceat(source, starts, axis=-1, dtype=np.int64)
     return (2 * ones >= sizes).astype(np.uint8)
+
+
+def reads_whole_source(scenario: Scenario) -> bool:
+    """Whether the scenario's policy reads every source position of a row
+    (the parity and block-majority digests of ``_digest``); any other reads
+    at most k positions as the verifier and the cap as each receiver."""
+    return (scenario.kind == "tfa-general"
+            and not isinstance(scenario.tfa_strategy, IndexSamplingStrategy))
 
 
 def _majority_prior(digest: np.ndarray, sizes: np.ndarray) -> np.ndarray:

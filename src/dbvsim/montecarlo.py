@@ -53,6 +53,17 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+#: P[Bin(u, p) <= c] for arrays u: the ufunc behind ``stats.binom.cdf``
+#: (Boost's binomial cdf) without the distribution object's dispatch, the
+#: same bits in a sixth of the time.  It is a private scipy name; a scipy
+#: without it gets ``stats.binom.cdf``, which only costs speed.
+try:
+    _binom_cdf = special._ufuncs._binom_cdf
+except AttributeError:
+    from scipy import stats
+
+    _binom_cdf = stats.binom.cdf
+
 SCENARIO_KINDS = (
     "honest",
     "dfa",
@@ -153,14 +164,15 @@ def block_rows(cfg: ProtocolConfig, scenario: Scenario) -> int:
     """Rows per block of a run: as many as BLOCK_ROWS and BLOCK_POSITIONS allow.
 
     A row reads at most k positions as the verifier and the cap as each of at
-    most two receivers, or the whole source for the parity and block-majority
-    digests, so a block's memory is O(rows * min(n, k + 2 cap)).  Its keys
-    row * n + position stay within int64.
+    most two receivers, or the whole source where
+    ``attacks.reads_whole_source`` says so, so a block's audits and sparse
+    memo hold O(rows * min(n, k + 2 cap)) positions; the dense memo of a
+    source of n <= DENSE_SOURCE_BITS is rows * n bits.  Its keys
+    row * n + position stay within int64.  The rows are part of the trial
+    stream (see TRIAL_STREAM_VERSION).
     """
     n, cap = Session.extent(cfg)
-    digest = (scenario.kind == "tfa-general"
-              and not isinstance(scenario.tfa_strategy, attacks.IndexSamplingStrategy))
-    per_row = n if digest else min(n, cfg.k + 2 * cap)
+    per_row = n if attacks.reads_whole_source(scenario) else min(n, cfg.k + 2 * cap)
     return max(1, min(BLOCK_ROWS, BLOCK_POSITIONS // per_row, MAX_SOURCE_BITS // n))
 
 
@@ -316,12 +328,11 @@ def exact_success_probability(
         lo, weights = _overlap_pmf(brm.n, brm.retrieval_cap, cfg.k)
         unknown = cfg.k - np.arange(lo, lo + len(weights))
         cut = max_errors(cfg.beta, cfg.k)
-        # P[Bin(u, p_b) <= cut] from the ufunc behind stats.binom.cdf (Boost's
-        # binomial cdf), without the distribution object's dispatch: the same
-        # bits in a sixth of the time.  special.bdtr is slower, differs in
-        # the last bits and is further from exact at n = 2e9.  Both are NaN
-        # for u < cut, where every outcome is within the cut.
-        accepts = special._ufuncs._binom_cdf(cut, unknown, p_b)
+        # P[Bin(u, p_b) <= cut].  special.bdtr is slower, differs in the last
+        # bits and is further from exact at n = 2e9.  Rows with u <= cut,
+        # where every outcome is within the cut (and the ufunc is NaN for
+        # u < cut), are set to one.
+        accepts = _binom_cdf(cut, unknown, p_b)
         accepts[unknown <= cut] = 1.0
         return math.fsum((weights * accepts).tolist())
     return None

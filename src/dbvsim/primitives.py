@@ -10,8 +10,8 @@ built once per key; the bit-loop ``gf_mul`` is the reference they are tested
 against.  ``MacKeys`` holds one key per row of a block of trials, and
 ``mac_sign_rows`` tags a block's messages together: for s <= 64 the tables of
 every row are built with a fixed number of array steps and each Horner step
-is a few array operations over the rows; s = 128, and a block of fewer than
-ARRAY_MAC_ROWS rows, sign row by row with ``mac_sign``.
+is a few array operations over the rows; s = 128, and a block of one row,
+sign row by row with ``mac_sign``.
 
 The sampler is a keyed uniform without-replacement draw: Floyd's O(k) draw
 (Bentley & Floyd, CACM 1987) from a generator seeded with the key.  For any
@@ -324,18 +324,15 @@ def _to_block_rows(messages: np.ndarray, field_bits: int) -> np.ndarray:
     return raw.view(f">u{step}").astype(np.uint64)
 
 
-#: Fewest rows whose MAC runs as array operations over the rows; a smaller
-#: block, or one with 128-bit tags, signs row by row with ``mac_sign``.
-ARRAY_MAC_ROWS = 8
-
-
 def mac_sign_rows(keys: MacKeys, messages: np.ndarray) -> np.ndarray:
     """Tags of a block: entry i is ``mac_sign(keys[i], messages[i])`` for the
     (rows, bits) message array; uint64 for s <= 64, object ints for s = 128."""
     rows = len(keys)
     messages = np.asarray(messages, dtype=np.uint8).reshape(rows, -1)
     s = keys.field_bits
-    if s > 64 or rows < ARRAY_MAC_ROWS:
+    # A block of one (every single-trial call) signs faster with the scalar
+    # tables; from three rows up the array steps are faster at any length.
+    if s > 64 or rows == 1:
         return np.array([mac_sign(keys[i], messages[i]) for i in range(rows)],
                         dtype=np.uint64 if s <= 64 else object)
     windows = s // 4

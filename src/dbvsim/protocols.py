@@ -85,7 +85,13 @@ SOURCE_STREAM_VERSION = 3
 #: (master seed, trial index); 2 runs them in blocks of rows, one generator
 #: per block seeded by (master seed, block index), and makes each draw for
 #: every row of the block at once: all rows' MAC keys, then all rows' sampler
-#: keys, then each read's new positions in row-major order.
+#: keys, then each read's new positions in row-major order.  A trial's draws
+#: therefore depend on its block's rows: on the block rule
+#: (``montecarlo.block_rows`` with BLOCK_ROWS and BLOCK_POSITIONS) and, for
+#: the last, partial block, on the run's trial count.  The first N trials of
+#: a longer run are not an N-trial run, and a dumped trial's seed names its
+#: place in the run, not a run of its own.  Changing the block rule changes
+#: every result, so it needs a new version.
 TRIAL_STREAM_VERSION = 2
 
 #: Longest source: positions and block keys (row * n + position) are int64.
@@ -319,7 +325,7 @@ class RetrievalAudit:
         self.rows = int(rows)
         self._keys = _NO_POSITIONS
         self._vals = _NO_POSITIONS
-        self._counts = np.zeros(self.rows, dtype=np.int64)  # kept above one row
+        self._counts = np.zeros(self.rows, dtype=np.int64)
 
     def read(self, indices: np.ndarray, checked: bool = False) -> np.ndarray:
         """The values at the keys ``indices``, in their shape: any order,
@@ -336,7 +342,7 @@ class RetrievalAudit:
     @property
     def accessed_per_row(self) -> np.ndarray:
         """Positions held on each row."""
-        return self._counts if self.rows > 1 else np.array([self._keys.size])
+        return self._counts
 
     def _get(self, idx: np.ndarray, checked: bool) -> np.ndarray:
         keys = self._keys
@@ -362,15 +368,11 @@ class RetrievalAudit:
 
     def _count(self, new: np.ndarray) -> None:
         """Add sorted distinct ``new`` to the per-row counts, refusing a row past the cap."""
-        if self.rows == 1:
-            most = self._keys.size + new.size
-        else:
-            counts = self._counts + np.bincount(new // self.n, minlength=self.rows)
-            most = int(counts.max())
+        counts = self._counts + np.bincount(new // self.n, minlength=self.rows)
+        most = int(counts.max())
         if most > self.cap:
             raise RetrievalCapError(self.party, most, self.cap)
-        if self.rows > 1:
-            self._counts = counts
+        self._counts = counts
 
     def _merge(self, new: np.ndarray) -> None:
         """Draw sorted distinct ``new`` through ``fill`` and hold them."""

@@ -286,9 +286,45 @@ class TestOverlapLawExact:
         assert exact > 0
         assert float(abs(Fraction(got) - exact) / exact) <= 1e-10, (got, float(exact))
 
+    @pytest.mark.parametrize("n, cap, k", EXACT_POINTS)
+    def test_public_cdf_fallback_gives_the_same_bits(self, monkeypatch, n, cap, k):
+        # A scipy without the private ufunc falls back to stats.binom.cdf.
+        cfg = _pi3_with_cap(n, cap)
+        s = Scenario("tfa-sampling", d_claim=4e4, d_real=6e4)
+        fast = exact_success_probability(s, cfg, CH)
+        monkeypatch.setattr(montecarlo, "_binom_cdf", stats.binom.cdf)
+        assert exact_success_probability(s, cfg, CH) == fast
+
 
 class TestBlockEngine:
     """Trials run in blocks of rows; the engine against its references."""
+
+    @pytest.mark.parametrize("cfg, kinds, rows", [
+        # the golden transcripts' configs (tests/golden/make_transcripts.py)
+        (ProtocolConfig("pi1", e0=2000.0, k=150, beta=0.1), ["honest", "tfa-relay"], 218),
+        (pi3_config(0.3, 120), ["honest", "tfa-sampling", "tfa-relay"], 91),
+        (pi3_config(0.3, 120), ["parity-sketch", "block-majority"], 81),
+        # the benchmark's configs (perfbench/workloads.py)
+        (ProtocolConfig("pi2", e0=2000.0, k=3334, beta=0.1), ["honest", "mfa"], 9),
+        (ProtocolConfig("pi3", e0=2000.0, k=160, beta=0.1, brm=BrmParams(lam=0.3, n=534)),
+         ["honest", "tfa-sampling", "impersonation"], 67),
+        (ProtocolConfig("pi3", e0=2000.0, k=160, beta=0.1, brm=BrmParams(lam=0.3, n=534)),
+         ["parity-sketch", "block-majority"], 61),
+        (ProtocolConfig("pi3", e0=2000.0, k=103, beta=0.1,
+                        brm=BrmParams(lam=1e-4, n=1_030_000)), ["honest", "tfa-relay"], 106),
+        (ProtocolConfig("pi3", e0=2000.0, k=103, beta=0.1,
+                        brm=BrmParams(lam=1e-4, n=1_030_000)), ["block-majority"], 1),
+    ], ids=["golden-pi1", "golden-pi3", "golden-pi3-digest", "bench-pi2", "bench-dense",
+            "bench-dense-digest", "bench-sparse", "bench-sparse-digest"])
+    def test_block_rows_pinned(self, cfg, kinds, rows):
+        # The block rule is part of trial_stream 2: a retune must fail here
+        # and come with a new TRIAL_STREAM_VERSION.
+        digests = {"parity-sketch": ParitySketchStrategy(),
+                   "block-majority": BlockMajorityStrategy()}
+        for kind in kinds:
+            scenario = (Scenario("tfa-general", 5e4, 6e4, tfa_strategy=digests[kind])
+                        if kind in digests else Scenario(kind, 5e4, 6e4))
+            assert montecarlo.block_rows(cfg, scenario) == rows, kind
 
     CASES = [(PI1, Scenario("honest", d_claim=5e4, d_real=6.2e4)),
              (pi3_config(), Scenario("tfa-sampling", 5e4, 6.5e4,

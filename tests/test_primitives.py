@@ -12,7 +12,6 @@ from scipy import stats
 from dbvsim.primitives import (
     FIELD_POLYNOMIALS,
     SAMPLER_STREAM_VERSION,
-    ARRAY_MAC_ROWS,
     IndexSet,
     MacKey,
     MacKeys,
@@ -294,7 +293,7 @@ class TestMacRows:
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(sorted(FIELD_POLYNOMIALS)),
-           st.integers(1, 2 * ARRAY_MAC_ROWS), st.integers(0, 300), st.integers(0, 2**32 - 1))
+           st.integers(1, 16), st.integers(0, 300), st.integers(0, 2**32 - 1))
     def test_tags_equal_scalar(self, s, rows, bits, seed):
         rng = np.random.default_rng(seed)
         keys = MacKeys.generate(rng, rows, s)
@@ -302,7 +301,7 @@ class TestMacRows:
         tags = mac_sign_rows(keys, messages)
         assert [int(t) for t in tags] == [mac_sign(keys[i], messages[i]) for i in range(rows)]
 
-    @pytest.mark.parametrize("rows", [1, ARRAY_MAC_ROWS])
+    @pytest.mark.parametrize("rows", [1, 8])
     def test_repeated_key(self, rows):
         key = MacKey.generate(np.random.default_rng(3), 64)
         messages = encode_response_claim(np.ones((rows, 20), dtype=np.uint8), 5e4)

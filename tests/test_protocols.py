@@ -108,6 +108,18 @@ class TestRetrievalAudit:
         audit.read(np.array([0, 1, 2]))
         audit.read(np.array([1, 2, 3]))  # re-reads are free
         assert audit.accessed == 4
+        assert audit.accessed_per_row.tolist() == [4]
+
+    def test_cap_counted_per_row(self):
+        # Key r * n + p is position p of row r.
+        audit = RetrievalAudit(np.arange(30).__getitem__, n=10, cap=2, party="p", rows=3)
+        audit.read(np.array([0, 11, 12]))
+        audit.read(np.array([0, 12, 25]))
+        assert audit.accessed_per_row.tolist() == [1, 2, 1]
+        with pytest.raises(RetrievalCapError) as e:
+            audit.read(np.array([3, 13]))
+        assert (e.value.requested, e.value.cap) == (3, 2)
+        assert audit.accessed_per_row.tolist() == [1, 2, 1]  # nothing counted
 
     def test_cap_enforced(self):
         audit = RetrievalAudit(np.arange(10).__getitem__, n=10, cap=3, party="prover")
