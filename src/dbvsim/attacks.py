@@ -82,13 +82,13 @@ def attack_mfa(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
     """
     s = Session(cfg, scenario, ch, rng, seed, rows=rows)
     s.receive("prover", scenario.d_real)
-    prover_resp = bpsk_demodulate(s.read("prover"))
+    prover_resp = s.read("prover")
     response = prover_resp
     if scenario.mfa_strategy == "best-guess":
         # A keyless intruder cannot locate the sampled positions; it answers
         # with the first k positions it receives.
         s.receive("intruder", scenario.intruder_d)
-        response = bpsk_demodulate(s.read("intruder", np.arange(cfg.k)))
+        response = s.read("intruder", np.arange(cfg.k))
     tag = None
     if s.authenticated:  # the honest prover tags its own claim; the intruder guesses
         tag = (s.sign(prover_resp, scenario.d_real) if scenario.mfa_strategy == "replay"
@@ -110,7 +110,7 @@ def attack_impersonation(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelPar
     s.receive("adversary", at)
     # Without the sampler key it can only answer with the first k positions.
     positions = None if scenario.leaked_sampler_key else np.arange(cfg.k)
-    response = bpsk_demodulate(s.read("adversary", positions))
+    response = s.read("adversary", positions)
     tag = None
     if s.authenticated:
         tag = (s.sign(response, scenario.d_claim) if scenario.leaked_mac_key
@@ -135,7 +135,7 @@ def attack_tfa_relay(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
     s = Session(cfg, scenario, ch, rng, seed, rows=rows)
     s.receive("intruder", scenario.intruder_d)
     capture = s.read("intruder", np.arange(s.n))  # every emitted position, in order
-    response = bpsk_demodulate(np.take_along_axis(capture, s.sampled, axis=1))
+    response = np.take_along_axis(capture, s.sampled, axis=1)
     return s.decide(response, s.sign(response, scenario.d_claim))
 
 
@@ -252,40 +252,42 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
     The prover decodes each sampled position by per-bit maximum likelihood
     from the digest and its own reception, ties broken toward its own
     demodulated bit, then authenticates the response with its real key.
+    Only the block-majority decoder weighs the received samples; every
+    other reception is read as bits.
     """
     if cfg.protocol != "pi3":
         raise ProtocolConfigError("terrorist-fraud retrieval attacks target pi3")
     strategy, d_r = scenario.tfa_strategy, scenario.d_real
     s = Session(cfg, scenario, ch, rng, seed, rows=rows)
-    s.receive("prover", d_r)
+    s.receive("prover", d_r, soft=isinstance(strategy, BlockMajorityStrategy))
     sampled = s.sampled
 
     if isinstance(strategy, IndexSamplingStrategy):
         picked = strategy.pick_indices(s.n, s.cap, rng, s.rows)
         s.receive("intruder", None)
-        known = bpsk_demodulate(s.read("intruder", picked)).ravel()
+        known = s.read("intruder", picked).ravel()
         at, hit = _overlap(s.keys(picked).ravel(), s.keys(sampled).ravel())
         hit = hit.reshape(sampled.shape)
         response = np.empty(sampled.shape, dtype=np.uint8)
         response[hit] = known[at.reshape(sampled.shape)[hit]]
-        response[~hit] = bpsk_demodulate(s.read("prover", where=~hit))
+        response[~hit] = s.read("prover", where=~hit)
     else:
         # The digest reads the whole source, so it is drawn before the prover
         # reads: in position order, in one call.
         starts, sizes = _blocks(s.n, s.cap)
         digest = _digest(strategy, s.source, starts, sizes)
         block = np.searchsorted(starts, sampled, side="right") - 1
-        y_sampled = s.read("prover")
-        own_bits = bpsk_demodulate(y_sampled)
         if isinstance(strategy, ParitySketchStrategy):
             # A block parity carries no per-bit information unless the block
             # is a single position, in which case it reveals the bit exactly.
-            response = own_bits.copy()
+            response = s.read("prover").copy()
             singleton = sizes[block] == 1
             response[singleton] = np.take_along_axis(digest, block, axis=1)[singleton]
         elif scenario.noiseless:
-            response = own_bits.copy()
+            response = bpsk_demodulate(s.read("prover"))
         else:
+            y_sampled = s.read("prover")
+            own_bits = bpsk_demodulate(y_sampled)
             amp = attenuate(math.sqrt(s.power_w), d_r, ch)
             # Per-sample noise variance is sigma/2 (see channel.propagate).
             llr_chan = 4.0 * amp * y_sampled / ch.sigma

@@ -257,14 +257,28 @@ class _PmfTerms(NamedTuple):
     log_q: float
 
 
-def _log_pmf(t: _PmfTerms, i: np.ndarray) -> np.ndarray:
-    """log Pr(Bin(k, p) = i) at the float counts ``i``, with ``math.lgamma``
-    coefficients."""
-    def lgamma(x: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(math.lgamma, x.tolist()), np.float64, len(x))
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x.tolist()), np.float64, len(x))
 
-    k = t.k
-    return t.lg - lgamma(i + 1) - lgamma(k - i + 1) + i * t.log_p + (k - i) * t.log_q
+
+def _log_pmf(t: _PmfTerms, i: np.ndarray) -> np.ndarray:
+    """log Pr(Bin(k, p) = i) at ``i``, consecutive whole float counts in
+    increasing order, with ``math.lgamma`` coefficients.
+
+    The arguments i + 1 and k - i + 1 run over two ranges of whole numbers,
+    which overlap when the counts span the middle of [0, k]; then
+    ``math.lgamma`` is evaluated once over their union and both are sliced
+    from it, the same values at fewer calls.
+    """
+    k, first, last = t.k, int(i[0]), int(i[-1])
+    lo, hi = min(first, k - last) + 1, max(last, k - first) + 1
+    if hi - lo < 2 * i.size - 1:
+        table = _lgamma(np.arange(lo, hi + 1, dtype=np.float64))
+        lg_up = table[first + 1 - lo:last + 2 - lo]
+        lg_down = table[k - last + 1 - lo:k - first + 2 - lo][::-1]
+    else:
+        lg_up, lg_down = _lgamma(i + 1), _lgamma(k - i + 1)
+    return t.lg - lg_up - lg_down + i * t.log_p + (k - i) * t.log_q
 
 
 def _log_pmf_at(t: _PmfTerms, i: int) -> float:

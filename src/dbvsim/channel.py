@@ -205,6 +205,12 @@ def propagate(
     Each call draws independent noise: distinct receiving positions (and
     repeated receptions) see independent noise realizations.  ``noiseless``
     selects the sigma -> 0 limit, returning the attenuated signal exactly.
+
+    A session's soft receiver, whose decoder weighs the samples, receives
+    through it.  A hard receiver draws only its bit errors at
+    bit_error_prob(snr) (``protocols.Session.receive``); this analog path,
+    followed by ``bpsk_demodulate``, is the oracle that draw is tested
+    against.
     """
     if not d > 0:
         raise ValueError(f"distance must be > 0, got {d}")

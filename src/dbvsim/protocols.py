@@ -24,11 +24,14 @@ import numpy as np
 from .bounds import max_errors
 from .channel import (
     ChannelParams,
+    attenuate,
+    bit_error_prob,
     bits_to_hex,
     bpsk_demodulate,
     bpsk_modulate,
     propagate,
     random_bits,
+    snr_at_distance,
     transmit_power_for_claim,
 )
 from .primitives import (
@@ -78,8 +81,11 @@ PROTOCOLS = ("pi1", "pi2", "pi3")
 #: every receiver's n noise samples at session start; 2 draws each pi3
 #: position the first time a party reads it, in read order, with the
 #: challenge in increasing position order; 3 draws pi1/pi2 the same way, as
-#: the n = k case, and every source bit from one uniform double.
-SOURCE_STREAM_VERSION = 3
+#: the n = k case, and every source bit from one uniform double; 4 draws a
+#: hard receiver's bit error at each new position from one uniform double
+#: (below its error rate: an error) instead of a Gaussian noise sample, and
+#: only the soft receiver (the block-majority prover) still draws the noise.
+SOURCE_STREAM_VERSION = 4
 
 #: How trials share a generator: 1 gave each trial its own, seeded by
 #: (master seed, trial index); 2 runs them in blocks of rows, one generator
@@ -326,6 +332,7 @@ class RetrievalAudit:
         self._keys = _NO_POSITIONS
         self._vals = _NO_POSITIONS
         self._counts = np.zeros(self.rows, dtype=np.int64)
+        self._row_starts = np.arange(self.rows, dtype=np.int64) * self.n
 
     def read(self, indices: np.ndarray, checked: bool = False) -> np.ndarray:
         """The values at the keys ``indices``, in their shape: any order,
@@ -368,7 +375,8 @@ class RetrievalAudit:
 
     def _count(self, new: np.ndarray) -> None:
         """Add sorted distinct ``new`` to the per-row counts, refusing a row past the cap."""
-        counts = self._counts + np.bincount(new // self.n, minlength=self.rows)
+        # Row r's new keys lie in [r * n, (r + 1) * n): bound them in the sorted keys.
+        counts = self._counts + np.diff(new.searchsorted(self._row_starts), append=new.size)
         most = int(counts.max())
         if most > self.cap:
             raise RetrievalCapError(self.party, most, self.cap)
@@ -387,6 +395,7 @@ class RetrievalAudit:
 
 
 _NO_POSITIONS = np.empty(0, dtype=np.int64)
+_BITS = np.array([0, 1], dtype=np.uint8)
 
 
 def _sorted_distinct(idx: np.ndarray) -> bool:
@@ -440,8 +449,11 @@ class _SharedSource:
     positions a row the memo is an int8 array over the block's keys with -1
     at the keys not drawn yet (None until the first read); above, sorted keys
     and bits (a RetrievalAudit), so memory grows with the positions read.
-    It refers to no session or view, so the receivers' fills that share it
-    form no reference cycle and a finished session is freed at once.
+    An error-free receiver reads these bits as they are, a hard receiver
+    with its own bit errors XORed on, and a soft receiver modulated and
+    propagated (``Session.receive``).  It refers to no session or view, so
+    the receivers' fills that share it form no reference cycle and a
+    finished session is freed at once.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, rows: int):
@@ -511,8 +523,11 @@ class Session:
     up front: each party's ``RetrievalAudit`` draws a position the first time
     that party reads it, in read order and row-major over the rows, taking
     the source bit from one shared memo (drawn on the first read by anyone)
-    and the party's own noise.  ``brm_source_emit`` followed by ``propagate``
-    is the eager reference of a read of every position of one row.
+    and then the party's own channel: a bit error for a hard receiver, a
+    Gaussian noise sample for the soft one (see ``receive``).  For a pi1/pi2
+    receiver at distance d that reads every position of one row, the eager
+    reference is ``random_bits(rng, k)`` and then ``rng.random(k) < p`` with
+    p the bit error rate at d.
     """
 
     def __init__(self, cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
@@ -593,18 +608,47 @@ class Session:
         positions on each row give sorted distinct keys."""
         return np.asarray(positions, dtype=np.int64) + self._offsets
 
-    def receive(self, party: str, at: Optional[float]) -> None:
+    def receive(self, party: str, at: Optional[float], soft: bool = False) -> None:
         """``party``'s reception of the emission at distance ``at`` (None: so
-        close that it is error-free, and no noise is drawn), drawn at each
-        position when the party first reads it."""
-        source, power_w, ch, rng, noiseless = (self._source, self.power_w, self.ch,
-                                               self.rng, self.noiseless)
+        close that it is error-free, and nothing is drawn), drawn at each
+        position when the party first reads it.
 
-        def fill(keys: np.ndarray) -> np.ndarray:
-            sig = bpsk_modulate(source.at(keys), power_w)
-            if at is None:
-                return sig
-            return propagate(sig, at, ch, rng, noiseless=noiseless)
+        A hard receiver (the default) demodulates at once, so it reads bits:
+        the source bit XOR an independent error of probability
+        p = bit_error_prob(snr) at ``at``, one uniform double per new
+        position, below p being an error.  The binary symmetric channel this
+        draws is the one the bounds and exact oracles use.  p = 0 (an SNR
+        whose loss underflows) draws nothing; ``noiseless`` draws nothing and
+        maps each bit as the attenuated, demodulated emission does.  A
+        ``soft`` receiver reads the received samples themselves, the
+        modulated emission after ``channel.propagate``, for a decoder that
+        weighs them.
+        """
+        source, power_w, ch, rng = self._source, self.power_w, self.ch, self.rng
+        if soft:
+            noiseless = self.noiseless
+
+            def fill(keys: np.ndarray) -> np.ndarray:
+                sig = bpsk_modulate(source.at(keys), power_w)
+                if at is None:
+                    return sig
+                return propagate(sig, at, ch, rng, noiseless=noiseless)
+        elif at is None:
+            fill = source.at
+        elif self.noiseless:
+            # Identity, except that a loss past the float range attenuates
+            # both levels to a zero that demodulates to 1.
+            table = bpsk_demodulate(attenuate(bpsk_modulate(_BITS, power_w), at, ch))
+
+            def fill(keys: np.ndarray) -> np.ndarray:
+                return table.take(source.at(keys))
+        else:
+            p = bit_error_prob(snr_at_distance(power_w, at, ch))
+            if p == 0.0:
+                fill = source.at
+            else:
+                def fill(keys: np.ndarray) -> np.ndarray:
+                    return source.at(keys) ^ (rng.random(keys.size) < p)
 
         self._views[party] = RetrievalAudit(fill, self.n, self.cap, party, self.rows)
 
@@ -677,11 +721,11 @@ class Session:
 def _honest_run(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
                 rng: np.random.Generator, seed: Optional[int],
                 keys: Optional[SessionKeys] = None, rows: Optional[int] = None) -> Outcome:
-    """The honest prover demodulates the sampled positions of its reception
-    (its leg to the verifier is error-free) and tags its own claim."""
+    """The honest prover answers with the bits it receives at the sampled
+    positions (its leg to the verifier is error-free) and tags its own claim."""
     s = Session(cfg, scenario, ch, rng, seed, keys, rows=rows)
     s.receive("prover", scenario.d_real)
-    response = bpsk_demodulate(s.read("prover"))
+    response = s.read("prover")
     return s.decide(response, s.sign(response, scenario.d_claim))
 
 

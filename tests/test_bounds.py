@@ -195,6 +195,46 @@ class TestScalarLogPmf:
                                                  and math.isnan(_log_pmf_at(terms, i)))
 
 
+def _log_pmf_reference(t, i):
+    """``_log_pmf`` as first written: ``math.lgamma`` at every i + 1 and k - i + 1."""
+    def lgamma(x):
+        return np.fromiter(map(math.lgamma, x.tolist()), np.float64, len(x))
+
+    k = t.k
+    return t.lg - lgamma(i + 1) - lgamma(k - i + 1) + i * t.log_p + (k - i) * t.log_q
+
+
+class TestLogPmfTable:
+    """``_log_pmf`` evaluates each distinct lgamma argument once; every term
+    must equal the first form bit for bit, so the tails do not move."""
+
+    @pytest.mark.parametrize("k, lo, hi, p", [
+        (103, 0, 103, 0.05),  # the whole range: the two argument ranges coincide
+        (103, 11, 103, 0.2),
+        (103, 40, 60, 0.5),
+        (1000, 0, 5, 1e-3),  # disjoint argument ranges
+        (1000, 990, 1000, 0.999),
+        (1, 0, 1, 0.5), (1, 0, 0, 0.5), (1, 1, 1, 0.5),
+        (10, 5, 5, 0.5), (10, 4, 6, 0.5), (10, 0, 4, 0.5), (10, 0, 5, 0.5), (10, 6, 10, 0.5),
+        (578277, 20000, 40000, 0.05),
+        (578277, 280000, 300000, 0.5),
+    ])
+    def test_equals_reference(self, k, lo, hi, p):
+        terms = _PmfTerms(k, math.lgamma(k + 1), math.log(p), math.log1p(-p))
+        i = np.arange(lo, hi + 1, dtype=np.float64)
+        assert _log_pmf(terms, i).tobytes() == _log_pmf_reference(terms, i).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5000).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(0, k), min_size=2, max_size=2),
+        st.floats(1e-12, 1.0, exclude_max=True))))
+    def test_equals_reference_on_random_windows(self, kwp):
+        k, ends, p = kwp
+        terms = _PmfTerms(k, math.lgamma(k + 1), math.log(p), math.log1p(-p))
+        i = np.arange(min(ends), max(ends) + 1, dtype=np.float64)
+        assert _log_pmf(terms, i).tobytes() == _log_pmf_reference(terms, i).tobytes()
+
+
 def _random_valid_triples(count, seed=7, k_max=10**4):
     rng = np.random.default_rng(seed)
     for _ in range(count):

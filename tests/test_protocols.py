@@ -15,9 +15,12 @@ from dbvsim import protocols
 from dbvsim.channel import (
     DEFAULT_CHANNEL,
     ClaimRangeError,
+    attenuate,
+    bit_error_prob,
     bpsk_demodulate,
-    propagate,
+    bpsk_modulate,
     random_bits,
+    snr_at_distance,
 )
 from dbvsim.montecarlo import Scenario, _block_rng, block_rows, run_block, run_trial
 from dbvsim.primitives import (
@@ -127,6 +130,24 @@ class TestRetrievalAudit:
             audit.read(np.arange(4))
         assert e.value.party == "prover"
         assert e.value.cap == 3
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda rows: st.tuples(
+        st.just(rows), st.integers(1, 40).flatmap(lambda n: st.tuples(
+            st.just(n), st.lists(st.sets(st.integers(0, rows * n - 1)), min_size=1,
+                                 max_size=3))))))
+    def test_counts_equal_bincount(self, case):
+        # The per-row counts bound the sorted keys by each row's first key;
+        # they must equal a bincount of key // n after any series of reads.
+        rows, (n, reads) = case
+        audit = RetrievalAudit(lambda keys: keys, n=n, cap=n, party="p", rows=rows)
+        held = set()
+        for read in reads:
+            audit.read(np.array(sorted(read), dtype=np.int64))
+            held |= read
+            want = np.bincount(np.array(sorted(held), dtype=np.int64) // n, minlength=rows)
+            np.testing.assert_array_equal(audit.accessed_per_row, want)
 
 
 class TestLazyView:
@@ -243,7 +264,7 @@ class TestPi1:
         t = run_pi1(PI1, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(1))
         d = t.to_json_dict()
         assert d["schema_version"] == "3" and "sampler_stream" not in d
-        assert d["source_stream"] == SOURCE_STREAM_VERSION == 3
+        assert d["source_stream"] == SOURCE_STREAM_VERSION == 4
         cfg = pi3_config()
         for t in (
             run_pi3(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(2)),
@@ -359,6 +380,74 @@ class TestPi3:
         assert abs(r1 - r3) < 4 * sd
 
 
+def _snr_distance(snr: float, power_w: float, ch=CH) -> float:
+    """The distance at which power_w arrives at the given SNR."""
+    return (power_w / (snr * ch.xi * ch.sigma)) ** (1 / ch.alpha)
+
+
+class TestHardReception:
+    """A hard receiver draws its bit errors at bit_error_prob(snr), the rate
+    the analog receiver (modulate, propagate, demodulate by sign) errs at."""
+
+    K = 200_000
+    CFG = ProtocolConfig("pi1", e0=2000.0, k=K, beta=0.1)
+    POWER = 2000.0 / 8  # the power for a 5e4 m claim
+    # SNR 0.25, 1 and 4; a loss that underflows (SNR inf, p = 0); a loss
+    # past the float range (SNR 0, p = 1/2).
+    DISTANCES = [_snr_distance(0.25, POWER), _snr_distance(1.0, POWER),
+                 _snr_distance(4.0, POWER), 1e-200, 1e300]
+
+    @pytest.mark.parametrize("d", DISTANCES, ids=["snr-0.25", "snr-1", "snr-4", "underflow",
+                                                  "overflow"])
+    def test_error_count_matches_bit_error_prob(self, d):
+        from scipy.stats import binomtest
+
+        s = Session(self.CFG, Scenario("honest", 5e4, d), CH, np.random.default_rng(21))
+        assert s.power_w == self.POWER
+        p = bit_error_prob(snr_at_distance(s.power_w, d, CH))
+        s.receive("hard", d)
+        s.receive("analog", d, soft=True)
+        hard = s.read("hard")[0]
+        analog = bpsk_demodulate(s.read("analog")[0])
+        assert hard.dtype == np.uint8
+        challenge = s.decide(hard, None).challenge
+        for got in (hard, analog):
+            errors = int(np.count_nonzero(got != challenge))
+            if p == 0.0:
+                assert errors == 0
+            else:
+                assert binomtest(errors, self.K, p).pvalue > 1e-4, (errors, self.K * p)
+        assert p == {1e-200: 0.0, 1e300: 0.5}.get(d, p)
+
+    @pytest.mark.parametrize("d", [1e-200, 2e4, 6e4, 1e300])
+    def test_noiseless_agrees_with_analog(self, d):
+        # Bit for bit, including a loss past the float range, where both
+        # levels attenuate to a zero that demodulates to 1.
+        s = Session(PI1, Scenario("honest", 5e4, d, noiseless=True), CH,
+                    np.random.default_rng(22))
+        s.receive("hard", d)
+        s.receive("analog", d, soft=True)
+        hard = s.read("hard")[0]
+        state = s.rng.bit_generator.state
+        np.testing.assert_array_equal(hard, bpsk_demodulate(s.read("analog")[0]))
+        assert s.rng.bit_generator.state == state  # neither draws noise
+        challenge = s.decide(hard, None).challenge
+        want = (np.ones_like(challenge) if d == 1e300 else challenge)
+        np.testing.assert_array_equal(hard, want)
+        levels = attenuate(bpsk_modulate(np.array([0, 1]), s.power_w), d, CH)
+        assert (d == 1e300) == (not levels.any())
+
+    def test_error_free_receiver_draws_nothing(self):
+        s = Session(PI1, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(23))
+        s.receive("intruder", None)
+        bits = s.read("intruder")[0]
+        state = s.rng.bit_generator.state
+        s.receive("again", None)
+        np.testing.assert_array_equal(s.read("again")[0], bits)
+        assert s.rng.bit_generator.state == state
+        np.testing.assert_array_equal(bits, s.decide(bits, None).challenge)
+
+
 class TestBrmSource:
     def test_alphabet_and_length(self):
         rng = np.random.default_rng(9)
@@ -419,8 +508,8 @@ class TestSession:
         intruder = s.read("intruder", head)
         prover = s.read("prover")
         whole = s.source
-        np.testing.assert_array_equal(intruder > 0, whole[:, head] == 1)
-        np.testing.assert_array_equal(s.decide(prover > 0, None).challenge,
+        np.testing.assert_array_equal(intruder, whole[:, head])
+        np.testing.assert_array_equal(s.decide(prover, None).challenge,
                                       whole[0, s.sampled[0]])
         assert s.sampled.shape == (1, cfg.k) and (np.diff(s.sampled) > 0).all()
 
@@ -466,7 +555,7 @@ class TestSession:
             assert s.n == s.cap == cfg.k
             capture = s.read("intruder", np.arange(cfg.k)[::-1])
             assert capture.size == cfg.k
-            d = s.decide(bpsk_demodulate(s.read("intruder")), None).to_json_dict()
+            d = s.decide(s.read("intruder"), None).to_json_dict()
             assert not {"accesses", "source_bits", "retrieval_cap"} & set(d)
 
     @pytest.mark.parametrize("cfg, scenario", [
@@ -475,18 +564,19 @@ class TestSession:
         (PI2, Scenario("tfa-relay", 5e4, 6e4, intruder_d=3e4)),
     ], ids=["pi1-honest", "pi2-honest", "pi2-relay"])
     def test_eager_source_is_the_reference(self, cfg, scenario):
-        # From the generator state after the key draws, the eager emission
-        # followed by one propagation gives the challenge and the response.
+        # From the generator state after the key draws, k source bits and
+        # then k bit errors at the receiver's error rate give the challenge
+        # and the response.
         at = scenario.d_real if scenario.kind == "honest" else scenario.intruder_d
         for seed in range(5):
             _, _, t = run_trial(scenario, cfg, CH, np.random.default_rng(seed), seed=seed)
             rng = np.random.default_rng(seed)
             if cfg.protocol == "pi2":
                 MacKey.generate(rng, cfg.mac_bits)
-            challenge, signal = brm_source_emit(t.power_w, cfg.k, rng)
+            challenge = random_bits(rng, cfg.k)
+            p = bit_error_prob(snr_at_distance(t.power_w, at, CH))
             np.testing.assert_array_equal(t.challenge, challenge)
-            np.testing.assert_array_equal(t.response,
-                                          bpsk_demodulate(propagate(signal, at, CH, rng)))
+            np.testing.assert_array_equal(t.response, challenge ^ (rng.random(cfg.k) < p))
 
     @pytest.mark.parametrize("cfg, dense_limit", [
         (PI1, protocols.DENSE_SOURCE_BITS),
@@ -527,7 +617,7 @@ class TestSession:
     def test_decide_checks_what_was_signed(self, change):
         s = Session(pi3_config(), Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(15))
         s.receive("prover", 5e4)
-        response = (s.read("prover") >= 0).astype(np.uint8)
+        response = s.read("prover")
         tag = s.sign(response, 5e4)
         if change == "tag":
             t = s.decide(response, tag ^ 1)
