@@ -332,7 +332,8 @@ class RetrievalAudit:
         self._keys = _NO_POSITIONS
         self._vals = _NO_POSITIONS
         self._counts = np.zeros(self.rows, dtype=np.int64)
-        self._row_starts = np.arange(self.rows, dtype=np.int64) * self.n
+        # Row r's keys are [r * n, (r + 1) * n); rows * n fits in int64.
+        self._row_bounds = np.arange(self.rows + 1, dtype=np.int64) * self.n
 
     def read(self, indices: np.ndarray, checked: bool = False) -> np.ndarray:
         """The values at the keys ``indices``, in their shape: any order,
@@ -375,8 +376,8 @@ class RetrievalAudit:
 
     def _count(self, new: np.ndarray) -> None:
         """Add sorted distinct ``new`` to the per-row counts, refusing a row past the cap."""
-        # Row r's new keys lie in [r * n, (r + 1) * n): bound them in the sorted keys.
-        counts = self._counts + np.diff(new.searchsorted(self._row_starts), append=new.size)
+        cut = new.searchsorted(self._row_bounds)
+        counts = self._counts + (cut[1:] - cut[:-1])
         most = int(counts.max())
         if most > self.cap:
             raise RetrievalCapError(self.party, most, self.cap)
@@ -395,7 +396,6 @@ class RetrievalAudit:
 
 
 _NO_POSITIONS = np.empty(0, dtype=np.int64)
-_BITS = np.array([0, 1], dtype=np.uint8)
 
 
 def _sorted_distinct(idx: np.ndarray) -> bool:
@@ -638,7 +638,7 @@ class Session:
         elif self.noiseless:
             # Identity, except that a loss past the float range attenuates
             # both levels to a zero that demodulates to 1.
-            table = bpsk_demodulate(attenuate(bpsk_modulate(_BITS, power_w), at, ch))
+            table = bpsk_demodulate(attenuate(bpsk_modulate([0, 1], power_w), at, ch))
 
             def fill(keys: np.ndarray) -> np.ndarray:
                 return table.take(source.at(keys))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbvsim import protocols
@@ -133,12 +133,14 @@ class TestRetrievalAudit:
 
 
     @settings(max_examples=200, deadline=None)
+    @example((1, (5, [{0, 3}, {1, 3, 4}])))
+    @example((3, (1, [{2}, {0, 1}])))
     @given(st.integers(1, 12).flatmap(lambda rows: st.tuples(
         st.just(rows), st.integers(1, 40).flatmap(lambda n: st.tuples(
             st.just(n), st.lists(st.sets(st.integers(0, rows * n - 1)), min_size=1,
                                  max_size=3))))))
     def test_counts_equal_bincount(self, case):
-        # The per-row counts bound the sorted keys by each row's first key;
+        # The per-row counts cut the sorted keys at the row bounds r * n;
         # they must equal a bincount of key // n after any series of reads.
         rows, (n, reads) = case
         audit = RetrievalAudit(lambda keys: keys, n=n, cap=n, party="p", rows=rows)
