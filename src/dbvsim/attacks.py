@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from .channel import ChannelParams, attenuate, bpsk_demodulate
-from .primitives import random_field_elements
+from .primitives import random_field_elements, random_index_rows
 from .protocols import (
     Outcome,
     ProtocolConfig,
@@ -157,9 +157,7 @@ class IndexSamplingStrategy:
         if self.index_choice == "first":
             return np.broadcast_to(np.arange(cap, dtype=np.int64), (rows, cap))
         # Chosen by the intruder's own coins, independent of the sampler key.
-        picked = np.empty((rows, cap), dtype=np.int64)
-        for row in picked:
-            row[:] = rng.choice(n, size=cap, replace=False)
+        picked = random_index_rows(rng, rows, n, cap)
         picked.sort(axis=1)
         return picked
 

@@ -13,12 +13,18 @@ every row are built with a fixed number of array steps and each Horner step
 is a few array operations over the rows; s = 128, and a block of one row,
 sign row by row with ``mac_sign``.
 
-The sampler is a keyed uniform without-replacement draw: Floyd's O(k) draw
-(Bentley & Floyd, CACM 1987) from a generator seeded with the key.  For any
-[0,1]-valued function with mean >= mu, the mean over k sampled positions
-falls below mu - theta with probability at most exp(-2*k*theta**2)
-(Hoeffding's bound, which holds without replacement), so it is a
-(mu, theta, exp(-2*k*theta**2)) averaging sampler with distinct samples.
+The sampler is a keyed uniform without-replacement draw.  A key seeds a
+SplitMix64 word stream (Steele, Lea and Flood, OOPSLA 2014), and the k
+positions are a function of the words: the k lowest-ranked of n words
+where n <= 4k, otherwise the first k distinct of the words mapped to
+[0, n) with rejection.  ``sample_indices_rows`` draws a whole block's rows
+in array operations, and ``sample_indices`` is its one-row case.  The map is
+a deterministic stand-in for a keyed uniform draw, not a cryptographic PRF.
+For any [0,1]-valued function with mean >= mu, the mean over k sampled
+positions falls below mu - theta with probability at most
+exp(-2*k*theta**2) (Hoeffding's bound, which holds without replacement), so
+it is a (mu, theta, exp(-2*k*theta**2)) averaging sampler with distinct
+samples.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,6 +51,9 @@ __all__ = [
     "random_field_elements",
     "encode_response_claim",
     "sample_indices",
+    "sample_indices_rows",
+    "sampler_key_rows",
+    "random_index_rows",
     "sampler_guarantee",
     "SAMPLER_STREAM_VERSION",
 ]
@@ -68,8 +78,13 @@ CLAIM_BITS = 64
 
 #: Version of the sampler's key -> positions map, recorded in pi3 transcripts.
 #: 1 kept the first k entries of a keyed permutation of all n positions;
-#: 2 is the generator's O(k) choice(n, k, replace=False).
-SAMPLER_STREAM_VERSION = 2
+#: 2 was the generator's O(k) choice(n, k, replace=False), seeded per row;
+#: 3 is SplitMix64 seeded by a mix of the key, its words ranked (n <= 4k)
+#: or mapped to positions, first k distinct kept (``_ordered_subsets``),
+#: for every row of a block at once.  3 also draws the index-random
+#: intruder's positions by that map from words of its own generator
+#: (``random_index_rows``), where 2 called ``rng.choice`` per row.
+SAMPLER_STREAM_VERSION = 3
 
 
 def gf_mul(a: int, b: int, field_bits: int) -> int:
@@ -373,32 +388,58 @@ def encode_response_claim(response_bits: np.ndarray, d_c: float) -> np.ndarray:
     return out
 
 
-#: Bytes of a sampler key that a session draws.
+#: Bytes of a sampler key that a session draws: the key's two 64-bit words.
 SAMPLER_KEY_BYTES = 16
+
+_U64 = (1 << 64) - 1
+#: SplitMix64's increment (the odd integer nearest 2**64 over the golden
+#: ratio) and its finaliser's multipliers (Steele, Lea and Flood, OOPSLA 2014).
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GAMMA_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_SHIFTS = tuple(np.uint64(b) for b in (30, 27, 31))
+
+#: A row of n <= _DENSE_RATIO * k positions ranks all n of its words; a
+#: sparser row maps words to positions and keeps the first k distinct.
+#: Set by timing both regimes on one and on 67 rows.
+_DENSE_RATIO = 4
+
+#: Most words a call evaluates as Python ints, which is faster than the
+#: dozen array operations of ``_fmix64`` up to about this many.
+_SCALAR_WORDS = 16
 
 
 @dataclass(frozen=True)
 class SamplerKey:
-    """Uniform seed for the index sampler."""
+    """Uniform seed for the index sampler: 1 to SAMPLER_KEY_BYTES bytes."""
 
     seed: bytes
 
     def __post_init__(self) -> None:
-        if len(self.seed) == 0:
-            raise ValueError("sampler seed must be non-empty")
+        if not 0 < len(self.seed) <= SAMPLER_KEY_BYTES:
+            raise ValueError(f"sampler seed must be 1 to {SAMPLER_KEY_BYTES} bytes, "
+                             f"got {len(self.seed)}")
 
     @classmethod
     def generate(cls, rng: np.random.Generator, bits: int = 128) -> "SamplerKey":
-        if bits % 8 != 0 or bits <= 0:
-            raise ValueError(f"seed length must be a positive multiple of 8, got {bits}")
+        if bits % 8 != 0 or not 0 < bits <= 8 * SAMPLER_KEY_BYTES:
+            raise ValueError(f"seed length must be a multiple of 8 in "
+                             f"[8, {8 * SAMPLER_KEY_BYTES}], got {bits}")
         return cls(bytes(rng.bytes(bits // 8)))
 
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> list["SamplerKey"]:
-        """128-bit keys from ``rng.bytes`` output, the keys successive
-        ``generate`` calls draw: one per SAMPLER_KEY_BYTES bytes."""
-        return [cls(raw[i: i + SAMPLER_KEY_BYTES])
-                for i in range(0, len(raw), SAMPLER_KEY_BYTES)]
+    @property
+    def words(self) -> tuple[int, int]:
+        """(hi, lo): the seed read as a big-endian integer, split into its
+        upper and lower 64 bits."""
+        value = int.from_bytes(self.seed, "big")
+        return value >> 64, value & _U64
+
+
+def sampler_key_rows(raw: bytes) -> np.ndarray:
+    """(rows, 2) uint64 (hi, lo) keys from ``rng.bytes`` output: row i is
+    ``SamplerKey(raw[16 i: 16 i + 16]).words``, the key the i-th of
+    successive ``SamplerKey.generate`` calls draws."""
+    return np.frombuffer(raw, dtype=">u8").reshape(-1, 2).astype(np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,22 +474,221 @@ class IndexSet:
         return frozenset(int(i) for i in self.indices)
 
 
-def sample_indices(key: SamplerKey, n: int, k: int) -> IndexSet:
-    """k distinct positions, uniform without replacement, determined by the key.
+def _fmix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser, a bijection of 64-bit words, in place on a
+    uint64 array."""
+    s30, s27, s31 = _SHIFTS
+    tmp = np.right_shift(z, s30)
+    z ^= tmp
+    z *= _MIX1_U64
+    np.right_shift(z, s27, out=tmp)
+    z ^= tmp
+    z *= _MIX2_U64
+    np.right_shift(z, s31, out=tmp)
+    z ^= tmp
+    return z
 
-    The seed drives a deterministic generator whose ``choice(n, k,
-    replace=False)`` is a uniform ordered k-subset in draw order.  numpy draws
-    it with Floyd's hash-set algorithm in O(k) time and memory, except for
-    n > 10**4 with k > n/50, where it shuffles the tail of an n-array (O(n),
-    which is then O(k) too).  The positions are distinct by construction, so
-    the IndexSet skips its distinctness check.
+
+def _fmix64_int(z: int) -> int:
+    """``_fmix64`` of one word, in Python ints."""
+    z = (z ^ (z >> 30)) * _MIX1 & _U64
+    z = (z ^ (z >> 27)) * _MIX2 & _U64
+    return z ^ (z >> 31)
+
+
+def _stream_seed(hi: int, lo: int) -> int:
+    """The 64-bit SplitMix64 seed of key (hi, lo): fmix64(fmix64(hi) ^ lo)."""
+    return _fmix64_int(_fmix64_int(hi) ^ lo)
+
+
+def _keyed_words(seeds: np.ndarray, ids: Optional[np.ndarray], start: int,
+                 stop: int) -> np.ndarray:
+    """(rows, stop - start) uint64: words start .. stop - 1 of the streams of
+    ``seeds[ids]`` (every seed where ``ids`` is None).  Word j of seed s is
+    fmix64(s + (j + 1) gamma) mod 2**64, SplitMix64's j-th output, which is
+    a bijection of j."""
+    if ids is not None:
+        seeds = seeds[ids]
+    if len(seeds) * (stop - start) <= _SCALAR_WORDS:
+        return np.array([[_fmix64_int((s + j * _GAMMA) & _U64) for j in range(start + 1, stop + 1)]
+                         for s in seeds.tolist()], dtype=np.uint64).reshape(len(seeds), stop - start)
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    z *= _GAMMA_U64
+    return _fmix64(z + seeds[:, None])
+
+
+def _positions(words: np.ndarray, n: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(rows, d) int64 draws in [0, n) from (rows, m) words, and which of
+    them are accepted (None: all).
+
+    For n < 2**32 each word gives two 32-bit values, its low half then its
+    high half; above, each word is one 64-bit value.  A value x below the
+    largest multiple of n in its range is accepted as x mod n, which is
+    exactly uniform; the rest are rejected.
     """
+    bits = 32 if n < 1 << 32 else 64
+    values = words.astype("<u8", copy=False).view(f"<u{bits // 8}")
+    pos = (values % values.dtype.type(n)).astype(np.int64)
+    limit = (1 << bits) // n * n
+    return pos, (values < limit if limit < 1 << bits else None)
+
+
+def _rank_draws(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of the (rows, d) draws ``pos`` in [-1, n) sorted by (value,
+    draw index): the sorted values and their draw indices."""
+    rows, d = pos.shape
+    order = np.arange(d)
+    if n <= 1 << 32:
+        # One sort of the pairs packed into one int64 each.
+        bits = (d - 1).bit_length()
+        packed = pos << bits
+        packed |= order
+        packed.sort(axis=1)
+        return packed >> bits, packed & ((1 << bits) - 1)
+    order = np.lexsort((np.broadcast_to(order, pos.shape), pos), axis=1)
+    return np.take_along_axis(pos, order, axis=1), order
+
+
+def _first_words(n: int, k: int) -> tuple[int, float]:
+    """(m, accept): the words a row of the sparse regime draws before any
+    top-up, and the share of draws accepted (see ``_positions``).  The m
+    words cover the expected draws, as k distinct of n take under
+    k + k**2/n accepted ones, with a margin of 4 sqrt(k) draws."""
+    per_word, bits = (2, 32) if n < 1 << 32 else (1, 64)
+    accept = n * ((1 << bits) // n) / 2**bits
+    return math.ceil(((k + k * k / n) / accept + 4 * math.sqrt(k)) / per_word), accept
+
+
+def _ordered_subsets(words: Callable[[Optional[np.ndarray], int, int], np.ndarray],
+                     rows: int, n: int, k: int) -> np.ndarray:
+    """(rows, k) int64: each row's uniform ordered k-subset of [0, n), in
+    draw order, from its word stream.
+
+    ``words(ids, start, stop)`` gives words start .. stop - 1 of rows ``ids``
+    (of every row where ``ids`` is None) as a (rows, stop - start) uint64
+    array.  Where n <= _DENSE_RATIO * k the positions are the k whose words
+    rank lowest, in rank order: position j ranks by word j with its low b
+    bits replaced by j, b the bit length of n - 1, so that one sort of the
+    packed words ranks them.  Otherwise the words map to draws (see
+    ``_positions``) and a row keeps its first k distinct accepted draws; a
+    row left short takes its next words until it has k.  Over uniform words
+    either is a uniform ordered k-subset (the dense one up to ties in the
+    top 64 - b bits, at most n**2 2**(b - 65) a row).
+    """
+    if k == 0:
+        return np.empty((rows, 0), dtype=np.int64)
+    if n <= _DENSE_RATIO * k:
+        low = (n - 1).bit_length()
+        ranks = words(None, 0, n)
+        ranks &= np.uint64(_U64 ^ ((1 << low) - 1))
+        ranks |= np.arange(n, dtype=np.uint64)
+        if k < n:
+            ranks = np.partition(ranks, k - 1, axis=1)[:, :k]
+        ranks.sort(axis=1)
+        ranks &= np.uint64((1 << low) - 1)
+        return ranks.view(np.int64)
+    m, accept = _first_words(n, k)
+    pos, ok = _positions(words(None, 0, m), n)
+    if rows == 1:
+        # One row takes its accepted draws by a mask and marks the repeats
+        # among them: fewer array operations, and each costs about as much.
+        accepted = pos[0] if ok is None else pos[0, ok[0]]
+        while True:
+            if k * k < n and accepted.size >= k:
+                # Under half a repeat expected: check the first k alone.
+                ranked = np.sort(accepted[:k])
+                if (ranked[1:] != ranked[:-1]).all():
+                    return accepted[None, :k]
+            ranked, order = _rank_draws(accepted[None], n)
+            repeat = np.zeros(accepted.size, dtype=bool)
+            repeat[order[0, 1:][ranked[0, 1:] == ranked[0, :-1]]] = True
+            distinct = accepted[~repeat]
+            if distinct.size >= k:
+                return distinct[None, :k]
+            more, ok = _positions(words(None, m, 2 * m), n)
+            accepted = np.concatenate([accepted, more[0] if ok is None else more[0, ok[0]]])
+            m *= 2
+    if ok is not None:
+        np.putmask(pos, ~ok, -1)
+    clean = np.zeros(rows, dtype=bool)
+    if k * (1 - accept) + k * k / (2 * n) < 0.5:
+        # Under half a rejected or repeated draw expected: most rows' first
+        # k draws are accepted and distinct, and those need no sieve.
+        head = np.sort(pos[:, :k], axis=1)
+        clean = (head[:, 0] >= 0) & (head[:, 1:] != head[:, :-1]).all(axis=1)
+        if clean.all():
+            return pos[:, :k]
+    out = np.empty((rows, k), dtype=np.int64)
+    out[clean] = pos[clean, :k]
+    ids, pos = np.flatnonzero(~clean), pos[~clean]
+    while True:
+        # The draw indices of each row's first distinct accepted draws, in
+        # draw order, padded with d.
+        d = pos.shape[1]
+        ranked, order = _rank_draws(pos, n)
+        first = ranked >= 0
+        first[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
+        order = np.where(first, order, d)
+        order.sort(axis=1)
+        order = order[:, :k]
+        full = order[:, -1] < d
+        out[ids[full]] = np.take_along_axis(pos[full], order[full], axis=1)
+        if full.all():
+            return out
+        ids, pos = ids[~full], pos[~full]
+        more, ok = _positions(words(ids, m, 2 * m), n)
+        if ok is not None:
+            np.putmask(more, ~ok, -1)
+        pos = np.concatenate([pos, more], axis=1)
+        m *= 2
+
+
+def _check_sample(n: int, k: int) -> None:
     if k > n:
         raise ValueError(f"cannot draw {k} distinct positions from {n}")
     if k < 0 or n < 1:
         raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-    stream = np.random.default_rng(int.from_bytes(key.seed, "big"))
-    return IndexSet._distinct(stream.choice(n, size=k, replace=False), n)
+
+
+def sample_indices_rows(keys: np.ndarray, n: int, k: int) -> np.ndarray:
+    """(rows, k) int64: row r is ``sample_indices(key_r, n, k).indices`` for
+    the (rows, 2) uint64 (hi, lo) keys (see ``SamplerKey.words`` and
+    ``sampler_key_rows``).  Every row is drawn by the same array operations,
+    in O(rows * k) words and memory at any n."""
+    _check_sample(n, k)
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+    hi, lo = keys[:, 0].copy(), keys[:, 1]
+    seeds = _fmix64(_fmix64(hi) ^ lo)
+    return _ordered_subsets(functools.partial(_keyed_words, seeds), len(seeds), n, k)
+
+
+def random_index_rows(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
+    """(rows, k) int64: uniform ordered k-subsets of [0, n), in draw order,
+    by the map of ``sample_indices_rows`` from uint64 words that ``rng``
+    draws (a row's words in one call, a short row's top-up in another)."""
+    _check_sample(n, k)
+
+    def words(ids: Optional[np.ndarray], start: int, stop: int) -> np.ndarray:
+        count = rows if ids is None else len(ids)
+        return rng.integers(0, 1 << 64, size=(count, stop - start), dtype=np.uint64)
+
+    return _ordered_subsets(words, rows, n, k)
+
+
+def sample_indices(key: SamplerKey, n: int, k: int) -> IndexSet:
+    """k distinct positions, uniform without replacement, determined by the key.
+
+    The key (hi, lo) seeds SplitMix64 with fmix64(fmix64(hi) ^ lo), and the
+    positions are a function of its output words (see ``_ordered_subsets``):
+    the k of the first n words that rank lowest where n <= 4k, otherwise
+    the first k distinct of the words mapped to [0, n).  Time and memory
+    are O(k) at any n.  The map is a deterministic stand-in for a keyed
+    uniform draw, not a cryptographic PRF.
+    """
+    _check_sample(n, k)
+    seeds = np.array([_stream_seed(*key.words)], dtype=np.uint64)
+    return IndexSet._distinct(
+        _ordered_subsets(functools.partial(_keyed_words, seeds), 1, n, k)[0], n)
 
 
 def sampler_guarantee(k: int, theta: float) -> float:

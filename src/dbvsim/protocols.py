@@ -44,7 +44,8 @@ from .primitives import (
     encode_response_claim,
     mac_forgery_bound,
     mac_sign_rows,
-    sample_indices,
+    sample_indices_rows,
+    sampler_key_rows,
 )
 
 if TYPE_CHECKING:
@@ -552,10 +553,11 @@ class Session:
         if self.authenticated:
             self.mac_keys = (MacKeys.from_bytes(raw[:mac_bytes], self.rows, cfg.mac_bits)
                              if draw_mac else MacKeys.repeat(keys.mac_key, self.rows))
-        self.sampler_keys: Optional[list[SamplerKey]] = None
+        self.sampler_keys: Optional[np.ndarray] = None  # (rows, 2) uint64 (hi, lo)
         if self.bounded:
-            self.sampler_keys = (SamplerKey.from_bytes(raw[mac_bytes:]) if draw_sampler
-                                 else [keys.sampler_key] * self.rows)
+            self.sampler_keys = (
+                sampler_key_rows(raw[mac_bytes:]) if draw_sampler
+                else np.tile(np.array(keys.sampler_key.words, dtype=np.uint64), (self.rows, 1)))
         self.power_w = transmit_power_for_claim(self.d_c, cfg.e0, ch)
         self.n, self.cap = self.extent(cfg)
         self._offsets = np.arange(0, self.rows * self.n, self.n, dtype=np.int64)[:, None]
@@ -588,9 +590,7 @@ class Session:
             if k == self.n:
                 self._sampled = np.broadcast_to(np.arange(k), (self.rows, k))
             else:
-                sampled = np.empty((self.rows, k), dtype=np.int64)
-                for row, key in zip(sampled, self.sampler_keys):
-                    row[:] = sample_indices(key, self.n, k).indices
+                sampled = sample_indices_rows(self.sampler_keys, self.n, k)
                 sampled.sort(axis=1)
                 self._sampled = sampled
         return self._sampled

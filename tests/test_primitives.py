@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from dbvsim import primitives
 from dbvsim.primitives import (
     FIELD_POLYNOMIALS,
     SAMPLER_STREAM_VERSION,
@@ -22,8 +23,11 @@ from dbvsim.primitives import (
     mac_sign,
     mac_sign_rows,
     mac_verify,
+    random_index_rows,
     sample_indices,
+    sample_indices_rows,
     sampler_guarantee,
+    sampler_key_rows,
 )
 
 
@@ -539,3 +543,204 @@ class TestSampler:
             IndexSet(np.array([1, 1, 2]), 5)
         with pytest.raises(ValueError):
             IndexSet(np.array([0, 5]), 5)
+
+
+# ---------------------------------------------------------------------------
+# sampler stream 3: the array form against an exact reference and stream 2
+
+_M64 = (1 << 64) - 1
+
+
+def _fmix64(z: int) -> int:
+    """SplitMix64's finaliser (Steele, Lea and Flood, OOPSLA 2014)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
+    return z ^ (z >> 31)
+
+
+def _reference_words(hi: int, lo: int):
+    """Key (hi, lo)'s words, word 0 first: SplitMix64's outputs from the
+    seed fmix64(fmix64(hi) ^ lo), word j = fmix64(seed + (j + 1) gamma)."""
+    seed = _fmix64(_fmix64(hi) ^ lo)
+    j = 0
+    while True:
+        j += 1
+        yield _fmix64((seed + j * 0x9E3779B97F4A7C15) & _M64)
+
+
+def _reference_sample(hi: int, lo: int, n: int, k: int) -> tuple[list[int], int]:
+    """The stream-3 map in exact integers, one word at a time: the positions
+    in draw order, and how many words they took.
+
+    Where n <= 4k, position j ranks by word j with its low b bits replaced
+    by j (b the bit length of n - 1), and the k lowest ranks are taken in
+    rank order.  Otherwise each word gives 32-bit values (low half, then
+    high half) for n < 2**32, or one 64-bit value; a value below the
+    largest multiple of n in its range is accepted as value mod n; the first
+    k distinct accepted values are taken, reading as many words as needed.
+    """
+    words = _reference_words(hi, lo)
+    if k == 0:
+        return [], 0
+    if n <= 4 * k:
+        low = (n - 1).bit_length()
+        ranks = sorted(next(words) >> low << low | j for j in range(n))
+        return [r & ((1 << low) - 1) for r in ranks[:k]], n
+    bits = 32 if n < 1 << 32 else 64
+    limit = (1 << bits) // n * n
+    out, seen, used = [], set(), 0
+    for word in words:
+        used += 1
+        for value in ((word & 0xFFFFFFFF, word >> 32) if bits == 32 else (word,)):
+            if value < limit and value % n not in seen:
+                seen.add(value % n)
+                out.append(value % n)
+                if len(out) == k:
+                    return out, used
+
+
+def _choice_sample(key: SamplerKey, n: int, k: int) -> np.ndarray:
+    """The stream-2 map: the key seeds numpy's generator, whose
+    ``choice(n, k, replace=False)`` draws the positions."""
+    return np.random.default_rng(int.from_bytes(key.seed, "big")).choice(n, size=k, replace=False)
+
+
+def _check_rows(keys: list[SamplerKey], n: int, k: int) -> None:
+    """The rows path equals the one-row path and the reference, row by row."""
+    got = sample_indices_rows(np.array([key.words for key in keys], dtype=np.uint64), n, k)
+    assert got.shape == (len(keys), k) and got.dtype == np.int64
+    for key, row in zip(keys, got):
+        want, _ = _reference_sample(*key.words, n, k)
+        assert row.tolist() == want
+        assert sample_indices(key, n, k).indices.tolist() == want
+
+
+_DENSE_SHAPES = st.integers(1, 600).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(-(-n // 4), n)))
+_SPARSE_SHAPES = st.integers(1, 200).flatmap(
+    lambda k: st.tuples(st.integers(4 * k + 1, 2**40), st.just(k)))
+
+
+class TestSamplerRows:
+    @settings(max_examples=80, deadline=None)
+    @example(rows=67, shape=(534, 160), key_bytes=16, seed=0)
+    @example(rows=70, shape=(1_030_000, 103), key_bytes=16, seed=1)
+    @example(rows=70, shape=(10_000, 1000), key_bytes=8, seed=2)
+    @given(rows=st.integers(1, 70), shape=st.one_of(_DENSE_SHAPES, _SPARSE_SHAPES),
+           key_bytes=st.sampled_from([8, 16]), seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_one_row_and_reference(self, rows, shape, key_bytes, seed):
+        rng = np.random.default_rng(seed)
+        _check_rows([SamplerKey.generate(rng, 8 * key_bytes) for _ in range(rows)], *shape)
+
+    @pytest.mark.parametrize("n,k", [
+        (5, 0), (10**6, 0), (1, 0), (1, 1), (7, 7), (600, 600),
+        (2**31 + 1, 120),  # about half of all 32-bit values rejected
+        (3 * 2**40, 60),  # 64-bit values
+        (2**63 - 1, 30),  # the longest source
+    ])
+    def test_edge_shapes(self, n, k):
+        rng = np.random.default_rng(n % 1000 + k)
+        keys = [SamplerKey.generate(rng) for _ in range(5)]
+        _check_rows(keys, n, k)
+        if k == n:
+            for key in keys:
+                assert sorted(sample_indices(key, n, k).indices.tolist()) == list(range(n))
+
+    @pytest.mark.parametrize("n,k", [
+        (2**31 + 1, 4),  # 32-bit values, half rejected
+        (2**64 // 3 + 1, 2),  # 64-bit values, a third rejected
+    ])
+    def test_top_up(self, n, k):
+        # Keys, found by search, whose first k distinct accepted draws need
+        # more words than a row draws first; in a block with keys that need
+        # none, and alone.
+        first, _ = primitives._first_words(n, k)
+        rng = np.random.default_rng(2024)
+        short = []
+        while len(short) < 3:
+            key = SamplerKey.generate(rng)
+            if _reference_sample(*key.words, n, k)[1] > first:
+                short.append(key)
+        plain = [SamplerKey.generate(rng) for _ in range(4)]
+        _check_rows(plain[:2] + short[:2] + plain[2:] + short[2:], n, k)
+        _check_rows(short[:1], n, k)
+
+    def test_key_rows_are_the_keys_words(self):
+        raw = np.random.default_rng(3).bytes(16 * 6)
+        np.testing.assert_array_equal(
+            sampler_key_rows(raw),
+            np.array([SamplerKey(raw[i: i + 16]).words for i in range(0, len(raw), 16)],
+                     dtype=np.uint64))
+
+    def test_every_key_bit_counts(self):
+        # Flipping any one bit of a 16- or 8-byte key changes the positions.
+        for size in (8, 16):
+            seed = bytes(range(1, size + 1))
+            base = sample_indices(SamplerKey(seed), 534, 160).indices
+            for bit in range(8 * size):
+                flipped = (int.from_bytes(seed, "big") ^ (1 << bit)).to_bytes(size, "big")
+                assert not np.array_equal(
+                    sample_indices(SamplerKey(flipped), 534, 160).indices, base), (size, bit)
+
+    def test_key_length_is_validated(self):
+        with pytest.raises(ValueError):
+            SamplerKey(bytes(17))
+        with pytest.raises(ValueError):
+            SamplerKey.generate(np.random.default_rng(0), 136)
+        with pytest.raises(ValueError):
+            sample_indices_rows(np.zeros((2, 2), dtype=np.uint64), 4, 5)
+
+    @pytest.mark.parametrize("n,k", [(534, 160), (10_050, 250), (2**31 + 1, 50)])
+    def test_random_rows_are_distinct_and_in_range(self, n, k):
+        picked = random_index_rows(np.random.default_rng(5), 40, n, k)
+        assert picked.shape == (40, k)
+        assert picked.min() >= 0 and picked.max() < n
+        assert all(np.unique(row).size == k for row in picked)
+
+
+class TestSamplerAgainstChoice:
+    """Stream 3 against stream 2 (numpy's ``choice``) in distribution, by
+    chi-square tests with fixed seeds: a pass is a fixed outcome."""
+
+    P_FLOOR = 1e-4
+
+    def test_ordered_triples(self):
+        # All 120 ordered 3-tuples of 6 positions are equally likely: the keyed
+        # map (8-byte keys, as criterion 10 draws them), the intruder's
+        # random_index_rows and stream 2.
+        from itertools import permutations
+
+        cell = {t: i for i, t in enumerate(permutations(range(6), 3))}
+        reps = 60_000
+        rng = np.random.default_rng(51)
+        keys = [SamplerKey.generate(rng, 64) for _ in range(reps)]
+        draws = [
+            sample_indices_rows(np.array([key.words for key in keys], dtype=np.uint64), 6, 3),
+            random_index_rows(np.random.default_rng(52), reps, 6, 3),
+            np.array([_choice_sample(SamplerKey.generate(rng, 64), 6, 3) for _ in range(reps)]),
+        ]
+        counts = np.zeros((len(draws), len(cell)), dtype=np.int64)
+        for row, drawn in zip(counts, draws):
+            np.add.at(row, [cell[tuple(t)] for t in drawn.tolist()], 1)
+            assert stats.chisquare(row).pvalue > self.P_FLOOR
+        assert stats.chi2_contingency(counts).pvalue > self.P_FLOOR
+
+    @pytest.mark.parametrize("n,k,reps", [
+        (534, 160, 2000),  # ranked words
+        (10_050, 250, 600),  # mapped words, about three repeats a row
+        (20_000, 10, 6000),  # mapped words, repeats rare
+        (2**31 + 1, 50, 1500),  # half the values rejected
+    ])
+    def test_slot_position_marginals(self, n, k, reps):
+        # Every draw-order slot is uniform over the positions, and the slot x
+        # position-bin table agrees with stream 2's.
+        groups, bins = min(k, 10), 50
+        rng = np.random.default_rng(61)
+        keyed = sample_indices_rows(sampler_key_rows(rng.bytes(16 * reps)), n, k)
+        choice = np.array([_choice_sample(SamplerKey.generate(rng), n, k) for _ in range(reps)])
+        edges = -(-np.arange(bins + 1) * n // bins)
+        expected = np.tile(np.diff(edges) / n, groups) * reps * k / groups
+        tables = [_cell_counts(draws, n, groups, bins) for draws in (keyed, choice)]
+        for table in tables:
+            assert stats.chisquare(table, expected).pvalue > self.P_FLOOR
+        assert stats.chi2_contingency(np.array(tables)).pvalue > self.P_FLOOR

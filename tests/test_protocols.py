@@ -275,7 +275,7 @@ class TestPi1:
         ):
             d = t.to_json_dict()
             assert d["schema_version"] == "3"
-            assert d["sampler_stream"] == SAMPLER_STREAM_VERSION == 2
+            assert d["sampler_stream"] == SAMPLER_STREAM_VERSION == 3
             assert d["source_stream"] == SOURCE_STREAM_VERSION
             assert d["trial_stream"] == TRIAL_STREAM_VERSION == 2
 
@@ -479,7 +479,8 @@ class TestSession:
         rng = np.random.default_rng(12)
         # A single run is a block of one row.
         assert s.mac_keys[0] == MacKey.generate(rng, cfg.mac_bits)
-        assert s.sampler_keys == [SamplerKey.generate(rng)]
+        np.testing.assert_array_equal(
+            s.sampler_keys, np.array([SamplerKey.generate(rng).words], dtype=np.uint64))
         assert s._sampled is None  # sampled on first use only
         # Nothing read yet, so the whole source is drawn in position order.
         np.testing.assert_array_equal(s.source, [random_bits(rng, cfg.brm.n)])
@@ -490,7 +491,9 @@ class TestSession:
                            SamplerKey.generate(np.random.default_rng(2), 128))
         s = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(13),
                     keys=keys)
-        assert (s.mac_keys[0], s.sampler_keys) == (keys.mac_key, [keys.sampler_key])
+        assert s.mac_keys[0] == keys.mac_key
+        np.testing.assert_array_equal(
+            s.sampler_keys, np.array([keys.sampler_key.words], dtype=np.uint64))
         np.testing.assert_array_equal(
             s.source, [random_bits(np.random.default_rng(13), cfg.brm.n)]
         )
