@@ -398,11 +398,19 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _GAMMA_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
 _SHIFTS = tuple(np.uint64(b) for b in (30, 27, 31))
+#: (j + 1) gamma mod 2**64 for j < 4096: the counter steps of a stream's
+#: first words, made once (a longer stream computes its own).
+_STEPS = np.arange(1, 4097, dtype=np.uint64) * _GAMMA_U64
+_STEPS.flags.writeable = False
 
 #: A row of n <= _DENSE_RATIO * k positions ranks all n of its words; a
 #: sparser row maps words to positions and keeps the first k distinct.
 #: Set by timing both regimes on one and on 67 rows.
 _DENSE_RATIO = 4
+
+#: A single row of the sparse regime finds its repeated draws in an n-array
+#: where n <= _BITMAP_RATIO * draws, by sorting them above; set by timing.
+_BITMAP_RATIO = 16
 
 #: Most words a call evaluates as Python ints, which is faster than the
 #: dozen array operations of ``_fmix64`` up to about this many.
@@ -512,14 +520,17 @@ def _keyed_words(seeds: np.ndarray, ids: Optional[np.ndarray], start: int,
     if len(seeds) * (stop - start) <= _SCALAR_WORDS:
         return np.array([[_fmix64_int((s + j * _GAMMA) & _U64) for j in range(start + 1, stop + 1)]
                          for s in seeds.tolist()], dtype=np.uint64).reshape(len(seeds), stop - start)
-    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    z *= _GAMMA_U64
-    return _fmix64(z + seeds[:, None])
+    if stop <= _STEPS.size:
+        steps = _STEPS[start:stop]
+    else:
+        steps = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        steps *= _GAMMA_U64
+    return _fmix64(steps + seeds[:, None])
 
 
 def _positions(words: np.ndarray, n: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """(rows, d) int64 draws in [0, n) from (rows, m) words, and which of
-    them are accepted (None: all).
+    them are accepted (None: every one).
 
     For n < 2**32 each word gives two 32-bit values, its low half then its
     high half; above, each word is one 64-bit value.  A value x below the
@@ -530,23 +541,23 @@ def _positions(words: np.ndarray, n: int) -> tuple[np.ndarray, Optional[np.ndarr
     values = words.astype("<u8", copy=False).view(f"<u{bits // 8}")
     pos = (values % values.dtype.type(n)).astype(np.int64)
     limit = (1 << bits) // n * n
-    return pos, (values < limit if limit < 1 << bits else None)
+    return pos, (values < limit if limit < 1 << bits and values.max() >= limit else None)
 
 
 def _rank_draws(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of the (rows, d) draws ``pos`` in [-1, n) sorted by (value,
+    """The draws ``pos`` in [-1, n), each row (last axis) sorted by (value,
     draw index): the sorted values and their draw indices."""
-    rows, d = pos.shape
+    d = pos.shape[-1]
     order = np.arange(d)
     if n <= 1 << 32:
         # One sort of the pairs packed into one int64 each.
         bits = (d - 1).bit_length()
         packed = pos << bits
         packed |= order
-        packed.sort(axis=1)
+        packed.sort(axis=-1)
         return packed >> bits, packed & ((1 << bits) - 1)
-    order = np.lexsort((np.broadcast_to(order, pos.shape), pos), axis=1)
-    return np.take_along_axis(pos, order, axis=1), order
+    order = np.lexsort((np.broadcast_to(order, pos.shape), pos), axis=-1)
+    return np.take_along_axis(pos, order, axis=-1), order
 
 
 def _first_words(n: int, k: int) -> tuple[int, float]:
@@ -590,24 +601,24 @@ def _ordered_subsets(words: Callable[[Optional[np.ndarray], int, int], np.ndarra
     m, accept = _first_words(n, k)
     pos, ok = _positions(words(None, 0, m), n)
     if rows == 1:
-        # One row takes its accepted draws by a mask and marks the repeats
-        # among them: fewer array operations, and each costs about as much.
-        accepted = pos[0] if ok is None else pos[0, ok[0]]
-        while True:
-            if k * k < n and accepted.size >= k:
-                # Under half a repeat expected: check the first k alone.
+        # One row, where an array operation costs about as much as on a
+        # block: take the accepted draws by a mask, then check the first k
+        # for repeats where under half a repeat is expected, or else find
+        # each position's first draw in an n-array where n is within
+        # _BITMAP_RATIO draws.  A row left short takes the block path.
+        accepted = pos[0] if ok is None else pos[0][ok[0]]
+        if accepted.size >= k:
+            if k * k < n:
                 ranked = np.sort(accepted[:k])
                 if (ranked[1:] != ranked[:-1]).all():
                     return accepted[None, :k]
-            ranked, order = _rank_draws(accepted[None], n)
-            repeat = np.zeros(accepted.size, dtype=bool)
-            repeat[order[0, 1:][ranked[0, 1:] == ranked[0, :-1]]] = True
-            distinct = accepted[~repeat]
-            if distinct.size >= k:
-                return distinct[None, :k]
-            more, ok = _positions(words(None, m, 2 * m), n)
-            accepted = np.concatenate([accepted, more[0] if ok is None else more[0, ok[0]]])
-            m *= 2
+            elif n <= _BITMAP_RATIO * accepted.size:
+                order = np.arange(accepted.size)
+                first = np.full(n, accepted.size)
+                np.minimum.at(first, accepted, order)
+                distinct = accepted[first[accepted] == order]
+                if distinct.size >= k:
+                    return distinct[None, :k]
     if ok is not None:
         np.putmask(pos, ~ok, -1)
     clean = np.zeros(rows, dtype=bool)
