@@ -613,8 +613,8 @@ def _ordered_subsets(words: Callable[[Optional[np.ndarray], int, int], np.ndarra
                 if (ranked[1:] != ranked[:-1]).all():
                     return accepted[None, :k]
             elif n <= _BITMAP_RATIO * accepted.size:
-                order = np.arange(accepted.size)
-                first = np.full(n, accepted.size)
+                order = np.arange(accepted.size, dtype=np.int32)
+                first = np.full(n, accepted.size, dtype=np.int32)
                 np.minimum.at(first, accepted, order)
                 distinct = accepted[first[accepted] == order]
                 if distinct.size >= k:
