@@ -412,10 +412,6 @@ _DENSE_RATIO = 4
 #: where n <= _BITMAP_RATIO * draws, by sorting them above; set by timing.
 _BITMAP_RATIO = 16
 
-#: Most words a call evaluates as Python ints, which is faster than the
-#: dozen array operations of ``_fmix64`` up to about this many.
-_SCALAR_WORDS = 16
-
 
 @dataclass(frozen=True)
 class SamplerKey:
@@ -517,9 +513,6 @@ def _keyed_words(seeds: np.ndarray, ids: Optional[np.ndarray], start: int,
     a bijection of j."""
     if ids is not None:
         seeds = seeds[ids]
-    if len(seeds) * (stop - start) <= _SCALAR_WORDS:
-        return np.array([[_fmix64_int((s + j * _GAMMA) & _U64) for j in range(start + 1, stop + 1)]
-                         for s in seeds.tolist()], dtype=np.uint64).reshape(len(seeds), stop - start)
     if stop <= _STEPS.size:
         steps = _STEPS[start:stop]
     else:
@@ -545,19 +538,19 @@ def _positions(words: np.ndarray, n: int) -> tuple[np.ndarray, Optional[np.ndarr
 
 
 def _rank_draws(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws ``pos`` in [-1, n), each row (last axis) sorted by (value,
+    """Each row of the (rows, d) draws ``pos`` in [-1, n) sorted by (value,
     draw index): the sorted values and their draw indices."""
-    d = pos.shape[-1]
+    d = pos.shape[1]
     order = np.arange(d)
     if n <= 1 << 32:
         # One sort of the pairs packed into one int64 each.
         bits = (d - 1).bit_length()
         packed = pos << bits
         packed |= order
-        packed.sort(axis=-1)
+        packed.sort(axis=1)
         return packed >> bits, packed & ((1 << bits) - 1)
-    order = np.lexsort((np.broadcast_to(order, pos.shape), pos), axis=-1)
-    return np.take_along_axis(pos, order, axis=-1), order
+    order = np.lexsort((np.broadcast_to(order, pos.shape), pos), axis=1)
+    return np.take_along_axis(pos, order, axis=1), order
 
 
 def _first_words(n: int, k: int) -> tuple[int, float]:
