@@ -408,6 +408,10 @@ _STEPS.flags.writeable = False
 #: Set by timing both regimes on one and on 67 rows.
 _DENSE_RATIO = 4
 
+#: Most rows whose stream seeds are mixed in Python ints, which is faster
+#: than the array operations of two ``_fmix64`` below about ten rows.
+_SCALAR_SEED_ROWS = 8
+
 #: A single row of the sparse regime finds its repeated draws in an n-array
 #: where n <= _BITMAP_RATIO * draws, by sorting them above; set by timing.
 _BITMAP_RATIO = 16
@@ -661,9 +665,11 @@ def sample_indices_rows(keys: np.ndarray, n: int, k: int) -> np.ndarray:
     in O(rows * k) words and memory at any n."""
     _check_sample(n, k)
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
-    hi, lo = keys[:, 0].copy(), keys[:, 1]
-    seeds = _fmix64(_fmix64(hi) ^ lo)
-    return _ordered_subsets(functools.partial(_keyed_words, seeds), len(seeds), n, k)
+    if len(keys) <= _SCALAR_SEED_ROWS:
+        seeds = np.array([_stream_seed(hi, lo) for hi, lo in keys.tolist()], dtype=np.uint64)
+    else:
+        seeds = _fmix64(_fmix64(keys[:, 0].copy()) ^ keys[:, 1])
+    return _ordered_subsets(functools.partial(_keyed_words, seeds), len(keys), n, k)
 
 
 def random_index_rows(rng: np.random.Generator, rows: int, n: int, k: int) -> np.ndarray:
@@ -687,7 +693,8 @@ def sample_indices(key: SamplerKey, n: int, k: int) -> IndexSet:
     the k of the first n words that rank lowest where n <= 4k, otherwise
     the first k distinct of the words mapped to [0, n).  Time and memory
     are O(k) at any n.  The map is a deterministic stand-in for a keyed
-    uniform draw, not a cryptographic PRF.
+    uniform draw, not a cryptographic PRF.  This is the one-row case of
+    ``sample_indices_rows``, without its array of keys.
     """
     _check_sample(n, k)
     seeds = np.array([_stream_seed(*key.words)], dtype=np.uint64)
