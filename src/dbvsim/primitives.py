@@ -394,9 +394,9 @@ SAMPLER_KEY_BYTES = 16
 _U64 = (1 << 64) - 1
 #: SplitMix64's increment (the odd integer nearest 2**64 over the golden
 #: ratio) and its finaliser's multipliers (Steele, Lea and Flood, OOPSLA 2014).
-_GAMMA = 0x9E3779B97F4A7C15
+_GAMMA_U64 = np.uint64(0x9E3779B97F4A7C15)
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-_GAMMA_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_MIX1_U64, _MIX2_U64 = np.uint64(_MIX1), np.uint64(_MIX2)
 _SHIFTS = tuple(np.uint64(b) for b in (30, 27, 31))
 #: (j + 1) gamma mod 2**64 for j < 4096: the counter steps of a stream's
 #: first words, made once (a longer stream computes its own).
@@ -413,7 +413,8 @@ _DENSE_RATIO = 4
 _SCALAR_SEED_ROWS = 8
 
 #: A single row of the sparse regime finds its repeated draws in an n-array
-#: where n <= _BITMAP_RATIO * draws, by sorting them above; set by timing.
+#: where n <= _BITMAP_RATIO * draws, and by sorting them above that; set by
+#: timing both at n/k from 5 to 160.
 _BITMAP_RATIO = 16
 
 
