@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
+from scipy import special
 
 from .channel import ChannelParams, attenuate, bpsk_demodulate
 from .primitives import random_field_elements, random_index_rows
@@ -51,7 +52,6 @@ __all__ = [
     "attack_tfa_relay",
     "attack_tfa_sampling",
     "attack_tfa_general",
-    "reads_whole_source",
 ]
 
 MFA_STRATEGIES = ("replay", "random-tag", "best-guess")
@@ -186,24 +186,6 @@ def _blocks(n: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
     return bounds[:-1][nonempty], np.diff(bounds)[nonempty]
 
 
-def _digest(strategy: RetrievalStrategy, source: np.ndarray, starts: np.ndarray,
-            sizes: np.ndarray) -> np.ndarray:
-    """The intruder's per-block parity or majority bit of the source (of each
-    row of a (rows, n) source)."""
-    if isinstance(strategy, ParitySketchStrategy):
-        return np.bitwise_xor.reduceat(source, starts, axis=-1)
-    ones = np.add.reduceat(source, starts, axis=-1, dtype=np.int64)
-    return (2 * ones >= sizes).astype(np.uint8)
-
-
-def reads_whole_source(scenario: Scenario) -> bool:
-    """Whether the scenario's policy reads every source position of a row
-    (the parity and block-majority digests of ``_digest``); any other reads
-    at most k positions as the verifier and the cap as each receiver."""
-    return (scenario.kind == "tfa-general"
-            and not isinstance(scenario.tfa_strategy, IndexSamplingStrategy))
-
-
 def _majority_prior(digest: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Each block's prior llr for its bits, given its majority digest."""
     distinct, which = np.unique(sizes, return_inverse=True)
@@ -233,6 +215,39 @@ def _majority_prior_llr(size: int) -> tuple[float, float]:
     return llr_if_one, llr_if_zero
 
 
+def _majority_one_prob(size: np.ndarray, sampled: np.ndarray,
+                       ones: np.ndarray) -> np.ndarray:
+    """P(a block's majority digest ``2*ones >= size`` reads 1) given that
+    ``sampled`` of its ``size`` positions are known to hold ``ones`` ones:
+    P[Bin(size - sampled, 1/2) >= ceil(size/2) - ones], the other bits
+    being uniform."""
+    free = size - sampled
+    need = (size + 1) // 2 - ones
+    # bdtrc(t, N, p) is P[Bin(N, p) > t]: 1 for t < 0, 0 for t = N (NaN past N).
+    return special.bdtrc(np.minimum(need - 1, free), free, 0.5)
+
+
+def _majority_digests(bits: np.ndarray, block: np.ndarray, sizes: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
+    """(rows, k): the majority digest of each sampled position's block, given
+    the (rows, k) source ``bits`` at the sampled positions, sorted on each
+    row, and their ``block``s: one uniform double per (row, block) that holds
+    sampled positions, in row-major order, against ``_majority_one_prob``.
+    Digests of distinct blocks are independent given the sampled bits, so
+    this is their exact joint law."""
+    k = block.shape[1]
+    flat = block.ravel()
+    first = np.empty(flat.size, dtype=bool)  # where a (row, block) group starts
+    first[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    first[::k] = True
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=flat.size)
+    ones = np.add.reduceat(bits.ravel(), starts, dtype=np.int64)
+    digest = rng.random(starts.size) < _majority_one_prob(sizes[flat[starts]], counts, ones)
+    return np.repeat(digest.astype(np.uint8), counts).reshape(block.shape)
+
+
 def _overlap(picked: np.ndarray, sampled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(at, hit): hit[i] tells whether the sorted, non-empty ``picked`` holds
     sampled[i], and then picked[at[i]] == sampled[i]."""
@@ -251,7 +266,11 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
     from the digest and its own reception, ties broken toward its own
     demodulated bit, then authenticates the response with its real key.
     Only the block-majority decoder weighs the received samples; every
-    other reception is read as bits.
+    other reception is read as bits.  A digest response depends on the
+    source only through the sampled bits and the digests of their blocks,
+    so no other source bit is drawn: a parity digest is used only where its
+    block is one sampled position, and a majority digest is drawn from its
+    law given the block's sampled bits (``_majority_digests``).
     """
     if cfg.protocol != "pi3":
         raise ProtocolConfigError("terrorist-fraud retrieval attacks target pi3")
@@ -270,27 +289,27 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
         response[hit] = known[at.reshape(sampled.shape)[hit]]
         response[~hit] = s.read("prover", where=~hit)
     else:
-        # The digest reads the whole source, so it is drawn before the prover
-        # reads: in position order, in one call.
+        # A response depends on the source only through the sampled bits and
+        # the digests of the blocks that hold them, so no other bit is drawn.
         starts, sizes = _blocks(s.n, s.cap)
-        digest = _digest(strategy, s.source, starts, sizes)
         block = np.searchsorted(starts, sampled, side="right") - 1
         if isinstance(strategy, ParitySketchStrategy):
             # A block parity carries no per-bit information unless the block
-            # is a single position, in which case it reveals the bit exactly.
+            # is a single position, in which case it reveals the bit exactly;
+            # any other block's parity is uniform given its sampled bits.
             response = s.read("prover").copy()
             singleton = sizes[block] == 1
-            response[singleton] = np.take_along_axis(digest, block, axis=1)[singleton]
+            response[singleton] = s.challenge()[singleton]
         elif scenario.noiseless:
             response = bpsk_demodulate(s.read("prover"))
         else:
             y_sampled = s.read("prover")
+            digest = _majority_digests(s.challenge(), block, sizes, rng)
             own_bits = bpsk_demodulate(y_sampled)
             amp = attenuate(math.sqrt(s.power_w), d_r, ch)
             # Per-sample noise variance is sigma/2 (see channel.propagate).
             llr_chan = 4.0 * amp * y_sampled / ch.sigma
-            prior = np.take_along_axis(_majority_prior(digest, sizes), block, axis=1)
-            total = llr_chan + prior
+            total = llr_chan + _majority_prior(digest, sizes[block])
             response = np.where(total > 0, 1, np.where(total < 0, 0, own_bits)).astype(
                 np.uint8
             )

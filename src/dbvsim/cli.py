@@ -38,7 +38,7 @@ from .optimize import (
     write_curves_csv,
 )
 from .primitives import FIELD_POLYNOMIALS, encode_response_claim
-from .protocols import BrmParams, ProtocolConfig, check_mac_strength, check_whole_source
+from .protocols import BrmParams, ProtocolConfig, check_mac_strength
 
 SCHEMA_VERSION = "1"
 
@@ -352,10 +352,6 @@ def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, 
             encode_response_claim((), d_claim)
             if scenario.kind == "mfa" and scenario.mfa_strategy == "replay":
                 encode_response_claim((), d_real)  # the prover tags its own distance
-        if scenario.kind == "tfa-general" and not isinstance(
-            scenario.tfa_strategy, IndexSamplingStrategy
-        ):
-            check_whole_source(cfg.brm.n)  # a digest reads the whole source
     return spec, cfg, scenario
 
 

@@ -1,6 +1,6 @@
 """Monte Carlo estimation of acceptance rates with exact confidence intervals.
 
-Trials run in blocks of ``block_rows(cfg, scenario)`` rows, and block b (trials
+Trials run in blocks of ``block_rows(cfg)`` rows, and block b (trials
 b*rows up to (b+1)*rows - 1) draws from one generator seeded by
 (master_seed, b).  The block size depends only on the run's config, and
 worker chunks are whole blocks, so results are reproducible, independent of
@@ -160,19 +160,18 @@ BLOCK_ROWS = 256
 BLOCK_POSITIONS = 1 << 15
 
 
-def block_rows(cfg: ProtocolConfig, scenario: Scenario) -> int:
+def block_rows(cfg: ProtocolConfig) -> int:
     """Rows per block of a run: as many as BLOCK_ROWS and BLOCK_POSITIONS allow.
 
     A row reads at most k positions as the verifier and the cap as each of at
-    most two receivers, or the whole source where
-    ``attacks.reads_whole_source`` says so, so a block's audits and sparse
-    memo hold O(rows * min(n, k + 2 cap)) positions; the dense memo of a
-    source of n <= DENSE_SOURCE_BITS is rows * n bits.  Its keys
-    row * n + position stay within int64.  The rows are part of the trial
-    stream (see TRIAL_STREAM_VERSION).
+    most two receivers, so a block's audits and sparse memo hold
+    O(rows * min(n, k + 2 cap)) positions; the dense memo of a source of
+    n <= DENSE_SOURCE_BITS is rows * n bits.  Its keys row * n + position
+    stay within int64.  The rows are part of the trial stream (see
+    TRIAL_STREAM_VERSION).
     """
     n, cap = Session.extent(cfg)
-    per_row = n if attacks.reads_whole_source(scenario) else min(n, cfg.k + 2 * cap)
+    per_row = min(n, cfg.k + 2 * cap)
     return max(1, min(BLOCK_ROWS, BLOCK_POSITIONS // per_row, MAX_SOURCE_BITS // n))
 
 
@@ -367,7 +366,7 @@ def estimate_rates(
             logger.warning("%d trials cannot resolve a rate near the bound %g (want >= %s)",
                            trials, bound, math.ceil(want) if want < math.inf else want)
 
-    rows = block_rows(cfg, scenario)
+    rows = block_rows(cfg)
     blocks = -(-trials // rows)
     workers = 1 if dump_path is not None else worker_count(jobs, blocks)
     if workers == 1:

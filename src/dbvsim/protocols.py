@@ -14,6 +14,7 @@ returns the block's ``TrialBlock``, and without it the one run's
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,7 +67,6 @@ __all__ = [
     "verify_response",
     "brm_source_emit",
     "check_mac_strength",
-    "check_whole_source",
     "run_pi1",
     "run_pi2",
     "run_pi3",
@@ -85,8 +85,13 @@ PROTOCOLS = ("pi1", "pi2", "pi3")
 #: the n = k case, and every source bit from one uniform double; 4 draws a
 #: hard receiver's bit error at each new position from one uniform double
 #: (below its error rate: an error) instead of a Gaussian noise sample, and
-#: only the soft receiver (the block-majority prover) still draws the noise.
-SOURCE_STREAM_VERSION = 4
+#: only the soft receiver (the block-majority prover) still draws the noise;
+#: 5 draws no source bit for the parity and block-majority digests, which
+#: drew every position of a row in position order before the prover read:
+#: the prover's reads draw the sampled bits, and a block-majority digest is
+#: one uniform double per block holding sampled positions, against the
+#: majority's law given the block's sampled bits.
+SOURCE_STREAM_VERSION = 5
 
 #: How trials share a generator: 1 gave each trial its own, seeded by
 #: (master seed, trial index); 2 runs them in blocks of rows, one generator
@@ -98,8 +103,10 @@ SOURCE_STREAM_VERSION = 4
 #: the last, partial block, on the run's trial count.  The first N trials of
 #: a longer run are not an N-trial run, and a dumped trial's seed names its
 #: place in the run, not a run of its own.  Changing the block rule changes
-#: every result, so it needs a new version.
-TRIAL_STREAM_VERSION = 2
+#: every result, so it needs a new version; 3 sizes the digest scenarios'
+#: blocks by the positions a row reads, as every other scenario's, where 2
+#: counted their whole source.
+TRIAL_STREAM_VERSION = 3
 
 #: Longest source: positions and block keys (row * n + position) are int64.
 MAX_SOURCE_BITS = int(np.iinfo(np.int64).max)
@@ -109,12 +116,6 @@ MAX_SOURCE_BITS = int(np.iinfo(np.int64).max)
 #: with the positions read, not with n.  The array is the faster of the two
 #: where n is small and most positions are read.
 DENSE_SOURCE_BITS = 1 << 16
-
-#: Longest source a session draws whole (the parity and block-majority
-#: digests read all of it); a longer one raises ProtocolConfigError rather
-#: than allocating about 11 bytes per position (the int8 memo, a double and
-#: two masks per drawn bit).
-MAX_WHOLE_SOURCE_BITS = 10**7
 
 
 class RetrievalCapError(RuntimeError):
@@ -423,15 +424,6 @@ def brm_source_emit(
     return o, bpsk_modulate(o, e)
 
 
-def check_whole_source(n: int) -> None:
-    """Refuse to draw a whole source longer than MAX_WHOLE_SOURCE_BITS."""
-    if n > MAX_WHOLE_SOURCE_BITS:
-        raise ProtocolConfigError(
-            f"a whole-source digest needs all n={n} source bits, more than "
-            f"MAX_WHOLE_SOURCE_BITS={MAX_WHOLE_SOURCE_BITS}"
-        )
-
-
 def check_mac_strength(cfg: ProtocolConfig, eps_fa: float) -> None:
     """Reject configs whose MAC forgery bound L/2**s exceeds the false-accept budget."""
     if cfg.protocol == "pi1" or not cfg.use_mac:
@@ -448,9 +440,11 @@ class _SharedSource:
     ``random_bits`` the first time anyone reads its position, in increasing
     key order (row * n + position) within a read.  Up to DENSE_SOURCE_BITS
     positions a row the memo is an int8 array over the block's keys with -1
-    at the keys not drawn yet (None until the first read); above, sorted keys
-    and bits (a RetrievalAudit), so memory grows with the positions read.
-    An error-free receiver reads these bits as they are, a hard receiver
+    at the keys not drawn yet (None until the first read, and the draw itself
+    when that read takes every key); above, sorted keys and bits (a
+    RetrievalAudit), so memory grows with the positions read.  No party
+    reads more than the cap of a row, so no policy draws a row's whole
+    source unless the cap covers it.  An error-free receiver reads these bits as they are, a hard receiver
     with its own bit errors XORed on, and a soft receiver modulated and
     propagated (``Session.receive``).  It refers to no session or view, so
     the receivers' fills that share it form no reference cycle and a
@@ -461,7 +455,6 @@ class _SharedSource:
         self.rng, self.n, self.rows = rng, n, rows
         self.size = n * rows
         self._bits: Optional[np.ndarray] = None
-        self._undrawn = self.size  # keys of the dense memo not drawn yet
         self._sorted: Optional[RetrievalAudit] = None
         if n > DENSE_SOURCE_BITS:
             self._sorted = RetrievalAudit(lambda keys: random_bits(rng, keys.size), self.size,
@@ -471,39 +464,20 @@ class _SharedSource:
         """Source bits at sorted distinct keys, drawing those not drawn yet."""
         if self._sorted is not None:
             return self._sorted._get(keys, checked=True)
-        if keys.size == self.size:  # every key
-            return self.whole().ravel()
         if self._bits is None:  # the first read: every key is new
-            self._bits = np.full(self.size, -1, dtype=np.int8)
-            bits = self._bits[keys] = random_bits(self.rng, keys.size)
-            self._undrawn -= keys.size
+            bits = random_bits(self.rng, keys.size)
+            if keys.size == self.size:  # every key: the draw itself is the memo
+                self._bits = bits.view(np.int8)
+            else:
+                self._bits = np.full(self.size, -1, dtype=np.int8)
+                self._bits[keys] = bits
             return bits
         bits = self._bits[keys]
         fresh = bits < 0
         count = np.count_nonzero(fresh)
         if count:
             bits[fresh] = self._bits[keys[fresh]] = random_bits(self.rng, count)
-            self._undrawn -= count
         return bits.view(np.uint8)
-
-    def whole(self) -> np.ndarray:
-        """(rows, n): every bit.  O(n) a row, so refused above
-        MAX_WHOLE_SOURCE_BITS.  Read before anything is drawn, the draw
-        itself becomes the memo."""
-        if self._bits is None:
-            check_whole_source(self.n)
-            held, self._sorted = self._sorted, None
-            if held is None or not held.accessed:
-                self._bits = random_bits(self.rng, self.size).view(np.int8)
-                self._undrawn = 0
-            else:
-                self._bits = np.full(self.size, -1, dtype=np.int8)
-                self._bits[held._keys] = held._vals
-                self._undrawn = self.size - held.accessed
-        if self._undrawn:
-            self._bits[self._bits < 0] = random_bits(self.rng, self._undrawn)
-            self._undrawn = 0
-        return self._bits.view(np.uint8).reshape(self.rows, self.n)
 
 
 class Session:
@@ -525,7 +499,8 @@ class Session:
     that party reads it, in read order and row-major over the rows, taking
     the source bit from one shared memo (drawn on the first read by anyone)
     and then the party's own channel: a bit error for a hard receiver, a
-    Gaussian noise sample for the soft one (see ``receive``).  For a pi1/pi2
+    Gaussian noise sample for the soft one (see ``receive``).  ``challenge``
+    reads the verifier's bits from the same memo.  For a pi1/pi2
     receiver at distance d that reads every position of one row, the eager
     reference is ``random_bits(rng, k)`` and then ``rng.random(k) < p`` with
     p the bit error rate at d.
@@ -563,7 +538,6 @@ class Session:
         self._offsets = np.arange(0, self.rows * self.n, self.n, dtype=np.int64)[:, None]
         self._views: dict[str, RetrievalAudit] = {}
         self._sampled: Optional[np.ndarray] = None
-        self._sampled_keys: Optional[np.ndarray] = None
         self._source = _SharedSource(rng, self.n, self.rows)
 
     @staticmethod
@@ -595,12 +569,16 @@ class Session:
                 self._sampled = sampled
         return self._sampled
 
-    @property
-    def source(self) -> np.ndarray:
-        """(rows, n): the whole source output of every row.  This draws every
-        position no one has read yet, in increasing key order: O(n) a row, so
-        it is refused above MAX_WHOLE_SOURCE_BITS."""
-        return self._source.whole()
+    @functools.cached_property
+    def _sampled_keys(self) -> np.ndarray:
+        """(rows, k): the block keys of the sampled positions."""
+        return self.keys(self.sampled)
+
+    def challenge(self) -> np.ndarray:
+        """(rows, k): each row's source bits at its sampled positions, the
+        bits the verifier checks a response against.  Read from the shared
+        memo, so the bits a party's read drew first are the ones returned."""
+        return self._source.at(self._sampled_keys.ravel()).reshape(self.rows, self.cfg.k)
 
     def keys(self, positions: np.ndarray) -> np.ndarray:
         """(rows, m) block keys row * n + position of ``positions``, given per
@@ -659,8 +637,6 @@ class Session:
         a boolean (rows, m) mask, only at the masked entries, flat in
         row-major order."""
         if positions is None:
-            if self._sampled_keys is None:
-                self._sampled_keys = self.keys(self.sampled)
             keys, checked = self._sampled_keys, True
         else:
             positions = np.asarray(positions, dtype=np.int64)
@@ -683,9 +659,7 @@ class Session:
         cfg, rows, k = self.cfg, self.rows, self.cfg.k
         # The verifier reads the k sampled positions of its own emission, and
         # ProtocolConfig holds k within the cap.
-        if self._sampled_keys is None:
-            self._sampled_keys = self.keys(self.sampled)
-        challenge = self._source.at(self._sampled_keys.ravel()).reshape(rows, k)
+        challenge = self.challenge()
         response = np.asarray(response, dtype=np.uint8).reshape(rows, k)
         mac_ok = None
         if self.authenticated:

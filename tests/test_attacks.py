@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.stats import binom, binomtest
+from scipy.stats import binom, binomtest, fisher_exact
 
 from dbvsim.attacks import (
     BlockMajorityStrategy,
@@ -19,13 +20,21 @@ from dbvsim.attacks import (
     attack_tfa_relay,
     attack_tfa_sampling,
     _blocks,
-    _digest,
+    _majority_digests,
+    _majority_one_prob,
     _majority_prior,
     _majority_prior_llr,
     _overlap,
 )
 from dbvsim.bounds import exact_binomial_tail_lower
-from dbvsim.channel import DEFAULT_CHANNEL, bit_error_prob, snr_at_distance, transmit_power_for_claim
+from dbvsim.channel import (
+    DEFAULT_CHANNEL,
+    attenuate,
+    bit_error_prob,
+    bpsk_demodulate,
+    snr_at_distance,
+    transmit_power_for_claim,
+)
 from dbvsim.bounds import DbvSpec
 from dbvsim.montecarlo import Scenario, estimate_rates, exact_success_probability
 from dbvsim.optimize import optimize_brm
@@ -33,8 +42,8 @@ from dbvsim.protocols import (
     ACC,
     BrmParams,
     ProtocolConfig,
-    ProtocolConfigError,
     RetrievalCapError,
+    Session,
     run_pi3,
 )
 
@@ -351,6 +360,16 @@ class TestMajorityPrior:
         assert zero == pytest.approx(math.log((1 - p1) / (1 - p0)), rel=1e-9)
 
 
+def _digest(strategy, source, starts, sizes):
+    """The intruder's per-block parity or majority bit of the source (of each
+    row of a (rows, n) source): the whole-source digest the attack's law is
+    checked against."""
+    if isinstance(strategy, ParitySketchStrategy):
+        return np.bitwise_xor.reduceat(source, starts, axis=-1)
+    ones = np.add.reduceat(source, starts, axis=-1, dtype=np.int64)
+    return (2 * ones >= sizes).astype(np.uint8)
+
+
 def _loop_digest_path(strategy, o, cap, sampled):
     """The first tfa-general digest path, one Python step per block and per
     sampled position: (digest, block of each sampled position, its block's
@@ -405,6 +424,104 @@ class TestDigestPathOracle:
         hits = _majority_prior_llr.cache_info().hits
         _majority_prior_llr(10**5)
         assert _majority_prior_llr.cache_info().hits == hits + 1
+
+
+def _whole_source_tfa_general(cfg, scenario, ch, rng):
+    """One run of the digest attack as first written, the whole-source
+    engine: the row's whole source is drawn in position order before the
+    prover reads, and the digest is ``_digest`` of it; the decoder is the
+    attack's."""
+    strategy, d_r = scenario.tfa_strategy, scenario.d_real
+    s = Session(cfg, scenario, ch, rng)
+    s.receive("prover", d_r, soft=isinstance(strategy, BlockMajorityStrategy))
+    starts, sizes = _blocks(s.n, s.cap)
+    digest = _digest(strategy, s._source.at(np.arange(s.n))[None], starts, sizes)
+    block = np.searchsorted(starts, s.sampled, side="right") - 1
+    if isinstance(strategy, ParitySketchStrategy):
+        response = s.read("prover").copy()
+        singleton = sizes[block] == 1
+        response[singleton] = np.take_along_axis(digest, block, axis=1)[singleton]
+    elif scenario.noiseless:
+        response = bpsk_demodulate(s.read("prover"))
+    else:
+        y_sampled = s.read("prover")
+        amp = attenuate(math.sqrt(s.power_w), d_r, ch)
+        total = (4.0 * amp * y_sampled / ch.sigma
+                 + np.take_along_axis(_majority_prior(digest, sizes), block, axis=1))
+        response = np.where(total > 0, 1, np.where(total < 0, 0, bpsk_demodulate(y_sampled)))
+    return s.decide(response.astype(np.uint8), s.sign(response, scenario.d_claim))
+
+
+def _loop_majority_digests(bits, block, sizes, rng):
+    """``_majority_digests`` one (row, block) at a time, with the majority
+    law summed term by term."""
+    out = np.empty(bits.shape, dtype=np.uint8)
+    for r in range(bits.shape[0]):
+        for b in dict.fromkeys(block[r].tolist()):  # distinct, in order
+            where = block[r] == b
+            m, j, s = int(sizes[b]), int(where.sum()), int(bits[r, where].sum())
+            need = math.ceil(m / 2) - s
+            p = sum(math.comb(m - j, t) for t in range(max(0, need), m - j + 1)) / 2 ** (m - j)
+            out[r, where] = rng.random() < p
+    return out
+
+
+class TestDigestLaw:
+    """The digests drawn from their law given the sampled bits, against brute
+    force and against the whole-source engine."""
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_probabilities_match_enumeration(self, m):
+        # Block of m positions, the first j sampled holding ``pattern``;
+        # every assignment of the other m - j bits is equally likely.
+        for j in range(m + 1):
+            rest = np.array(list(itertools.product((0, 1), repeat=m - j)), dtype=np.int64)
+            for pattern in itertools.product((0, 1), repeat=j):
+                s = sum(pattern)
+                ones = s + rest.sum(axis=1)
+                majority = Fraction(int(np.count_nonzero(2 * ones >= m)), rest.shape[0])
+                parity = Fraction(int(np.count_nonzero(ones % 2)), rest.shape[0])
+                got = _majority_one_prob(np.array([m]), np.array([j]), np.array([s]))
+                assert abs(Fraction(float(got[0])) - majority) <= 1e-12, (m, j, pattern)
+                # The parity decoder's premise: uniform unless every bit is sampled.
+                assert parity == (Fraction(s % 2) if j == m else Fraction(1, 2)), (m, j, pattern)
+
+    @pytest.mark.parametrize("n, cap, k, rows", [(20, 12, 12, 5), (40, 12, 12, 7),
+                                                 (10, 1, 1, 6), (1030, 103, 103, 3)])
+    def test_digests_match_loop_form(self, n, cap, k, rows):
+        rng = np.random.default_rng([n, cap, rows])
+        starts, sizes = _blocks(n, cap)
+        sampled = np.sort(np.stack([rng.choice(n, k, replace=False) for _ in range(rows)]),
+                          axis=1)
+        bits = rng.integers(0, 2, (rows, k), dtype=np.uint8)
+        block = np.searchsorted(starts, sampled, side="right") - 1
+        got = _majority_digests(bits, block, sizes, np.random.default_rng(5))
+        want = _loop_majority_digests(bits, block, sizes, np.random.default_rng(5))
+        np.testing.assert_array_equal(got, want)
+
+    TRIALS = 1500
+
+    @pytest.mark.parametrize("lam, strategy, noiseless", [
+        (0.6, ParitySketchStrategy(), False),
+        (0.6, ParitySketchStrategy(), True),
+        (0.6, BlockMajorityStrategy(), False),
+        (0.6, BlockMajorityStrategy(), True),
+        (0.3, BlockMajorityStrategy(), False),
+    ], ids=["parity-n20", "parity-n20-noiseless", "majority-n20", "majority-n20-noiseless",
+            "majority-n40"])
+    def test_accepts_match_whole_source_engine(self, lam, strategy, noiseless):
+        # k = 12 and n = 20 (blocks of one and two positions) or n = 40
+        # (blocks of three and four); the noisy points sit where the digest
+        # moves the accept rate off the plain channel's.
+        cfg = pi3_config(lam=lam, k=12, beta=0.2)
+        scenario = Scenario("tfa-general", 4e4, 1e5, tfa_strategy=strategy, noiseless=noiseless)
+        got = estimate_rates(scenario, cfg, None, CH, self.TRIALS, master_seed=77).accepts
+        want = round(self.TRIALS * rate(
+            lambda r: _whole_source_tfa_general(cfg, scenario, CH, r), self.TRIALS, seed0=78))
+        if not noiseless:
+            assert 0.1 * self.TRIALS < want < 0.9 * self.TRIALS
+        table = [[got, self.TRIALS - got], [want, self.TRIALS - want]]
+        assert fisher_exact(table).pvalue > 1e-4, table
 
 
 class TestTfaGeneral:
@@ -573,7 +690,9 @@ class TestOverlap:
 
 class TestPaperScale:
     """pi3 at n=2e9 (lambda=1e-7, k=200): a trial's memory grows with the
-    positions read, not with n."""
+    positions read, not with n.  The block-majority digest runs at n=1.03e6
+    instead, where its prior over blocks of 10^4 positions is quick to build
+    (blocks of 10^7 would spend minutes in ``math.comb``)."""
 
     N = 2 * 10**9
     LAM = 1e-7
@@ -584,7 +703,7 @@ class TestPaperScale:
                               brm=BrmParams(lam=self.LAM, n=self.N))
 
     @pytest.mark.parametrize("kind", ["honest", "dfa", "tfa-sampling-first",
-                                      "tfa-sampling-random"])
+                                      "tfa-sampling-random", "parity-sketch"])
     def test_trial_peak_memory(self, kind):
         import tracemalloc
 
@@ -596,6 +715,9 @@ class TestPaperScale:
                 t = run_pi3(cfg, Scenario("honest", 4e4, 4e4), CH, rng)
             elif kind == "dfa":
                 t = attack_dfa(cfg, Scenario("dfa", 4e4, 6e4), CH, rng)
+            elif kind == "parity-sketch":
+                t = attack_tfa_general(cfg, tfa("tfa-general", strategy=ParitySketchStrategy()),
+                                       CH, rng)
             else:
                 t = attack_tfa_sampling(cfg, tfa("tfa-sampling", strategy=kind.split("-")[-1]),
                                         CH, rng)
@@ -626,17 +748,18 @@ class TestPaperScale:
         assert exact > 0
         assert float(abs(Fraction(got) - exact) / exact) <= 1e-10, (got, float(exact))
 
-    @pytest.mark.parametrize("strategy", [ParitySketchStrategy(), BlockMajorityStrategy()],
-                             ids=["parity", "majority"])
-    def test_digests_refuse_whole_source(self, strategy):
+    def test_block_majority_peak_memory(self):
+        # n = 1.03e6, k = 103: the whole-source digest peaked at 9.3 MB here.
         import tracemalloc
 
+        cfg = ProtocolConfig("pi3", e0=2000.0, k=103, beta=0.1,
+                             brm=BrmParams(lam=1e-4, n=1_030_000))
+        scenario = tfa("tfa-general", strategy=BlockMajorityStrategy())
         tracemalloc.start()
         try:
-            with pytest.raises(ProtocolConfigError, match="MAX_WHOLE_SOURCE_BITS"):
-                attack_tfa_general(self.config(), tfa("tfa-general", strategy=strategy), CH,
-                                   np.random.default_rng(9))
+            t = attack_tfa_general(cfg, scenario, CH, np.random.default_rng(10))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < self.PEAK_BYTES
+        assert peak < 2**20, peak
+        assert t.source_bits == cfg.brm.n and t.accesses == {"verifier": 103, "prover": 103}

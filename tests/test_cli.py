@@ -302,14 +302,22 @@ class TestSimulateInputErrors:
         (*_PI3, "--scenario", "tfa-sampling", "--strategy", "parity-sketch"),
         ("--protocol", "pi1", "--d-claim-km", "40"),
         ("--protocol", "pi2", "--scenario", "impersonation", "--d-real", "70000"),
-        ("--protocol", "pi3", "--k", "3", "--n", "20000000", "--lambda", "1.5e-7",
-         "--scenario", "tfa-general", "--strategy", "block-majority"),
     ])
     def test_bad_input_is_usage_error(self, capsys, extra):
         code, out, err = run_cli(capsys, *_EXPLICIT, *extra)
         assert code == 1, err
         assert out == ""
         assert err.startswith("usage error: ")
+
+    def test_digest_past_ten_million_source_bits_runs(self, capsys):
+        # A digest draws only the sampled bits and their blocks' digests, so
+        # a source of 2e7 bits runs like any other.
+        code, out, err = run_cli(capsys, *_EXPLICIT, "--protocol", "pi3", "--k", "3",
+                                 "--n", "20000000", "--lambda", "1.5e-7",
+                                 "--scenario", "tfa-general", "--strategy", "parity-sketch")
+        assert code == 0, err
+        summary = json.loads(out)["summary"]
+        assert summary["scenario"] == "tfa-general" and summary["trials"] == 5
 
     @pytest.mark.parametrize("kind, code", [
         ("honest", 1), ("dfa", 1), ("tfa-sampling", 1), ("tfa-general", 1),

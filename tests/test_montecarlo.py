@@ -115,7 +115,7 @@ class TestEstimateRates:
     def test_jobs_clamped_to_trials_and_cores(self, inline_pool):
         # Workers take whole blocks: three blocks, the last one partial.
         s = Scenario("dfa", d_claim=4e4, d_real=7e4)
-        trials = 2 * montecarlo.block_rows(PI1, s) + 1
+        trials = 2 * montecarlo.block_rows(PI1) + 1
         serial = estimate_rates(s, PI1, SPEC, CH, trials, 12)
         opened = inline_pool(montecarlo, cpus=64)
         assert estimate_rates(s, PI1, SPEC, CH, trials, 12, jobs=10**6) == serial
@@ -303,28 +303,26 @@ class TestBlockEngine:
         # the golden transcripts' configs (tests/golden/make_transcripts.py)
         (ProtocolConfig("pi1", e0=2000.0, k=150, beta=0.1), ["honest", "tfa-relay"], 218),
         (pi3_config(0.3, 120), ["honest", "tfa-sampling", "tfa-relay"], 91),
-        (pi3_config(0.3, 120), ["parity-sketch", "block-majority"], 81),
+        (pi3_config(0.3, 120), ["parity-sketch", "block-majority"], 91),
         # the benchmark's configs (perfbench/workloads.py)
         (ProtocolConfig("pi2", e0=2000.0, k=3334, beta=0.1), ["honest", "mfa"], 9),
         (ProtocolConfig("pi3", e0=2000.0, k=160, beta=0.1, brm=BrmParams(lam=0.3, n=534)),
          ["honest", "tfa-sampling", "impersonation"], 67),
         (ProtocolConfig("pi3", e0=2000.0, k=160, beta=0.1, brm=BrmParams(lam=0.3, n=534)),
-         ["parity-sketch", "block-majority"], 61),
+         ["parity-sketch", "block-majority"], 67),
         (ProtocolConfig("pi3", e0=2000.0, k=103, beta=0.1,
                         brm=BrmParams(lam=1e-4, n=1_030_000)), ["honest", "tfa-relay"], 106),
         (ProtocolConfig("pi3", e0=2000.0, k=103, beta=0.1,
-                        brm=BrmParams(lam=1e-4, n=1_030_000)), ["block-majority"], 1),
+                        brm=BrmParams(lam=1e-4, n=1_030_000)), ["block-majority"], 106),
     ], ids=["golden-pi1", "golden-pi3", "golden-pi3-digest", "bench-pi2", "bench-dense",
             "bench-dense-digest", "bench-sparse", "bench-sparse-digest"])
     def test_block_rows_pinned(self, cfg, kinds, rows):
-        # The block rule is part of trial_stream 2: a retune must fail here
-        # and come with a new TRIAL_STREAM_VERSION.
-        digests = {"parity-sketch": ParitySketchStrategy(),
-                   "block-majority": BlockMajorityStrategy()}
-        for kind in kinds:
-            scenario = (Scenario("tfa-general", 5e4, 6e4, tfa_strategy=digests[kind])
-                        if kind in digests else Scenario(kind, 5e4, 6e4))
-            assert montecarlo.block_rows(cfg, scenario) == rows, kind
+        # The block rule is part of trial_stream 3: a retune must fail here
+        # and come with a new TRIAL_STREAM_VERSION.  Since trial_stream 3 the
+        # rows depend on the config alone, so the digest scenarios (the
+        # ``-digest`` cases) take the rows of the others at the same config;
+        # ``kinds`` names the scenarios each config runs with.
+        assert montecarlo.block_rows(cfg) == rows, kinds
 
     CASES = [(PI1, Scenario("honest", d_claim=5e4, d_real=6.2e4)),
              (pi3_config(), Scenario("tfa-sampling", 5e4, 6.5e4,
@@ -332,17 +330,17 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("cfg, scenario", CASES, ids=["pi1-honest", "pi3-tfa-sampling"])
     def test_summary_independent_of_jobs_and_dump(self, tmp_path, cfg, scenario):
-        rows = montecarlo.block_rows(cfg, scenario)
+        rows = montecarlo.block_rows(cfg)
         trials = 2 * rows + 37  # the last block is partial
         serial = estimate_rates(scenario, cfg, SPEC, CH, trials, 31)
-        assert serial.to_json_dict()["trial_stream"] == 2
+        assert serial.to_json_dict()["trial_stream"] == 3
         assert estimate_rates(scenario, cfg, SPEC, CH, trials, 31, jobs=2) == serial
         path = tmp_path / "dump.jsonl"
         assert estimate_rates(scenario, cfg, SPEC, CH, trials, 31, dump_path=str(path)) == serial
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert [d["seed"] for d in lines] == list(range(trials))
         assert sum(d["verdict"] == ACC for d in lines) == serial.accepts
-        assert {d["trial_stream"] for d in lines} == {2}
+        assert {d["trial_stream"] for d in lines} == {3}
 
     @pytest.mark.parametrize("cfg, scenario", [
         (ProtocolConfig("pi2", e0=2000.0, k=150, beta=0.08), Scenario("honest", 5e4, 6.2e4)),

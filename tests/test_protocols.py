@@ -266,7 +266,7 @@ class TestPi1:
         t = run_pi1(PI1, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(1))
         d = t.to_json_dict()
         assert d["schema_version"] == "3" and "sampler_stream" not in d
-        assert d["source_stream"] == SOURCE_STREAM_VERSION == 4
+        assert d["source_stream"] == SOURCE_STREAM_VERSION == 5
         cfg = pi3_config()
         for t in (
             run_pi3(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(2)),
@@ -277,7 +277,7 @@ class TestPi1:
             assert d["schema_version"] == "3"
             assert d["sampler_stream"] == SAMPLER_STREAM_VERSION == 3
             assert d["source_stream"] == SOURCE_STREAM_VERSION
-            assert d["trial_stream"] == TRIAL_STREAM_VERSION == 2
+            assert d["trial_stream"] == TRIAL_STREAM_VERSION == 3
 
     def test_power_follows_claim(self):
         rng = np.random.default_rng(2)
@@ -482,8 +482,9 @@ class TestSession:
         np.testing.assert_array_equal(
             s.sampler_keys, np.array([SamplerKey.generate(rng).words], dtype=np.uint64))
         assert s._sampled is None  # sampled on first use only
-        # Nothing read yet, so the whole source is drawn in position order.
-        np.testing.assert_array_equal(s.source, [random_bits(rng, cfg.brm.n)])
+        # Nothing read yet, so the challenge draws the sampled positions' bits,
+        # in position order, right after the keys.
+        np.testing.assert_array_equal(s.challenge(), [random_bits(rng, cfg.k)])
 
     def test_supplied_keys_are_not_drawn(self):
         cfg = pi3_config()
@@ -495,7 +496,7 @@ class TestSession:
         np.testing.assert_array_equal(
             s.sampler_keys, np.array([keys.sampler_key.words], dtype=np.uint64))
         np.testing.assert_array_equal(
-            s.source, [random_bits(np.random.default_rng(13), cfg.brm.n)]
+            s.challenge(), [random_bits(np.random.default_rng(13), cfg.k)]
         )
 
     @pytest.mark.parametrize("dense_limit", [protocols.DENSE_SOURCE_BITS, 0],
@@ -503,19 +504,27 @@ class TestSession:
     def test_source_bits_shared_and_drawn_in_read_order(self, monkeypatch, dense_limit):
         # A tfa-sampling-like session: the intruder's reads draw the source
         # first, so the prover and verifier see the bits the intruder saw,
-        # and the whole source keeps every bit drawn before it.
+        # and the prover's read then draws the sampled positions the
+        # intruder left, before its own bit errors.
         monkeypatch.setattr(protocols, "DENSE_SOURCE_BITS", dense_limit)
         cfg = pi3_config()
         s = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(16))
+        rng = np.random.default_rng(16)
+        MacKey.generate(rng, cfg.mac_bits)
+        SamplerKey.generate(rng)
         s.receive("intruder", None)
         s.receive("prover", 5e4)
         head = np.arange(cfg.brm.retrieval_cap)
         intruder = s.read("intruder", head)
+        np.testing.assert_array_equal(intruder, [random_bits(rng, head.size)])
         prover = s.read("prover")
-        whole = s.source
-        np.testing.assert_array_equal(intruder, whole[:, head])
-        np.testing.assert_array_equal(s.decide(prover, None).challenge,
-                                      whole[0, s.sampled[0]])
+        challenge = s.challenge()
+        held = s.sampled[0] < head.size
+        assert held.any() and not held.all()
+        np.testing.assert_array_equal(challenge[0, held], intruder[0, s.sampled[0, held]])
+        np.testing.assert_array_equal(challenge[0, ~held],
+                                      random_bits(rng, np.count_nonzero(~held)))
+        np.testing.assert_array_equal(s.decide(prover, None).challenge, challenge[0])
         assert s.sampled.shape == (1, cfg.k) and (np.diff(s.sampled) > 0).all()
 
     # On pi3 the cap must cover the source for one party to read all of it.
@@ -532,7 +541,7 @@ class TestSession:
         got = np.concatenate((halves.read("intruder", np.arange(half)),
                               halves.read("intruder", np.arange(half, halves.n))), axis=1)
         np.testing.assert_array_equal(got, whole.read("intruder", np.arange(whole.n)))
-        np.testing.assert_array_equal(halves.source, whole.source)
+        np.testing.assert_array_equal(halves.challenge(), whole.challenge())
 
     @pytest.mark.parametrize("index", range(len(golden.cases())))
     def test_sparse_memo_draws_as_dense(self, monkeypatch, index):
@@ -542,13 +551,6 @@ class TestSession:
         dense = golden.case_lines(index, name, scenario)
         monkeypatch.setattr(protocols, "DENSE_SOURCE_BITS", 0)
         assert golden.case_lines(index, name, scenario) == dense
-
-    def test_whole_source_refused_past_limit(self):
-        cfg = ProtocolConfig("pi3", e0=2000.0, k=3, beta=0.1,
-                             brm=BrmParams(lam=1.5e-7, n=protocols.MAX_WHOLE_SOURCE_BITS * 2))
-        s = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(17))
-        with pytest.raises(ProtocolConfigError, match="MAX_WHOLE_SOURCE_BITS"):
-            s.source
 
     def test_pi1_pi2_report_no_audit(self):
         # pi1/pi2 read through audits whose cap is the whole emission: a
@@ -639,7 +641,7 @@ class TestSession:
             cfg = golden.CONFIGS[name]
             if cfg.protocol == "pi1" or not cfg.use_mac:
                 continue
-            assert golden.TRIALS <= block_rows(cfg, scenario)
+            assert golden.TRIALS <= block_rows(cfg)
             master = 1000 + index
             block = run_block(scenario, cfg, CH, _block_rng(master, 0), 0, golden.TRIALS)
             if block is None:
