@@ -227,7 +227,7 @@ def _majority_one_prob(size: np.ndarray, sampled: np.ndarray,
     return special.bdtrc(np.minimum(need - 1, free), free, 0.5)
 
 
-def _majority_digests(bits: np.ndarray, block: np.ndarray, sizes: np.ndarray,
+def _block_majorities(bits: np.ndarray, block: np.ndarray, sizes: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
     """(rows, k): the majority digest of each sampled position's block, given
     the (rows, k) source ``bits`` at the sampled positions, sorted on each
@@ -238,7 +238,6 @@ def _majority_digests(bits: np.ndarray, block: np.ndarray, sizes: np.ndarray,
     k = block.shape[1]
     flat = block.ravel()
     first = np.empty(flat.size, dtype=bool)  # where a (row, block) group starts
-    first[0] = True
     np.not_equal(flat[1:], flat[:-1], out=first[1:])
     first[::k] = True
     starts = np.flatnonzero(first)
@@ -270,7 +269,7 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
     source only through the sampled bits and the digests of their blocks,
     so no other source bit is drawn: a parity digest is used only where its
     block is one sampled position, and a majority digest is drawn from its
-    law given the block's sampled bits (``_majority_digests``).
+    law given the block's sampled bits (``_block_majorities``).
     """
     if cfg.protocol != "pi3":
         raise ProtocolConfigError("terrorist-fraud retrieval attacks target pi3")
@@ -304,7 +303,7 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
             response = bpsk_demodulate(s.read("prover"))
         else:
             y_sampled = s.read("prover")
-            digest = _majority_digests(s.challenge(), block, sizes, rng)
+            digest = _block_majorities(s.challenge(), block, sizes, rng)
             own_bits = bpsk_demodulate(y_sampled)
             amp = attenuate(math.sqrt(s.power_w), d_r, ch)
             # Per-sample noise variance is sigma/2 (see channel.propagate).

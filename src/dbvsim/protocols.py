@@ -443,12 +443,12 @@ class _SharedSource:
     at the keys not drawn yet (None until the first read, and the draw itself
     when that read takes every key); above, sorted keys and bits (a
     RetrievalAudit), so memory grows with the positions read.  No party
-    reads more than the cap of a row, so no policy draws a row's whole
-    source unless the cap covers it.  An error-free receiver reads these bits as they are, a hard receiver
-    with its own bit errors XORed on, and a soft receiver modulated and
-    propagated (``Session.receive``).  It refers to no session or view, so
-    the receivers' fills that share it form no reference cycle and a
-    finished session is freed at once.
+    reads more than the cap of a row, so a row's whole source is drawn only
+    where the cap covers it.  An error-free receiver reads these bits as
+    they are, a hard receiver with its own bit errors XORed on, and a soft
+    receiver modulated and propagated (``Session.receive``).  It refers to
+    no session or view, so the receivers' fills that share it form no
+    reference cycle and a finished session is freed at once.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, rows: int):
@@ -500,10 +500,10 @@ class Session:
     the source bit from one shared memo (drawn on the first read by anyone)
     and then the party's own channel: a bit error for a hard receiver, a
     Gaussian noise sample for the soft one (see ``receive``).  ``challenge``
-    reads the verifier's bits from the same memo.  For a pi1/pi2
-    receiver at distance d that reads every position of one row, the eager
-    reference is ``random_bits(rng, k)`` and then ``rng.random(k) < p`` with
-    p the bit error rate at d.
+    reads the verifier's bits from the same memo.  For a pi1/pi2 receiver
+    at distance d that reads every position of one row, the eager reference
+    is ``random_bits(rng, k)`` and then ``rng.random(k) < p`` with p the bit
+    error rate at d.
     """
 
     def __init__(self, cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,

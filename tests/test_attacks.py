@@ -20,7 +20,7 @@ from dbvsim.attacks import (
     attack_tfa_relay,
     attack_tfa_sampling,
     _blocks,
-    _majority_digests,
+    _block_majorities,
     _majority_one_prob,
     _majority_prior,
     _majority_prior_llr,
@@ -452,8 +452,8 @@ def _whole_source_tfa_general(cfg, scenario, ch, rng):
     return s.decide(response.astype(np.uint8), s.sign(response, scenario.d_claim))
 
 
-def _loop_majority_digests(bits, block, sizes, rng):
-    """``_majority_digests`` one (row, block) at a time, with the majority
+def _loop_block_majorities(bits, block, sizes, rng):
+    """``_block_majorities`` one (row, block) at a time, with the majority
     law summed term by term."""
     out = np.empty(bits.shape, dtype=np.uint8)
     for r in range(bits.shape[0]):
@@ -495,8 +495,8 @@ class TestDigestLaw:
                           axis=1)
         bits = rng.integers(0, 2, (rows, k), dtype=np.uint8)
         block = np.searchsorted(starts, sampled, side="right") - 1
-        got = _majority_digests(bits, block, sizes, np.random.default_rng(5))
-        want = _loop_majority_digests(bits, block, sizes, np.random.default_rng(5))
+        got = _block_majorities(bits, block, sizes, np.random.default_rng(5))
+        want = _loop_block_majorities(bits, block, sizes, np.random.default_rng(5))
         np.testing.assert_array_equal(got, want)
 
     TRIALS = 1500
