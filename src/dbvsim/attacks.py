@@ -186,11 +186,12 @@ def _blocks(n: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
     return bounds[:-1][nonempty], np.diff(bounds)[nonempty]
 
 
-def _majority_prior(digest: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Each block's prior llr for its bits, given its majority digest."""
+def _majority_prior(digest: np.ndarray, sizes: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Each sampled bit's prior llr, given the majority ``digest`` of its
+    ``block`` (an index into the blocks' ``sizes``)."""
     distinct, which = np.unique(sizes, return_inverse=True)
     table = np.array([_majority_prior_llr(int(m)) for m in distinct])
-    return np.where(digest == 1, table[which, 0], table[which, 1])
+    return table[which[block], 1 - digest]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -243,7 +244,14 @@ def _block_majorities(bits: np.ndarray, block: np.ndarray, sizes: np.ndarray,
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=flat.size)
     ones = np.add.reduceat(bits.ravel(), starts, dtype=np.int64)
-    digest = rng.random(starts.size) < _majority_one_prob(sizes[flat[starts]], counts, ones)
+    # The law at every (size, count, ones) below the largest count: a
+    # partition's sizes take a few values, and few sampled positions share a
+    # block.  (Counts above a size give NaN entries that nothing reads.)
+    distinct, size_at = np.unique(sizes, return_inverse=True)
+    upto = np.arange(int(counts.max()) + 1)
+    table = _majority_one_prob(*np.ix_(distinct, upto, upto))
+    prob = table[size_at[flat[starts]], counts, ones]
+    digest = rng.random(starts.size) < prob
     return np.repeat(digest.astype(np.uint8), counts).reshape(block.shape)
 
 
@@ -308,7 +316,7 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
             amp = attenuate(math.sqrt(s.power_w), d_r, ch)
             # Per-sample noise variance is sigma/2 (see channel.propagate).
             llr_chan = 4.0 * amp * y_sampled / ch.sigma
-            total = llr_chan + _majority_prior(digest, sizes[block])
+            total = llr_chan + _majority_prior(digest, sizes, block)
             response = np.where(total > 0, 1, np.where(total < 0, 0, own_bits)).astype(
                 np.uint8
             )

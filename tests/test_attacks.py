@@ -417,7 +417,7 @@ class TestDigestPathOracle:
         np.testing.assert_array_equal(block, want_block)
         np.testing.assert_array_equal(sizes[block], want_size)
         # bit-identical floats: the prior is a selection, not arithmetic
-        assert _majority_prior(digest, sizes)[block].tobytes() == want_prior.tobytes()
+        assert _majority_prior(digest[block], sizes, block).tobytes() == want_prior.tobytes()
 
     def test_prior_cached_by_block_size(self):
         _majority_prior_llr(10**5)
@@ -446,8 +446,8 @@ def _whole_source_tfa_general(cfg, scenario, ch, rng):
     else:
         y_sampled = s.read("prover")
         amp = attenuate(math.sqrt(s.power_w), d_r, ch)
-        total = (4.0 * amp * y_sampled / ch.sigma
-                 + np.take_along_axis(_majority_prior(digest, sizes), block, axis=1))
+        prior = _majority_prior(np.take_along_axis(digest, block, axis=1), sizes, block)
+        total = 4.0 * amp * y_sampled / ch.sigma + prior
         response = np.where(total > 0, 1, np.where(total < 0, 0, bpsk_demodulate(y_sampled)))
     return s.decide(response.astype(np.uint8), s.sign(response, scenario.d_claim))
 
