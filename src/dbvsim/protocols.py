@@ -472,7 +472,8 @@ class _SharedSource:
                 self._bits = np.full(self.size, -1, dtype=np.int8)
                 self._bits[keys] = bits
             return bits
-        bits = self._bits[keys]
+        # Every key, in order, is the memo itself: no gather (pi1/pi2's check).
+        bits = self._bits if keys.size == self.size else self._bits[keys]
         fresh = bits < 0
         count = np.count_nonzero(fresh)
         if count:
