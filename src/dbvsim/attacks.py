@@ -296,8 +296,6 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
         response[hit] = known[at.reshape(sampled.shape)[hit]]
         response[~hit] = s.read("prover", where=~hit)
     else:
-        # A response depends on the source only through the sampled bits and
-        # the digests of the blocks that hold them, so no other bit is drawn.
         starts, sizes = _blocks(s.n, s.cap)
         block = np.searchsorted(starts, sampled, side="right") - 1
         if isinstance(strategy, ParitySketchStrategy):
