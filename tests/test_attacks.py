@@ -359,6 +359,36 @@ class TestMajorityPrior:
         assert one == pytest.approx(math.log(p1 / p0), rel=1e-9)
         assert zero == pytest.approx(math.log((1 - p1) / (1 - p0)), rel=1e-9)
 
+    def test_matches_exact_integer_tails(self):
+        # Every size up to 20,001 and one of 100,001 against the exact integer
+        # form, its central coefficients C(N, floor(N/2)) built one N at a time.
+        centre = 1  # C(0, 0)
+        for others in range(20_001):
+            self._check_exact(others + 1, centre)
+            # C(2h + 1, h) = C(2h, h) (2h + 1)/(h + 1); C(2h + 2, h + 1) = 2 C(2h + 1, h)
+            h = others // 2
+            centre = centre * (others + 1) // (h + 1) if others % 2 == 0 else 2 * centre
+        self._check_exact(100_001, math.comb(100_000, 50_000))
+
+    @staticmethod
+    def _check_exact(size, centre):
+        whole = 1 << (size - 1)
+        twice1, twice0 = ((whole + centre, whole - centre) if size % 2
+                          else (whole + 2 * centre, whole))
+        p1, p0 = twice1 / (2 * whole), twice0 / (2 * whole)
+
+        def log(p):
+            return math.log(max(p, 1e-300))
+
+        want = (log(p1) - log(p0), log(1 - p1) - log(1 - p0))
+        assert _majority_prior_llr(size) == pytest.approx(want, rel=1e-9), size
+
+    def test_ten_million_positions_in_ten_ms(self):
+        start = time.perf_counter()
+        one, zero = _majority_prior_llr.__wrapped__(10**7 + 1)
+        assert time.perf_counter() - start < 0.01
+        assert one > 0 > zero
+
 
 def _digest(strategy, source, starts, sizes):
     """The intruder's per-block parity or majority bit of the source (of each
