@@ -29,6 +29,7 @@ __all__ = [
     "snr_at_distance",
     "transmit_power_for_claim",
     "random_bits",
+    "bit_errors",
     "bits_to_hex",
     "bpsk_modulate",
     "bpsk_demodulate",
@@ -156,11 +157,54 @@ def transmit_power_for_claim(d_c: float, e0: float, ch: ChannelParams) -> float:
     return e
 
 
+#: Raw generator words are read little-endian on any host, and a bit error
+#: from a 16-bit lane of one: four lanes a word, low lane first.  16 bits
+#: measured fastest at 3334 positions and within 10% of 8 bits at 30,006,
+#: where 8 bits tie (and draw a double) 256 times as often.
+_WORD = np.dtype("<u8")
+_LANE = np.dtype("<u2")
+_LANE_VALUES = 65536.0
+_LANES_PER_WORD = 4
+
+
 def random_bits(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k uniform bits as a uint8 array, one uniform double each: a double is
-    below 1/2 with probability exactly 1/2, and k doubles are the same k bits
-    however a caller splits them between calls."""
-    return (rng.random(int(k)) < 0.5).view(np.uint8)
+    """k uniform bits as a uint8 array: the k low-first bits of ceil(k/64)
+    raw 64-bit words of ``rng``'s bit generator (``random_raw``), each word
+    read little-endian.  The rest of the last word is dropped, so a caller
+    that splits a draw between calls and wants the bits of one call draws
+    whole words and keeps the rest (``protocols._SharedSource``)."""
+    k = int(k)
+    words = rng.bit_generator.random_raw(-(-k // 64)).astype(_WORD, copy=False)
+    return np.unpackbits(words.view(np.uint8), count=k, bitorder="little")
+
+
+def bit_errors(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
+    """m independent bit errors of probability p as a uint8 array (1: error).
+
+    Error i reads lane i of ceil(m/4) raw 64-bit words of ``rng``'s bit
+    generator, each word cut into four 16-bit lanes, low lane first.  With
+    c = floor(2**16 p), a lane below c is an error and one above c is not; a
+    lane equal to c is settled by one ``rng.random`` double, drawn after the
+    words for the tied lanes in order, against the exact fraction
+    2**16 p - c.  An error then has probability within 2**-69 of p (above
+    it), where comparing one double with p is within 2**-53: the tie settles
+    the lane's next bits only when needed, as in Knuth and Yao's generation
+    of a Bernoulli variable from random bits (1976).
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"error probability must be in [0, 1], got {p}")
+    m = int(m)
+    scaled = p * _LANE_VALUES  # exact: a power-of-two scaling
+    cut = int(scaled)
+    words = rng.bit_generator.random_raw(-(-m // _LANES_PER_WORD)).astype(_WORD, copy=False)
+    lanes = words.view(_LANE)[:m]
+    errors = lanes < cut
+    if scaled != cut:
+        tied = lanes == cut
+        count = np.count_nonzero(tied)
+        if count:
+            errors[tied] = rng.random(count) < scaled - cut
+    return errors.view(np.uint8)
 
 
 def bits_to_hex(bits: np.ndarray) -> str:

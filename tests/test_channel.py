@@ -1,11 +1,13 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import binomtest
 
 from dbvsim.channel import (
     DEFAULT_CHANNEL,
@@ -14,6 +16,7 @@ from dbvsim.channel import (
     ClaimRangeError,
     PowerLimitError,
     bit_error_prob,
+    bit_errors,
     bits_to_hex,
     bpsk_demodulate,
     bpsk_modulate,
@@ -356,3 +359,98 @@ class TestMonteCarloBer:
             got = bpsk_demodulate(propagate(sig, d, ch, rng))
             errors = int(np.count_nonzero(got != bits))
             assert abs(errors - n * p) < 3 * math.sqrt(n * p * (1 - p))
+
+
+def _reference_bits(words, k):
+    """Bit i is bit i % 64 of word i // 64, counted from the low end."""
+    return [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(k)]
+
+
+def _reference_errors(words, doubles, m, p):
+    """Error i from lane i % 4 of word i // 4 (16 bits, low lane first) against
+    c = floor(2**16 p): below c an error, above c none, equal to c the next
+    double against the exact fraction 2**16 p - c."""
+    scaled = Fraction(p) * 2**16
+    cut = math.floor(scaled)
+    doubles = iter(doubles)
+    out = []
+    for i in range(m):
+        lane = (int(words[i // 4]) >> (16 * (i % 4))) & 0xFFFF
+        out.append(int(lane < cut or (lane == cut and Fraction(next(doubles)) < scaled - cut)))
+    return out
+
+
+class TestRawWordDraws:
+    """``random_bits`` and ``bit_errors`` read raw 64-bit words of the
+    generator; a pure-Python reading of the same words is the reference."""
+
+    CASES = [(seed, int(m)) for seed, m in enumerate(
+        np.random.default_rng(2026).integers(0, 700, 40).tolist() + [0, 1, 3, 4, 63, 64, 65])]
+
+    @pytest.mark.parametrize("seed, k", CASES)
+    def test_bits_are_low_first_bits_of_raw_words(self, seed, k):
+        replay = np.random.default_rng(seed)
+        words = replay.bit_generator.random_raw(-(-k // 64))
+        rng = np.random.default_rng(seed)
+        got = random_bits(rng, k)
+        assert got.dtype == np.uint8 and got.shape == (k,)
+        assert got.tolist() == _reference_bits(words, k)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("seed, m", [case for case in CASES if case[1]])
+    def test_errors_are_lanes_of_raw_words(self, seed, m):
+        # p ties lane m // 2 and falls between lanes elsewhere: the tie rule
+        # and the lane order both show.
+        replay = np.random.default_rng(seed)
+        words = replay.bit_generator.random_raw(-(-m // 4))
+        lanes = [(int(words[i // 4]) >> (16 * (i % 4))) & 0xFFFF for i in range(m)]
+        tie = lanes[m // 2]
+        frac = np.random.default_rng(seed + 1000).random()
+        p = (tie + frac) / 2**16
+        doubles = replay.random(lanes.count(tie))
+        rng = np.random.default_rng(seed)
+        got = bit_errors(rng, m, p)
+        assert got.dtype == np.uint8 and got.shape == (m,)
+        assert got.tolist() == _reference_errors(words, doubles, m, p)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_tie_draws_one_double(self):
+        replay = np.random.default_rng(7)
+        lane = int(replay.bit_generator.random_raw(1)[0]) & 0xFFFF
+        after_words = replay.bit_generator.state
+        u = replay.random()
+        for frac in (0.25, 0.75):
+            rng = np.random.default_rng(7)
+            got = bit_errors(rng, 1, (lane + frac) / 2**16)
+            assert rng.bit_generator.state == replay.bit_generator.state != after_words
+            assert got.tolist() == [int(u < frac)]
+
+    @pytest.mark.parametrize("p", [3 / 2**16, 0.25, 0.5, 0.0, 1.0])
+    def test_whole_lane_probability_draws_no_double(self, p):
+        replay = np.random.default_rng(8)
+        words = replay.bit_generator.random_raw(2500)
+        rng = np.random.default_rng(8)
+        got = bit_errors(rng, 10_000, p)
+        assert rng.bit_generator.state == replay.bit_generator.state
+        assert got.tolist() == _reference_errors(words, [], 10_000, p)
+
+    @pytest.mark.parametrize("p, seed", [(2.0**-20, 1), (3 / 2**16, 2), (0.0371, 3),
+                                         (0.25, 4), (0.5, 5)])
+    def test_error_count_is_binomial(self, p, seed):
+        # 2**24 draws in chunks; at 2**-20 every error comes from a tie.
+        rng = np.random.default_rng(seed)
+        trials, chunk = 2**24, 2**20
+        errors = sum(int(np.count_nonzero(bit_errors(rng, chunk, p)))
+                     for _ in range(trials // chunk))
+        assert binomtest(errors, trials, p).pvalue > 1e-4, errors
+
+    def test_bits_are_fair(self):
+        rng = np.random.default_rng(6)
+        trials = 2**24
+        ones = int(np.count_nonzero(random_bits(rng, trials)))
+        assert binomtest(ones, trials, 0.5).pvalue > 1e-4
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_probability_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError):
+            bit_errors(np.random.default_rng(0), 3, p)

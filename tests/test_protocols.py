@@ -17,6 +17,7 @@ from dbvsim.channel import (
     ClaimRangeError,
     attenuate,
     bit_error_prob,
+    bit_errors,
     bpsk_demodulate,
     bpsk_modulate,
     random_bits,
@@ -266,7 +267,7 @@ class TestPi1:
         t = run_pi1(PI1, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(1))
         d = t.to_json_dict()
         assert d["schema_version"] == "3" and "sampler_stream" not in d
-        assert d["source_stream"] == SOURCE_STREAM_VERSION == 5
+        assert d["source_stream"] == SOURCE_STREAM_VERSION == 6
         cfg = pi3_config()
         for t in (
             run_pi3(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(2)),
@@ -515,15 +516,16 @@ class TestSession:
         s.receive("intruder", None)
         s.receive("prover", 5e4)
         head = np.arange(cfg.brm.retrieval_cap)
-        intruder = s.read("intruder", head)
-        np.testing.assert_array_equal(intruder, [random_bits(rng, head.size)])
-        prover = s.read("prover")
-        challenge = s.challenge()
         held = s.sampled[0] < head.size
         assert held.any() and not held.all()
+        # The two reads draw the bits one read of both would.
+        drawn = random_bits(rng, head.size + np.count_nonzero(~held))
+        intruder = s.read("intruder", head)
+        np.testing.assert_array_equal(intruder, [drawn[:head.size]])
+        prover = s.read("prover")
+        challenge = s.challenge()
         np.testing.assert_array_equal(challenge[0, held], intruder[0, s.sampled[0, held]])
-        np.testing.assert_array_equal(challenge[0, ~held],
-                                      random_bits(rng, np.count_nonzero(~held)))
+        np.testing.assert_array_equal(challenge[0, ~held], drawn[head.size:])
         np.testing.assert_array_equal(s.decide(prover, None).challenge, challenge[0])
         assert s.sampled.shape == (1, cfg.k) and (np.diff(s.sampled) > 0).all()
 
@@ -583,7 +585,7 @@ class TestSession:
             challenge = random_bits(rng, cfg.k)
             p = bit_error_prob(snr_at_distance(t.power_w, at, CH))
             np.testing.assert_array_equal(t.challenge, challenge)
-            np.testing.assert_array_equal(t.response, challenge ^ (rng.random(cfg.k) < p))
+            np.testing.assert_array_equal(t.response, challenge ^ bit_errors(rng, cfg.k, p))
 
     @pytest.mark.parametrize("cfg, dense_limit", [
         (PI1, protocols.DENSE_SOURCE_BITS),
