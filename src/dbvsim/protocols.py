@@ -481,7 +481,6 @@ class _SharedSource:
     """
 
     def __init__(self, rng: np.random.Generator, n: int, rows: int):
-        self.n, self.rows = n, rows
         self.size = n * rows
         self._draw = draw = _source_bits(rng)
         self._bits: Optional[np.ndarray] = None
