@@ -13,9 +13,9 @@ and every figure is the best batch over all rounds, in microseconds:
 * ``read``: per ``Session.read`` of all k positions by a hard receiver at the
   claim (pi1 at the challenge-response design's power and threshold), one
   row at k=103 and k=3334 and a 9-row block at k=3334 (the rows a
-  challenge-response block holds); the sessions are built and the receiver
-  placed before the clock starts, so a read is the source-bit draw, the
-  bit-error draw and the audit;
+  challenge-response block holds); each session is built and its receiver
+  placed before its read's clock starts, so a read is the sampled keys, the
+  source-bit draw, the bit-error draw and the audit;
 * ``trial``: per trial of ``estimate_rates`` on an honest run: pi1 and pi2 at
   the challenge-response design (k=3334), and pi3 at the brm-sparse design
   (k=103, n=1.03e6) with one trial a call, as brm-sparse runs it.
@@ -71,22 +71,29 @@ def _child() -> dict:
                                        gamma=sparse_spec.eps_fa / 100.0))
 
     def reads(cfg, rows):
-        def prepare(batch):
+        # Each session is built untimed just before its read and dropped after
+        # it, as a trial's is, so the read reuses freed memory.
+        def timed(batch):
             rng = np.random.default_rng(batch)
-            ss = [Session(cfg, honest, DEFAULT_CHANNEL, rng, rows=rows)
-                  for _ in range(READ_BATCH)]
-            for s in ss:
+            total = 0.0
+            for _ in range(READ_BATCH):
+                s = Session(cfg, honest, DEFAULT_CHANNEL, rng, rows=rows)
                 s.receive("prover", d)
-            return lambda: [s.read("prover") for s in ss]
-        return prepare
+                start = time.perf_counter()
+                s.read("prover")
+                total += time.perf_counter() - start
+            return total
+        return timed
 
     def trials(cfg, per_call, calls):
-        def prepare(batch):
-            return lambda: [estimate_rates(honest, cfg, None, DEFAULT_CHANNEL, per_call,
-                                           batch * calls + i) for i in range(calls)]
-        return prepare
+        def timed(batch):
+            start = time.perf_counter()
+            for i in range(calls):
+                estimate_rates(honest, cfg, None, DEFAULT_CHANNEL, per_call, batch * calls + i)
+            return time.perf_counter() - start
+        return timed
 
-    # name -> (count per batch, prepare(batch) -> the batch's callable, built untimed)
+    # name -> (count per batch, timed(batch) -> the batch's seconds)
     batches: dict = {}
     for rows, k in READS:
         cfg = ProtocolConfig("pi1", e0=pi1.e0, k=k, beta=pi1.beta)
@@ -98,11 +105,8 @@ def _child() -> dict:
                                                              trials(pi3, 1, SPARSE_CALLS))
     best = {name: math.inf for name in batches}
     for batch in range(BATCHES):
-        for name, (count, prepare) in batches.items():
-            call = prepare(batch)
-            start = time.perf_counter()
-            call()
-            best[name] = min(best[name], (time.perf_counter() - start) / count * 1e6)
+        for name, (count, timed) in batches.items():
+            best[name] = min(best[name], timed(batch) / count * 1e6)
     return best
 
 
