@@ -720,9 +720,9 @@ class TestOverlap:
 
 class TestPaperScale:
     """pi3 at n=2e9 (lambda=1e-7, k=200): a trial's memory grows with the
-    positions read, not with n.  The block-majority digest runs at n=1.03e6
-    instead, where its prior over blocks of 10^4 positions is quick to build
-    (blocks of 10^7 would spend minutes in ``math.comb``)."""
+    positions read, not with n.  The block-majority digest's peak is checked
+    at n=1.03e6, and its run time at n=2e9, where blocks hold 10^7
+    positions."""
 
     N = 2 * 10**9
     LAM = 1e-7
@@ -757,6 +757,15 @@ class TestPaperScale:
         assert peak < self.PEAK_BYTES, peak
         assert t.source_bits == self.N and t.accesses["verifier"] == cfg.k == 200
         assert max(t.accesses.values()) <= cfg.brm.retrieval_cap
+
+    def test_block_majority_prior_at_ten_million_positions(self):
+        # The prior over blocks of 10^7 positions once took minutes in math.comb.
+        cfg = self.config()
+        start = time.perf_counter()
+        t = attack_tfa_general(cfg, tfa("tfa-general", strategy=BlockMajorityStrategy()), CH,
+                               np.random.default_rng(9))
+        assert time.perf_counter() - start < 1.0
+        assert t.source_bits == self.N and t.accesses["verifier"] == cfg.k == 200
 
     def test_relay_raises_before_drawing(self):
         rng = np.random.default_rng(8)
