@@ -157,7 +157,7 @@ def run_block(
 #: Most rows in a block, and most source positions a block may read over all
 #: its rows (the positions one row may read times the rows).
 BLOCK_ROWS = 256
-BLOCK_POSITIONS = 1 << 15
+BLOCK_POSITIONS = 1 << 18
 
 
 def block_rows(cfg: ProtocolConfig) -> int:

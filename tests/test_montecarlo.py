@@ -301,23 +301,23 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("cfg, kinds, rows", [
         # the golden transcripts' configs (tests/golden/make_transcripts.py)
-        (ProtocolConfig("pi1", e0=2000.0, k=150, beta=0.1), ["honest", "tfa-relay"], 218),
-        (pi3_config(0.3, 120), ["honest", "tfa-sampling", "tfa-relay"], 91),
-        (pi3_config(0.3, 120), ["parity-sketch", "block-majority"], 91),
+        (ProtocolConfig("pi1", e0=2000.0, k=150, beta=0.1), ["honest", "tfa-relay"], 256),
+        (pi3_config(0.3, 120), ["honest", "tfa-sampling", "tfa-relay"], 256),
+        (pi3_config(0.3, 120), ["parity-sketch", "block-majority"], 256),
         # the benchmark's configs (perfbench/workloads.py)
-        (ProtocolConfig("pi2", e0=2000.0, k=3334, beta=0.1), ["honest", "mfa"], 9),
+        (ProtocolConfig("pi2", e0=2000.0, k=3334, beta=0.1), ["honest", "mfa"], 78),
         (ProtocolConfig("pi3", e0=2000.0, k=160, beta=0.1, brm=BrmParams(lam=0.3, n=534)),
-         ["honest", "tfa-sampling", "impersonation"], 67),
+         ["honest", "tfa-sampling", "impersonation"], 256),
         (ProtocolConfig("pi3", e0=2000.0, k=160, beta=0.1, brm=BrmParams(lam=0.3, n=534)),
-         ["parity-sketch", "block-majority"], 67),
+         ["parity-sketch", "block-majority"], 256),
         (ProtocolConfig("pi3", e0=2000.0, k=103, beta=0.1,
-                        brm=BrmParams(lam=1e-4, n=1_030_000)), ["honest", "tfa-relay"], 106),
+                        brm=BrmParams(lam=1e-4, n=1_030_000)), ["honest", "tfa-relay"], 256),
         (ProtocolConfig("pi3", e0=2000.0, k=103, beta=0.1,
-                        brm=BrmParams(lam=1e-4, n=1_030_000)), ["block-majority"], 106),
+                        brm=BrmParams(lam=1e-4, n=1_030_000)), ["block-majority"], 256),
     ], ids=["golden-pi1", "golden-pi3", "golden-pi3-digest", "bench-pi2", "bench-dense",
             "bench-dense-digest", "bench-sparse", "bench-sparse-digest"])
     def test_block_rows_pinned(self, cfg, kinds, rows):
-        # The block rule is part of trial_stream 3: a retune must fail here
+        # The block rule is part of trial_stream 4: a retune must fail here
         # and come with a new TRIAL_STREAM_VERSION.  Since trial_stream 3 the
         # rows depend on the config alone, so the digest scenarios (the
         # ``-digest`` cases) take the rows of the others at the same config;
@@ -333,14 +333,14 @@ class TestBlockEngine:
         rows = montecarlo.block_rows(cfg)
         trials = 2 * rows + 37  # the last block is partial
         serial = estimate_rates(scenario, cfg, SPEC, CH, trials, 31)
-        assert serial.to_json_dict()["trial_stream"] == 3
+        assert serial.to_json_dict()["trial_stream"] == 4
         assert estimate_rates(scenario, cfg, SPEC, CH, trials, 31, jobs=2) == serial
         path = tmp_path / "dump.jsonl"
         assert estimate_rates(scenario, cfg, SPEC, CH, trials, 31, dump_path=str(path)) == serial
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert [d["seed"] for d in lines] == list(range(trials))
         assert sum(d["verdict"] == ACC for d in lines) == serial.accepts
-        assert {d["trial_stream"] for d in lines} == {3}
+        assert {d["trial_stream"] for d in lines} == {4}
 
     @pytest.mark.parametrize("cfg, scenario", [
         (ProtocolConfig("pi2", e0=2000.0, k=150, beta=0.08), Scenario("honest", 5e4, 6.2e4)),

@@ -278,7 +278,7 @@ class TestPi1:
             assert d["schema_version"] == "3"
             assert d["sampler_stream"] == SAMPLER_STREAM_VERSION == 3
             assert d["source_stream"] == SOURCE_STREAM_VERSION
-            assert d["trial_stream"] == TRIAL_STREAM_VERSION == 3
+            assert d["trial_stream"] == TRIAL_STREAM_VERSION == 4
 
     def test_power_follows_claim(self):
         rng = np.random.default_rng(2)
