@@ -634,6 +634,20 @@ class TestSession:
             t = s.decide(response ^ 1, tag)
         assert t.mac_ok is False
 
+    @pytest.mark.parametrize("k", [1, 7, 9, 3334])
+    def test_hamming_matches_bool_reduce(self, k):
+        # decide counts packed bytes; a k that is not a multiple of 8 pads
+        # each row's last byte.
+        rng = np.random.default_rng(k)
+        cfg = ProtocolConfig("pi1", e0=2000.0, k=k, beta=0.1)
+        for rows in (1, 5, 78):
+            s = Session(cfg, Scenario("honest", 5e4, 5e4), CH, rng, 0, rows=rows)
+            response = rng.integers(0, 2, (rows, k), dtype=np.uint8)
+            block = s.decide(response, None)
+            want = np.add.reduce(s.challenge() != response, axis=1)
+            assert block.hamming.dtype == np.int64
+            np.testing.assert_array_equal(block.hamming, want)
+
     def test_mac_ok_matches_mac_verify(self):
         # Every authenticated case of the golden transcripts: each case is one
         # block, whose MAC keys are its first draw, so a fresh generator on
