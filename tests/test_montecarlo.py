@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.stats import binomtest
 
-from dbvsim import montecarlo
+from dbvsim import montecarlo, protocols
 from dbvsim._pool import worker_count
 from dbvsim.attacks import (
     BlockMajorityStrategy,
@@ -35,7 +35,7 @@ from dbvsim.montecarlo import (
     run_block,
 )
 from dbvsim.primitives import MacKeys, encode_response_claim, mac_verify
-from dbvsim.protocols import ACC, REJ, BrmParams, ProtocolConfig, verify_response
+from dbvsim.protocols import ACC, REJ, BrmParams, ProtocolConfig, Session, verify_response
 
 CH = DEFAULT_CHANNEL
 SPEC = DbvSpec(psi=1.5, eps_fa=0.05, eps_fr=0.05)
@@ -323,6 +323,55 @@ class TestBlockEngine:
         # ``-digest`` cases) take the rows of the others at the same config;
         # ``kinds`` names the scenarios each config runs with.
         assert montecarlo.block_rows(cfg) == rows, kinds
+
+    @given(st.one_of(
+        st.builds(lambda p, k: ProtocolConfig(p, e0=2000.0, k=k, beta=0.1),
+                  st.sampled_from(["pi1", "pi2"]), st.integers(1, 10**7)),
+        st.builds(lambda lam, n: ProtocolConfig(
+            "pi3", e0=2000.0, k=BrmParams(lam, n).retrieval_cap, beta=0.1,
+            brm=BrmParams(lam, n)),
+            st.floats(1e-9, 0.999), st.integers(1, protocols.MAX_SOURCE_BITS)),
+    ))
+    @settings(max_examples=300, deadline=None)
+    @example(ProtocolConfig("pi2", e0=2000.0, k=3334, beta=0.1))
+    @example(ProtocolConfig("pi1", e0=2000.0, k=montecarlo.BLOCK_POSITIONS + 1, beta=0.1))
+    @example(pi3_config(0.001, 66))
+    def test_block_within_budget(self, cfg):
+        # Every valid config's blocks stay within BLOCK_ROWS rows and, unless
+        # one row alone exceeds it, within BLOCK_POSITIONS positions.
+        rows = montecarlo.block_rows(cfg)
+        n, cap = Session.extent(cfg)
+        assert 1 <= rows <= montecarlo.BLOCK_ROWS
+        assert rows == 1 or rows * min(n, cfg.k + 2 * cap) <= montecarlo.BLOCK_POSITIONS
+        assert rows * n <= protocols.MAX_SOURCE_BITS
+
+    @pytest.mark.parametrize("cfg, scenario, dense_memo", [
+        (ProtocolConfig("pi2", e0=2000.0, k=3334, beta=0.1), Scenario("mfa", 5e4, 7.5e4),
+         False),
+        # the largest source a dense memo holds, at the most rows
+        (ProtocolConfig("pi3", e0=2000.0, k=66, beta=0.1,
+                        brm=BrmParams(lam=0.001, n=protocols.DENSE_SOURCE_BITS)),
+         Scenario("honest", 5e4, 5e4), True),
+    ], ids=["pi2-k3334-mfa", "pi3-dense-memo"])
+    def test_block_memory_within_budget(self, cfg, scenario, dense_memo):
+        # One block's peak traced allocation: about 20 bytes a position it may
+        # read, and the dense memo's byte per source bit of each row.
+        import tracemalloc
+
+        bound = 32 * montecarlo.BLOCK_POSITIONS
+        if dense_memo:
+            assert cfg.brm.n == protocols.DENSE_SOURCE_BITS
+            assert montecarlo.block_rows(cfg) == montecarlo.BLOCK_ROWS
+            bound += montecarlo.BLOCK_ROWS * protocols.DENSE_SOURCE_BITS
+        rows = montecarlo.block_rows(cfg)
+        tracemalloc.start()
+        try:
+            block = run_block(scenario, cfg, CH, np.random.default_rng(8), 0, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.hamming.shape == (rows,)
+        assert peak <= bound, (peak, bound)
 
     CASES = [(PI1, Scenario("honest", d_claim=5e4, d_real=6.2e4)),
              (pi3_config(), Scenario("tfa-sampling", 5e4, 6.5e4,
