@@ -1,8 +1,9 @@
-"""Time the source-bit and bit-error draws at two commits and write ``BENCH_draws.json``.
+"""Time source reads and whole trials at two commits and write a ``BENCH_*.json``.
 
-Run from the repository root:
+Run from the repository root, for example:
 
     python3 bench/draws.py --parent c56ec7f --change HEAD --out BENCH_draws.json
+    python3 bench/draws.py --parent f1a2614 --change HEAD --out BENCH_blocks.json
 
 Each commit's ``src/`` is extracted with ``git archive`` into a temporary
 directory and timed in child processes of its own, one per round, the two
@@ -12,13 +13,16 @@ and every figure is the best batch over all rounds, in microseconds:
 
 * ``read``: per ``Session.read`` of all k positions by a hard receiver at the
   claim (pi1 at the challenge-response design's power and threshold), one
-  row at k=103 and k=3334 and a 9-row block at k=3334 (the rows a
-  challenge-response block holds); each session is built and its receiver
-  placed before its read's clock starts, so a read is the sampled keys, the
-  source-bit draw, the bit-error draw and the audit;
-* ``trial``: per trial of ``estimate_rates`` on an honest run: pi1 and pi2 at
-  the challenge-response design (k=3334), and pi3 at the brm-sparse design
-  (k=103, n=1.03e6) with one trial a call, as brm-sparse runs it.
+  row at k=103 and k=3334 and 9- and 78-row blocks at k=3334 (the rows of a
+  challenge-response block at 2^15 and 2^18 block positions); each session
+  is built and its receiver placed before its read's clock starts, so a read
+  is the sampled keys, the source-bit draw, the bit-error draw and the audit;
+* ``trial``: per trial of ``estimate_rates``: honest pi1 and pi2 and the
+  best-guess mfa attack on pi2 at the challenge-response design (k=3334),
+  CR_TRIALS trials in one call; honest pi3 at the brm-dense design (k=160,
+  n=534) in calls of DENSE_TRIALS trials, as brm-dense runs it; and honest
+  pi3 at the brm-sparse design (k=103, n=1.03e6) with one trial a call, as
+  brm-sparse runs it.
 """
 
 from __future__ import annotations
@@ -38,11 +42,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 #: (rows, k) of the timed reads.
-READS = [(1, 103), (1, 3334), (9, 3334)]
+READS = [(1, 103), (1, 3334), (9, 3334), (78, 3334)]
 #: Reads a batch of ``read`` measurements makes, one session each.
 READ_BATCH = 200
 #: Trials a batch of each k=3334 ``trial`` measurement runs, in one call.
 CR_TRIALS = 900
+#: Trials a call of the brm-dense ``trial`` measurement runs, and its calls a batch.
+DENSE_TRIALS = 100
+DENSE_CALLS = 9
 #: Calls, of one trial each, a batch of the brm-sparse ``trial`` measurement makes.
 SPARSE_CALLS = 300
 #: Timed batches of each measurement in one child, taken in turn.
@@ -64,11 +71,16 @@ def _child() -> dict:
     opt = optimize_dfa(DbvSpec(psi=1.1, eps_fa=1e-2, eps_fr=1e-2), DEFAULT_CHANNEL)
     pi1 = ProtocolConfig("pi1", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star)
     pi2 = ProtocolConfig("pi2", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star)
-    sparse_spec = DbvSpec(psi=2.0, eps_fa=1e-2, eps_fr=1e-2)
-    sparse = optimize_brm(sparse_spec, DEFAULT_CHANNEL, 1e-4, "sampling")
-    pi3 = ProtocolConfig("pi3", e0=sparse.e0_star, k=sparse.k_star, beta=sparse.beta_star,
-                         brm=BrmParams(lam=1e-4, n=sparse.n_star,
-                                       gamma=sparse_spec.eps_fa / 100.0))
+    mfa = Scenario("mfa", d, 1.1 * d)
+    brm_spec = DbvSpec(psi=2.0, eps_fa=1e-2, eps_fr=1e-2)
+
+    def pi3_at(lam):
+        opt = optimize_brm(brm_spec, DEFAULT_CHANNEL, lam, "sampling")
+        return ProtocolConfig("pi3", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
+                              brm=BrmParams(lam=lam, n=opt.n_star,
+                                            gamma=brm_spec.eps_fa / 100.0))
+
+    dense, sparse = pi3_at(0.3), pi3_at(1e-4)
 
     def reads(cfg, rows):
         # Each session is built untimed just before its read and dropped after
@@ -85,11 +97,12 @@ def _child() -> dict:
             return total
         return timed
 
-    def trials(cfg, per_call, calls):
+    def trials(cfg, per_call, calls, scenario=honest):
         def timed(batch):
             start = time.perf_counter()
             for i in range(calls):
-                estimate_rates(honest, cfg, None, DEFAULT_CHANNEL, per_call, batch * calls + i)
+                estimate_rates(scenario, cfg, None, DEFAULT_CHANNEL, per_call,
+                               batch * calls + i)
             return time.perf_counter() - start
         return timed
 
@@ -101,8 +114,12 @@ def _child() -> dict:
     for cfg in (pi1, pi2):
         batches[f"trial/{cfg.protocol}_honest(k={cfg.k})"] = (CR_TRIALS,
                                                               trials(cfg, CR_TRIALS, 1))
-    batches[f"trial/pi3_honest(k={pi3.k},n={pi3.brm.n})"] = (SPARSE_CALLS,
-                                                             trials(pi3, 1, SPARSE_CALLS))
+    batches[f"trial/pi2_mfa-best-guess(k={pi2.k})"] = (CR_TRIALS,
+                                                       trials(pi2, CR_TRIALS, 1, mfa))
+    batches[f"trial/pi3_honest(k={dense.k},n={dense.brm.n})"] = (
+        DENSE_TRIALS * DENSE_CALLS, trials(dense, DENSE_TRIALS, DENSE_CALLS))
+    batches[f"trial/pi3_honest(k={sparse.k},n={sparse.brm.n})"] = (
+        SPARSE_CALLS, trials(sparse, 1, SPARSE_CALLS))
     best = {name: math.inf for name in batches}
     for batch in range(BATCHES):
         for name, (count, timed) in batches.items():
