@@ -48,6 +48,12 @@ def pi3_config(lam=0.3, k=90):
     )
 
 
+def pi3_at_cap(lam, n):
+    """pi3 on an n-bit source with k at the retrieval cap."""
+    brm = BrmParams(lam=lam, n=n)
+    return ProtocolConfig("pi3", e0=2000.0, k=brm.retrieval_cap, beta=0.1, brm=brm)
+
+
 class TestClopperPearson:
     def test_edge_cases(self):
         lo, hi = clopper_pearson(0, 100)
@@ -327,15 +333,14 @@ class TestBlockEngine:
     @given(st.one_of(
         st.builds(lambda p, k: ProtocolConfig(p, e0=2000.0, k=k, beta=0.1),
                   st.sampled_from(["pi1", "pi2"]), st.integers(1, 10**7)),
-        st.builds(lambda lam, n: ProtocolConfig(
-            "pi3", e0=2000.0, k=BrmParams(lam, n).retrieval_cap, beta=0.1,
-            brm=BrmParams(lam, n)),
-            st.floats(1e-9, 0.999), st.integers(1, protocols.MAX_SOURCE_BITS)),
+        st.builds(pi3_at_cap, st.floats(1e-18, 0.999),
+                  st.integers(1, protocols.MAX_SOURCE_BITS)),
     ))
     @settings(max_examples=300, deadline=None)
     @example(ProtocolConfig("pi2", e0=2000.0, k=3334, beta=0.1))
     @example(ProtocolConfig("pi1", e0=2000.0, k=montecarlo.BLOCK_POSITIONS + 1, beta=0.1))
     @example(pi3_config(0.001, 66))
+    @example(pi3_at_cap(1e-18, protocols.MAX_SOURCE_BITS))  # rows held by int64 keys
     def test_block_within_budget(self, cfg):
         # Every valid config's blocks stay within BLOCK_ROWS rows and, unless
         # one row alone exceeds it, within BLOCK_POSITIONS positions.
