@@ -363,12 +363,11 @@ class TestBlockEngine:
         # read, and the dense memo's byte per source bit of each row.
         import tracemalloc
 
+        rows = montecarlo.block_rows(cfg)
         bound = 32 * montecarlo.BLOCK_POSITIONS
         if dense_memo:
-            assert cfg.brm.n == protocols.DENSE_SOURCE_BITS
-            assert montecarlo.block_rows(cfg) == montecarlo.BLOCK_ROWS
+            assert (rows, cfg.brm.n) == (montecarlo.BLOCK_ROWS, protocols.DENSE_SOURCE_BITS)
             bound += montecarlo.BLOCK_ROWS * protocols.DENSE_SOURCE_BITS
-        rows = montecarlo.block_rows(cfg)
         tracemalloc.start()
         try:
             block = run_block(scenario, cfg, CH, np.random.default_rng(8), 0, rows)
