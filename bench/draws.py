@@ -1,9 +1,11 @@
-"""Time source reads and whole trials at two commits and write a ``BENCH_*.json``.
+"""Time source reads, whole trials and MAC blocks at two commits and write a
+``BENCH_*.json``.
 
 Run from the repository root, for example:
 
     python3 bench/draws.py --parent c56ec7f --change HEAD --out BENCH_draws.json
     python3 bench/draws.py --parent f1a2614 --change HEAD --out BENCH_blocks.json
+    python3 bench/draws.py --parent 23f929d --change HEAD --mac-only --out BENCH_mac.json
 
 Each commit's ``src/`` is extracted with ``git archive`` into a temporary
 directory and timed in child processes of its own, one per round, the two
@@ -22,7 +24,19 @@ and every figure is the best batch over all rounds, in microseconds:
   CR_TRIALS trials in one call; honest pi3 at the brm-dense design (k=160,
   n=534) in calls of DENSE_TRIALS trials, as brm-dense runs it; and honest
   pi3 at the brm-sparse design (k=103, n=1.03e6) with one trial a call, as
-  brm-sparse runs it.
+  brm-sparse runs it;
+* ``mac``: per block of GF(2^64) MAC keys and (rows, bits) messages, at the
+  blocks pi3 signs at the brm-dense design (224-bit messages, 2 to 256 rows),
+  pi2 at the challenge-response design (3398 bits, 78 rows) and brm-sparse's
+  one-row pi3 (167 bits): ``build``, the block's ``MacKeys.window_tables``;
+  ``sign2``, two ``mac_sign_rows`` calls over built tables; ``block``, two
+  calls on new keys, the build included, as a session pays them; and, at 1 to
+  4 rows, ``scalar``, the same two signs row by row with ``mac_sign``, the
+  path ``mac_sign_rows`` takes for the smallest blocks.  Keys and messages
+  are made before the clock starts, and each block's keys are dropped after
+  use.
+
+``--mac-only`` times the ``mac`` group alone.
 """
 
 from __future__ import annotations
@@ -52,12 +66,20 @@ DENSE_TRIALS = 100
 DENSE_CALLS = 9
 #: Calls, of one trial each, a batch of the brm-sparse ``trial`` measurement makes.
 SPARSE_CALLS = 300
+#: (rows, bits) of the ``mac`` group's build and sign measurements.
+MAC_SHAPES = [(1, 167), (2, 224), (35, 224), (120, 224), (256, 224), (78, 3398)]
+#: (rows, bits) where ``block`` is timed against ``scalar``, which sets the
+#: block size ``mac_sign_rows`` signs row by row.
+MAC_RULE = [(rows, bits) for bits in (167, 224, 3398) for rows in (1, 2, 3, 4)]
+#: Blocks a batch of each ``mac`` measurement signs or builds.
+MAC_CALLS = 20
 #: Timed batches of each measurement in one child, taken in turn.
 BATCHES = 10
 
 
-def _child() -> dict:
-    """The best batch of each measurement on the dbvsim that PYTHONPATH names."""
+def _draw_batches() -> dict:
+    """The ``read`` and ``trial`` measurements:
+    name -> (count per batch, timed(batch) -> the batch's seconds)."""
     import numpy as np
 
     from dbvsim.bounds import DbvSpec
@@ -120,6 +142,81 @@ def _child() -> dict:
         DENSE_TRIALS * DENSE_CALLS, trials(dense, DENSE_TRIALS, DENSE_CALLS))
     batches[f"trial/pi3_honest(k={sparse.k},n={sparse.brm.n})"] = (
         SPARSE_CALLS, trials(sparse, 1, SPARSE_CALLS))
+    return batches
+
+
+def _mac_batches() -> dict:
+    """The ``mac`` measurements, as ``_draw_batches`` returns them."""
+    import numpy as np
+
+    from dbvsim.primitives import MacKeys, mac_sign, mac_sign_rows
+
+    def inputs(rows, bits, batch):
+        rng = np.random.default_rng([rows, bits, batch])
+        keys = MacKeys.generate(rng, rows, 64)
+        messages = rng.integers(0, 2, (2, rows, bits), dtype=np.uint8)
+        # New keys share the key arrays but build their own tables.
+        return [MacKeys(64, keys.a, keys.b) for _ in range(MAC_CALLS)], messages
+
+    def build(rows, bits):
+        def timed(batch):
+            fresh, _ = inputs(rows, bits, batch)
+            start = time.perf_counter()
+            while fresh:
+                fresh.pop().window_tables
+            return time.perf_counter() - start
+        return timed
+
+    def sign2(rows, bits):
+        def timed(batch):
+            fresh, (m1, m2) = inputs(rows, bits, batch)
+            keys = fresh[0]
+            mac_sign_rows(keys, m1)
+            start = time.perf_counter()
+            for _ in range(MAC_CALLS):
+                mac_sign_rows(keys, m1)
+                mac_sign_rows(keys, m2)
+            return time.perf_counter() - start
+        return timed
+
+    def block(rows, bits):
+        def timed(batch):
+            fresh, (m1, m2) = inputs(rows, bits, batch)
+            start = time.perf_counter()
+            while fresh:
+                keys = fresh.pop()
+                mac_sign_rows(keys, m1)
+                mac_sign_rows(keys, m2)
+            return time.perf_counter() - start
+        return timed
+
+    def scalar(rows, bits):
+        def timed(batch):
+            fresh, (m1, m2) = inputs(rows, bits, batch)
+            start = time.perf_counter()
+            while fresh:
+                keys = fresh.pop()
+                for i in range(rows):
+                    mac_sign(keys[i], m1[i])
+                    mac_sign(keys[i], m2[i])
+            return time.perf_counter() - start
+        return timed
+
+    batches: dict = {}
+    for rows, bits in MAC_SHAPES:
+        batches[f"mac/build/{rows}x{bits}"] = (MAC_CALLS, build(rows, bits))
+        batches[f"mac/sign2/{rows}x{bits}"] = (MAC_CALLS, sign2(rows, bits))
+    for rows, bits in dict.fromkeys(MAC_SHAPES + MAC_RULE):
+        batches[f"mac/block/{rows}x{bits}"] = (MAC_CALLS, block(rows, bits))
+    for rows, bits in MAC_RULE:
+        batches[f"mac/scalar/{rows}x{bits}"] = (MAC_CALLS, scalar(rows, bits))
+    return batches
+
+
+def _child(mac_only: bool) -> dict:
+    """The best batch of each measurement on the dbvsim that PYTHONPATH names."""
+    batches = {} if mac_only else _draw_batches()
+    batches.update(_mac_batches())
     best = {name: math.inf for name in batches}
     for batch in range(BATCHES):
         for name, (count, timed) in batches.items():
@@ -141,10 +238,11 @@ def _extract(rev: str, into: Path) -> str:
     return commit
 
 
-def _round(src: Path) -> dict:
+def _round(src: Path, mac_only: bool) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    result = subprocess.run([sys.executable, __file__, "--child"], env=env, check=True,
-                            capture_output=True, text=True)
+    flags = ["--mac-only"] if mac_only else []
+    result = subprocess.run([sys.executable, __file__, "--child", *flags], env=env,
+                            check=True, capture_output=True, text=True)
     return json.loads(result.stdout)
 
 
@@ -154,10 +252,11 @@ def main() -> None:
     parser.add_argument("--change", default="HEAD", help="changed commit")
     parser.add_argument("--rounds", type=int, default=7)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_draws.json")
+    parser.add_argument("--mac-only", action="store_true", help="time the mac group alone")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        print(json.dumps(_child()))
+        print(json.dumps(_child(args.mac_only)))
         return
     if not args.parent:
         parser.error("--parent is required")
@@ -169,10 +268,11 @@ def main() -> None:
         for r in range(args.rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(_round(sides[side][1]))
+                runs[side].append(_round(sides[side][1], args.mac_only))
     result = {
-        "command": ("python3 bench/draws.py --parent {} --change {} --rounds {}"
-                    .format(args.parent, args.change, args.rounds)),
+        "command": ("python3 bench/draws.py --parent {} --change {} --rounds {}{}"
+                    .format(args.parent, args.change, args.rounds,
+                            " --mac-only" if args.mac_only else "")),
         "parent": sides["parent"][0],
         "change": sides["change"][0],
         "host": {"python": platform.python_version(), "machine": platform.machine(),

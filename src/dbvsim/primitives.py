@@ -10,8 +10,8 @@ built once per key; the bit-loop ``gf_mul`` is the reference they are tested
 against.  ``MacKeys`` holds one key per row of a block of trials, and
 ``mac_sign_rows`` tags a block's messages together: for s <= 64 the tables of
 every row are built with a fixed number of array steps and each Horner step
-is a few array operations over the rows; s = 128, and a block of one row,
-sign row by row with ``mac_sign``.
+is a few array operations over the rows; s = 128, and blocks of one or two
+rows, sign row by row with ``mac_sign``.
 
 The sampler is a keyed uniform without-replacement draw.  A key seeds a
 SplitMix64 word stream (Steele, Lea and Flood, OOPSLA 2014), and the k
@@ -273,40 +273,50 @@ class MacKeys:
 
     @cached_property
     def window_tables(self) -> np.ndarray:
-        """(rows, s/4, 16) uint64 for s <= 64: entry [i, j, v] is
-        ``self[i].window_tables[j][v]``.
+        """(16, s/4, rows) uint64 for s <= 64, window-major: entry [v, j, i]
+        is ``self[i].window_tables[j][v]``, so a Horner step gathers one
+        (s/4, rows) array of entries and XOR-reduces it over the windows.
 
-        The product a * x**t is linear in a, so it is the XOR over the bytes
-        u_w of a of the constant (u_w * x**(8w)) * x**t from
-        ``_byte_products``: one gather and one reduction give every row's s
-        products, and two broadcast XORs give the tables.
+        a * x**(4j) is linear in a: it is the XOR over the bytes u_w of a of
+        the constant (u_w * x**(8w)) * x**(4j) from ``_byte_products``, so one
+        gather and one reduction give every row's s/4 of them, and a shift
+        with a carry lookup multiplies those by x, x**2 and x**3.  The entries
+        are filled by doubling: entries 2**b to 2**(b+1) - 1 are entries 0 to
+        2**b - 1 XOR a * x**(4j + b), one XOR of contiguous (s/4, rows) slabs.
         """
         s = self.field_bits
         rows = len(self)
+        products, carries = _byte_products(s)
         digits = self.a.astype("<u8").view(np.uint8).reshape(rows, 8)[:, : s // 8]
-        products = np.bitwise_xor.reduce(
-            _byte_products(s).take(digits + _BYTE_OFFSETS[: s // 8], axis=0), axis=1)
-        # Window j's entry v = 4h + l is pair[j, 1, h] ^ pair[j, 0, l], where
-        # pair[j, 0] = (0, p0, p1, p0^p1) and pair[j, 1] = (0, p2, p3, p2^p3)
-        # for the window's products p0..p3.
-        quads = products.reshape(rows, s // 4, 2, 2)
-        pairs = np.zeros((rows, s // 4, 2, 4), dtype=np.uint64)
-        pairs[..., 1:3] = quads
-        pairs[..., 3] = quads[..., 0] ^ quads[..., 1]
-        return (pairs[:, :, 1, :, None] ^ pairs[:, :, 0, None, :]).reshape(rows, s // 4, 16)
+        # a_x[j, i] is row i's a * x**(4j), and a_xb[b - 1] its a * x**(4j + b).
+        a_x = np.ascontiguousarray(np.bitwise_xor.reduce(
+            products.take(digits + _BYTE_OFFSETS[: s // 8], axis=0), axis=1).T)
+        a_xb = (a_x << _WINDOW_SHIFTS) & np.uint64((1 << s) - 1)
+        a_xb ^= carries.take(a_x >> (np.uint64(s) - _WINDOW_SHIFTS))
+        entries = np.empty((16, s // 4, rows), dtype=np.uint64)
+        entries[0] = 0
+        entries[1] = a_x
+        for b in range(1, 4):
+            np.bitwise_xor(entries[: 1 << b], a_xb[b - 1], out=entries[1 << b: 2 << b])
+        return entries
 
 
 #: Row offset of byte w in ``_byte_products``.
 _BYTE_OFFSETS = 256 * np.arange(8)
+#: The shifts b = 1, 2, 3 within a window, on a leading axis.
+_WINDOW_SHIFTS = np.arange(1, 4, dtype=np.uint64)[:, None, None]
 
 
 @functools.lru_cache(maxsize=None)
-def _byte_products(field_bits: int) -> np.ndarray:
-    """(s/8 * 256, s) uint64, read-only: row 256*w + u holds the s products
-    (u * x**(8w)) * x**t, so a key's products are the XOR of one row per byte.
+def _byte_products(field_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only uint64 constants ``MacKeys.window_tables`` builds from.
 
-    Entry [w, u, t] is the XOR of x**(8w + b + t) over the bits b of u, built
-    from the powers x**m, m < 2s - 1, one bit of u at a time.
+    ``products`` is (s/8 * 256, s/4): row 256*w + u holds (u * x**(8w)) *
+    x**(4j) for the s/4 windows j, so a key's a * x**(4j) are the XOR of one
+    row per byte of a.  Entry [w, u, j] is the XOR of x**(8w + b + 4j) over
+    the bits b of u, built one bit of u at a time.  ``carries`` holds u * x**s
+    for u < 8, the reduction of the bits a shift by b < 4 carries past
+    x**(s-1): a * x**b is (a << b) mod x**s XOR carries[a >> (s - b)].
     """
     s = field_bits
     poly, top = FIELD_POLYNOMIALS[s], 1 << s
@@ -317,13 +327,16 @@ def _byte_products(field_bits: int) -> np.ndarray:
         if v & top:
             v ^= poly
     x_m = np.array(powers, dtype=np.uint64)
-    table = np.zeros((s // 8, 256, s), dtype=np.uint64)
+    products = np.zeros((s // 8, 256, s // 4), dtype=np.uint64)
     for w in range(s // 8):
-        for b in range(8):  # entries with bit b set: those without it, plus x**(8w+b+t)
-            table[w, 1 << b: 2 << b] = table[w, : 1 << b] ^ x_m[8 * w + b: 8 * w + b + s]
-    table = table.reshape(-1, s)
-    table.flags.writeable = False
-    return table
+        for b in range(8):  # entries with bit b set: those without it, plus x**(8w+b+4j)
+            products[w, 1 << b: 2 << b] = products[w, : 1 << b] ^ x_m[8 * w + b: 8 * w + b + s: 4]
+    carries = np.zeros(8, dtype=np.uint64)
+    for b in range(3):
+        carries[1 << b: 2 << b] = carries[: 1 << b] ^ x_m[s + b]
+    products = products.reshape(-1, s // 4)
+    products.flags.writeable = carries.flags.writeable = False
+    return products, carries
 
 
 def _to_block_rows(messages: np.ndarray, field_bits: int) -> np.ndarray:
@@ -345,24 +358,29 @@ def mac_sign_rows(keys: MacKeys, messages: np.ndarray) -> np.ndarray:
     rows = len(keys)
     messages = np.asarray(messages, dtype=np.uint8).reshape(rows, -1)
     s = keys.field_bits
-    # A block of one (every single-trial call) signs faster with the scalar
-    # tables; from three rows up the array steps are faster at any length.
-    if s > 64 or rows == 1:
+    # Blocks of one row (every single-trial call) and of two sign faster, or
+    # as fast, with the scalar tables: an array step costs a few microseconds
+    # however few the rows.  From three rows up the arrays are faster at 167
+    # and 224 bits, and within 5% at 3398 bits (BENCH_mac.json).
+    if s > 64 or rows <= 2:
         return np.array([mac_sign(keys[i], messages[i]) for i in range(rows)],
                         dtype=np.uint64 if s <= 64 else object)
     windows = s // 4
-    tables = keys.window_tables.ravel()
-    # Entry [i, j] + v of the flat tables is row i's window j at value v.
-    base = (np.arange(rows * windows, dtype=np.uint64) * np.uint64(16)).reshape(rows, windows)
-    shifts = np.arange(0, s, 4, dtype=np.uint64)
-    low = np.uint64(15)
-    acc = np.zeros(rows, dtype=np.uint64)
-    for blk in _to_block_rows(messages, s).T:
-        v = (acc ^ blk)[:, None] >> shifts
-        v &= low
+    # int64 throughout, so take reads the indices without a cast; the sign
+    # bits an arithmetic shift brings in lie above the nibble that is kept.
+    tables = keys.window_tables.ravel().view(np.int64)
+    # Flat entry v * stride + [j, i] is row i's window j at value v.
+    stride = windows * rows
+    base = np.arange(stride, dtype=np.int64).reshape(windows, rows)
+    shifts = np.arange(0, s, 4, dtype=np.int64)[:, None]
+    acc = np.zeros(rows, dtype=np.int64)
+    for blk in _to_block_rows(messages, s).view(np.int64).T:
+        v = (acc ^ blk) >> shifts
+        v &= 15
+        v *= stride
         v += base
-        acc = np.bitwise_xor.reduce(tables.take(v), axis=1)
-    return acc ^ keys.b
+        acc = np.bitwise_xor.reduce(tables.take(v), axis=0)
+    return acc.view(np.uint64) ^ keys.b
 
 
 def mac_forgery_bound(message_bit_len: int, field_bits: int) -> float:

@@ -292,7 +292,9 @@ class TestMacRows:
         points = [0, 1, 2, top, top ^ 1, 1 << (s - 1)]
         points += MacKeys.generate(np.random.default_rng(s), 30, s).a.tolist()
         keys = MacKeys(s, np.array(points, dtype=np.uint64), np.zeros(len(points), np.uint64))
-        for i, table in enumerate(keys.window_tables.tolist()):
+        tables = keys.window_tables  # window-major: entry [v, j, i]
+        assert tables.shape == (16, s // 4, len(points))
+        for i, table in enumerate(tables.transpose(2, 1, 0).tolist()):
             assert table == [list(t) for t in keys[i].window_tables], (s, points[i])
 
     @settings(max_examples=80, deadline=None)
@@ -300,6 +302,19 @@ class TestMacRows:
            st.integers(1, 16), st.integers(0, 300), st.integers(0, 2**32 - 1))
     def test_tags_equal_scalar(self, s, rows, bits, seed):
         rng = np.random.default_rng(seed)
+        keys = MacKeys.generate(rng, rows, s)
+        messages = rng.integers(0, 2, (rows, bits), dtype=np.uint8)
+        tags = mac_sign_rows(keys, messages)
+        assert [int(t) for t in tags] == [mac_sign(keys[i], messages[i]) for i in range(rows)]
+
+    @pytest.mark.parametrize("s", [8, 16, 32, 64])
+    @pytest.mark.parametrize("rows, bits", [(2, 224), (3, 224), (35, 224), (120, 224),
+                                            (256, 224), (78, 3398)])
+    def test_tags_equal_scalar_at_block_shapes(self, s, rows, bits):
+        # The blocks pi3 signs at k = 160 (224-bit messages, 2 to 256 rows),
+        # the smallest block signed in arrays (3 rows), and pi2's at k = 3334
+        # (3398 bits, 78 rows).
+        rng = np.random.default_rng([s, rows, bits])
         keys = MacKeys.generate(rng, rows, s)
         messages = rng.integers(0, 2, (rows, bits), dtype=np.uint8)
         tags = mac_sign_rows(keys, messages)
