@@ -179,37 +179,29 @@ def _mac_batches() -> dict:
             return time.perf_counter() - start
         return timed
 
-    def block(rows, bits):
+    def block(rows, bits, sign):
         def timed(batch):
             fresh, (m1, m2) = inputs(rows, bits, batch)
             start = time.perf_counter()
             while fresh:
                 keys = fresh.pop()
-                mac_sign_rows(keys, m1)
-                mac_sign_rows(keys, m2)
+                sign(keys, m1)
+                sign(keys, m2)
             return time.perf_counter() - start
         return timed
 
-    def scalar(rows, bits):
-        def timed(batch):
-            fresh, (m1, m2) = inputs(rows, bits, batch)
-            start = time.perf_counter()
-            while fresh:
-                keys = fresh.pop()
-                for i in range(rows):
-                    mac_sign(keys[i], m1[i])
-                    mac_sign(keys[i], m2[i])
-            return time.perf_counter() - start
-        return timed
+    def row_by_row(keys, messages):
+        for i in range(len(keys)):
+            mac_sign(keys[i], messages[i])
 
     batches: dict = {}
     for rows, bits in MAC_SHAPES:
         batches[f"mac/build/{rows}x{bits}"] = (MAC_CALLS, build(rows, bits))
         batches[f"mac/sign2/{rows}x{bits}"] = (MAC_CALLS, sign2(rows, bits))
     for rows, bits in dict.fromkeys(MAC_SHAPES + MAC_RULE):
-        batches[f"mac/block/{rows}x{bits}"] = (MAC_CALLS, block(rows, bits))
+        batches[f"mac/block/{rows}x{bits}"] = (MAC_CALLS, block(rows, bits, mac_sign_rows))
     for rows, bits in MAC_RULE:
-        batches[f"mac/scalar/{rows}x{bits}"] = (MAC_CALLS, scalar(rows, bits))
+        batches[f"mac/scalar/{rows}x{bits}"] = (MAC_CALLS, block(rows, bits, row_by_row))
     return batches
 
 
