@@ -6,6 +6,7 @@ Run from the repository root, for example:
     python3 bench/draws.py --parent c56ec7f --change HEAD --out BENCH_draws.json
     python3 bench/draws.py --parent f1a2614 --change HEAD --out BENCH_blocks.json
     python3 bench/draws.py --parent 23f929d --change HEAD --mac-only --out BENCH_mac.json
+    python3 bench/draws.py --parent ee71590 --change HEAD --mac-only --out BENCH_mac_lanes.json
 
 Each commit's ``src/`` is extracted with ``git archive`` into a temporary
 directory and timed in child processes of its own, one per round, the two
@@ -27,14 +28,15 @@ and every figure is the best batch over all rounds, in microseconds:
   brm-sparse runs it;
 * ``mac``: per block of GF(2^64) MAC keys and (rows, bits) messages, at the
   blocks pi3 signs at the brm-dense design (224-bit messages, 2 to 256 rows),
-  pi2 at the challenge-response design (3398 bits, 78 rows) and brm-sparse's
-  one-row pi3 (167 bits): ``build``, the block's ``MacKeys.window_tables``;
-  ``sign2``, two ``mac_sign_rows`` calls over built tables; ``block``, two
-  calls on new keys, the build included, as a session pays them; and, at 1 to
-  4 rows, ``scalar``, the same two signs row by row with ``mac_sign``, the
-  path ``mac_sign_rows`` takes for the smallest blocks.  Keys and messages
-  are made before the clock starts, and each block's keys are dropped after
-  use.
+  pi2 at the challenge-response design (3398 bits, 25 to 78 rows) and
+  brm-sparse's one-row pi3 (167 bits): ``build``, the block's
+  ``MacKeys.window_tables``; ``sign2``, two ``mac_sign_rows`` calls over
+  built tables (an untimed first sign builds them, and a**r's where the
+  messages sign in lanes); ``block``, two calls on new keys, the builds
+  included, as a session pays them; and, at 1 to 4 rows, ``scalar``, the
+  same two signs row by row with ``mac_sign``, the path ``mac_sign_rows``
+  takes for the smallest blocks.  Keys and messages are made before the
+  clock starts, and each block's keys are dropped after use.
 
 ``--mac-only`` times the ``mac`` group alone.
 """
@@ -67,7 +69,8 @@ DENSE_CALLS = 9
 #: Calls, of one trial each, a batch of the brm-sparse ``trial`` measurement makes.
 SPARSE_CALLS = 300
 #: (rows, bits) of the ``mac`` group's build and sign measurements.
-MAC_SHAPES = [(1, 167), (2, 224), (35, 224), (120, 224), (256, 224), (78, 3398)]
+MAC_SHAPES = [(1, 167), (2, 224), (35, 224), (120, 224), (256, 224), (25, 3398), (30, 3398),
+              (40, 3398), (78, 3398)]
 #: (rows, bits) where ``block`` is timed against ``scalar``, which sets the
 #: block size ``mac_sign_rows`` signs row by row.
 MAC_RULE = [(rows, bits) for bits in (167, 224, 3398) for rows in (1, 2, 3, 4)]

@@ -10,7 +10,12 @@ built once per key; the bit-loop ``gf_mul`` is the reference they are tested
 against.  ``MacKeys`` holds one key per row of a block of trials, and
 ``mac_sign_rows`` tags a block's messages together: for s <= 64 the tables of
 every row are built with a fixed number of array steps and each Horner step
-is a few array operations over the rows; s = 128, and blocks of one or two
+is a few array operations over the rows.  A long message, of at least
+16 + rows // 3 blocks, is split into r ~ sqrt(L/2) interleaved lanes, each a
+polynomial in a**r (as GHASH implementations split theirs over powers of H):
+every lane of every row steps together, through tables of a**r built once
+per block of keys, and r steps in a fold the lanes into the tag, about
+L/r + r sequential steps instead of L.  s = 128, and blocks of one or two
 rows, sign row by row with ``mac_sign``.
 
 The sampler is a keyed uniform without-replacement draw.  A key seeds a
@@ -33,7 +38,7 @@ import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -275,30 +280,53 @@ class MacKeys:
     def window_tables(self) -> np.ndarray:
         """(16, s/4, rows) uint64 for s <= 64, window-major: entry [v, j, i]
         is ``self[i].window_tables[j][v]``, so a Horner step gathers one
-        (s/4, rows) array of entries and XOR-reduces it over the windows.
+        (s/4, rows) array of entries and XOR-reduces it over the windows
+        (see ``_window_tables``)."""
+        return _window_tables(self.a, self.field_bits)
 
-        a * x**(4j) is linear in a: it is the XOR over the bytes u_w of a of
-        the constant (u_w * x**(8w)) * x**(4j) from ``_byte_products``, so one
-        gather and one reduction give every row's s/4 of them, and a shift
-        with a carry lookup multiplies those by x, x**2 and x**3.  The entries
-        are filled by doubling: entries 2**b to 2**(b+1) - 1 are entries 0 to
-        2**b - 1 XOR a * x**(4j + b), one XOR of contiguous (s/4, rows) slabs.
+    def power_tables(self, r: int) -> np.ndarray:
+        """The window tables of each row's a**r, laid out as ``window_tables``.
+
+        a**r is r - 1 multiplications by a through ``window_tables``.  Built on
+        first use for each r and cached on the keys, so that a block's sign
+        and its check build them once.
         """
-        s = self.field_bits
-        rows = len(self)
-        products, carries = _byte_products(s)
-        digits = self.a.astype("<u8").view(np.uint8).reshape(rows, 8)[:, : s // 8]
-        # a_x[j, i] is row i's a * x**(4j), and a_xb[b - 1] its a * x**(4j + b).
-        a_x = np.ascontiguousarray(np.bitwise_xor.reduce(
-            products.take(digits + _BYTE_OFFSETS[: s // 8], axis=0), axis=1).T)
-        a_xb = (a_x << _WINDOW_SHIFTS) & np.uint64((1 << s) - 1)
-        a_xb ^= carries.take(a_x >> (np.uint64(s) - _WINDOW_SHIFTS))
-        entries = np.empty((16, s // 4, rows), dtype=np.uint64)
-        entries[0] = 0
-        entries[1] = a_x
-        for b in range(1, 4):
-            np.bitwise_xor(entries[: 1 << b], a_xb[b - 1], out=entries[1 << b: 2 << b])
-        return entries
+        if r not in self._power_tables:
+            power = _horner(self.window_tables, self.a.view(np.int64),
+                            np.zeros((r - 1, len(self)), dtype=np.int64))
+            self._power_tables[r] = _window_tables(power.view(np.uint64), self.field_bits)
+        return self._power_tables[r]
+
+    @cached_property
+    def _power_tables(self) -> dict[int, np.ndarray]:
+        return {}
+
+
+def _window_tables(points: np.ndarray, field_bits: int) -> np.ndarray:
+    """(16, s/4, rows) uint64: entry [v, j, i] is points[i] * (v * x**(4j)).
+
+    p * x**(4j) is linear in p: it is the XOR over the bytes u_w of p of the
+    constant (u_w * x**(8w)) * x**(4j) from ``_byte_products``, so one gather
+    and one reduction give every row's s/4 of them, and a shift with a carry
+    lookup multiplies those by x, x**2 and x**3.  The entries are filled by
+    doubling: entries 2**b to 2**(b+1) - 1 are entries 0 to 2**b - 1 XOR
+    p * x**(4j + b), one XOR of contiguous (s/4, rows) slabs.
+    """
+    s = field_bits
+    rows = len(points)
+    products, carries = _byte_products(s)
+    digits = points.astype("<u8").view(np.uint8).reshape(rows, 8)[:, : s // 8]
+    # p_x[j, i] is row i's p * x**(4j), and p_xb[b - 1] its p * x**(4j + b).
+    p_x = np.ascontiguousarray(np.bitwise_xor.reduce(
+        products.take(digits + _BYTE_OFFSETS[: s // 8], axis=0), axis=1).T)
+    p_xb = (p_x << _WINDOW_SHIFTS) & np.uint64((1 << s) - 1)
+    p_xb ^= carries.take(p_x >> (np.uint64(s) - _WINDOW_SHIFTS))
+    entries = np.empty((16, s // 4, rows), dtype=np.uint64)
+    entries[0] = 0
+    entries[1] = p_x
+    for b in range(1, 4):
+        np.bitwise_xor(entries[: 1 << b], p_xb[b - 1], out=entries[1 << b: 2 << b])
+    return entries
 
 
 #: Row offset of byte w in ``_byte_products``.
@@ -352,6 +380,47 @@ def _to_block_rows(messages: np.ndarray, field_bits: int) -> np.ndarray:
     return raw.view(f">u{step}").astype(np.uint64)
 
 
+def _horner(tables: np.ndarray, acc: np.ndarray, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """acc after the Horner steps acc = (acc ^ blk) * p, one per blk in
+    ``blocks``, p each row's point whose (16, s/4, rows) window tables are
+    ``tables``; acc and every blk are int64 arrays of shape (..., rows), so a
+    step multiplies every lane of every row at once."""
+    windows, rows = tables.shape[1:]
+    # int64 throughout, so take reads the indices without a cast; the sign
+    # bits an arithmetic shift brings in lie above the nibble that is kept.
+    flat = tables.ravel().view(np.int64)
+    # Flat entry v * stride + [j, i] is row i's window j at value v.
+    stride = windows * rows
+    lanes = (1,) * (acc.ndim - 1)
+    base = np.arange(stride, dtype=np.int64).reshape(windows, *lanes, rows)
+    shifts = np.arange(0, 4 * windows, 4, dtype=np.int64).reshape(windows, *lanes, 1)
+    for blk in blocks:
+        v = (acc ^ blk) >> shifts
+        v &= 15
+        v *= stride
+        v += base
+        acc = np.bitwise_xor.reduce(flat.take(v), axis=0)
+    return acc
+
+
+def _lane_min_blocks(rows: int) -> int:
+    """Fewest blocks a message of a ``rows``-row block needs to be signed in
+    lanes.  Lanes save sequential steps, a few microseconds each whatever
+    the rows, but build a**r's tables, fold the lanes and gather r times the
+    entries a step, whose cost grows with the rows: lanes broke even near 14
+    blocks at 3 rows, 21-22 at 25-40 rows, 34 at 78 rows and 55 at 120."""
+    return 16 + rows // 3
+
+
+def _lane_count(blocks: int) -> int:
+    """The lanes r a message of ``blocks`` blocks is signed in: about
+    sqrt(blocks / 2), 5 at 55 blocks.  A sign takes ceil(blocks / r) - 1 + r
+    sequential steps, fewest near r = sqrt(blocks), but a step over r lanes
+    gathers r times the entries; at 55 blocks r = 5 to 8 timed within noise
+    of each other, r = 4 was 2-5% slower and r = 3 5-13% slower."""
+    return round(math.sqrt(blocks / 2))
+
+
 def mac_sign_rows(keys: MacKeys, messages: np.ndarray) -> np.ndarray:
     """Tags of a block: entry i is ``mac_sign(keys[i], messages[i])`` for the
     (rows, bits) message array; uint64 for s <= 64, object ints for s = 128."""
@@ -359,28 +428,31 @@ def mac_sign_rows(keys: MacKeys, messages: np.ndarray) -> np.ndarray:
     messages = np.asarray(messages, dtype=np.uint8).reshape(rows, -1)
     s = keys.field_bits
     # Blocks of one row (every single-trial call) and of two sign faster, or
-    # as fast, with the scalar tables: an array step costs a few microseconds
-    # however few the rows.  From three rows up the arrays are faster at 167
-    # and 224 bits, and within 5% at 3398 bits (BENCH_mac.json).
+    # about as fast, with the scalar tables: an array step costs a few
+    # microseconds however few the rows.  From three rows up the arrays are
+    # faster (BENCH_mac_lanes.json).
     if s > 64 or rows <= 2:
         return np.array([mac_sign(keys[i], messages[i]) for i in range(rows)],
                         dtype=np.uint64 if s <= 64 else object)
-    windows = s // 4
-    # int64 throughout, so take reads the indices without a cast; the sign
-    # bits an arithmetic shift brings in lie above the nibble that is kept.
-    tables = keys.window_tables.ravel().view(np.int64)
-    # Flat entry v * stride + [j, i] is row i's window j at value v.
-    stride = windows * rows
-    base = np.arange(stride, dtype=np.int64).reshape(windows, rows)
-    shifts = np.arange(0, s, 4, dtype=np.int64)[:, None]
+    blocks = _to_block_rows(messages, s).view(np.int64)
+    length = blocks.shape[1]
     acc = np.zeros(rows, dtype=np.int64)
-    for blk in _to_block_rows(messages, s).view(np.int64).T:
-        v = (acc ^ blk) >> shifts
-        v &= 15
-        v *= stride
-        v += base
-        acc = np.bitwise_xor.reduce(tables.take(v), axis=0)
-    return acc.view(np.uint64) ^ keys.b
+    if length < _lane_min_blocks(rows):
+        # One Horner step a block, all rows at once.
+        return _horner(keys.window_tables, acc, blocks.T).view(np.uint64) ^ keys.b
+    # Interleaved lanes: sum_i m_i a**(L - i) over blocks i = 0 .. L - 1,
+    # front-padded with zero blocks (which leave it unchanged) to m r, is the
+    # sum over the lanes c < r of a**(r - c) times lane c's polynomial in
+    # A = a**r, whose coefficients are blocks c, c + r, c + 2r, ...  Every
+    # lane of every row takes its m - 1 Horner steps in A together, and r
+    # Horner steps in a fold the lanes into the tag: m - 1 + r sequential
+    # steps, not L.
+    r = _lane_count(length)
+    m = -(-length // r)
+    lanes = np.zeros((m, r, rows), dtype=np.int64)
+    lanes.reshape(m * r, rows)[m * r - length:] = blocks.T
+    lane_acc = _horner(keys.power_tables(r), np.zeros((r, rows), dtype=np.int64), lanes[:-1])
+    return _horner(keys.window_tables, acc, lane_acc ^ lanes[-1]).view(np.uint64) ^ keys.b
 
 
 def mac_forgery_bound(message_bit_len: int, field_bits: int) -> float:

@@ -385,8 +385,11 @@ class RetrievalAudit:
 
     def _count(self, new: np.ndarray) -> None:
         """Add sorted distinct ``new`` to the per-row counts, refusing a row past the cap."""
-        cut = new.searchsorted(self._row_bounds)
-        counts = self._counts + (cut[1:] - cut[:-1])
+        if self.rows == 1:
+            counts = self._counts + new.size
+        else:
+            cut = new.searchsorted(self._row_bounds)
+            counts = self._counts + (cut[1:] - cut[:-1])
         most = int(counts.max())
         if most > self.cap:
             raise RetrievalCapError(self.party, most, self.cap)

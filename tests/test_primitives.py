@@ -299,7 +299,7 @@ class TestMacRows:
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(sorted(FIELD_POLYNOMIALS)),
-           st.integers(1, 16), st.integers(0, 300), st.integers(0, 2**32 - 1))
+           st.integers(1, 16), st.integers(0, 4000), st.integers(0, 2**32 - 1))
     def test_tags_equal_scalar(self, s, rows, bits, seed):
         rng = np.random.default_rng(seed)
         keys = MacKeys.generate(rng, rows, s)
@@ -309,16 +309,55 @@ class TestMacRows:
 
     @pytest.mark.parametrize("s", [8, 16, 32, 64])
     @pytest.mark.parametrize("rows, bits", [(2, 224), (3, 224), (35, 224), (120, 224),
-                                            (256, 224), (78, 3398)])
+                                            (256, 224), (3, 3398), (25, 3398), (30, 3398),
+                                            (40, 3398), (78, 3398)])
     def test_tags_equal_scalar_at_block_shapes(self, s, rows, bits):
         # The blocks pi3 signs at k = 160 (224-bit messages, 2 to 256 rows),
         # the smallest block signed in arrays (3 rows), and pi2's at k = 3334
-        # (3398 bits, 78 rows).
+        # (3398 bits, 25 to 78 rows), which sign in lanes.
         rng = np.random.default_rng([s, rows, bits])
         keys = MacKeys.generate(rng, rows, s)
         messages = rng.integers(0, 2, (rows, bits), dtype=np.uint8)
         tags = mac_sign_rows(keys, messages)
         assert [int(t) for t in tags] == [mac_sign(keys[i], messages[i]) for i in range(rows)]
+
+    @pytest.mark.parametrize("s", [8, 16, 32, 64])
+    @pytest.mark.parametrize("rows", [3, 25, 78])
+    def test_lanes_at_the_threshold_and_every_padding(self, s, rows):
+        # L = L_min - 1 blocks sign serially, L_min and L_min + 1 in lanes;
+        # the r lengths from 55 blocks, all in r lanes, take every residue of
+        # L mod r, so every count of leading zero blocks.
+        low = primitives._lane_min_blocks(rows)
+        r = primitives._lane_count(55)
+        tail = list(range(55, 55 + r))
+        assert {primitives._lane_count(L) for L in tail} == {r}
+        assert {L % r for L in tail} == set(range(r))
+        rng = np.random.default_rng([s, rows])
+        keys = MacKeys.generate(rng, rows, s)
+        for L in [low - 1, low, low + 1] + tail:
+            # The 64-bit length prefix and s L - 64 message bits fill L blocks.
+            messages = rng.integers(0, 2, (rows, s * L - 64), dtype=np.uint8)
+            tags = mac_sign_rows(keys, messages)
+            assert [int(t) for t in tags] == [mac_sign(keys[i], messages[i])
+                                              for i in range(rows)], L
+            assert bool(keys._power_tables) == (L >= low), L  # lanes build a**r's tables
+
+    @pytest.mark.parametrize("s", [8, 16, 32, 64])
+    @pytest.mark.parametrize("r", [2, 3, 5, 8])
+    def test_power_tables_are_tables_of_a_to_the_r(self, s, r):
+        top = (1 << s) - 1
+        points = [0, 1, 2, top, top ^ 1, 1 << (s - 1)]
+        points += MacKeys.generate(np.random.default_rng([s, r]), 20, s).a.tolist()
+        keys = MacKeys(s, np.array(points, dtype=np.uint64), np.zeros(len(points), np.uint64))
+        tables = keys.power_tables(r)
+        assert keys.power_tables(r) is tables  # built once for a block's sign and check
+        for i, a in enumerate(points):
+            power = a
+            for _ in range(r - 1):
+                power = gf_mul(power, a, s)
+            assert int(tables[1, 0, i]) == power, (s, r, a)  # entry [1, 0, i] is a**r * 1
+            assert (tables[:, :, i].T.tolist()
+                    == [list(t) for t in MacKey(s, power, 0).window_tables]), (s, r, a)
 
     @pytest.mark.parametrize("rows", [1, 8])
     def test_repeated_key(self, rows):
@@ -345,6 +384,20 @@ class TestGoldenTags:
             for n in case["lengths"]
         ]
         assert got == case["tags_hex"]
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN["mac"], ids=lambda c: f"s{c['field_bits']}-a{c['a_hex'][:6]}"
+    )
+    def test_mac_sign_rows(self, case):
+        # The long messages signed as a block of three rows, in lanes where
+        # they are long enough: 700 bits for s <= 32, 3398 bits for s <= 64.
+        s = case["field_bits"]
+        keys = MacKeys.repeat(MacKey(s, int(case["a_hex"], 16), int(case["b_hex"], 16)), 3)
+        for n in (700, 3398):
+            message = _golden_message(s, case["message_seed"], n)
+            tags = mac_sign_rows(keys, np.tile(message, (3, 1)))
+            want = case["tags_hex"][case["lengths"].index(n)]
+            assert [format(int(t), "x") for t in tags] == [want] * 3, n
 
     @pytest.mark.parametrize(
         "case", GOLDEN["transcripts"], ids=lambda c: c["config"]["protocol"]

@@ -132,6 +132,21 @@ class TestRetrievalAudit:
         assert e.value.party == "prover"
         assert e.value.cap == 3
 
+    def test_one_row_cap_counts_new_positions_only(self):
+        # One row counts a read's new positions without cutting them at row
+        # bounds: re-reads stay free, and the read to cap + 1 is refused.
+        audit = RetrievalAudit(np.arange(10).__getitem__, n=10, cap=4, party="prover")
+        audit.read(np.array([2, 5]))
+        audit.read(np.array([5, 2, 7]))
+        assert audit.accessed_per_row.tolist() == [3]
+        audit.read(np.array([7, 9, 2]))
+        assert audit.accessed_per_row.tolist() == [4]
+        audit.read(np.array([9, 5]))
+        with pytest.raises(RetrievalCapError) as e:
+            audit.read(np.array([2, 5, 7, 9, 0]))
+        assert (e.value.party, e.value.requested, e.value.cap) == ("prover", 5, 4)
+        assert audit.accessed_per_row.tolist() == [4] and audit.accessed == 4
+
 
     @settings(max_examples=200, deadline=None)
     @example((1, (5, [{0, 3}, {1, 3, 4}])))
