@@ -407,8 +407,10 @@ def _lane_min_blocks(rows: int) -> int:
     """Fewest blocks a message of a ``rows``-row block needs to be signed in
     lanes.  Lanes save sequential steps, a few microseconds each whatever
     the rows, but build a**r's tables, fold the lanes and gather r times the
-    entries a step, whose cost grows with the rows: lanes broke even near 14
-    blocks at 3 rows, 21-22 at 25-40 rows, 34 at 78 rows and 55 at 120."""
+    entries a step, whose cost grows with the rows.  Timed against one step
+    a block (a block's build and two signs), lanes broke even near 14 blocks
+    at 3 rows, 21-22 at 25-40 rows, 34 at 78 rows and 55 at 120; the rule
+    sits at or above each, so lanes are never the slower path there."""
     return 16 + rows // 3
 
 
