@@ -418,8 +418,9 @@ def _lane_count(blocks: int) -> int:
     """The lanes r a message of ``blocks`` blocks is signed in: about
     sqrt(blocks / 2), 5 at 55 blocks.  A sign takes ceil(blocks / r) - 1 + r
     sequential steps, fewest near r = sqrt(blocks), but a step over r lanes
-    gathers r times the entries; at 55 blocks r = 5 to 8 timed within noise
-    of each other, r = 4 was 2-5% slower and r = 3 5-13% slower."""
+    gathers r times the entries.  At 55 blocks and 3 to 78 rows, r = 5 to 8
+    timed within noise of each other, r = 4 up to 8% slower and r = 3 6-22%
+    slower."""
     return round(math.sqrt(blocks / 2))
 
 
@@ -429,10 +430,13 @@ def mac_sign_rows(keys: MacKeys, messages: np.ndarray) -> np.ndarray:
     rows = len(keys)
     messages = np.asarray(messages, dtype=np.uint8).reshape(rows, -1)
     s = keys.field_bits
-    # Blocks of one row (every single-trial call) and of two sign faster, or
-    # about as fast, with the scalar tables: an array step costs a few
-    # microseconds however few the rows.  From three rows up the arrays are
-    # faster (BENCH_mac_lanes.json).
+    # Blocks of one row (every single-trial call) and of two sign with the
+    # scalar tables: an array step costs a few microseconds however few the
+    # rows, so below three rows the arrays are slower.  The exception, two
+    # rows of messages over about 30 blocks, which lanes sign faster (3398
+    # bits: 278 against 374 us for a block's build and two signs), is left
+    # to this one rule.  From three rows up the arrays are faster
+    # (BENCH_mac.json, BENCH_mac_lanes.json).
     if s > 64 or rows <= 2:
         return np.array([mac_sign(keys[i], messages[i]) for i in range(rows)],
                         dtype=np.uint64 if s <= 64 else object)
