@@ -7,6 +7,7 @@ Run from the repository root, for example:
     python3 bench/draws.py --parent f1a2614 --change HEAD --out BENCH_blocks.json
     python3 bench/draws.py --parent 23f929d --change HEAD --mac-only --out BENCH_mac.json
     python3 bench/draws.py --parent ee71590 --change HEAD --mac-only --out BENCH_mac_lanes.json
+    python3 bench/draws.py --parent 06b6a85 --change HEAD --emission-only --out BENCH_full_emission.json
 
 Each commit's ``src/`` is extracted with ``git archive`` into a temporary
 directory and timed in child processes of its own, one per round, the two
@@ -36,9 +37,15 @@ and every figure is the best batch over all rounds, in microseconds:
   included, as a session pays them; and, at 1 to 4 rows, ``scalar``, the
   same two signs row by row with ``mac_sign``, the path ``mac_sign_rows``
   takes for the smallest blocks.  Keys and messages are made before the
-  clock starts, and each block's keys are dropped after use.
+  clock starts, and each block's keys are dropped after use;
+* ``emission``: per block of a full-emission (k = n) protocol at the
+  challenge-response design (k=3334), the block sizes its batches run: pi1
+  honest at 78 rows, pi2 honest at 25 rows and the pi2 relay with an
+  error-free intruder at 30 rows, each one policy call on a new generator,
+  the session's key draws, reads, signs and verdicts included.
 
-``--mac-only`` times the ``mac`` group alone.
+``--mac-only`` times the ``mac`` group alone, ``--emission-only`` the
+``emission`` group alone.
 """
 
 from __future__ import annotations
@@ -76,6 +83,12 @@ MAC_SHAPES = [(1, 167), (2, 224), (35, 224), (120, 224), (256, 224), (25, 3398),
 MAC_RULE = [(rows, bits) for bits in (167, 224, 3398) for rows in (1, 2, 3, 4)]
 #: Blocks a batch of each ``mac`` measurement signs or builds.
 MAC_CALLS = 20
+#: (protocol, scenario kind, rows) of the ``emission`` group's blocks.
+EMISSION_BLOCKS = [("pi1", "honest", 78), ("pi2", "honest", 25), ("pi2", "tfa-relay", 30)]
+#: Blocks a batch of each ``emission`` measurement runs.
+EMISSION_CALLS = 10
+#: The measurement groups a child can time, as ``--group`` names them.
+GROUPS = ("all", "mac", "emission")
 #: Timed batches of each measurement in one child, taken in turn.
 BATCHES = 10
 
@@ -208,10 +221,51 @@ def _mac_batches() -> dict:
     return batches
 
 
-def _child(mac_only: bool) -> dict:
-    """The best batch of each measurement on the dbvsim that PYTHONPATH names."""
-    batches = {} if mac_only else _draw_batches()
-    batches.update(_mac_batches())
+def _emission_batches() -> dict:
+    """The ``emission`` measurements, as ``_draw_batches`` returns them."""
+    import numpy as np
+
+    from dbvsim import attacks
+    from dbvsim.bounds import DbvSpec
+    from dbvsim.channel import DEFAULT_CHANNEL
+    from dbvsim.montecarlo import Scenario
+    from dbvsim.optimize import optimize_dfa
+    from dbvsim.protocols import ProtocolConfig, run_protocol
+
+    spec = DbvSpec(psi=1.1, eps_fa=1e-2, eps_fr=1e-2)
+    opt = optimize_dfa(spec, DEFAULT_CHANNEL)
+    d = DEFAULT_CHANNEL.d0 / 2.0
+    scenarios = {"honest": Scenario("honest", d, d),
+                 "tfa-relay": Scenario("tfa-relay", d, spec.psi * d)}
+    policies = {"honest": run_protocol, "tfa-relay": attacks.attack_tfa_relay}
+
+    def blocks(cfg, kind, rows):
+        scenario, policy = scenarios[kind], policies[kind]
+
+        def timed(batch):
+            rngs = [np.random.default_rng([rows, batch, i]) for i in range(EMISSION_CALLS)]
+            start = time.perf_counter()
+            for rng in rngs:
+                policy(cfg, scenario, DEFAULT_CHANNEL, rng, 0, rows=rows)
+            return time.perf_counter() - start
+        return timed
+
+    batches: dict = {}
+    for protocol, kind, rows in EMISSION_BLOCKS:
+        cfg = ProtocolConfig(protocol, e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star)
+        batches[f"emission/{protocol}_{kind}/{rows}x(k={cfg.k})"] = (
+            EMISSION_CALLS, blocks(cfg, kind, rows))
+    return batches
+
+
+def _child(group: str) -> dict:
+    """The best batch of each measurement of ``group`` on the dbvsim that
+    PYTHONPATH names."""
+    batches = _draw_batches() if group == "all" else {}
+    if group in ("all", "mac"):
+        batches.update(_mac_batches())
+    if group in ("all", "emission"):
+        batches.update(_emission_batches())
     best = {name: math.inf for name in batches}
     for batch in range(BATCHES):
         for name, (count, timed) in batches.items():
@@ -233,10 +287,9 @@ def _extract(rev: str, into: Path) -> str:
     return commit
 
 
-def _round(src: Path, mac_only: bool) -> dict:
+def _round(src: Path, group: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    flags = ["--mac-only"] if mac_only else []
-    result = subprocess.run([sys.executable, __file__, "--child", *flags], env=env,
+    result = subprocess.run([sys.executable, __file__, "--child", group], env=env,
                             check=True, capture_output=True, text=True)
     return json.loads(result.stdout)
 
@@ -247,14 +300,20 @@ def main() -> None:
     parser.add_argument("--change", default="HEAD", help="changed commit")
     parser.add_argument("--rounds", type=int, default=7)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_draws.json")
-    parser.add_argument("--mac-only", action="store_true", help="time the mac group alone")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    only = parser.add_mutually_exclusive_group()
+    only.add_argument("--mac-only", action="store_true", help="time the mac group alone")
+    only.add_argument("--emission-only", action="store_true",
+                      help="time the emission group alone")
+    parser.add_argument("--child", choices=GROUPS, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        print(json.dumps(_child(args.mac_only)))
+        print(json.dumps(_child(args.child)))
         return
     if not args.parent:
         parser.error("--parent is required")
+    group, flag = (("mac", " --mac-only") if args.mac_only
+                   else ("emission", " --emission-only") if args.emission_only
+                   else ("all", ""))
     with tempfile.TemporaryDirectory() as tmp:
         sides = {}
         for side, rev in (("parent", args.parent), ("change", args.change)):
@@ -263,11 +322,10 @@ def main() -> None:
         for r in range(args.rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(_round(sides[side][1], args.mac_only))
+                runs[side].append(_round(sides[side][1], group))
     result = {
         "command": ("python3 bench/draws.py --parent {} --change {} --rounds {}{}"
-                    .format(args.parent, args.change, args.rounds,
-                            " --mac-only" if args.mac_only else "")),
+                    .format(args.parent, args.change, args.rounds, flag)),
         "parent": sides["parent"][0],
         "change": sides["change"][0],
         "host": {"python": platform.python_version(), "machine": platform.machine(),

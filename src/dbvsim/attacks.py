@@ -128,14 +128,19 @@ def attack_tfa_relay(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
     pi1/pi2 this succeeds at essentially the honest-at-zero-distance rate.
     Against pi3 the capture needs all n source positions, which the
     retrieval audit blocks whenever the cap is below n: the attempt raises
-    RetrievalCapError before anything is drawn.
+    RetrievalCapError before anything is drawn.  When k = n (pi1, pi2) the
+    sampled positions are every position in order, so the capture is the
+    response; only when k < n is it gathered at the sampled positions.
     """
     if Session.capture_blocked(cfg):
         raise RetrievalCapError("intruder", *Session.extent(cfg))
     s = Session(cfg, scenario, ch, rng, seed, rows=rows)
     s.receive("intruder", scenario.intruder_d)
-    capture = s.read("intruder", np.arange(s.n))  # every emitted position, in order
-    response = np.take_along_axis(capture, s.sampled, axis=1)
+    if cfg.k == s.n:
+        response = s.read("intruder")  # the sampled keys: every emitted position, in order
+    else:
+        capture = s.read("intruder", np.arange(s.n))  # every emitted position, in order
+        response = np.take_along_axis(capture, s.sampled, axis=1)
     return s.decide(response, s.sign(response, scenario.d_claim))
 
 

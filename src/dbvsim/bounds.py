@@ -12,6 +12,7 @@ lengths and the optimizer all read it.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -257,7 +258,28 @@ class _PmfTerms(NamedTuple):
     log_q: float
 
 
+#: Whole numbers below this have their ``math.lgamma`` in one table (512 KiB).
+_LGAMMA_TABLE_SIZE = 1 << 16
+
+
+@functools.cache
+def _lgamma_table() -> np.ndarray:
+    """``math.lgamma(i)`` at entry i for 1 <= i < _LGAMMA_TABLE_SIZE (entry 0,
+    the pole, is inf), built on first use and read-only."""
+    table = np.empty(_LGAMMA_TABLE_SIZE, dtype=np.float64)
+    table[0] = math.inf
+    table[1:] = np.fromiter(map(math.lgamma, range(1, _LGAMMA_TABLE_SIZE)), np.float64,
+                            _LGAMMA_TABLE_SIZE - 1)
+    table.flags.writeable = False
+    return table
+
+
 def _lgamma(x: np.ndarray) -> np.ndarray:
+    """``math.lgamma`` at ``x``, whole numbers >= 1 in increasing or
+    decreasing order (the ends are its least and greatest): read from the
+    table when they are all below its size, the same values."""
+    if x.size and max(x[0], x[-1]) < _LGAMMA_TABLE_SIZE:
+        return _lgamma_table().take(x.astype(np.intp))
     return np.fromiter(map(math.lgamma, x.tolist()), np.float64, len(x))
 
 

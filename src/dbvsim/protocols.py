@@ -124,6 +124,12 @@ MAX_SOURCE_BITS = int(np.iinfo(np.int64).max)
 #: where n is small and most positions are read.
 DENSE_SOURCE_BITS = 1 << 16
 
+#: Length of the one shared key range that blocks sampling every position
+#: (k = n) read as their sampled keys: ``montecarlo.block_rows`` holds a
+#: block's rows * k within its BLOCK_POSITIONS, 2^18, so the range covers
+#: every block it sizes, and a longer block makes a range of its own.
+SHARED_KEY_RANGE = 1 << 18
+
 
 class RetrievalCapError(RuntimeError):
     """A party attempted to retrieve more source positions than the cap allows."""
@@ -414,6 +420,23 @@ def _sorted_distinct(idx: np.ndarray) -> bool:
     return not np.count_nonzero(idx[1:] <= idx[:-1])
 
 
+@functools.cache
+def _shared_key_range() -> np.ndarray:
+    keys = np.arange(SHARED_KEY_RANGE, dtype=np.int64)
+    keys.flags.writeable = False
+    return keys
+
+
+def _key_range(size: int) -> np.ndarray:
+    """Keys 0 .. size - 1 in increasing order, read-only: a view of the
+    shared range, built on first use, when it is long enough."""
+    if size <= SHARED_KEY_RANGE:
+        return _shared_key_range()[:size]
+    keys = np.arange(size, dtype=np.int64)
+    keys.flags.writeable = False
+    return keys
+
+
 def verify_response(m: np.ndarray, m_hat: np.ndarray, beta: float | Fraction) -> str:
     """Acc iff the Hamming distance between response and challenge is <= beta*k."""
     m = np.asarray(m, dtype=np.uint8)
@@ -533,16 +556,24 @@ class Session:
     It draws from ``rng`` in one fixed order, each draw for every row at
     once: the MAC keys (only when the run authenticates and ``keys`` holds
     none), the sampler keys (pi3), then the emission.  pi1/pi2 are the n = k
-    case, with a cap of n and every position sampled.  Nothing more is drawn
-    up front: each party's ``RetrievalAudit`` draws a position the first time
-    that party reads it, in read order and row-major over the rows, taking
-    the source bit from one shared memo (drawn on the first read by anyone)
-    and then the party's own channel: a bit error for a hard receiver, a
-    Gaussian noise sample for the soft one (see ``receive``).  ``challenge``
+    case, with a cap of n and every position sampled, so their sampled keys
+    are the block's keys 0 .. rows * n - 1 in order, a read-only view of one
+    shared key range (``SHARED_KEY_RANGE``), not an array of their own.
+    Nothing more is drawn up front: each party's ``RetrievalAudit`` draws a
+    position the first time that party reads it, in read order and
+    row-major over the rows, taking the source bit from one shared memo
+    (drawn on the first read by anyone) and then the party's own channel: a
+    bit error for a hard receiver, a Gaussian noise sample for the soft one
+    (see ``receive``).  ``challenge``
     reads the verifier's bits from the same memo.  For a pi1/pi2 receiver
     at distance d that reads every position of one row, the eager reference
     is ``random_bits(rng, k)`` (ceil(k/64) raw words of bits) and then
     ``bit_errors(rng, k, p)`` with p the bit error rate at d.
+
+    ``sign`` keeps the message it encoded and the tags it made, and
+    ``decide`` takes those tags for its check only when its own encoding of
+    (response, claim) is byte-equal to that message; otherwise it signs
+    anew.  The tag under check is never trusted.
     """
 
     def __init__(self, cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
@@ -578,6 +609,7 @@ class Session:
         self._views: dict[str, RetrievalAudit] = {}
         self._sampled: Optional[np.ndarray] = None
         self._source = _SharedSource(rng, self.n, self.rows)
+        self._signed: Optional[tuple[np.ndarray, np.ndarray]] = None  # (message, tags)
 
     @staticmethod
     def extent(cfg: ProtocolConfig) -> tuple[int, int]:
@@ -610,7 +642,10 @@ class Session:
 
     @functools.cached_property
     def _sampled_keys(self) -> np.ndarray:
-        """(rows, k): the block keys of the sampled positions."""
+        """(rows, k): the block keys of the sampled positions; when k = n,
+        every key in order, read-only."""
+        if self.cfg.k == self.n:
+            return _key_range(self.rows * self.n).reshape(self.rows, self.n)
         return self.keys(self.sampled)
 
     def challenge(self) -> np.ndarray:
@@ -690,7 +725,11 @@ class Session:
         """Each row's tag over (response, claim) under its MAC key; None without a MAC."""
         if not self.authenticated:
             return None
-        return mac_sign_rows(self.mac_keys, encode_response_claim(response, claim))
+        message = encode_response_claim(response, claim)
+        tags = mac_sign_rows(self.mac_keys, message)
+        # A copy, so that a change to the returned tags cannot reach decide.
+        self._signed = message, tags.copy()
+        return tags
 
     def decide(self, response: np.ndarray, tag: Optional[np.ndarray]) -> Outcome:
         """The verifier's check of each row's (response, tag) against its
@@ -702,7 +741,11 @@ class Session:
         response = np.asarray(response, dtype=np.uint8).reshape(rows, k)
         mac_ok = None
         if self.authenticated:
-            want = mac_sign_rows(self.mac_keys, encode_response_claim(response, self.d_c))
+            message = encode_response_claim(response, self.d_c)
+            if self._signed is not None and np.array_equal(self._signed[0], message):
+                want = self._signed[1]  # sign's tags over these very bytes
+            else:
+                want = mac_sign_rows(self.mac_keys, message)
             mac_ok = (np.zeros(rows, dtype=bool) if tag is None
                       else np.asarray(np.asarray(tag) == want, dtype=bool))
         # Count each row's differing bits a byte at a time: packbits pads a

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import time
 from dataclasses import replace
@@ -277,6 +279,37 @@ class TestRelay:
             t = attack_tfa_relay(cfg, RELAY, CH, np.random.default_rng((15, i)))
             assert t.verdict == ACC and t.mac_ok is True
             assert t.accesses == {"verifier": 2, "intruder": 2}
+
+    def test_vs_pi3_unblocked_below_full_sampling_gathers_the_capture(self, monkeypatch):
+        # ceil(0.9 * 3) = 3 covers the source but k = 2 < n = 3: the intruder
+        # captures every position of every row, and the response is that
+        # capture at each row's sampled positions, not a read of them.
+        cfg = ProtocolConfig("pi3", e0=1000.0, k=2, beta=0.4, brm=BrmParams(lam=0.9, n=3))
+        rows = 16
+        reads = []
+        read = Session.read
+
+        def recording_read(s, party, positions=None, where=None):
+            out = read(s, party, positions, where)
+            reads.append((s, party, positions, out.copy()))
+            return out
+
+        monkeypatch.setattr(Session, "read", recording_read)
+        block = attack_tfa_relay(cfg, replace(RELAY, intruder_d=6e4), CH,
+                                 np.random.default_rng(29), 29, rows=rows)
+        [(s, party, positions, capture)] = reads
+        assert party == "intruder"
+        np.testing.assert_array_equal(positions, np.arange(cfg.brm.n))
+        np.testing.assert_array_equal(block.accesses["intruder"], np.full(rows, cfg.brm.n))
+        assert (s.sampled != np.arange(cfg.k)).any()  # the gather is no identity here
+        np.testing.assert_array_equal(block.response,
+                                      np.take_along_axis(capture, s.sampled, axis=1))
+        assert block.hamming.any()  # the 60 km intruder's errors reach the response
+        # The block's transcripts as the relay drew them when it gathered at
+        # every config, k = n included.
+        lines = "\n".join(json.dumps(block.transcript(i).to_json_dict(), sort_keys=True)
+                          for i in range(rows))
+        assert hashlib.md5(lines.encode()).hexdigest() == "b14a1e5bb8528e91fe09cff3a5c870a0"
 
 
 class TestTfaSampling:

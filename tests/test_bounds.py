@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +29,11 @@ from dbvsim.bounds import (
     brm_exponent_sampling,
     sampler_close_security,
 )
+from dbvsim import bounds
 from dbvsim.bounds import _PmfTerms, _binomial_tails, _log_pmf, _log_pmf_at
 from dbvsim.channel import BerPair
+
+SRC = str(Path(bounds.__file__).resolve().parents[1])
 
 LN2 = math.log(2)
 
@@ -513,3 +520,34 @@ class TestPsiMonotonicity:
             spec_by_psi[psi] = challenge_length_dfa(ber, beta, spec)
         ks = [spec_by_psi[p] for p in sorted(spec_by_psi)]
         assert all(a >= b for a, b in zip(ks, ks[1:]))
+
+
+class TestLgammaTable:
+    """``_lgamma`` reads whole numbers below the table size from one table of
+    ``math.lgamma`` values and computes the rest; both give its values."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1, 300),  # the table's low end
+        (bounds._LGAMMA_TABLE_SIZE - 300, bounds._LGAMMA_TABLE_SIZE - 1),  # its high end
+        (bounds._LGAMMA_TABLE_SIZE - 150, bounds._LGAMMA_TABLE_SIZE + 150),  # across it
+        (bounds._LGAMMA_TABLE_SIZE, bounds._LGAMMA_TABLE_SIZE + 10),  # past it
+    ])
+    def test_equals_math_lgamma(self, lo, hi):
+        x = np.arange(lo, hi + 1, dtype=np.float64)
+        want = np.array([math.lgamma(v) for v in x.tolist()])
+        assert bounds._lgamma(x).tobytes() == want.tobytes()
+        assert bounds._lgamma(x[::-1]).tobytes() == want[::-1].tobytes()
+
+    def test_whole_table(self):
+        table = bounds._lgamma_table()
+        assert table.size == bounds._LGAMMA_TABLE_SIZE and not table.flags.writeable
+        want = np.array([math.lgamma(v) for v in range(1, table.size)])
+        assert table[1:].tobytes() == want.tobytes()
+
+    def test_built_on_first_use_not_at_import(self):
+        code = ("import dbvsim.bounds as b; print(b._lgamma_table.cache_info().currsize); "
+                "b.exact_binomial_tail_lower(3334, 0.2, 0.1); "
+                "print(b._lgamma_table.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=SRC)).stdout
+        assert out.split() == ["0", "1"]

@@ -687,3 +687,118 @@ class TestSession:
         assert kinds == {"honest", "dfa", "mfa", "impersonation", "tfa-relay",
                          "tfa-sampling", "tfa-general"}
         assert {ok for _, ok in checked} == {True, False}
+
+
+class TestFullEmissionKeys:
+    """When k = n every key of the block is sampled, in order: the session
+    reads them from one shared read-only range instead of building them."""
+
+    @pytest.mark.parametrize("cfg", [PI1, PI2, ProtocolConfig(
+        "pi3", e0=2000.0, k=2, beta=0.4, brm=BrmParams(lam=0.6, n=2))], ids=["pi1", "pi2", "pi3"])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_sampled_keys_are_a_view_of_the_shared_range(self, cfg, rows):
+        s = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(20),
+                    rows=rows)
+        keys = s._sampled_keys
+        np.testing.assert_array_equal(keys, s.keys(s.sampled))
+        assert keys.shape == (rows, cfg.k) and not keys.flags.writeable
+        assert np.shares_memory(keys, protocols._shared_key_range())
+
+    def test_block_past_the_shared_range_makes_its_own(self, monkeypatch):
+        protocols._shared_key_range()  # built at its full length before the limit shrinks
+        monkeypatch.setattr(protocols, "SHARED_KEY_RANGE", 3 * PI1.k)
+        for rows, shared in ((3, True), (4, False)):
+            s = Session(PI1, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(21),
+                        rows=rows)
+            keys = s._sampled_keys
+            np.testing.assert_array_equal(keys, s.keys(s.sampled))
+            assert not keys.flags.writeable
+            assert np.shares_memory(keys, protocols._shared_key_range()) == shared
+
+    def test_reads_leave_the_shared_range_unchanged(self):
+        rng = np.random.default_rng(22)
+        for scenario in (Scenario("honest", 5e4, 6e4),
+                         Scenario("tfa-relay", 5e4, 6e4, intruder_d=3e4)):
+            run_block(scenario, PI2, CH, rng, 0, 9)
+        shared = protocols._shared_key_range()
+        assert not shared.flags.writeable
+        np.testing.assert_array_equal(shared, np.arange(protocols.SHARED_KEY_RANGE))
+
+
+class TestSignedTagReuse:
+    """``decide`` takes the tags ``sign`` made only for the very message it
+    signed, so it calls the MAC once on an honest block, and still rejects
+    any tag that was changed and any message signed differently."""
+
+    ROWS = 6
+    CLAIM = 5e4
+
+    @pytest.fixture
+    def sign_calls(self, monkeypatch):
+        calls = []
+        sign_rows = protocols.mac_sign_rows
+
+        def counting(keys, messages):
+            calls.append(len(keys))
+            return sign_rows(keys, messages)
+
+        monkeypatch.setattr(protocols, "mac_sign_rows", counting)
+        return calls
+
+    def honest_block(self, seed):
+        s = Session(PI2, Scenario("honest", self.CLAIM, self.CLAIM), CH,
+                    np.random.default_rng(seed), rows=self.ROWS)
+        s.receive("prover", self.CLAIM)
+        response = s.read("prover")
+        return s, response, s.sign(response, self.CLAIM)
+
+    def test_honest_block_signs_once(self, sign_calls):
+        s, response, tags = self.honest_block(23)
+        block = s.decide(response, tags)
+        assert block.mac_ok.all()
+        assert sign_calls == [self.ROWS]
+
+    def test_altered_tags_fail_on_exactly_their_rows(self, sign_calls):
+        s, response, tags = self.honest_block(24)
+        altered = np.zeros(self.ROWS, dtype=bool)
+        altered[[1, 4]] = True
+        tags[altered] ^= np.uint64(1)  # in place, after sign
+        block = s.decide(response, tags)
+        np.testing.assert_array_equal(block.mac_ok, ~altered)
+        np.testing.assert_array_equal(block.accepted, block.threshold_ok & ~altered)
+        assert sign_calls == [self.ROWS]
+
+    def test_response_changed_after_sign_is_signed_again(self, sign_calls):
+        s, response, tags = self.honest_block(25)
+        response = response.copy()
+        response[2, 0] ^= 1
+        block = s.decide(response, tags)
+        np.testing.assert_array_equal(block.mac_ok, np.arange(self.ROWS) != 2)
+        assert sign_calls == [self.ROWS, self.ROWS]
+
+    def test_mfa_replay_is_signed_again_and_rejected(self, sign_calls):
+        from dbvsim.attacks import attack_mfa
+
+        scenario = Scenario("mfa", 4e4, 6e4, mfa_strategy="replay")
+        block = attack_mfa(PI2, scenario, CH, np.random.default_rng(26), rows=self.ROWS)
+        assert not block.mac_ok.any()
+        assert sign_calls == [self.ROWS, self.ROWS]
+
+    def test_leaked_key_impersonation_passes_its_mac(self, sign_calls):
+        from dbvsim.attacks import attack_impersonation
+
+        scenario = Scenario("impersonation", 4e4, 4e4, leaked_mac_key=True,
+                            leaked_sampler_key=True)
+        block = attack_impersonation(PI2, scenario, CH, np.random.default_rng(27),
+                                     rows=self.ROWS)
+        assert block.mac_ok.all()
+        assert sign_calls == [self.ROWS]
+
+    def test_tags_reused_equal_tags_recomputed(self):
+        for seed in range(5):
+            s, response, tags = self.honest_block(30 + seed)
+            keys = s.mac_keys
+            message = encode_response_claim(response, self.CLAIM)
+            for i in range(self.ROWS):
+                assert mac_verify(keys[i], message[i], int(tags[i]))
+            np.testing.assert_array_equal(s.decide(response, tags).mac_ok, True)
