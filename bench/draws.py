@@ -39,10 +39,11 @@ and every figure is the best batch over all rounds, in microseconds:
   takes for the smallest blocks.  Keys and messages are made before the
   clock starts, and each block's keys are dropped after use;
 * ``emission``: per block of a full-emission (k = n) protocol at the
-  challenge-response design (k=3334), the block sizes its batches run: pi1
-  honest at 78 rows, pi2 honest at 25 rows and the pi2 relay with an
-  error-free intruder at 30 rows, each one policy call on a new generator,
-  the session's key draws, reads, signs and verdicts included.
+  challenge-response design (k=3334), at the block sizes perfbench's
+  challenge-response batches run: pi1 honest at 78 rows, pi2 honest at 25
+  rows and the pi2 relay with an error-free intruder at 30 rows, each one
+  policy call on a new generator, the session's key draws, reads, signs
+  and verdicts included.
 
 ``--mac-only`` times the ``mac`` group alone, ``--emission-only`` the
 ``emission`` group alone.
@@ -87,7 +88,7 @@ MAC_CALLS = 20
 EMISSION_BLOCKS = [("pi1", "honest", 78), ("pi2", "honest", 25), ("pi2", "tfa-relay", 30)]
 #: Blocks a batch of each ``emission`` measurement runs.
 EMISSION_CALLS = 10
-#: The measurement groups a child can time, as ``--group`` names them.
+#: The measurement groups a child times, by the name ``--child`` takes.
 GROUPS = ("all", "mac", "emission")
 #: Timed batches of each measurement in one child, taken in turn.
 BATCHES = 10

@@ -715,15 +715,6 @@ class TestFullEmissionKeys:
             assert not keys.flags.writeable
             assert np.shares_memory(keys, protocols._shared_key_range()) == shared
 
-    def test_reads_leave_the_shared_range_unchanged(self):
-        rng = np.random.default_rng(22)
-        for scenario in (Scenario("honest", 5e4, 6e4),
-                         Scenario("tfa-relay", 5e4, 6e4, intruder_d=3e4)):
-            run_block(scenario, PI2, CH, rng, 0, 9)
-        shared = protocols._shared_key_range()
-        assert not shared.flags.writeable
-        np.testing.assert_array_equal(shared, np.arange(protocols.SHARED_KEY_RANGE))
-
 
 class TestSignedTagReuse:
     """``decide`` takes the tags ``sign`` made only for the very message it
@@ -793,12 +784,3 @@ class TestSignedTagReuse:
                                      rows=self.ROWS)
         assert block.mac_ok.all()
         assert sign_calls == [self.ROWS]
-
-    def test_tags_reused_equal_tags_recomputed(self):
-        for seed in range(5):
-            s, response, tags = self.honest_block(30 + seed)
-            keys = s.mac_keys
-            message = encode_response_claim(response, self.CLAIM)
-            for i in range(self.ROWS):
-                assert mac_verify(keys[i], message[i], int(tags[i]))
-            np.testing.assert_array_equal(s.decide(response, tags).mac_ok, True)
