@@ -8,6 +8,7 @@ Run from the repository root, for example:
     python3 bench/draws.py --parent 23f929d --change HEAD --mac-only --out BENCH_mac.json
     python3 bench/draws.py --parent ee71590 --change HEAD --mac-only --out BENCH_mac_lanes.json
     python3 bench/draws.py --parent 06b6a85 --change HEAD --emission-only --out BENCH_full_emission.json
+    python3 bench/draws.py --parent 706bbfd --change HEAD --digest-only --out BENCH_one_reception.json
 
 Each commit's ``src/`` is extracted with ``git archive`` into a temporary
 directory and timed in child processes of its own, one per round, the two
@@ -43,10 +44,14 @@ and every figure is the best batch over all rounds, in microseconds:
   challenge-response batches run: pi1 honest at 78 rows, pi2 honest at 25
   rows and the pi2 relay with an error-free intruder at 30 rows, each one
   policy call on a new generator, the session's key draws, reads, signs
-  and verdicts included.
+  and verdicts included;
+* ``digest``: per trial of ``estimate_rates`` for the digest intruders of
+  tfa-general, parity-sketch and block-majority, at the brm-dense design
+  (k=160, n=534) with the prover at twice the claim, in calls of
+  DIGEST_TRIALS trials, as brm-dense runs the block-majority batch.
 
 ``--mac-only`` times the ``mac`` group alone, ``--emission-only`` the
-``emission`` group alone.
+``emission`` group alone and ``--digest-only`` the ``digest`` group alone.
 """
 
 from __future__ import annotations
@@ -88,8 +93,11 @@ MAC_CALLS = 20
 EMISSION_BLOCKS = [("pi1", "honest", 78), ("pi2", "honest", 25), ("pi2", "tfa-relay", 30)]
 #: Blocks a batch of each ``emission`` measurement runs.
 EMISSION_CALLS = 10
+#: Trials a call of each ``digest`` measurement runs, and its calls a batch.
+DIGEST_TRIALS = 35
+DIGEST_CALLS = 20
 #: The measurement groups a child times, by the name ``--child`` takes.
-GROUPS = ("all", "mac", "emission")
+GROUPS = ("all", "mac", "emission", "digest")
 #: Timed batches of each measurement in one child, taken in turn.
 BATCHES = 10
 
@@ -259,6 +267,37 @@ def _emission_batches() -> dict:
     return batches
 
 
+def _digest_batches() -> dict:
+    """The ``digest`` measurements, as ``_draw_batches`` returns them."""
+    from dbvsim.attacks import BlockMajorityStrategy, ParitySketchStrategy
+    from dbvsim.bounds import DbvSpec
+    from dbvsim.channel import DEFAULT_CHANNEL
+    from dbvsim.montecarlo import Scenario, estimate_rates
+    from dbvsim.optimize import optimize_brm
+    from dbvsim.protocols import BrmParams, ProtocolConfig
+
+    spec = DbvSpec(psi=2.0, eps_fa=1e-2, eps_fr=1e-2)
+    opt = optimize_brm(spec, DEFAULT_CHANNEL, 0.3, "sampling")
+    cfg = ProtocolConfig("pi3", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
+                         brm=BrmParams(lam=0.3, n=opt.n_star))
+    d = DEFAULT_CHANNEL.d0 / 2.0
+
+    def trials(strategy):
+        scenario = Scenario("tfa-general", d, spec.psi * d, tfa_strategy=strategy)
+
+        def timed(batch):
+            start = time.perf_counter()
+            for i in range(DIGEST_CALLS):
+                estimate_rates(scenario, cfg, None, DEFAULT_CHANNEL, DIGEST_TRIALS,
+                               batch * DIGEST_CALLS + i)
+            return time.perf_counter() - start
+        return timed
+
+    return {f"digest/{strategy.name}(k={cfg.k},n={cfg.brm.n})":
+            (DIGEST_TRIALS * DIGEST_CALLS, trials(strategy))
+            for strategy in (ParitySketchStrategy(), BlockMajorityStrategy())}
+
+
 def _child(group: str) -> dict:
     """The best batch of each measurement of ``group`` on the dbvsim that
     PYTHONPATH names."""
@@ -267,6 +306,8 @@ def _child(group: str) -> dict:
         batches.update(_mac_batches())
     if group in ("all", "emission"):
         batches.update(_emission_batches())
+    if group in ("all", "digest"):
+        batches.update(_digest_batches())
     best = {name: math.inf for name in batches}
     for batch in range(BATCHES):
         for name, (count, timed) in batches.items():
@@ -305,6 +346,8 @@ def main() -> None:
     only.add_argument("--mac-only", action="store_true", help="time the mac group alone")
     only.add_argument("--emission-only", action="store_true",
                       help="time the emission group alone")
+    only.add_argument("--digest-only", action="store_true",
+                      help="time the digest group alone")
     parser.add_argument("--child", choices=GROUPS, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
@@ -314,6 +357,7 @@ def main() -> None:
         parser.error("--parent is required")
     group, flag = (("mac", " --mac-only") if args.mac_only
                    else ("emission", " --emission-only") if args.emission_only
+                   else ("digest", " --digest-only") if args.digest_only
                    else ("all", ""))
     with tempfile.TemporaryDirectory() as tmp:
         sides = {}

@@ -9,9 +9,10 @@ the run's ``montecarlo.Scenario``, the only description of a run.  A distance
 of None places a receiver so close to the verifier that it is error-free (the
 strongest adversary).  Every party reads through the session's retrieval
 audit, whose cap on pi1/pi2 is the whole emission, so an attack that needs
-more than the cap raises RetrievalCapError.  Like the session, each policy
-is written over a leading row axis: given ``rows`` it runs a block of that
-many trials and returns its ``TrialBlock``, and without it one run's
+more than the cap raises RetrievalCapError.  Every answer is drawn as bits,
+even the block-majority prover's (``attack_tfa_general``).  Like the session,
+each policy is written over a leading row axis: given ``rows`` it runs a block
+of that many trials and returns its ``TrialBlock``, and without it one run's
 ``Transcript``.  Whether a read passes the cap never depends on the draws,
 so it holds or fails for every row of a block alike.
 """
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 from scipy import special
 
-from .channel import ChannelParams, attenuate, bpsk_demodulate
+from .channel import ChannelParams, bit_errors, snr_at_distance
 from .primitives import random_field_elements, random_index_rows
 from .protocols import (
     Outcome,
@@ -184,19 +185,17 @@ class BlockMajorityStrategy:
 RetrievalStrategy = Union[IndexSamplingStrategy, ParitySketchStrategy, BlockMajorityStrategy]
 
 
-def _blocks(n: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and sizes of the non-empty blocks of a fixed blocks-way partition of n."""
-    bounds = np.linspace(0, n, blocks + 1).astype(int)
-    nonempty = bounds[1:] > bounds[:-1]
-    return bounds[:-1][nonempty], np.diff(bounds)[nonempty]
-
-
-def _majority_prior(digest: np.ndarray, sizes: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Each sampled bit's prior llr, given the majority ``digest`` of its
-    ``block`` (an index into the blocks' ``sizes``)."""
-    distinct, which = np.unique(sizes, return_inverse=True)
-    table = np.array([_majority_prior_llr(int(m)) for m in distinct])
-    return table[which[block], 1 - digest]
+def _blocks(n: int, blocks: int,
+            positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(block, large, sizes) of ``positions`` in the partition of n into
+    ``blocks`` <= n blocks, the first n % blocks one position larger: every
+    quotient is of values within [-n, n], so it is exact for any n."""
+    small, extra = divmod(n, blocks)
+    block = (positions - extra) // small
+    if extra:
+        np.maximum(block, positions // (small + 1), out=block)
+    sizes = (small, small + 1) if extra else (small,)
+    return block, (block < extra).view(np.uint8), sizes
 
 
 #: Largest block whose majority prior comes from exact integer tails; above,
@@ -258,31 +257,44 @@ def _majority_one_prob(size: np.ndarray, sampled: np.ndarray,
     return special.bdtrc(np.minimum(need - 1, free), free, 0.5)
 
 
-def _block_majorities(bits: np.ndarray, block: np.ndarray, sizes: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
+def _block_majorities(bits: np.ndarray, block: np.ndarray, large: np.ndarray,
+                      sizes: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """(rows, k): the majority digest of each sampled position's block, given
     the (rows, k) source ``bits`` at the sampled positions, sorted on each
-    row, and their ``block``s: one uniform double per (row, block) that holds
+    row, and their ``_blocks``: one uniform double per (row, block) that holds
     sampled positions, in row-major order, against ``_majority_one_prob``.
     Digests of distinct blocks are independent given the sampled bits, so
     this is their exact joint law."""
-    k = block.shape[1]
     flat = block.ravel()
     first = np.empty(flat.size, dtype=bool)  # where a (row, block) group starts
     np.not_equal(flat[1:], flat[:-1], out=first[1:])
-    first[::k] = True
+    first[::block.shape[1]] = True
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=flat.size)
     ones = np.add.reduceat(bits.ravel(), starts, dtype=np.int64)
-    # The law at every (size, count, ones) below the largest count: a
-    # partition's sizes take a few values, and few sampled positions share a
-    # block.  (Counts above a size give NaN entries that nothing reads.)
-    distinct, size_at = np.unique(sizes, return_inverse=True)
+    # The law at every (size, count, ones) below the largest count: few
+    # sampled positions share a block.  (Counts above a size give NaN
+    # entries that nothing reads.)
     upto = np.arange(int(counts.max()) + 1)
-    table = _majority_one_prob(*np.ix_(distinct, upto, upto))
-    prob = table[size_at[flat[starts]], counts, ones]
+    table = _majority_one_prob(*np.ix_(np.array(sizes), upto, upto))
+    prob = table.ravel().take((large.ravel()[starts] * upto.size + counts) * upto.size + ones)
     digest = rng.random(starts.size) < prob
     return np.repeat(digest.astype(np.uint8), counts).reshape(block.shape)
+
+
+def _majority_error_rates(snr: float, sizes: tuple[int, ...]) -> np.ndarray:
+    """[c, d, b]: P(the block-majority answer is not the source bit b) in a
+    block of sizes[c] with digest d.  The ML decision on y ~ N(+-amp, sigma/2)
+    (``channel.propagate``) is y > -prior sigma / (4 amp), prior the digest's
+    llr, so it errs with probability erfc(sqrt(snr) +- prior / (4 sqrt(snr)))
+    / 2, + for b = 1, snr = amp^2 / sigma; at snr 0 it is the prior's sign."""
+    root = math.sqrt(snr)
+    table = np.empty((len(sizes), 2, 2))
+    for c, size in enumerate(sizes):
+        for d, prior in zip((1, 0), _majority_prior_llr(size)):
+            shift = prior / (4.0 * root) if root else math.copysign(math.inf, prior)
+            table[c, d] = 0.5 * math.erfc(root - shift), 0.5 * math.erfc(root + shift)
+    return table
 
 
 def _overlap(picked: np.ndarray, sampled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,20 +312,21 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
     ceil(lam*n) output bits.
 
     The prover decodes each sampled position by per-bit maximum likelihood
-    from the digest and its own reception, ties broken toward its own
-    demodulated bit, then authenticates the response with its real key.
-    Only the block-majority decoder weighs the received samples; every
-    other reception is read as bits.  A digest response depends on the
-    source only through the sampled bits and the digests of their blocks,
-    so no other source bit is drawn: a parity digest is used only where its
-    block is one sampled position, and a majority digest is drawn from its
-    law given the block's sampled bits (``_block_majorities``).
+    from the digest and its own reception, then authenticates the response
+    with its real key.  A digest response depends on the source only through
+    the sampled bits and the digests of their blocks, so no other source bit
+    is drawn: a parity digest is used only where its block is one sampled
+    position, and a majority digest is drawn from its law given the block's
+    sampled bits (``_block_majorities``).  The block-majority answer is the
+    source bit XOR one ``bit_errors`` draw after the digests, at the rates
+    its decision on a Gaussian sample errs at (``_majority_error_rates``).
     """
     if cfg.protocol != "pi3":
         raise ProtocolConfigError("terrorist-fraud retrieval attacks target pi3")
     strategy, d_r = scenario.tfa_strategy, scenario.d_real
+    majority = isinstance(strategy, BlockMajorityStrategy) and not scenario.noiseless
     s = Session(cfg, scenario, ch, rng, seed, rows=rows)
-    s.receive("prover", d_r, soft=isinstance(strategy, BlockMajorityStrategy))
+    s.receive("prover", None if majority else d_r)  # its errors come after the digests
     sampled = s.sampled
 
     if isinstance(strategy, IndexSamplingStrategy):
@@ -325,29 +338,23 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
         response = np.empty(sampled.shape, dtype=np.uint8)
         response[hit] = known[at.reshape(sampled.shape)[hit]]
         response[~hit] = s.read("prover", where=~hit)
-    else:
-        starts, sizes = _blocks(s.n, s.cap)
-        block = np.searchsorted(starts, sampled, side="right") - 1
-        if isinstance(strategy, ParitySketchStrategy):
-            # A block parity carries no per-bit information unless the block
-            # is a single position, in which case it reveals the bit exactly;
-            # any other block's parity is uniform given its sampled bits.
-            response = s.read("prover").copy()
-            singleton = sizes[block] == 1
-            response[singleton] = s.challenge()[singleton]
-        elif scenario.noiseless:
-            response = bpsk_demodulate(s.read("prover"))
-        else:
-            y_sampled = s.read("prover")
-            digest = _block_majorities(s.challenge(), block, sizes, rng)
-            own_bits = bpsk_demodulate(y_sampled)
-            amp = attenuate(math.sqrt(s.power_w), d_r, ch)
-            # Per-sample noise variance is sigma/2 (see channel.propagate).
-            llr_chan = 4.0 * amp * y_sampled / ch.sigma
-            total = llr_chan + _majority_prior(digest, sizes, block)
-            response = np.where(total > 0, 1, np.where(total < 0, 0, own_bits)).astype(
-                np.uint8
-            )
+    elif isinstance(strategy, ParitySketchStrategy):
+        # A block parity carries no per-bit information unless the block is
+        # a single position, in which case it reveals the bit exactly; any
+        # other block's parity is uniform given its sampled bits.
+        response = s.read("prover").copy()
+        _, large, sizes = _blocks(s.n, s.cap, sampled)
+        singleton = np.take(sizes, large) == 1
+        response[singleton] = s.challenge()[singleton]
+    elif majority:
+        bits = s.read("prover")
+        block, large, sizes = _blocks(s.n, s.cap, sampled)
+        digest = _block_majorities(bits, block, large, sizes, rng)
+        rates = _majority_error_rates(snr_at_distance(s.power_w, d_r, ch), sizes)
+        at = large * 4 + digest * 2 + bits  # rates[large, digest, bits]
+        response = bits ^ bit_errors(rng, bits.size, rates.take(at).ravel()).reshape(bits.shape)
+    else:  # block-majority without noise: the digest has no weight
+        response = s.read("prover")
     return s.decide(response, s.sign(response, scenario.d_claim))
 
 

@@ -179,8 +179,9 @@ def random_bits(rng: np.random.Generator, k: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), count=k, bitorder="little")
 
 
-def bit_errors(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
-    """m independent bit errors of probability p as a uint8 array (1: error).
+def bit_errors(rng: np.random.Generator, m: int, p) -> np.ndarray:
+    """m independent bit errors as a uint8 array (1: error), each of
+    probability p, or of p[i] for error i when p is a numpy array of m rates.
 
     Error i reads lane i of ceil(m/4) raw 64-bit words of ``rng``'s bit
     generator, each word cut into four 16-bit lanes, low lane first.  With
@@ -192,19 +193,25 @@ def bit_errors(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
     settles the lane's next bits only when needed, as in Knuth and Yao's
     generation of a Bernoulli variable from random bits (1976).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"error probability must be in [0, 1], got {p}")
     m = int(m)
+    per_error = isinstance(p, np.ndarray)
+    if not (p.shape == (m,) and ((p >= 0.0) & (p <= 1.0)).all() if per_error
+            else 0.0 <= p <= 1.0):
+        raise ValueError(f"error probability must be in [0, 1], or {m} of them, got {p}")
     scaled = p * _LANE_VALUES  # exact: a power-of-two scaling
-    cut = int(scaled)
+    # A scalar cut stays a Python int, so lanes compare as uint16.
+    cut = scaled.astype(np.int64) if per_error else int(scaled)
     words = rng.bit_generator.random_raw(-(-m // _LANES_PER_WORD)).astype(_WORD, copy=False)
     lanes = words.view(_LANE)[:m]
     errors = lanes < cut
-    if scaled != cut:
+    if per_error or scaled != cut:  # a rate on the lane grid ties no lane
         tied = lanes == cut
+        if per_error:
+            tied &= scaled != cut
         count = np.count_nonzero(tied)
         if count:
-            errors[tied] = rng.random(count) < scaled - cut
+            frac = scaled - cut
+            errors[tied] = rng.random(count) < (frac[tied] if per_error else frac)
     return errors.view(np.uint8)
 
 
@@ -251,11 +258,8 @@ def propagate(
     repeated receptions) see independent noise realizations.  ``noiseless``
     selects the sigma -> 0 limit, returning the attenuated signal exactly.
 
-    A session's soft receiver, whose decoder weighs the samples, receives
-    through it.  A hard receiver draws only its bit errors at
-    bit_error_prob(snr) (``protocols.Session.receive``); this analog path,
-    followed by ``bpsk_demodulate``, is the oracle that draw is tested
-    against.
+    No session receives through it: every receiver draws bit errors, and
+    this analog path, demodulated or decoded, is their test oracle.
     """
     if not d > 0:
         raise ValueError(f"distance must be > 0, got {d}")

@@ -31,7 +31,6 @@ from .channel import (
     bits_to_hex,
     bpsk_demodulate,
     bpsk_modulate,
-    propagate,
     random_bits,
     snr_at_distance,
     transmit_power_for_claim,
@@ -95,8 +94,11 @@ PROTOCOLS = ("pi1", "pi2", "pi3")
 #: raw 64-bit generator words, 64 a word, keeping a word's unread bits for
 #: the next read, and a hard receiver's bit errors from 16-bit lanes of raw
 #: words (``channel.bit_errors``) in place of one uniform double per bit or
-#: error, several times faster with the same law.
-SOURCE_STREAM_VERSION = 6
+#: error, several times faster with the same law; 7 draws the block-majority
+#: prover's errors by ``bit_errors`` after its digests, at the rates its
+#: decision on the Gaussian sample 6 drew errs at, and the digests'
+#: partition puts its larger blocks first, where 6 rounded ``linspace``.
+SOURCE_STREAM_VERSION = 7
 
 #: How trials share a generator: 1 gave each trial its own, seeded by
 #: (master seed, trial index); 2 runs them in blocks of rows, one generator
@@ -501,11 +503,10 @@ class _SharedSource:
     every key is drawn a read checks for none; above, sorted keys and bits
     (a RetrievalAudit), so memory grows with the positions read.  No party
     reads more than the cap of a row, so a row's whole source is drawn only
-    where the cap covers it.  An error-free receiver reads these bits as
-    they are, a hard receiver with its own bit errors XORed on, and a soft
-    receiver modulated and propagated (``Session.receive``).  It refers to
-    no session or view, so the receivers' fills that share it form no
-    reference cycle and a finished session is freed at once.
+    where the cap covers it.  A receiver reads these bits with its own bit
+    errors XORed on (``Session.receive``).  It refers to no session or view,
+    so the receivers' fills that share it form no reference cycle and a
+    finished session is freed at once.
     """
 
     def __init__(self, rng: np.random.Generator, n: int, rows: int):
@@ -562,13 +563,11 @@ class Session:
     Nothing more is drawn up front: each party's ``RetrievalAudit`` draws a
     position the first time that party reads it, in read order and
     row-major over the rows, taking the source bit from one shared memo
-    (drawn on the first read by anyone) and then the party's own channel: a
-    bit error for a hard receiver, a Gaussian noise sample for the soft one
-    (see ``receive``).  ``challenge``
-    reads the verifier's bits from the same memo.  For a pi1/pi2 receiver
-    at distance d that reads every position of one row, the eager reference
-    is ``random_bits(rng, k)`` (ceil(k/64) raw words of bits) and then
-    ``bit_errors(rng, k, p)`` with p the bit error rate at d.
+    (drawn on the first read by anyone) and then the party's own bit errors
+    (``receive``); ``challenge`` reads the verifier's bits from that memo.
+    For a pi1/pi2 receiver at distance d reading every position of a row,
+    the eager reference is ``random_bits(rng, k)`` (ceil(k/64) raw words)
+    and then ``bit_errors(rng, k, p)`` with p the bit error rate at d.
 
     ``sign`` keeps the message it encoded and the tags it made, and
     ``decide`` takes those tags for its check only when its own encoding of
@@ -660,32 +659,20 @@ class Session:
         positions on each row give sorted distinct keys."""
         return np.asarray(positions, dtype=np.int64) + self._offsets
 
-    def receive(self, party: str, at: Optional[float], soft: bool = False) -> None:
+    def receive(self, party: str, at: Optional[float]) -> None:
         """``party``'s reception of the emission at distance ``at`` (None: so
         close that it is error-free, and nothing is drawn), drawn at each
         position when the party first reads it.
 
-        A hard receiver (the default) demodulates at once, so it reads bits:
-        the source bit XOR an independent error of probability
+        It reads the source bit XOR an independent error of probability
         p = bit_error_prob(snr) at ``at``, drawn for the read's new positions
-        by one ``channel.bit_errors`` call after their source bits.  The
-        binary symmetric channel this draws is the one the bounds and exact
-        oracles use.  p = 0 (an SNR whose loss underflows) draws nothing;
-        ``noiseless`` draws nothing and maps each bit as the attenuated,
-        demodulated emission does.  A ``soft`` receiver reads the received
-        samples themselves, the modulated emission after
-        ``channel.propagate``, for a decoder that weighs them.
+        by one ``channel.bit_errors`` call after their source bits: the
+        binary symmetric channel of the bounds and exact oracles.  p = 0 (an
+        SNR whose loss underflows) draws nothing; ``noiseless`` draws nothing
+        and maps each bit as the attenuated, demodulated emission does.
         """
         source, power_w, ch, rng = self._source, self.power_w, self.ch, self.rng
-        if soft:
-            noiseless = self.noiseless
-
-            def fill(keys: np.ndarray) -> np.ndarray:
-                sig = bpsk_modulate(source.at(keys), power_w)
-                if at is None:
-                    return sig
-                return propagate(sig, at, ch, rng, noiseless=noiseless)
-        elif at is None:
+        if at is None:
             fill = source.at
         elif self.noiseless:
             # Identity, except that a loss past the float range attenuates

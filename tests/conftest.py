@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from dbvsim.bounds import max_errors
-from dbvsim.channel import bit_error_prob, snr_at_distance, transmit_power_for_claim
+from dbvsim.channel import (
+    bit_error_prob,
+    bpsk_modulate,
+    propagate,
+    snr_at_distance,
+    transmit_power_for_claim,
+)
 
 
 @pytest.fixture
@@ -79,3 +85,20 @@ def exact_overlap_pmf():
 def exact_sampling_mixture():
     """Oracle: the tfa-sampling acceptance probability (scenario, cfg, ch) in fractions."""
     return _exact_sampling_mixture
+
+
+def _analog_reception(s, at):
+    """(rows, k) Gaussian samples: the session's source bits at its sampled
+    positions, modulated at its power and received at distance ``at``
+    through ``channel.propagate`` (attenuated only when the run is
+    noiseless).  The source bits not drawn yet are drawn first, then one
+    noise sample a position."""
+    sig = bpsk_modulate(s.challenge(), s.power_w)
+    return propagate(sig, at, s.ch, s.rng, noiseless=s.noiseless)
+
+
+@pytest.fixture(scope="session")
+def analog_reception():
+    """Oracle: the analog receiver (session, distance) that hard receptions
+    are tested against."""
+    return _analog_reception

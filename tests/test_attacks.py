@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 from scipy.stats import binom, binomtest, fisher_exact
 
+from dbvsim import attacks
 from dbvsim.attacks import (
     BlockMajorityStrategy,
     IndexSamplingStrategy,
@@ -23,8 +24,8 @@ from dbvsim.attacks import (
     attack_tfa_sampling,
     _blocks,
     _block_majorities,
+    _majority_error_rates,
     _majority_one_prob,
-    _majority_prior,
     _majority_prior_llr,
     _overlap,
 )
@@ -34,6 +35,8 @@ from dbvsim.channel import (
     attenuate,
     bit_error_prob,
     bpsk_demodulate,
+    bpsk_modulate,
+    propagate,
     snr_at_distance,
     transmit_power_for_claim,
 )
@@ -309,7 +312,7 @@ class TestRelay:
         # every config, k = n included.
         lines = "\n".join(json.dumps(block.transcript(i).to_json_dict(), sort_keys=True)
                           for i in range(rows))
-        assert hashlib.md5(lines.encode()).hexdigest() == "b14a1e5bb8528e91fe09cff3a5c870a0"
+        assert hashlib.md5(lines.encode()).hexdigest() == "e5644bdfbbd79b948bc5923ca5f21820"
 
 
 class TestTfaSampling:
@@ -423,6 +426,14 @@ class TestMajorityPrior:
         assert one > 0 > zero
 
 
+def _partition(n, cap):
+    """(starts, sizes) of the cap blocks of n, from Python ints: the first
+    n % cap blocks hold n // cap + 1 positions, the others n // cap."""
+    small, extra = divmod(n, cap)
+    sizes = [small + 1] * extra + [small] * (cap - extra)
+    return [0, *itertools.accumulate(sizes)][:-1], sizes
+
+
 def _digest(strategy, source, starts, sizes):
     """The intruder's per-block parity or majority bit of the source (of each
     row of a (rows, n) source): the whole-source digest the attack's law is
@@ -438,8 +449,8 @@ def _loop_digest_path(strategy, o, cap, sampled):
     sampled position: (digest, block of each sampled position, its block's
     size, the majority prior llr of each sampled position)."""
     n = o.size
-    bounds = np.linspace(0, n, cap + 1).astype(int)
-    slices = [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    starts, sizes = _partition(n, cap)
+    slices = [slice(a, a + m) for a, m in zip(starts, sizes)]
     if isinstance(strategy, ParitySketchStrategy):
         digest = np.array([int(np.bitwise_xor.reduce(o[s])) for s in slices], dtype=np.uint8)
     else:
@@ -472,15 +483,22 @@ class TestDigestPathOracle:
         want_digest, want_block, want_size, want_prior = _loop_digest_path(
             strategy, o, cap, sampled
         )
-        starts, sizes = _blocks(n, cap)
-        digest = _digest(strategy, o, starts, sizes)
-        block = np.searchsorted(starts, sampled, side="right") - 1
+        starts, sizes = _partition(n, cap)
+        digest = _digest(strategy, o, starts, np.array(sizes))
+        block, large, sizes = _blocks(n, cap, sampled)
         assert digest.dtype == np.uint8
         np.testing.assert_array_equal(digest, want_digest)
         np.testing.assert_array_equal(block, want_block)
-        np.testing.assert_array_equal(sizes[block], want_size)
-        # bit-identical floats: the prior is a selection, not arithmetic
-        assert _majority_prior(digest[block], sizes, block).tobytes() == want_prior.tobytes()
+        np.testing.assert_array_equal(np.array(sizes)[large], want_size)
+        # Bit-identical floats: each rate is a selection from the table, which
+        # applies the error law to the prior the loop selected.
+        snr = 0.7
+        rates = _majority_error_rates(snr, sizes)
+        root = math.sqrt(snr)
+        for bit, sign in ((1, 1.0), (0, -1.0)):
+            want = [0.5 * math.erfc(root + sign * prior / (4.0 * root)) for prior in want_prior]
+            got = rates[large, digest[block], bit]
+            assert got.tobytes() == np.array(want).tobytes()
 
     def test_prior_cached_by_block_size(self):
         _majority_prior_llr(10**5)
@@ -489,44 +507,158 @@ class TestDigestPathOracle:
         assert _majority_prior_llr.cache_info().hits == hits + 1
 
 
-def _whole_source_tfa_general(cfg, scenario, ch, rng):
+def _gaussian_decoder(y, amp, sigma, prior):
+    """The block-majority prover's per-bit maximum-likelihood decision on its
+    Gaussian samples ``y`` at amplitude ``amp``, each with its digest's
+    prior llr; a tie goes to the sample's sign."""
+    total = 4.0 * amp * y / sigma + prior
+    return np.where(total > 0, 1, np.where(total < 0, 0, bpsk_demodulate(y))).astype(np.uint8)
+
+
+def _whole_source_tfa_general(cfg, scenario, ch, rng, analog_reception):
     """One run of the digest attack as first written, the whole-source
     engine: the row's whole source is drawn in position order before the
-    prover reads, and the digest is ``_digest`` of it; the decoder is the
-    attack's."""
+    prover reads, and the digest is ``_digest`` of it; the block-majority
+    prover decodes its analog reception with the Gaussian decoder."""
     strategy, d_r = scenario.tfa_strategy, scenario.d_real
     s = Session(cfg, scenario, ch, rng)
-    s.receive("prover", d_r, soft=isinstance(strategy, BlockMajorityStrategy))
-    starts, sizes = _blocks(s.n, s.cap)
+    starts, sizes = (np.array(v) for v in _partition(s.n, s.cap))
     digest = _digest(strategy, s._source.at(np.arange(s.n))[None], starts, sizes)
     block = np.searchsorted(starts, s.sampled, side="right") - 1
     if isinstance(strategy, ParitySketchStrategy):
+        s.receive("prover", d_r)
         response = s.read("prover").copy()
         singleton = sizes[block] == 1
         response[singleton] = np.take_along_axis(digest, block, axis=1)[singleton]
     elif scenario.noiseless:
-        response = bpsk_demodulate(s.read("prover"))
+        response = bpsk_demodulate(analog_reception(s, d_r))
     else:
-        y_sampled = s.read("prover")
+        y = analog_reception(s, d_r)
         amp = attenuate(math.sqrt(s.power_w), d_r, ch)
-        prior = _majority_prior(np.take_along_axis(digest, block, axis=1), sizes, block)
-        total = 4.0 * amp * y_sampled / ch.sigma + prior
-        response = np.where(total > 0, 1, np.where(total < 0, 0, bpsk_demodulate(y_sampled)))
-    return s.decide(response.astype(np.uint8), s.sign(response, scenario.d_claim))
+        llr = np.array([_majority_prior_llr(int(m)) for m in sizes])
+        prior = llr[block, 1 - np.take_along_axis(digest, block, axis=1)]
+        response = _gaussian_decoder(y, amp, ch.sigma, prior)
+    return s.decide(response, s.sign(response, scenario.d_claim))
 
 
-def _loop_block_majorities(bits, block, sizes, rng):
+def _loop_block_majorities(bits, block, size, rng):
     """``_block_majorities`` one (row, block) at a time, with the majority
-    law summed term by term."""
+    law summed term by term; ``size`` is each position's block size."""
     out = np.empty(bits.shape, dtype=np.uint8)
     for r in range(bits.shape[0]):
         for b in dict.fromkeys(block[r].tolist()):  # distinct, in order
             where = block[r] == b
-            m, j, s = int(sizes[b]), int(where.sum()), int(bits[r, where].sum())
+            m, j, s = int(size[r, where][0]), int(where.sum()), int(bits[r, where].sum())
             need = math.ceil(m / 2) - s
             p = sum(math.comb(m - j, t) for t in range(max(0, need), m - j + 1)) / 2 ** (m - j)
             out[r, where] = rng.random() < p
     return out
+
+
+class TestPartition:
+    """``_blocks`` against the partition taken in Python ints, at sources
+    past 2^62 positions, where float bounds and (position * cap) // n in
+    int64 both go wrong."""
+
+    @pytest.mark.parametrize("n, cap", [(2**62, 8), (2**62 + 5, 8), (2**63 - 1, 8),
+                                        (2**63 - 1, 1), (2**63 - 1, 2**40 + 3), (7, 3), (5, 5)])
+    def test_matches_python_int_partition(self, n, cap):
+        small, extra = divmod(n, cap)
+        edge = extra * (small + 1)  # the first position of a small block
+
+        def block_of(p):
+            return p // (small + 1) if p < edge else extra + (p - edge) // small
+
+        rng = np.random.default_rng(cap)
+        edges = [0, n - 1] + [b * small + min(b, extra) + e for b in (1, cap // 2, cap - 1)
+                              for e in (-1, 0)]
+        positions = sorted({p for p in edges if 0 <= p < n}
+                           | {int(x) for x in rng.integers(0, n, 200, dtype=np.int64)})
+        block, large, sizes = _blocks(n, cap, np.array(positions, dtype=np.int64)[None])
+        want = [block_of(p) for p in positions]
+        assert block[0].tolist() == want
+        assert [sizes[c] for c in large[0].tolist()] == [small + (b < extra) for b in want]
+        assert sizes == ((small, small + 1) if extra else (small,))
+
+    def test_digest_attacks_run_past_two_to_the_62(self):
+        cfg = ProtocolConfig("pi3", e0=2000.0, k=8, beta=0.2,
+                             brm=BrmParams(lam=2.0**-59, n=2**62))
+        assert cfg.brm.retrieval_cap == 8
+        for strategy in (ParitySketchStrategy(), BlockMajorityStrategy()):
+            t = attack_tfa_general(cfg, tfa("tfa-general", strategy=strategy), CH,
+                                   np.random.default_rng(30))
+            assert t.accesses == {"verifier": 8, "prover": 8}
+
+
+class TestMajorityErrorLaw:
+    """The block-majority prover's hard answer against the Gaussian decoder it
+    stands for, one (block size, digest, source bit) cell at a time.  In
+    each cell the drawn errors and the decoder's errors on analog samples of
+    the same bits each pass an exact two-sided binomial test against the
+    cell's predicted rate, and a Fisher test against each other."""
+
+    ROWS = 4000
+    CLAIM = 4e4
+    POWER = transmit_power_for_claim(CLAIM, 2000.0, CH)
+    # SNR 0.3 and 1, a loss past the float range (SNR 0) and one that
+    # underflows (SNR inf).
+    DISTANCES = [(POWER / (0.3 * CH.xi * CH.sigma)) ** (1 / CH.alpha),
+                 (POWER / (1.0 * CH.xi * CH.sigma)) ** (1 / CH.alpha), 1e300, 1e-200]
+
+    @pytest.mark.parametrize("n, cap", [(20, 12), (40, 12), (120_005, 12)],
+                             ids=["sizes-1-2", "sizes-3-4", "sizes-1e4"])
+    @pytest.mark.parametrize("d", DISTANCES, ids=["snr-0.3", "snr-1", "snr-0", "snr-inf"])
+    def test_cell_error_counts(self, monkeypatch, n, cap, d):
+        cfg = ProtocolConfig("pi3", e0=2000.0, k=cap, beta=0.2, brm=BrmParams(lam=cap / n, n=n))
+        assert cfg.brm.retrieval_cap == cap
+        seen = []
+        majorities = attacks._block_majorities
+
+        def spy(bits, block, large, sizes, rng):
+            digest = majorities(bits, block, large, sizes, rng)
+            seen.append((bits.copy(), large, sizes, digest))
+            return digest
+
+        monkeypatch.setattr(attacks, "_block_majorities", spy)
+        scenario = tfa("tfa-general", self.CLAIM, d, BlockMajorityStrategy())
+        block = attack_tfa_general(cfg, scenario, CH, np.random.default_rng([n, 31]),
+                                   rows=self.ROWS)
+        [(bits, large, sizes, digest)] = seen
+        np.testing.assert_array_equal(block.challenge, bits)
+        snr = snr_at_distance(self.POWER, d, CH)
+        assert snr == {1e300: 0.0, 1e-200: math.inf}.get(d, snr)
+        rates = _majority_error_rates(snr, sizes)
+        hard = block.response != bits
+        y = propagate(bpsk_modulate(bits, self.POWER), d, CH, np.random.default_rng([n, 32]))
+        amp = attenuate(math.sqrt(self.POWER), d, CH)
+        llr = np.array([_majority_prior_llr(m) for m in sizes])
+        analog = _gaussian_decoder(y, amp, CH.sigma, llr[large, 1 - digest]) != bits
+        for c, dig, bit in itertools.product(range(len(sizes)), (0, 1), (0, 1)):
+            cell = (large == c) & (digest == dig) & (bits == bit)
+            m = int(np.count_nonzero(cell))
+            one = float(_majority_one_prob(np.array([sizes[c]]), np.array([1]),
+                                           np.array([bit]))[0])
+            if (one if dig else 1 - one) == 0:  # no block of this size holds the cell
+                assert m == 0
+                continue
+            assert m >= 500, (sizes[c], dig, bit)
+            rate = rates[c, dig, bit]
+            counts = [int(np.count_nonzero(errors[cell])) for errors in (hard, analog)]
+            for count in counts:
+                assert binomtest(count, m, rate).pvalue > 1e-4, (sizes[c], dig, bit, count, m)
+            table = [[counts[0], m - counts[0]], [counts[1], m - counts[1]]]
+            assert fisher_exact(table).pvalue > 1e-4, (sizes[c], dig, bit, table)
+
+    def test_rates_at_snr_zero_and_infinity(self):
+        # At SNR 0 the answer is the prior's sign (no ZeroDivisionError); at
+        # SNR inf it is the source bit.
+        sizes = (3, 4)
+        zero = _majority_error_rates(0.0, sizes)
+        for c, size in enumerate(sizes):
+            for dig, prior in zip((1, 0), _majority_prior_llr(size)):
+                answer = int(prior > 0)
+                assert zero[c, dig].tolist() == [float(answer != 0), float(answer != 1)]
+        assert not _majority_error_rates(math.inf, sizes).any()
 
 
 class TestDigestLaw:
@@ -553,13 +685,13 @@ class TestDigestLaw:
                                                  (10, 1, 1, 6), (1030, 103, 103, 3)])
     def test_digests_match_loop_form(self, n, cap, k, rows):
         rng = np.random.default_rng([n, cap, rows])
-        starts, sizes = _blocks(n, cap)
         sampled = np.sort(np.stack([rng.choice(n, k, replace=False) for _ in range(rows)]),
                           axis=1)
         bits = rng.integers(0, 2, (rows, k), dtype=np.uint8)
-        block = np.searchsorted(starts, sampled, side="right") - 1
-        got = _block_majorities(bits, block, sizes, np.random.default_rng(5))
-        want = _loop_block_majorities(bits, block, sizes, np.random.default_rng(5))
+        block, large, sizes = _blocks(n, cap, sampled)
+        got = _block_majorities(bits, block, large, sizes, np.random.default_rng(5))
+        size = np.array(sizes)[large]
+        want = _loop_block_majorities(bits, block, size, np.random.default_rng(5))
         np.testing.assert_array_equal(got, want)
 
     TRIALS = 1500
@@ -572,7 +704,8 @@ class TestDigestLaw:
         (0.3, BlockMajorityStrategy(), False),
     ], ids=["parity-n20", "parity-n20-noiseless", "majority-n20", "majority-n20-noiseless",
             "majority-n40"])
-    def test_accepts_match_whole_source_engine(self, lam, strategy, noiseless):
+    def test_accepts_match_whole_source_engine(self, lam, strategy, noiseless,
+                                               analog_reception):
         # k = 12 and n = 20 (blocks of one and two positions) or n = 40
         # (blocks of three and four); the noisy points sit where the digest
         # moves the accept rate off the plain channel's.
@@ -580,7 +713,8 @@ class TestDigestLaw:
         scenario = Scenario("tfa-general", 4e4, 1e5, tfa_strategy=strategy, noiseless=noiseless)
         got = estimate_rates(scenario, cfg, None, CH, self.TRIALS, master_seed=77).accepts
         want = round(self.TRIALS * rate(
-            lambda r: _whole_source_tfa_general(cfg, scenario, CH, r), self.TRIALS, seed0=78))
+            lambda r: _whole_source_tfa_general(cfg, scenario, CH, r, analog_reception),
+            self.TRIALS, seed0=78))
         if not noiseless:
             assert 0.1 * self.TRIALS < want < 0.9 * self.TRIALS
         table = [[got, self.TRIALS - got], [want, self.TRIALS - want]]

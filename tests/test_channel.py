@@ -368,15 +368,18 @@ def _reference_bits(words, k):
 
 def _reference_errors(words, doubles, m, p):
     """Error i from lane i % 4 of word i // 4 (16 bits, low lane first) against
-    c = floor(2**16 p): below c an error, above c none, equal to c the next
-    double against the exact fraction 2**16 p - c."""
-    scaled = Fraction(p) * 2**16
-    cut = math.floor(scaled)
+    c = floor(2**16 p), with p the rate or, for a list, its entry i: below c
+    an error, above c none, equal to c the next double against the exact
+    fraction 2**16 p - c, unless that is 0."""
+    rates = p if isinstance(p, list) else [p] * m
     doubles = iter(doubles)
     out = []
     for i in range(m):
+        scaled = Fraction(rates[i]) * 2**16
+        cut = math.floor(scaled)
         lane = (int(words[i // 4]) >> (16 * (i % 4))) & 0xFFFF
-        out.append(int(lane < cut or (lane == cut and Fraction(next(doubles)) < scaled - cut)))
+        tied = lane == cut and scaled != cut
+        out.append(int(Fraction(next(doubles)) < scaled - cut if tied else lane < cut))
     return out
 
 
@@ -413,6 +416,44 @@ class TestRawWordDraws:
         assert got.dtype == np.uint8 and got.shape == (m,)
         assert got.tolist() == _reference_errors(words, doubles, m, p)
         assert rng.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("seed, m", [case for case in CASES if case[1]])
+    def test_an_array_of_one_rate_draws_as_the_rate(self, seed, m):
+        # p ties lane m // 2, so the tie's doubles are drawn too.
+        lanes = np.random.default_rng(seed).bit_generator.random_raw(-(-m // 4)).view(np.uint16)
+        rates = [(int(lanes[m // 2]) + 0.375) / 2**16, 0.25, 0.0, 1.0]
+        for p in rates:
+            rng, rng_array = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = bit_errors(rng, m, p)
+            got = bit_errors(rng_array, m, np.full(m, p))
+            assert got.dtype == np.uint8 and got.tobytes() == want.tobytes()
+            assert rng_array.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed, m", [case for case in CASES if case[1] >= 4])
+    def test_errors_at_per_error_rates(self, seed, m):
+        # Each error against its own rate: rates that tie some lanes, rates
+        # on a whole lane, 0 and 1, in a random order over the errors.
+        replay = np.random.default_rng(seed)
+        words = replay.bit_generator.random_raw(-(-m // 4))
+        lanes = [(int(words[i // 4]) >> (16 * (i % 4))) & 0xFFFF for i in range(m)]
+        coins = np.random.default_rng(seed + 2000)
+        pool = [(lanes[i] + coins.random()) / 2**16 for i in range(0, m, 3)]
+        pool += [lanes[1] / 2**16, 0.25, 0.0, 1.0]
+        p = [pool[i] for i in coins.integers(0, len(pool), m)]
+        ties = sum(lane == math.floor(Fraction(r) * 2**16) and Fraction(r) * 2**16 % 1 != 0
+                   for lane, r in zip(lanes, p))
+        doubles = replay.random(ties)
+        rng = np.random.default_rng(seed)
+        got = bit_errors(rng, m, np.array(p))
+        assert got.dtype == np.uint8 and got.shape == (m,)
+        assert got.tolist() == _reference_errors(words, doubles, m, p)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("p", [[0.1, 0.2], [0.1, -0.1, 0.2], [0.1, 1.5, 0.2],
+                                   [0.1, float("nan"), 0.2]])
+    def test_rate_array_of_wrong_length_or_range_rejected(self, p):
+        with pytest.raises(ValueError):
+            bit_errors(np.random.default_rng(0), 3, np.array(p))
 
     def test_tie_draws_one_double(self):
         replay = np.random.default_rng(7)

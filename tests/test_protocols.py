@@ -282,7 +282,7 @@ class TestPi1:
         t = run_pi1(PI1, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(1))
         d = t.to_json_dict()
         assert d["schema_version"] == "3" and "sampler_stream" not in d
-        assert d["source_stream"] == SOURCE_STREAM_VERSION == 6
+        assert d["source_stream"] == SOURCE_STREAM_VERSION == 7
         cfg = pi3_config()
         for t in (
             run_pi3(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(2)),
@@ -417,16 +417,15 @@ class TestHardReception:
 
     @pytest.mark.parametrize("d", DISTANCES, ids=["snr-0.25", "snr-1", "snr-4", "underflow",
                                                   "overflow"])
-    def test_error_count_matches_bit_error_prob(self, d):
+    def test_error_count_matches_bit_error_prob(self, d, analog_reception):
         from scipy.stats import binomtest
 
         s = Session(self.CFG, Scenario("honest", 5e4, d), CH, np.random.default_rng(21))
         assert s.power_w == self.POWER
         p = bit_error_prob(snr_at_distance(s.power_w, d, CH))
         s.receive("hard", d)
-        s.receive("analog", d, soft=True)
         hard = s.read("hard")[0]
-        analog = bpsk_demodulate(s.read("analog")[0])
+        analog = bpsk_demodulate(analog_reception(s, d)[0])
         assert hard.dtype == np.uint8
         challenge = s.decide(hard, None).challenge
         for got in (hard, analog):
@@ -438,16 +437,15 @@ class TestHardReception:
         assert p == {1e-200: 0.0, 1e300: 0.5}.get(d, p)
 
     @pytest.mark.parametrize("d", [1e-200, 2e4, 6e4, 1e300])
-    def test_noiseless_agrees_with_analog(self, d):
+    def test_noiseless_agrees_with_analog(self, d, analog_reception):
         # Bit for bit, including a loss past the float range, where both
         # levels attenuate to a zero that demodulates to 1.
         s = Session(PI1, Scenario("honest", 5e4, d, noiseless=True), CH,
                     np.random.default_rng(22))
         s.receive("hard", d)
-        s.receive("analog", d, soft=True)
         hard = s.read("hard")[0]
         state = s.rng.bit_generator.state
-        np.testing.assert_array_equal(hard, bpsk_demodulate(s.read("analog")[0]))
+        np.testing.assert_array_equal(hard, bpsk_demodulate(analog_reception(s, d)[0]))
         assert s.rng.bit_generator.state == state  # neither draws noise
         challenge = s.decide(hard, None).challenge
         want = (np.ones_like(challenge) if d == 1e300 else challenge)
