@@ -188,8 +188,9 @@ RetrievalStrategy = Union[IndexSamplingStrategy, ParitySketchStrategy, BlockMajo
 def _blocks(n: int, blocks: int,
             positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """(block, large, sizes) of ``positions`` in the partition of n into
-    ``blocks`` <= n blocks, the first n % blocks one position larger: every
-    quotient is of values within [-n, n], so it is exact for any n."""
+    ``blocks`` <= n blocks whose first n % blocks are one position larger;
+    ``large`` indexes ``sizes`` (small first).  Every quotient is of values
+    within [-n, n], so any n is exact."""
     small, extra = divmod(n, blocks)
     block = (positions - extra) // small
     if extra:
