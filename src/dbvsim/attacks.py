@@ -87,9 +87,10 @@ def attack_mfa(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
     response = prover_resp
     if scenario.mfa_strategy == "best-guess":
         # A keyless intruder cannot locate the sampled positions; it answers
-        # with the first k positions it receives.
+        # with the first k positions it receives.  When k = n (pi1, pi2)
+        # those are the sampled keys in order, read without a key array.
         s.receive("intruder", scenario.intruder_d)
-        response = s.read("intruder", np.arange(cfg.k))
+        response = s.read("intruder", None if cfg.k == s.n else np.arange(cfg.k))
     tag = None
     if s.authenticated:  # the honest prover tags its own claim; the intruder guesses
         tag = (s.sign(prover_resp, scenario.d_real) if scenario.mfa_strategy == "replay"
@@ -109,8 +110,10 @@ def attack_impersonation(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelPar
     at = scenario.intruder_d
     s = Session(cfg, scenario, ch, rng, seed, d_real=0.0 if at is None else at, rows=rows)
     s.receive("adversary", at)
-    # Without the sampler key it can only answer with the first k positions.
-    positions = None if scenario.leaked_sampler_key else np.arange(cfg.k)
+    # Without the sampler key it can only answer with the first k positions,
+    # the sampled ones when k = n.
+    positions = (None if scenario.leaked_sampler_key or cfg.k == s.n
+                 else np.arange(cfg.k))
     response = s.read("adversary", positions)
     tag = None
     if s.authenticated:
@@ -353,7 +356,8 @@ def attack_tfa_general(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParam
         digest = _block_majorities(bits, block, large, sizes, rng)
         rates = _majority_error_rates(snr_at_distance(s.power_w, d_r, ch), sizes)
         at = large * 4 + digest * 2 + bits  # rates[large, digest, bits]
-        response = bits ^ bit_errors(rng, bits.size, rates.take(at).ravel()).reshape(bits.shape)
+        response = bit_errors(rng, bits.size, rates.take(at).ravel()).reshape(bits.shape)
+        response ^= bits
     else:  # block-majority without noise: the digest has no weight
         response = s.read("prover")
     return s.decide(response, s.sign(response, scenario.d_claim))

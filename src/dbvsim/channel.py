@@ -157,15 +157,12 @@ def transmit_power_for_claim(d_c: float, e0: float, ch: ChannelParams) -> float:
     return e
 
 
-#: Raw generator words are read little-endian on any host, and a bit error
-#: from a 16-bit lane of one: four lanes a word, low lane first.  On a 2-core
-#: x86-64 host (numpy 2.4) 16-bit lanes drew 103 and 3334 errors faster than
-#: 8- or 32-bit lanes, and 30,006 within 6% of 8-bit lanes, which tie (and
-#: draw a double) 256 times as often.
+#: Raw generator words are read little-endian on any host.  A bit error reads
+#: an 8-bit lane of one, eight lanes a word, low byte first; a lane that ties
+#: reads a 16-bit lane of a further word, and a tie there one double.
+#: LANE_TIMINGS_PLACEHOLDER
 _WORD = np.dtype("<u8")
-_LANE = np.dtype("<u2")
-_LANE_VALUES = 65536.0
-_LANES_PER_WORD = 4
+_LANES = (np.dtype("u1"), np.dtype("<u2"))
 
 
 def random_bits(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -183,36 +180,52 @@ def bit_errors(rng: np.random.Generator, m: int, p) -> np.ndarray:
     """m independent bit errors as a uint8 array (1: error), each of
     probability p, or of p[i] for error i when p is a numpy array of m rates.
 
-    Error i reads lane i of ceil(m/4) raw 64-bit words of ``rng``'s bit
-    generator, each word cut into four 16-bit lanes, low lane first.  With
-    c = floor(2**16 p), a lane below c is an error and one above c is not; a
-    lane equal to c is settled by one ``rng.random`` double, drawn after the
-    words for the tied lanes in order, against the exact fraction
-    2**16 p - c.  An error then has probability within 2**-69 of p (never
-    below it), where comparing one double with p is within 2**-53: the tie
-    settles the lane's next bits only when needed, as in Knuth and Yao's
-    generation of a Bernoulli variable from random bits (1976).
+    Error i reads lane i of ceil(m/8) raw 64-bit words of ``rng``'s bit
+    generator, each word cut into eight 8-bit lanes, low byte first.  With
+    c = floor(2**8 p), a lane below c is an error and one above c is not.
+    The lanes equal to c go one level down, in order, at the exact rate
+    q = 2**8 p - c: the same rule on 16-bit lanes of further raw words,
+    four a word, and a tie there is settled by one ``rng.random`` double,
+    drawn after those words, against the exact fraction left of 2**16 q.  A
+    rate on a level's grid ties no lane there and goes no further.  An error
+    then has probability within 2**-77 of p (never below it), where comparing
+    one double with p is within 2**-53: each tie settles the next bits only
+    when needed, as in Knuth and Yao's generation of a Bernoulli variable
+    from random bits (1976).  An array of rates takes the rule per error,
+    so an array of one rate draws what that rate does.
     """
     m = int(m)
     per_error = isinstance(p, np.ndarray)
     if not (p.shape == (m,) and ((p >= 0.0) & (p <= 1.0)).all() if per_error
             else 0.0 <= p <= 1.0):
         raise ValueError(f"error probability must be in [0, 1], or {m} of them, got {p}")
-    scaled = p * _LANE_VALUES  # exact: a power-of-two scaling
-    # A scalar cut stays a Python int, so lanes compare as uint16.
-    cut = scaled.astype(np.int64) if per_error else int(scaled)
-    words = rng.bit_generator.random_raw(-(-m // _LANES_PER_WORD)).astype(_WORD, copy=False)
-    lanes = words.view(_LANE)[:m]
+    return _lane_errors(rng, m, p, 0).view(np.uint8)
+
+
+def _lane_errors(rng: np.random.Generator, m: int, p, level: int) -> np.ndarray:
+    """``bit_errors``' m errors as a bool array, from lanes of width
+    ``_LANES[level]`` and, for their ties, the levels below."""
+    if level == len(_LANES):
+        return rng.random(m) < p
+    lane = _LANES[level]
+    per_error = isinstance(p, np.ndarray)
+    scaled = p * float(1 << 8 * lane.itemsize)  # exact: a power-of-two scaling
+    # A scalar cut stays a Python int, so lanes compare in their own width;
+    # cuts of a rate array, at most 2**8 here and below 2**16 a level down,
+    # fit two bytes.
+    cut = scaled.astype(np.uint16) if per_error else int(scaled)
+    words = rng.bit_generator.random_raw(-(-m // (_WORD.itemsize // lane.itemsize)))
+    lanes = words.astype(_WORD, copy=False).view(lane)[:m]
     errors = lanes < cut
-    if per_error or scaled != cut:  # a rate on the lane grid ties no lane
-        tied = lanes == cut
-        if per_error:
-            tied &= scaled != cut
-        count = np.count_nonzero(tied)
-        if count:
-            frac = scaled - cut
-            errors[tied] = rng.random(count) < (frac[tied] if per_error else frac)
-    return errors.view(np.uint8)
+    # A rate on the lane grid ties no lane.
+    tied = np.flatnonzero(lanes == cut) if per_error or scaled != cut else ()
+    if len(tied):
+        rest = scaled.take(tied) - cut.take(tied) if per_error else scaled - cut
+        if per_error:  # only the tied lanes whose rate is off the grid go down
+            off_grid = np.flatnonzero(rest)
+            tied, rest = tied.take(off_grid), rest.take(off_grid)
+        errors[tied] = _lane_errors(rng, len(tied), rest, level + 1)
+    return errors
 
 
 def bits_to_hex(bits: np.ndarray) -> str:

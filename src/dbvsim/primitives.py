@@ -51,6 +51,7 @@ __all__ = [
     "gf_mul",
     "mac_sign",
     "mac_sign_rows",
+    "mac_sign_rows_from",
     "mac_verify",
     "mac_forgery_bound",
     "random_field_elements",
@@ -440,12 +441,53 @@ def mac_sign_rows(keys: MacKeys, messages: np.ndarray) -> np.ndarray:
     if s > 64 or rows <= 2:
         return np.array([mac_sign(keys[i], messages[i]) for i in range(rows)],
                         dtype=np.uint64 if s <= 64 else object)
-    blocks = _to_block_rows(messages, s).view(np.int64)
-    length = blocks.shape[1]
+    return _polynomial_rows(keys, _to_block_rows(messages, s).view(np.int64)) ^ keys.b
+
+
+def mac_sign_rows_from(keys: MacKeys, messages: np.ndarray, signed: np.ndarray,
+                       tags: np.ndarray) -> np.ndarray:
+    """``mac_sign_rows(keys, messages)``, found from the ``tags`` that
+    ``mac_sign_rows`` gave the block's ``signed`` messages.
+
+    A tag is b + sum_i m_i a**(L-i+1), linear in the blocks m_i, so between
+    two messages of one length tag(m') = tag(m) XOR the same sum over the
+    blocks of m XOR m', which Horner's rule takes from their first non-zero
+    block.  A byte-equal message is the empty sum and takes the tags as they
+    are; one that differs only in its claim, in the last blocks, costs a
+    step for each of them.  Blocks of one or two rows and s = 128, which
+    sign row by row, sign a differing message in full, as does a message of
+    another length.
+    """
+    rows, s = len(keys), keys.field_bits
+    messages = np.asarray(messages, dtype=np.uint8).reshape(rows, -1)
+    signed = signed.reshape(rows, -1)
+    if messages.shape != signed.shape:
+        return mac_sign_rows(keys, messages)
+    changed = np.flatnonzero((messages != signed).any(axis=0))
+    if not changed.size:
+        return tags
+    if s > 64 or rows <= 2:
+        return mac_sign_rows(keys, messages)
+    # Block j holds message bits s*j - 64 .. s*(j+1) - 65, after the 64-bit
+    # length prefix, and s divides 64, so the blocks from the first that
+    # differs are the packed message bits from a whole byte on.
+    start = (int(changed[0]) + _LENGTH_PREFIX_BITS) // s * s - _LENGTH_PREFIX_BITS
+    packed = np.packbits(messages[:, start:] ^ signed[:, start:], axis=1)
+    step = s // 8
+    raw = np.zeros((rows, packed.shape[1] + -packed.shape[1] % step), dtype=np.uint8)
+    raw[:, : packed.shape[1]] = packed
+    blocks = raw.view(f">u{step}").astype(np.uint64).view(np.int64)
+    return tags ^ _polynomial_rows(keys, blocks)
+
+
+def _polynomial_rows(keys: MacKeys, blocks: np.ndarray) -> np.ndarray:
+    """(rows,) uint64: each row's sum_j blocks[i, j] * a**(L-j) over its L
+    blocks, with a the row's key point (s <= 64): its tag before the mask b."""
+    rows, length = blocks.shape
     acc = np.zeros(rows, dtype=np.int64)
     if length < _lane_min_blocks(rows):
         # One Horner step a block, all rows at once.
-        return _horner(keys.window_tables, acc, blocks.T).view(np.uint64) ^ keys.b
+        return _horner(keys.window_tables, acc, blocks.T).view(np.uint64)
     # Interleaved lanes: sum_i m_i a**(L - i) over blocks i = 0 .. L - 1,
     # front-padded with zero blocks (which leave it unchanged) to m r, is the
     # sum over the lanes c < r of a**(r - c) times lane c's polynomial in
@@ -458,7 +500,7 @@ def mac_sign_rows(keys: MacKeys, messages: np.ndarray) -> np.ndarray:
     lanes = np.zeros((m, r, rows), dtype=np.int64)
     lanes.reshape(m * r, rows)[m * r - length:] = blocks.T
     lane_acc = _horner(keys.power_tables(r), np.zeros((r, rows), dtype=np.int64), lanes[:-1])
-    return _horner(keys.window_tables, acc, lane_acc ^ lanes[-1]).view(np.uint64) ^ keys.b
+    return _horner(keys.window_tables, acc, lane_acc ^ lanes[-1]).view(np.uint64)
 
 
 def mac_forgery_bound(message_bit_len: int, field_bits: int) -> float:

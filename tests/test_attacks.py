@@ -312,7 +312,7 @@ class TestRelay:
         # every config, k = n included.
         lines = "\n".join(json.dumps(block.transcript(i).to_json_dict(), sort_keys=True)
                           for i in range(rows))
-        assert hashlib.md5(lines.encode()).hexdigest() == "e5644bdfbbd79b948bc5923ca5f21820"
+        assert hashlib.md5(lines.encode()).hexdigest() == "c0b40c94e8a18bef9545ea381cb03940"
 
 
 class TestTfaSampling:

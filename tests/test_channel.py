@@ -366,21 +366,45 @@ def _reference_bits(words, k):
     return [(int(words[i // 64]) >> (i % 64)) & 1 for i in range(k)]
 
 
-def _reference_errors(words, doubles, m, p):
-    """Error i from lane i % 4 of word i // 4 (16 bits, low lane first) against
-    c = floor(2**16 p), with p the rate or, for a list, its entry i: below c
-    an error, above c none, equal to c the next double against the exact
-    fraction 2**16 p - c, unless that is 0."""
-    rates = p if isinstance(p, list) else [p] * m
-    doubles = iter(doubles)
-    out = []
-    for i in range(m):
-        scaled = Fraction(rates[i]) * 2**16
+def _reference_errors(replay, m, p, widths=(8, 16)):
+    """m errors drawn from ``replay`` in pure Python.  Error i reads lane i of
+    words of ``widths[0]``-bit lanes, low lane first, against c = floor(2**w p),
+    with p the rate or, for a list, its entry i: below c an error, above c
+    none.  The lanes equal to c, unless 2**w p is whole, take in order the
+    same rule at the rate 2**w p - c from lanes of ``widths[1:]`` drawn after
+    these words, and the last level's ties one double each."""
+    rates = [Fraction(r) for r in (p if isinstance(p, list) else [p] * m)]
+    if not widths:
+        return [int(Fraction(u) < r) for u, r in zip(replay.random(len(rates)), rates)]
+    w = widths[0]
+    per_word = 64 // w
+    words = replay.bit_generator.random_raw(-(-len(rates) // per_word))
+    out, tied, rest = [], [], []
+    for i, r in enumerate(rates):
+        scaled = r * 2**w
         cut = math.floor(scaled)
-        lane = (int(words[i // 4]) >> (16 * (i % 4))) & 0xFFFF
-        tied = lane == cut and scaled != cut
-        out.append(int(Fraction(next(doubles)) < scaled - cut if tied else lane < cut))
+        lane = (int(words[i // per_word]) >> (w * (i % per_word))) & (2**w - 1)
+        out.append(int(lane < cut))
+        if lane == cut and scaled != cut:
+            tied.append(i)
+            rest.append(scaled - cut)
+    for i, bit in zip(tied, _reference_errors(replay, len(rest), rest, widths[1:])):
+        out[i] = bit
     return out
+
+
+def _byte_lanes(seed, m):
+    """The 8-bit lanes of the first ceil(m/8) raw words of generator ``seed``."""
+    return np.random.default_rng(seed).bit_generator.random_raw(-(-m // 8)).view(np.uint8)[:m]
+
+
+def _level_one_tie(seed, m):
+    """A rate whose first 8 bits tie lane m // 2 and whose next 16 tie the
+    first 16-bit lane drawn for the ties, so both levels tie."""
+    replay = np.random.default_rng(seed)
+    lanes = replay.bit_generator.random_raw(-(-m // 8)).view(np.uint8)[:m]
+    first = int(replay.bit_generator.random_raw(1)[0]) & 0xFFFF
+    return (int(lanes[m // 2]) + (first + 0.375) / 2**16) / 2**8
 
 
 class TestRawWordDraws:
@@ -402,26 +426,37 @@ class TestRawWordDraws:
 
     @pytest.mark.parametrize("seed, m", [case for case in CASES if case[1]])
     def test_errors_are_lanes_of_raw_words(self, seed, m):
-        # p ties lane m // 2 and falls between lanes elsewhere: the tie rule
-        # and the lane order both show.
-        replay = np.random.default_rng(seed)
-        words = replay.bit_generator.random_raw(-(-m // 4))
-        lanes = [(int(words[i // 4]) >> (16 * (i % 4))) & 0xFFFF for i in range(m)]
-        tie = lanes[m // 2]
-        frac = np.random.default_rng(seed + 1000).random()
-        p = (tie + frac) / 2**16
-        doubles = replay.random(lanes.count(tie))
-        rng = np.random.default_rng(seed)
+        # p ties byte lane m // 2 and falls between lanes elsewhere: the tie
+        # rule and the lane order both show.
+        tie = int(_byte_lanes(seed, m)[m // 2])
+        p = (tie + np.random.default_rng(seed + 1000).random()) / 2**8
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
         got = bit_errors(rng, m, p)
         assert got.dtype == np.uint8 and got.shape == (m,)
-        assert got.tolist() == _reference_errors(words, doubles, m, p)
+        assert got.tolist() == _reference_errors(replay, m, p)
         assert rng.bit_generator.state == replay.bit_generator.state
 
     @pytest.mark.parametrize("seed, m", [case for case in CASES if case[1]])
+    def test_level_one_ties_take_16_bit_lanes_then_doubles(self, seed, m):
+        # The first tied byte lane also ties its 16-bit lane, so the draw
+        # reads the byte words, then one 16-bit lane a tie, then a double.
+        p = _level_one_tie(seed, m)
+        lanes = _byte_lanes(seed, m)
+        ties = int(np.count_nonzero(lanes == lanes[m // 2]))
+        replay = np.random.default_rng(seed)
+        replay.bit_generator.random_raw(-(-m // 8) - (-ties // 4))
+        after_lanes = replay.bit_generator.state
+        rng = np.random.default_rng(seed)
+        got = bit_errors(rng, m, p)
+        assert rng.bit_generator.state != after_lanes  # a double was drawn
+        assert got.tolist() == _reference_errors(np.random.default_rng(seed), m, p)
+
+    @pytest.mark.parametrize("seed, m", [case for case in CASES if case[1]])
     def test_an_array_of_one_rate_draws_as_the_rate(self, seed, m):
-        # p ties lane m // 2, so the tie's doubles are drawn too.
-        lanes = np.random.default_rng(seed).bit_generator.random_raw(-(-m // 4)).view(np.uint16)
-        rates = [(int(lanes[m // 2]) + 0.375) / 2**16, 0.25, 0.0, 1.0]
+        # Rates that tie lane m // 2 at the first or at both levels, so the
+        # ties' words and doubles are drawn too, and rates on the lane grid.
+        rates = [(int(_byte_lanes(seed, m)[m // 2]) + 0.375) / 2**8,
+                 _level_one_tie(seed, m), 3 / 2**16, 0.25, 0.0, 1.0]
         for p in rates:
             rng, rng_array = np.random.default_rng(seed), np.random.default_rng(seed)
             want = bit_errors(rng, m, p)
@@ -431,22 +466,19 @@ class TestRawWordDraws:
 
     @pytest.mark.parametrize("seed, m", [case for case in CASES if case[1] >= 4])
     def test_errors_at_per_error_rates(self, seed, m):
-        # Each error against its own rate: rates that tie some lanes, rates
-        # on a whole lane, 0 and 1, in a random order over the errors.
-        replay = np.random.default_rng(seed)
-        words = replay.bit_generator.random_raw(-(-m // 4))
-        lanes = [(int(words[i // 4]) >> (16 * (i % 4))) & 0xFFFF for i in range(m)]
+        # Each error against its own rate: rates that tie some lanes at the
+        # first or at both levels, rates on the byte or the 16-bit grid, 0
+        # and 1, in a random order over the errors.
+        lanes = _byte_lanes(seed, m)
         coins = np.random.default_rng(seed + 2000)
-        pool = [(lanes[i] + coins.random()) / 2**16 for i in range(0, m, 3)]
-        pool += [lanes[1] / 2**16, 0.25, 0.0, 1.0]
+        pool = [(int(lanes[i]) + coins.random()) / 2**8 for i in range(0, m, 3)]
+        pool += [_level_one_tie(seed, m), int(lanes[1]) / 2**8, (int(lanes[2]) + 0.5) / 2**8,
+                 3 / 2**16, 0.25, 0.0, 1.0]
         p = [pool[i] for i in coins.integers(0, len(pool), m)]
-        ties = sum(lane == math.floor(Fraction(r) * 2**16) and Fraction(r) * 2**16 % 1 != 0
-                   for lane, r in zip(lanes, p))
-        doubles = replay.random(ties)
-        rng = np.random.default_rng(seed)
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
         got = bit_errors(rng, m, np.array(p))
         assert got.dtype == np.uint8 and got.shape == (m,)
-        assert got.tolist() == _reference_errors(words, doubles, m, p)
+        assert got.tolist() == _reference_errors(replay, m, p)
         assert rng.bit_generator.state == replay.bit_generator.state
 
     @pytest.mark.parametrize("p", [[0.1, 0.2], [0.1, -0.1, 0.2], [0.1, 1.5, 0.2],
@@ -456,24 +488,45 @@ class TestRawWordDraws:
             bit_errors(np.random.default_rng(0), 3, np.array(p))
 
     def test_tie_draws_one_double(self):
+        # A byte lane that ties reads one 16-bit lane of the next word, and a
+        # tie there one double.
         replay = np.random.default_rng(7)
+        byte = int(replay.bit_generator.random_raw(1)[0]) & 0xFF
         lane = int(replay.bit_generator.random_raw(1)[0]) & 0xFFFF
         after_words = replay.bit_generator.state
         u = replay.random()
         for frac in (0.25, 0.75):
             rng = np.random.default_rng(7)
-            got = bit_errors(rng, 1, (lane + frac) / 2**16)
+            got = bit_errors(rng, 1, (byte + (lane + frac) / 2**16) / 2**8)
             assert rng.bit_generator.state == replay.bit_generator.state != after_words
             assert got.tolist() == [int(u < frac)]
 
     @pytest.mark.parametrize("p", [3 / 2**16, 0.25, 0.5, 0.0, 1.0])
     def test_whole_lane_probability_draws_no_double(self, p):
+        # A rate on the byte grid goes down no level: the draw is the 1250
+        # words of its lanes.  3 / 2**16 ties byte lane 0, whose 16-bit lanes
+        # it does not tie: one word for every four ties, and no double.
+        m = 10_000
         replay = np.random.default_rng(8)
-        words = replay.bit_generator.random_raw(2500)
+        lanes = replay.bit_generator.random_raw(m // 8).view(np.uint8)
+        ties = 0 if p * 2**8 % 1 == 0 else int(np.count_nonzero(lanes == math.floor(p * 2**8)))
+        replay.bit_generator.random_raw(-(-ties // 4))
         rng = np.random.default_rng(8)
-        got = bit_errors(rng, 10_000, p)
+        got = bit_errors(rng, m, p)
         assert rng.bit_generator.state == replay.bit_generator.state
-        assert got.tolist() == _reference_errors(words, [], 10_000, p)
+        assert got.tolist() == _reference_errors(np.random.default_rng(8), m, p)
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_rates_on_the_byte_grid_go_down_no_level(self, seed):
+        # An array of rates, every one a multiple of 2**-8, ties no lane.
+        m = 4000
+        p = np.random.default_rng(seed + 100).integers(0, 257, m) / 2**8
+        replay = np.random.default_rng(seed)
+        lanes = replay.bit_generator.random_raw(m // 8).view(np.uint8)
+        rng = np.random.default_rng(seed)
+        got = bit_errors(rng, m, p)
+        assert rng.bit_generator.state == replay.bit_generator.state
+        np.testing.assert_array_equal(got, lanes < p * 2**8)
 
     @pytest.mark.parametrize("p, seed", [(2.0**-20, 1), (3 / 2**16, 2), (0.0371, 3),
                                          (0.25, 4), (0.5, 5)])
@@ -483,6 +536,17 @@ class TestRawWordDraws:
         trials, chunk = 2**24, 2**20
         errors = sum(int(np.count_nonzero(bit_errors(rng, chunk, p)))
                      for _ in range(trials // chunk))
+        assert binomtest(errors, trials, p).pvalue > 1e-4, errors
+
+    @pytest.mark.parametrize("p, seed", [(0.0424, 21), (1 / 256, 22), (3 / 256 + 2.0**-40, 23),
+                                         (0.5, 24), (0.999, 25)])
+    def test_error_count_is_exactly_binomial_at_block_sizes(self, p, seed):
+        # 2**21 draws in calls of a 78-row challenge-response block's 260,052
+        # errors and a remainder; 3/256 + 2**-40 ties at both levels.
+        rng = np.random.default_rng(seed)
+        trials, chunk = 2**21, 260_052
+        sizes = [chunk] * (trials // chunk) + [trials % chunk]
+        errors = sum(int(np.count_nonzero(bit_errors(rng, size, p))) for size in sizes)
         assert binomtest(errors, trials, p).pvalue > 1e-4, errors
 
     def test_bits_are_fair(self):

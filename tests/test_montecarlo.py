@@ -2,7 +2,11 @@ import json
 import logging
 import math
 import os
+import platform
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +380,37 @@ class TestBlockEngine:
             tracemalloc.stop()
         assert block.hamming.shape == (rows,)
         assert peak <= bound, (peak, bound)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="glibc's dynamic mmap and trim thresholds")
+    def test_consecutive_blocks_reuse_their_heap(self):
+        # A fresh interpreter, so no earlier test has moved the thresholds:
+        # after one block has grown the heap, 30 more 78-row pi1 blocks fault
+        # in under 5 pages a block, where a heap trimmed after every block
+        # faulted about 290 back in.
+        code = (
+            "import resource, numpy as np\n"
+            "from dbvsim.montecarlo import Scenario, block_rows, run_block\n"
+            "from dbvsim.channel import DEFAULT_CHANNEL as ch\n"
+            "from dbvsim.protocols import ProtocolConfig\n"
+            "cfg = ProtocolConfig('pi1', e0=2000.0, k=3334, beta=0.1)\n"
+            "rows = block_rows(cfg)\n"
+            "honest = Scenario('honest', 5e4, 5e4)\n"
+            "def block(i):\n"
+            "    run_block(honest, cfg, ch, np.random.default_rng(i), i * rows, rows)\n"
+            "block(0)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for i in range(1, 31):\n"
+            "    block(i)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print(rows, (after - before) / 30)\n")
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+        rows, faults = out.split()
+        assert int(rows) == 78
+        assert float(faults) < 5, faults
 
     CASES = [(PI1, Scenario("honest", d_claim=5e4, d_real=6.2e4)),
              (pi3_config(), Scenario("tfa-sampling", 5e4, 6.5e4,

@@ -22,6 +22,7 @@ from dbvsim.primitives import (
     mac_forgery_bound,
     mac_sign,
     mac_sign_rows,
+    mac_sign_rows_from,
     mac_verify,
     random_index_rows,
     sample_indices,
@@ -358,6 +359,27 @@ class TestMacRows:
             assert int(tables[1, 0, i]) == power, (s, r, a)  # entry [1, 0, i] is a**r * 1
             assert (tables[:, :, i].T.tolist()
                     == [list(t) for t in MacKey(s, power, 0).window_tables]), (s, r, a)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(FIELD_POLYNOMIALS)), st.integers(1, 40),
+           st.sampled_from([224, 3398]),
+           st.lists(st.tuples(st.integers(0, 39), st.integers(0, 3397)), max_size=6),
+           st.integers(0, 2**32 - 1))
+    @example(64, 40, 3398, [(5, 3397)], 1)  # only the last block differs
+    @example(64, 40, 3398, [(0, 0)], 2)  # every block from the first: in lanes
+    @example(16, 3, 224, [], 3)  # byte-equal
+    def test_tags_from_signed_tags_equal_a_fresh_sign(self, s, rows, bits, flips, seed):
+        # The messages differ from the signed ones at the flipped bits.
+        rng = np.random.default_rng(seed)
+        keys = MacKeys.generate(rng, rows, s)
+        signed = rng.integers(0, 2, (rows, bits), dtype=np.uint8)
+        tags = mac_sign_rows(keys, signed)
+        messages = signed.copy()
+        for row, bit in flips:
+            messages[row % rows, bit % bits] ^= 1
+        got = mac_sign_rows_from(keys, messages, signed, tags)
+        fresh = MacKeys(s, keys.a, keys.b)  # no tables shared with the helper's
+        assert [int(t) for t in got] == [int(t) for t in mac_sign_rows(fresh, messages)]
 
     @pytest.mark.parametrize("rows", [1, 8])
     def test_repeated_key(self, rows):
