@@ -463,16 +463,17 @@ def mac_sign_rows_from(keys: MacKeys, messages: np.ndarray, signed: np.ndarray,
     signed = signed.reshape(rows, -1)
     if messages.shape != signed.shape:
         return mac_sign_rows(keys, messages)
-    changed = np.flatnonzero((messages != signed).any(axis=0))
-    if not changed.size:
+    diff = messages != signed
+    if not diff.any():
         return tags
     if s > 64 or rows <= 2:
         return mac_sign_rows(keys, messages)
     # Block j holds message bits s*j - 64 .. s*(j+1) - 65, after the 64-bit
     # length prefix, and s divides 64, so the blocks from the first that
     # differs are the packed message bits from a whole byte on.
-    start = (int(changed[0]) + _LENGTH_PREFIX_BITS) // s * s - _LENGTH_PREFIX_BITS
-    packed = np.packbits(messages[:, start:] ^ signed[:, start:], axis=1)
+    first = int(diff.any(axis=0).argmax())
+    start = (first + _LENGTH_PREFIX_BITS) // s * s - _LENGTH_PREFIX_BITS
+    packed = np.packbits(diff[:, start:], axis=1)
     step = s // 8
     raw = np.zeros((rows, packed.shape[1] + -packed.shape[1] % step), dtype=np.uint8)
     raw[:, : packed.shape[1]] = packed
