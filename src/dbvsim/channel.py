@@ -161,11 +161,11 @@ def transmit_power_for_claim(d_c: float, e0: float, ch: ChannelParams) -> float:
 #: an 8-bit lane of one, eight lanes a word, low byte first; a lane that ties
 #: reads a 16-bit lane of a further word, and a tie there one double.  On a
 #: 2-core x86-64 host (numpy 2.4), one call took, in us, with 16-bit lanes
-#: and then with these: 103 errors 3.7 and 6.5, 3334 6.6 and 12.3, 16,000
-#: 16.1 and 19.9, 41,000 35.2 and 34.6, 83,350 68.8 and 59.7, and a 78-row
-#: challenge-response block's 260,052 errors 222 and 167 (best of 21 runs,
+#: and then with these: 103 errors 3.7 and 5.1, 3334 6.5 and 10.1, 16,000
+#: 15.9 and 17.6, 41,000 34.7 and 32.5, 83,350 69.5 and 57.4, and a 78-row
+#: challenge-response block's 260,052 errors 223 and 163 (best of 21 runs,
 #: heap thresholds raised on both sides); 5,600 errors at per-error rates
-#: 28.3 and 27.3.  Blocks draw tens of thousands of errors a call and more,
+#: 28.1 and 23.7.  Blocks draw tens of thousands of errors a call and more,
 #: where half the generator words outweigh the second level's fixed cost.
 _WORD = np.dtype("<u8")
 _LANES = (np.dtype("u1"), np.dtype("<u2"))
@@ -223,12 +223,13 @@ def _lane_errors(rng: np.random.Generator, m: int, p, level: int) -> np.ndarray:
     words = rng.bit_generator.random_raw(-(-m // (_WORD.itemsize // lane.itemsize)))
     lanes = words.astype(_WORD, copy=False).view(lane)[:m]
     errors = lanes < cut
-    # A rate on the lane grid ties no lane.
-    tied = np.flatnonzero(lanes == cut) if per_error or scaled != cut else ()
+    # A rate on the lane grid ties no lane.  The tied lanes' indices, as
+    # np.flatnonzero finds them, without its wrapper's microsecond a call.
+    tied = (lanes == cut).nonzero()[0] if per_error or scaled != cut else ()
     if len(tied):
         rest = scaled.take(tied) - cut.take(tied) if per_error else scaled - cut
         if per_error:  # only the tied lanes whose rate is off the grid go down
-            off_grid = np.flatnonzero(rest)
+            off_grid = rest.nonzero()[0]
             tied, rest = tied.take(off_grid), rest.take(off_grid)
         errors[tied] = _lane_errors(rng, len(tied), rest, level + 1)
     return errors
