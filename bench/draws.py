@@ -1,20 +1,29 @@
-"""Time source reads, whole trials and MAC blocks at two commits and write a
-``BENCH_*.json``.
+"""Time source reads, whole trials, MAC blocks and the keyed index sampler at
+two commits and write a ``BENCH_*.json``.
 
 Run from the repository root, for example:
 
-    python3 bench/draws.py --parent c56ec7f --change HEAD --out BENCH_draws.json
-    python3 bench/draws.py --parent f1a2614 --change HEAD --out BENCH_blocks.json
-    python3 bench/draws.py --parent 23f929d --change HEAD --mac-only --out BENCH_mac.json
-    python3 bench/draws.py --parent ee71590 --change HEAD --mac-only --out BENCH_mac_lanes.json
-    python3 bench/draws.py --parent 06b6a85 --change HEAD --emission-only --out BENCH_full_emission.json
-    python3 bench/draws.py --parent 706bbfd --change HEAD --digest-only --out BENCH_one_reception.json
+    python3 bench/draws.py --parent ae7b020 --change HEAD --out BENCH_lanes.json
+    python3 bench/draws.py --parent ee71590 --change HEAD --group mac --out BENCH_mac_lanes.json
+    python3 bench/draws.py --parent 06b6a85 --change HEAD --group emission \\
+        --out BENCH_full_emission.json
+    python3 bench/draws.py --parent 706bbfd --change HEAD --group digest \\
+        --out BENCH_one_reception.json
+    python3 bench/draws.py --parent 94f9ea0 --change HEAD --group sampler --out BENCH_sampler.json
 
-Each commit's ``src/`` is extracted with ``git archive`` into a temporary
-directory and timed in child processes of its own, one per round, the two
-sides taking turns (which side goes first alternates by round).  A child
-times BATCHES batches of each measurement, taking the measurements in turn,
-and every figure is the best batch over all rounds, in microseconds:
+``--group`` times the measurements whose names start with that group (``all``,
+the default, times every group) and ``--out`` names the file written, which is
+overwritten.  Each commit's ``src/`` is extracted with ``git archive`` into a
+temporary directory.  Each round, every measurement is timed once on each side,
+in a fresh child process that builds that measurement alone and times BATCHES
+batches of it, so no measurement's allocations move glibc's mmap and trim
+thresholds for another; which side goes first alternates by round.  Children
+run one at a time, never two at once, so no child is timed while another holds
+a core: a run of every group is about 70 measurements x 2 sides x 7 rounds, some
+1,000 children of about 0.7 s start-up each.  A child that fails stops the run
+with its stderr.  Every figure is the best batch over all rounds, in
+microseconds; the ``host`` block records each side's numpy and scipy versions
+as its children report them.  The groups:
 
 * ``read``: per ``Session.read`` of all k positions by a hard receiver at the
   claim (pi1 at the challenge-response design's power and threshold), one
@@ -48,10 +57,13 @@ and every figure is the best batch over all rounds, in microseconds:
 * ``digest``: per trial of ``estimate_rates`` for the digest intruders of
   tfa-general, parity-sketch and block-majority, at the brm-dense design
   (k=160, n=534) with the prover at twice the claim, in calls of
-  DIGEST_TRIALS trials, as brm-dense runs the block-majority batch.
-
-``--mac-only`` times the ``mac`` group alone, ``--emission-only`` the
-``emission`` group alone and ``--digest-only`` the ``digest`` group alone.
+  DIGEST_TRIALS trials, as brm-dense runs the block-majority batch;
+* ``sampler``: ``rows``, per row, blocks of rows' challenge positions as a
+  session draws them, one ``sample_indices_rows`` call a block, at the
+  brm-dense block (67 rows), brm-sparse's one-row block and a full block at
+  the brm-sparse shape; and ``one_row``, per ``sample_indices`` call, a new
+  16-byte key each call, at brm-dense's and brm-sparse's (n, k), criterion
+  10's two shapes and a long source.  Keys are made before the clock starts.
 """
 
 from __future__ import annotations
@@ -66,10 +78,17 @@ import sys
 import tarfile
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: design -> (retrieval rate, the "k=...[,n=...]" its measurement names carry):
+#: the challenge-response design (``optimize_dfa`` at psi 1.1) that pi1 and pi2
+#: run, and pi3 at the brm-dense and brm-sparse rates (``optimize_brm`` in
+#: sampling mode at psi 2), as perfbench's workloads of those names design them.
+DESIGNS = {"challenge-response": (None, "k=3334"), "brm-dense": (0.3, "k=160,n=534"),
+           "brm-sparse": (1e-4, "k=103,n=1030000")}
 #: (rows, k) of the timed reads.
 READS = [(1, 103), (1, 3334), (9, 3334), (78, 3334)]
 #: Reads a batch of ``read`` measurements makes, one session each.
@@ -96,223 +115,253 @@ EMISSION_CALLS = 10
 #: Trials a call of each ``digest`` measurement runs, and its calls a batch.
 DIGEST_TRIALS = 35
 DIGEST_CALLS = 20
-#: The measurement groups a child times, by the name ``--child`` takes.
-GROUPS = ("all", "mac", "emission", "digest")
-#: Timed batches of each measurement in one child, taken in turn.
+#: (rows, n, k) of the ``sampler`` group's blocks: criterion 08's block
+#: (brm-dense), brm-sparse's one-row block, and a full block at the brm-sparse shape.
+SAMPLER_ROWS = [(67, 534, 160), (1, 1_030_000, 103), (256, 1_030_000, 103)]
+#: Rows a batch of each ``sampler/rows`` measurement draws, in whole blocks (at least one).
+SAMPLER_ROW_BATCH = 1000
+#: (n, k) of the one-row calls: brm-dense, brm-sparse, criterion 10's two
+#: shapes, and a long source.
+SAMPLER_ONE_ROW = [(534, 160), (1_030_000, 103), (10_000, 1000), (6, 3), (2_000_000_000, 200)]
+#: Calls a batch of each ``sampler/one_row`` measurement makes.
+SAMPLER_CALLS = 100
+#: Timed batches of the measurement in one child.
 BATCHES = 10
 
 
-def _draw_batches() -> dict:
-    """The ``read`` and ``trial`` measurements:
-    name -> (count per batch, timed(batch) -> the batch's seconds)."""
-    import numpy as np
-
+def _config(protocol: str, design: str):
+    """``protocol``'s config at ``design`` (a ``DESIGNS`` key); exits if its k
+    and n are not the ones the measurement names carry."""
     from dbvsim.bounds import DbvSpec
     from dbvsim.channel import DEFAULT_CHANNEL
-    from dbvsim.montecarlo import Scenario, estimate_rates
     from dbvsim.optimize import optimize_brm, optimize_dfa
-    from dbvsim.protocols import BrmParams, ProtocolConfig, Session
+    from dbvsim.protocols import BrmParams, ProtocolConfig
+
+    lam, label = DESIGNS[design]
+    if lam is None:
+        opt, brm = optimize_dfa(DbvSpec(psi=1.1, eps_fa=1e-2, eps_fr=1e-2), DEFAULT_CHANNEL), None
+    else:
+        opt = optimize_brm(DbvSpec(psi=2.0, eps_fa=1e-2, eps_fr=1e-2), DEFAULT_CHANNEL, lam,
+                           "sampling")
+        brm = BrmParams(lam=lam, n=opt.n_star)
+    cfg = ProtocolConfig(protocol, e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star, brm=brm)
+    designed = f"k={cfg.k}" + (f",n={brm.n}" if brm else "")
+    if designed != label:
+        sys.exit(f"the {design} design is {designed}, not the {label} its measurements name")
+    return cfg
+
+
+def _scenario(kind: str, psi: float, **knobs):
+    """A ``kind`` run with the prover (or intruder) at ``psi`` times a claim of d0/2."""
+    from dbvsim.channel import DEFAULT_CHANNEL
+    from dbvsim.montecarlo import Scenario
 
     d = DEFAULT_CHANNEL.d0 / 2.0
-    honest = Scenario("honest", d, d)
-    opt = optimize_dfa(DbvSpec(psi=1.1, eps_fa=1e-2, eps_fr=1e-2), DEFAULT_CHANNEL)
-    pi1 = ProtocolConfig("pi1", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star)
-    pi2 = ProtocolConfig("pi2", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star)
-    mfa = Scenario("mfa", d, 1.1 * d)
-    brm_spec = DbvSpec(psi=2.0, eps_fa=1e-2, eps_fr=1e-2)
+    return Scenario(kind, d, psi * d, **knobs)
 
-    def pi3_at(lam):
-        opt = optimize_brm(brm_spec, DEFAULT_CHANNEL, lam, "sampling")
-        return ProtocolConfig("pi3", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
-                              brm=BrmParams(lam=lam, n=opt.n_star,
-                                            gamma=brm_spec.eps_fa / 100.0))
 
-    dense, sparse = pi3_at(0.3), pi3_at(1e-4)
+def _reads(rows: int, k: int):
+    """A ``read`` measurement: (count per batch, timed(batch) -> the batch's seconds)."""
+    import numpy as np
 
-    def reads(cfg, rows):
-        # Each session is built untimed just before its read and dropped after
-        # it, as a trial's is, so the read reuses freed memory.
-        def timed(batch):
-            rng = np.random.default_rng(batch)
-            total = 0.0
-            for _ in range(READ_BATCH):
-                s = Session(cfg, honest, DEFAULT_CHANNEL, rng, rows=rows)
-                s.receive("prover", d)
-                start = time.perf_counter()
-                s.read("prover")
-                total += time.perf_counter() - start
-            return total
-        return timed
+    from dbvsim.channel import DEFAULT_CHANNEL
+    from dbvsim.protocols import ProtocolConfig, Session
 
-    def trials(cfg, per_call, calls, scenario=honest):
-        def timed(batch):
+    design = _config("pi1", "challenge-response")
+    cfg = ProtocolConfig("pi1", e0=design.e0, k=k, beta=design.beta)
+    honest = _scenario("honest", 1.0)
+
+    # Each session is built untimed just before its read and dropped after
+    # it, as a trial's is, so the read reuses freed memory.
+    def timed(batch):
+        rng = np.random.default_rng(batch)
+        total = 0.0
+        for _ in range(READ_BATCH):
+            s = Session(cfg, honest, DEFAULT_CHANNEL, rng, rows=rows)
+            s.receive("prover", honest.d_real)
             start = time.perf_counter()
-            for i in range(calls):
-                estimate_rates(scenario, cfg, None, DEFAULT_CHANNEL, per_call,
-                               batch * calls + i)
-            return time.perf_counter() - start
-        return timed
-
-    # name -> (count per batch, timed(batch) -> the batch's seconds)
-    batches: dict = {}
-    for rows, k in READS:
-        cfg = ProtocolConfig("pi1", e0=pi1.e0, k=k, beta=pi1.beta)
-        batches[f"read/{rows}x(k={k})"] = (READ_BATCH, reads(cfg, rows))
-    for cfg in (pi1, pi2):
-        batches[f"trial/{cfg.protocol}_honest(k={cfg.k})"] = (CR_TRIALS,
-                                                              trials(cfg, CR_TRIALS, 1))
-    batches[f"trial/pi2_mfa-best-guess(k={pi2.k})"] = (CR_TRIALS,
-                                                       trials(pi2, CR_TRIALS, 1, mfa))
-    batches[f"trial/pi3_honest(k={dense.k},n={dense.brm.n})"] = (
-        DENSE_TRIALS * DENSE_CALLS, trials(dense, DENSE_TRIALS, DENSE_CALLS))
-    batches[f"trial/pi3_honest(k={sparse.k},n={sparse.brm.n})"] = (
-        SPARSE_CALLS, trials(sparse, 1, SPARSE_CALLS))
-    return batches
+            s.read("prover")
+            total += time.perf_counter() - start
+        return total
+    return READ_BATCH, timed
 
 
-def _mac_batches() -> dict:
-    """The ``mac`` measurements, as ``_draw_batches`` returns them."""
+def _trials(protocol: str, design: str, per_call: int, calls: int, kind: str = "honest",
+            psi: float = 1.0, strategy: str | None = None):
+    """A ``trial`` or ``digest`` measurement, as ``_reads`` returns it: ``calls``
+    ``estimate_rates`` calls of ``per_call`` trials, the tfa-general intruder
+    retrieving by the ``dbvsim.attacks`` class ``strategy`` names."""
+    from dbvsim import attacks
+    from dbvsim.channel import DEFAULT_CHANNEL
+    from dbvsim.montecarlo import estimate_rates
+
+    cfg = _config(protocol, design)
+    knobs = {"tfa_strategy": getattr(attacks, strategy)()} if strategy else {}
+    scenario = _scenario(kind, psi, **knobs)
+
+    def timed(batch):
+        start = time.perf_counter()
+        for i in range(calls):
+            estimate_rates(scenario, cfg, None, DEFAULT_CHANNEL, per_call, batch * calls + i)
+        return time.perf_counter() - start
+    return per_call * calls, timed
+
+
+def _mac(measure: str, rows: int, bits: int):
+    """A ``mac`` measurement (``measure`` is build, sign2, block or scalar), as
+    ``_reads`` returns it."""
     import numpy as np
 
     from dbvsim.primitives import MacKeys, mac_sign, mac_sign_rows
 
-    def inputs(rows, bits, batch):
+    def inputs(batch):
         rng = np.random.default_rng([rows, bits, batch])
         keys = MacKeys.generate(rng, rows, 64)
         messages = rng.integers(0, 2, (2, rows, bits), dtype=np.uint8)
         # New keys share the key arrays but build their own tables.
         return [MacKeys(64, keys.a, keys.b) for _ in range(MAC_CALLS)], messages
 
-    def build(rows, bits):
-        def timed(batch):
-            fresh, _ = inputs(rows, bits, batch)
-            start = time.perf_counter()
-            while fresh:
-                fresh.pop().window_tables
-            return time.perf_counter() - start
-        return timed
+    def build(batch):
+        fresh, _ = inputs(batch)
+        start = time.perf_counter()
+        while fresh:
+            fresh.pop().window_tables
+        return time.perf_counter() - start
 
-    def sign2(rows, bits):
-        def timed(batch):
-            fresh, (m1, m2) = inputs(rows, bits, batch)
-            keys = fresh[0]
+    def sign2(batch):
+        fresh, (m1, m2) = inputs(batch)
+        keys = fresh[0]
+        mac_sign_rows(keys, m1)
+        start = time.perf_counter()
+        for _ in range(MAC_CALLS):
             mac_sign_rows(keys, m1)
-            start = time.perf_counter()
-            for _ in range(MAC_CALLS):
-                mac_sign_rows(keys, m1)
-                mac_sign_rows(keys, m2)
-            return time.perf_counter() - start
-        return timed
-
-    def block(rows, bits, sign):
-        def timed(batch):
-            fresh, (m1, m2) = inputs(rows, bits, batch)
-            start = time.perf_counter()
-            while fresh:
-                keys = fresh.pop()
-                sign(keys, m1)
-                sign(keys, m2)
-            return time.perf_counter() - start
-        return timed
+            mac_sign_rows(keys, m2)
+        return time.perf_counter() - start
 
     def row_by_row(keys, messages):
         for i in range(len(keys)):
             mac_sign(keys[i], messages[i])
 
-    batches: dict = {}
-    for rows, bits in MAC_SHAPES:
-        batches[f"mac/build/{rows}x{bits}"] = (MAC_CALLS, build(rows, bits))
-        batches[f"mac/sign2/{rows}x{bits}"] = (MAC_CALLS, sign2(rows, bits))
-    for rows, bits in dict.fromkeys(MAC_SHAPES + MAC_RULE):
-        batches[f"mac/block/{rows}x{bits}"] = (MAC_CALLS, block(rows, bits, mac_sign_rows))
-    for rows, bits in MAC_RULE:
-        batches[f"mac/scalar/{rows}x{bits}"] = (MAC_CALLS, block(rows, bits, row_by_row))
-    return batches
+    def block(batch):
+        sign = mac_sign_rows if measure == "block" else row_by_row
+        fresh, (m1, m2) = inputs(batch)
+        start = time.perf_counter()
+        while fresh:
+            keys = fresh.pop()
+            sign(keys, m1)
+            sign(keys, m2)
+        return time.perf_counter() - start
+    return MAC_CALLS, {"build": build, "sign2": sign2, "block": block, "scalar": block}[measure]
 
 
-def _emission_batches() -> dict:
-    """The ``emission`` measurements, as ``_draw_batches`` returns them."""
+def _emission(protocol: str, kind: str, rows: int):
+    """An ``emission`` measurement, as ``_reads`` returns it."""
     import numpy as np
 
     from dbvsim import attacks
-    from dbvsim.bounds import DbvSpec
     from dbvsim.channel import DEFAULT_CHANNEL
-    from dbvsim.montecarlo import Scenario
-    from dbvsim.optimize import optimize_dfa
-    from dbvsim.protocols import ProtocolConfig, run_protocol
+    from dbvsim.protocols import run_protocol
 
-    spec = DbvSpec(psi=1.1, eps_fa=1e-2, eps_fr=1e-2)
-    opt = optimize_dfa(spec, DEFAULT_CHANNEL)
-    d = DEFAULT_CHANNEL.d0 / 2.0
-    scenarios = {"honest": Scenario("honest", d, d),
-                 "tfa-relay": Scenario("tfa-relay", d, spec.psi * d)}
-    policies = {"honest": run_protocol, "tfa-relay": attacks.attack_tfa_relay}
+    cfg = _config(protocol, "challenge-response")
+    relay = kind == "tfa-relay"
+    scenario = _scenario(kind, 1.1 if relay else 1.0)
+    policy = attacks.attack_tfa_relay if relay else run_protocol
 
-    def blocks(cfg, kind, rows):
-        scenario, policy = scenarios[kind], policies[kind]
-
-        def timed(batch):
-            rngs = [np.random.default_rng([rows, batch, i]) for i in range(EMISSION_CALLS)]
-            start = time.perf_counter()
-            for rng in rngs:
-                policy(cfg, scenario, DEFAULT_CHANNEL, rng, 0, rows=rows)
-            return time.perf_counter() - start
-        return timed
-
-    batches: dict = {}
-    for protocol, kind, rows in EMISSION_BLOCKS:
-        cfg = ProtocolConfig(protocol, e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star)
-        batches[f"emission/{protocol}_{kind}/{rows}x(k={cfg.k})"] = (
-            EMISSION_CALLS, blocks(cfg, kind, rows))
-    return batches
+    def timed(batch):
+        rngs = [np.random.default_rng([rows, batch, i]) for i in range(EMISSION_CALLS)]
+        start = time.perf_counter()
+        for rng in rngs:
+            policy(cfg, scenario, DEFAULT_CHANNEL, rng, 0, rows=rows)
+        return time.perf_counter() - start
+    return EMISSION_CALLS, timed
 
 
-def _digest_batches() -> dict:
-    """The ``digest`` measurements, as ``_draw_batches`` returns them."""
-    from dbvsim.attacks import BlockMajorityStrategy, ParitySketchStrategy
-    from dbvsim.bounds import DbvSpec
-    from dbvsim.channel import DEFAULT_CHANNEL
-    from dbvsim.montecarlo import Scenario, estimate_rates
-    from dbvsim.optimize import optimize_brm
-    from dbvsim.protocols import BrmParams, ProtocolConfig
+def _sampler_rows(rows: int, n: int, k: int):
+    """A ``sampler/rows`` measurement, as ``_reads`` returns it."""
+    import numpy as np
 
-    spec = DbvSpec(psi=2.0, eps_fa=1e-2, eps_fr=1e-2)
-    opt = optimize_brm(spec, DEFAULT_CHANNEL, 0.3, "sampling")
-    cfg = ProtocolConfig("pi3", e0=opt.e0_star, k=opt.k_star, beta=opt.beta_star,
-                         brm=BrmParams(lam=0.3, n=opt.n_star))
-    d = DEFAULT_CHANNEL.d0 / 2.0
+    from dbvsim.primitives import sample_indices_rows, sampler_key_rows
 
-    def trials(strategy):
-        scenario = Scenario("tfa-general", d, spec.psi * d, tfa_strategy=strategy)
+    blocks = max(1, SAMPLER_ROW_BATCH // rows)
 
-        def timed(batch):
-            start = time.perf_counter()
-            for i in range(DIGEST_CALLS):
-                estimate_rates(scenario, cfg, None, DEFAULT_CHANNEL, DIGEST_TRIALS,
-                               batch * DIGEST_CALLS + i)
-            return time.perf_counter() - start
-        return timed
-
-    return {f"digest/{strategy.name}(k={cfg.k},n={cfg.brm.n})":
-            (DIGEST_TRIALS * DIGEST_CALLS, trials(strategy))
-            for strategy in (ParitySketchStrategy(), BlockMajorityStrategy())}
+    def timed(batch):
+        rng = np.random.default_rng([rows, n, k, batch])
+        keys = [sampler_key_rows(rng.bytes(16 * rows)) for _ in range(blocks)]
+        start = time.perf_counter()
+        for block in keys:
+            sample_indices_rows(block, n, k)
+        return time.perf_counter() - start
+    return blocks * rows, timed
 
 
-def _child(group: str) -> dict:
-    """The best batch of each measurement of ``group`` on the dbvsim that
-    PYTHONPATH names."""
-    batches = _draw_batches() if group == "all" else {}
-    if group in ("all", "mac"):
-        batches.update(_mac_batches())
-    if group in ("all", "emission"):
-        batches.update(_emission_batches())
-    if group in ("all", "digest"):
-        batches.update(_digest_batches())
-    best = {name: math.inf for name in batches}
-    for batch in range(BATCHES):
-        for name, (count, timed) in batches.items():
-            best[name] = min(best[name], timed(batch) / count * 1e6)
-    return best
+def _sampler_one_row(n: int, k: int):
+    """A ``sampler/one_row`` measurement, as ``_reads`` returns it."""
+    import numpy as np
+
+    from dbvsim.primitives import SamplerKey, sample_indices
+
+    def timed(batch):
+        rng = np.random.default_rng([n, k, batch])
+        keys = [SamplerKey(rng.bytes(16)) for _ in range(SAMPLER_CALLS)]
+        start = time.perf_counter()
+        for key in keys:
+            sample_indices(key, n, k)
+        return time.perf_counter() - start
+    return SAMPLER_CALLS, timed
+
+
+def _measurements() -> list:
+    """Every measurement, as (name, make) in run order; ``make()`` imports the
+    dbvsim that PYTHONPATH names and returns what ``_reads`` does."""
+    cr, dense, sparse = (DESIGNS[d][1] for d in ("challenge-response", "brm-dense", "brm-sparse"))
+    table = [(f"read/{rows}x(k={k})", partial(_reads, rows, k)) for rows, k in READS]
+    table += [(f"trial/{p}_honest({cr})", partial(_trials, p, "challenge-response", CR_TRIALS, 1))
+              for p in ("pi1", "pi2")]
+    table += [(f"trial/pi2_mfa-best-guess({cr})",
+               partial(_trials, "pi2", "challenge-response", CR_TRIALS, 1, "mfa", 1.1)),
+              (f"trial/pi3_honest({dense})",
+               partial(_trials, "pi3", "brm-dense", DENSE_TRIALS, DENSE_CALLS)),
+              (f"trial/pi3_honest({sparse})",
+               partial(_trials, "pi3", "brm-sparse", 1, SPARSE_CALLS))]
+    for rows, bits in MAC_SHAPES:
+        table += [(f"mac/{m}/{rows}x{bits}", partial(_mac, m, rows, bits))
+                  for m in ("build", "sign2")]
+    table += [(f"mac/block/{rows}x{bits}", partial(_mac, "block", rows, bits))
+              for rows, bits in dict.fromkeys(MAC_SHAPES + MAC_RULE)]
+    table += [(f"mac/scalar/{rows}x{bits}", partial(_mac, "scalar", rows, bits))
+              for rows, bits in MAC_RULE]
+    table += [(f"emission/{p}_{kind}/{rows}x({cr})", partial(_emission, p, kind, rows))
+              for p, kind, rows in EMISSION_BLOCKS]
+    table += [(f"digest/{name}({dense})", partial(_trials, "pi3", "brm-dense", DIGEST_TRIALS,
+                                                 DIGEST_CALLS, "tfa-general", 2.0, strategy))
+              for name, strategy in (("parity-sketch", "ParitySketchStrategy"),
+                                     ("block-majority", "BlockMajorityStrategy"))]
+    table += [(f"sampler/rows/{rows}x({n},{k})", partial(_sampler_rows, rows, n, k))
+              for rows, n, k in SAMPLER_ROWS]
+    table += [(f"sampler/one_row/({n},{k})", partial(_sampler_one_row, n, k))
+              for n, k in SAMPLER_ONE_ROW]
+    return table
+
+
+MEASUREMENTS = dict(_measurements())
+#: What ``--group`` takes: ``all``, or the prefix that starts a measurement's name.
+GROUPS = ("all", *dict.fromkeys(name.split("/")[0] for name in MEASUREMENTS))
+
+
+def _select(group: str) -> list[str]:
+    """The names of ``group``'s measurements, in run order."""
+    return [name for name in MEASUREMENTS if group in ("all", name.split("/")[0])]
+
+
+def _child(name: str) -> dict:
+    """``name``'s best batch, in microseconds, on the dbvsim that PYTHONPATH
+    names, and the numpy and scipy versions it ran with."""
+    import numpy
+    import scipy
+
+    count, timed = MEASUREMENTS[name]()
+    best = min(timed(batch) for batch in range(BATCHES)) / count * 1e6
+    return {"us": {name: best}, "numpy": numpy.__version__, "scipy": scipy.__version__}
 
 
 def _extract(rev: str, into: Path) -> str:
@@ -329,59 +378,62 @@ def _extract(rev: str, into: Path) -> str:
     return commit
 
 
-def _round(src: Path, group: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    result = subprocess.run([sys.executable, __file__, "--child", group], env=env,
-                            check=True, capture_output=True, text=True)
+def _time(side: str, commit: str, src: Path, name: str) -> dict:
+    """A fresh child's report of ``name`` on ``src``, ``side``'s ``commit``;
+    stops the run with the child's stderr if the child fails."""
+    result = subprocess.run([sys.executable, __file__, "--child", name],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True)
+    if result.returncode != 0:
+        sys.exit(f"the {side} side ({commit}) failed timing {name}:\n{result.stderr}")
     return json.loads(result.stdout)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", help="parent commit")
+    parser.add_argument("--parent", help="parent commit (required)")
     parser.add_argument("--change", default="HEAD", help="changed commit")
     parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_draws.json")
-    only = parser.add_mutually_exclusive_group()
-    only.add_argument("--mac-only", action="store_true", help="time the mac group alone")
-    only.add_argument("--emission-only", action="store_true",
-                      help="time the emission group alone")
-    only.add_argument("--digest-only", action="store_true",
-                      help="time the digest group alone")
-    parser.add_argument("--child", choices=GROUPS, help=argparse.SUPPRESS)
+    parser.add_argument("--group", choices=GROUPS, default="all",
+                        help="time this group's measurements alone")
+    parser.add_argument("--out", type=Path, help="the BENCH_*.json to write (required)")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.child:
+    if args.child is not None:
+        if args.child not in MEASUREMENTS:
+            parser.error(f"unknown measurement {args.child!r}")
         print(json.dumps(_child(args.child)))
         return
-    if not args.parent:
-        parser.error("--parent is required")
-    group, flag = (("mac", " --mac-only") if args.mac_only
-                   else ("emission", " --emission-only") if args.emission_only
-                   else ("digest", " --digest-only") if args.digest_only
-                   else ("all", ""))
+    if args.parent is None or args.out is None:
+        parser.error("--parent and --out are required")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    names = _select(args.group)
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {}
-        for side, rev in (("parent", args.parent), ("change", args.change)):
-            sides[side] = (_extract(rev, Path(tmp) / side), Path(tmp) / side / "src")
-        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        commits = {side: _extract(rev, Path(tmp) / side)
+                   for side, rev in (("parent", args.parent), ("change", args.change))}
+        best = {side: dict.fromkeys(names, math.inf) for side in commits}
+        versions = {}
         for r in range(args.rounds):
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(_round(sides[side][1], group))
+            for name in names:
+                for side in order:
+                    report = _time(side, commits[side], Path(tmp) / side / "src", name)
+                    best[side][name] = min(best[side][name], report["us"][name])
+                    versions[side] = {"numpy": report["numpy"], "scipy": report["scipy"]}
     result = {
-        "command": ("python3 bench/draws.py --parent {} --change {} --rounds {}{}"
-                    .format(args.parent, args.change, args.rounds, flag)),
-        "parent": sides["parent"][0],
-        "change": sides["change"][0],
+        "command": ("python3 bench/draws.py --parent {} --change {} --rounds {} --group {}"
+                    .format(args.parent, args.change, args.rounds, args.group)),
+        "parent": commits["parent"],
+        "change": commits["change"],
         "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "cpus": os.cpu_count()},
-        "unit": "us, best batch of all rounds",
+                 "cpus": os.cpu_count(), **versions},
+        "unit": "us, best batch of all rounds, one child per measurement",
         "rounds": args.rounds,
         "metrics": {},
     }
-    for name in runs["parent"][0]:
-        parent = min(run[name] for run in runs["parent"])
-        change = min(run[name] for run in runs["change"])
+    for name in names:
+        parent, change = best["parent"][name], best["change"][name]
         result["metrics"][name] = {"parent": round(parent, 2), "change": round(change, 2),
                                    "change_over_parent": round(change / parent, 3)}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
