@@ -54,7 +54,6 @@ from .protocols import (
     BrmParams,
     ProtocolConfig,
     RetrievalCapError,
-    SessionKeys,
     Transcript,
     run_pi1,
     run_pi2,

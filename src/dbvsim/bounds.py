@@ -2,7 +2,7 @@
 
 Chernoff tail bounds drive the challenge lengths; the exact binomial tails
 they dominate are kept alongside as the ground-truth oracle.  The
-guessing-security arithmetic (leakage, sampling) supports the
+guessing-security arithmetic of sampled positions supports the
 bounded-retrieval protocol analysis.
 
 Each design mode's terms, threshold bracket and empty-bracket condition are
@@ -36,7 +36,6 @@ __all__ = [
     "challenge_length_dfa",
     "challenge_length_brm_general",
     "challenge_length_brm_sampling",
-    "leakage_degradation",
     "sampler_close_security",
     "brm_exponent_general",
     "brm_exponent_sampling",
@@ -440,17 +439,6 @@ def challenge_length_brm_sampling(
     ln(1/(eps_fa-gamma)), and n = ceil(k/lam), held to the same K_CAP as k.
     """
     return _brm_length("sampling", ber, beta, brm, spec)
-
-
-def leakage_degradation(cs: CloseSecurity, leak_log2: float) -> CloseSecurity:
-    """Security exponent after leaking a variable with support size 2**leak_log2.
-
-    delta drops by leak_log2/n; mu and n are unchanged.  The result may have
-    non-positive delta, which the caller must check before relying on it.
-    """
-    if leak_log2 < 0:
-        raise ValueError(f"leak_log2 must be >= 0, got {leak_log2}")
-    return CloseSecurity(cs.mu, cs.delta - leak_log2 / cs.n, cs.n)
 
 
 def sampler_close_security(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import Optional
@@ -112,8 +113,19 @@ def _load_channel(spec: str) -> ChannelParams:
     try:
         with open(spec) as fh:
             return ChannelParams.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _UsageError(f"cannot load channel config {spec!r}: {exc}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output path that cannot be written, before any work starts;
+    nothing is created."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise _UsageError(f"cannot write {path!r}: no such directory {parent!r}")
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else parent,
+                                            os.W_OK):
+        raise _UsageError(f"cannot write {path!r}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -233,6 +245,7 @@ def _parse_range(txt: str) -> list[float]:
 
 
 def _cmd_curves(args) -> int:
+    _check_writable(args.out)
     ch = _load_channel(args.channel)
     psi_values = _parse_range(args.psi_range)
     template = _specs(args, psi_values[0], args.eps_fa, args.eps_fr)
@@ -356,6 +369,8 @@ def _simulate_inputs(args, ch: ChannelParams) -> tuple[DbvSpec, ProtocolConfig, 
 
 
 def _cmd_simulate(args) -> int:
+    if args.dump_transcripts is not None:
+        _check_writable(args.dump_transcripts)
     ch = _load_channel(args.channel)
     spec, cfg, scenario = _simulate_inputs(args, ch)
 

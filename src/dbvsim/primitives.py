@@ -260,12 +260,6 @@ class MacKeys:
         """``rows`` keys, drawn as ``rows`` successive ``MacKey.generate`` calls draw them."""
         return cls.from_bytes(rng.bytes(cls.draw_bytes(rows, field_bits)), rows, field_bits)
 
-    @classmethod
-    def repeat(cls, key: MacKey, rows: int) -> "MacKeys":
-        """``key`` on every one of ``rows`` rows."""
-        dtype = np.uint64 if key.field_bits <= 64 else object
-        return cls(key.field_bits, np.full(rows, key.a, dtype), np.full(rows, key.b, dtype))
-
     def __len__(self) -> int:
         return len(self.a)
 

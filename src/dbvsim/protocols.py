@@ -39,9 +39,7 @@ from .primitives import (
     CLAIM_BITS,
     SAMPLER_KEY_BYTES,
     SAMPLER_STREAM_VERSION,
-    MacKey,
     MacKeys,
-    SamplerKey,
     encode_response_claim,
     mac_forgery_bound,
     mac_sign_rows,
@@ -58,7 +56,6 @@ __all__ = [
     "REJ",
     "BrmParams",
     "ProtocolConfig",
-    "SessionKeys",
     "Session",
     "Transcript",
     "TrialBlock",
@@ -216,14 +213,6 @@ class ProtocolConfig:
                 raise ProtocolConfigError(
                     f"k={self.k} exceeds the retrieval cap {self.brm.retrieval_cap}"
                 )
-
-
-@dataclass(frozen=True)
-class SessionKeys:
-    """Per-run shared secrets; generated fresh by the engine when omitted."""
-
-    mac_key: Optional[MacKey] = None
-    sampler_key: Optional[SamplerKey] = None
 
 
 @dataclass
@@ -561,11 +550,11 @@ class Session:
     ``montecarlo.Scenario``; impersonation overrides the distance (``d_real``).
 
     It draws from ``rng`` in one fixed order, each draw for every row at
-    once: the MAC keys (only when the run authenticates and ``keys`` holds
-    none), the sampler keys (pi3), then the emission.  pi1/pi2 are the n = k
-    case, with a cap of n and every position sampled, so their sampled keys
-    are the block's keys 0 .. rows * n - 1 in order, a read-only view of one
-    shared key range (``SHARED_KEY_RANGE``), not an array of their own.
+    once: the MAC keys (when the run authenticates), the sampler keys (pi3),
+    then the emission.  pi1/pi2 are the n = k case, with a cap of n and
+    every position sampled, so their sampled keys are the block's keys
+    0 .. rows * n - 1 in order, a read-only view of one shared key range
+    (``SHARED_KEY_RANGE``), not an array of their own.
     Nothing more is drawn up front: each party's ``RetrievalAudit`` draws a
     position the first time that party reads it, in read order and
     row-major over the rows, taking the source bit from one shared memo
@@ -583,9 +572,8 @@ class Session:
     """
 
     def __init__(self, cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
-                 rng: np.random.Generator, seed: Optional[int] = None,
-                 keys: Optional[SessionKeys] = None, *, d_real: Optional[float] = None,
-                 rows: Optional[int] = None):
+                 rng: np.random.Generator, seed: Optional[int] = None, *,
+                 d_real: Optional[float] = None, rows: Optional[int] = None):
         self.cfg, self.ch, self.rng, self.seed = cfg, ch, rng, seed
         self.single = rows is None
         self.rows = 1 if rows is None else int(rows)
@@ -595,20 +583,15 @@ class Session:
         self.authenticated = cfg.protocol != "pi1" and cfg.use_mac
         # One draw of key material for every row: the MAC keys, then the
         # sampler keys, as successive MacKey and SamplerKey draws take them.
-        draw_mac = self.authenticated and (keys is None or keys.mac_key is None)
-        draw_sampler = self.bounded and (keys is None or keys.sampler_key is None)
-        mac_bytes = MacKeys.draw_bytes(self.rows, cfg.mac_bits) if draw_mac else 0
-        sampler_bytes = SAMPLER_KEY_BYTES * self.rows if draw_sampler else 0
-        raw = rng.bytes(mac_bytes + sampler_bytes) if draw_mac or draw_sampler else b""
-        self.mac_keys: Optional[MacKeys] = None
-        if self.authenticated:
-            self.mac_keys = (MacKeys.from_bytes(raw[:mac_bytes], self.rows, cfg.mac_bits)
-                             if draw_mac else MacKeys.repeat(keys.mac_key, self.rows))
-        self.sampler_keys: Optional[np.ndarray] = None  # (rows, 2) uint64 (hi, lo)
-        if self.bounded:
-            self.sampler_keys = (
-                sampler_key_rows(raw[mac_bytes:]) if draw_sampler
-                else np.tile(np.array(keys.sampler_key.words, dtype=np.uint64), (self.rows, 1)))
+        mac_bytes = MacKeys.draw_bytes(self.rows, cfg.mac_bits) if self.authenticated else 0
+        sampler_bytes = SAMPLER_KEY_BYTES * self.rows if self.bounded else 0
+        raw = rng.bytes(mac_bytes + sampler_bytes) if mac_bytes or sampler_bytes else b""
+        self.mac_keys: Optional[MacKeys] = (
+            MacKeys.from_bytes(raw[:mac_bytes], self.rows, cfg.mac_bits)
+            if self.authenticated else None)
+        # (rows, 2) uint64 (hi, lo)
+        self.sampler_keys: Optional[np.ndarray] = (
+            sampler_key_rows(raw[mac_bytes:]) if self.bounded else None)
         self.power_w = transmit_power_for_claim(self.d_c, cfg.e0, ch)
         self.n, self.cap = self.extent(cfg)
         self._offsets = np.arange(0, self.rows * self.n, self.n, dtype=np.int64)[:, None]
@@ -774,10 +757,10 @@ class Session:
 
 def _honest_run(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
                 rng: np.random.Generator, seed: Optional[int],
-                keys: Optional[SessionKeys] = None, rows: Optional[int] = None) -> Outcome:
+                rows: Optional[int] = None) -> Outcome:
     """The honest prover answers with the bits it receives at the sampled
     positions (its leg to the verifier is error-free) and tags its own claim."""
-    s = Session(cfg, scenario, ch, rng, seed, keys, rows=rows)
+    s = Session(cfg, scenario, ch, rng, seed, rows=rows)
     s.receive("prover", scenario.d_real)
     response = s.read("prover")
     return s.decide(response, s.sign(response, scenario.d_claim))
@@ -793,18 +776,17 @@ def run_pi1(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
 
 def run_pi2(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
             rng: np.random.Generator, seed: Optional[int] = None, *,
-            keys: Optional[SessionKeys] = None, rows: Optional[int] = None) -> Outcome:
+            rows: Optional[int] = None) -> Outcome:
     """As pi1 plus a one-time MAC over (response, claim) on the prover leg.
 
-    With keys=None a fresh key per row is drawn from ``rng`` before the
-    challenge; a supplied key serves every row.
+    A fresh key per row is drawn from ``rng`` before the challenge.
     """
-    return _honest_run(cfg, scenario, ch, rng, seed, keys, rows)
+    return _honest_run(cfg, scenario, ch, rng, seed, rows)
 
 
 def run_pi3(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
             rng: np.random.Generator, seed: Optional[int] = None, *,
-            keys: Optional[SessionKeys] = None, rows: Optional[int] = None) -> Outcome:
+            rows: Optional[int] = None) -> Outcome:
     """One honest run of the bounded-retrieval protocol (a block of ``rows``
     runs when given).
 
@@ -813,7 +795,7 @@ def run_pi3(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
     observed (enforced by the audit).  The response carries a MAC like pi2
     unless cfg.use_mac is false.
     """
-    return _honest_run(cfg, scenario, ch, rng, seed, keys, rows)
+    return _honest_run(cfg, scenario, ch, rng, seed, rows)
 
 
 def run_protocol(cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,

@@ -23,7 +23,6 @@ from dbvsim.bounds import (
     chernoff_false_reject,
     exact_binomial_tail_lower,
     exact_binomial_tail_upper,
-    leakage_degradation,
     max_errors,
     brm_exponent_general,
     brm_exponent_sampling,
@@ -370,25 +369,6 @@ class TestChallengeLengthBrm:
 
 
 class TestCloseSecurityArithmetic:
-    def test_leakage_identity(self):
-        cs = CloseSecurity(mu=0.1, delta=0.5, n=100)
-        assert leakage_degradation(cs, 0.0) == cs
-
-    def test_leakage_arithmetic(self):
-        cs = leakage_degradation(CloseSecurity(0.1, 0.5, 100), 10.0)
-        assert cs.delta == pytest.approx(0.4, rel=1e-12)
-        assert (cs.mu, cs.n) == (0.1, 100)
-
-    def test_leakage_additive(self):
-        cs = CloseSecurity(0.2, 0.7, 64)
-        once = leakage_degradation(cs, 5.0 + 7.0)
-        twice = leakage_degradation(leakage_degradation(cs, 5.0), 7.0)
-        assert once.delta == pytest.approx(twice.delta, rel=1e-12)
-
-    def test_leakage_can_go_nonpositive(self):
-        cs = leakage_degradation(CloseSecurity(0.1, 0.1, 10), 100.0)
-        assert cs.delta < 0  # returned as-is; caller checks
-
     def test_sampler_zero_gamma(self):
         cs = CloseSecurity(mu=0.2, delta=0.25, n=64)
         out = sampler_close_security(cs, k=16, theta=0.05, gamma=0.0)
@@ -492,8 +472,7 @@ class TestLeakageEnumeration:
         assert value <= 2.0 ** (-delta1 * self.N)
 
     def test_leakage_degrades_by_log_support(self):
-        from dbvsim.bounds import CloseSecurity, leakage_degradation
-
+        # Leaking a variable with `support` values costs log2(support) bits.
         mu = 0.15
         radius = max_errors(mu, self.N)
         delta1 = brm_exponent_general(self.P, mu, 0.0)
@@ -502,10 +481,7 @@ class TestLeakageEnumeration:
             (lambda v: v & 3, 4),  # first two bits verbatim
         ]:
             value = self._exhaustive(leak_fn, support, radius)
-            degraded = leakage_degradation(
-                CloseSecurity(mu, delta1, self.N), math.log2(support)
-            )
-            assert value <= degraded.guess_bound
+            assert value <= support * 2.0 ** (-delta1 * self.N)
 
 
 class TestPsiMonotonicity:

@@ -93,6 +93,20 @@ class TestCurvesCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, monkeypatch, where):
+        def refuse(*args, **kwargs):
+            raise AssertionError("curves swept for an unwritable --out")
+
+        monkeypatch.setattr(cli, "sweep_curves", refuse)
+        path = tmp_path / "missing" / "c.csv" if where == "missing" else tmp_path
+        code, out, err = run_cli(
+            capsys, "curves", "--mode", "dfa", "--psi-range", "1.2:1.2:0.1",
+            "--eps", "1e-3", "--out", str(path),
+        )
+        assert code == 1, err
+        assert out == "" and str(path) in err
+
     def test_jobs_below_one_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "curves", "--mode", "dfa", "--psi-range", "1.2:1.2:0.1",
@@ -237,14 +251,30 @@ class TestSimulateCommand:
         assert obj["summary"]["bound_satisfied"] is True
 
     def test_broken_channel_file_is_usage_error(self, capsys, tmp_path):
+        good = {"xi": 1.0, "alpha": 3.0, "sigma_watts": 1e-12,
+                "e_max_watts": 3e4, "d0_meters": 1e5}
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _, err = run_cli(
-            capsys, "optimize", "--mode", "dfa", "--psi", "1.3",
-            "--eps-fa", "1e-3", "--eps-fr", "1e-3", "--channel", str(bad),
-        )
-        assert code == 1
-        assert "cannot load channel config" in err
+        for text in ("{not json",
+                     json.dumps(good | {"xi": 0.5}),  # fails ChannelParams' checks
+                     json.dumps(good | {"xi": "abc"}),
+                     json.dumps(good | {"d0_meters": float("nan")})):
+            bad.write_text(text)
+            code, _, err = run_cli(
+                capsys, "optimize", "--mode", "dfa", "--psi", "1.3",
+                "--eps-fa", "1e-3", "--eps-fr", "1e-3", "--channel", str(bad),
+            )
+            assert code == 1, text
+            assert "cannot load channel config" in err and str(bad) in err, text
+
+    def test_dump_into_missing_directory_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate ran trials for an unwritable dump path")
+
+        monkeypatch.setattr(cli, "estimate_rates", refuse)
+        path = tmp_path / "missing" / "t.jsonl"
+        code, out, err = run_cli(capsys, *self.ARGS, "--dump-transcripts", str(path))
+        assert code == 1, err
+        assert out == "" and str(path) in err
 
     def test_channel_file(self, capsys, tmp_path):
         ch_path = tmp_path / "chan.json"

@@ -41,7 +41,6 @@ from dbvsim.protocols import (
     RetrievalAudit,
     RetrievalCapError,
     Session,
-    SessionKeys,
     brm_source_emit,
     check_mac_strength,
     run_pi1,
@@ -303,13 +302,12 @@ class TestPi1:
 
 class TestPi2:
     def test_honest_verdicts_match_pi1_with_shared_stream(self):
-        # With the key supplied, pi2 consumes the identical rng stream as pi1.
-        key = SessionKeys(mac_key=MacKey.generate(np.random.default_rng(999), 64))
+        # pi2 draws its MAC key first and then consumes the rng stream as pi1.
         for seed in range(25):
-            t1 = run_pi1(PI1, Scenario("honest", 5e4, 6.5e4), CH, np.random.default_rng(seed))
-            t2 = run_pi2(
-                PI2, Scenario("honest", 5e4, 6.5e4), CH, np.random.default_rng(seed), keys=key
-            )
+            rng = np.random.default_rng(seed)
+            rng.bytes(MacKeys.draw_bytes(1, 64))
+            t1 = run_pi1(PI1, Scenario("honest", 5e4, 6.5e4), CH, rng)
+            t2 = run_pi2(PI2, Scenario("honest", 5e4, 6.5e4), CH, np.random.default_rng(seed))
             assert t1.verdict == t2.verdict
             np.testing.assert_array_equal(t1.challenge, t2.challenge)
             assert t2.mac_ok is True
@@ -500,19 +498,6 @@ class TestSession:
         # in position order, right after the keys.
         np.testing.assert_array_equal(s.challenge(), [random_bits(rng, cfg.k)])
 
-    def test_supplied_keys_are_not_drawn(self):
-        cfg = pi3_config()
-        keys = SessionKeys(MacKey.generate(np.random.default_rng(1), cfg.mac_bits),
-                           SamplerKey.generate(np.random.default_rng(2), 128))
-        s = Session(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(13),
-                    keys=keys)
-        assert s.mac_keys[0] == keys.mac_key
-        np.testing.assert_array_equal(
-            s.sampler_keys, np.array([keys.sampler_key.words], dtype=np.uint64))
-        np.testing.assert_array_equal(
-            s.challenge(), [random_bits(np.random.default_rng(13), cfg.k)]
-        )
-
     @pytest.mark.parametrize("dense_limit", [protocols.DENSE_SOURCE_BITS, 0],
                              ids=["bit-array", "sorted-memo"])
     def test_source_bits_shared_and_drawn_in_read_order(self, monkeypatch, dense_limit):
@@ -627,13 +612,14 @@ class TestSession:
 
     @pytest.mark.parametrize("cfg", [PI2, pi3_config()], ids=["pi2", "pi3"])
     def test_honest_tag_with_supplied_key(self, cfg):
-        key = MacKey.generate(np.random.default_rng(3), cfg.mac_bits)
+        # The key a session on the same seed draws is the one the run tagged under.
+        scenario = Scenario("honest", 5e4, 5e4)
         run = run_pi2 if cfg.protocol == "pi2" else run_pi3
         for seed in range(10):
-            t = run(cfg, Scenario("honest", 5e4, 5e4), CH, np.random.default_rng(seed),
-                    keys=SessionKeys(mac_key=key))
+            s = Session(cfg, scenario, CH, np.random.default_rng(seed))
+            t = run(cfg, scenario, CH, np.random.default_rng(seed))
             assert t.mac_ok is True
-            assert mac_verify(key, encode_response_claim(t.response, t.claim_m), t.tag)
+            assert mac_verify(s.mac_keys[0], encode_response_claim(t.response, t.claim_m), t.tag)
 
     @pytest.mark.parametrize("change", ["tag", "response"])
     def test_decide_checks_what_was_signed(self, change):
