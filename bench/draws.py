@@ -51,9 +51,9 @@ as its children report them.  The groups:
 * ``emission``: per block of a full-emission (k = n) protocol at the
   challenge-response design (k=3334), at the block sizes perfbench's
   challenge-response batches run: pi1 honest at 78 rows, pi2 honest at 25
-  rows and the pi2 relay with an error-free intruder at 30 rows, each one
-  policy call on a new generator, the session's key draws, reads, signs
-  and verdicts included;
+  rows, the pi2 relay with an error-free intruder at 30 rows and the pi2
+  mfa replay at 25 rows, each one policy call on a new generator, the
+  session's key draws, reads, signs and verdicts included;
 * ``digest``: per trial of ``estimate_rates`` for the digest intruders of
   tfa-general, parity-sketch and block-majority, at the brm-dense design
   (k=160, n=534) with the prover at twice the claim, in calls of
@@ -108,8 +108,10 @@ MAC_SHAPES = [(1, 167), (2, 224), (35, 224), (120, 224), (256, 224), (25, 3398),
 MAC_RULE = [(rows, bits) for bits in (167, 224, 3398) for rows in (1, 2, 3, 4)]
 #: Blocks a batch of each ``mac`` measurement signs or builds.
 MAC_CALLS = 20
-#: (protocol, scenario kind, rows) of the ``emission`` group's blocks.
-EMISSION_BLOCKS = [("pi1", "honest", 78), ("pi2", "honest", 25), ("pi2", "tfa-relay", 30)]
+#: (protocol, policy, rows) of the ``emission`` group's blocks: a scenario
+#: kind, or ``mfa-replay`` for the mfa attack that replays the prover's tag.
+EMISSION_BLOCKS = [("pi1", "honest", 78), ("pi2", "honest", 25), ("pi2", "tfa-relay", 30),
+                   ("pi2", "mfa-replay", 25)]
 #: Blocks a batch of each ``emission`` measurement runs.
 EMISSION_CALLS = 10
 #: Trials a call of each ``digest`` measurement runs, and its calls a batch.
@@ -263,9 +265,12 @@ def _emission(protocol: str, kind: str, rows: int):
     from dbvsim.protocols import run_protocol
 
     cfg = _config(protocol, "challenge-response")
-    relay = kind == "tfa-relay"
-    scenario = _scenario(kind, 1.1 if relay else 1.0)
-    policy = attacks.attack_tfa_relay if relay else run_protocol
+    if kind == "honest":
+        scenario, policy = _scenario(kind, 1.0), run_protocol
+    elif kind == "tfa-relay":
+        scenario, policy = _scenario(kind, 1.1), attacks.attack_tfa_relay
+    else:
+        scenario, policy = _scenario("mfa", 1.1, mfa_strategy="replay"), attacks.attack_mfa
 
     def timed(batch):
         rngs = [np.random.default_rng([rows, batch, i]) for i in range(EMISSION_CALLS)]

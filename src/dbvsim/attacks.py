@@ -261,6 +261,18 @@ def _majority_one_prob(size: np.ndarray, sampled: np.ndarray,
     return special.bdtrc(np.minimum(need - 1, free), free, 0.5)
 
 
+@functools.lru_cache(maxsize=64)
+def _majority_law(sizes: tuple[int, ...], largest: int) -> np.ndarray:
+    """Read-only [c, j, s]: ``_majority_one_prob`` in a block of sizes[c]
+    whose j sampled positions hold s ones, for j and s up to ``largest``.
+    (Counts above a size give NaN entries that nothing reads.)  Cached: the
+    blocks of a run share their sizes and few distinct largest counts."""
+    upto = np.arange(largest + 1)
+    law = _majority_one_prob(*np.ix_(np.array(sizes), upto, upto))
+    law.flags.writeable = False
+    return law
+
+
 def _block_majorities(bits: np.ndarray, block: np.ndarray, large: np.ndarray,
                       sizes: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """(rows, k): the majority digest of each sampled position's block, given
@@ -276,12 +288,12 @@ def _block_majorities(bits: np.ndarray, block: np.ndarray, large: np.ndarray,
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=flat.size)
     ones = np.add.reduceat(bits.ravel(), starts, dtype=np.int64)
-    # The law at every (size, count, ones) below the largest count: few
-    # sampled positions share a block.  (Counts above a size give NaN
-    # entries that nothing reads.)
-    upto = np.arange(int(counts.max()) + 1)
-    table = _majority_one_prob(*np.ix_(np.array(sizes), upto, upto))
-    prob = table.ravel().take((large.ravel()[starts] * upto.size + counts) * upto.size + ones)
+    # The law at every (size, count, ones) up to the largest count: few
+    # sampled positions share a block.
+    largest = int(counts.max())
+    width = largest + 1
+    law = _majority_law(sizes, largest)
+    prob = law.ravel().take((large.ravel()[starts] * width + counts) * width + ones)
     digest = rng.random(starts.size) < prob
     return np.repeat(digest.astype(np.uint8), counts).reshape(block.shape)
 

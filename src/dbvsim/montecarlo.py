@@ -9,6 +9,7 @@ worker count, and splittable across processes without coordination.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -310,10 +311,14 @@ def _overlap_pmf(n: int, cap: int, k: int) -> tuple[int, np.ndarray]:
     return lo, w / w.sum()
 
 
+@functools.lru_cache(maxsize=256)
 def exact_success_probability(
     scenario: Scenario, cfg: ProtocolConfig, ch: ChannelParams
 ) -> Optional[float]:
-    """Closed-form acceptance probability where one exists, as an oracle."""
+    """Closed-form acceptance probability where one exists, as an oracle.
+
+    A pure function of its frozen arguments, cached: a run of many short
+    ``estimate_rates`` calls on one design computes each tail once."""
     e = transmit_power_for_claim(scenario.d_claim, cfg.e0, ch)
     kind = scenario.kind
     if scenario.noiseless:

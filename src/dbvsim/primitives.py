@@ -52,6 +52,7 @@ __all__ = [
     "mac_sign",
     "mac_sign_rows",
     "mac_sign_rows_from",
+    "mac_difference_rows",
     "mac_verify",
     "mac_forgery_bound",
     "random_field_elements",
@@ -441,27 +442,39 @@ def mac_sign_rows(keys: MacKeys, messages: np.ndarray) -> np.ndarray:
 def mac_sign_rows_from(keys: MacKeys, messages: np.ndarray, signed: np.ndarray,
                        tags: np.ndarray) -> np.ndarray:
     """``mac_sign_rows(keys, messages)``, found from the ``tags`` that
-    ``mac_sign_rows`` gave the block's ``signed`` messages.
+    ``mac_sign_rows`` gave the block's ``signed`` messages: those tags XOR
+    ``mac_difference_rows``, or a full sign where that is None."""
+    difference = mac_difference_rows(keys, messages, signed)
+    if difference is None:
+        return mac_sign_rows(keys, messages)
+    return tags ^ difference if difference.any() else tags
+
+
+def mac_difference_rows(keys: MacKeys, messages: np.ndarray,
+                        signed: np.ndarray) -> Optional[np.ndarray]:
+    """(rows,) uint64: each row's tag of ``messages`` XOR its tag of
+    ``signed`` under ``keys``, found without either tag; None where this
+    does not find it.
 
     A tag is b + sum_i m_i a**(L-i+1), linear in the blocks m_i, so between
     two messages of one length tag(m') = tag(m) XOR the same sum over the
     blocks of m XOR m', which Horner's rule takes from their first non-zero
-    block.  A byte-equal message is the empty sum and takes the tags as they
-    are; one that differs only in its claim, in the last blocks, costs a
-    step for each of them.  Blocks of one or two rows and s = 128, which
-    sign row by row, sign a differing message in full, as does a message of
-    another length.
+    block.  A byte-equal message is the empty sum, zero on every row; one
+    that differs only in its claim, in the last blocks, costs a step for
+    each of them.  None for a message of another length, and for differing
+    messages in blocks of one or two rows and at s = 128, which sign row by
+    row (Wegman and Carter, JCSS 22(3), 1981, for the linearity).
     """
     rows, s = len(keys), keys.field_bits
     messages = np.asarray(messages, dtype=np.uint8).reshape(rows, -1)
     signed = signed.reshape(rows, -1)
     if messages.shape != signed.shape:
-        return mac_sign_rows(keys, messages)
+        return None
     diff = messages != signed
     if not diff.any():
-        return tags
+        return np.zeros(rows, dtype=np.uint64)
     if s > 64 or rows <= 2:
-        return mac_sign_rows(keys, messages)
+        return None
     # Block j holds message bits s*j - 64 .. s*(j+1) - 65, after the 64-bit
     # length prefix, and s divides 64, so the blocks from the first that
     # differs are the packed message bits from a whole byte on.
@@ -472,7 +485,7 @@ def mac_sign_rows_from(keys: MacKeys, messages: np.ndarray, signed: np.ndarray,
     raw = np.zeros((rows, packed.shape[1] + -packed.shape[1] % step), dtype=np.uint8)
     raw[:, : packed.shape[1]] = packed
     blocks = raw.view(f">u{step}").astype(np.uint64).view(np.int64)
-    return tags ^ _polynomial_rows(keys, blocks)
+    return _polynomial_rows(keys, blocks)
 
 
 def _polynomial_rows(keys: MacKeys, blocks: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from .primitives import (
     SAMPLER_STREAM_VERSION,
     MacKeys,
     encode_response_claim,
+    mac_difference_rows,
     mac_forgery_bound,
     mac_sign_rows,
     mac_sign_rows_from,
@@ -57,6 +58,7 @@ __all__ = [
     "BrmParams",
     "ProtocolConfig",
     "Session",
+    "SignedTags",
     "Transcript",
     "TrialBlock",
     "RetrievalCapError",
@@ -285,7 +287,7 @@ class TrialBlock:
     hamming: np.ndarray
     accepted: np.ndarray
     threshold_ok: np.ndarray
-    tags: Optional[np.ndarray] = None
+    tags: Optional[Union[np.ndarray, SignedTags]] = None  # read on first use
     mac_ok: Optional[np.ndarray] = None
     seed: Optional[int] = None  # row i's seed is seed + i
     source_bits: Optional[int] = None
@@ -538,6 +540,70 @@ class _SharedSource:
         return bits.view(np.uint8)
 
 
+class SignedTags:
+    """The tags ``Session.sign`` made: each row's MAC of the encoded
+    (response, claim) ``message`` under the session's ``keys``, signed by
+    ``mac_sign_rows`` on first read.
+
+    It reads as the (rows,) tag array does: ``np.asarray``, indexing, item
+    assignment (so ``tags[i] ^= v`` edits them in place) and ``^``.  The
+    first read keeps an untouched copy, so an edit cannot reach ``verify``.
+    Only a record or a comparison with other tags reads them: the check of
+    tags nobody has read needs none (``verify``).
+    """
+
+    __slots__ = ("keys", "message", "_tags", "_signed")
+
+    def __init__(self, keys: MacKeys, message: np.ndarray):
+        self.keys, self.message = keys, message
+        self._tags: Optional[np.ndarray] = None
+        self._signed: Optional[np.ndarray] = None
+
+    @property
+    def tags(self) -> np.ndarray:
+        """The tags as sent, signed on first read."""
+        if self._tags is None:
+            self._tags = mac_sign_rows(self.keys, self.message)
+            self._signed = self._tags.copy()
+        return self._tags
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.tags, dtype=dtype, copy=copy)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        return self.tags[index]
+
+    def __setitem__(self, index, value) -> None:
+        self.tags[index] = value
+
+    def __xor__(self, other):
+        return self.tags ^ other
+
+    __rxor__ = __xor__
+
+    def verify(self, message: np.ndarray) -> np.ndarray:
+        """(rows,) bool: whether each row's tag is its MAC of ``message``.
+
+        Unread tags are the MAC of ``self.message``, so they pass exactly
+        where the two messages' tags agree: where ``mac_difference_rows`` is
+        0, on every row of a byte-equal message.  Where it gives None (a
+        full sign, which includes the mask and so cannot be compared with
+        0), and for tags that were read and may have been edited, the tags
+        are compared with the MAC of ``message``, found from the untouched
+        copy (``mac_sign_rows_from``).
+        """
+        if self._tags is None:
+            difference = mac_difference_rows(self.keys, message, self.message)
+            if difference is not None:
+                return difference == 0
+        tags = self.tags
+        return np.asarray(tags == mac_sign_rows_from(self.keys, message, self.message,
+                                                     self._signed), dtype=bool)
+
+
 class Session:
     """A block of runs as the verifier sees them, one row per trial: keys,
     emission, each party's audited view, verdicts.  A responder policy (the
@@ -564,11 +630,13 @@ class Session:
     the eager reference is ``random_bits(rng, k)`` (ceil(k/64) raw words)
     and then ``bit_errors(rng, k, p)`` with p the bit error rate at d.
 
-    ``sign`` keeps the message it encoded and the tags it made, and
-    ``decide`` finds the tags its own encoding of (response, claim) should
-    carry from those (``mac_sign_rows_from``): the same tags for a
-    byte-equal message, a few Horner steps for a changed claim.  The tag
-    under check is never used.
+    ``sign`` returns ``SignedTags``, which sign on first read.  ``decide``
+    checks those tags against its own encoding of (response, claim) without
+    signing either when nobody has read them: every row of a byte-equal
+    message passes, and a changed claim or response costs a few Horner steps
+    over the difference (``mac_difference_rows``).  Only a record, a random
+    tag guess, tags read after ``sign`` and a changed message in a block of
+    one or two rows or at s = 128 pay a full MAC evaluation.
     """
 
     def __init__(self, cfg: ProtocolConfig, scenario: Scenario, ch: ChannelParams,
@@ -598,7 +666,6 @@ class Session:
         self._views: dict[str, RetrievalAudit] = {}
         self._sampled: Optional[np.ndarray] = None
         self._source = _SharedSource(rng, self.n, self.rows)
-        self._signed: Optional[tuple[np.ndarray, np.ndarray]] = None  # (message, tags)
 
     @staticmethod
     def extent(cfg: ProtocolConfig) -> tuple[int, int]:
@@ -701,17 +768,16 @@ class Session:
             keys = keys[where]
         return self._views[party].read(keys, checked)
 
-    def sign(self, response: np.ndarray, claim: float) -> Optional[np.ndarray]:
-        """Each row's tag over (response, claim) under its MAC key; None without a MAC."""
+    def sign(self, response: np.ndarray, claim: float) -> Optional[SignedTags]:
+        """Each row's tag over (response, claim) under its MAC key, as
+        ``SignedTags`` that evaluate the MAC only when read; None without a
+        MAC."""
         if not self.authenticated:
             return None
-        message = encode_response_claim(response, claim)
-        tags = mac_sign_rows(self.mac_keys, message)
-        # A copy, so that a change to the returned tags cannot reach decide.
-        self._signed = message, tags.copy()
-        return tags
+        return SignedTags(self.mac_keys, encode_response_claim(response, claim))
 
-    def decide(self, response: np.ndarray, tag: Optional[np.ndarray]) -> Outcome:
+    def decide(self, response: np.ndarray,
+               tag: Optional[Union[np.ndarray, SignedTags]]) -> Outcome:
         """The verifier's check of each row's (response, tag) against its
         challenge and claim: the TrialBlock, or the one run's Transcript."""
         cfg, rows, k = self.cfg, self.rows, self.cfg.k
@@ -722,10 +788,13 @@ class Session:
         mac_ok = None
         if self.authenticated:
             message = encode_response_claim(response, self.d_c)
-            want = (mac_sign_rows(self.mac_keys, message) if self._signed is None
-                    else mac_sign_rows_from(self.mac_keys, message, *self._signed))
-            mac_ok = (np.zeros(rows, dtype=bool) if tag is None
-                      else np.asarray(np.asarray(tag) == want, dtype=bool))
+            if tag is None:
+                mac_ok = np.zeros(rows, dtype=bool)
+            elif isinstance(tag, SignedTags) and tag.keys is self.mac_keys:  # signed here
+                mac_ok = tag.verify(message)
+            else:
+                mac_ok = np.asarray(np.asarray(tag) == mac_sign_rows(self.mac_keys, message),
+                                    dtype=bool)
         # Count each row's differing bits a byte at a time: packbits pads a
         # row to whole bytes with zeros, which add nothing.
         hamming = np.bitwise_count(np.packbits(challenge != response, axis=1)).sum(

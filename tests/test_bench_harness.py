@@ -32,9 +32,10 @@ def test_measurement_names_are_unique():
 def test_names_of_committed_records_carry_over():
     """The rows of the committed records stay comparable with a new run's."""
     lanes = json.loads((ROOT / "BENCH_lanes.json").read_text())["metrics"]
+    lazy_tags = json.loads((ROOT / "BENCH_lazy_tags.json").read_text())["metrics"]
     sampler = json.loads((ROOT / "BENCH_sampler.json").read_text())["metrics"]
-    carried = set(lanes) | {f"sampler/{name}" for name in sampler
-                            if not name.startswith("pi3_honest/")}
+    carried = set(lanes) | set(lazy_tags) | {f"sampler/{name}" for name in sampler
+                                             if not name.startswith("pi3_honest/")}
     assert carried == set(draws.MEASUREMENTS)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -303,7 +304,30 @@ class TestOverlapLawExact:
         s = Scenario("tfa-sampling", d_claim=4e4, d_real=6e4)
         fast = exact_success_probability(s, cfg, CH)
         monkeypatch.setattr(montecarlo, "_binom_cdf", stats.binom.cdf)
-        assert exact_success_probability(s, cfg, CH) == fast
+        # The uncached function, so the fallback is what computes it.
+        assert exact_success_probability.__wrapped__(s, cfg, CH) == fast
+
+
+class TestExactOracleCache:
+    """``exact_success_probability`` is cached on its frozen arguments: a
+    repeated call, with equal arguments built anew, gives what the uncached
+    function does."""
+
+    @pytest.mark.parametrize("scenario, cfg", [
+        (Scenario("honest", 4e4, 4e4), ProtocolConfig("pi1", e0=2000.0, k=3334, beta=0.1)),
+        (Scenario("dfa", 4e4, 4.4e4), ProtocolConfig("pi1", e0=2000.0, k=3334, beta=0.1)),
+        (Scenario("honest", 4e4, 4e4), ProtocolConfig("pi2", e0=2000.0, k=3334, beta=0.1)),
+        (Scenario("tfa-relay", 4e4, 4e4, intruder_d=6e4), pi3_config(0.3, 120)),
+        (Scenario("tfa-sampling", 4e4, 6e4), pi3_config(0.3, 120)),
+        (Scenario("honest", 4e4, 4e4, noiseless=True), pi3_config(0.3, 120)),
+    ], ids=["pi1-honest", "pi1-dfa", "pi2-honest", "relay", "sampling", "noiseless"])
+    def test_repeated_call_equals_the_uncached_function(self, scenario, cfg):
+        first = exact_success_probability(scenario, cfg, CH)
+        hits = exact_success_probability.cache_info().hits
+        again = exact_success_probability(dataclasses.replace(scenario), dataclasses.replace(cfg),
+                                          dataclasses.replace(CH))
+        assert exact_success_probability.cache_info().hits == hits + 1
+        assert again == first == exact_success_probability.__wrapped__(scenario, cfg, CH)
 
 
 class TestBlockEngine:

@@ -25,11 +25,14 @@ from dbvsim.channel import (
 )
 from dbvsim.montecarlo import Scenario, _block_rng, block_rows, run_block, run_trial
 from dbvsim.primitives import (
+    CLAIM_BITS,
+    FIELD_POLYNOMIALS,
     MacKey,
     MacKeys,
     SamplerKey,
     encode_response_claim,
     mac_sign,
+    mac_sign_rows,
     mac_verify,
 )
 from dbvsim.protocols import (
@@ -41,6 +44,7 @@ from dbvsim.protocols import (
     RetrievalAudit,
     RetrievalCapError,
     Session,
+    SignedTags,
     brm_source_emit,
     check_mac_strength,
     run_pi1,
@@ -701,9 +705,9 @@ class TestFullEmissionKeys:
 
 
 class TestSignedTagReuse:
-    """``decide`` finds its tags from the ones ``sign`` made, so it calls
-    the MAC once on a block that was signed, and still rejects any tag that
-    was changed and any message signed differently."""
+    """``decide`` checks the tags ``sign`` made without signing when nobody
+    read them, and signs once when they were read, and still rejects any
+    tag that was changed and any message signed differently."""
 
     ROWS = 6
     CLAIM = 5e4
@@ -731,7 +735,7 @@ class TestSignedTagReuse:
         s, response, tags = self.honest_block(23)
         block = s.decide(response, tags)
         assert block.mac_ok.all()
-        assert sign_calls == [self.ROWS]
+        assert sign_calls == []
 
     def test_altered_tags_fail_on_exactly_their_rows(self, sign_calls):
         s, response, tags = self.honest_block(24)
@@ -749,7 +753,7 @@ class TestSignedTagReuse:
         response[2, 0] ^= 1
         block = s.decide(response, tags)
         np.testing.assert_array_equal(block.mac_ok, np.arange(self.ROWS) != 2)
-        assert sign_calls == [self.ROWS]
+        assert sign_calls == []
 
     def test_mfa_replay_is_signed_again_and_rejected(self, sign_calls):
         from dbvsim.attacks import attack_mfa
@@ -757,7 +761,7 @@ class TestSignedTagReuse:
         scenario = Scenario("mfa", 4e4, 6e4, mfa_strategy="replay")
         block = attack_mfa(PI2, scenario, CH, np.random.default_rng(26), rows=self.ROWS)
         assert not block.mac_ok.any()
-        assert sign_calls == [self.ROWS]
+        assert sign_calls == []
 
     def test_leaked_key_impersonation_passes_its_mac(self, sign_calls):
         from dbvsim.attacks import attack_impersonation
@@ -767,4 +771,44 @@ class TestSignedTagReuse:
         block = attack_impersonation(PI2, scenario, CH, np.random.default_rng(27),
                                      rows=self.ROWS)
         assert block.mac_ok.all()
-        assert sign_calls == [self.ROWS]
+        assert sign_calls == []
+
+
+class TestSignedTagsCheck:
+    """``SignedTags.verify``, the check ``decide`` makes of the tags ``sign``
+    returned, against the eager one: the tags as sent equal to a fresh
+    ``mac_sign_rows`` of the message checked, whether the tags were left
+    unread, read, or read and edited."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(FIELD_POLYNOMIALS)), st.integers(1, 40),
+           st.sampled_from([224, 3398]),
+           st.lists(st.tuples(st.integers(0, 39), st.integers(0, 3397)), max_size=6),
+           st.booleans(), st.sampled_from(["unread", "read", "edited"]),
+           st.lists(st.integers(0, 39), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+    @example(64, 1, 224, [(0, 5)], True, "unread", [0], 1)  # one row: signs in full
+    @example(64, 2, 3398, [(1, 0)], True, "unread", [0], 2)  # two rows: signs in full
+    @example(128, 5, 224, [(3, 1)], True, "unread", [0], 3)  # s = 128: signs in full
+    @example(32, 40, 3398, [(7, 0)], False, "unread", [0], 4)  # in lanes, from the first block
+    @example(8, 3, 224, [], False, "edited", [1, 2], 5)  # byte-equal, edited rows fail
+    @example(128, 1, 224, [], False, "unread", [0], 6)  # byte-equal needs no tags at all
+    def test_mac_ok_equals_the_eager_check(self, s, rows, bits, flips, claim_only, state,
+                                           edits, seed):
+        rng = np.random.default_rng(seed)
+        keys = MacKeys.generate(rng, rows, s)
+        signed = rng.integers(0, 2, (rows, bits), dtype=np.uint8)
+        message = signed.copy()
+        for row, bit in flips:
+            bit = bits - CLAIM_BITS + bit % CLAIM_BITS if claim_only else bit % bits
+            message[row % rows, bit] ^= 1
+        tags = SignedTags(keys, signed)
+        if state != "unread":
+            np.asarray(tags)
+        if state == "edited":
+            for row in edits:
+                tags[row % rows] ^= 1  # in place, after the first read
+        got = tags.verify(message)
+        fresh = MacKeys(s, keys.a, keys.b)  # no tables shared with the handle's
+        sent = mac_sign_rows(fresh, signed) if state == "unread" else np.asarray(tags)
+        want = [int(a) == int(b) for a, b in zip(sent, mac_sign_rows(fresh, message))]
+        assert got.dtype == bool and got.tolist() == want
