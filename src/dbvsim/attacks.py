@@ -290,9 +290,8 @@ def _block_majorities(bits: np.ndarray, block: np.ndarray, large: np.ndarray,
     ones = np.add.reduceat(bits.ravel(), starts, dtype=np.int64)
     # The law at every (size, count, ones) up to the largest count: few
     # sampled positions share a block.
-    largest = int(counts.max())
-    width = largest + 1
-    law = _majority_law(sizes, largest)
+    law = _majority_law(sizes, int(counts.max()))
+    width = law.shape[1]
     prob = law.ravel().take((large.ravel()[starts] * width + counts) * width + ones)
     digest = rng.random(starts.size) < prob
     return np.repeat(digest.astype(np.uint8), counts).reshape(block.shape)

@@ -570,9 +570,6 @@ class SignedTags:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.tags, dtype=dtype, copy=copy)
 
-    def __len__(self) -> int:
-        return len(self.keys)
-
     def __getitem__(self, index):
         return self.tags[index]
 
@@ -581,8 +578,6 @@ class SignedTags:
 
     def __xor__(self, other):
         return self.tags ^ other
-
-    __rxor__ = __xor__
 
     def verify(self, message: np.ndarray) -> np.ndarray:
         """(rows,) bool: whether each row's tag is its MAC of ``message``.
