@@ -1,5 +1,5 @@
-"""Time source reads, whole trials, MAC blocks and the keyed index sampler at
-two commits and write a ``BENCH_*.json``.
+"""Time source reads, whole trials, MAC blocks, the keyed index sampler and
+the design layers at two commits and write a ``BENCH_*.json``.
 
 Run from the repository root, for example:
 
@@ -10,6 +10,7 @@ Run from the repository root, for example:
     python3 bench/draws.py --parent 706bbfd --change HEAD --group digest \\
         --out BENCH_one_reception.json
     python3 bench/draws.py --parent 94f9ea0 --change HEAD --group sampler --out BENCH_sampler.json
+    python3 bench/draws.py --parent d26e66e --change HEAD --group design --out BENCH_design.json
 
 ``--group`` times the measurements whose names start with that group (``all``,
 the default, times every group) and ``--out`` names the file written, which is
@@ -19,8 +20,8 @@ in a fresh child process that builds that measurement alone and times BATCHES
 batches of it, so no measurement's allocations move glibc's mmap and trim
 thresholds for another; which side goes first alternates by round.  Children
 run one at a time, never two at once, so no child is timed while another holds
-a core: a run of every group is about 70 measurements x 2 sides x 7 rounds, some
-1,000 children of about 0.7 s start-up each.  A child that fails stops the run
+a core: a run of every group is 80 measurements x 2 sides x 7 rounds, some
+1,100 children of about 0.7 s start-up each.  A child that fails stops the run
 with its stderr.  Every figure is the best batch over all rounds, in
 microseconds; the ``host`` block records each side's numpy and scipy versions
 as its children report them.  The groups:
@@ -63,7 +64,14 @@ as its children report them.  The groups:
   brm-dense block (67 rows), brm-sparse's one-row block and a full block at
   the brm-sparse shape; and ``one_row``, per ``sample_indices`` call, a new
   16-byte key each call, at brm-dense's and brm-sparse's (n, k), criterion
-  10's two shapes and a long source.  Keys are made before the clock starts.
+  10's two shapes and a long source.  Keys are made before the clock starts;
+* ``design``: ``scan``, per ``optimize._scan_refined`` call over the power
+  grid, on the dfa terms at psi 1.01 and 2 and on the sampling terms at psi
+  1.6 (lambda 0.5, theta 1e-4); ``optimize_dfa``, per call at psi 1.21, eps
+  1e-3; and ``tail_lower`` and ``tail_upper``, per exact false-accept (at
+  p_b) and false-reject (at p_i) tail of the dfa designs at psi 1.01 and
+  1.21, eps 1e-5 (k = 722,846 and 2,229).  One untimed call first fills the
+  grid cache and the lgamma table.
 """
 
 from __future__ import annotations
@@ -127,6 +135,19 @@ SAMPLER_ROW_BATCH = 1000
 SAMPLER_ONE_ROW = [(534, 160), (1_030_000, 103), (10_000, 1000), (6, 3), (2_000_000_000, 200)]
 #: Calls a batch of each ``sampler/one_row`` measurement makes.
 SAMPLER_CALLS = 100
+#: (psi, eps) -> k of the dfa designs whose exact tails the ``design`` group
+#: times: the psi 1.01 design at eps 1e-5 and the psi 1.21 one at eps 1e-5.
+TAIL_DESIGNS = {(1.01, 1e-5): 722846, (1.21, 1e-5): 2229}
+#: (mode, lam, theta, psi, weights) of the ``design`` group's grid scans: the
+#: dfa terms at equal budgets, and the sampling terms at perfbench's brm
+#: budgets (1e-4, gamma 1e-6).
+DESIGN_SCANS = [("dfa", None, None, 1.01, (1.0, 1.0)), ("dfa", None, None, 2.0, (1.0, 1.0)),
+                ("sampling", 0.5, 1e-4, 1.6, (math.log(1e4), math.log(1.0 / (1e-4 - 1e-6))))]
+#: Calls a batch of each ``design`` measurement makes: grid scans and
+#: ``optimize_dfa``, the large-k tails and the small-k tails.
+SCAN_CALLS = 50
+LARGE_TAIL_CALLS = 20
+SMALL_TAIL_CALLS = 200
 #: Timed batches of the measurement in one child.
 BATCHES = 10
 
@@ -315,6 +336,58 @@ def _sampler_one_row(n: int, k: int):
     return SAMPLER_CALLS, timed
 
 
+def _calls(count: int, call):
+    """A measurement of ``count`` calls of ``call()`` a batch, as ``_reads``
+    returns it, after one untimed call fills the caches."""
+    call()
+
+    def timed(batch):
+        start = time.perf_counter()
+        for _ in range(count):
+            call()
+        return time.perf_counter() - start
+    return count, timed
+
+
+def _scan(mode: str, lam, theta, psi: float, weights):
+    """A ``design/scan`` measurement: ``_scan_refined`` over the grid at psi."""
+    from dbvsim import bounds, optimize
+    from dbvsim.channel import DEFAULT_CHANNEL
+
+    terms = bounds._dfa_terms if mode == "dfa" else bounds._brm_terms(mode, lam, theta)
+    _, p_i, p_b = optimize._ber_grid(psi, DEFAULT_CHANNEL)
+    return _calls(SCAN_CALLS, partial(optimize._scan_refined, terms, p_i, p_b, *weights))
+
+
+def _optimize_dfa(psi: float, eps: float):
+    """A ``design/optimize_dfa`` measurement, on a cached grid."""
+    from dbvsim.bounds import DbvSpec
+    from dbvsim.channel import DEFAULT_CHANNEL
+    from dbvsim.optimize import optimize_dfa
+
+    return _calls(SCAN_CALLS, partial(optimize_dfa, DbvSpec(psi, eps, eps), DEFAULT_CHANNEL))
+
+
+def _tail(side: str, psi: float, eps: float):
+    """A ``design/tail_*`` measurement: the dfa design at (psi, eps)'s exact
+    false-accept (``lower``, at p_b) or false-reject (``upper``, at p_i)
+    tail; exits if its k is not the one ``TAIL_DESIGNS`` names."""
+    from dbvsim.bounds import DbvSpec, exact_binomial_tail_lower, exact_binomial_tail_upper
+    from dbvsim.channel import DEFAULT_CHANNEL, intended_blocked_ber
+    from dbvsim.optimize import optimize_dfa
+
+    opt = optimize_dfa(DbvSpec(psi, eps, eps), DEFAULT_CHANNEL)
+    if opt.k_star != TAIL_DESIGNS[psi, eps]:
+        sys.exit(f"the psi {psi}, eps {eps} design is k={opt.k_star}, "
+                 f"not the k={TAIL_DESIGNS[psi, eps]} its measurements name")
+    ber = intended_blocked_ber(opt.e0_star, psi, DEFAULT_CHANNEL)
+    if side == "lower":
+        call = partial(exact_binomial_tail_lower, opt.k_star, opt.beta_star, ber.p_b)
+    else:
+        call = partial(exact_binomial_tail_upper, opt.k_star, opt.beta_star, ber.p_i)
+    return _calls(LARGE_TAIL_CALLS if opt.k_star > 10**5 else SMALL_TAIL_CALLS, call)
+
+
 def _measurements() -> list:
     """Every measurement, as (name, make) in run order; ``make()`` imports the
     dbvsim that PYTHONPATH names and returns what ``_reads`` does."""
@@ -345,6 +418,12 @@ def _measurements() -> list:
               for rows, n, k in SAMPLER_ROWS]
     table += [(f"sampler/one_row/({n},{k})", partial(_sampler_one_row, n, k))
               for n, k in SAMPLER_ONE_ROW]
+    table += [(f"design/scan/{mode}(psi={psi}" + (f",lam={lam},theta={theta})" if lam else ")"),
+               partial(_scan, mode, lam, theta, psi, weights))
+              for mode, lam, theta, psi, weights in DESIGN_SCANS]
+    table += [("design/optimize_dfa(psi=1.21,eps=1e-3)", partial(_optimize_dfa, 1.21, 1e-3))]
+    table += [(f"design/tail_{side}(k={k})", partial(_tail, side, psi, eps))
+              for (psi, eps), k in TAIL_DESIGNS.items() for side in ("lower", "upper")]
     return table
 
 

@@ -351,8 +351,12 @@ def _binomial_tails(k: int, beta: float | Fraction, p: float) -> tuple[float, fl
     hi = _superlevel_end(above, peak, last)
     logs = _log_pmf(terms, np.arange(lo, hi + 1, dtype=np.float64))
     m = float(np.max(logs))
-    # fsum is correctly rounded in any order; a list of floats keeps it fast.
-    small = math.exp(m) * math.fsum(np.exp(logs - m).tolist())
+    # fsum is correctly rounded in any order, so the order leaves the bits
+    # alone but sets its cost: fed from the cut outward, largest terms first,
+    # it keeps a few partials, where smallest-first keeps about one a term.
+    # The cut is a lower tail's last term and an upper tail's first.
+    scaled = np.exp(logs - m)
+    small = math.exp(m) * math.fsum((scaled[::-1] if lower_is_small else scaled).tolist())
     small = min(small, 1.0)
     if lower_is_small:
         return small, 1.0 - small

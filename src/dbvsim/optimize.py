@@ -9,9 +9,10 @@ search scans a fixed logarithmic grid in one array pass and refines the best
 cell by golden section with the scalar inner solver, so results are
 deterministic and reproducible bit for bit.
 
-The scan bisects every crossing for a few steps, which brackets each
-point's final value, and finishes the bisection only where that bracket
-does not rule the point out of the grid minimum.  The grid's error
+The scan bisects every crossing for 3 steps, which brackets each point's
+final value, and cuts the points that bracket rules out of the grid
+minimum; the rest take the remaining 13 of 16 steps and the same cut, and
+only the points left after it bisect to the end.  The grid's error
 probabilities depend only on psi and the channel, so one read-only copy per
 (psi, channel) serves every design at that psi.
 """
@@ -71,8 +72,11 @@ E0_GRID_SPAN = 1e-6
 #: Distinct (psi, channel, grid) error-probability grids kept for reuse; each
 #: holds three arrays of E0_GRID_POINTS floats (48 KB at the default size).
 _BER_GRID_CACHE_SIZE = 64
-#: Bisection steps the scan takes at every crossing point before it bounds
-#: the final values; only points the bounds cannot exclude bisect further.
+#: Bisection steps the scan takes at every crossing point before it first
+#: bounds the final values; only points the bounds cannot exclude go on.
+_SCAN_FIRST_STEPS = 3
+#: Bisection steps those points have taken when the scan bounds them again;
+#: only points these bounds cannot exclude bisect to the end.
 _SCAN_COARSE_STEPS = 16
 #: A crossing point bisects to the end when its lower bound is within this
 #: factor of the best upper bound; the margin dwarfs rounding in the bounds.
@@ -188,26 +192,27 @@ def _inner(
 
 def _bisect(
     g: Callable[[np.ndarray], np.ndarray],
-    crosses: np.ndarray,
     left: np.ndarray,
     right: np.ndarray,
     steps: Optional[int] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect g's sign change (g(left) > 0 >= g(right)) where crosses holds.
+) -> None:
+    """Bisect g's sign change (g(left) > 0 >= g(right)) at every point, in place.
 
     Stops after ``steps`` steps, or without a limit once no bracket shrinks.
     Each point's path depends on that point alone, so bisecting a subset
-    from a bracket the full set reached ends on the same bits.
+    from a bracket the full set reached, or stopping and going on later,
+    ends on the same bits.
     """
+    mid = np.empty_like(left)
     for _ in range(steps) if steps is not None else itertools.count():
-        mid = 0.5 * (left + right)
-        moving = crosses & (left < mid) & (mid < right)
+        np.add(left, right, out=mid)
+        mid *= 0.5
+        moving = (left < mid) & (mid < right)
         if not moving.any():
             break
         up = g(mid) > 0
-        left = np.where(moving & up, mid, left)
-        right = np.where(moving & ~up, mid, right)
-    return left, right
+        np.copyto(left, mid, where=moving & up)
+        np.copyto(right, mid, where=moving & ~up)
 
 
 def _scan(
@@ -233,14 +238,17 @@ def _scan_refined(
     bracket ends: accurate to a few ulps, which is all the argmin over the
     grid needs.  The returned optimum itself always comes from _inner.
 
-    Every crossing first takes _SCAN_COARSE_STEPS steps.  On the bracket
-    [left, right] they reach, the decreasing term is at least its value at
-    right and the increasing one at least its value at left, so the final
-    value is at least the larger weighted one of those; and it is at most
-    the smaller of the two ends' objectives.  Only points whose lower bound
-    is within _SCAN_REFINE_FACTOR of the best upper bound go on bisecting,
-    to the same bits the full loop gives; every other point keeps its upper
-    bound, which is above the minimum.
+    On a bracket [left, right] the bisection has reached, the decreasing
+    term is at least its value at right and the increasing one at least its
+    value at left, so the final value is at least the larger weighted one of
+    those; and it is at most the smaller of the two ends' objectives.  Every
+    crossing takes _SCAN_FIRST_STEPS steps and is bounded; only points whose
+    lower bound is within _SCAN_REFINE_FACTOR of the best upper bound take
+    the rest of the _SCAN_COARSE_STEPS steps and are bounded again, and only
+    those the second cut keeps bisect on to the end, to the same bits the
+    full loop gives.  Every other point keeps its last upper bound, which is
+    above the minimum.  Each term is evaluated once at each bracket end, and
+    those values serve the checks, the edge objective and both bounds.
 
     Python's x**2 and numpy's x*x differ in the last bit on about 0.1% of
     inputs, so on a bracket only a few ulps from empty the two paths can
@@ -252,45 +260,48 @@ def _scan_refined(
     idx = np.flatnonzero((0 <= p_i) & (p_i < p_b) & (beta_hi > p_i))
     log_ratio = math.log(w_dec) - math.log(w_inc)
 
-    def crossing_of(points: np.ndarray):
-        """(f_dec, f_inc, upper bracket end, g, objective) at the given grid points."""
-        f_dec, f_inc, hi = terms(p_i[points], p_b[points], np.sqrt)
+    def g_of(dec: np.ndarray, inc: np.ndarray) -> np.ndarray:
+        return log_ratio + np.log(dec) - np.log(inc)
 
-        def g(beta: np.ndarray) -> np.ndarray:
-            return log_ratio + np.log(f_dec(beta)) - np.log(f_inc(beta))
+    def objective(dec: np.ndarray, inc: np.ndarray) -> np.ndarray:
+        return np.maximum(w_dec * dec, w_inc * inc)
 
-        def objective(beta: np.ndarray) -> np.ndarray:
-            return np.maximum(w_dec * f_dec(beta), w_inc * f_inc(beta))
-
-        return f_dec, f_inc, hi, g, objective
-
-    f_dec, f_inc, hi, g, objective = crossing_of(idx)
-    a, b = _bracket(p_i[idx], hi, np.nextafter, np.maximum, np.minimum)
-
-    def usable(beta: np.ndarray) -> np.ndarray:
-        dec, inc = f_dec(beta), f_inc(beta)
+    def usable(dec: np.ndarray, inc: np.ndarray) -> np.ndarray:
         return (0 < dec) & (dec < np.inf) & (0 < inc) & (inc < np.inf)
 
+    def crossing_of(points: np.ndarray):
+        """(f_dec, f_inc, g) at the given grid points."""
+        f_dec, f_inc, _ = terms(p_i[points], p_b[points], np.sqrt)
+        return f_dec, f_inc, lambda beta: g_of(f_dec(beta), f_inc(beta))
+
+    f_dec, f_inc, hi = terms(p_i[idx], p_b[idx], np.sqrt)
+    a, b = _bracket(p_i[idx], hi, np.nextafter, np.maximum, np.minimum)
     with np.errstate(all="ignore"):
-        ok = (a < b) & usable(a) & usable(b)
-        ga, gb = g(a), g(b)
+        dec_a, inc_a, dec_b, inc_b = f_dec(a), f_inc(a), f_dec(b), f_inc(b)
+        ok = (a < b) & usable(dec_a, inc_a) & usable(dec_b, inc_b)
+        ga, gb = g_of(dec_a, inc_a), g_of(dec_b, inc_b)
         crosses = (ga > 0) & (gb < 0)
         # Where one term dominates, the edge _crossing picks.
-        beta = np.where(ga <= 0, a, b)
-        left, right = _bisect(g, crosses, a, b, _SCAN_COARSE_STEPS)
-        upper = np.where(crosses, np.minimum(objective(left), objective(right)),
-                         objective(beta))
-        value = np.where(ok & np.isfinite(upper), upper, np.inf)
-        lower = np.maximum(w_dec * f_dec(right), w_inc * f_inc(left))
-        cut = _SCAN_REFINE_FACTOR * value.min(initial=np.inf)
-        go_on = np.flatnonzero(crosses & ok & ~(lower > cut))
-        *_, g_on, objective_on = crossing_of(idx[go_on])
-        left, right = _bisect(g_on, crosses[go_on], left[go_on], right[go_on])
-        final = np.minimum(objective_on(left), objective_on(right))
-        value[go_on] = np.where(np.isfinite(final), final, np.inf)
+        edge = np.where(ga <= 0, objective(dec_a, inc_a), objective(dec_b, inc_b))
+        value = np.where(ok & ~crosses & np.isfinite(edge), edge, np.inf)
+        live = np.flatnonzero(crosses & ok)
+        left, right = a[live], b[live]
+        # The first steps and a cut, the rest of the coarse steps and a cut,
+        # then on to the end.
+        for steps in (_SCAN_FIRST_STEPS, _SCAN_COARSE_STEPS - _SCAN_FIRST_STEPS, None):
+            f_dec, f_inc, g = crossing_of(idx[live])
+            _bisect(g, left, right, steps)
+            dec_l, inc_l, dec_r, inc_r = f_dec(left), f_inc(left), f_dec(right), f_inc(right)
+            upper = np.minimum(objective(dec_l, inc_l), objective(dec_r, inc_r))
+            value[live] = np.where(np.isfinite(upper), upper, np.inf)
+            if steps is None:
+                break
+            lower = np.maximum(w_dec * dec_r, w_inc * inc_l)
+            keep = ~(lower > _SCAN_REFINE_FACTOR * value.min(initial=np.inf))
+            live, left, right = live[keep], left[keep], right[keep]
     vals[idx] = value
     refined = np.zeros(p_i.shape, dtype=bool)
-    refined[idx[go_on]] = True
+    refined[idx[live]] = True
     return vals, refined
 
 

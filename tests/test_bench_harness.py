@@ -34,8 +34,9 @@ def test_names_of_committed_records_carry_over():
     lanes = json.loads((ROOT / "BENCH_lanes.json").read_text())["metrics"]
     lazy_tags = json.loads((ROOT / "BENCH_lazy_tags.json").read_text())["metrics"]
     sampler = json.loads((ROOT / "BENCH_sampler.json").read_text())["metrics"]
-    carried = set(lanes) | set(lazy_tags) | {f"sampler/{name}" for name in sampler
-                                             if not name.startswith("pi3_honest/")}
+    design = json.loads((ROOT / "BENCH_design.json").read_text())["metrics"]
+    carried = set(lanes) | set(lazy_tags) | set(design) | {
+        f"sampler/{name}" for name in sampler if not name.startswith("pi3_honest/")}
     assert carried == set(draws.MEASUREMENTS)
 
 
@@ -47,14 +48,21 @@ def test_group_selects_the_names_with_its_prefix(group):
                         if group == "all" or name.startswith(group + "/")]
 
 
-def test_child_times_one_measurement():
-    name = "read/1x(k=103)"
+def _check_child_times(name):
     result = _run_child(name, ROOT / "src")
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert list(report["us"]) == [name]
     assert math.isfinite(report["us"][name]) and report["us"][name] > 0
     assert report["numpy"] and report["scipy"]
+
+
+def test_child_times_one_measurement():
+    _check_child_times("read/1x(k=103)")
+
+
+def test_child_times_a_design_measurement():
+    _check_child_times("design/tail_upper(k=2229)")
 
 
 def test_child_refuses_an_unknown_measurement():

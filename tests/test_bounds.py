@@ -114,8 +114,10 @@ class TestExactTails:
 def _full_range_tails(k, beta, p):
     """Oracle: sum every term of the smaller side, the windowed sum's reference.
 
-    The same log-pmf, scaling and sorted fsum as bounds._binomial_tails, but
-    over the whole side rather than the window around its largest term.
+    The same log-pmf and scaling as bounds._binomial_tails, but over the
+    whole side rather than the window around its largest term, and fed to
+    fsum sorted rather than from the cut outward: fsum is correctly rounded,
+    so the order must not move a bit.
     """
     cut = max_errors(beta, k)
     if cut < 0:
@@ -174,6 +176,9 @@ class TestWindowedTailsOracle:
             # The psi=1.01, eps=1e-5 design point: FR at p_i, FA at p_b.
             (722846, 0.0509670600503867, 0.049700821584056046),
             (722846, 0.0509670600503867, 0.05225726400727593),
+            # The psi=1.01, eps=1e-2 design point, at the same power.
+            (289139, 0.0509670600503867, 0.049700821584056046),
+            (289139, 0.0509670600503867, 0.05225726400727593),
             # Cut at the mode, where the window reaches furthest.
             (722846, 0.0509670600503867, 0.0509670600503867),
             (200001, Fraction(1, 2), 0.5),
@@ -181,6 +186,19 @@ class TestWindowedTailsOracle:
         ],
     )
     def test_large_k(self, k, beta, p):
+        assert _binomial_tails(k, beta, p) == _full_range_tails(k, beta, p)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        k=st.integers(1 << 16, (1 << 20) - 1),
+        p=st.floats(1e-3, 0.5),
+        z=st.floats(-8.0, 8.0),
+    )
+    def test_past_the_lgamma_table(self, k, p, z):
+        # Counts past the lgamma table, where the coefficients are computed,
+        # with the cut z standard deviations from the mean: either side is
+        # the smaller one, and its window is wide.
+        beta = min(max(p + z * math.sqrt(p * (1.0 - p) / k), 0.0), 1.0)
         assert _binomial_tails(k, beta, p) == _full_range_tails(k, beta, p)
 
 

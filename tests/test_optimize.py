@@ -388,6 +388,40 @@ class TestRefiningScan:
         assert 0 < refined < optimize.E0_GRID_POINTS // 10
 
 
+def _counting(terms):
+    """(terms that count, [count]): the count grows by the number of grid
+    elements each term is evaluated at."""
+    count = [0]
+
+    def counted(term):
+        def at(beta):
+            count[0] += np.size(beta)
+            return term(beta)
+        return at
+
+    def wrapped(p_i, p_b, sqrt):
+        f_dec, f_inc, hi = terms(p_i, p_b, sqrt)
+        return counted(f_dec), counted(f_inc), hi
+
+    return wrapped, count
+
+
+class TestScanCost:
+    def test_cuts_before_the_coarse_steps(self):
+        # The saving: a scan that took all _SCAN_COARSE_STEPS steps at every
+        # crossing before its first cut evaluated both terms at each of them
+        # on every step; cutting after _SCAN_FIRST_STEPS costs less than that
+        # first pass alone, cut, end bisection and bounds included.
+        _, p_i, p_b = optimize._ber_grid(1.1, CH)
+        crossings = _crossing_kinds(bounds._dfa_terms, 1.1, 1.0, 1.0)[0]
+        terms, count = _counting(bounds._dfa_terms)
+        got, refined = optimize._scan_refined(terms, p_i, p_b, 1.0, 1.0)
+        want, want_refined = optimize._scan_refined(bounds._dfa_terms, p_i, p_b, 1.0, 1.0)
+        assert got.tobytes() == want.tobytes() and np.array_equal(refined, want_refined)
+        assert crossings == optimize.E0_GRID_POINTS
+        assert 0 < count[0] < 2 * optimize._SCAN_COARSE_STEPS * crossings
+
+
 class TestBerGridCache:
     @pytest.mark.parametrize("psi", [1.01, 1.68, 40.0])
     def test_equals_uncached_grid(self, psi):
