@@ -349,7 +349,7 @@ def _calls(count: int, call):
     return count, timed
 
 
-def _scan(mode: str, lam, theta, psi: float, weights):
+def _grid_scan(mode: str, lam, theta, psi: float, weights):
     """A ``design/scan`` measurement: ``_scan_refined`` over the grid at psi."""
     from dbvsim import bounds, optimize
     from dbvsim.channel import DEFAULT_CHANNEL
@@ -419,7 +419,7 @@ def _measurements() -> list:
     table += [(f"sampler/one_row/({n},{k})", partial(_sampler_one_row, n, k))
               for n, k in SAMPLER_ONE_ROW]
     table += [(f"design/scan/{mode}(psi={psi}" + (f",lam={lam},theta={theta})" if lam else ")"),
-               partial(_scan, mode, lam, theta, psi, weights))
+               partial(_grid_scan, mode, lam, theta, psi, weights))
               for mode, lam, theta, psi, weights in DESIGN_SCANS]
     table += [("design/optimize_dfa(psi=1.21,eps=1e-3)", partial(_optimize_dfa, 1.21, 1e-3))]
     table += [(f"design/tail_{side}(k={k})", partial(_tail, side, psi, eps))
