@@ -176,13 +176,13 @@ class TestWindowedTailsOracle:
             # The psi=1.01, eps=1e-5 design point: FR at p_i, FA at p_b.
             (722846, 0.0509670600503867, 0.049700821584056046),
             (722846, 0.0509670600503867, 0.05225726400727593),
-            # The psi=1.01, eps=1e-2 design point, at the same power.
-            (289139, 0.0509670600503867, 0.049700821584056046),
-            (289139, 0.0509670600503867, 0.05225726400727593),
             # Cut at the mode, where the window reaches furthest.
             (722846, 0.0509670600503867, 0.0509670600503867),
             (200001, Fraction(1, 2), 0.5),
             (300000, 0.001, 1e-9),
+            # The psi=1.01, eps=1e-2 design point, at the same power.
+            (289139, 0.0509670600503867, 0.049700821584056046),
+            (289139, 0.0509670600503867, 0.05225726400727593),
         ],
     )
     def test_large_k(self, k, beta, p):
