@@ -11,6 +11,7 @@ Run from the repository root, for example:
         --out BENCH_one_reception.json
     python3 bench/draws.py --parent 94f9ea0 --change HEAD --group sampler --out BENCH_sampler.json
     python3 bench/draws.py --parent d26e66e --change HEAD --group design --out BENCH_design.json
+    python3 bench/draws.py --parent 469aec7 --change HEAD --group design --out BENCH_solve.json
 
 ``--group`` times the measurements whose names start with that group (``all``,
 the default, times every group) and ``--out`` names the file written, which is
@@ -20,7 +21,7 @@ in a fresh child process that builds that measurement alone and times BATCHES
 batches of it, so no measurement's allocations move glibc's mmap and trim
 thresholds for another; which side goes first alternates by round.  Children
 run one at a time, never two at once, so no child is timed while another holds
-a core: a run of every group is 80 measurements x 2 sides x 7 rounds, some
+a core: a run of every group is 81 measurements x 2 sides x 7 rounds, some
 1,100 children of about 0.7 s start-up each.  A child that fails stops the run
 with its stderr.  Every figure is the best batch over all rounds, in
 microseconds; the ``host`` block records each side's numpy and scipy versions
@@ -68,10 +69,12 @@ as its children report them.  The groups:
 * ``design``: ``scan``, per ``optimize._scan_refined`` call over the power
   grid, on the dfa terms at psi 1.01 and 2 and on the sampling terms at psi
   1.6 (lambda 0.5, theta 1e-4); ``optimize_dfa``, per call at psi 1.21, eps
-  1e-3; and ``tail_lower`` and ``tail_upper``, per exact false-accept (at
-  p_b) and false-reject (at p_i) tail of the dfa designs at psi 1.01 and
-  1.21, eps 1e-5 (k = 722,846 and 2,229).  One untimed call first fills the
-  grid cache and the lgamma table.
+  1e-3; ``inner``, per scalar ``optimize._inner`` solve on the dfa terms at
+  that design's optimal power, one Brent solve of the threshold; and
+  ``tail_lower`` and ``tail_upper``, per exact false-accept (at p_b) and
+  false-reject (at p_i) tail of the dfa designs at psi 1.01 and 1.21, eps
+  1e-5 (k = 722,846 and 2,229).  One untimed call first fills the grid cache
+  and the lgamma table.
 """
 
 from __future__ import annotations
@@ -144,8 +147,10 @@ TAIL_DESIGNS = {(1.01, 1e-5): 722846, (1.21, 1e-5): 2229}
 DESIGN_SCANS = [("dfa", None, None, 1.01, (1.0, 1.0)), ("dfa", None, None, 2.0, (1.0, 1.0)),
                 ("sampling", 0.5, 1e-4, 1.6, (math.log(1e4), math.log(1.0 / (1e-4 - 1e-6))))]
 #: Calls a batch of each ``design`` measurement makes: grid scans and
-#: ``optimize_dfa``, the large-k tails and the small-k tails.
+#: ``optimize_dfa``, scalar inner solves, the large-k tails and the small-k
+#: tails.
 SCAN_CALLS = 50
+INNER_CALLS = 2000
 LARGE_TAIL_CALLS = 20
 SMALL_TAIL_CALLS = 200
 #: Timed batches of the measurement in one child.
@@ -368,6 +373,19 @@ def _optimize_dfa(psi: float, eps: float):
     return _calls(SCAN_CALLS, partial(optimize_dfa, DbvSpec(psi, eps, eps), DEFAULT_CHANNEL))
 
 
+def _inner(psi: float, eps: float):
+    """A ``design/inner`` measurement: ``_inner`` on the dfa terms at the
+    optimal power of the dfa design at (psi, eps)."""
+    from dbvsim import bounds, optimize
+    from dbvsim.bounds import DbvSpec
+    from dbvsim.channel import DEFAULT_CHANNEL, intended_blocked_ber
+
+    opt = optimize.optimize_dfa(DbvSpec(psi, eps, eps), DEFAULT_CHANNEL)
+    ber = intended_blocked_ber(opt.e0_star, psi, DEFAULT_CHANNEL)
+    return _calls(INNER_CALLS,
+                  partial(optimize._inner, bounds._dfa_terms, ber.p_i, ber.p_b, 1.0, 1.0))
+
+
 def _tail(side: str, psi: float, eps: float):
     """A ``design/tail_*`` measurement: the dfa design at (psi, eps)'s exact
     false-accept (``lower``, at p_b) or false-reject (``upper``, at p_i)
@@ -421,7 +439,8 @@ def _measurements() -> list:
     table += [(f"design/scan/{mode}(psi={psi}" + (f",lam={lam},theta={theta})" if lam else ")"),
                partial(_grid_scan, mode, lam, theta, psi, weights))
               for mode, lam, theta, psi, weights in DESIGN_SCANS]
-    table += [("design/optimize_dfa(psi=1.21,eps=1e-3)", partial(_optimize_dfa, 1.21, 1e-3))]
+    table += [("design/optimize_dfa(psi=1.21,eps=1e-3)", partial(_optimize_dfa, 1.21, 1e-3)),
+              ("design/inner(psi=1.21)", partial(_inner, 1.21, 1e-3))]
     table += [(f"design/tail_{side}(k={k})", partial(_tail, side, psi, eps))
               for (psi, eps), k in TAIL_DESIGNS.items() for side in ("lower", "upper")]
     return table

@@ -133,8 +133,14 @@ def _completeness_term(p_i: Real) -> Callable[[Real], Real]:
     return lambda beta: (p_i + beta) / (beta - p_i) ** 2
 
 
+# The term builders compute each term's constant numerator once, when they
+# build the term: Python evaluates it first in the inline expression too, so
+# every value keeps its bits and each array call saves one operation.
+
+
 def _soundness_term(p_b: Real) -> Callable[[Real], Real]:
-    return lambda beta: 2.0 * p_b / (p_b - beta) ** 2
+    numerator = 2.0 * p_b
+    return lambda beta: numerator / (p_b - beta) ** 2
 
 
 def _dfa_terms(p_i: Real, p_b: Real, sqrt) -> tuple[Callable, Callable, Real]:
@@ -152,15 +158,17 @@ def _brm_terms(mode: str, lam: float, theta: float) -> Terms:
     def terms(p_i: Real, p_b: Real, sqrt) -> tuple[Callable, Callable, Real]:
         if mode == "general":
             leak = 2.0 * _LN2 * p_b * lam
+            numerator = 2.0 * p_b * lam
             return (
                 _completeness_term(p_i),
-                lambda beta: 2.0 * p_b * lam / ((p_b - beta - theta) ** 2 - leak),
+                lambda beta: numerator / ((p_b - beta - theta) ** 2 - leak),
                 p_b - sqrt(leak) - theta,
             )
         pb_eff = (1.0 - lam) * p_b
+        numerator = 2.0 * pb_eff
         return (
             _completeness_term(p_i),
-            lambda beta: 2.0 * pb_eff / (pb_eff - beta - theta) ** 2,
+            lambda beta: numerator / (pb_eff - beta - theta) ** 2,
             pb_eff - theta,
         )
 

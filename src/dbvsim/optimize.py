@@ -7,14 +7,21 @@ min_beta max{decreasing completeness term, increasing soundness term} is
 solved exactly at the unique crossing of the two terms; the outer power
 search scans a fixed logarithmic grid in one array pass and refines the best
 cell by golden section with the scalar inner solver, so results are
-deterministic and reproducible bit for bit.
+deterministic and reproducible bit for bit.  The scalar solver calls the
+compiled Brent core behind ``scipy.optimize.brentq`` directly, with the
+arguments the public function passes it; the NaN check its wrapper makes
+on every value is in the solved function instead.
 
 The scan bisects every crossing for 3 steps, which brackets each point's
 final value, and cuts the points that bracket rules out of the grid
 minimum; the rest take the remaining 13 of 16 steps and the same cut, and
-only the points left after it bisect to the end.  The grid's error
-probabilities depend only on psi and the channel, so one read-only copy per
-(psi, channel) serves every design at that psi.
+only the points left after it bisect to the end.  A step at a bracket that
+no longer shrinks moves nothing, so the steps mask no points and only the
+bisection to the end tests, now and then, whether any bracket still
+shrinks.  The term builders in ``bounds`` compute each term's constant
+numerator once.  The grid's error probabilities depend only on psi and the
+channel, so one read-only copy per (psi, channel) serves every design at
+that psi.
 """
 
 from __future__ import annotations
@@ -87,6 +94,34 @@ E0_REFINE_RTOL = 1e-6
 DEFAULT_THETA = 1e-4
 #: Absolute tolerance of the max_feasible_lambda bisection.
 LAMBDA_TOL = 1e-4
+#: Steps the scan's bisection to the end takes between its tests for a bracket
+#: that still shrinks; a step at a stopped bracket changes no bit.
+_BISECT_CHECK_EVERY = 4
+
+#: Brent's root finder's tolerances on beta, as _crossing has always set them.
+_BRENT_XTOL = 1e-300
+_BRENT_RTOL = 8.9e-16
+
+
+def _brentq_public(f: Callable[[float], float], a: float, b: float) -> float:
+    """Root of f on [a, b] by the public ``scipy.optimize.brentq``."""
+    return brentq(f, a, b, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+
+
+# The public brentq wraps f in a function that calls np.isnan on every value
+# before the compiled core sees it; _crossing's g raises on a NaN itself, so
+# the core is called directly, with the arguments brentq passes it (100
+# iterations, RuntimeError when it does not converge).  It is a private scipy
+# name; a scipy without it gets the public brentq, the same core and bits at
+# the wrapper's cost.
+try:
+    from scipy.optimize._zeros import _brentq as _brentq_core
+
+    def _brentq(f: Callable[[float], float], a: float, b: float) -> float:
+        """Root of f on [a, b] by Brent's compiled core; f raises on a NaN."""
+        return _brentq_core(f, a, b, _BRENT_XTOL, _BRENT_RTOL, 100, (), False, True)
+except ImportError:
+    _brentq = _brentq_public
 
 
 @dataclass(frozen=True)
@@ -155,11 +190,19 @@ def _crossing(
 
     log_ratio = math.log(w_dec) - math.log(w_inc)
 
-    def g(beta: float) -> float:
+    def gap(beta: float) -> float:
         return log_ratio + math.log(f_dec(beta)) - math.log(f_inc(beta))
 
+    def g(beta: float) -> float:
+        # The NaN check of the public brentq's wrapper, which _brentq skips;
+        # the edges are tested without it, a NaN there picking the right edge.
+        value = gap(beta)
+        if value != value:
+            raise ValueError(f"g is NaN at beta={beta}")
+        return value
+
     try:
-        ga, gb = g(a), g(b)
+        ga, gb = gap(a), gap(b)
         if not (ga > 0 > gb):
             # One term dominates over the whole bracket: the max is minimized
             # at the edge where the dominating term is smallest.
@@ -168,9 +211,9 @@ def _crossing(
             else:
                 beta = b
         else:
-            beta = brentq(g, a, b, xtol=1e-300, rtol=8.9e-16)
+            beta = _brentq(g, a, b)
     except (ValueError, OverflowError, ZeroDivisionError, RuntimeError):
-        # RuntimeError: brentq did not converge in its iteration budget.
+        # RuntimeError: Brent's method did not converge in its iteration budget.
         return math.nan, math.inf
     value = max(w_dec * f_dec(beta), w_inc * f_inc(beta))
     if not math.isfinite(value):
@@ -196,23 +239,31 @@ def _bisect(
     right: np.ndarray,
     steps: Optional[int] = None,
 ) -> None:
-    """Bisect g's sign change (g(left) > 0 >= g(right)) at every point, in place.
+    """Bisect g's sign change (g(left) > 0 >= g(right), or NaN at right) at every point, in place.
 
     Stops after ``steps`` steps, or without a limit once no bracket shrinks.
-    Each point's path depends on that point alone, so bisecting a subset
-    from a bracket the full set reached, or stopping and going on later,
-    ends on the same bits.
+    A bracket that no longer shrinks has its midpoint at one end, where g has
+    the sign that end was picked by, so a step there moves nothing: no step
+    masks the points that still move, and the unlimited loop tests for one
+    only every _BISECT_CHECK_EVERY steps.  Each point's path depends on that
+    point alone, so bisecting a subset from a bracket the full set reached,
+    or stopping and going on later, ends on the same bits.
     """
     mid = np.empty_like(left)
-    for _ in range(steps) if steps is not None else itertools.count():
+    up = np.empty(left.shape, dtype=bool)
+    for step in range(steps) if steps is not None else itertools.count():
         np.add(left, right, out=mid)
         mid *= 0.5
-        moving = (left < mid) & (mid < right)
-        if not moving.any():
+        if (
+            steps is None
+            and step % _BISECT_CHECK_EVERY == 0
+            and not ((left < mid) & (mid < right)).any()
+        ):
             break
-        up = g(mid) > 0
-        np.copyto(left, mid, where=moving & up)
-        np.copyto(right, mid, where=moving & ~up)
+        np.greater(g(mid), 0, out=up)
+        np.copyto(left, mid, where=up)
+        np.logical_not(up, out=up)
+        np.copyto(right, mid, where=up)
 
 
 def _scan(
@@ -289,6 +340,9 @@ def _scan_refined(
         # The first steps and a cut, the rest of the coarse steps and a cut,
         # then on to the end.
         for steps in (_SCAN_FIRST_STEPS, _SCAN_COARSE_STEPS - _SCAN_FIRST_STEPS, None):
+            if not live.size:
+                # Fixed steps would evaluate the terms on empty arrays.
+                break
             f_dec, f_inc, g = crossing_of(idx[live])
             _bisect(g, left, right, steps)
             dec_l, inc_l, dec_r, inc_r = f_dec(left), f_inc(left), f_dec(right), f_inc(right)

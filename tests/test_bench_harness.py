@@ -35,7 +35,8 @@ def test_names_of_committed_records_carry_over():
     lazy_tags = json.loads((ROOT / "BENCH_lazy_tags.json").read_text())["metrics"]
     sampler = json.loads((ROOT / "BENCH_sampler.json").read_text())["metrics"]
     design = json.loads((ROOT / "BENCH_design.json").read_text())["metrics"]
-    carried = set(lanes) | set(lazy_tags) | set(design) | {
+    solve = json.loads((ROOT / "BENCH_solve.json").read_text())["metrics"]
+    carried = set(lanes) | set(lazy_tags) | set(design) | set(solve) | {
         f"sampler/{name}" for name in sampler if not name.startswith("pi3_honest/")}
     assert carried == set(draws.MEASUREMENTS)
 

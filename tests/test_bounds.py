@@ -545,3 +545,71 @@ class TestLgammaTable:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=SRC)).stdout
         assert out.split() == ["0", "1"]
+
+
+def _inline_terms(mode, lam=None, theta=None):
+    """Oracle: the term builders with each numerator inline in its term."""
+    def terms(p_i, p_b, sqrt):
+        f_dec = lambda beta: (p_i + beta) / (beta - p_i) ** 2  # noqa: E731
+        if mode == "dfa":
+            return f_dec, lambda beta: 2.0 * p_b / (p_b - beta) ** 2, p_b
+        if mode == "general":
+            leak = 2.0 * LN2 * p_b * lam
+            return (f_dec,
+                    lambda beta: 2.0 * p_b * lam / ((p_b - beta - theta) ** 2 - leak),
+                    p_b - sqrt(leak) - theta)
+        pb_eff = (1.0 - lam) * p_b
+        return f_dec, lambda beta: 2.0 * pb_eff / (pb_eff - beta - theta) ** 2, pb_eff - theta
+    return terms
+
+
+def _scalar_outcome(f, beta):
+    """f(beta) as hex, or the exception it raised (Python's float ops raise
+    where numpy's give inf or NaN)."""
+    try:
+        return float(f(beta)).hex()
+    except (ZeroDivisionError, OverflowError, ValueError) as err:
+        return type(err)
+
+
+_UNIT = st.floats(0, 1, exclude_max=True)
+
+
+class TestTermBuilderNumerators:
+    """The builders compute each numerator once; the terms keep the inline
+    expressions' bits, on Python floats and on arrays."""
+
+    @staticmethod
+    def _builders(mode, lam, theta):
+        built = bounds._dfa_terms if mode == "dfa" else bounds._brm_terms(mode, lam, theta)
+        return built, _inline_terms(mode, lam, theta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mode=st.sampled_from(("dfa", "general", "sampling")),
+           lam=st.floats(0, 1, exclude_min=True, exclude_max=True),
+           theta=st.sampled_from((0.0, 1e-4)), p_i=_UNIT, p_b=_UNIT, beta=_UNIT)
+    def test_scalars(self, mode, lam, theta, p_i, p_b, beta):
+        built, inline = self._builders(mode, lam, theta)
+        got, want = built(p_i, p_b, math.sqrt), inline(p_i, p_b, math.sqrt)
+        for f_got, f_want in zip(got[:2], want[:2]):
+            assert _scalar_outcome(f_got, beta) == _scalar_outcome(f_want, beta)
+        assert float(got[2]).hex() == float(want[2]).hex()
+
+    @pytest.mark.parametrize("mode, lam, theta", [
+        ("dfa", None, None), ("general", 0.05, 1e-4), ("general", 0.7, 0.0),
+        ("sampling", 0.5, 1e-4), ("sampling", 0.999, 0.0),
+    ])
+    def test_arrays(self, mode, lam, theta):
+        rng = np.random.default_rng(31)
+        size = 20_000
+        # Probabilities over many decades, ends included, and thresholds
+        # on both sides of each bracket.
+        p_i = np.concatenate([[0.0], 10.0 ** rng.uniform(-300, -0.3, size - 1)])
+        p_b = np.maximum(p_i, 10.0 ** rng.uniform(-300, -0.3, size))
+        beta = np.concatenate([p_i[: size // 2], rng.uniform(0, 0.5, size - size // 2)])
+        built, inline = self._builders(mode, lam, theta)
+        got, want = built(p_i, p_b, np.sqrt), inline(p_i, p_b, np.sqrt)
+        with np.errstate(all="ignore"):
+            for f_got, f_want in zip(got[:2], want[:2]):
+                assert f_got(beta).tobytes() == f_want(beta).tobytes()
+        assert got[2].tobytes() == want[2].tobytes()

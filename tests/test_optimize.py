@@ -1,10 +1,12 @@
 import csv
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 from dbvsim import bounds, optimize
 from dbvsim.bounds import (
@@ -41,16 +43,100 @@ def dfa_terms(e0, beta, psi):
     return t1, t2
 
 
+def _brentq_crossing(f_dec, f_inc, lo, hi, w_dec, w_inc):
+    """Oracle: optimize._crossing through the public scipy brentq, whose
+    wrapper raises ValueError on a NaN value of g."""
+    if not hi - lo > 0:
+        return math.nan, math.inf
+    a, b = optimize._bracket(lo, hi, math.nextafter, max, min)
+    if not a < b:
+        return math.nan, math.inf
+
+    log_ratio = math.log(w_dec) - math.log(w_inc)
+
+    def g(beta):
+        return log_ratio + math.log(f_dec(beta)) - math.log(f_inc(beta))
+
+    try:
+        ga, gb = g(a), g(b)
+        if not (ga > 0 > gb):
+            beta = a if ga <= 0 else b
+        else:
+            beta = scipy_brentq(g, a, b, xtol=1e-300, rtol=8.9e-16)
+    except (ValueError, OverflowError, ZeroDivisionError, RuntimeError):
+        return math.nan, math.inf
+    value = max(w_dec * f_dec(beta), w_inc * f_inc(beta))
+    if not math.isfinite(value):
+        return math.nan, math.inf
+    return beta, value
+
+
+def _hex(pair):
+    return tuple(float(v).hex() for v in pair)
+
+
+def _inner_three_ways(terms, p_i, p_b, w_dec, w_inc):
+    """_inner's result as hex with Brent's core called directly, with the
+    public-brentq fallback, and with the oracle crossing."""
+    args = (terms, p_i, p_b, w_dec, w_inc)
+    results = [_hex(optimize._inner(*args))]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(optimize, "_brentq", optimize._brentq_public)
+        results.append(_hex(optimize._inner(*args)))
+        m.setattr(optimize, "_crossing", _brentq_crossing)
+        results.append(_hex(optimize._inner(*args)))
+    return results
+
+
+_UNCONVERGED_CH = ChannelParams(e_max=3e6)
+#: Log weights: near-equal ones, where most points cross, and lopsided ones.
+_LOG_WEIGHT = st.one_of(st.floats(-3, 3), st.floats(-70, 70))
+
+
 class TestCrossing:
     def test_unconverged_root_is_infeasible(self):
         # At this grid power (p_i ~ 2e-154) brentq raises "Failed to converge
         # after 100 iterations"; the point counts as infeasible.
-        ch = ChannelParams(e_max=3e6)
+        ch = _UNCONVERGED_CH
         e0 = float(optimize._e0_grid(ch)[1688])
         assert e0 == pytest.approx(3.4967e5, rel=1e-4)
         ber = intended_blocked_ber(e0, 1.01, ch)
         beta, value = optimize._inner(bounds._dfa_terms, ber.p_i, ber.p_b, 1e-6, 1e6)
         assert math.isnan(beta) and value == math.inf
+        results = _inner_three_ways(bounds._dfa_terms, ber.p_i, ber.p_b, 1e-6, 1e6)
+        assert results == [("nan", "inf")] * 3
+
+    def test_nan_inside_the_bracket_is_infeasible(self):
+        # Both terms are inf on (0.1, 0.3), so g is NaN where Brent's first
+        # step lands (0.25).  Fed the NaN, the core would go on to return
+        # the finite point 0.1 - 1 ulp; g's own check must stop the solve as
+        # the public wrapper's did.
+        def f_dec(beta):
+            return math.inf if 0.1 < beta < 0.3 else (1.0 - beta) ** 3
+
+        def f_inc(beta):
+            return math.inf if 0.1 < beta < 0.3 else beta
+
+        terms = lambda p_i, p_b, sqrt: (f_dec, f_inc, p_b)  # noqa: E731
+        assert _inner_three_ways(terms, 0.0, 1.0, 1.0, 1.0) == [("nan", "inf")] * 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        psi=st.floats(1.001, 50),
+        point=st.integers(0, optimize.E0_GRID_POINTS - 1),
+        log_w_dec=_LOG_WEIGHT,
+        log_w_inc=_LOG_WEIGHT,
+        mode=st.sampled_from(("dfa", "general", "sampling")),
+        lam=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        theta=st.sampled_from((0.0, 1e-4)),
+        ch=st.sampled_from((CH, _UNCONVERGED_CH)),
+    )
+    def test_matches_public_brentq(self, psi, point, log_w_dec, log_w_inc, mode, lam, theta, ch):
+        terms = bounds._dfa_terms if mode == "dfa" else bounds._brm_terms(mode, lam, theta)
+        ber = intended_blocked_ber(float(optimize._e0_grid(ch)[point]), psi, ch)
+        direct, fallback, oracle = _inner_three_ways(
+            terms, ber.p_i, ber.p_b, math.exp(log_w_dec), math.exp(log_w_inc))
+        assert direct == fallback == oracle
 
 
 class TestOptimizeDfa:
@@ -339,6 +425,85 @@ def _full_bisection_scan(terms, p_i, p_b, w_dec, w_inc):
                          objective(beta))
     vals[idx] = np.where(ok & np.isfinite(value), value, np.inf)
     return vals
+
+
+def _masked_bisect(g, left, right, steps=None):
+    """Oracle: _bisect stepping only the points whose bracket still shrinks,
+    testing for one before every step."""
+    mid = np.empty_like(left)
+    for _ in range(steps) if steps is not None else itertools.count():
+        np.add(left, right, out=mid)
+        mid *= 0.5
+        moving = (left < mid) & (mid < right)
+        if not moving.any():
+            break
+        up = g(mid) > 0
+        np.copyto(left, mid, where=moving & up)
+        np.copyto(right, mid, where=moving & ~up)
+
+
+def _crossing_brackets(terms, psi, w_dec, w_inc):
+    """(g, left, right) at the grid's crossing points, the brackets _scan_refined
+    starts bisecting."""
+    _, p_i, p_b = optimize._ber_grid(psi, CH)
+    _, _, beta_hi = terms(p_i, p_b, np.sqrt)
+    idx = np.flatnonzero((0 <= p_i) & (p_i < p_b) & (beta_hi > p_i))
+    _, _, hi = terms(p_i[idx], p_b[idx], np.sqrt)
+    a, b = optimize._bracket(p_i[idx], hi, np.nextafter, np.maximum, np.minimum)
+    log_ratio = math.log(w_dec) - math.log(w_inc)
+
+    def g_at(points):
+        f_dec, f_inc, _ = terms(p_i[points], p_b[points], np.sqrt)
+        return lambda beta: log_ratio + np.log(f_dec(beta)) - np.log(f_inc(beta))
+
+    with np.errstate(all="ignore"):
+        g = g_at(idx)
+        crosses = (g(a) > 0) & (g(b) < 0)
+    return g_at(idx[crosses]), a[crosses], b[crosses]
+
+
+class TestBisectOracle:
+    """_bisect steps every point and tests for progress only in the
+    unlimited loop; it must end on the masked loop's bits."""
+
+    @staticmethod
+    def _run(bisect, g, left, right, *stages):
+        left, right = left.copy(), right.copy()
+        with np.errstate(all="ignore"):
+            for steps in stages:
+                bisect(g, left, right, steps)
+        return left.tobytes(), right.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+    def test_scan_cases(self, case):
+        g, left, right = _crossing_brackets(*_SCAN_CASES[case])
+        for stages in ((0,), (1,), (3,), (13,), (None,)):
+            want = self._run(_masked_bisect, g, left, right, *stages)
+            assert self._run(optimize._bisect, g, left, right, *stages) == want
+        want = self._run(_masked_bisect, g, left, right, None)
+        split = (optimize._SCAN_FIRST_STEPS,
+                 optimize._SCAN_COARSE_STEPS - optimize._SCAN_FIRST_STEPS, None)
+        assert self._run(optimize._bisect, g, left, right, *split) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        psi=st.floats(1.001, 50),
+        log_w_dec=_LOG_WEIGHT,
+        log_w_inc=_LOG_WEIGHT,
+        mode=st.sampled_from(("dfa", "general", "sampling")),
+        lam=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        theta=st.sampled_from((0.0, 1e-4)),
+        extra=st.integers(1, 2 * optimize._BISECT_CHECK_EVERY),
+    )
+    def test_steps_at_stopped_brackets_change_nothing(
+        self, psi, log_w_dec, log_w_inc, mode, lam, theta, extra
+    ):
+        terms = bounds._dfa_terms if mode == "dfa" else bounds._brm_terms(mode, lam, theta)
+        g, left, right = _crossing_brackets(
+            terms, psi, math.exp(log_w_dec), math.exp(log_w_inc))
+        stopped = self._run(_masked_bisect, g, left, right, None)
+        left, right = (np.frombuffer(side).copy() for side in stopped)
+        assert self._run(optimize._bisect, g, left, right, extra) == stopped
 
 
 def _check_against_full_bisection(terms, psi, w_dec, w_inc):
