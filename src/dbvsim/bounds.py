@@ -133,9 +133,9 @@ def _completeness_term(p_i: Real) -> Callable[[Real], Real]:
     return lambda beta: (p_i + beta) / (beta - p_i) ** 2
 
 
-# The term builders compute each term's constant numerator once, when they
-# build the term: Python evaluates it first in the inline expression too, so
-# every value keeps its bits and each array call saves one operation.
+# Each term's constant numerator is computed once, when the term is built.
+# It is the first operation of the term's expression, so the values keep the
+# bits of the one-expression form, and each array call saves one operation.
 
 
 def _soundness_term(p_b: Real) -> Callable[[Real], Real]:

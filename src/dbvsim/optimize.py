@@ -17,7 +17,7 @@ final value, and cuts the points that bracket rules out of the grid
 minimum; the rest take the remaining 13 of 16 steps and the same cut, and
 only the points left after it bisect to the end.  A step at a bracket that
 no longer shrinks moves nothing, so the steps mask no points and only the
-bisection to the end tests, now and then, whether any bracket still
+bisection to the end tests, every few steps, whether any bracket still
 shrinks.  The term builders in ``bounds`` compute each term's constant
 numerator once.  The grid's error probabilities depend only on psi and the
 channel, so one read-only copy per (psi, channel) serves every design at
@@ -98,7 +98,7 @@ LAMBDA_TOL = 1e-4
 #: that still shrinks; a step at a stopped bracket changes no bit.
 _BISECT_CHECK_EVERY = 4
 
-#: Brent's root finder's tolerances on beta, as _crossing has always set them.
+#: Tolerances on beta of the scalar Brent solve.
 _BRENT_XTOL = 1e-300
 _BRENT_RTOL = 8.9e-16
 
